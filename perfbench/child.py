@@ -1,18 +1,21 @@
 """One pipeline run in a process of its own.
 
-    python3 perfbench/child.py CONFIG RESULT_JSON THREADS TRACE RUN_ID
+    python3 perfbench/child.py CONFIG RESULT_JSON THREADS TRACE RUN_ID KERNEL
 
 Times `PipelineConfig.from_file` plus `run_pipeline`, from reading the
 config to report.json written, and writes the timing and the quality
-numbers to RESULT_JSON.  With TRACE=1 it also records spans around the
-library calls and, after the timed run, checks a fixed sample of the
+numbers to RESULT_JSON, with the CPU time of every thread over that
+interval and the times of the calibration KERNEL run just before and just
+after it (see calibrate.py).  With TRACE=1 it also records spans around
+the library calls and, after the timed run, checks a fixed sample of the
 `knn_search` results against an independent numpy top-K.  The parent
-reads this process's CPU time and peak RSS from wait4.
+reads this process's peak RSS from wait4.
 """
 
 from __future__ import annotations
 
 import json
+import resource
 import sys
 import time
 from contextlib import nullcontext
@@ -23,6 +26,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from calibrate import time_kernel, warm_up  # noqa: E402
 from cbirkit import PipelineConfig, run_pipeline  # noqa: E402
 from spans import Tracer, layer_metrics, self_times  # noqa: E402
 
@@ -54,23 +58,36 @@ def spot_check(knn_calls) -> dict:
             "mismatched": mismatched}
 
 
+def _cpu_s() -> float:
+    """User plus system CPU seconds of every thread of this process."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
 def main(argv: list[str]) -> int:
-    config_path, result_path, threads, trace, run_id = argv
+    config_path, result_path, threads, trace, run_id, kernel = argv
+    warm_up(kernel)
+    calibration = [time_kernel(kernel)]
     tracer = Tracer(run_id) if trace == "1" else None
     if tracer is not None:
         tracer.install()
     with tracer.span("pipeline.run") if tracer is not None else nullcontext():
+        cpu_start = _cpu_s()
         start = time.perf_counter()
         result = run_pipeline(PipelineConfig.from_file(config_path), threads=int(threads))
         run_s = time.perf_counter() - start
+        cpu_s = _cpu_s() - cpu_start
     if tracer is not None:
         tracer.uninstall()
+    calibration.append(time_kernel(kernel))
 
     detection = result.report["detection"] or {}
     acc = result.report["retrieval"]["acc"]
     out = {
         "run_id": run_id,
         "run_s": run_s,
+        "cpu_s": cpu_s,
+        "calibration_s": calibration,
         "quality": {"acc_at_1": acc.get("1"), "acc_at_10": acc.get("10"),
                     "ap50": detection.get("ap50"), "ap": detection.get("ap")},
         "rankings_path": result.rankings_path,

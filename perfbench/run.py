@@ -5,15 +5,20 @@
 
 Run from the root of a source checkout; the library is imported from
 `src/`.  One client, closed loop: runs execute one at a time, each in a
-fresh child process (perfbench/child.py) so that its CPU time and peak RSS,
-read through wait4, belong to that run alone.
+fresh child process (perfbench/child.py) so that its peak RSS, read
+through wait4, and its CPU time belong to that run alone.
 
-A single workload first generates its inputs from the seed three times and
-reports the median as setup_s.  With --trace 0 it then runs the pipeline
-untraced for --seconds and prints the end-to-end metrics.  With --trace 1
-it alternates untraced and traced runs for --seconds and prints the
-per-layer metrics from the traced runs; the difference of the two median
-run times is the tracing overhead.  The last line of standard output is
+A single workload first generates its inputs from the seed three to nine
+times, until three seconds have gone by, and reports the median as
+setup_s.  With --trace 0 it then runs the pipeline untraced for --seconds
+and prints the end-to-end metrics.  Every timing metric is in reference
+seconds: each set-up and each run is bracketed by a fixed calibration
+kernel, and its time is scaled by how much slower or faster than on the
+reference machine the kernel ran around it (calibrate.py).  The
+wall-clock medians are printed beside them.  With --trace 1 it alternates
+untraced and traced runs for --seconds and prints the per-layer metrics
+from the traced runs; the difference of the two median run times is the
+tracing overhead.  The last line of standard output is
 one JSON object: {"correct", "attempted", "failed", "metrics"}.
 
 `--workload all` runs every workload untraced and traced, prints every
@@ -43,13 +48,20 @@ import time
 from collections import Counter
 from pathlib import Path
 
+from calibrate import REFERENCE_S, speed_factor, time_kernel, warm_up
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORK = ROOT / ".perfbench"
 # every invocation must end well inside three minutes
 DEADLINE = time.monotonic() + 165.0
 SETUP_REPEATS = 3
+# a cheap set-up is repeated for this long, or this many times
+SETUP_SECONDS = 3.0
+SETUP_MAX_REPEATS = 9
 QUALITY = ("acc_at_1", "acc_at_10", "ap50", "ap")
+# set-up is one interpreter thread writing files
+SETUP_KERNEL = "interpreter"
 
 
 def _import_library():
@@ -96,32 +108,45 @@ def provenance(threads: int) -> dict:
     }
 
 
-def setup(workload, seed: int, work: Path) -> tuple[Path, dict, list[float]]:
-    """Generate the inputs SETUP_REPEATS times; keep the last copy."""
-    times = []
-    for i in range(SETUP_REPEATS):
+def setup(workload, seed: int, work: Path) -> tuple[Path, dict, list[float], list[float]]:
+    """Generate the inputs at least SETUP_REPEATS times, and up to
+    SETUP_MAX_REPEATS times until SETUP_SECONDS have gone by, with a
+    calibration kernel before the first and after each; keep the last
+    copy.  Returns the wall times and the times in reference seconds, each
+    scaled by the kernels on either side of it."""
+    times, scaled = [], []
+    warm_up(SETUP_KERNEL)
+    kernel_s = [time_kernel(SETUP_KERNEL)]
+    while len(times) < SETUP_REPEATS or (sum(times) < SETUP_SECONDS
+                                         and len(times) < SETUP_MAX_REPEATS):
+        i = len(times)
         target = work / f"inputs{i}"
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir(parents=True)
         start = time.perf_counter()
         config, sizes = workload.setup(seed, target)
         times.append(time.perf_counter() - start)
+        kernel_s.append(time_kernel(SETUP_KERNEL))
+        scaled.append(times[-1] * speed_factor(SETUP_KERNEL, kernel_s[-2:]))
         if i:
             shutil.rmtree(work / f"inputs{i - 1}")
-    return config, sizes, times
+    return config, sizes, times, scaled
 
 
-def run_child(config: Path, run_id: str, traced: bool, threads: int, work: Path,
-              deadline: float) -> dict:
-    """One run in a fresh process, killed at the monotonic `deadline`; CPU
-    time and peak RSS come from wait4."""
+def run_child(config: Path, run_id: str, traced: bool, threads: int, kernel: str,
+              work: Path, deadline: float) -> dict:
+    """One run in a fresh process, killed at the monotonic `deadline`; peak
+    RSS comes from wait4, the run's CPU time from the child itself, so that
+    neither start-up nor the calibration kernels count."""
     result_path = work / f"{run_id}.json"
     log_path = work / f"{run_id}.log"
     result_path.unlink(missing_ok=True)
     argv = [sys.executable, str(HERE / "child.py"), str(config), str(result_path),
-            str(threads), "1" if traced else "0", run_id]
+            str(threads), "1" if traced else "0", run_id, kernel]
     start = time.monotonic()
-    pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=[
+    # a fixed hash seed removes per-process dict and set layout noise
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    pid = os.posix_spawn(sys.executable, argv, env, file_actions=[
         (os.POSIX_SPAWN_OPEN, 1, str(log_path), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644),
         (os.POSIX_SPAWN_DUP2, 1, 2),
     ])
@@ -135,13 +160,12 @@ def run_child(config: Path, run_id: str, traced: bool, threads: int, work: Path,
             if time.monotonic() > deadline:
                 os.kill(pid, signal.SIGKILL)
                 timed_out = True
-            time.sleep(0.005)
+            time.sleep(0.05)
     finally:
         if not done:
             os.kill(pid, signal.SIGKILL)
             os.wait4(pid, 0)
     record = {"run_id": run_id, "traced": traced, "wall_s": time.monotonic() - start,
-              "cpu_s": usage.ru_utime + usage.ru_stime,
               "peak_rss_mb": usage.ru_maxrss / 1024.0, "errors": []}
     if timed_out:
         record["errors"].append("killed at the invocation time limit")
@@ -150,13 +174,14 @@ def run_child(config: Path, run_id: str, traced: bool, threads: int, work: Path,
         record["errors"].append(f"run raised: {' '.join(tail)}")
     else:
         record.update(_read_json(result_path))
+        record["speed_factor"] = speed_factor(kernel, record["calibration_s"])
         with open(record["rankings_path"], "rb") as fh:
             record["digest"] = hashlib.sha256(fh.read()).hexdigest()
     return record
 
 
 def run_phases(config: Path, modes: tuple[bool, ...], seconds: float, threads: int,
-               work: Path) -> list[dict]:
+               kernel: str, work: Path) -> list[dict]:
     """Closed loop: start the next run only after the previous one ended,
     while the typical run still fits in the budget.  Runs alternate between
     `modes` (traced or not), so that drift hits both alike; at least one
@@ -171,7 +196,7 @@ def run_phases(config: Path, modes: tuple[bool, ...], seconds: float, threads: i
                 break
         traced = modes[len(runs) % len(modes)]
         run_id = f"{'traced' if traced else 'plain'}{len(runs)}"
-        runs.append(run_child(config, run_id, traced, threads, work, DEADLINE))
+        runs.append(run_child(config, run_id, traced, threads, kernel, work, DEADLINE))
         if runs[-1]["errors"] and "killed" in runs[-1]["errors"][0]:
             break
     return runs
@@ -217,14 +242,16 @@ def _median(values) -> float:
     return statistics.median(values) if values else float("nan")
 
 
-def end_to_end(runs: list[dict], setup_times: list[float], units: int) -> dict:
+def end_to_end(runs: list[dict], setup_s: list[float], units: int) -> dict:
+    """Median of each metric over the passing runs; timings in reference
+    seconds, each run scaled by its own speed factor."""
     ok = [r for r in runs if not r["errors"]]
     values = {
-        "run_s": _median(r["run_s"] for r in ok),
-        "throughput_per_s": _median(units / r["run_s"] for r in ok),
-        "cpu_s": _median(r["cpu_s"] for r in ok),
+        "run_s": _median(r["run_s"] * r["speed_factor"] for r in ok),
+        "throughput_per_s": _median(units / (r["run_s"] * r["speed_factor"]) for r in ok),
+        "cpu_s": _median(r["cpu_s"] * r["speed_factor"] for r in ok),
         "peak_rss_mb": _median(r["peak_rss_mb"] for r in ok),
-        "setup_s": statistics.median(setup_times),
+        "setup_s": statistics.median(setup_s),
     }
     for name in QUALITY:
         values[name] = _median(r["quality"][name] for r in ok)
@@ -270,9 +297,10 @@ def bench_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
     work = WORK / "work" / f"{name}-s{seed}-{os.getpid()}"
     shutil.rmtree(work, ignore_errors=True)
     try:
-        config, sizes, setup_times = setup(workload, seed, work)
+        config, sizes, setup_times, setup_scaled = setup(workload, seed, work)
         units = sizes[workload.throughput_unit]
-        runs = run_phases(config, (False, True) if trace else (False,), seconds, THREADS, work)
+        runs = run_phases(config, (False, True) if trace else (False,), seconds, THREADS,
+                          workload.calibration, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     plain = [r for r in runs if not r["traced"]]
@@ -287,10 +315,17 @@ def bench_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
         "samples": {"setup": len(setup_times),
                     "plain": sum(1 for r in plain if not r["errors"]),
                     "traced": sum(1 for r in traced if not r["errors"])},
-        "setup_s_samples": setup_times,
-        "plain_runs": [{k: r.get(k) for k in ("run_id", "run_s", "cpu_s", "peak_rss_mb",
-                                               "quality", "digest")} for r in plain],
-        "end_to_end": end_to_end(plain, setup_times, units) if plain else None,
+        "calibration": {"run_kernel": workload.calibration, "setup_kernel": SETUP_KERNEL,
+                        "reference_s": REFERENCE_S},
+        "setup_wall_s": setup_times,
+        "setup_s_samples": setup_scaled,
+        "plain_runs": [{k: r.get(k) for k in ("run_id", "run_s", "cpu_s", "calibration_s",
+                                               "speed_factor", "peak_rss_mb", "quality",
+                                               "digest")} for r in plain],
+        "end_to_end": end_to_end(plain, setup_scaled, units) if plain else None,
+        "wall": {"run_s": _median(r["run_s"] for r in plain if not r["errors"]),
+                 "cpu_s": _median(r["cpu_s"] for r in plain if not r["errors"]),
+                 "setup_s": statistics.median(setup_times)},
     }
     if traced:
         layers = per_layer(traced)
@@ -321,6 +356,9 @@ def _print_summary(result: dict, declared: dict) -> None:
             unit = result["throughput_unit"] if m["name"] == "throughput_per_s" else m["unit"]
             print(f"  {m['name']:<18} {result['end_to_end'][m['name']]:.6g} {unit}"
                   f"  (median of {count})")
+        wall = result["wall"]
+        print(f"  wall clock, unscaled: run_s {wall['run_s']:.6g}  cpu_s {wall['cpu_s']:.6g}"
+              f"  setup_s {wall['setup_s']:.6g}")
     if "per_layer" in result:
         for name, value in result["per_layer"].items():
             print(f"  {name:<30} {value:.6g}  (median of {n['traced']} traced)")

@@ -40,7 +40,8 @@ from cbirkit.synthetic import (
 # run_pipeline's thread count; the reference machine has two cores
 THREADS = 2
 
-RETRIEVAL_CHAIN_SPEC = dict(num_images=2000, num_categories=5, gt_boxes_per_image=3,
+# 1000 images keep one run near 3 s, so a timed run holds about ten of them
+RETRIEVAL_CHAIN_SPEC = dict(num_images=1000, num_categories=5, gt_boxes_per_image=3,
                             detector_count=3, embedding_dim=32, embedding_models=3,
                             cluster_spread=0.6, noise_sigma=0.2)
 # whitening every concatenated dimension amplifies noise directions and
@@ -75,6 +76,8 @@ class Workload:
     setup: Callable[[int, Path], tuple[Path, dict]]
     # accepted range of a quality metric, checked on seeds that have no pins
     quality_range: dict[str, tuple[float, float]]
+    # calibrate.py kernel that loads the cores as this workload's runs do
+    calibration: str
 
 
 def _write_config(out: Path, config: dict) -> Path:
@@ -205,13 +208,14 @@ WORKLOADS = {
     w.name: w for w in (
         Workload(
             name="retrieval_chain",
-            why="The per-query top-K loops of search, QE and DBA do about 87% of the "
-                "work on 6000 queries, at an Acc@1 near 0.5 that can still move.",
+            why="The per-query top-K loops of search, QE and DBA do about 80% of the "
+                "work on 3000 queries, at an Acc@1 near 0.5 that can still move.",
             throughput_unit="queries",
             spec={"gen_synth": RETRIEVAL_CHAIN_SPEC, "post": RETRIEVAL_CHAIN_POST,
                   "search_k": 10, "restrict_to_query_category": False},
             setup=_setup_retrieval_chain,
             quality_range={"acc_at_1": (0.3, 0.8)},
+            calibration="parallel",
         ),
         Workload(
             name="rerank_multishot",
@@ -223,6 +227,7 @@ WORKLOADS = {
                   "restrict_to_query_category": False},
             setup=_setup_rerank_multishot,
             quality_range={"acc_at_1": (0.6, 1.0)},
+            calibration="bandwidth",
         ),
         Workload(
             name="detection_fusion",
@@ -234,6 +239,7 @@ WORKLOADS = {
                   "restrict_to_query_category": True},
             setup=_setup_detection_fusion,
             quality_range={"ap": (0.6, 0.9)},
+            calibration="interpreter",
         ),
     )
 }
