@@ -8,8 +8,9 @@
     cbirkit run --config config.json
     cbirkit gen-synth --spec spec.json --out bench/
 
-Global flags: --threads N (0 = all cores), --seed U64 (overrides the
-synthetic spec seed), --log-level LEVEL.
+Global flags: --threads N (k-reciprocal re-rank pool size, 0 = all usable
+cores; search, QE and DBA use the BLAS threads the environment sets),
+--seed U64 (overrides the synthetic spec seed), --log-level LEVEL.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cbirkit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for search/rerank (0 = all cores)")
+                        help="re-rank worker threads (0 = all usable cores); search, "
+                             "QE and DBA use the environment's BLAS threads")
     parser.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the synthetic spec seed")
     parser.add_argument("--log-level", default="WARNING", metavar="LEVEL")

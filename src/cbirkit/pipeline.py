@@ -107,6 +107,12 @@ class PipelineConfig:
         search_k = int(search_raw.get("k", 10))
         if search_k < 1:
             raise ConfigError("search.k must be >= 1")
+        restrict = bool(search_raw.get("restrict_to_query_category", False))
+        if restrict and "rerank" in names:
+            # re-ranking needs at least k1 candidates per query, which a
+            # category's share of the gallery need not hold
+            raise ConfigError("search.restrict_to_query_category cannot be combined "
+                              "with a 'rerank' post step")
 
         eval_raw = dict(raw.get("eval") or {})
         ks = tuple(int(k) for k in eval_raw.get("ks", [1, 10]))
@@ -125,7 +131,7 @@ class PipelineConfig:
             embeddings=tuple(embeddings),
             post=tuple(post),
             search_k=search_k,
-            restrict_to_query_category=bool(search_raw.get("restrict_to_query_category", False)),
+            restrict_to_query_category=restrict,
             retrieval_gt=eval_raw.get("retrieval_gt"),
             detection_gt=eval_raw.get("detection_gt"),
             eval_ks=ks,

@@ -41,7 +41,7 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .search import RankingList, RetrievalIndex, _resolve_threads, topk_rows
+from .search import RankingList, RetrievalIndex, _resolve_threads, exact_topk
 
 
 @dataclass(frozen=True)
@@ -82,20 +82,20 @@ class RerankParams:
 def _expand_rows(
     vectors: np.ndarray,
     ids,
-    neighbor_rows: list[np.ndarray],
-    neighbor_scores: list[np.ndarray],
+    neighbor_rows: np.ndarray,
+    neighbor_scores: np.ndarray,
     source: np.ndarray,
     alpha: float,
 ) -> np.ndarray:
-    out = np.empty_like(vectors)
-    for i in range(vectors.shape[0]):
-        weights = np.power(np.maximum(neighbor_scores[i], 0.0), alpha)
-        acc = vectors[i] + weights @ source[neighbor_rows[i]]
-        norm = np.linalg.norm(acc)
-        if norm == 0.0:
-            raise DataError(f"expansion of item {ids[i].item_id!r} produced a zero vector")
-        out[i] = acc / norm
-    return out
+    weights = np.power(np.maximum(neighbor_scores, 0.0), alpha)
+    acc = vectors.copy()
+    for j in range(neighbor_rows.shape[1]):
+        acc += weights[:, j, None] * source[neighbor_rows[:, j]]
+    norms = np.linalg.norm(acc, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DataError(f"expansion of item {ids[zero[0]].item_id!r} produced a zero vector")
+    return acc / norms[:, None]
 
 
 def query_expansion(
@@ -109,11 +109,7 @@ def query_expansion(
         raise DataError("queries must be unit-normalized")
     if queries.dim != index.gallery.dim:
         raise DataError(f"query dim {queries.dim} != gallery dim {index.gallery.dim}")
-    rows, scores = [], []
-    for i in range(queries.n_rows):
-        r, s = topk_rows(index, queries.data[i], params.k)
-        rows.append(r)
-        scores.append(s)
+    rows, scores = exact_topk(index, queries.data, params.k)
     data = _expand_rows(queries.data, queries.ids, rows, scores,
                         index.gallery.data, params.alpha)
     return queries.with_data(data)
@@ -128,16 +124,16 @@ def database_augmentation(gallery: EmbeddingMatrix, params: QeParams) -> Embeddi
     if not gallery.is_unit_normalized():
         raise DataError("gallery must be unit-normalized")
     index = RetrievalIndex(gallery)
-    rows, scores = [], []
-    for i in range(gallery.n_rows):
-        if params.include_self:
-            r, s = topk_rows(index, gallery.data[i], params.k)
-        else:
-            r, s = topk_rows(index, gallery.data[i], params.k + 1)
-            keep = r != i
-            r, s = r[keep][: params.k], s[keep][: params.k]
-        rows.append(r)
-        scores.append(s)
+    if params.include_self:
+        rows, scores = exact_topk(index, gallery.data, params.k)
+    else:
+        # search one deeper, then drop each row's own entry, or the last
+        # entry where the row itself did not make the list
+        rows, scores = exact_topk(index, gallery.data, params.k + 1)
+        is_self = rows == np.arange(gallery.n_rows)[:, None]
+        keep = np.argsort(is_self, axis=1, kind="stable")[:, : rows.shape[1] - 1]
+        rows = np.take_along_axis(rows, keep, axis=1)
+        scores = np.take_along_axis(scores, keep, axis=1)
     data = _expand_rows(gallery.data, gallery.ids, rows, scores,
                         gallery.data, params.alpha)
     return gallery.with_data(data)

@@ -5,18 +5,43 @@ search is exact brute force so every downstream number can be checked
 against an independent oracle.  Ties on score break by ascending gallery
 item_id, which makes every ranking a total order and therefore
 reproducible across runs and thread counts.
+
+Search, query expansion and database augmentation share one blocked
+kernel, `exact_topk`.  For each block of QUERY_BLOCK query rows it
+
+  1. scores the block against every candidate with one GEMM and clips the
+     scores to [-1, 1];
+  2. finds each row's k-th score with `argpartition` and keeps every
+     candidate scoring at least that much, less a slack that covers the
+     rounding of two dot products (so boundary ties always survive);
+  3. recomputes the survivors' scores as elementwise products summed along
+     the feature axis, a value that depends on the two vectors alone and
+     not on the block shape or the BLAS thread count, as GEMM bits do;
+  4. orders the survivors by (-score, rank of item_id) in one 2-D
+     `lexsort` over the block.  The rank is computed once per index, and
+     candidates are laid out in item_id order, so a column is its rank.
+
+A row whose survivors outnumber k (ties, or scores within the slack of the
+k-th) is ordered on its own; the rest of the block needs no per-row work.
+Temporary memory is O(QUERY_BLOCK x candidates), whatever the query count.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
+
+# query rows scored per GEMM; bounds the kernel's temporary memory
+QUERY_BLOCK = 256
+
+_EPS = np.finfo(np.float64).eps
+# elements per product array when scores are recomputed; small enough to stay in cache
+_PRODUCT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -34,7 +59,7 @@ class RankingList:
         object.__setattr__(self, "item_ids", tuple(self.item_ids))
         if len(self.item_ids) != scores.shape[0]:
             raise DataError(f"ranking for {self.query_id!r}: ids/scores length mismatch")
-        if scores.size and np.any(np.diff(scores) > 0):
+        if (scores[1:] > scores[:-1]).any():
             raise DataError(f"ranking for {self.query_id!r}: scores increase")
         if len(set(self.item_ids)) != len(self.item_ids):
             raise DataError(f"ranking for {self.query_id!r}: duplicate gallery ids")
@@ -52,13 +77,17 @@ class RankingList:
 
 
 class RetrievalIndex:
-    """Immutable gallery snapshot; optionally pre-partitioned by category."""
+    """Immutable gallery snapshot with the integer rank of each item_id and
+    a category partition, built up front or on first use."""
 
     def __init__(self, gallery: EmbeddingMatrix, partition_by_category: bool = False):
         if not gallery.is_unit_normalized():
             raise DataError("gallery rows must be unit-normalized (|norm - 1| <= 1e-5)")
         self.gallery = gallery
-        self.partition: dict[int, np.ndarray] | None = (
+        # position of each row's item_id in ascending id order: the tie-break key
+        self.id_rank = np.empty(gallery.n_rows, dtype=np.int64)
+        self.id_rank[np.argsort(gallery.item_ids, kind="stable")] = np.arange(gallery.n_rows)
+        self._partition: dict[int, np.ndarray] | None = (
             self._group_by_category(gallery) if partition_by_category else None
         )
 
@@ -68,10 +97,9 @@ class RetrievalIndex:
         return {int(c): np.nonzero(cats == c)[0] for c in np.unique(cats)}
 
     def category_rows(self, category_id: int) -> np.ndarray:
-        groups = self.partition
-        if groups is None:
-            groups = self._group_by_category(self.gallery)
-        return groups.get(category_id, np.empty(0, dtype=np.int64))
+        if self._partition is None:
+            self._partition = self._group_by_category(self.gallery)
+        return self._partition.get(category_id, np.empty(0, dtype=np.int64))
 
     def __len__(self) -> int:
         return self.gallery.n_rows
@@ -83,34 +111,89 @@ def build_index(gallery: EmbeddingMatrix, partition_by_category: bool = False) -
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is None or threads == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if threads < 0:
         raise ConfigError(f"threads must be >= 0, got {threads}")
     return threads
 
 
-def topk_rows(index: RetrievalIndex, query_vec: np.ndarray, k: int,
-              candidate_rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k gallery row indices and clipped cosine scores for one query.
+def _exact_scores(block: np.ndarray, cand: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
+    """Clipped cosine of block row i with cand row cols[i, j] (every cand
+    row when cols is None), for all i, j.
 
-    Candidates default to the whole gallery.  Ordering is by descending
-    score, ties by ascending item_id.
+    Each product is summed along the feature axis of a fresh contiguous
+    array, so a value depends only on its two vectors.  Rows go in chunks
+    whose product array holds about _PRODUCT_CHUNK elements.
     """
-    gallery = index.gallery
-    if candidate_rows is None:
-        scores = gallery.data @ query_vec
-        ids = gallery.item_ids
-        rows = None
-    else:
-        if candidate_rows.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        scores = gallery.data[candidate_rows] @ query_vec
-        ids = gallery.item_ids[candidate_rows]
-        rows = candidate_rows
-    scores = np.clip(scores, -1.0, 1.0)
-    order = np.lexsort((ids, -scores))[:k]
-    top = order if rows is None else rows[order]
-    return top, scores[order]
+    width = cand.shape[0] if cols is None else cols.shape[1]
+    out = np.empty((block.shape[0], width))
+    step = max(1, _PRODUCT_CHUNK // (width * cand.shape[1]))
+    for s in range(0, block.shape[0], step):
+        pairs = cand[None] if cols is None else cand[cols[s:s + step]]
+        out[s:s + step] = np.multiply(block[s:s + step, None, :], pairs).sum(axis=2)
+    return np.clip(out, -1.0, 1.0, out=out)
+
+
+def _order(block: np.ndarray, cand: np.ndarray,
+           cols: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's candidate columns (all when cols is None) and their scores,
+    sorted by (-exact score, column).  Columns follow item_id order."""
+    scores = _exact_scores(block, cand, cols)
+    if cols is None:
+        cols = np.broadcast_to(np.arange(cand.shape[0]), scores.shape)
+    order = np.lexsort((cols, -scores), axis=1)
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(scores, order, axis=1)
+
+
+def _block_topk(block: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k candidate columns and scores of one query block (k <= len(cand))."""
+    m = cand.shape[0]
+    if k == m:  # every candidate survives: no GEMM or selection needed
+        return _order(block, cand, None)
+    sims = block @ cand.T
+    np.clip(sims, -1.0, 1.0, out=sims)
+    top = np.argpartition(sims, m - k, axis=1)[:, m - k:]
+    # a dot product of two near-unit vectors, summed in any order, lies within
+    # about dim * eps / 2 of the exact value, so a GEMM score and its
+    # recomputed twin differ by about dim * eps at most.  A candidate whose
+    # recomputed score reaches the k-th then has a GEMM score within twice
+    # that of the k-th GEMM score; the floor leaves another factor of two.
+    floor = np.take_along_axis(sims, top, axis=1).min(axis=1) - 4 * cand.shape[1] * _EPS
+    wide = np.count_nonzero(sims >= floor[:, None], axis=1) > k
+    cols = np.empty((block.shape[0], k), dtype=np.int64)
+    scores = np.empty((block.shape[0], k))
+    narrow = np.flatnonzero(~wide)
+    cols[narrow], scores[narrow] = _order(block[narrow], cand, top[narrow])
+    for i in np.flatnonzero(wide):
+        survivors = np.flatnonzero(sims[i] >= floor[i])[None, :]
+        row_cols, row_scores = _order(block[i:i + 1], cand, survivors)
+        cols[i], scores[i] = row_cols[0, :k], row_scores[0, :k]
+    return cols, scores
+
+
+def exact_topk(index: RetrievalIndex, queries: np.ndarray, k: int,
+               candidate_rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k gallery rows and clipped cosine scores for each query vector.
+
+    Candidates default to the whole gallery.  Returns two n_q x min(k, m)
+    arrays (m candidates): gallery row indices and scores, each row ordered
+    by descending score, ties by ascending item_id.
+    """
+    rows = np.arange(len(index)) if candidate_rows is None else candidate_rows
+    # candidates in item_id order, so a column index is its tie-break key
+    rows = rows[np.argsort(index.id_rank[rows])]
+    cand = index.gallery.data[rows]
+    n_q, kk = queries.shape[0], min(k, rows.shape[0])
+    cols = np.empty((n_q, kk), dtype=np.int64)
+    scores = np.empty((n_q, kk))
+    if kk == 0:
+        return cols, scores
+    for start in range(0, n_q, QUERY_BLOCK):
+        stop = min(start + QUERY_BLOCK, n_q)
+        cols[start:stop], scores[start:stop] = _block_topk(queries[start:stop], cand, kk)
+    return rows[cols], scores
 
 
 def knn_search(
@@ -123,10 +206,13 @@ def knn_search(
     """Exact top-k cosine search for every query row.
 
     With restrict_to_query_category only gallery rows sharing the query's
-    category are candidates; a category absent from the gallery yields an
-    empty RankingList.  Fewer than k candidates yield a shorter list.
-    Queries are processed independently, so results do not depend on the
-    thread count.
+    category are candidates, and the kernel runs once per query category;
+    a category absent from the gallery yields an empty RankingList.  Fewer
+    than k candidates yield a shorter list.
+
+    threads is validated but does not size any pool here: the GEMM runs on
+    the BLAS threads set by the environment (OPENBLAS_NUM_THREADS,
+    OMP_NUM_THREADS), and results do not depend on either count.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -134,16 +220,20 @@ def knn_search(
         raise DataError(f"query dim {queries.dim} != gallery dim {index.gallery.dim}")
     if not queries.is_unit_normalized():
         raise DataError("query rows must be unit-normalized (|norm - 1| <= 1e-5)")
+    _resolve_threads(threads)
 
-    def run_one(qi: int) -> RankingList:
-        rec = queries.ids[qi]
-        cand = index.category_rows(rec.category_id) if restrict_to_query_category else None
-        rows, scores = topk_rows(index, queries.data[qi], k, cand)
-        ids = tuple(index.gallery.item_ids[rows].tolist())
-        return RankingList(rec.item_id, ids, scores)
-
-    n_threads = _resolve_threads(threads)
-    if n_threads <= 1 or queries.n_rows == 1:
-        return [run_one(i) for i in range(queries.n_rows)]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(run_one, range(queries.n_rows)))
+    if restrict_to_query_category:
+        cats = queries.category_ids()
+        groups = [(np.flatnonzero(cats == c), index.category_rows(int(c)))
+                  for c in np.unique(cats)]
+    else:
+        groups = [(np.arange(queries.n_rows), None)]
+    # one str object per gallery id, shared by every ranking
+    gallery_ids = index.gallery.item_ids.astype(object)
+    rankings: list[RankingList] = [None] * queries.n_rows  # type: ignore[list-item]
+    for qrows, cand in groups:
+        rows, scores = exact_topk(index, queries.data[qrows], k, cand)
+        ids = gallery_ids[rows].tolist()
+        for qi, item_ids, row_scores in zip(qrows.tolist(), ids, scores):
+            rankings[qi] = RankingList(queries.ids[qi].item_id, item_ids, row_scores)
+    return rankings

@@ -67,6 +67,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="search.k"):
             PipelineConfig.from_dict(raw)
 
+    def test_restricted_search_rejects_rerank(self):
+        raw = self.base(post=[{"step": "rerank"}])
+        raw["search"]["restrict_to_query_category"] = True
+        with pytest.raises(ConfigError, match="restrict_to_query_category.*rerank"):
+            PipelineConfig.from_dict(raw)
+        raw["search"]["restrict_to_query_category"] = False
+        assert PipelineConfig.from_dict(raw).post[0].step == "rerank"
+
     def test_embeddings_required(self):
         with pytest.raises(ConfigError, match="embedding"):
             PipelineConfig.from_dict({"search": {"k": 5}, "output_dir": "o"})

@@ -1,11 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbirkit.embeddings import EmbeddingMatrix
+import cbirkit
+from cbirkit import search
+from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 from cbirkit.errors import ConfigError, DataError
+from cbirkit.rerank import QeParams, database_augmentation, query_expansion
 from cbirkit.search import RankingList, build_index, knn_search
 
-from oracles import knn_ref
+from oracles import expand_ref, knn_ref
 from util import gallery_ids, query_ids, rng_for, unit_rows
 
 
@@ -49,6 +59,13 @@ class TestBuildIndex:
         assert len(idx.category_rows(1)) == 2
         assert len(idx.category_rows(2)) == 1
         assert len(idx.category_rows(9)) == 0
+
+    def test_lazy_partition_built_once(self):
+        g = gmat(np.eye(3), categories=[1, 2, 1])
+        lazy = build_index(g)
+        first = lazy.category_rows(1)
+        assert lazy.category_rows(1) is first
+        assert first.tolist() == build_index(g, partition_by_category=True).category_rows(1).tolist()
 
     def test_index_equals_raw_matrix_search(self):
         rng = rng_for(40)
@@ -150,3 +167,187 @@ class TestKnnSearch:
             [r] = knn_search(build_index(g), q, 1)
             hits += r.item_ids[0] == f"g{row:05d}"
         assert hits / trials >= 0.99
+
+
+def named_gallery(data, names, categories=None):
+    """Gallery whose item_ids are `names`, so id order need not follow row order."""
+    data = np.asarray(data, dtype=float)
+    return EmbeddingMatrix(data, [
+        IdRecord(item_id=name, image_id="gallery", box_id=name,
+                 category_id=1 if categories is None else int(categories[i]),
+                 source="gallery")
+        for i, name in enumerate(names)
+    ])
+
+
+def oracle_ranking(gallery, query, k, rows=None):
+    rows = range(gallery.n_rows) if rows is None else rows
+    return knn_ref([gallery.data[r] for r in rows], [gallery.ids[r].item_id for r in rows],
+                   query, k)
+
+
+def assert_matches_oracle(ranking, expected, atol=1e-12):
+    assert list(ranking.item_ids) == [e[0] for e in expected]
+    assert np.allclose(ranking.scores, [e[1] for e in expected], rtol=0.0, atol=atol)
+
+
+class TestKernelTies:
+    def test_duplicates_straddle_kth(self):
+        rng = rng_for(47)
+        data = unit_rows(rng, 60, 8)
+        planted = [41, 7, 33, 18, 52]
+        data[planted] = data[3]
+        names = [f"g{i:05d}" for i in rng.permutation(60)]
+        gallery = named_gallery(data, names)
+        near = data[[3, 3, 3, 3]] + rng.normal(size=(4, 8)) * 1e-3
+        q = qmat(near / np.linalg.norm(near, axis=1, keepdims=True))
+        idx = build_index(gallery)
+        # six identical rows share the top score; k cuts through the group
+        for k in (1, 2, 4, 6, 7, 10):
+            for ranking, qrow in zip(knn_search(idx, q, k), q.data):
+                assert_matches_oracle(ranking, oracle_ranking(gallery, qrow, k))
+
+    def test_orthogonal_ties_straddle_kth(self):
+        # the query is aligned with one row, orthogonal to twelve, opposite to two
+        eye = np.eye(13)
+        data = np.vstack([eye[1:], -eye[[0, 0]], eye[[0]]])
+        names = [f"g{n:05d}" for n in (9, 3, 14, 0, 11, 5, 7, 1, 12, 2, 13, 6, 10, 4, 8)]
+        gallery = named_gallery(data, names)
+        q = qmat(eye[[0]])
+        for k in (1, 5, 13, 14, 15, 20):
+            [ranking] = knn_search(build_index(gallery), q, k)
+            assert_matches_oracle(ranking, oracle_ranking(gallery, q.data[0], k), atol=0.0)
+
+
+def kernel_outputs(gallery, queries):
+    idx = build_index(gallery)
+    return (
+        knn_search(idx, queries, 10),
+        knn_search(idx, queries, gallery.n_rows),
+        knn_search(idx, queries, 4, restrict_to_query_category=True),
+        query_expansion(queries, idx, QeParams(k=5, alpha=1.0)).data,
+        database_augmentation(gallery, QeParams(k=5, alpha=2.0, include_self=False)).data,
+    )
+
+
+class TestKernelInvariance:
+    def test_block_size(self, monkeypatch):
+        rng = rng_for(48)
+        cats = rng.integers(0, 3, size=120)
+        data = unit_rows(rng, 120, 12)
+        data[60:70] = data[5]
+        gallery = gmat(data, categories=cats)
+        queries = qmat(unit_rows(rng, 23, 12), categories=rng.integers(0, 4, size=23))
+        base = kernel_outputs(gallery, queries)
+        for block in (1, 7, queries.n_rows + 5):
+            monkeypatch.setattr(search, "QUERY_BLOCK", block)
+            other = kernel_outputs(gallery, queries)
+            for got, ref in zip(other[:3], base[:3]):
+                assert got == ref
+                assert all(np.array_equal(a.scores, b.scores) for a, b in zip(got, ref))
+            assert np.array_equal(other[3], base[3])
+            assert np.array_equal(other[4], base[4])
+
+    def test_blas_threads(self):
+        script = (
+            "from cbirkit.embeddings import EmbeddingMatrix\n"
+            "from cbirkit.rerank import QeParams, database_augmentation\n"
+            "from cbirkit.search import build_index, knn_search\n"
+            "from util import gallery_ids, query_ids, rng_for, unit_rows\n"
+            "rng = rng_for(49)\n"
+            "g = EmbeddingMatrix(unit_rows(rng, 3000, 48), gallery_ids(3000))\n"
+            "q = EmbeddingMatrix(unit_rows(rng, 700, 48), query_ids(700))\n"
+            "g = database_augmentation(g, QeParams(k=5, alpha=1.0))\n"
+            "for r in knn_search(build_index(g), q, 10):\n"
+            "    print(r.query_id, *r.item_ids, *(s.hex() for s in r.scores.tolist()))\n"
+        )
+        paths = [str(Path(cbirkit.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        outputs = []
+        for n in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n,
+                       PYTHONPATH=os.pathsep.join(paths))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  timeout=120, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0].count(b"\n") == 700
+        assert outputs[0] == outputs[1]
+
+
+class TestResolveThreads:
+    def test_zero_counts_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert search._resolve_threads(0) == 3
+        assert search._resolve_threads(None) == 3
+        assert search._resolve_threads(2) == 2
+
+    def test_negative_rejected(self):
+        with pytest.raises(ConfigError):
+            search._resolve_threads(-1)
+
+
+# Unit vectors whose dot products are exact in any summation order: signed
+# basis vectors, and four coordinates of +-0.5.  Ties are then exact in the
+# kernel and the oracle alike.
+@st.composite
+def exact_vectors(draw, n, dim):
+    rows = []
+    for _ in range(n):
+        v = np.zeros(dim)
+        if draw(st.booleans()):
+            v[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([-1.0, 1.0]))
+        else:
+            cols = draw(st.lists(st.integers(0, dim - 1), min_size=4, max_size=4, unique=True))
+            v[cols] = [draw(st.sampled_from([-0.5, 0.5])) for _ in cols]
+        rows.append(v)
+    return np.array(rows)
+
+
+@st.composite
+def retrieval_cases(draw):
+    dim = draw(st.integers(4, 6))
+    n_g = draw(st.integers(1, 14))
+    n_q = draw(st.integers(1, 5))
+    gallery = draw(exact_vectors(n_g, dim))
+    queries = draw(exact_vectors(n_q, dim))
+    g_cats = draw(st.lists(st.integers(0, 2), min_size=n_g, max_size=n_g))
+    q_cats = draw(st.lists(st.integers(0, 3), min_size=n_q, max_size=n_q))
+    names = [f"g{i:05d}" for i in draw(st.permutations(range(n_g)))]
+    k = draw(st.integers(1, n_g + 3))
+    return (named_gallery(gallery, names, g_cats), qmat(queries, q_cats), k)
+
+
+class TestKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(retrieval_cases(), st.booleans())
+    def test_search_matches_oracle(self, case, restrict):
+        gallery, queries, k = case
+        got = knn_search(build_index(gallery), queries, k, restrict_to_query_category=restrict)
+        cats = gallery.category_ids()
+        for ranking, rec, qrow in zip(got, queries.ids, queries.data):
+            rows = np.flatnonzero(cats == rec.category_id) if restrict else None
+            expected = oracle_ranking(gallery, qrow, k, rows)
+            assert ranking.query_id == rec.item_id
+            assert list(ranking.item_ids) == [e[0] for e in expected]
+            assert np.array_equal(ranking.scores, [e[1] for e in expected])
+
+    @settings(max_examples=100, deadline=None)
+    @given(retrieval_cases(), st.sampled_from([0.0, 1.0, 2.0]))
+    def test_dba_without_self_matches_oracle(self, case, alpha):
+        gallery, _, k = case
+        params = QeParams(k=k, alpha=alpha, include_self=False)
+        expected = []
+        for i in range(gallery.n_rows):
+            others = [r for r in range(gallery.n_rows) if r != i]
+            top = oracle_ranking(gallery, gallery.data[i], k, others)
+            rows = [gallery.row_of(item) for item, _ in top]
+            acc = gallery.data[i] + sum(
+                (max(s, 0.0) ** alpha) * gallery.data[r] for r, (_, s) in zip(rows, top))
+            if not np.any(acc):
+                with pytest.raises(DataError, match="zero vector"):
+                    database_augmentation(gallery, params)
+                return
+            expected.append(expand_ref(gallery.data[i], [gallery.data[r] for r in rows],
+                                       [s for _, s in top], alpha))
+        out = database_augmentation(gallery, params)
+        assert np.abs(out.data - np.array(expected)).max() <= 1e-12
