@@ -8,9 +8,10 @@
     cbirkit run --config config.json
     cbirkit gen-synth --spec spec.json --out bench/
 
-Global flags: --threads N (k-reciprocal re-rank pool size, 0 = all usable
-cores; search, QE and DBA use the BLAS threads the environment sets),
---seed U64 (overrides the synthetic spec seed), --log-level LEVEL.
+Global flags: --threads N (validated, >= 0 with 0 = all usable cores; no
+command sizes a pool from it: search, QE, DBA and re-ranking run on the
+BLAS threads the environment sets, and results do not depend on either
+count), --seed U64 (overrides the synthetic spec seed), --log-level LEVEL.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cbirkit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="re-rank worker threads (0 = all usable cores); search, "
-                             "QE and DBA use the environment's BLAS threads")
+                        help="validated (>= 0, 0 = all usable cores) but sizes no pool; "
+                             "search, QE, DBA and re-ranking use the environment's BLAS "
+                             "threads, and results do not depend on either count")
     parser.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the synthetic spec seed")
     parser.add_argument("--log-level", default="WARNING", metavar="LEVEL")

@@ -75,6 +75,14 @@ class EmbeddingMatrix:
         except KeyError:
             raise DataError(f"unknown item_id {item_id!r}") from None
 
+    def rows_of(self, item_ids: Sequence[str]) -> np.ndarray:
+        """Row index of each item_id, as an int64 array."""
+        try:
+            return np.fromiter(map(self._row_of.__getitem__, item_ids), dtype=np.int64,
+                               count=len(item_ids))
+        except KeyError as e:
+            raise DataError(f"unknown item_id {e.args[0]!r}") from None
+
     def category_ids(self) -> np.ndarray:
         return np.array([r.category_id for r in self.ids], dtype=np.int64)
 

@@ -136,6 +136,20 @@ def _exact_scores(block: np.ndarray, cand: np.ndarray, cols: np.ndarray | None) 
     return np.clip(out, -1.0, 1.0, out=out)
 
 
+def pair_scores(data: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Clipped cosine of data[left[i]] with data[right[i]], for each i.
+
+    The formula of `_exact_scores`, over a flat list of pairs: a value
+    depends only on its two vectors.  Pairs go in chunks whose product
+    array holds about _PRODUCT_CHUNK elements.
+    """
+    out = np.empty(left.shape[0])
+    step = max(1, _PRODUCT_CHUNK // max(1, data.shape[1]))
+    for s in range(0, out.shape[0], step):
+        out[s:s + step] = np.multiply(data[left[s:s + step]], data[right[s:s + step]]).sum(axis=1)
+    return np.clip(out, -1.0, 1.0, out=out)
+
+
 def _order(block: np.ndarray, cand: np.ndarray,
            cols: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Each row's candidate columns (all when cols is None) and their scores,
@@ -173,18 +187,19 @@ def _block_topk(block: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray
     return cols, scores
 
 
-def exact_topk(index: RetrievalIndex, queries: np.ndarray, k: int,
+def exact_topk(data: np.ndarray, tie_rank: np.ndarray, queries: np.ndarray, k: int,
                candidate_rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k gallery rows and clipped cosine scores for each query vector.
+    """Top-k rows of `data` and their clipped cosine scores for each query vector.
 
-    Candidates default to the whole gallery.  Returns two n_q x min(k, m)
-    arrays (m candidates): gallery row indices and scores, each row ordered
-    by descending score, ties by ascending item_id.
+    Candidates default to every row of `data`.  Returns two n_q x min(k, m)
+    arrays (m candidates): row indices and scores, each row ordered by
+    descending score, ties by ascending `tie_rank` (one distinct integer
+    per row of `data`; search passes `RetrievalIndex.id_rank`).
     """
-    rows = np.arange(len(index)) if candidate_rows is None else candidate_rows
-    # candidates in item_id order, so a column index is its tie-break key
-    rows = rows[np.argsort(index.id_rank[rows])]
-    cand = index.gallery.data[rows]
+    rows = np.arange(data.shape[0]) if candidate_rows is None else candidate_rows
+    # candidates in tie-break order, so a column index is its tie-break key
+    rows = rows[np.argsort(tie_rank[rows])]
+    cand = data[rows]
     n_q, kk = queries.shape[0], min(k, rows.shape[0])
     cols = np.empty((n_q, kk), dtype=np.int64)
     scores = np.empty((n_q, kk))
@@ -232,7 +247,7 @@ def knn_search(
     gallery_ids = index.gallery.item_ids.astype(object)
     rankings: list[RankingList] = [None] * queries.n_rows  # type: ignore[list-item]
     for qrows, cand in groups:
-        rows, scores = exact_topk(index, queries.data[qrows], k, cand)
+        rows, scores = exact_topk(index.gallery.data, index.id_rank, queries.data[qrows], k, cand)
         ids = gallery_ids[rows].tolist()
         for qi, item_ids, row_scores in zip(qrows.tolist(), ids, scores):
             rankings[qi] = RankingList(queries.ids[qi].item_id, item_ids, row_scores)

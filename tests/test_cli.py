@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from cbirkit import io as formats
@@ -68,6 +69,28 @@ class TestCli:
                    "--rankings", rankings, "--k1", 8, "--k2", 3,
                    "--lambda", 0.3, "--out", reranked) == 0
         assert formats.load_rankings(reranked)
+
+    def test_rerank_matches_queries_by_id(self, bench, tmp_path):
+        data, ids = bench / "embeddings_m0.emb", bench / "embeddings_m0.ids.jsonl"
+        rankings = tmp_path / "rankings.tsv"
+        assert run("search", "--data", data, "--ids", ids, "--k", 16, "--out", rankings) == 0
+        blocks: dict[str, list[str]] = {}
+        for line in rankings.read_text().splitlines(keepends=True):
+            blocks.setdefault(line.split("\t")[0], []).append(line)
+        assert len(blocks) > 1
+        backwards = tmp_path / "backwards.tsv"
+        backwards.write_text("".join(line for q in reversed(blocks) for line in blocks[q]))
+        outs = []
+        for path in (rankings, backwards):
+            out = tmp_path / f"reranked_{path.stem}.tsv"
+            assert run("rerank", "--data", data, "--ids", ids, "--rankings", path,
+                       "--k1", 8, "--k2", 3, "--lambda", 0.3, "--out", out) == 0
+            outs.append({r.query_id: r for r in formats.load_rankings(out)})
+        in_order, reversed_order = outs
+        assert list(reversed_order) == list(reversed(blocks))
+        for qid, ranking in in_order.items():
+            assert reversed_order[qid].item_ids == ranking.item_ids
+            assert np.array_equal(reversed_order[qid].scores, ranking.scores)
 
     def test_run_subcommand(self, bench, capsys):
         assert run("run", "--config", bench / "config.json") == 0

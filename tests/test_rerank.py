@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbirkit.embeddings import EmbeddingMatrix
 from cbirkit.errors import ConfigError, DataError
@@ -10,7 +14,7 @@ from cbirkit.rerank import (
     k_reciprocal_rerank,
     query_expansion,
 )
-from cbirkit.search import build_index, knn_search
+from cbirkit.search import RankingList, build_index, knn_search
 
 from oracles import expand_ref, rerank_ref
 from util import gallery_ids, query_ids, rng_for, unit_rows
@@ -222,3 +226,93 @@ class TestKReciprocalRerank:
         assert base == multi
         for a, b in zip(base, multi):
             assert np.array_equal(a.scores, b.scores)
+
+    def test_rankings_matched_by_query_id(self):
+        rng = rng_for(63)
+        q = qmat(unit_rows(rng, 6, 8))
+        g = gmat(unit_rows(rng, 30, 8))
+        reversed_initial = _initial_rankings(q, g)[::-1]
+        out = k_reciprocal_rerank(q, g, reversed_initial, RerankParams(k1=10, k2=4, lam=1.0))
+        for before, after in zip(reversed_initial, out):
+            assert after.query_id == before.query_id
+            assert after.item_ids == before.item_ids
+
+    def test_unknown_query_id_rejected(self):
+        rng = rng_for(64)
+        q = qmat(unit_rows(rng, 3, 4))
+        g = gmat(unit_rows(rng, 12, 4))
+        initial = _initial_rankings(q, g)
+        stray = RankingList("nope", initial[0].item_ids, initial[0].scores)
+        with pytest.raises(DataError, match="nope"):
+            k_reciprocal_rerank(q, g, [initial[1], stray], RerankParams(k1=4, k2=2))
+
+    def test_repeated_query_id_rejected(self):
+        rng = rng_for(65)
+        q = qmat(unit_rows(rng, 3, 4))
+        g = gmat(unit_rows(rng, 12, 4))
+        initial = _initial_rankings(q, g)
+        with pytest.raises(DataError, match="q00001"):
+            k_reciprocal_rerank(q, g, [initial[1], initial[0], initial[1]],
+                                RerankParams(k1=4, k2=2))
+
+    def test_memory_is_not_quadratic(self):
+        # one n x n float64 array takes 8 n^2 bytes; the dense method held seven
+        rng = rng_for(66)
+        q = qmat(unit_rows(rng, 40, 16))
+        g = gmat(unit_rows(rng, 2000, 16))
+        initial = _initial_rankings(q, g, k=20)
+        params = RerankParams(k1=20, k2=6, lam=0.3)
+        tracemalloc.start()
+        try:
+            k_reciprocal_rerank(q, g, initial, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = q.n_rows + g.n_rows
+        assert peak < 2 * 8 * n * n
+
+
+@st.composite
+def rerank_cases(draw):
+    """Small query/gallery sets, some rows copied onto others so that the
+    neighbor lists hold exact ties; in basis mode every row is a signed
+    basis vector, so most distances tie."""
+    dim = draw(st.integers(3, 6))
+    n_q, n_g = draw(st.integers(1, 5)), draw(st.integers(2, 14))
+    n = n_q + n_g
+    if draw(st.booleans()):
+        data = np.zeros((n, dim))
+        data[np.arange(n), draw(st.lists(st.integers(0, dim - 1), min_size=n, max_size=n))] = \
+            draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    else:
+        data = unit_rows(rng_for(draw(st.integers(0, 2**32 - 1))), n, dim)
+        copies = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for dst, src in draw(st.lists(copies, max_size=4)):
+            data[dst] = data[src]
+    k1 = draw(st.integers(1, n_g))
+    params = RerankParams(k1=k1, k2=draw(st.sampled_from([1, k1])),
+                          lam=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    depth = draw(st.integers(k1, n_g))
+    # rankings for a subset of the queries, in any order
+    picked = draw(st.permutations(range(n_q)))[: draw(st.integers(0, n_q))]
+    return qmat(data[:n_q]), gmat(data[n_q:]), params, depth, picked
+
+
+class TestRerankProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(rerank_cases())
+    def test_matches_definition_oracle(self, case):
+        q, g, params, depth, picked = case
+        initial = _initial_rankings(q, g, k=depth)
+        rows = [[g.row_of(i) for i in r.item_ids] for r in initial]
+        ref = rerank_ref(q.data, g.data, rows, params.k1, params.k2, params.lam)
+        got = k_reciprocal_rerank(q, g, [initial[i] for i in picked], params)
+        assert [r.query_id for r in got] == [initial[i].query_id for i in picked]
+        for qi, ranking in zip(picked, got):
+            expected = {f"g{row:05d}": d for row, d in ref[qi]}
+            assert sorted(ranking.item_ids) == sorted(expected)
+            dstar = 1.0 - ranking.scores
+            assert np.abs(dstar - [expected[i] for i in ranking.item_ids]).max() <= 1e-6
+            # ascending d*, equal d* by ascending item_id
+            for a, b, da, db in zip(ranking.item_ids, ranking.item_ids[1:], dstar, dstar[1:]):
+                assert da < db or (da == db and a < b)

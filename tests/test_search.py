@@ -12,7 +12,8 @@ import cbirkit
 from cbirkit import search
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 from cbirkit.errors import ConfigError, DataError
-from cbirkit.rerank import QeParams, database_augmentation, query_expansion
+from cbirkit.rerank import (QeParams, RerankParams, database_augmentation, k_reciprocal_rerank,
+                            query_expansion)
 from cbirkit.search import RankingList, build_index, knn_search
 
 from oracles import expand_ref, knn_ref
@@ -221,10 +222,12 @@ class TestKernelTies:
 
 def kernel_outputs(gallery, queries):
     idx = build_index(gallery)
+    full = knn_search(idx, queries, gallery.n_rows)
     return (
         knn_search(idx, queries, 10),
-        knn_search(idx, queries, gallery.n_rows),
+        full,
         knn_search(idx, queries, 4, restrict_to_query_category=True),
+        k_reciprocal_rerank(queries, gallery, full, RerankParams(k1=8, k2=3, lam=0.3)),
         query_expansion(queries, idx, QeParams(k=5, alpha=1.0)).data,
         database_augmentation(gallery, QeParams(k=5, alpha=2.0, include_self=False)).data,
     )
@@ -242,23 +245,26 @@ class TestKernelInvariance:
         for block in (1, 7, queries.n_rows + 5):
             monkeypatch.setattr(search, "QUERY_BLOCK", block)
             other = kernel_outputs(gallery, queries)
-            for got, ref in zip(other[:3], base[:3]):
+            for got, ref in zip(other[:4], base[:4]):
                 assert got == ref
                 assert all(np.array_equal(a.scores, b.scores) for a, b in zip(got, ref))
-            assert np.array_equal(other[3], base[3])
             assert np.array_equal(other[4], base[4])
+            assert np.array_equal(other[5], base[5])
 
     def test_blas_threads(self):
         script = (
             "from cbirkit.embeddings import EmbeddingMatrix\n"
-            "from cbirkit.rerank import QeParams, database_augmentation\n"
+            "from cbirkit.rerank import QeParams, RerankParams, database_augmentation\n"
+            "from cbirkit.rerank import k_reciprocal_rerank\n"
             "from cbirkit.search import build_index, knn_search\n"
             "from util import gallery_ids, query_ids, rng_for, unit_rows\n"
             "rng = rng_for(49)\n"
             "g = EmbeddingMatrix(unit_rows(rng, 3000, 48), gallery_ids(3000))\n"
             "q = EmbeddingMatrix(unit_rows(rng, 700, 48), query_ids(700))\n"
             "g = database_augmentation(g, QeParams(k=5, alpha=1.0))\n"
-            "for r in knn_search(build_index(g), q, 10):\n"
+            "found = knn_search(build_index(g), q, 10)\n"
+            "reranked = k_reciprocal_rerank(q, g, found, RerankParams(k1=10, k2=3, lam=0.3))\n"
+            "for r in found + reranked:\n"
             "    print(r.query_id, *r.item_ids, *(s.hex() for s in r.scores.tolist()))\n"
         )
         paths = [str(Path(cbirkit.__file__).resolve().parents[1]), str(Path(__file__).parent)]
@@ -269,7 +275,7 @@ class TestKernelInvariance:
             done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                   timeout=120, check=True)
             outputs.append(done.stdout)
-        assert outputs[0].count(b"\n") == 700
+        assert outputs[0].count(b"\n") == 1400
         assert outputs[0] == outputs[1]
 
 
