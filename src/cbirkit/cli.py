@@ -22,31 +22,36 @@ import logging
 import sys
 
 from . import io as formats
-from .boxes import WbfParams
-from .embeddings import EmbeddingMatrix
-from .errors import CbirkitError
+from .boxes import SCORE_MODES, WbfParams
+from .errors import CbirkitError, ConfigError
 from .evaluation import acc_at_k, detection_ap, format_detection_report, format_retrieval_report
-from .pipeline import PipelineConfig, fuse_detections, run_pipeline
+from .pipeline import SCHEMA, PipelineConfig, check_json_type, fuse_detections, run_pipeline
 from .rerank import RerankParams, k_reciprocal_rerank
 from .search import build_index, knn_search
 from .synthetic import SyntheticSpec, generate_synthetic
 
 
 def _parse_ks(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _load_split(data: str, ids: str) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-    matrix = formats.load_embeddings(data, ids)
-    return matrix.split_by_source()
+def _parse_weights(text: str) -> dict | None:
+    try:
+        weights = json.loads(text)
+        check_json_type(weights, SCHEMA["wbf"]["model_weights"][0], "--weights")
+    except (ValueError, ConfigError) as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return weights
 
 
 def _cmd_fuse(args) -> int:
     boxes = [b for p in args.detections for b in formats.load_detections(p)]
-    weights = json.loads(args.weights) if args.weights else None
     params = WbfParams(
         iou_threshold=args.iou_threshold,
-        model_weights=weights,
+        model_weights=args.weights,
         num_models=args.num_models,
         score_mode=args.score_mode,
     )
@@ -68,8 +73,8 @@ def _cmd_eval_det(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    queries, gallery = _load_split(args.data, args.ids)
-    index = build_index(gallery, args.restrict_category)
+    queries, gallery = formats.load_embeddings(args.data, args.ids).split_by_source()
+    index = build_index(gallery)
     rankings = knn_search(index, queries, args.k,
                           restrict_to_query_category=args.restrict_category,
                           threads=args.threads)
@@ -79,7 +84,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_rerank(args) -> int:
-    queries, gallery = _load_split(args.data, args.ids)
+    queries, gallery = formats.load_embeddings(args.data, args.ids).split_by_source()
     initial = formats.load_rankings(args.rankings)
     params = RerankParams(k1=args.k1, k2=args.k2, lam=args.lam)
     rankings = k_reciprocal_rerank(queries, gallery, initial, params, threads=args.threads)
@@ -95,7 +100,7 @@ def _cmd_eval_ret(args) -> int:
     if args.data and args.ids:
         matrix = formats.load_embeddings(args.data, args.ids)
         gallery_ids = [r.item_id for r in matrix.ids if r.source == "gallery"]
-    report = acc_at_k(rankings, gt, _parse_ks(args.ks), gallery_ids=gallery_ids)
+    report = acc_at_k(rankings, gt, args.ks, gallery_ids=gallery_ids)
     print(format_retrieval_report(report))
     if args.report:
         formats.save_report(report.to_dict(), args.report)
@@ -114,8 +119,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen_synth(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = formats.load_json_object(args.spec)
     if args.seed is not None:
         raw["seed"] = args.seed
     spec = SyntheticSpec.from_dict(raw)
@@ -139,10 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="fuse multi-detector boxes per image")
     p.add_argument("--detections", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--iou-threshold", type=float, default=0.55)
-    p.add_argument("--weights", help='JSON object: {"model_id": weight, ...}')
-    p.add_argument("--num-models", type=int, default=None)
-    p.add_argument("--score-mode", choices=("rescale", "mean"), default="rescale")
+    p.add_argument("--iou-threshold", type=float, default=WbfParams.iou_threshold)
+    p.add_argument("--weights", type=_parse_weights,
+                   help='JSON object: {"model_id": weight, ...}')
+    p.add_argument("--num-models", type=int, default=WbfParams.num_models)
+    p.add_argument("--score-mode", choices=SCORE_MODES, default=WbfParams.score_mode)
     p.set_defaults(fn=_cmd_fuse)
 
     p = sub.add_parser("eval-det", help="score detections against ground truth")
@@ -164,16 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--ids", required=True)
     p.add_argument("--rankings", required=True)
-    p.add_argument("--k1", type=int, default=20)
-    p.add_argument("--k2", type=int, default=6)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.3)
+    p.add_argument("--k1", type=int, default=RerankParams.k1)
+    p.add_argument("--k2", type=int, default=RerankParams.k2)
+    p.add_argument("--lambda", dest="lam", type=float, default=RerankParams.lam)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_rerank)
 
     p = sub.add_parser("eval-ret", help="top-K retrieval accuracy")
     p.add_argument("--rankings", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--ks", default="1,10")
+    p.add_argument("--ks", type=_parse_ks, default="1,10")
     p.add_argument("--data", help="embedding data file (for impossible-query flagging)")
     p.add_argument("--ids", help="embedding ids file (for impossible-query flagging)")
     p.add_argument("--report", help="also write the report JSON here")

@@ -17,12 +17,18 @@ Rankings TSV: query_id <TAB> rank (1-based) <TAB> gallery item_id
 <TAB> score (9 significant digits).
 
 Retrieval ground truth (JSONL): {"query_id": str, "matches": [str, ...]}.
+
+The pipeline's outputs (fused boxes, rankings, report) are written to a
+temp file beside the target and moved into place with `os.replace`, so a
+failed save leaves any previous file whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -30,12 +36,43 @@ import numpy as np
 
 from .boxes import BoundingBox, FusedBox, ScoredBox
 from .embeddings import EmbeddingMatrix, IdRecord
-from .errors import DataError, EmbeddingFormatError, ParseError
+from .errors import ConfigError, DataError, EmbeddingFormatError, ParseError
 from .evaluation import GroundTruthDet, GroundTruthRet
 from .search import RankingList
 
 EMB_MAGIC = b"EMB1"
 _EMB_HEADER = struct.Struct("<4sII")
+
+
+@contextmanager
+def _atomic_open(path: str | Path, **kwargs):
+    """A text file to write that replaces `path` only when the block ends
+    without error; on error the temp file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def load_json_object(path: str | Path) -> dict:
+    """Read a JSON config or spec file holding one object.  An unreadable
+    file, invalid JSON or another top-level value raises ConfigError
+    naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read: {e.strerror}") from None
+    except ValueError as e:
+        raise ConfigError(f"{path}: invalid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return obj
 
 
 def _jsonl_records(path: str | Path):
@@ -105,7 +142,7 @@ def save_fused_boxes(fused: Iterable[FusedBox], path: str | Path) -> None:
     """Fused boxes use the detections schema (model_id "wbf") plus
     cluster_size and the contributing model ids, so the file can be fed
     straight back into detection evaluation."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for f in fused:
             fh.write(json.dumps({
                 "image_id": f.image_id,
@@ -204,7 +241,7 @@ def load_embeddings(data_path: str | Path, ids_path: str | Path) -> EmbeddingMat
 
 
 def save_rankings(rankings: Sequence[RankingList], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path, newline="\n") as fh:
         for r in rankings:
             for rank, (item_id, score) in enumerate(r.entries(), start=1):
                 fh.write(f"{r.query_id}\t{rank}\t{item_id}\t{score:.9g}\n")
@@ -264,6 +301,6 @@ def save_retrieval_gt(gt: GroundTruthRet, path: str | Path) -> None:
 
 
 def save_report(report: Mapping, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,11 +1,17 @@
 """Batch orchestration: config parsing, stage execution, artifact output.
 
+`PipelineConfig.from_dict` checks the whole config against `SCHEMA` before
+any stage runs: an unknown key, a wrong JSON type or an out-of-range value
+raises `ConfigError` naming its key path (e.g. `post[1].kk`), and each post
+step's options are built into its parameters there.
+
 Stages run in a fixed frame — fuse detections per image, assemble
 query/gallery embeddings, apply the configured feature steps in order,
 search, optionally re-rank, then score — and each stage logs its input and
-output cardinalities.  The feature steps {concat, pca, qe, dba} run before
-search; rerank, when configured, must be the last step and runs on the
-search output (search is widened to the full gallery so re-ranking sees a
+output cardinalities; a failure inside one is re-raised as `StageError`
+naming it.  The feature steps {concat, pca, qe, dba} run before search;
+rerank, when configured, must be the last step and runs on the search
+output (search is widened to the full gallery so re-ranking sees a
 complete initial ranking, then results are truncated back to the
 configured K).
 """
@@ -15,9 +21,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from types import NoneType, UnionType
+from typing import Sequence, get_args, get_origin
 
 from . import io as formats
 from .boxes import FusedBox, ScoredBox, WbfParams, wbf_fuse
@@ -29,13 +37,118 @@ from .search import build_index, knn_search
 
 logger = logging.getLogger("cbirkit.pipeline")
 
-STEP_NAMES = ("concat", "pca", "qe", "dba", "rerank")
+REQUIRED = object()  # the key must be present
+CALLEE = object()    # an absent key is left out, so the callee's default applies
+
+# Per config object: key -> (accepted JSON type, default).  float accepts
+# an integer, no number accepts a boolean, and `T | None` accepts null.
+SCHEMA: dict[str, dict[str, tuple[object, object]]] = {
+    "config": {
+        "detections": (list[str], ()),
+        "wbf": (dict, {}),
+        "embeddings": (list[dict], REQUIRED),
+        "post": (list[dict], ()),
+        "search": (dict, {}),
+        "eval": (dict, {}),
+        "output_dir": (str, REQUIRED),
+    },
+    "wbf": {
+        "iou_threshold": (float, CALLEE),
+        "model_weights": (dict[str, float] | None, CALLEE),
+        "num_models": (int | None, CALLEE),
+        "score_mode": (str, CALLEE),
+    },
+    "embeddings": {"data": (str, REQUIRED), "ids": (str, REQUIRED)},
+    "search": {"k": (int, 10), "restrict_to_query_category": (bool, False)},
+    "eval": {
+        "retrieval_gt": (str | None, None),
+        "detection_gt": (str | None, None),
+        "ks": (list[int], (1, 10)),
+    },
+    "concat": {"renormalize": (bool, CALLEE)},
+    # whitening is on unless turned off, unlike pca_fit's default
+    "pca": {"out_dim": (int | None, CALLEE), "whiten": (bool, True)},
+    "qe": {"k": (int, CALLEE), "alpha": (float, CALLEE), "include_self": (bool, CALLEE)},
+    "rerank": {"k1": (int, CALLEE), "k2": (int, CALLEE), "lambda": (float, CALLEE)},
+}
+SCHEMA["dba"] = SCHEMA["qe"]
+
+# what each post step's options are built into: keyword arguments for
+# concat_features and pca_fit, a parameter dataclass for the others
+STEP_PARAMS = {"concat": dict, "pca": dict, "qe": QeParams, "dba": QeParams,
+               "rerank": RerankParams}
+STEP_NAMES = tuple(STEP_PARAMS)
+# option keys whose parameter is named differently
+_RENAMED = {"lambda": "lam"}
+
+_JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "an array", dict: "an object"}
+
+
+def check_json_type(value, spec, path: str) -> None:
+    """Raise ConfigError naming `path` unless `value` has the JSON type
+    `spec`: a type, `list[T]`, `dict[str, T]` or `T | None`."""
+    nullable = isinstance(spec, UnionType)
+    if nullable:
+        if value is None:
+            return
+        spec = next(a for a in get_args(spec) if a is not NoneType)
+    kind = get_origin(spec) or spec
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or (isinstance(value, bool) and kind is not bool)):
+        expected = _JSON_NAMES[kind] + (" or null" if nullable else "")
+        raise ConfigError(f"{path} must be {expected}, got {value!r}")
+    if kind is list and get_args(spec):
+        for i, item in enumerate(value):
+            check_json_type(item, get_args(spec)[0], f"{path}[{i}]")
+    elif kind is dict and get_args(spec):
+        for key, item in value.items():
+            check_json_type(item, get_args(spec)[1], f"{path}.{key}")
+
+
+def _fields(raw: dict, kind: str, prefix: str) -> dict:
+    """The values of config object `raw`, checked against SCHEMA[kind],
+    with the table's defaults filled in.  `prefix` is the object's key path."""
+    schema = SCHEMA[kind]
+    for key in raw:
+        if key not in schema:
+            raise ConfigError(f"{prefix}{key}: unknown key; expected one of {', '.join(schema)}")
+    out = {}
+    for key, (spec, default) in schema.items():
+        if key in raw:
+            check_json_type(raw[key], spec, prefix + key)
+            out[key] = raw[key]
+        elif default is REQUIRED:
+            raise ConfigError(f"{prefix}{key} is required")
+        elif default is not CALLEE:
+            out[key] = default
+    return out
+
+
+def _build(factory, kwargs: dict, path: str):
+    """factory(**kwargs), with a range error from its checks prefixed by `path`."""
+    try:
+        return factory(**kwargs)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 @dataclass(frozen=True)
 class PostStep:
     step: str
-    options: dict = field(default_factory=dict)
+    # QeParams (qe, dba), RerankParams (rerank), or keyword arguments for
+    # concat_features (concat) and pca_fit (pca)
+    params: QeParams | RerankParams | dict
+
+
+def _post_step(entry: dict, path: str) -> PostStep:
+    name = entry.get("step")
+    if name not in STEP_NAMES:
+        raise ConfigError(f"{path}.step: unknown post step {name!r}; "
+                          f"expected one of {STEP_NAMES}")
+    options = _fields({k: v for k, v in entry.items() if k != "step"}, name, f"{path}.")
+    kwargs = {_RENAMED.get(k, k): v for k, v in options.items()}
+    return PostStep(name, _build(STEP_PARAMS[name], kwargs, path))
 
 
 @dataclass(frozen=True)
@@ -54,89 +167,65 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}: invalid JSON: {e}") from None
-        return cls.from_dict(raw)
+        return cls.from_dict(formats.load_json_object(path))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        digest = hashlib.sha256(
-            json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
+        """Check `raw` against SCHEMA and build the config.  Raises
+        ConfigError naming the key path of the first problem."""
+        check_json_type(raw, dict, "config")
+        top = _fields(raw, "config", "")
 
-        wbf_raw = dict(raw.get("wbf") or {})
-        weights = wbf_raw.get("model_weights")
-        wbf = WbfParams(
-            iou_threshold=wbf_raw.get("iou_threshold", 0.55),
-            model_weights=dict(weights) if weights else None,
-            num_models=wbf_raw.get("num_models"),
-            score_mode=wbf_raw.get("score_mode", "rescale"),
-        )
-
+        wbf = _build(WbfParams, _fields(top["wbf"], "wbf", "wbf."), "wbf")
         embeddings = []
-        for e in raw.get("embeddings") or []:
-            if not isinstance(e, dict) or "data" not in e or "ids" not in e:
-                raise ConfigError(f"embedding input must carry 'data' and 'ids' paths: {e!r}")
-            embeddings.append((str(e["data"]), str(e["ids"])))
+        for i, entry in enumerate(top["embeddings"]):
+            paths = _fields(entry, "embeddings", f"embeddings[{i}].")
+            embeddings.append((paths["data"], paths["ids"]))
         if not embeddings:
-            raise ConfigError("pipeline requires at least one embedding input")
+            raise ConfigError("embeddings: pipeline requires at least one embedding input")
 
-        post = []
-        for entry in raw.get("post") or []:
-            entry = dict(entry)
-            name = entry.pop("step", None)
-            if name not in STEP_NAMES:
-                raise ConfigError(f"unknown post step {name!r}; expected one of {STEP_NAMES}")
-            post.append(PostStep(name, entry))
+        post = [_post_step(entry, f"post[{i}]") for i, entry in enumerate(top["post"])]
         names = [s.step for s in post]
         if len(names) != len(set(names)):
             raise ConfigError("each post step may appear at most once")
         if "rerank" in names and names[-1] != "rerank":
             raise ConfigError("rerank requires search and must be the last post step")
-        feature_steps = [n for n in names if n != "rerank"]
-        if len(embeddings) > 1:
-            if "concat" not in feature_steps:
-                raise ConfigError("multiple embedding inputs require a 'concat' step")
-            if feature_steps[0] != "concat":
-                raise ConfigError("'concat' must precede the other feature steps")
+        if len(embeddings) > 1 and names[:1] != ["concat"]:
+            raise ConfigError("multiple embedding inputs require a 'concat' step "
+                              "that precedes the other post steps")
 
-        search_raw = dict(raw.get("search") or {})
-        search_k = int(search_raw.get("k", 10))
-        if search_k < 1:
+        search = _fields(top["search"], "search", "search.")
+        if search["k"] < 1:
             raise ConfigError("search.k must be >= 1")
-        restrict = bool(search_raw.get("restrict_to_query_category", False))
-        if restrict and "rerank" in names:
+        if search["restrict_to_query_category"] and "rerank" in names:
             # re-ranking needs at least k1 candidates per query, which a
             # category's share of the gallery need not hold
             raise ConfigError("search.restrict_to_query_category cannot be combined "
                               "with a 'rerank' post step")
 
-        eval_raw = dict(raw.get("eval") or {})
-        ks = tuple(int(k) for k in eval_raw.get("ks", [1, 10]))
-        if not ks or any(k < 1 for k in ks):
+        evaluation = _fields(top["eval"], "eval", "eval.")
+        ks = tuple(evaluation["ks"])
+        if not ks or min(ks) < 1:
             raise ConfigError("eval.ks must be positive integers")
-        if max(ks) > search_k:
-            raise ConfigError(f"eval.ks includes {max(ks)} but search.k is {search_k}")
-
-        output_dir = raw.get("output_dir")
-        if not output_dir:
-            raise ConfigError("output_dir is required")
+        if max(ks) > search["k"]:
+            raise ConfigError(f"eval.ks includes {max(ks)} but search.k is {search['k']}")
+        if not top["output_dir"]:
+            raise ConfigError("output_dir must not be empty")
 
         return cls(
-            detections=tuple(str(p) for p in raw.get("detections") or []),
+            detections=tuple(top["detections"]),
             wbf=wbf,
             embeddings=tuple(embeddings),
             post=tuple(post),
-            search_k=search_k,
-            restrict_to_query_category=restrict,
-            retrieval_gt=eval_raw.get("retrieval_gt"),
-            detection_gt=eval_raw.get("detection_gt"),
+            search_k=search["k"],
+            restrict_to_query_category=search["restrict_to_query_category"],
+            retrieval_gt=evaluation["retrieval_gt"],
+            detection_gt=evaluation["detection_gt"],
             eval_ks=ks,
-            output_dir=str(output_dir),
-            digest=digest,
+            output_dir=top["output_dir"],
+            digest=hashlib.sha256(
+                json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
+            ).hexdigest(),
         )
 
 
@@ -151,17 +240,15 @@ def fuse_detections(boxes: Sequence[ScoredBox], params: WbfParams) -> list[Fused
     return fused
 
 
+@contextmanager
 def _stage(name: str):
-    def wrap(fn):
-        def run(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except StageError:
-                raise
-            except Exception as e:
-                raise StageError(name, e) from e
-        return run
-    return wrap
+    """Re-raise a failure inside the block as StageError naming the stage."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as e:
+        raise StageError(name, e) from e
 
 
 @dataclass
@@ -177,81 +264,74 @@ class PipelineResult:
 def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineResult:
     """Execute the configured stages and write rankings, fused boxes and the
     report JSON into config.output_dir."""
+    if not config.retrieval_gt:
+        raise ConfigError("eval.retrieval_gt is required to score the run")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     detection_report: DetectionReport | None = None
     fused_path: str | None = None
     if config.detections:
-        boxes = _stage("load-detections")(
-            lambda: [b for p in config.detections for b in formats.load_detections(p)]
-        )()
-        fused = _stage("fuse")(fuse_detections)(boxes, config.wbf)
+        with _stage("load-detections"):
+            boxes = [b for p in config.detections for b in formats.load_detections(p)]
+        with _stage("fuse"):
+            fused = fuse_detections(boxes, config.wbf)
         logger.info("fuse: %d boxes in -> %d fused", len(boxes), len(fused))
         fused_path = str(out / "fused_boxes.jsonl")
         formats.save_fused_boxes(fused, fused_path)
         if config.detection_gt:
-            gt = _stage("load-detection-gt")(formats.load_detection_gt)(config.detection_gt)
-            detection_report = _stage("eval-det")(detection_ap)(
-                [f.to_scored() for f in fused], gt
-            )
+            with _stage("load-detection-gt"):
+                gt = formats.load_detection_gt(config.detection_gt)
+            with _stage("eval-det"):
+                detection_report = detection_ap([f.to_scored() for f in fused], gt)
             logger.info("eval-det: AP50=%s on %d images",
                         detection_report.ap50, len(gt))
 
-    models = _stage("load-embeddings")(
-        lambda: [formats.load_embeddings(d, i) for d, i in config.embeddings]
-    )()
-    split = _stage("split")(lambda: [m.split_by_source() for m in models])()
+    with _stage("load-embeddings"):
+        models = [formats.load_embeddings(d, i) for d, i in config.embeddings]
+    with _stage("split"):
+        split = [m.split_by_source() for m in models]
     query_parts = [q for q, _ in split]
     gallery_parts = [g for _, g in split]
     logger.info("embeddings: %d models, %d queries, %d gallery rows",
                 len(models), query_parts[0].n_rows, gallery_parts[0].n_rows)
 
     queries, gallery = query_parts[0], gallery_parts[0]
-    rerank_step: PostStep | None = None
+    rerank: RerankParams | None = None
     for step in config.post:
         if step.step == "rerank":
-            rerank_step = step
+            rerank = step.params
             continue
-        queries, gallery = _stage(step.step)(_apply_feature_step)(
-            step, queries, gallery, query_parts, gallery_parts
-        )
+        with _stage(step.step):
+            queries, gallery = _apply_feature_step(step, queries, gallery,
+                                                   query_parts, gallery_parts)
         logger.info("%s: queries %dx%d, gallery %dx%d", step.step,
                     queries.n_rows, queries.dim, gallery.n_rows, gallery.dim)
 
-    index = _stage("build-index")(build_index)(
-        gallery, config.restrict_to_query_category
-    )
-    k_search = gallery.n_rows if rerank_step is not None else config.search_k
-    rankings = _stage("search")(knn_search)(
-        index, queries, k_search,
-        restrict_to_query_category=config.restrict_to_query_category,
-        threads=threads,
-    )
+    with _stage("build-index"):
+        index = build_index(gallery)
+    k_search = gallery.n_rows if rerank is not None else config.search_k
+    with _stage("search"):
+        rankings = knn_search(index, queries, k_search,
+                              restrict_to_query_category=config.restrict_to_query_category,
+                              threads=threads)
     logger.info("search: %d queries -> %d rankings (k=%d)",
                 queries.n_rows, len(rankings), k_search)
 
-    if rerank_step is not None:
-        params = RerankParams(
-            k1=int(rerank_step.options.get("k1", 20)),
-            k2=int(rerank_step.options.get("k2", 6)),
-            lam=float(rerank_step.options.get("lambda", 0.3)),
-        )
-        rankings = _stage("rerank")(k_reciprocal_rerank)(
-            queries, gallery, rankings, params, threads=threads
-        )
-        logger.info("rerank: k1=%d k2=%d lambda=%.3f", params.k1, params.k2, params.lam)
+    if rerank is not None:
+        with _stage("rerank"):
+            rankings = k_reciprocal_rerank(queries, gallery, rankings, rerank, threads=threads)
+        logger.info("rerank: %s", rerank)
 
     rankings = [r.head(config.search_k) for r in rankings]
     rankings_path = str(out / "rankings.tsv")
     formats.save_rankings(rankings, rankings_path)
 
-    if not config.retrieval_gt:
-        raise ConfigError("eval.retrieval_gt is required to score the run")
-    gt = _stage("load-retrieval-gt")(formats.load_retrieval_gt)(config.retrieval_gt)
-    retrieval_report = _stage("eval-ret")(acc_at_k)(
-        rankings, gt, config.eval_ks, gallery_ids=gallery.item_ids.tolist()
-    )
+    with _stage("load-retrieval-gt"):
+        gt = formats.load_retrieval_gt(config.retrieval_gt)
+    with _stage("eval-ret"):
+        retrieval_report = acc_at_k(rankings, gt, config.eval_ks,
+                                    gallery_ids=gallery.item_ids.tolist())
     logger.info("eval-ret: %d queries scored, %d excluded",
                 retrieval_report.num_queries, retrieval_report.num_excluded)
 
@@ -279,24 +359,15 @@ def _apply_feature_step(
     query_parts: list[EmbeddingMatrix],
     gallery_parts: list[EmbeddingMatrix],
 ) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-    opts = step.options
     if step.step == "concat":
-        renorm = bool(opts.get("renormalize", True))
-        return (concat_features(query_parts, renorm),
-                concat_features(gallery_parts, renorm))
+        return (concat_features(query_parts, **step.params),
+                concat_features(gallery_parts, **step.params))
     if step.step == "pca":
         # the basis is learned on the gallery side only; rows are re-normalized
         # afterwards because search requires unit vectors
-        model = pca_fit(gallery, opts.get("out_dim"), bool(opts.get("whiten", True)))
+        model = pca_fit(gallery, **step.params)
         return (l2_normalize(pca_transform(model, queries)),
                 l2_normalize(pca_transform(model, gallery)))
-    params = QeParams(
-        k=int(opts.get("k", 10)),
-        alpha=float(opts.get("alpha", 0.0)),
-        include_self=bool(opts.get("include_self", True)),
-    )
     if step.step == "qe":
-        return query_expansion(queries, build_index(gallery), params), gallery
-    if step.step == "dba":
-        return queries, database_augmentation(gallery, params)
-    raise ConfigError(f"unhandled step {step.step!r}")
+        return query_expansion(queries, build_index(gallery), step.params), gallery
+    return queries, database_augmentation(gallery, step.params)

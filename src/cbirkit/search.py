@@ -78,35 +78,29 @@ class RankingList:
 
 class RetrievalIndex:
     """Immutable gallery snapshot with the integer rank of each item_id and
-    a category partition, built up front or on first use."""
+    a category partition, built on first use."""
 
-    def __init__(self, gallery: EmbeddingMatrix, partition_by_category: bool = False):
+    def __init__(self, gallery: EmbeddingMatrix):
         if not gallery.is_unit_normalized():
             raise DataError("gallery rows must be unit-normalized (|norm - 1| <= 1e-5)")
         self.gallery = gallery
         # position of each row's item_id in ascending id order: the tie-break key
         self.id_rank = np.empty(gallery.n_rows, dtype=np.int64)
         self.id_rank[np.argsort(gallery.item_ids, kind="stable")] = np.arange(gallery.n_rows)
-        self._partition: dict[int, np.ndarray] | None = (
-            self._group_by_category(gallery) if partition_by_category else None
-        )
-
-    @staticmethod
-    def _group_by_category(gallery: EmbeddingMatrix) -> dict[int, np.ndarray]:
-        cats = gallery.category_ids()
-        return {int(c): np.nonzero(cats == c)[0] for c in np.unique(cats)}
+        self._partition: dict[int, np.ndarray] | None = None
 
     def category_rows(self, category_id: int) -> np.ndarray:
         if self._partition is None:
-            self._partition = self._group_by_category(self.gallery)
+            cats = self.gallery.category_ids()
+            self._partition = {int(c): np.nonzero(cats == c)[0] for c in np.unique(cats)}
         return self._partition.get(category_id, np.empty(0, dtype=np.int64))
 
     def __len__(self) -> int:
         return self.gallery.n_rows
 
 
-def build_index(gallery: EmbeddingMatrix, partition_by_category: bool = False) -> RetrievalIndex:
-    return RetrievalIndex(gallery, partition_by_category)
+def build_index(gallery: EmbeddingMatrix) -> RetrievalIndex:
+    return RetrievalIndex(gallery)
 
 
 def _resolve_threads(threads: int | None) -> int:

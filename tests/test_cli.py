@@ -111,6 +111,33 @@ class TestCli:
         assert run("run", "--config", missing) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert run("run", "--config", tmp_path / "nope.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.json" in err
+        assert "Traceback" not in err
+
+    def test_gen_synth_invalid_spec_json(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"seed": 1,')
+        assert run("gen-synth", "--spec", spec_path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "invalid JSON" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fuse", "--detections", "a.jsonl", "--out", "f.jsonl", "--weights", "{x"],
+         "--weights"),
+        (["fuse", "--detections", "a.jsonl", "--out", "f.jsonl", "--weights", '{"m": "x"}'],
+         "--weights"),
+        (["eval-ret", "--rankings", "r.tsv", "--gt", "g.jsonl", "--ks", "1,x"], "--ks"),
+    ])
+    def test_bad_flag_value(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as e:
+            run(*argv)
+        assert e.value.code == 2
+        assert f"error: argument {flag}" in capsys.readouterr().err
+
     def test_restrict_category_flag(self, bench, tmp_path):
         rankings = tmp_path / "r.tsv"
         assert run("search", "--data", bench / "embeddings_m0.emb",

@@ -179,6 +179,24 @@ class TestRankings:
             formats.load_rankings(path)
 
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        class Broken:
+            query_id = "q2"
+
+            def entries(self):
+                yield "g1", 0.5
+                raise RuntimeError("disk full")
+
+        path = tmp_path / "rankings.tsv"
+        good = RankingList("q1", ("g0",), np.array([0.9]))
+        formats.save_rankings([good], path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="disk full"):
+            formats.save_rankings([good, Broken()], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["rankings.tsv"]
+
+
 class TestRetrievalGt:
     def test_roundtrip(self, tmp_path):
         gt = {"q0": {"g0", "g3"}, "q1": set()}

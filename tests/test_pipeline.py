@@ -1,12 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cbirkit import io as formats
+from cbirkit.cli import main
 from cbirkit.embeddings import concat_features, l2_normalize, pca_fit, pca_transform
 from cbirkit.errors import ConfigError, StageError
 from cbirkit.pipeline import PipelineConfig, run_pipeline
+from cbirkit.rerank import QeParams, RerankParams
 from cbirkit.search import build_index, knn_search
 from cbirkit.synthetic import SyntheticSpec, generate_synthetic
 
@@ -178,3 +181,88 @@ class TestRunPipeline:
         loaded = formats.load_rankings(result.rankings_path)
         assert len(loaded) == n_items
         assert result.retrieval.num_queries + result.retrieval.num_excluded == n_items
+
+
+# (keys leading to the replaced value, new value, key path the error names);
+# the base config has post [concat, qe]
+BAD_CONFIGS = [
+    (("serach",), {"k": 3}, "serach"),
+    (("post", 1), {"step": "qe", "kk": 50}, "post[1].kk"),
+    (("post", 1), {"step": "pca", "whiten": "false"}, "post[1].whiten"),
+    (("post", 1), {"step": "rerank", "k1": 0}, "post[1]: k1"),
+    (("post", 1), {"step": "rerank", "k1": "abc"}, "post[1].k1"),
+    (("post", 1), {"step": "qe", "k": True}, "post[1].k"),
+    (("post", 1), "qe", "post[1]"),
+    (("search", "k"), "abc", "search.k"),
+    (("search", "restrict_to_query_category"), "yes", "search.restrict_to_query_category"),
+    (("eval", "ks"), 5, "eval.ks"),
+    (("eval", "ks"), [1, "10"], "eval.ks[1]"),
+    (("wbf", "iou_threshold"), "0.5", "wbf.iou_threshold"),
+    (("wbf", "model_weights"), {"det0": "high"}, "wbf.model_weights.det0"),
+    (("detections", 0), 7, "detections[0]"),
+    (("embeddings", 0, "idss"), "x", "embeddings[0].idss"),
+]
+
+
+def _replace(raw, keys, value):
+    for key in keys[:-1]:
+        raw = raw[key]
+    raw[keys[-1]] = value
+
+
+class TestConfigRejection:
+    @pytest.fixture(scope="class")
+    def bench(self, tmp_path_factory):
+        return synth(tmp_path_factory.mktemp("reject"))
+
+    def config(self, bench, tmp_path, keys=(), value=None):
+        raw = json.loads((bench / "config.json").read_text())
+        raw["post"] = [{"step": "concat"}, {"step": "qe", "k": 2}]
+        raw["output_dir"] = str(tmp_path / "run")
+        if keys:
+            _replace(raw, keys, value)
+        return raw
+
+    def run_cli(self, raw, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        return main(["run", "--config", str(config_path)])
+
+    def test_base_config_runs(self, bench, tmp_path):
+        assert self.run_cli(self.config(bench, tmp_path), tmp_path) == 0
+
+    @pytest.mark.parametrize("keys, value, path", BAD_CONFIGS,
+                             ids=[c[2] for c in BAD_CONFIGS])
+    def test_rejected_at_parse_time(self, bench, tmp_path, capsys, keys, value, path):
+        raw = self.config(bench, tmp_path, keys, value)
+        with pytest.raises(ConfigError) as e:
+            PipelineConfig.from_dict(raw)
+        assert str(e.value).startswith(path)
+        assert self.run_cli(raw, tmp_path) == 2
+        assert f"error: {path}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_retrieval_gt_fails_before_writing(self, bench, tmp_path, capsys):
+        # parsing alone does not need it; the run checks it before its first write
+        raw = self.config(bench, tmp_path, ("eval", "retrieval_gt"), None)
+        with pytest.raises(ConfigError, match="eval.retrieval_gt"):
+            run_pipeline(PipelineConfig.from_dict(raw))
+        assert self.run_cli(raw, tmp_path) == 2
+        assert "error: eval.retrieval_gt" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_step_params_built_at_parse_time(self):
+        raw = TestConfigValidation().base(post=[
+            {"step": "pca", "out_dim": 4}, {"step": "qe", "alpha": 2},
+            {"step": "rerank", "lambda": 0.5}])
+        pca, qe, rerank = PipelineConfig.from_dict(raw).post
+        assert pca.params == {"out_dim": 4, "whiten": True}
+        assert qe.params == QeParams(alpha=2)
+        assert rerank.params == RerankParams(lam=0.5)
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Pipeline configuration", 1)[1]
+        example = section.split("```json", 1)[1].split("```", 1)[0]
+        config = PipelineConfig.from_dict(json.loads(example))
+        assert [s.step for s in config.post] == ["concat", "pca", "qe", "dba", "rerank"]

@@ -55,8 +55,7 @@ class TestBuildIndex:
             build_index(gmat([[2.0, 0.0]]))
 
     def test_partition_sizes(self):
-        idx = build_index(gmat(np.eye(3), categories=[1, 1, 2]),
-                          partition_by_category=True)
+        idx = build_index(gmat(np.eye(3), categories=[1, 1, 2]))
         assert len(idx.category_rows(1)) == 2
         assert len(idx.category_rows(2)) == 1
         assert len(idx.category_rows(9)) == 0
@@ -66,7 +65,7 @@ class TestBuildIndex:
         lazy = build_index(g)
         first = lazy.category_rows(1)
         assert lazy.category_rows(1) is first
-        assert first.tolist() == build_index(g, partition_by_category=True).category_rows(1).tolist()
+        assert first.tolist() == np.nonzero(g.category_ids() == 1)[0].tolist()
 
     def test_index_equals_raw_matrix_search(self):
         rng = rng_for(40)
