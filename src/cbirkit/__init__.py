@@ -1,7 +1,18 @@
 """Box fusion, global descriptors, exact retrieval, re-ranking and scoring
 for image-search pipelines, downstream of the neural networks."""
 
-from .boxes import BoundingBox, FusedBox, ScoredBox, WbfParams, iou, nms, wbf_fuse
+from .boxes import (
+    BoundingBox,
+    Detections,
+    FusedBox,
+    FusedDetections,
+    ScoredBox,
+    WbfParams,
+    fuse_detections,
+    iou,
+    nms,
+    wbf_fuse,
+)
 from .descriptors import PoolingSpec, combine_descriptors, pool
 from .embeddings import (
     EmbeddingMatrix,
@@ -26,7 +37,7 @@ from .evaluation import (
     acc_at_k,
     detection_ap,
 )
-from .pipeline import PipelineConfig, fuse_detections, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 from .rerank import (
     QeParams,
     RerankParams,
@@ -40,7 +51,8 @@ from .synthetic import SyntheticSpec, generate_synthetic
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundingBox", "ScoredBox", "FusedBox", "WbfParams", "iou", "nms", "wbf_fuse",
+    "BoundingBox", "ScoredBox", "FusedBox", "Detections", "FusedDetections",
+    "WbfParams", "iou", "nms", "wbf_fuse", "fuse_detections",
     "PoolingSpec", "pool", "combine_descriptors",
     "EmbeddingMatrix", "IdRecord", "PcaModel",
     "l2_normalize", "concat_features", "pca_fit", "pca_transform",
@@ -48,7 +60,7 @@ __all__ = [
     "QeParams", "RerankParams", "query_expansion", "database_augmentation",
     "k_reciprocal_rerank",
     "DetectionReport", "RetrievalReport", "detection_ap", "acc_at_k",
-    "PipelineConfig", "fuse_detections", "run_pipeline",
+    "PipelineConfig", "run_pipeline",
     "SyntheticSpec", "generate_synthetic",
     "CbirkitError", "ConfigError", "DataError", "ParseError",
     "EmbeddingFormatError", "StageError",

@@ -3,14 +3,36 @@
 Fusion merges overlapping boxes emitted by several detectors into a single
 confidence-weighted box per cluster instead of suppressing all but one, so
 the ensemble keeps localization evidence from every model.
+
+Detections are carried as columns.  `Detections` holds an (n, 4) float64
+coordinate array, the scores, the category ids, and the image and model
+ids as integer codes into sorted tables of distinct names, so that code
+order is name order.  `FusedDetections` has the same columns plus the
+cluster sizes and each cluster's contributing models (CSR: ascending codes
+per cluster).  Both are read-only `Sequence`s of `ScoredBox` / `FusedBox`
+objects (`len`, indexing, iteration, `==` against a list), built only on
+access; the kernels never build them.
+
+`fuse_detections` fuses every (image, category) group of a detection set
+in one wavefront.  After one sort by (image, category, -weighted score,
+model id, input index), step s takes the s-th box of every group that has
+one, computes its IoU with each of that group's current clusters, and
+joins the first with IoU > iou_threshold or opens a new one.  A cluster
+keeps its running weighted sums, updated in member order, so every fused
+number comes from the same operations as fusing the group box by box.
+`wbf_fuse` runs the same kernel on one image.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
+import numpy as np
+
+from ._arrays import ranges, run_starts, unique_sorted
 from .errors import ConfigError, DataError
 
 SCORE_MODES = ("rescale", "mean")
@@ -113,6 +135,198 @@ class WbfParams:
                     raise ConfigError(f"weight for model '{mid}' must be positive, got {w!r}")
 
 
+def _encode(values: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Integer codes of `values` into the sorted table of their distinct values."""
+    names = sorted(set(values))
+    index = {name: i for i, name in enumerate(names)}
+    return (np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values)),
+            tuple(names))
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _invalid_boxes(coords: np.ndarray) -> np.ndarray:
+    """Rows that `BoundingBox` rejects: a non-finite coordinate or no area."""
+    return ~(np.isfinite(coords).all(axis=1)
+             & (coords[:, 0] < coords[:, 2]) & (coords[:, 1] < coords[:, 3]))
+
+
+def invalid_detections(coords: np.ndarray, scores: np.ndarray,
+                       category_ids: np.ndarray) -> np.ndarray:
+    """Rows that `BoundingBox` or `ScoredBox` rejects."""
+    return (_invalid_boxes(coords) | ~((scores >= 0.0) & (scores <= 1.0))
+            | (category_ids < 1))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class _BoxColumns(Sequence):
+    """Columns shared by detections and fused boxes; row i is the box
+    coords[i] of image image_names[image_codes[i]]."""
+
+    coords: np.ndarray        # (n, 4) float64: x1, y1, x2, y2
+    scores: np.ndarray        # (n,) float64
+    category_ids: np.ndarray  # (n,) int64
+    image_codes: np.ndarray   # (n,) intp into image_names
+    image_names: tuple[str, ...]
+
+    def __post_init__(self):
+        coords = _frozen(self.coords, np.float64)
+        if coords.size == 0:
+            coords = _frozen(coords.reshape(0, 4), np.float64)
+        object.__setattr__(self, "coords", coords)
+        for name, dtype in self._columns():
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        n = len(self)
+        if coords.shape != (n, 4) or any(getattr(self, name).shape != (n,)
+                                         for name, _ in self._columns()):
+            raise DataError("box columns must be (n, 4) coordinates and n-long vectors")
+        bad = np.flatnonzero(self._invalid())
+        if bad.size:
+            self[int(bad[0])]  # raises the object type's DataError for that row
+
+    def _columns(self) -> list[tuple[str, type]]:
+        return [("scores", np.float64), ("category_ids", np.int64),
+                ("image_codes", np.intp)]
+
+    def _invalid(self) -> np.ndarray:
+        return _invalid_boxes(self.coords)
+
+    def __len__(self) -> int:
+        return self.scores.shape[0]
+
+    def __getitem__(self, index):
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"box index {index} out of range for {len(self)} boxes")
+        return self._item(i)
+
+    def _box(self, i: int) -> BoundingBox:
+        return BoundingBox(*self.coords[i].tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, (_BoxColumns, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} boxes, {len(self.image_names)} images)"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Detections(_BoxColumns):
+    """Detector outputs as columns; a read-only Sequence of ScoredBox."""
+
+    model_codes: np.ndarray   # (n,) intp into model_names
+    model_names: tuple[str, ...]
+
+    def _columns(self):
+        return super()._columns() + [("model_codes", np.intp)]
+
+    def _invalid(self) -> np.ndarray:
+        return invalid_detections(self.coords, self.scores, self.category_ids)
+
+    def _item(self, i: int) -> ScoredBox:
+        return ScoredBox(self._box(i), float(self.scores[i]), int(self.category_ids[i]),
+                         self.image_names[self.image_codes[i]],
+                         self.model_names[self.model_codes[i]])
+
+    @classmethod
+    def from_columns(cls, coords, scores, category_ids, image_ids: Sequence[str],
+                     model_ids: Sequence[str]) -> "Detections":
+        """Build from per-row values, encoding the id strings."""
+        image_codes, image_names = _encode(image_ids)
+        model_codes, model_names = _encode(model_ids)
+        return cls(coords, scores, category_ids, image_codes, image_names,
+                   model_codes, model_names)
+
+    @classmethod
+    def of(cls, boxes: Iterable[ScoredBox]) -> "Detections":
+        """`boxes` itself if it is a Detections, else its columns."""
+        if isinstance(boxes, Detections):
+            return boxes
+        boxes = list(boxes)
+        return cls.from_columns([b.box.as_tuple() for b in boxes], [b.score for b in boxes],
+                                [b.category_id for b in boxes],
+                                [b.image_id for b in boxes], [b.model_id for b in boxes])
+
+    @classmethod
+    def concat(cls, parts: Sequence["Detections"]) -> "Detections":
+        """The rows of every part, in order, over merged name tables."""
+        if not parts:
+            return cls.of([])
+        image_codes, image_names = _merge([(p.image_names, p.image_codes) for p in parts])
+        model_codes, model_names = _merge([(p.model_names, p.model_codes) for p in parts])
+        return cls(np.concatenate([p.coords for p in parts]),
+                   np.concatenate([p.scores for p in parts]),
+                   np.concatenate([p.category_ids for p in parts]),
+                   image_codes, image_names, model_codes, model_names)
+
+
+def _merge(tables: list[tuple[tuple[str, ...], np.ndarray]]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Concatenated codes re-coded into the sorted union of their tables."""
+    names = sorted(set().union(*(t for t, _ in tables)))
+    index = {name: i for i, name in enumerate(names)}
+    return (np.concatenate([np.array([index[n] for n in t], dtype=np.intp)[codes]
+                            for t, codes in tables]), tuple(names))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class FusedDetections(_BoxColumns):
+    """Fused boxes as columns; a read-only Sequence of FusedBox.  Cluster
+    i's models are model_codes[model_indptr[i]:model_indptr[i + 1]]."""
+
+    cluster_sizes: np.ndarray  # (n,) int64
+    model_indptr: np.ndarray   # (n + 1,) intp
+    model_codes: np.ndarray    # ascending within each cluster
+    model_names: tuple[str, ...]
+
+    def _columns(self):
+        return super()._columns() + [("cluster_sizes", np.int64)]
+
+    def __post_init__(self):
+        for name in ("model_indptr", "model_codes"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.intp))
+        if self.model_indptr.shape != (len(self.scores) + 1,):
+            raise DataError("model_indptr must hold one offset per cluster plus one")
+        super().__post_init__()
+
+    def _item(self, i: int) -> FusedBox:
+        members = self.model_codes[self.model_indptr[i]:self.model_indptr[i + 1]]
+        return FusedBox(self._box(i), float(self.scores[i]), int(self.category_ids[i]),
+                        self.image_names[self.image_codes[i]], int(self.cluster_sizes[i]),
+                        frozenset(self.model_names[c] for c in members))
+
+    def to_scored(self, model_id: str = "wbf") -> Detections:
+        """View as plain detections of one model, e.g. for AP evaluation."""
+        return Detections(self.coords, self.scores, self.category_ids, self.image_codes,
+                          self.image_names, np.zeros(len(self), dtype=np.intp), (model_id,))
+
+    @classmethod
+    def of(cls, fused: Iterable[FusedBox]) -> "FusedDetections":
+        """`fused` itself if it is a FusedDetections, else its columns."""
+        if isinstance(fused, FusedDetections):
+            return fused
+        fused = list(fused)
+        image_codes, image_names = _encode([f.image_id for f in fused])
+        members = [sorted(f.model_ids) for f in fused]
+        model_codes, model_names = _encode([m for ms in members for m in ms])
+        return cls([f.box.as_tuple() for f in fused], [f.score for f in fused],
+                   [f.category_id for f in fused], image_codes, image_names,
+                   [f.cluster_size for f in fused],
+                   np.concatenate(([0], np.cumsum([len(ms) for ms in members]))),
+                   model_codes, model_names)
+
+
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two valid boxes, in [0, 1]."""
     ix1 = max(a.x1, b.x1)
@@ -167,113 +381,143 @@ def nms(
     return [boxes[i] for i in kept]
 
 
-class _Cluster:
-    """Running state of one fusion cluster.
-
-    Keeps weighted coordinate sums so the fused box is O(1) to update per
-    insertion; the plain sums back the fallback when every member weight
-    is zero.
-    """
-
-    __slots__ = ("members", "wsum", "wcoords", "coords", "model_ids")
-
-    def __init__(self):
-        self.members: list[tuple[ScoredBox, float]] = []
-        self.wsum = 0.0
-        self.wcoords = [0.0, 0.0, 0.0, 0.0]
-        self.coords = [0.0, 0.0, 0.0, 0.0]
-        self.model_ids: set[str] = set()
-
-    def add(self, sb: ScoredBox, weighted_score: float) -> None:
-        self.members.append((sb, weighted_score))
-        self.wsum += weighted_score
-        for k, c in enumerate(sb.box.as_tuple()):
-            self.wcoords[k] += weighted_score * c
-            self.coords[k] += c
-        self.model_ids.add(sb.model_id)
-
-    def fused_coords(self) -> tuple[float, float, float, float]:
-        if self.wsum > 0.0:
-            return tuple(c / self.wsum for c in self.wcoords)  # type: ignore[return-value]
-        # all member scores zero: fall back to the unweighted average
-        n = len(self.members)
-        return tuple(c / n for c in self.coords)  # type: ignore[return-value]
-
-    def fused_score(self) -> float:
-        return sum(w for _, w in self.members) / len(self.members)
+def areas(coords: np.ndarray) -> np.ndarray:
+    """(x2 - x1) * (y2 - y1) per row, as `BoundingBox.area` computes it."""
+    return (coords[:, 2] - coords[:, 0]) * (coords[:, 3] - coords[:, 1])
 
 
-def wbf_fuse(boxes: Iterable[ScoredBox], params: WbfParams) -> list[FusedBox]:
-    """Fuse one image's detections from multiple models into weighted boxes.
+def overlaps(a: np.ndarray, a_area: np.ndarray, b: np.ndarray, b_area: np.ndarray) -> np.ndarray:
+    """iou(a[i], b[i]) for each row pair, with the operations of `iou`."""
+    iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+    ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    inter = iw * ih
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((iw > 0) & (ih > 0), inter / (a_area + b_area - inter), 0.0)
 
-    Per category: boxes are visited in descending weighted-score order
-    (score times model weight, clamped to [0, 1]); each box joins the first
-    cluster whose current fused box overlaps it with IoU > iou_threshold,
-    or starts a new cluster.  A cluster's fused box is the weighted-score
-    average of its members' coordinates and its score is the mean member
-    weighted score; after placement, "rescale" multiplies each score by
-    min(T, N)/N where T is the cluster size.  Output is sorted by
-    descending fused score.
-    """
-    boxes = list(boxes)
-    if not boxes:
-        return []
-    _check_single_image(boxes)
-    image_id = boxes[0].image_id
 
-    observed = {b.model_id for b in boxes}
+def _clip01(x: np.ndarray) -> np.ndarray:
+    """min(1.0, max(0.0, x)) elementwise, signed zeros included."""
+    x = np.where(x > 0.0, x, 0.0)
+    return np.where(x < 1.0, x, 1.0)
+
+
+def _model_counts(dets: Detections, params: WbfParams) -> np.ndarray:
+    """Distinct models per image code.  Raises the ConfigError of the first
+    image (in id order) that has a model without a weight or more models
+    than params.num_models."""
+    n_models = len(dets.model_names)
+    pairs = unique_sorted(dets.image_codes.astype(np.int64) * n_models + dets.model_codes)
+    pair_image, pair_model = pairs // n_models, pairs % n_models
+    observed = np.bincount(pair_image, minlength=len(dets.image_names))
+    unweighted = np.zeros(pairs.size, dtype=bool)
     if params.model_weights is not None:
-        missing = sorted(observed - set(params.model_weights))
-        if missing:
-            raise ConfigError(f"no weight configured for model '{missing[0]}'")
-        weights = params.model_weights
-    else:
-        weights = {m: 1.0 for m in observed}
+        unweighted = ~np.array([m in params.model_weights for m in dets.model_names],
+                               dtype=bool)[pair_model]
+    over = (np.flatnonzero(observed > params.num_models) if params.num_models is not None
+            else np.zeros(0, dtype=np.intp))
+    bad = np.concatenate((pair_image[unweighted], over))
+    if bad.size:
+        image = bad.min()
+        missing = pair_model[unweighted & (pair_image == image)]
+        if missing.size:
+            raise ConfigError(f"no weight configured for model '{dets.model_names[missing[0]]}'")
+        raise ConfigError(f"num_models={params.num_models} is less than the "
+                          f"{observed[image]} distinct models observed")
+    return observed
 
-    if params.num_models is not None:
-        if params.num_models < len(observed):
-            raise ConfigError(
-                f"num_models={params.num_models} is less than the "
-                f"{len(observed)} distinct models observed"
-            )
-        n_models = params.num_models
-    else:
-        n_models = len(observed)
 
-    weighted = [min(1.0, max(0.0, b.score * weights[b.model_id])) for b in boxes]
+def fuse_detections(boxes: Detections | Iterable[ScoredBox],
+                    params: WbfParams) -> FusedDetections:
+    """Fuse a mixed-image detection set image by image (sorted by image id).
 
-    fused: list[FusedBox] = []
-    for cat in sorted({b.category_id for b in boxes}):
-        idx = [i for i, b in enumerate(boxes) if b.category_id == cat]
-        idx.sort(key=lambda i: (-weighted[i], boxes[i].model_id, i))
-        clusters: list[_Cluster] = []
-        for i in idx:
-            b = boxes[i]
-            target = None
-            for cl in clusters:
-                ref = BoundingBox(*cl.fused_coords())
-                if iou(ref, b.box) > params.iou_threshold:
-                    target = cl
-                    break
-            if target is None:
-                target = _Cluster()
-                clusters.append(target)
-            target.add(b, weighted[i])
-        for cl in clusters:
-            t = len(cl.members)
-            score = cl.fused_score()
-            if params.score_mode == "rescale":
-                score *= min(t, n_models) / n_models
-            score = min(1.0, max(0.0, score))
-            fused.append(
-                FusedBox(
-                    box=BoundingBox(*cl.fused_coords()),
-                    score=score,
-                    category_id=cat,
-                    image_id=image_id,
-                    cluster_size=t,
-                    model_ids=frozenset(cl.model_ids),
-                )
-            )
-    fused.sort(key=lambda f: -f.score)
-    return fused
+    Per image and category: boxes are visited in descending weighted-score
+    order (score times model weight, clamped to [0, 1]; ties by model id,
+    then input order); each box joins the first cluster whose current
+    fused box overlaps it with IoU > iou_threshold, or starts a new
+    cluster.  A cluster's fused box is the weighted-score average of its
+    members' coordinates (the plain average when every weight is zero) and
+    its score is the mean member weighted score; "rescale" then multiplies
+    the score by min(T, N)/N, where T is the cluster size and N is
+    params.num_models or else the number of models seen in the image.
+    Each image's clusters are ordered by descending fused score, ties in
+    (category, creation) order.
+    """
+    dets = Detections.of(boxes)
+    if len(dets) == 0:
+        return FusedDetections.of([])
+    observed = _model_counts(dets, params)
+    weights = params.model_weights or {}
+    weight = np.array([weights.get(m, 1.0) for m in dets.model_names], dtype=np.float64)
+    weighted = _clip01(dets.scores * weight[dets.model_codes])
+
+    # positions in this order are both box and cluster slots: the k-th
+    # cluster of the group starting at position p lives in slot p + k
+    order = np.lexsort((dets.model_codes, -weighted, dets.category_ids, dets.image_codes))
+    coords, w = dets.coords[order], weighted[order]
+    area = areas(coords)
+    bounds = run_starts(dets.image_codes[order], dets.category_ids[order])
+    start, length = bounds[:-1], np.diff(bounds)
+    by_length = np.argsort(-length, kind="stable")
+    longest_first = -length[by_length]
+
+    n = len(dets)
+    n_clusters = np.zeros(start.size, dtype=np.intp)
+    wsum, size = np.zeros(n), np.zeros(n, dtype=np.int64)
+    wcoords, csum = np.zeros((n, 4)), np.zeros((n, 4))
+    fused, fused_area = np.zeros((n, 4)), np.zeros(n)
+    slot = np.empty(n, dtype=np.intp)
+    for s in range(length.max()):
+        group = by_length[:np.searchsorted(longest_first, -s)]
+        box = start[group] + s
+        k = n_clusters[group]
+        target = start[group] + k
+        candidates = ranges(start[group], k)
+        if candidates.size:
+            owner = np.repeat(np.arange(group.size), k)
+            b = box[owner]
+            hit = np.flatnonzero(overlaps(fused[candidates], fused_area[candidates],
+                                           coords[b], area[b]) > params.iou_threshold)
+            if hit.size:
+                first = hit[np.concatenate(([True], owner[hit[1:]] != owner[hit[:-1]]))]
+                target[owner[first]] = candidates[first]
+        n_clusters[group[target == start[group] + k]] += 1
+        slot[box] = target
+        wsum[target] += w[box]
+        wcoords[target] += w[box, None] * coords[box]
+        csum[target] += coords[box]
+        size[target] += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fused[target] = np.where(wsum[target, None] > 0.0,
+                                     wcoords[target] / wsum[target, None],
+                                     csum[target] / size[target, None])
+        fused_area[target] = areas(fused[target])
+
+    used = np.flatnonzero(size)
+    t = size[used]
+    image = dets.image_codes[order][used]
+    score = wsum[used] / t
+    if params.score_mode == "rescale":
+        n_models = params.num_models if params.num_models is not None else observed[image]
+        score = score * (np.minimum(t, n_models) / n_models)
+    score = _clip01(score)
+    rank = np.lexsort((-score, image))
+    out = used[rank]
+
+    n_models = len(dets.model_names)
+    members = unique_sorted(slot.astype(np.int64) * n_models + dets.model_codes[order])
+    per_slot = np.bincount(members // n_models, minlength=n)
+    first_member = np.concatenate(([0], np.cumsum(per_slot)[:-1]))
+    counts = per_slot[out]
+    return FusedDetections(
+        fused[out], score[rank], dets.category_ids[order][out], image[rank],
+        dets.image_names, t[rank], np.concatenate(([0], np.cumsum(counts))),
+        (members % n_models)[ranges(first_member[out], counts)], dets.model_names)
+
+
+def wbf_fuse(boxes: Iterable[ScoredBox], params: WbfParams) -> FusedDetections:
+    """Fuse one image's detections from multiple models into weighted
+    boxes, as `fuse_detections` does per image."""
+    dets = Detections.of(boxes)
+    if len(dets.image_names) > 1:
+        raise DataError(f"boxes span multiple images: {list(dets.image_names)!r}")
+    return fuse_detections(dets, params)

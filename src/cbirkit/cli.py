@@ -22,9 +22,10 @@ import logging
 import sys
 
 from . import io as formats
-from .boxes import SCORE_MODES, WbfParams
-from .errors import CbirkitError, ConfigError
-from .evaluation import acc_at_k, detection_ap, format_detection_report, format_retrieval_report
+from .boxes import SCORE_MODES, Detections, WbfParams
+from .errors import CbirkitError, ConfigError, DataError
+from .evaluation import (acc_at_k, check_thresholds, detection_ap, format_detection_report,
+                         format_retrieval_report)
 from .pipeline import SCHEMA, PipelineConfig, check_json_type, fuse_detections, run_pipeline
 from .rerank import RerankParams, k_reciprocal_rerank
 from .search import build_index, knn_search
@@ -38,6 +39,15 @@ def _parse_ks(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _parse_thresholds(text: str) -> tuple[float, ...]:
+    try:
+        return check_thresholds([float(v) for v in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    except DataError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _parse_weights(text: str) -> dict | None:
     try:
         weights = json.loads(text)
@@ -48,7 +58,7 @@ def _parse_weights(text: str) -> dict | None:
 
 
 def _cmd_fuse(args) -> int:
-    boxes = [b for p in args.detections for b in formats.load_detections(p)]
+    boxes = Detections.concat([formats.load_detections(p) for p in args.detections])
     params = WbfParams(
         iou_threshold=args.iou_threshold,
         model_weights=args.weights,
@@ -64,8 +74,7 @@ def _cmd_fuse(args) -> int:
 def _cmd_eval_det(args) -> int:
     preds = formats.load_detections(args.preds)
     gt = formats.load_detection_gt(args.gt)
-    thresholds = [float(t) for t in args.thresholds.split(",")] if args.thresholds else None
-    report = detection_ap(preds, gt, thresholds)
+    report = detection_ap(preds, gt, args.thresholds)
     print(format_detection_report(report))
     if args.report:
         formats.save_report(report.to_dict(), args.report)
@@ -153,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-det", help="score detections against ground truth")
     p.add_argument("--preds", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--thresholds", help="comma-separated IoU thresholds")
+    p.add_argument("--thresholds", type=_parse_thresholds,
+                   help="comma-separated IoU thresholds in (0, 1] (default 0.50:0.05:0.95)")
     p.add_argument("--report", help="also write the report JSON here")
     p.set_defaults(fn=_cmd_eval_det)
 

@@ -6,6 +6,14 @@ box of highest IoU at or above the threshold, the precision envelope is
 sampled at recall levels 0.00, 0.01, ..., 1.00, and AP is the mean over
 IoU thresholds 0.50:0.05:0.95 (AP50/AP75 read at single thresholds).
 
+Predictions are taken as `boxes.Detections` columns.  Matching is a
+wavefront over position-in-group: predictions are grouped by (category,
+image) in the canonical order, and step s takes the s-th prediction of
+every group, computes its IoU with each ground-truth box of its group
+once, and matches it at every threshold at once to the first unused box
+of maximal IoU at or above that threshold.  The cumulative counts and the
+interpolation then run per (category, threshold).
+
 acc_at_k counts a query as a hit at K when any of its ground-truth gallery
 items appears within the first K ranked entries.
 """
@@ -17,7 +25,8 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from .boxes import BoundingBox, ScoredBox, iou
+from ._arrays import ranges, run_starts, unique_sorted
+from .boxes import BoundingBox, Detections, ScoredBox, areas, overlaps
 from .errors import DataError
 from .search import RankingList
 
@@ -86,45 +95,58 @@ def _interpolated_ap(recall: np.ndarray, precision: np.ndarray) -> float:
     return float(sampled.mean())
 
 
-def _match_category(
-    preds: list[ScoredBox],
-    gt_by_image: dict[str, list[BoundingBox]],
-    threshold: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy TP/FP flags for canonically sorted predictions of one category."""
-    tp = np.zeros(len(preds), dtype=bool)
-    taken: dict[str, list[bool]] = {img: [False] * len(b) for img, b in gt_by_image.items()}
-    for i, p in enumerate(preds):
-        candidates = gt_by_image.get(p.image_id)
-        if not candidates:
-            continue
-        used = taken[p.image_id]
-        best, best_iou = -1, threshold
-        for j, g in enumerate(candidates):
-            if used[j]:
-                continue
-            v = iou(p.box, g)
-            if v > best_iou or (v == best_iou and v >= threshold and best == -1):
-                best, best_iou = j, v
-        if best >= 0:
-            used[best] = True
-            tp[i] = True
-    return tp, ~tp
+def check_thresholds(iou_thresholds: Sequence[float] | None) -> tuple[float, ...]:
+    """The IoU thresholds to score at (COCO's ten by default); each must
+    lie in (0, 1]."""
+    thresholds = tuple(iou_thresholds) if iou_thresholds is not None else COCO_THRESHOLDS
+    if not thresholds or any(not (0.0 < t <= 1.0) for t in thresholds):
+        raise DataError(f"IoU thresholds must lie in (0, 1], got {thresholds!r}")
+    return thresholds
 
 
-def _canonical_order(preds: Sequence[ScoredBox]) -> list[ScoredBox]:
-    # a total order independent of input order, so reported numbers are
-    # invariant under permutation of the predictions
-    return sorted(
-        preds,
-        key=lambda p: (
-            -p.score, p.image_id, p.box.x1, p.box.y1, p.box.x2, p.box.y2, p.model_id,
-        ),
-    )
+def _match(preds: Detections, order: np.ndarray, group_key: np.ndarray,
+           gt_coords: np.ndarray, gt_key: np.ndarray,
+           thresholds: tuple[float, ...]) -> np.ndarray:
+    """Greedy TP flags, (thresholds, predictions): each prediction, in
+    `order` within its group, takes the first unused ground-truth box of
+    its group with maximal IoU >= the threshold.  Groups are equal keys;
+    ground truth is sorted by key, in input order within a key."""
+    tp = np.zeros((len(thresholds), len(preds)), dtype=bool)
+    grouped = order[np.argsort(group_key[order], kind="stable")]
+    bounds = run_starts(group_key[grouped])
+    start, length = bounds[:-1], np.diff(bounds)
+    key = group_key[grouped[start]]
+    lo = np.searchsorted(gt_key, key, side="left")
+    count = np.searchsorted(gt_key, key, side="right") - lo
+    has_gt = np.flatnonzero(count)
+    if not has_gt.size:
+        return tp
+    by_length = has_gt[np.argsort(-length[has_gt], kind="stable")]
+    longest_first = -length[by_length]
+    pred_area, gt_area = areas(preds.coords), areas(gt_coords)
+    level = np.array(thresholds)[:, None]
+    used = np.zeros((len(thresholds), gt_key.size), dtype=bool)
+    for s in range(-longest_first[0]):
+        group = by_length[:np.searchsorted(longest_first, -s)]
+        pred = grouped[start[group] + s]
+        gt = ranges(lo[group], count[group])
+        owner = np.repeat(np.arange(group.size), count[group])
+        segment = np.concatenate(([0], np.cumsum(count[group])[:-1]))
+        p = pred[owner]
+        value = overlaps(preds.coords[p], pred_area[p], gt_coords[gt], gt_area[gt])
+        open_ = (value >= level) & ~used[:, gt]
+        masked = np.where(open_, value, -1.0)
+        best = open_ & (masked == np.maximum.reduceat(masked, segment, axis=1)[:, owner])
+        before = np.cumsum(best, axis=1) - best
+        first = best & (before == before[:, segment][:, owner])
+        level_of, j = np.nonzero(first)
+        used[level_of, gt[j]] = True
+        tp[level_of, p[j]] = True
+    return tp
 
 
 def detection_ap(
-    preds: Sequence[ScoredBox],
+    preds: Detections | Sequence[ScoredBox],
     gt: GroundTruthDet,
     iou_thresholds: Sequence[float] | None = None,
 ) -> DetectionReport:
@@ -134,53 +156,68 @@ def detection_ap(
     category mean; categories appearing only in ground truth count their
     boxes as misses.
     """
-    thresholds = tuple(iou_thresholds) if iou_thresholds is not None else COCO_THRESHOLDS
-    if not thresholds or any(not (0.0 < t <= 1.0) for t in thresholds):
-        raise DataError(f"IoU thresholds must lie in (0, 1], got {thresholds!r}")
-
-    gt_cats = {c for boxes in gt.values() for _, c in boxes}
-    pred_cats = {p.category_id for p in preds}
-    categories = sorted(gt_cats | pred_cats)
-
-    preds_by_cat: dict[int, list[ScoredBox]] = {c: [] for c in categories}
-    for p in preds:
-        preds_by_cat[p.category_id].append(p)
-    gt_by_cat: dict[int, dict[str, list[BoundingBox]]] = {c: {} for c in categories}
-    total_gt: dict[int, int] = {c: 0 for c in categories}
-    for img, boxes in gt.items():
+    thresholds = check_thresholds(iou_thresholds)
+    preds = Detections.of(preds)
+    gt_image, gt_category, gt_coords = [], [], []
+    for i, boxes in enumerate(gt.values()):
         for box, c in boxes:
-            gt_by_cat[c].setdefault(img, []).append(box)
-            total_gt[c] += 1
+            gt_image.append(i)
+            gt_category.append(c)
+            gt_coords.append(box.as_tuple())
+    gt_category = np.array(gt_category, dtype=np.int64)
+    categories = unique_sorted(np.concatenate((gt_category, preds.category_ids)))
+    gt_rank = np.searchsorted(categories, gt_category)
+    total_gt = np.bincount(gt_rank, minlength=categories.size)
 
+    # a total order independent of input order, so reported numbers are
+    # invariant under permutation of the predictions
+    x = preds.coords
+    order = np.lexsort((preds.model_codes, x[:, 3], x[:, 2], x[:, 1], x[:, 0],
+                        preds.image_codes, -preds.scores, preds.category_ids))
+    # (image, category) keys over the ground truth's images; -1 where the
+    # image has no ground truth
+    gt_of = {image: i for i, image in enumerate(gt)}
+    pred_image = np.array([gt_of.get(name, -1) for name in preds.image_names],
+                          dtype=np.int64)[preds.image_codes]
+    pred_key = np.where(pred_image >= 0, pred_image * categories.size
+                        + np.searchsorted(categories, preds.category_ids), -1)
+    gt_key = np.array(gt_image, dtype=np.int64) * categories.size + gt_rank
+    gt_order = np.argsort(gt_key, kind="stable")
+    tp = _match(preds, order, pred_key, np.array(gt_coords).reshape(-1, 4)[gt_order],
+                gt_key[gt_order], thresholds)
+
+    by_category = preds.category_ids[order]
+    lo = np.searchsorted(by_category, categories, side="left")
+    hi = np.searchsorted(by_category, categories, side="right")
     loosest = min(range(len(thresholds)), key=lambda i: thresholds[i])
     per_category: dict[int, float] = {}
     by_threshold: dict[float, list[float]] = {t: [] for t in thresholds}
     tp_total = fp_total = fn_total = 0
 
-    for c in categories:
-        ordered = _canonical_order(preds_by_cat[c])
-        n_gt = total_gt[c]
+    for ci, c in enumerate(categories.tolist()):
+        rows = order[lo[ci]:hi[ci]]
+        n_gt = int(total_gt[ci])
         aps = []
         for ti, t in enumerate(thresholds):
-            tp, fp = _match_category(ordered, gt_by_cat[c], t)
+            hit = tp[ti, rows]
             if n_gt == 0:
                 ap_t = 0.0
             else:
-                cum_tp = np.cumsum(tp)
-                cum_fp = np.cumsum(fp)
+                cum_tp = np.cumsum(hit)
+                cum_fp = np.cumsum(~hit)
                 recall = cum_tp / n_gt
                 precision = cum_tp / np.maximum(cum_tp + cum_fp, 1)
                 ap_t = _interpolated_ap(recall, precision)
             aps.append(ap_t)
             by_threshold[t].append(ap_t)
             if ti == loosest:
-                n_tp = int(tp.sum())
+                n_tp = int(hit.sum())
                 tp_total += n_tp
-                fp_total += int(fp.sum())
+                fp_total += rows.size - n_tp
                 fn_total += n_gt - n_tp
         per_category[c] = float(np.mean(aps))
 
-    mean_ap = float(np.mean(list(per_category.values()))) if categories else 0.0
+    mean_ap = float(np.mean(list(per_category.values()))) if per_category else 0.0
 
     def at(threshold: float) -> float | None:
         if threshold not in by_threshold:

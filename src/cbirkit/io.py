@@ -18,6 +18,11 @@ Rankings TSV: query_id <TAB> rank (1-based) <TAB> gallery item_id
 
 Retrieval ground truth (JSONL): {"query_id": str, "matches": [str, ...]}.
 
+Detections load as `boxes.Detections` columns, and fused boxes are
+written from `boxes.FusedDetections` columns, each line formatted exactly
+as `json.dumps` writes its record.  A JSONL line that is not valid UTF-8
+raises ParseError naming that line.
+
 The pipeline's outputs (fused boxes, rankings, report) are written to a
 temp file beside the target and moved into place with `os.replace`, so a
 failed save leaves any previous file whole.
@@ -26,6 +31,8 @@ failed save leaves any previous file whole.
 from __future__ import annotations
 
 import json
+import json.scanner
+import operator
 import os
 import struct
 from contextlib import contextmanager
@@ -34,7 +41,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .boxes import BoundingBox, FusedBox, ScoredBox
+from .boxes import BoundingBox, Detections, FusedBox, FusedDetections, ScoredBox, invalid_detections
 from .embeddings import EmbeddingMatrix, IdRecord
 from .errors import ConfigError, DataError, EmbeddingFormatError, ParseError
 from .evaluation import GroundTruthDet, GroundTruthRet
@@ -75,13 +82,36 @@ def load_json_object(path: str | Path) -> dict:
     return obj
 
 
+# the scanner json.loads runs, called without json.loads's per-call wrapper
+_SCAN_JSON = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _decode_line(line: str):
+    """json.loads(line); a value that starts at column 0 and is followed
+    only by whitespace is scanned directly."""
+    try:
+        obj, end = _SCAN_JSON(line, 0)
+    except StopIteration:
+        return json.loads(line)
+    if line[end:].strip(" \t\r\n"):
+        return json.loads(line)
+    return obj
+
+
 def _jsonl_records(path: str | Path):
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, so that they fail on their
+    # own line rather than on the block they were read in
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(str(path), lineno, "not valid UTF-8") from None
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode_line(line)
             except json.JSONDecodeError as e:
                 raise ParseError(str(path), lineno, f"invalid JSON: {e.msg}") from None
             if not isinstance(obj, dict):
@@ -105,25 +135,82 @@ def _parse_bbox(path, lineno, obj) -> BoundingBox:
         raise ParseError(str(path), lineno, f"bbox must be [x1, y1, x2, y2], got {raw!r}")
     try:
         return BoundingBox(*(float(v) for v in raw))
-    except DataError as e:
+    except (DataError, OverflowError) as e:
         raise ParseError(str(path), lineno, str(e)) from None
 
 
-def load_detections(path: str | Path) -> list[ScoredBox]:
-    """Parse a detections JSONL file; errors carry the offending line number."""
-    out = []
-    for lineno, obj in _jsonl_records(path):
-        box = _parse_bbox(path, lineno, obj)
-        score = _field(path, lineno, obj, "score", (int, float))
-        category = _field(path, lineno, obj, "category_id", int)
-        image_id = _field(path, lineno, obj, "image_id", str)
-        model_id = _field(path, lineno, obj, "model_id", str)
-        try:
-            out.append(ScoredBox(box=box, score=float(score), category_id=category,
-                                 image_id=image_id, model_id=model_id))
-        except DataError as e:
-            raise ParseError(str(path), lineno, str(e)) from None
-    return out
+_INT64_MAX = np.iinfo(np.int64).max
+_DETECTION_KEYS = ("bbox", "score", "category_id", "image_id", "model_id")
+_DETECTION_FIELDS = operator.itemgetter(*_DETECTION_KEYS)
+_NUMBER = (float, int)
+
+
+def _detection_record(path, lineno, obj) -> tuple:
+    """The fields of one detection record, checked one at a time in a fixed
+    order; the first problem raises ParseError."""
+    box = _parse_bbox(path, lineno, obj)
+    score = _field(path, lineno, obj, "score", (int, float))
+    category = _field(path, lineno, obj, "category_id", int)
+    image_id = _field(path, lineno, obj, "image_id", str)
+    model_id = _field(path, lineno, obj, "model_id", str)
+    try:
+        ScoredBox(box=box, score=float(score), category_id=category,
+                  image_id=image_id, model_id=model_id)
+    except (DataError, OverflowError) as e:
+        raise ParseError(str(path), lineno, str(e)) from None
+    if category > _INT64_MAX:
+        raise ParseError(str(path), lineno, f"category_id {category} out of range")
+    return list(box.as_tuple()), float(score), category, image_id, model_id
+
+
+def _detection_columns(path, lines, boxes, scores, categories, images, models):
+    """(coords, scores, category ids) as arrays.  Unless the values form
+    numeric columns that a ScoredBox would accept, every row is checked on
+    its own, so the ParseError names the first bad line."""
+    if not lines:
+        return np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.int64)
+    coords, score_col, category_col = np.array(boxes), np.array(scores), np.array(categories)
+    if (coords.dtype.kind in "biuf" and coords.shape == (len(lines), 4)
+            and score_col.dtype.kind in "bif" and category_col.dtype.kind in "bi"):
+        coords, score_col = coords.astype(np.float64), score_col.astype(np.float64)
+        category_col = category_col.astype(np.int64)
+        if not invalid_detections(coords, score_col, category_col).any():
+            return coords, score_col, category_col
+    records = [_detection_record(path, lineno, dict(zip(_DETECTION_KEYS, row)))
+               for lineno, row in zip(lines, zip(boxes, scores, categories, images, models))]
+    boxes, scores, categories = zip(*(r[:3] for r in records))
+    return (np.array(boxes, dtype=np.float64), np.array(scores, dtype=np.float64),
+            np.array(categories, dtype=np.int64))
+
+
+def load_detections(path: str | Path) -> Detections:
+    """Parse a detections JSONL file into columns; errors carry the number
+    of the first offending line.  Each line is decoded once and its fields
+    are type-tested; the value checks then run over whole columns."""
+    lines, boxes, scores, categories, images, models = [], [], [], [], [], []
+    try:
+        for lineno, obj in _jsonl_records(path):
+            try:
+                box, score, category, image_id, model_id = _DETECTION_FIELDS(obj)
+            except KeyError:
+                box = None
+            if not (type(box) is list and len(box) == 4 and type(score) in _NUMBER
+                    and type(category) is int and type(image_id) is str
+                    and type(model_id) is str):
+                box, score, category, image_id, model_id = _detection_record(path, lineno, obj)
+            lines.append(lineno)
+            boxes.append(box)
+            scores.append(score)
+            categories.append(category)
+            images.append(image_id)
+            models.append(model_id)
+    except ParseError:
+        # an earlier line's bad value comes first
+        _detection_columns(path, lines, boxes, scores, categories, images, models)
+        raise
+    coords, score_col, category_col = _detection_columns(
+        path, lines, boxes, scores, categories, images, models)
+    return Detections.from_columns(coords, score_col, category_col, images, models)
 
 
 def save_detections(boxes: Iterable[ScoredBox], path: str | Path) -> None:
@@ -138,21 +225,29 @@ def save_detections(boxes: Iterable[ScoredBox], path: str | Path) -> None:
             }) + "\n")
 
 
-def save_fused_boxes(fused: Iterable[FusedBox], path: str | Path) -> None:
+def save_fused_boxes(fused: FusedDetections | Iterable[FusedBox], path: str | Path) -> None:
     """Fused boxes use the detections schema (model_id "wbf") plus
     cluster_size and the contributing model ids, so the file can be fed
-    straight back into detection evaluation."""
+    straight back into detection evaluation.  Lines are formatted from the
+    columns, byte for byte as json.dumps writes the record."""
+    fused = FusedDetections.of(fused)
+    images = [json.dumps(name) for name in fused.image_names]
+    models = [json.dumps(name) for name in fused.model_names]
+    codes, bounds = fused.model_codes.tolist(), fused.model_indptr.tolist()
+    member_lists: dict[tuple[int, ...], str] = {}
     with _atomic_open(path) as fh:
-        for f in fused:
-            fh.write(json.dumps({
-                "image_id": f.image_id,
-                "model_id": "wbf",
-                "category_id": f.category_id,
-                "score": f.score,
-                "bbox": list(f.box.as_tuple()),
-                "cluster_size": f.cluster_size,
-                "model_ids": sorted(f.model_ids),
-            }) + "\n")
+        for i, (image, category, score, (x1, y1, x2, y2), size) in enumerate(zip(
+                fused.image_codes.tolist(), fused.category_ids.tolist(),
+                fused.scores.tolist(), fused.coords.tolist(),
+                fused.cluster_sizes.tolist())):
+            key = tuple(codes[bounds[i]:bounds[i + 1]])
+            members = member_lists.get(key)
+            if members is None:
+                members = member_lists[key] = "[" + ", ".join(models[c] for c in key) + "]"
+            fh.write(f'{{"image_id": {images[image]}, "model_id": "wbf", '
+                     f'"category_id": {category}, "score": {score!r}, '
+                     f'"bbox": [{x1!r}, {y1!r}, {x2!r}, {y2!r}], '
+                     f'"cluster_size": {size}, "model_ids": {members}}}\n')
 
 
 def load_detection_gt(path: str | Path) -> GroundTruthDet:

@@ -5,15 +5,17 @@ any stage runs: an unknown key, a wrong JSON type or an out-of-range value
 raises `ConfigError` naming its key path (e.g. `post[1].kk`), and each post
 step's options are built into its parameters there.
 
-Stages run in a fixed frame — fuse detections per image, assemble
-query/gallery embeddings, apply the configured feature steps in order,
-search, optionally re-rank, then score — and each stage logs its input and
-output cardinalities; a failure inside one is re-raised as `StageError`
-naming it.  The feature steps {concat, pca, qe, dba} run before search;
-rerank, when configured, must be the last step and runs on the search
-output (search is widened to the full gallery so re-ranking sees a
-complete initial ranking, then results are truncated back to the
-configured K).
+Stages run in a fixed frame — load and split the query/gallery
+embeddings, fuse detections per image, apply the configured feature steps
+in order, search, optionally re-rank, then score — and each stage logs its
+input and output cardinalities; a failure inside one is re-raised as
+`StageError` naming it.  A bound that depends on the data (a pca step's
+out_dim against the embedding dimension) is checked once the embeddings
+are loaded, before the first output is written.  The feature steps
+{concat, pca, qe, dba} run before search; rerank, when configured, must be
+the last step and runs on the search output (search is widened to the full
+gallery so re-ranking sees a complete initial ranking, then results are
+truncated back to the configured K).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from types import NoneType, UnionType
 from typing import Sequence, get_args, get_origin
 
 from . import io as formats
-from .boxes import FusedBox, ScoredBox, WbfParams, wbf_fuse
+from .boxes import Detections, WbfParams, fuse_detections
 from .embeddings import EmbeddingMatrix, concat_features, l2_normalize, pca_fit, pca_transform
 from .errors import ConfigError, StageError
 from .evaluation import DetectionReport, RetrievalReport, acc_at_k, detection_ap
@@ -229,17 +231,6 @@ class PipelineConfig:
         )
 
 
-def fuse_detections(boxes: Sequence[ScoredBox], params: WbfParams) -> list[FusedBox]:
-    """Fuse a mixed-image detection list image by image (sorted by image id)."""
-    by_image: dict[str, list[ScoredBox]] = {}
-    for b in boxes:
-        by_image.setdefault(b.image_id, []).append(b)
-    fused: list[FusedBox] = []
-    for image_id in sorted(by_image):
-        fused.extend(wbf_fuse(by_image[image_id], params))
-    return fused
-
-
 @contextmanager
 def _stage(name: str):
     """Re-raise a failure inside the block as StageError naming the stage."""
@@ -249,6 +240,19 @@ def _stage(name: str):
         raise
     except Exception as e:
         raise StageError(name, e) from e
+
+
+def _check_pca_dims(post: Sequence[PostStep], dims: list[int]) -> None:
+    """Raise ConfigError naming post[i].out_dim when a pca step asks for
+    more components than its input has dimensions."""
+    dim = dims[0]
+    for i, step in enumerate(post):
+        if step.step == "concat":
+            dim = sum(dims)
+        out_dim = step.params.get("out_dim") if step.step == "pca" else None
+        if out_dim is not None and not 1 <= out_dim <= dim:
+            raise ConfigError(f"post[{i}].out_dim: {out_dim} outside [1, {dim}], "
+                              "the embedding dimension")
 
 
 @dataclass
@@ -266,26 +270,6 @@ def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineResult:
     report JSON into config.output_dir."""
     if not config.retrieval_gt:
         raise ConfigError("eval.retrieval_gt is required to score the run")
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    detection_report: DetectionReport | None = None
-    fused_path: str | None = None
-    if config.detections:
-        with _stage("load-detections"):
-            boxes = [b for p in config.detections for b in formats.load_detections(p)]
-        with _stage("fuse"):
-            fused = fuse_detections(boxes, config.wbf)
-        logger.info("fuse: %d boxes in -> %d fused", len(boxes), len(fused))
-        fused_path = str(out / "fused_boxes.jsonl")
-        formats.save_fused_boxes(fused, fused_path)
-        if config.detection_gt:
-            with _stage("load-detection-gt"):
-                gt = formats.load_detection_gt(config.detection_gt)
-            with _stage("eval-det"):
-                detection_report = detection_ap([f.to_scored() for f in fused], gt)
-            logger.info("eval-det: AP50=%s on %d images",
-                        detection_report.ap50, len(gt))
 
     with _stage("load-embeddings"):
         models = [formats.load_embeddings(d, i) for d, i in config.embeddings]
@@ -295,6 +279,27 @@ def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineResult:
     gallery_parts = [g for _, g in split]
     logger.info("embeddings: %d models, %d queries, %d gallery rows",
                 len(models), query_parts[0].n_rows, gallery_parts[0].n_rows)
+    _check_pca_dims(config.post, [m.dim for m in models])
+
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    detection_report: DetectionReport | None = None
+    fused_path: str | None = None
+    if config.detections:
+        with _stage("load-detections"):
+            boxes = Detections.concat([formats.load_detections(p) for p in config.detections])
+        with _stage("fuse"):
+            fused = fuse_detections(boxes, config.wbf)
+        logger.info("fuse: %d boxes in -> %d fused", len(boxes), len(fused))
+        fused_path = str(out / "fused_boxes.jsonl")
+        formats.save_fused_boxes(fused, fused_path)
+        if config.detection_gt:
+            with _stage("load-detection-gt"):
+                gt = formats.load_detection_gt(config.detection_gt)
+            with _stage("eval-det"):
+                detection_report = detection_ap(fused.to_scored(), gt)
+            logger.info("eval-det: AP50=%s on %d images",
+                        detection_report.ap50, len(gt))
 
     queries, gallery = query_parts[0], gallery_parts[0]
     rerank: RerankParams | None = None

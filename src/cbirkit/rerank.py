@@ -64,6 +64,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._arrays import ranges, unique_sorted
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
 from .search import RankingList, RetrievalIndex, _resolve_threads, exact_topk, pair_scores
@@ -169,12 +170,6 @@ def database_augmentation(gallery: EmbeddingMatrix, params: QeParams) -> Embeddi
     return gallery.with_data(data)
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(s, s + l) over the (non-empty list of) pairs (s, l)."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
-
-
 def _reciprocal(neighbors: np.ndarray, k: int) -> np.ndarray:
     """Mask over neighbors[:, :k + 1]: True where that neighbor also lists
     the row's point among its own first k + 1 entries."""
@@ -200,7 +195,7 @@ def _expanded_sets(neighbors: np.ndarray, k1: int) -> tuple[np.ndarray, np.ndarr
     shared = np.count_nonzero(in_half & np.isin(p[:, None] * n + members, r_keys), axis=1)
     accept = shared * 3 >= np.count_nonzero(half, axis=1)[c] * 2
     extra = (p[accept, None] * n + members[accept])[in_half[accept]]
-    keys = np.unique(np.concatenate([r_keys, extra]))
+    keys = unique_sorted(np.concatenate([r_keys, extra]))
     return keys // n, keys % n
 
 
@@ -218,7 +213,7 @@ def _encodings(points: np.ndarray, neighbors: np.ndarray,
     # gather the V rows of each point's first k2 neighbors, in neighbor order
     near = neighbors[:, : params.k2].ravel()
     lengths = counts[near]
-    src = _ranges(indptr[near], lengths)
+    src = ranges(indptr[near], lengths)
     owner = np.repeat(np.repeat(np.arange(n), params.k2), lengths)
     keys, slot = np.unique(owner * n + cols[src], return_inverse=True)
     # bincount adds in array order, so each sum runs in neighbor order
@@ -291,7 +286,7 @@ def k_reciprocal_rerank(
         q = query_rows[ranking.query_id]
         q_cols, q_values = cols[indptr[q]:indptr[q + 1]], values[indptr[q]:indptr[q + 1]]
         lengths = col_ptr[q_cols + 1] - col_ptr[q_cols]
-        src = _ranges(col_ptr[q_cols], lengths)
+        src = ranges(col_ptr[q_cols], lengths)
         mins = np.minimum(np.repeat(q_values, lengths), inv_values[src])
         minsum = np.bincount(inv_rows[src], weights=mins, minlength=n_g)
 

@@ -19,12 +19,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .boxes import BoundingBox, ScoredBox
 from .embeddings import EmbeddingMatrix, IdRecord
 from .errors import ConfigError
+from .pipeline import check_json_type
 from . import io as formats
 
 CANVAS = 640.0
@@ -71,10 +73,12 @@ class SyntheticSpec:
     def from_dict(cls, obj: dict) -> "SyntheticSpec":
         if "seed" not in obj:
             raise ConfigError("synthetic spec requires an explicit seed")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = sorted(set(obj) - known)
+        types = get_type_hints(cls)
+        unknown = sorted(set(obj) - set(types))
         if unknown:
             raise ConfigError(f"unknown synthetic spec field '{unknown[0]}'")
+        for name, value in obj.items():
+            check_json_type(value, types[name], name)
         return cls(**obj)
 
     def to_dict(self) -> dict:

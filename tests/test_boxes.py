@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbirkit.boxes import (
+    SCORE_MODES,
     BoundingBox,
+    Detections,
+    FusedDetections,
     ScoredBox,
     WbfParams,
+    fuse_detections,
     iou,
     nms,
     wbf_fuse,
@@ -207,3 +213,113 @@ class TestWbfFuse:
                 assert g.category_id == e["category_id"]
                 assert g.score == pytest.approx(e["score"], abs=1e-9)
                 assert np.allclose(g.box.as_tuple(), e["box"], atol=1e-9)
+
+
+# image ids that fixed-width string arrays or byte-wise handling would
+# conflate or truncate: a trailing NUL, non-ASCII, a line separator
+ODD_IMAGE_IDS = ["img", "img\x00", "imgé", "图像", "img\x00\x00", "a b"]
+
+
+@st.composite
+def detection_sets(draw, distinct_scores=False):
+    """Boxes on a coarse grid over a few images, categories and models, so
+    that overlaps, identical boxes and equal scores are common."""
+    n = draw(st.integers(0, 40))
+    if distinct_scores:
+        scores = draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n, unique=True))
+    else:
+        scores = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]),
+                               min_size=n, max_size=n))
+    boxes = []
+    for score in scores:
+        x1, y1 = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+        w, h = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+        boxes.append(ScoredBox(BoundingBox(x1 * 0.5, y1 * 0.5, x1 * 0.5 + w, y1 * 0.5 + h),
+                               score, draw(st.integers(1, 2)),
+                               draw(st.sampled_from(ODD_IMAGE_IDS)),
+                               draw(st.sampled_from(["m0", "m1", "m2"]))))
+    return boxes
+
+
+def expected_fusion(boxes, params):
+    """Per image in id order: the oracle's clusters, or the ConfigError
+    message of the first image whose models the parameters cannot cover."""
+    out = []
+    for image in sorted({b.image_id for b in boxes}):
+        mine = [b for b in boxes if b.image_id == image]
+        observed = {b.model_id for b in mine}
+        weights = params.model_weights or {m: 1.0 for m in observed}
+        missing = sorted(observed - set(weights))
+        if missing:
+            return f"no weight configured for model '{missing[0]}'"
+        if params.num_models is not None and params.num_models < len(observed):
+            return (f"num_models={params.num_models} is less than the "
+                    f"{len(observed)} distinct models observed")
+        n_models = params.num_models or len(observed)
+        out += [(image, f) for f in wbf_ref(boxes_to_dicts(mine), params.iou_threshold,
+                                            weights, n_models, params.score_mode)]
+    return out
+
+
+class TestFuseDetections:
+    @settings(max_examples=200, deadline=None)
+    @given(detection_sets(), st.sampled_from([0.0, 0.3, 0.55, 0.9]),
+           st.sampled_from([None, {"m0": 2.0, "m1": 0.5, "m2": 1.0}, {"m0": 1.5, "m2": 0.75}]),
+           st.sampled_from([None, 1, 2, 3, 5]), st.sampled_from(SCORE_MODES))
+    def test_matches_per_image_oracle(self, boxes, threshold, weights, num_models, mode):
+        params = WbfParams(iou_threshold=threshold, model_weights=weights,
+                           num_models=num_models, score_mode=mode)
+        expected = expected_fusion(boxes, params)
+        if isinstance(expected, str):
+            with pytest.raises(ConfigError) as e:
+                fuse_detections(boxes, params)
+            assert str(e.value) == expected
+            return
+        got = fuse_detections(boxes, params)
+        assert len(got) == len(expected)
+        for g, (image, e) in zip(got, expected):
+            assert g.image_id == image
+            assert g.cluster_size == e["cluster_size"]
+            assert g.model_ids == e["model_ids"]
+            assert g.category_id == e["category_id"]
+            assert abs(g.score - e["score"]) <= 1e-9
+            assert max(abs(a - b) for a, b in zip(g.box.as_tuple(), e["box"])) <= 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(detection_sets(distinct_scores=True), st.data())
+    def test_invariant_under_input_order(self, boxes, data):
+        base = fuse_detections(boxes, WbfParams())
+        by_image: dict[str, list] = {}
+        for b in boxes:
+            by_image.setdefault(b.image_id, []).append(b)
+        images = data.draw(st.permutations(list(by_image)))
+        assert fuse_detections([b for i in images for b in by_image[i]], WbfParams()) == base
+        # with distinct (score, model_id) keys no tie reaches the input index
+        assert fuse_detections(data.draw(st.permutations(boxes)), WbfParams()) == base
+
+    def test_columns_match_sequence_view(self):
+        boxes = random_scored_boxes(rng_for(4000), 30)
+        dets = Detections.of(boxes)
+        assert len(dets) == 30 and dets == boxes and list(dets) == boxes
+        assert dets[-1] == boxes[-1] and dets[2] == boxes[2]
+        with pytest.raises(IndexError):
+            dets[30]
+        with pytest.raises(ValueError):
+            dets.coords[0, 0] = 1.0
+        fused = fuse_detections(dets, WbfParams())
+        assert FusedDetections.of(list(fused)) == fused
+        assert list(fused.to_scored()) == [f.to_scored() for f in fused]
+
+    def test_concat_merges_name_tables(self):
+        a = Detections.of([sb(0, 0, 1, 1, 0.5, image="b", model="m1")])
+        b = Detections.of([sb(0, 0, 2, 2, 0.6, image="a", model="m0"),
+                           sb(0, 0, 3, 3, 0.7, image="b", model="m2")])
+        both = Detections.concat([a, b])
+        assert both == list(a) + list(b)
+        assert both.image_names == ("a", "b") and both.model_names == ("m0", "m1", "m2")
+
+    def test_invalid_columns_rejected(self):
+        with pytest.raises(DataError, match="degenerate"):
+            Detections.from_columns([[0, 0, 0, 1]], [0.5], [1], ["i"], ["m"])
+        with pytest.raises(DataError, match="score"):
+            Detections.from_columns([[0, 0, 1, 1]], [1.5], [1], ["i"], ["m"])

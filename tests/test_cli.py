@@ -125,12 +125,31 @@ class TestCli:
         assert err.startswith("error: ") and "invalid JSON" in err
         assert not (tmp_path / "o").exists()
 
+    def test_gen_synth_wrong_spec_type(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"seed": 1, "num_images": "abc"}')
+        assert run("gen-synth", "--spec", spec_path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: num_images must be an integer")
+        assert not (tmp_path / "o").exists()
+
+    def test_eval_det_thresholds(self, bench, tmp_path, capsys):
+        report = tmp_path / "det.json"
+        assert run("eval-det", "--preds", bench / "detections_det0.jsonl",
+                   "--gt", bench / "detection_gt.jsonl", "--thresholds", "0.5,0.75",
+                   "--report", report) == 0
+        assert json.loads(report.read_text())["thresholds"] == [0.5, 0.75]
+
     @pytest.mark.parametrize("argv, flag", [
         (["fuse", "--detections", "a.jsonl", "--out", "f.jsonl", "--weights", "{x"],
          "--weights"),
         (["fuse", "--detections", "a.jsonl", "--out", "f.jsonl", "--weights", '{"m": "x"}'],
          "--weights"),
         (["eval-ret", "--rankings", "r.tsv", "--gt", "g.jsonl", "--ks", "1,x"], "--ks"),
+        (["eval-det", "--preds", "p.jsonl", "--gt", "g.jsonl", "--thresholds", "0.5,x"],
+         "--thresholds"),
+        (["eval-det", "--preds", "p.jsonl", "--gt", "g.jsonl", "--thresholds", "1.5"],
+         "--thresholds"),
     ])
     def test_bad_flag_value(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as e:

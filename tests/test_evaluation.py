@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbirkit.boxes import BoundingBox, ScoredBox
 from cbirkit.errors import DataError
@@ -193,3 +195,64 @@ class TestAccAtK:
         rng.shuffle(shuffled)
         again = acc_at_k(shuffled, gt, [1, 5])
         assert again.acc == base.acc
+
+
+IMAGES = ["a", "b", "b\x00", "ç"]
+
+
+@st.composite
+def ap_cases(draw):
+    """Predictions and ground truth over several images and categories on
+    a coarse grid, with repeated boxes, equal scores, and predictions
+    shifted from a ground-truth box by a unit (IoU 0.5 is common); some
+    predictions fall on images without ground truth."""
+    def box():
+        x1, y1 = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+        return BoundingBox(x1, y1, x1 + draw(st.integers(1, 4)), y1 + draw(st.integers(1, 4)))
+
+    gt: dict[str, list] = {}
+    gt_boxes = []
+    for _ in range(draw(st.integers(0, 14))):
+        image = draw(st.sampled_from(IMAGES))
+        entry = (draw(st.sampled_from(gt_boxes))[1] if gt_boxes and draw(st.booleans())
+                 else (box(), draw(st.integers(1, 3))))
+        gt_boxes.append((image, entry))
+        gt.setdefault(image, []).append(entry)
+    preds = []
+    for _ in range(draw(st.integers(0, 30))):
+        score = draw(st.sampled_from([0.3, 0.6, 0.9]))
+        model = draw(st.sampled_from(["m0", "m1"]))
+        kind = draw(st.integers(0, 3))
+        if kind == 0 and preds:
+            preds.append(draw(st.sampled_from(preds)))
+        elif kind == 1 and gt_boxes:
+            image, (b, category) = draw(st.sampled_from(gt_boxes))
+            dx, dy = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+            preds.append(ScoredBox(BoundingBox(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy),
+                                   score, category, image, model))
+        else:
+            preds.append(ScoredBox(box(), score, draw(st.integers(1, 3)),
+                                   draw(st.sampled_from(IMAGES + ["z"])), model))
+    thresholds = draw(st.sampled_from([None, [0.5], [0.3, 0.5, 0.75], [0.75, 0.5, 0.5]]))
+    return preds, gt, thresholds
+
+
+@settings(max_examples=200, deadline=None)
+@given(ap_cases())
+def test_detection_ap_matches_reference(case):
+    preds, gt, thresholds = case
+    report = detection_ap(preds, gt, thresholds)
+    ref_preds = [{"image_id": p.image_id, "category_id": p.category_id, "score": p.score,
+                  "box": p.box.as_tuple(), "model_id": p.model_id} for p in preds]
+    ref_gt = {img: [(b.as_tuple(), c) for b, c in boxes] for img, boxes in gt.items()}
+    mean_ap, ap50, ap75, per_cat = detection_ap_ref(ref_preds, ref_gt, list(report.thresholds))
+    assert report.ap == pytest.approx(mean_ap, abs=1e-12)
+    for got, want, level in ((report.ap50, ap50, 0.5), (report.ap75, ap75, 0.75)):
+        if level in report.thresholds:
+            # with no category at all the reference reads None, the library 0
+            assert got == pytest.approx(want or 0.0, abs=1e-12)
+        else:
+            assert got is None
+    assert report.per_category.keys() == per_cat.keys()
+    for c, v in per_cat.items():
+        assert report.per_category[c] == pytest.approx(v, abs=1e-12)

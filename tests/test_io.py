@@ -1,10 +1,15 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbirkit import io as formats
-from cbirkit.boxes import BoundingBox, FusedBox, ScoredBox
+from cbirkit.boxes import BoundingBox, FusedBox, ScoredBox, WbfParams, fuse_detections
 from cbirkit.embeddings import EmbeddingMatrix
 from cbirkit.errors import DataError, EmbeddingFormatError, ParseError
 from cbirkit.search import RankingList
@@ -61,6 +66,17 @@ class TestDetections:
         with pytest.raises(ParseError) as err:
             formats.load_detections(path)
         assert err.value.line == 1
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        # bytes are decoded a block at a time; the error still names line 2,
+        # ahead of the invalid JSON on line 3
+        good = json.dumps({"image_id": "i", "model_id": "m", "category_id": 1,
+                           "score": 0.5, "bbox": [0, 0, 1, 1]}).encode()
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(good + b"\n" + good.replace(b'"i"', b'"i\xff"') + b"\n{\n")
+        with pytest.raises(ParseError, match="UTF-8") as err:
+            formats.load_detections(path)
+        assert err.value.line == 2
 
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -210,3 +226,114 @@ class TestRetrievalGt:
         path.write_text(line + "\n" + line + "\n")
         with pytest.raises(ParseError, match="duplicate"):
             formats.load_retrieval_gt(path)
+
+
+def reference_load(lines: list[bytes]):
+    """(number of the first line the record format rejects, or None; the
+    boxes of a clean file), decided one line at a time."""
+    out = []
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno, None
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            bbox, score = obj["bbox"], obj["score"]
+            category, image_id, model_id = obj["category_id"], obj["image_id"], obj["model_id"]
+        except (ValueError, KeyError, TypeError):
+            return lineno, None
+        if not (isinstance(bbox, list) and len(bbox) == 4
+                and all(isinstance(v, (int, float)) for v in bbox)
+                and isinstance(score, (int, float)) and isinstance(category, int)
+                and isinstance(image_id, str) and isinstance(model_id, str)):
+            return lineno, None
+        x1, y1, x2, y2 = (float(v) for v in bbox)
+        if not (all(math.isfinite(v) for v in (x1, y1, x2, y2)) and x1 < x2 and y1 < y2
+                and 0.0 <= score <= 1.0 and category >= 1):
+            return lineno, None
+        out.append(ScoredBox(BoundingBox(x1, y1, x2, y2), float(score), category,
+                             image_id, model_id))
+    return None, out
+
+
+_WRONG_VALUES = [None, "1", [], {}, True, False, 0, -1, 2.5, float("nan"), float("inf"),
+                 [1, 2, 3], [0, 0, 5, "9"], [5, 5, 1, 9], [0, 0, 0, 4], [0, float("nan"), 1, 1]]
+
+
+@st.composite
+def fuzzed_detection_files(draw):
+    records = [{"image_id": draw(st.sampled_from(["i0", "i1", "ï\x00"])),
+                "model_id": draw(st.sampled_from(["m0", "m1"])),
+                "category_id": draw(st.integers(1, 3)),
+                "score": draw(st.sampled_from([0.0, 0.25, 1.0, 1])),
+                "bbox": [0, 0.5, draw(st.integers(1, 9)), 7.25]}
+               for _ in range(draw(st.integers(1, 8)))]
+    lines = [json.dumps(r).encode() for r in records]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["truncate", "garble", "value", "drop", "replace"]))
+        if kind == "truncate":
+            lines[i] = lines[i][:draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+        elif kind == "garble":
+            at = draw(st.integers(0, max(len(lines[i]) - 1, 0)))
+            lines[i] = (lines[i][:at] + draw(st.sampled_from([b"{", b"]", b",", b'"', b"x", b" ",
+                                                              b"\\", b"\xff", b"\xc3"]))
+                        + lines[i][at + 1:])
+        elif kind in ("value", "drop"):
+            record = dict(records[i])
+            key = draw(st.sampled_from(sorted(record)))
+            if kind == "drop":
+                del record[key]
+            else:
+                record[key] = draw(st.sampled_from(_WRONG_VALUES))
+            lines[i] = json.dumps(record).encode()
+        else:
+            lines[i] = draw(st.sampled_from([b"", b"  ", b"[1, 2]", b"5", b"null", b"{}"]))
+    return lines
+
+
+class TestDetectionFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(fuzzed_detection_files())
+    def test_only_parse_errors_naming_the_first_bad_line(self, lines):
+        bad_line, expected = reference_load(lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            if bad_line is None:
+                assert formats.load_detections(path) == expected
+            else:
+                with pytest.raises(ParseError) as e:
+                    formats.load_detections(path)
+                assert e.value.line == bad_line
+
+
+def reference_fused_lines(fused) -> str:
+    return "".join(json.dumps({
+        "image_id": f.image_id, "model_id": "wbf", "category_id": f.category_id,
+        "score": f.score, "bbox": list(f.box.as_tuple()), "cluster_size": f.cluster_size,
+        "model_ids": sorted(f.model_ids)}) + "\n" for f in fused)
+
+
+class TestOddIds:
+    IDS = ["img", "img\x00", "imgé", "图像", "img\x00\x00", "a b", 'q"\\']
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(IDS), st.sampled_from(IDS),
+                              st.integers(0, 6), st.floats(0.0, 1.0)), max_size=30))
+    def test_columnar_path_matches_object_path(self, rows):
+        boxes = [ScoredBox(BoundingBox(x, x, x + 5.5, x + 4), score, 1, image, model)
+                 for image, model, x, score in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            det_path, fused_path = Path(tmp) / "d.jsonl", Path(tmp) / "f.jsonl"
+            formats.save_detections(boxes, det_path)
+            loaded = formats.load_detections(det_path)
+            assert loaded == boxes
+            assert sorted(loaded.image_names) == sorted({b.image_id for b in boxes})
+            fused = fuse_detections(loaded, WbfParams())
+            assert fused == fuse_detections(boxes, WbfParams())
+            formats.save_fused_boxes(fused, fused_path)
+            assert fused_path.read_text(encoding="utf-8") == reference_fused_lines(fused)

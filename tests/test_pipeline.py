@@ -251,6 +251,16 @@ class TestConfigRejection:
         assert "error: eval.retrieval_gt" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_pca_out_dim_checked_before_writing(self, bench, tmp_path, capsys):
+        # the bound is the data's dimension, known once the embeddings are
+        # loaded: 2 models x 8-d concatenated
+        raw = self.config(bench, tmp_path, ("post", 1), {"step": "pca", "out_dim": 64})
+        with pytest.raises(ConfigError, match=r"^post\[1\]\.out_dim: 64 outside \[1, 16\]"):
+            run_pipeline(PipelineConfig.from_dict(raw))
+        assert self.run_cli(raw, tmp_path) == 2
+        assert "error: post[1].out_dim" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "fused_boxes.jsonl").exists()
+
     def test_step_params_built_at_parse_time(self):
         raw = TestConfigValidation().base(post=[
             {"step": "pca", "out_dim": 4}, {"step": "qe", "alpha": 2},
