@@ -32,7 +32,7 @@ manifest = generate_synthetic(spec, workdir)
 print("generated", manifest["num_items"], "items in", workdir)
 
 config = PipelineConfig.from_file(workdir / "config.json")
-result = run_pipeline(config, threads=0)
+result = run_pipeline(config)
 
 print("\ndetection AP50:", round(result.detection.ap50, 4))
 print("retrieval:", {k: round(v, 4) for k, v in result.retrieval.acc.items()})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 
@@ -32,3 +34,13 @@ def run_starts(*keys: np.ndarray) -> np.ndarray:
     for k in keys:
         change[1:] |= k[1:] != k[:-1]
     return np.concatenate((np.nonzero(change)[0], [n]))
+
+
+def wavefront(lengths: np.ndarray) -> Iterator[np.ndarray]:
+    """For each step s, the indices of the groups longer than s, longest
+    first (ties in index order).  A kernel that takes the s-th member of
+    every group at step s visits each group's members in order."""
+    by_length = np.argsort(-lengths, kind="stable")
+    longest_first = -lengths[by_length]
+    for s in range(-longest_first[0] if lengths.size else 0):
+        yield by_length[:np.searchsorted(longest_first, -s)]

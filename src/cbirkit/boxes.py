@@ -20,7 +20,9 @@ one, computes its IoU with each of that group's current clusters, and
 joins the first with IoU > iou_threshold or opens a new one.  A cluster
 keeps its running weighted sums, updated in member order, so every fused
 number comes from the same operations as fusing the group box by box.
-`wbf_fuse` runs the same kernel on one image.
+`wbf_fuse` runs the same kernel on one image.  `nms` walks the same
+wavefront, but a box either survives as-is or is dropped: it is dropped
+when a box already kept in its group overlaps it with IoU >= the threshold.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import ranges, run_starts, unique_sorted
+from ._arrays import ranges, run_starts, unique_sorted, wavefront
 from .errors import ConfigError, DataError
 
 SCORE_MODES = ("rescale", "mean")
@@ -57,10 +59,6 @@ class BoundingBox:
                 f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2}): "
                 "zero or negative area"
             )
-
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
@@ -327,72 +325,61 @@ class FusedDetections(_BoxColumns):
                    model_codes, model_names)
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two valid boxes, in [0, 1]."""
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    if ix2 <= ix1 or iy2 <= iy1:
-        return 0.0
-    inter = (ix2 - ix1) * (iy2 - iy1)
-    return inter / (a.area + b.area - inter)
-
-
-def _check_single_image(boxes: Sequence[ScoredBox]) -> None:
-    image_ids = {b.image_id for b in boxes}
-    if len(image_ids) > 1:
-        raise DataError(f"boxes span multiple images: {sorted(image_ids)!r}")
-
-
-def nms(
-    boxes: Iterable[ScoredBox],
-    iou_threshold: float,
-    per_category: bool = True,
-) -> list[ScoredBox]:
-    """Greedy non-maximum suppression.
-
-    Boxes are visited in descending score order; a box is kept only if its
-    IoU with every previously kept box (of the same category when
-    per_category) stays below iou_threshold.  Ties on score break by
-    (model_id, input order) so the result is deterministic.
-    """
-    boxes = list(boxes)
-    if not boxes:
-        return []
-    _check_single_image(boxes)
-    order = sorted(
-        range(len(boxes)),
-        key=lambda i: (-boxes[i].score, boxes[i].model_id, i),
-    )
-    kept: list[int] = []
-    for i in order:
-        b = boxes[i]
-        suppressed = False
-        for j in kept:
-            k = boxes[j]
-            if per_category and k.category_id != b.category_id:
-                continue
-            if iou(b.box, k.box) >= iou_threshold:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(i)
-    return [boxes[i] for i in kept]
-
-
 def areas(coords: np.ndarray) -> np.ndarray:
-    """(x2 - x1) * (y2 - y1) per row, as `BoundingBox.area` computes it."""
+    """(x2 - x1) * (y2 - y1) per row."""
     return (coords[:, 2] - coords[:, 0]) * (coords[:, 3] - coords[:, 1])
 
 
 def overlaps(a: np.ndarray, a_area: np.ndarray, b: np.ndarray, b_area: np.ndarray) -> np.ndarray:
-    """iou(a[i], b[i]) for each row pair, with the operations of `iou`."""
+    """Intersection over union of a[i] and b[i] for each row pair, 0 where
+    they do not overlap."""
     iw = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
     ih = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
     inter = iw * ih
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((iw > 0) & (ih > 0), inter / (a_area + b_area - inter), 0.0)
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union of two valid boxes, in [0, 1]."""
+    pair = np.array([a.as_tuple(), b.as_tuple()], dtype=np.float64)
+    area = areas(pair)
+    return float(overlaps(pair[:1], area[:1], pair[1:], area[1:])[0])
+
+
+def nms(boxes: Detections | Iterable[ScoredBox], iou_threshold: float) -> Detections:
+    """Greedy non-maximum suppression within each (image, category) group.
+
+    A group's boxes are visited in descending score order (ties by model
+    id, then input order); a box is kept unless a box already kept in its
+    group overlaps it with IoU >= iou_threshold.  The kept boxes are
+    ordered by (image id, -score, model id, input order).
+    """
+    dets = Detections.of(boxes)
+    order = np.lexsort((dets.model_codes, -dets.scores, dets.category_ids, dets.image_codes))
+    coords = dets.coords[order]
+    area = areas(coords)
+    bounds = run_starts(dets.image_codes[order], dets.category_ids[order])
+    start = bounds[:-1]
+    # the k-th kept box of the group starting at position p is kept[p + k]
+    n_kept = np.zeros(start.size, dtype=np.intp)
+    kept = np.empty(len(dets), dtype=np.intp)
+    for s, group in enumerate(wavefront(np.diff(bounds))):
+        box = start[group] + s
+        k = n_kept[group]
+        owner = np.repeat(np.arange(group.size), k)
+        prior = kept[ranges(start[group], k)]
+        b = box[owner]
+        hit = overlaps(coords[prior], area[prior], coords[b], area[b]) >= iou_threshold
+        alive = np.bincount(owner[hit], minlength=group.size) == 0
+        kept[start[group[alive]] + k[alive]] = box[alive]
+        n_kept[group[alive]] += 1
+    rows = order[kept[ranges(start, n_kept)]]
+    rows = rows[np.lexsort((rows, dets.model_codes[rows], -dets.scores[rows],
+                            dets.image_codes[rows]))]
+    return Detections(dets.coords[rows], dets.scores[rows], dets.category_ids[rows],
+                      dets.image_codes[rows], dets.image_names, dets.model_codes[rows],
+                      dets.model_names)
 
 
 def _clip01(x: np.ndarray) -> np.ndarray:
@@ -456,9 +443,7 @@ def fuse_detections(boxes: Detections | Iterable[ScoredBox],
     coords, w = dets.coords[order], weighted[order]
     area = areas(coords)
     bounds = run_starts(dets.image_codes[order], dets.category_ids[order])
-    start, length = bounds[:-1], np.diff(bounds)
-    by_length = np.argsort(-length, kind="stable")
-    longest_first = -length[by_length]
+    start = bounds[:-1]
 
     n = len(dets)
     n_clusters = np.zeros(start.size, dtype=np.intp)
@@ -466,8 +451,7 @@ def fuse_detections(boxes: Detections | Iterable[ScoredBox],
     wcoords, csum = np.zeros((n, 4)), np.zeros((n, 4))
     fused, fused_area = np.zeros((n, 4)), np.zeros(n)
     slot = np.empty(n, dtype=np.intp)
-    for s in range(length.max()):
-        group = by_length[:np.searchsorted(longest_first, -s)]
+    for s, group in enumerate(wavefront(np.diff(bounds))):
         box = start[group] + s
         k = n_clusters[group]
         target = start[group] + k

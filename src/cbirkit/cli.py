@@ -8,10 +8,10 @@
     cbirkit run --config config.json
     cbirkit gen-synth --spec spec.json --out bench/
 
-Global flags: --threads N (validated, >= 0 with 0 = all usable cores; no
-command sizes a pool from it: search, QE, DBA and re-ranking run on the
-BLAS threads the environment sets, and results do not depend on either
-count), --seed U64 (overrides the synthetic spec seed), --log-level LEVEL.
+Global flags: --seed U64 (overrides the synthetic spec seed), --log-level
+LEVEL.  Search, QE, DBA and re-ranking run on the BLAS threads that the
+environment sets (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); results do not
+depend on their count.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ def _cmd_search(args) -> int:
     queries, gallery = formats.load_embeddings(args.data, args.ids).split_by_source()
     index = build_index(gallery)
     rankings = knn_search(index, queries, args.k,
-                          restrict_to_query_category=args.restrict_category,
-                          threads=args.threads)
+                          restrict_to_query_category=args.restrict_category)
     formats.save_rankings(rankings, args.out)
     print(f"searched {queries.n_rows} queries over {gallery.n_rows} gallery rows -> {args.out}")
     return 0
@@ -96,7 +95,7 @@ def _cmd_rerank(args) -> int:
     queries, gallery = formats.load_embeddings(args.data, args.ids).split_by_source()
     initial = formats.load_rankings(args.rankings)
     params = RerankParams(k1=args.k1, k2=args.k2, lam=args.lam)
-    rankings = k_reciprocal_rerank(queries, gallery, initial, params, threads=args.threads)
+    rankings = k_reciprocal_rerank(queries, gallery, initial, params)
     formats.save_rankings(rankings, args.out)
     print(f"re-ranked {len(rankings)} queries -> {args.out}")
     return 0
@@ -118,7 +117,7 @@ def _cmd_eval_ret(args) -> int:
 
 def _cmd_run(args) -> int:
     config = PipelineConfig.from_file(args.config)
-    result = run_pipeline(config, threads=args.threads)
+    result = run_pipeline(config)
     if result.detection is not None:
         print(format_detection_report(result.detection))
     print(format_retrieval_report(result.retrieval))
@@ -140,10 +139,6 @@ def _cmd_gen_synth(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cbirkit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="validated (>= 0, 0 = all usable cores) but sizes no pool; "
-                             "search, QE, DBA and re-ranking use the environment's BLAS "
-                             "threads, and results do not depend on either count")
     parser.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the synthetic spec seed")
     parser.add_argument("--log-level", default="WARNING", metavar="LEVEL")

@@ -25,7 +25,7 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import ranges, run_starts, unique_sorted
+from ._arrays import ranges, run_starts, unique_sorted, wavefront
 from .boxes import BoundingBox, Detections, ScoredBox, areas, overlaps
 from .errors import DataError
 from .search import RankingList
@@ -118,16 +118,11 @@ def _match(preds: Detections, order: np.ndarray, group_key: np.ndarray,
     key = group_key[grouped[start]]
     lo = np.searchsorted(gt_key, key, side="left")
     count = np.searchsorted(gt_key, key, side="right") - lo
-    has_gt = np.flatnonzero(count)
-    if not has_gt.size:
-        return tp
-    by_length = has_gt[np.argsort(-length[has_gt], kind="stable")]
-    longest_first = -length[by_length]
     pred_area, gt_area = areas(preds.coords), areas(gt_coords)
     level = np.array(thresholds)[:, None]
     used = np.zeros((len(thresholds), gt_key.size), dtype=bool)
-    for s in range(-longest_first[0]):
-        group = by_length[:np.searchsorted(longest_first, -s)]
+    # a group without ground truth has nothing to match
+    for s, group in enumerate(wavefront(np.where(count > 0, length, 0))):
         pred = grouped[start[group] + s]
         gt = ranges(lo[group], count[group])
         owner = np.repeat(np.arange(group.size), count[group])

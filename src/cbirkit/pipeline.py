@@ -10,8 +10,8 @@ embeddings, fuse detections per image, apply the configured feature steps
 in order, search, optionally re-rank, then score — and each stage logs its
 input and output cardinalities; a failure inside one is re-raised as
 `StageError` naming it.  A bound that depends on the data (a pca step's
-out_dim against the embedding dimension) is checked once the embeddings
-are loaded, before the first output is written.  The feature steps
+out_dim against the embedding dimension and the gallery size) is checked
+once the embeddings are loaded, before the first output is written.  The feature steps
 {concat, pca, qe, dba} run before search; rerank, when configured, must be
 the last step and runs on the search output (search is widened to the full
 gallery so re-ranking sees a complete initial ranking, then results are
@@ -242,17 +242,25 @@ def _stage(name: str):
         raise StageError(name, e) from e
 
 
-def _check_pca_dims(post: Sequence[PostStep], dims: list[int]) -> None:
+def _check_pca_dims(post: Sequence[PostStep], dims: list[int], gallery_rows: int) -> None:
     """Raise ConfigError naming post[i].out_dim when a pca step asks for
-    more components than its input has dimensions."""
+    more components than its input has dimensions, or when the gallery it
+    is fitted on has fewer than max(2, out_dim) rows (a null out_dim keeps
+    every input dimension)."""
     dim = dims[0]
     for i, step in enumerate(post):
         if step.step == "concat":
             dim = sum(dims)
-        out_dim = step.params.get("out_dim") if step.step == "pca" else None
+        if step.step != "pca":
+            continue
+        out_dim = step.params.get("out_dim")
         if out_dim is not None and not 1 <= out_dim <= dim:
             raise ConfigError(f"post[{i}].out_dim: {out_dim} outside [1, {dim}], "
                               "the embedding dimension")
+        components = dim if out_dim is None else out_dim
+        if gallery_rows < max(2, components):
+            raise ConfigError(f"post[{i}].out_dim: fitting {components} components needs "
+                              f"at least {max(2, components)} gallery rows, got {gallery_rows}")
 
 
 @dataclass
@@ -265,9 +273,14 @@ class PipelineResult:
     report_path: str
 
 
-def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineResult:
+def run_pipeline(config: PipelineConfig, threads: int | None = None) -> PipelineResult:
     """Execute the configured stages and write rankings, fused boxes and the
-    report JSON into config.output_dir."""
+    report JSON into config.output_dir.
+
+    threads is accepted and ignored, so that existing callers keep
+    working: every stage runs on the BLAS threads that the environment
+    sets, and results do not depend on their count.
+    """
     if not config.retrieval_gt:
         raise ConfigError("eval.retrieval_gt is required to score the run")
 
@@ -279,7 +292,7 @@ def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineResult:
     gallery_parts = [g for _, g in split]
     logger.info("embeddings: %d models, %d queries, %d gallery rows",
                 len(models), query_parts[0].n_rows, gallery_parts[0].n_rows)
-    _check_pca_dims(config.post, [m.dim for m in models])
+    _check_pca_dims(config.post, [m.dim for m in models], gallery_parts[0].n_rows)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -318,14 +331,13 @@ def run_pipeline(config: PipelineConfig, threads: int = 1) -> PipelineResult:
     k_search = gallery.n_rows if rerank is not None else config.search_k
     with _stage("search"):
         rankings = knn_search(index, queries, k_search,
-                              restrict_to_query_category=config.restrict_to_query_category,
-                              threads=threads)
+                              restrict_to_query_category=config.restrict_to_query_category)
     logger.info("search: %d queries -> %d rankings (k=%d)",
                 queries.n_rows, len(rankings), k_search)
 
     if rerank is not None:
         with _stage("rerank"):
-            rankings = k_reciprocal_rerank(queries, gallery, rankings, rerank, threads=threads)
+            rankings = k_reciprocal_rerank(queries, gallery, rankings, rerank)
         logger.info("rerank: %s", rerank)
 
     rankings = [r.head(config.search_k) for r in rankings]

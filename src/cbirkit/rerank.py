@@ -67,7 +67,7 @@ import numpy as np
 from ._arrays import ranges, unique_sorted
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .search import RankingList, RetrievalIndex, _resolve_threads, exact_topk, pair_scores
+from .search import RankingList, RetrievalIndex, exact_topk, pair_scores
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,6 @@ def k_reciprocal_rerank(
     gallery: EmbeddingMatrix,
     initial: Sequence[RankingList],
     params: RerankParams,
-    threads: int = 1,
 ) -> list[RankingList]:
     """Re-rank each query's initial candidates by the blended distance d*.
 
@@ -235,9 +234,8 @@ def k_reciprocal_rerank(
     cover any subset of the queries, in any order, and the output follows
     their order.  Every query row still shapes the neighborhoods.  Each
     ranking must hold at least k1 entries; the output re-orders exactly its
-    candidate set.  threads is validated but sizes no pool: the top-K
-    kernel runs on the BLAS threads of the environment, and results do not
-    depend on either count.
+    candidate set.  The top-K kernel runs on the BLAS threads that the
+    environment sets; results do not depend on their count.
     """
     if params.k1 > gallery.n_rows:
         raise ConfigError(f"k1={params.k1} exceeds the gallery size {gallery.n_rows}")
@@ -245,7 +243,6 @@ def k_reciprocal_rerank(
         raise DataError(f"query dim {queries.dim} != gallery dim {gallery.dim}")
     if not queries.is_unit_normalized() or not gallery.is_unit_normalized():
         raise DataError("queries and gallery must be unit-normalized")
-    _resolve_threads(threads)
     query_rows: dict[str, int] = {}
     for r in initial:
         if r.query_id in query_rows:

@@ -28,7 +28,6 @@ Temporary memory is O(QUERY_BLOCK x candidates), whatever the query count.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,16 +100,6 @@ class RetrievalIndex:
 
 def build_index(gallery: EmbeddingMatrix) -> RetrievalIndex:
     return RetrievalIndex(gallery)
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None or threads == 0:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if threads < 0:
-        raise ConfigError(f"threads must be >= 0, got {threads}")
-    return threads
 
 
 def _exact_scores(block: np.ndarray, cand: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
@@ -210,7 +199,6 @@ def knn_search(
     queries: EmbeddingMatrix,
     k: int,
     restrict_to_query_category: bool = False,
-    threads: int = 1,
 ) -> list[RankingList]:
     """Exact top-k cosine search for every query row.
 
@@ -219,9 +207,9 @@ def knn_search(
     a category absent from the gallery yields an empty RankingList.  Fewer
     than k candidates yield a shorter list.
 
-    threads is validated but does not size any pool here: the GEMM runs on
-    the BLAS threads set by the environment (OPENBLAS_NUM_THREADS,
-    OMP_NUM_THREADS), and results do not depend on either count.
+    The GEMM runs on the BLAS threads that the environment sets
+    (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); results do not depend on
+    their count.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -229,7 +217,6 @@ def knn_search(
         raise DataError(f"query dim {queries.dim} != gallery dim {index.gallery.dim}")
     if not queries.is_unit_normalized():
         raise DataError("query rows must be unit-normalized (|norm - 1| <= 1e-5)")
-    _resolve_threads(threads)
 
     if restrict_to_query_category:
         cats = queries.category_ids()

@@ -21,7 +21,8 @@ from cbirkit.synthetic import SyntheticSpec, generate_synthetic
 
 from benchmarks import concat_gain_trial, rerank_gain_trial, wbf_gain_trial
 from oracles import expand_ref, knn_ref, rerank_ref, wbf_ref
-from util import boxes_to_dicts, gallery_ids, query_ids, random_scored_boxes, rng_for, unit_rows
+from util import (boxes_to_dicts, gallery_ids, output_under_blas_threads, query_ids,
+                  random_scored_boxes, rng_for, unit_rows)
 
 _SUITE_START = time.perf_counter()
 
@@ -144,24 +145,39 @@ def test_criterion_5_pca_whitening():
             assert abs(after - before) <= 1e-5
 
 
+# criterion 6's search, run in a fresh process per BLAS thread count: one
+# line per query of its id, ranked item ids and the hex bits of each score
+SEARCH_SCRIPT = (
+    "from cbirkit.embeddings import EmbeddingMatrix\n"
+    "from cbirkit.search import build_index, knn_search\n"
+    "from util import gallery_ids, query_ids, rng_for, unit_rows\n"
+    "rng = rng_for(14_000)\n"
+    "gallery = EmbeddingMatrix(unit_rows(rng, 2000, 128), gallery_ids(2000))\n"
+    "queries = EmbeddingMatrix(unit_rows(rng, 200, 128), query_ids(200))\n"
+    "for r in knn_search(build_index(gallery), queries, 10):\n"
+    "    print(r.query_id, *r.item_ids, *(s.hex() for s in r.scores.tolist()))\n"
+)
+
+
 def test_criterion_6_search_oracle():
-    with criterion(6, "exact search matches the quadratic oracle under 1, 2 and 8 threads"):
+    with criterion(6, "exact search matches the quadratic oracle under 1, 2 and 8 BLAS threads"):
         start = time.perf_counter()
+        outputs = {n: output_under_blas_threads(SEARCH_SCRIPT, n) for n in (1, 2, 8)}
+        assert outputs[2] == outputs[1]
+        assert outputs[8] == outputs[1]
         rng = rng_for(14_000)
         gallery = EmbeddingMatrix(unit_rows(rng, 2000, 128), gallery_ids(2000))
         queries = EmbeddingMatrix(unit_rows(rng, 200, 128), query_ids(200))
-        index = build_index(gallery)
-        results = {t: knn_search(index, queries, 10, threads=t) for t in (1, 2, 8)}
-        for t in (2, 8):
-            assert results[t] == results[1]
-            for a, b in zip(results[1], results[t]):
-                assert np.array_equal(a.scores, b.scores)
         ids = [r.item_id for r in gallery.ids]
-        for qi in range(200):
+        lines = outputs[1].decode().splitlines()
+        assert len(lines) == 200
+        for qi, line in enumerate(lines):
+            query_id, *fields = line.split()
             expected = knn_ref(gallery.data, ids, queries.data[qi], 10)
-            got = results[1][qi]
-            assert list(got.item_ids) == [e[0] for e in expected]
-            assert np.allclose(got.scores, [e[1] for e in expected], atol=1e-12)
+            assert query_id == queries.ids[qi].item_id
+            assert fields[:10] == [e[0] for e in expected]
+            assert np.allclose([float.fromhex(h) for h in fields[10:]],
+                               [e[1] for e in expected], atol=1e-12)
         assert time.perf_counter() - start < 10.0
 
 

@@ -25,6 +25,32 @@ def sb(x1, y1, x2, y2, score, category=1, image="img0", model="m0"):
     return ScoredBox(BoundingBox(x1, y1, x2, y2), score, category, image, model)
 
 
+# image ids that fixed-width string arrays or byte-wise handling would
+# conflate or truncate: a trailing NUL, non-ASCII, a line separator
+ODD_IMAGE_IDS = ["img", "img\x00", "imgé", "图像", "img\x00\x00", "a b"]
+
+
+@st.composite
+def detection_sets(draw, distinct_scores=False, n_categories=2):
+    """Boxes on a coarse grid over a few images, categories and models, so
+    that overlaps, identical boxes and equal scores are common."""
+    n = draw(st.integers(0, 40))
+    if distinct_scores:
+        scores = draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n, unique=True))
+    else:
+        scores = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]),
+                               min_size=n, max_size=n))
+    boxes = []
+    for score in scores:
+        x1, y1 = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+        w, h = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+        boxes.append(ScoredBox(BoundingBox(x1 * 0.5, y1 * 0.5, x1 * 0.5 + w, y1 * 0.5 + h),
+                               score, draw(st.integers(1, n_categories)),
+                               draw(st.sampled_from(ODD_IMAGE_IDS)),
+                               draw(st.sampled_from(["m0", "m1", "m2"]))))
+    return boxes
+
+
 class TestBoundingBox:
     def test_rejects_zero_area(self):
         with pytest.raises(DataError):
@@ -82,9 +108,29 @@ class TestNms:
         b = sb(0, 0, 10, 10, 0.8, category=2)
         assert len(nms([a, b], 0.5)) == 2
 
-    def test_rejects_mixed_images(self):
-        with pytest.raises(DataError):
-            nms([sb(0, 0, 1, 1, 0.5), sb(0, 0, 1, 1, 0.5, image="other")], 0.5)
+    def test_mixed_images_equal_per_image_calls(self):
+        rng = rng_for(1500)
+        images = ["b", "a", "c\x00", "a b"]
+        boxes = [b for image in images for b in random_scored_boxes(rng, 12, image_id=image)]
+        rng.shuffle(boxes)
+        per_image = [nms([b for b in boxes if b.image_id == image], 0.3)
+                     for image in sorted(images)]
+        assert nms(boxes, 0.3) == [b for kept in per_image for b in kept]
+
+    @settings(max_examples=200, deadline=None)
+    @given(detection_sets(n_categories=4), st.sampled_from([1e-4, 0.5, 1.0]), st.data())
+    def test_matches_oracle_per_image(self, boxes, threshold, data):
+        # copies of drawn boxes under other scores and models: IoU exactly 1
+        copies = data.draw(st.lists(st.sampled_from(boxes), max_size=8)) if boxes else []
+        boxes += [ScoredBox(b.box, data.draw(st.sampled_from([0.2, 0.5, 0.9])), b.category_id,
+                            b.image_id, data.draw(st.sampled_from(["m0", "m1", "m2"])))
+                  for b in copies]
+        expected = []
+        for image in sorted({b.image_id for b in boxes}):
+            mine = [b for b in boxes if b.image_id == image]
+            expected += [(image, d) for d in nms_ref(boxes_to_dicts(mine), threshold)]
+        got = nms(boxes, threshold)
+        assert [(b.image_id, d) for b, d in zip(got, boxes_to_dicts(got))] == expected
 
     def test_matches_quadratic_reference(self):
         for seed in range(40):
@@ -213,32 +259,6 @@ class TestWbfFuse:
                 assert g.category_id == e["category_id"]
                 assert g.score == pytest.approx(e["score"], abs=1e-9)
                 assert np.allclose(g.box.as_tuple(), e["box"], atol=1e-9)
-
-
-# image ids that fixed-width string arrays or byte-wise handling would
-# conflate or truncate: a trailing NUL, non-ASCII, a line separator
-ODD_IMAGE_IDS = ["img", "img\x00", "imgé", "图像", "img\x00\x00", "a b"]
-
-
-@st.composite
-def detection_sets(draw, distinct_scores=False):
-    """Boxes on a coarse grid over a few images, categories and models, so
-    that overlaps, identical boxes and equal scores are common."""
-    n = draw(st.integers(0, 40))
-    if distinct_scores:
-        scores = draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n, unique=True))
-    else:
-        scores = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]),
-                               min_size=n, max_size=n))
-    boxes = []
-    for score in scores:
-        x1, y1 = draw(st.integers(0, 24)), draw(st.integers(0, 24))
-        w, h = draw(st.integers(1, 16)), draw(st.integers(1, 16))
-        boxes.append(ScoredBox(BoundingBox(x1 * 0.5, y1 * 0.5, x1 * 0.5 + w, y1 * 0.5 + h),
-                               score, draw(st.integers(1, 2)),
-                               draw(st.sampled_from(ODD_IMAGE_IDS)),
-                               draw(st.sampled_from(["m0", "m1", "m2"]))))
-    return boxes
 
 
 def expected_fusion(boxes, params):

@@ -97,14 +97,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Acc@" in out and "rankings ->" in out
 
-    def test_threads_flag(self, bench, tmp_path):
-        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        run("--threads", 1, "search", "--data", bench / "embeddings_m0.emb",
-            "--ids", bench / "embeddings_m0.ids.jsonl", "--k", 5, "--out", a)
-        run("--threads", 4, "search", "--data", bench / "embeddings_m0.emb",
-            "--ids", bench / "embeddings_m0.ids.jsonl", "--k", 5, "--out", b)
-        assert a.read_bytes() == b.read_bytes()
-
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         missing.write_text("{}")

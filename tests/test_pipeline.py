@@ -261,6 +261,19 @@ class TestConfigRejection:
         assert "error: post[1].out_dim" in capsys.readouterr().err
         assert not (tmp_path / "run" / "fused_boxes.jsonl").exists()
 
+    @pytest.mark.parametrize("out_dim", [5, None])
+    def test_pca_gallery_rows_checked_before_writing(self, tmp_path, capsys, out_dim):
+        # 3 gallery rows of 8-d: too few for 5 components, or for all 8
+        small = synth(tmp_path, num_images=3, gt_boxes_per_image=1, embedding_models=1)
+        raw = json.loads((small / "config.json").read_text())
+        raw["post"] = [{"step": "pca", "out_dim": out_dim}]
+        raw["output_dir"] = str(tmp_path / "run")
+        with pytest.raises(ConfigError, match=r"^post\[0\]\.out_dim: .* got 3$"):
+            run_pipeline(PipelineConfig.from_dict(raw))
+        assert self.run_cli(raw, tmp_path) == 2
+        assert "error: post[0].out_dim" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_step_params_built_at_parse_time(self):
         raw = TestConfigValidation().base(post=[
             {"step": "pca", "out_dim": 4}, {"step": "qe", "alpha": 2},

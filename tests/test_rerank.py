@@ -215,18 +215,6 @@ class TestKReciprocalRerank:
             dji = 1.0 - np.minimum(v[j], v[i]).sum() / max(np.maximum(v[j], v[i]).sum(), 1e-300)
             assert abs(dij - dji) <= 1e-9
 
-    def test_threads_agree(self):
-        rng = rng_for(62)
-        q = qmat(unit_rows(rng, 10, 8))
-        g = gmat(unit_rows(rng, 40, 8))
-        initial = _initial_rankings(q, g)
-        params = RerankParams(k1=8, k2=3, lam=0.3)
-        base = k_reciprocal_rerank(q, g, initial, params, threads=1)
-        multi = k_reciprocal_rerank(q, g, initial, params, threads=4)
-        assert base == multi
-        for a, b in zip(base, multi):
-            assert np.array_equal(a.scores, b.scores)
-
     def test_rankings_matched_by_query_id(self):
         rng = rng_for(63)
         q = qmat(unit_rows(rng, 6, 8))

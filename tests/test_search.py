@@ -1,14 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cbirkit
 from cbirkit import search
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 from cbirkit.errors import ConfigError, DataError
@@ -17,7 +11,7 @@ from cbirkit.rerank import (QeParams, RerankParams, database_augmentation, k_rec
 from cbirkit.search import RankingList, build_index, knn_search
 
 from oracles import expand_ref, knn_ref
-from util import gallery_ids, query_ids, rng_for, unit_rows
+from util import gallery_ids, output_under_blas_threads, query_ids, rng_for, unit_rows
 
 
 def gmat(data, categories=None):
@@ -140,18 +134,6 @@ class TestKnnSearch:
         for s, b in zip(small, big):
             assert b.item_ids[:7] == s.item_ids
 
-    def test_thread_counts_agree(self):
-        rng = rng_for(45)
-        g = gmat(unit_rows(rng, 300, 16))
-        q = qmat(unit_rows(rng, 40, 16))
-        idx = build_index(g)
-        base = knn_search(idx, q, 10, threads=1)
-        for threads in (2, 8, 0):
-            other = knn_search(idx, q, 10, threads=threads)
-            assert base == other
-            for a, b in zip(base, other):
-                assert np.array_equal(a.scores, b.scores)
-
     def test_planted_neighbor_recovered(self):
         rng = rng_for(46)
         g = gmat(unit_rows(rng, 5000, 32))
@@ -266,29 +248,9 @@ class TestKernelInvariance:
             "for r in found + reranked:\n"
             "    print(r.query_id, *r.item_ids, *(s.hex() for s in r.scores.tolist()))\n"
         )
-        paths = [str(Path(cbirkit.__file__).resolve().parents[1]), str(Path(__file__).parent)]
-        outputs = []
-        for n in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n,
-                       PYTHONPATH=os.pathsep.join(paths))
-            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                  timeout=120, check=True)
-            outputs.append(done.stdout)
+        outputs = [output_under_blas_threads(script, n) for n in (1, 2)]
         assert outputs[0].count(b"\n") == 1400
         assert outputs[0] == outputs[1]
-
-
-class TestResolveThreads:
-    def test_zero_counts_usable_cores(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert search._resolve_threads(0) == 3
-        assert search._resolve_threads(None) == 3
-        assert search._resolve_threads(2) == 2
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            search._resolve_threads(-1)
 
 
 # Unit vectors whose dot products are exact in any summation order: signed

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import cbirkit
 from cbirkit.boxes import BoundingBox, ScoredBox
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 
@@ -71,3 +77,13 @@ def boxes_to_dicts(boxes) -> list[dict]:
          "model_id": b.model_id}
         for b in boxes
     ]
+
+
+def output_under_blas_threads(script: str, n: int) -> bytes:
+    """Stdout of `python -c script` in a fresh process whose BLAS runs n
+    threads; the script can import cbirkit and these helpers."""
+    paths = [str(Path(cbirkit.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n), OMP_NUM_THREADS=str(n),
+               MKL_NUM_THREADS=str(n), PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          timeout=120, check=True).stdout
