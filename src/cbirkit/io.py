@@ -1,37 +1,41 @@
 """File formats: detections JSONL, the EMB1 embedding container, rankings
 TSV, retrieval ground-truth JSONL, and the report JSON.
 
-Detections (one JSON object per line):
-  {"image_id": str, "model_id": str, "category_id": int, "score": float,
-   "bbox": [x1, y1, x2, y2]}            # absolute pixels, x2 > x1, y2 > y1
-
-Detection ground truth: the same minus "model_id" and "score".
+A JSONL file holds one object per line; blank lines and unknown keys are
+skipped.  Each format is a field table of (key, accepted types), in the
+order the keys are written and checked: `int` is a JSON integer, `float`
+any JSON number, no boolean is a number, and every integer field must fit
+in int64.  The values are then checked a column at a time:
+  _DETECTIONS    category_id >= 1; score in [0, 1]; bbox [x1, y1, x2, y2]
+                 of finite absolute pixels, x2 > x1 and y2 > y1
+  _DETECTION_GT  the same, without model_id and score
+  _IDS           one record per embedding row, in row order: row is its
+                 index; item_id unique; category_id >= 0; source "query"
+                 or "gallery"
+  _RETRIEVAL_GT  query_id unique; matches a list of gallery item_ids
+Any fault raises ParseError naming the first offending line: invalid UTF-8
+or JSON, a missing field, a wrong type or a bad value.  A row out of
+sequence raises EmbeddingFormatError "count_mismatch" naming its line.
 
 Embeddings: bytes 0-3 ASCII "EMB1", bytes 4-7 row count N (u32 LE),
 bytes 8-11 dim D (u32 LE), then N*D IEEE-754 float32 LE row-major.
-Ids sidecar (JSONL, one record per row, in row order):
-  {"row": int, "item_id": str, "image_id": str, "box_id": str,
-   "category_id": int, "source": "query"|"gallery"}
 
-Rankings TSV: query_id <TAB> rank (1-based) <TAB> gallery item_id
-<TAB> score (9 significant digits).
+Rankings TSV: query_id <TAB> rank (1-based) <TAB> gallery item_id <TAB>
+score (9 significant digits); per query, ranks run 1, 2, ..., scores are
+finite and never increase, and no item_id repeats.
 
-Retrieval ground truth (JSONL): {"query_id": str, "matches": [str, ...]}.
-
-Detections load as `boxes.Detections` columns, and fused boxes are
-written from `boxes.FusedDetections` columns, each line formatted exactly
-as `json.dumps` writes its record.  A JSONL line that is not valid UTF-8
-raises ParseError naming that line.
-
-The pipeline's outputs (fused boxes, rankings, report) are written to a
-temp file beside the target and moved into place with `os.replace`, so a
-failed save leaves any previous file whole.
+Detections load as `boxes.Detections` columns; fused boxes are written from
+`boxes.FusedDetections` columns as `json.dumps` writes each record.  Outputs
+(fused boxes, rankings, report) are written to a temp file and moved into
+place with `os.replace`, so a failed save leaves any previous file whole.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import json.scanner
+import math
 import operator
 import os
 import struct
@@ -42,13 +46,23 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .boxes import BoundingBox, Detections, FusedBox, FusedDetections, ScoredBox, invalid_detections
-from .embeddings import EmbeddingMatrix, IdRecord
+from .embeddings import SOURCES, EmbeddingMatrix, IdRecord
 from .errors import ConfigError, DataError, EmbeddingFormatError, ParseError
 from .evaluation import GroundTruthDet, GroundTruthRet
 from .search import RankingList
 
 EMB_MAGIC = b"EMB1"
 _EMB_HEADER = struct.Struct("<4sII")
+
+_NUMBER = (float, int)
+_DETECTIONS = (("image_id", (str,)), ("model_id", (str,)), ("category_id", (int,)),
+               ("score", _NUMBER), ("bbox", (list,)))
+_DETECTION_GT = (("image_id", (str,)), ("category_id", (int,)), ("bbox", (list,)))
+_IDS = (("row", (int,)), ("item_id", (str,)), ("image_id", (str,)), ("box_id", (str,)),
+        ("category_id", (int,)), ("source", (str,)))
+_RETRIEVAL_GT = (("query_id", (str,)), ("matches", (list,)))
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @contextmanager
@@ -98,7 +112,9 @@ def _decode_line(line: str):
     return obj
 
 
-def _jsonl_records(path: str | Path):
+def _line_records(path: str | Path, decode=_decode_line):
+    """(line number, decode(line)) of each non-blank line of a UTF-8 text
+    file; ParseError names a line that is not UTF-8 or not valid JSON."""
     # undecodable bytes become lone surrogates, so that they fail on their
     # own line rather than on the block they were read in
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -111,118 +127,119 @@ def _jsonl_records(path: str | Path):
             if not line.strip():
                 continue
             try:
-                obj = _decode_line(line)
+                obj = decode(line)
             except json.JSONDecodeError as e:
                 raise ParseError(str(path), lineno, f"invalid JSON: {e.msg}") from None
-            if not isinstance(obj, dict):
-                raise ParseError(str(path), lineno, "record is not a JSON object")
             yield lineno, obj
 
 
-def _field(path, lineno, obj, key, types):
+def _type_fault(obj, fields) -> str:
+    """Why a decoded line does not match its field table."""
+    if not isinstance(obj, dict):
+        return "record is not a JSON object"
+    for key, types in fields:
+        if key not in obj:
+            return f"missing field '{key}'"
+        if type(obj[key]) not in types:
+            return f"field '{key}' has wrong type: {obj[key]!r}"
+
+
+def _read_jsonl(path: str | Path, fields) -> tuple[list[int], list[list], ParseError | None]:
+    """(line numbers, one list of values per field, fault) of a JSONL file.
+    The records end before the first line that is not an object with the
+    table's fields and types; that line's ParseError is the fault, which the
+    caller raises once the values of the records before it pass."""
+    keys = [key for key, _ in fields]
+    values_of = operator.itemgetter(*keys)
+    # the values of all records in one list: a tuple kept per record would
+    # add an object per line for the garbage collector to traverse
+    lines, values, fault = [], [], None
     try:
-        value = obj[key]
-    except KeyError:
-        raise ParseError(str(path), lineno, f"missing field '{key}'") from None
-    if not isinstance(value, types):
-        raise ParseError(str(path), lineno, f"field '{key}' has wrong type: {value!r}")
-    return value
+        for lineno, obj in _line_records(path):
+            try:
+                values += values_of(obj)
+            except (KeyError, TypeError):
+                raise ParseError(str(path), lineno, _type_fault(obj, fields)) from None
+            lines.append(lineno)
+    except ParseError as e:
+        fault = e
+    columns = [values[i::len(fields)] for i in range(len(fields))]
+    # types are tested a column at a time, and rows only to name the first bad one
+    if any(set(map(type, column)).difference(types)
+           for column, (_, types) in zip(columns, fields)):
+        end, row = next((i, row) for i, row in enumerate(zip(*columns))
+                        if any(type(v) not in types for v, (_, types) in zip(row, fields)))
+        fault = ParseError(str(path), lines[end], _type_fault(dict(zip(keys, row)), fields))
+        lines, columns = lines[:end], [column[:end] for column in columns]
+    return lines, columns, fault
 
 
-def _parse_bbox(path, lineno, obj) -> BoundingBox:
-    raw = _field(path, lineno, obj, "bbox", list)
-    if len(raw) != 4 or not all(isinstance(v, (int, float)) for v in raw):
-        raise ParseError(str(path), lineno, f"bbox must be [x1, y1, x2, y2], got {raw!r}")
+def _write_jsonl(path: str | Path, fields, rows: Iterable[tuple]) -> None:
+    """One line per row, the values under the table's keys, in its order."""
+    keys = [key for key, _ in fields]
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(dict(zip(keys, row))) + "\n")
+
+
+def _scan(path, lines, rows, fault) -> None:
+    """Raise ParseError at the first row for which `fault` returns a message
+    or raises DataError or OverflowError."""
+    for lineno, row in zip(lines, rows):
+        try:
+            message = fault(*row)
+        except (DataError, OverflowError) as e:
+            message = str(e)
+        if message:
+            raise ParseError(str(path), lineno, message)
+
+
+def _box_columns(boxes, scores, categories) -> tuple[np.ndarray, ...] | None:
+    """(coords, scores, category ids) as arrays, or None unless every row passes `_box_fault`."""
+    if (set(map(len, boxes)) - {4}
+            or set(map(type, itertools.chain.from_iterable(boxes))) - {float, int}):
+        return None
     try:
-        return BoundingBox(*(float(v) for v in raw))
-    except (DataError, OverflowError) as e:
-        raise ParseError(str(path), lineno, str(e)) from None
+        columns = (np.fromiter(itertools.chain.from_iterable(boxes), np.float64).reshape(-1, 4),
+                   np.array(scores, np.float64), np.array(categories, np.int64))
+    except OverflowError:
+        return None
+    return None if invalid_detections(*columns).any() else columns
 
 
-_INT64_MAX = np.iinfo(np.int64).max
-_DETECTION_KEYS = ("bbox", "score", "category_id", "image_id", "model_id")
-_DETECTION_FIELDS = operator.itemgetter(*_DETECTION_KEYS)
-_NUMBER = (float, int)
+def _int64_fault(category: int) -> str | None:
+    return f"category_id {category} out of range" if category > _INT64_MAX else None
 
 
-def _detection_record(path, lineno, obj) -> tuple:
-    """The fields of one detection record, checked one at a time in a fixed
-    order; the first problem raises ParseError."""
-    box = _parse_bbox(path, lineno, obj)
-    score = _field(path, lineno, obj, "score", (int, float))
-    category = _field(path, lineno, obj, "category_id", int)
-    image_id = _field(path, lineno, obj, "image_id", str)
-    model_id = _field(path, lineno, obj, "model_id", str)
-    try:
-        ScoredBox(box=box, score=float(score), category_id=category,
-                  image_id=image_id, model_id=model_id)
-    except (DataError, OverflowError) as e:
-        raise ParseError(str(path), lineno, str(e)) from None
-    if category > _INT64_MAX:
-        raise ParseError(str(path), lineno, f"category_id {category} out of range")
-    return list(box.as_tuple()), float(score), category, image_id, model_id
+def _box_fault(bbox, score, category) -> str | None:
+    """What is wrong with a detection; BoundingBox and ScoredBox raise for a bad value."""
+    if len(bbox) != 4 or not all(type(v) in _NUMBER for v in bbox):
+        return f"bbox must be [x1, y1, x2, y2], got {bbox!r}"
+    ScoredBox(BoundingBox(*map(float, bbox)), float(score), category, "", "")
+    return _int64_fault(category)
 
 
-def _detection_columns(path, lines, boxes, scores, categories, images, models):
-    """(coords, scores, category ids) as arrays.  Unless the values form
-    numeric columns that a ScoredBox would accept, every row is checked on
-    its own, so the ParseError names the first bad line."""
-    if not lines:
-        return np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.int64)
-    coords, score_col, category_col = np.array(boxes), np.array(scores), np.array(categories)
-    if (coords.dtype.kind in "biuf" and coords.shape == (len(lines), 4)
-            and score_col.dtype.kind in "bif" and category_col.dtype.kind in "bi"):
-        coords, score_col = coords.astype(np.float64), score_col.astype(np.float64)
-        category_col = category_col.astype(np.int64)
-        if not invalid_detections(coords, score_col, category_col).any():
-            return coords, score_col, category_col
-    records = [_detection_record(path, lineno, dict(zip(_DETECTION_KEYS, row)))
-               for lineno, row in zip(lines, zip(boxes, scores, categories, images, models))]
-    boxes, scores, categories = zip(*(r[:3] for r in records))
-    return (np.array(boxes, dtype=np.float64), np.array(scores, dtype=np.float64),
-            np.array(categories, dtype=np.int64))
+def _repeat_fault(key: str):
+    """A fault function naming each value of `key` seen before."""
+    seen = set()
+    # set.add returns None, so a new value is added and passes
+    return lambda value: f"duplicate {key} {value!r}" if value in seen or seen.add(value) else None
 
 
 def load_detections(path: str | Path) -> Detections:
-    """Parse a detections JSONL file into columns; errors carry the number
-    of the first offending line.  Each line is decoded once and its fields
-    are type-tested; the value checks then run over whole columns."""
-    lines, boxes, scores, categories, images, models = [], [], [], [], [], []
-    try:
-        for lineno, obj in _jsonl_records(path):
-            try:
-                box, score, category, image_id, model_id = _DETECTION_FIELDS(obj)
-            except KeyError:
-                box = None
-            if not (type(box) is list and len(box) == 4 and type(score) in _NUMBER
-                    and type(category) is int and type(image_id) is str
-                    and type(model_id) is str):
-                box, score, category, image_id, model_id = _detection_record(path, lineno, obj)
-            lines.append(lineno)
-            boxes.append(box)
-            scores.append(score)
-            categories.append(category)
-            images.append(image_id)
-            models.append(model_id)
-    except ParseError:
-        # an earlier line's bad value comes first
-        _detection_columns(path, lines, boxes, scores, categories, images, models)
-        raise
-    coords, score_col, category_col = _detection_columns(
-        path, lines, boxes, scores, categories, images, models)
-    return Detections.from_columns(coords, score_col, category_col, images, models)
+    """A detections JSONL file as columns."""
+    lines, (images, models, categories, scores, boxes), fault = _read_jsonl(path, _DETECTIONS)
+    columns = _box_columns(boxes, scores, categories)
+    if columns is None:
+        _scan(path, lines, zip(boxes, scores, categories), _box_fault)
+    if fault:
+        raise fault
+    return Detections.from_columns(*columns, images, models)
 
 
 def save_detections(boxes: Iterable[ScoredBox], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for b in boxes:
-            fh.write(json.dumps({
-                "image_id": b.image_id,
-                "model_id": b.model_id,
-                "category_id": b.category_id,
-                "score": b.score,
-                "bbox": list(b.box.as_tuple()),
-            }) + "\n")
+    _write_jsonl(path, _DETECTIONS, ((b.image_id, b.model_id, b.category_id, b.score,
+                                      list(b.box.as_tuple())) for b in boxes))
 
 
 def save_fused_boxes(fused: FusedDetections | Iterable[FusedBox], path: str | Path) -> None:
@@ -251,24 +268,24 @@ def save_fused_boxes(fused: FusedDetections | Iterable[FusedBox], path: str | Pa
 
 
 def load_detection_gt(path: str | Path) -> GroundTruthDet:
+    """Ground-truth boxes per image, in file order, checked as detections
+    of score 0."""
+    lines, (images, categories, boxes), fault = _read_jsonl(path, _DETECTION_GT)
+    columns = _box_columns(boxes, [0.0] * len(boxes), categories)
+    if columns is None:
+        _scan(path, lines, zip(boxes, itertools.repeat(0.0), categories), _box_fault)
+    if fault:
+        raise fault
     gt: dict[str, list[tuple[BoundingBox, int]]] = {}
-    for lineno, obj in _jsonl_records(path):
-        box = _parse_bbox(path, lineno, obj)
-        category = _field(path, lineno, obj, "category_id", int)
-        image_id = _field(path, lineno, obj, "image_id", str)
-        gt.setdefault(image_id, []).append((box, category))
+    for image_id, box, category in zip(images, columns[0].tolist(), categories):
+        gt.setdefault(image_id, []).append((BoundingBox(*box), category))
     return gt
 
 
 def save_detection_gt(gt: GroundTruthDet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for image_id in sorted(gt):
-            for box, category in gt[image_id]:
-                fh.write(json.dumps({
-                    "image_id": image_id,
-                    "category_id": category,
-                    "bbox": list(box.as_tuple()),
-                }) + "\n")
+    _write_jsonl(path, _DETECTION_GT, ((image_id, category, list(box.as_tuple()))
+                                       for image_id in sorted(gt)
+                                       for box, category in gt[image_id]))
 
 
 def save_embeddings(m: EmbeddingMatrix, data_path: str | Path, ids_path: str | Path) -> None:
@@ -276,16 +293,8 @@ def save_embeddings(m: EmbeddingMatrix, data_path: str | Path, ids_path: str | P
     with open(data_path, "wb") as fh:
         fh.write(_EMB_HEADER.pack(EMB_MAGIC, m.n_rows, m.dim))
         fh.write(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
-    with open(ids_path, "w", encoding="utf-8") as fh:
-        for row, rec in enumerate(m.ids):
-            fh.write(json.dumps({
-                "row": row,
-                "item_id": rec.item_id,
-                "image_id": rec.image_id,
-                "box_id": rec.box_id,
-                "category_id": rec.category_id,
-                "source": rec.source,
-            }) + "\n")
+    _write_jsonl(ids_path, _IDS, ((row, r.item_id, r.image_id, r.box_id, r.category_id, r.source)
+                                  for row, r in enumerate(m.ids)))
 
 
 def load_embeddings(data_path: str | Path, ids_path: str | Path) -> EmbeddingMatrix:
@@ -309,30 +318,28 @@ def load_embeddings(data_path: str | Path, ids_path: str | Path) -> EmbeddingMat
         )
     data = np.frombuffer(blob, dtype="<f4", offset=_EMB_HEADER.size).reshape(n, d)
 
-    ids: list[IdRecord] = []
-    for lineno, obj in _jsonl_records(ids_path):
-        row = _field(ids_path, lineno, obj, "row", int)
-        if row != len(ids):
-            raise EmbeddingFormatError(
-                "count_mismatch",
-                f"{ids_path}:{lineno}: row index {row}, expected {len(ids)}",
-            )
-        source = _field(ids_path, lineno, obj, "source", str)
-        try:
-            ids.append(IdRecord(
-                item_id=_field(ids_path, lineno, obj, "item_id", str),
-                image_id=_field(ids_path, lineno, obj, "image_id", str),
-                box_id=_field(ids_path, lineno, obj, "box_id", str),
-                category_id=_field(ids_path, lineno, obj, "category_id", int),
-                source=source,
-            ))
-        except DataError as e:
-            raise ParseError(str(ids_path), lineno, str(e)) from None
-    if len(ids) != n:
+    lines, (rows, item_ids, image_ids, box_ids, categories, sources), fault = \
+        _read_jsonl(ids_path, _IDS)
+    # the first row out of sequence ends the records whose values count
+    end = next((i for i, row in enumerate(rows) if row != i), len(rows))
+    if (set(sources) - set(SOURCES) or min(categories, default=0) < 0
+            or max(categories, default=0) > _INT64_MAX or len(set(item_ids)) < len(item_ids)):
+        repeat = _repeat_fault("item_id")
+
+        def id_fault(source, category, item_id):
+            IdRecord(item_id, "", "", category, source)
+            return _int64_fault(category) or repeat(item_id)
+        _scan(ids_path, lines[:end], zip(sources, categories, item_ids), id_fault)
+    if end < len(rows):
         raise EmbeddingFormatError(
-            "count_mismatch", f"{ids_path}: {len(ids)} id records for {n} rows"
-        )
-    return EmbeddingMatrix(data, ids)
+            "count_mismatch", f"{ids_path}:{lines[end]}: row index {rows[end]}, expected {end}")
+    if fault:
+        raise fault
+    if len(rows) != n:
+        raise EmbeddingFormatError("count_mismatch",
+                                   f"{ids_path}: {len(rows)} id records for {n} rows")
+    return EmbeddingMatrix(data, list(map(IdRecord, item_ids, image_ids, box_ids, categories,
+                                          sources)))
 
 
 def save_rankings(rankings: Sequence[RankingList], path: str | Path) -> None:
@@ -343,56 +350,48 @@ def save_rankings(rankings: Sequence[RankingList], path: str | Path) -> None:
 
 
 def load_rankings(path: str | Path) -> list[RankingList]:
-    per_query: dict[str, list[tuple[int, str, float]]] = {}
-    order: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise ParseError(str(path), lineno, f"expected 4 tab-separated fields, got {len(parts)}")
-            query_id, rank_s, item_id, score_s = parts
-            try:
-                rank, score = int(rank_s), float(score_s)
-            except ValueError:
-                raise ParseError(str(path), lineno, "rank or score is not numeric") from None
-            if query_id not in per_query:
-                per_query[query_id] = []
-                order.append(query_id)
-            entries = per_query[query_id]
-            if rank != len(entries) + 1:
-                raise ParseError(str(path), lineno, f"rank {rank} out of sequence")
-            entries.append((rank, item_id, score))
-    out = []
-    for q in order:
-        entries = per_query[q]
+    """One RankingList per query, in the order the queries first appear; a
+    bad line raises ParseError naming it."""
+    per_query: dict[str, tuple[dict[str, None], list[float]]] = {}
+    for lineno, parts in _line_records(path, lambda line: line.rstrip("\n").split("\t")):
+        if len(parts) != 4:
+            raise ParseError(str(path), lineno, f"expected 4 tab-separated fields, got {len(parts)}")
+        query_id, rank_s, item_id, score_s = parts
         try:
-            out.append(RankingList(q, tuple(e[1] for e in entries),
-                                   np.array([e[2] for e in entries])))
-        except DataError as e:
-            raise DataError(f"{path}: {e}") from None
-    return out
+            rank, score = int(rank_s), float(score_s)
+        except ValueError:
+            raise ParseError(str(path), lineno, "rank or score is not numeric") from None
+        items, scores = per_query.setdefault(query_id, ({}, []))
+        if not math.isfinite(score):
+            raise ParseError(str(path), lineno, f"score {score_s} is not finite")
+        if rank != len(items) + 1:
+            raise ParseError(str(path), lineno, f"rank {rank} out of sequence")
+        if scores and score > scores[-1]:
+            raise ParseError(str(path), lineno, f"ranking for {query_id!r}: scores increase")
+        if item_id in items:
+            raise ParseError(str(path), lineno, f"ranking for {query_id!r}: duplicate gallery ids")
+        items[item_id] = None
+        scores.append(score)
+    return [RankingList(query_id, tuple(items), np.array(scores))
+            for query_id, (items, scores) in per_query.items()]
 
 
 def load_retrieval_gt(path: str | Path) -> GroundTruthRet:
-    gt: dict[str, set[str]] = {}
-    for lineno, obj in _jsonl_records(path):
-        query_id = _field(path, lineno, obj, "query_id", str)
-        matches = _field(path, lineno, obj, "matches", list)
-        if not all(isinstance(m, str) for m in matches):
-            raise ParseError(str(path), lineno, "matches must be a list of strings")
-        if query_id in gt:
-            raise ParseError(str(path), lineno, f"duplicate query_id {query_id!r}")
-        gt[query_id] = set(matches)
-    return gt
+    lines, (query_ids, matches), fault = _read_jsonl(path, _RETRIEVAL_GT)
+    if (set(map(type, itertools.chain.from_iterable(matches))) - {str}
+            or len(set(query_ids)) < len(query_ids)):
+        repeat = _repeat_fault("query_id")
+        _scan(path, lines, zip(query_ids, matches),
+              lambda query_id, items: ("matches must be a list of strings"
+                                       if any(type(m) is not str for m in items)
+                                       else repeat(query_id)))
+    if fault:
+        raise fault
+    return dict(zip(query_ids, map(set, matches)))
 
 
 def save_retrieval_gt(gt: GroundTruthRet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for query_id in sorted(gt):
-            fh.write(json.dumps({"query_id": query_id,
-                                 "matches": sorted(gt[query_id])}) + "\n")
+    _write_jsonl(path, _RETRIEVAL_GT, ((query_id, sorted(gt[query_id])) for query_id in sorted(gt)))
 
 
 def save_report(report: Mapping, path: str | Path) -> None:

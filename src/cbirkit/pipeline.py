@@ -70,10 +70,10 @@ SCHEMA: dict[str, dict[str, tuple[object, object]]] = {
     "concat": {"renormalize": (bool, CALLEE)},
     # whitening is on unless turned off, unlike pca_fit's default
     "pca": {"out_dim": (int | None, CALLEE), "whiten": (bool, True)},
-    "qe": {"k": (int, CALLEE), "alpha": (float, CALLEE), "include_self": (bool, CALLEE)},
+    "qe": {"k": (int, CALLEE), "alpha": (float, CALLEE)},
     "rerank": {"k1": (int, CALLEE), "k2": (int, CALLEE), "lambda": (float, CALLEE)},
 }
-SCHEMA["dba"] = SCHEMA["qe"]
+SCHEMA["dba"] = {**SCHEMA["qe"], "include_self": (bool, CALLEE)}
 
 # what each post step's options are built into: keyword arguments for
 # concat_features and pca_fit, a parameter dataclass for the others

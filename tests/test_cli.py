@@ -125,6 +125,14 @@ class TestCli:
         assert err.startswith("error: num_images must be an integer")
         assert not (tmp_path / "o").exists()
 
+    def test_eval_det_category_out_of_range(self, bench, tmp_path, capsys):
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(json.dumps({"image_id": "img0", "category_id": 10 ** 23,
+                                  "bbox": [0, 0, 5, 5]}) + "\n")
+        assert run("eval-det", "--preds", bench / "detections_det0.jsonl", "--gt", gt) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {gt}:1: category_id {10 ** 23} out of range\n"
+
     def test_eval_det_thresholds(self, bench, tmp_path, capsys):
         report = tmp_path / "det.json"
         assert run("eval-det", "--preds", bench / "detections_det0.jsonl",

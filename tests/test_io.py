@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cbirkit import io as formats
 from cbirkit.boxes import BoundingBox, FusedBox, ScoredBox, WbfParams, fuse_detections
-from cbirkit.embeddings import EmbeddingMatrix
+from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 from cbirkit.errors import DataError, EmbeddingFormatError, ParseError
 from cbirkit.search import RankingList
 
@@ -194,6 +194,19 @@ class TestRankings:
         with pytest.raises(ParseError, match="out of sequence"):
             formats.load_rankings(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("q\t2\tg1\t0.95", "ranking for 'q': scores increase"),
+        ("q\t2\tg0\t0.5", "ranking for 'q': duplicate gallery ids"),
+        ("q\t2\tg1\tnan", "score nan is not finite"),
+        ("q\t2\tg1\t-inf", "score -inf is not finite"),
+    ])
+    def test_bad_line_named(self, tmp_path, line, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text("q\t1\tg0\t0.9\n" + line + "\n")
+        with pytest.raises(ParseError) as e:
+            formats.load_rankings(path)
+        assert str(e.value) == f"{path}:2: {message}"
+
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         class Broken:
@@ -228,6 +241,51 @@ class TestRetrievalGt:
             formats.load_retrieval_gt(path)
 
 
+def load_ids(path):
+    data = path.with_name("m.emb")
+    data.write_bytes(b"EMB1" + (2).to_bytes(4, "little") + (2).to_bytes(4, "little")
+                     + np.ones((2, 2), dtype="<f4").tobytes())
+    return formats.load_embeddings(data, path)
+
+
+_DET = {"image_id": "i", "model_id": "m", "category_id": 1, "score": 0.5, "bbox": [0, 0, 1, 1]}
+_GT = {"image_id": "i", "category_id": 1, "bbox": [0, 0, 1, 1]}
+_ID = {"row": 0, "item_id": "a", "image_id": "x", "box_id": "b", "category_id": 1,
+       "source": "query"}
+# (loader, first record, changes to it on line 2, message on line 2); no
+# number is a boolean, integers fit in int64, and ground truth takes the
+# detections' category rule
+FIELD_RULES = [
+    (formats.load_detections, _DET, {"category_id": True, "score": True},
+     "field 'category_id' has wrong type: True"),
+    (formats.load_detections, _DET, {"score": False}, "field 'score' has wrong type: False"),
+    (formats.load_detections, _DET, {"bbox": [0, 0, True, 1]}, "bbox must be [x1, y1, x2, y2]"),
+    (formats.load_detections, _DET, {"category_id": 2 ** 63},
+     "category_id 9223372036854775808 out of range"),
+    (formats.load_detection_gt, _GT, {"category_id": False},
+     "field 'category_id' has wrong type: False"),
+    (formats.load_detection_gt, _GT, {"category_id": 0}, "category_id 0 must be an integer >= 1"),
+    (formats.load_detection_gt, _GT, {"category_id": 10 ** 23},
+     "category_id 100000000000000000000000 out of range"),
+    (load_ids, _ID, {"row": False}, "field 'row' has wrong type: False"),
+    (load_ids, _ID, {"row": 1, "source": "gallery"}, "duplicate item_id 'a'"),
+    (load_ids, _ID, {"row": 1, "item_id": "c", "category_id": 10 ** 23},
+     "category_id 100000000000000000000000 out of range"),
+    (formats.load_retrieval_gt, {"query_id": "q", "matches": []}, {"matches": [True]},
+     "matches must be a list of strings"),
+]
+
+
+@pytest.mark.parametrize("loader, record, changes, message", FIELD_RULES,
+                         ids=[f"{rule[0].__name__}-{rule[3]}" for rule in FIELD_RULES])
+def test_field_rules_name_the_line(tmp_path, loader, record, changes, message):
+    path = tmp_path / "f.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps({**record, **changes}) + "\n")
+    with pytest.raises(ParseError) as e:
+        loader(path)
+    assert str(e.value).startswith(f"{path}:2: {message}")
+
+
 def reference_load(lines: list[bytes]):
     """(number of the first line the record format rejects, or None; the
     boxes of a clean file), decided one line at a time."""
@@ -245,10 +303,10 @@ def reference_load(lines: list[bytes]):
             category, image_id, model_id = obj["category_id"], obj["image_id"], obj["model_id"]
         except (ValueError, KeyError, TypeError):
             return lineno, None
-        if not (isinstance(bbox, list) and len(bbox) == 4
-                and all(isinstance(v, (int, float)) for v in bbox)
-                and isinstance(score, (int, float)) and isinstance(category, int)
-                and isinstance(image_id, str) and isinstance(model_id, str)):
+        if not (type(bbox) is list and len(bbox) == 4
+                and all(type(v) in (int, float) for v in bbox)
+                and type(score) in (int, float) and type(category) is int
+                and type(image_id) is str and type(model_id) is str):
             return lineno, None
         x1, y1, x2, y2 = (float(v) for v in bbox)
         if not (all(math.isfinite(v) for v in (x1, y1, x2, y2)) and x1 < x2 and y1 < y2
@@ -260,7 +318,37 @@ def reference_load(lines: list[bytes]):
 
 
 _WRONG_VALUES = [None, "1", [], {}, True, False, 0, -1, 2.5, float("nan"), float("inf"),
-                 [1, 2, 3], [0, 0, 5, "9"], [5, 5, 1, 9], [0, 0, 0, 4], [0, float("nan"), 1, 1]]
+                 [1, 2, 3], [0, 0, 5, "9"], [5, 5, 1, 9], [0, 0, 0, 4], [0, float("nan"), 1, 1],
+                 [0, 0, True, 4]]
+
+
+GARBLES = [b"{", b"]", b",", b'"', b"x", b" ", b"\\", b"\xff", b"\xc3"]
+JUNK_LINES = [b"", b"  ", b"[1, 2]", b"5", b"null", b"{}"]
+
+
+def corrupt(draw, records, wrong_values, encode=lambda r: json.dumps(r).encode()):
+    """The encoded records, 0 to 3 of them truncated, garbled, given a
+    wrong value, missing a field or replaced by a junk line."""
+    lines = [encode(r) for r in records]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["truncate", "garble", "value", "drop", "replace"]))
+        if kind == "truncate":
+            lines[i] = lines[i][:draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+        elif kind == "garble":
+            at = draw(st.integers(0, max(len(lines[i]) - 1, 0)))
+            lines[i] = lines[i][:at] + draw(st.sampled_from(GARBLES)) + lines[i][at + 1:]
+        elif kind in ("value", "drop"):
+            record = dict(records[i])
+            key = draw(st.sampled_from(sorted(record)))
+            if kind == "drop":
+                del record[key]
+            else:
+                record[key] = draw(st.sampled_from(wrong_values))
+            lines[i] = encode(record)
+        else:
+            lines[i] = draw(st.sampled_from(JUNK_LINES))
+    return lines
 
 
 @st.composite
@@ -271,28 +359,7 @@ def fuzzed_detection_files(draw):
                 "score": draw(st.sampled_from([0.0, 0.25, 1.0, 1])),
                 "bbox": [0, 0.5, draw(st.integers(1, 9)), 7.25]}
                for _ in range(draw(st.integers(1, 8)))]
-    lines = [json.dumps(r).encode() for r in records]
-    for _ in range(draw(st.integers(0, 3))):
-        i = draw(st.integers(0, len(lines) - 1))
-        kind = draw(st.sampled_from(["truncate", "garble", "value", "drop", "replace"]))
-        if kind == "truncate":
-            lines[i] = lines[i][:draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
-        elif kind == "garble":
-            at = draw(st.integers(0, max(len(lines[i]) - 1, 0)))
-            lines[i] = (lines[i][:at] + draw(st.sampled_from([b"{", b"]", b",", b'"', b"x", b" ",
-                                                              b"\\", b"\xff", b"\xc3"]))
-                        + lines[i][at + 1:])
-        elif kind in ("value", "drop"):
-            record = dict(records[i])
-            key = draw(st.sampled_from(sorted(record)))
-            if kind == "drop":
-                del record[key]
-            else:
-                record[key] = draw(st.sampled_from(_WRONG_VALUES))
-            lines[i] = json.dumps(record).encode()
-        else:
-            lines[i] = draw(st.sampled_from([b"", b"  ", b"[1, 2]", b"5", b"null", b"{}"]))
-    return lines
+    return corrupt(draw, records, _WRONG_VALUES)
 
 
 class TestDetectionFuzz:
@@ -309,6 +376,215 @@ class TestDetectionFuzz:
                 with pytest.raises(ParseError) as e:
                     formats.load_detections(path)
                 assert e.value.line == bad_line
+
+
+def reference_lines(lines: list[bytes]):
+    """(line number, text) of each non-blank line, or the number of the
+    first line that is not UTF-8 in place of the text."""
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            yield lineno, None
+            return
+        if line.strip():
+            yield lineno, line
+
+
+def reference_records(lines: list[bytes], keys: tuple[str, ...]):
+    """(line number, values of `keys`) of each record, or None in place of
+    the values for a line that is not an object holding every key."""
+    for lineno, line in reference_lines(lines):
+        try:
+            obj = json.loads(line)
+            yield lineno, tuple(obj[key] for key in keys)
+        except (ValueError, KeyError, TypeError):
+            yield lineno, None
+            return
+
+
+def reference_box(bbox, category):
+    """The box of a detection or ground-truth record, or None if the
+    format rejects it."""
+    if not (type(bbox) is list and len(bbox) == 4 and all(type(v) in (int, float) for v in bbox)
+            and type(category) is int and 1 <= category < 2 ** 63):
+        return None
+    x1, y1, x2, y2 = (float(v) for v in bbox)
+    if all(math.isfinite(v) for v in (x1, y1, x2, y2)) and x1 < x2 and y1 < y2:
+        return BoundingBox(x1, y1, x2, y2)
+    return None
+
+
+def reference_detection_gt(lines):
+    gt = {}
+    for lineno, values in reference_records(lines, ("image_id", "category_id", "bbox")):
+        if values is None or type(values[0]) is not str:
+            return lineno, None
+        image_id, category, bbox = values
+        box = reference_box(bbox, category)
+        if box is None:
+            return lineno, None
+        gt.setdefault(image_id, []).append((box, category))
+    return None, gt
+
+
+def reference_retrieval_gt(lines):
+    gt = {}
+    for lineno, values in reference_records(lines, ("query_id", "matches")):
+        if (values is None or type(values[0]) is not str or type(values[1]) is not list
+                or not all(type(m) is str for m in values[1]) or values[0] in gt):
+            return lineno, None
+        gt[values[0]] = set(values[1])
+    return None, gt
+
+
+def reference_ids(lines, n_rows):
+    """(first line the sidecar format rejects, 0 for a clean file with the
+    wrong number of records, or None; the id records of a clean file)."""
+    ids = []
+    keys = ("row", "item_id", "image_id", "box_id", "category_id", "source")
+    for lineno, values in reference_records(lines, keys):
+        if values is None:
+            return lineno, None
+        row, item_id, image_id, box_id, category, source = values
+        if not (type(row) is int and type(category) is int
+                and all(type(v) is str for v in (item_id, image_id, box_id, source))
+                and row == len(ids) and 0 <= category < 2 ** 63
+                and source in ("query", "gallery")
+                and item_id not in {r.item_id for r in ids}):
+            return lineno, None
+        ids.append(IdRecord(item_id, image_id, box_id, category, source))
+    return (0 if len(ids) != n_rows else None), ids
+
+
+def reference_rankings(lines):
+    per_query = {}
+    for lineno, line in reference_lines(lines):
+        parts = [] if line is None else line.split("\t")
+        if len(parts) != 4:
+            return lineno, None
+        query_id, rank, item_id, score = parts
+        try:
+            rank, score = int(rank), float(score)
+        except ValueError:
+            return lineno, None
+        items, scores = per_query.setdefault(query_id, ([], []))
+        if (not math.isfinite(score) or rank != len(items) + 1
+                or (scores and score > scores[-1]) or item_id in items):
+            return lineno, None
+        items.append(item_id)
+        scores.append(score)
+    return None, [(q, items, scores) for q, (items, scores) in per_query.items()]
+
+
+_WRONG_IDS = [None, 1, True, False, -1, 2 ** 63, 2.0, "1", "g0", "query", "gallery", "both", [], {}]
+_WRONG_TSV = ["", "0", "3", "-1", "1.5", "x", "nan", "inf", "-inf", "1e999", "0.9", "g1", "q1"]
+
+
+@st.composite
+def fuzzed_gt_files(draw):
+    records = [{"image_id": draw(st.sampled_from(["i0", "i1", "ï\x00"])),
+                "category_id": draw(st.integers(1, 3)),
+                "bbox": [0, 0.5, draw(st.integers(1, 9)), 7.25]}
+               for _ in range(draw(st.integers(1, 8)))]
+    return corrupt(draw, records, _WRONG_VALUES + [10 ** 23, 2 ** 63])
+
+
+@st.composite
+def fuzzed_retrieval_gt_files(draw):
+    records = [{"query_id": f"q{i}", "matches": draw(st.lists(st.sampled_from(["g0", "g1", "é"])))}
+               for i in range(draw(st.integers(1, 6)))]
+    return corrupt(draw, records, _WRONG_IDS + ["q0", ["g0", 1], ["g0", None], [["g0"]]])
+
+
+@st.composite
+def fuzzed_id_files(draw):
+    records = [{"row": i, "item_id": f"g{i}", "image_id": draw(st.sampled_from(["x", "ï\x00"])),
+                "box_id": f"b{i}", "category_id": draw(st.integers(0, 3)),
+                "source": draw(st.sampled_from(["query", "gallery"]))}
+               for i in range(draw(st.integers(1, 6)))]
+    return corrupt(draw, records, _WRONG_IDS), len(records)
+
+
+@st.composite
+def fuzzed_ranking_files(draw):
+    records = []
+    for q in range(draw(st.integers(1, 3))):
+        scores = sorted(draw(st.lists(st.sampled_from([0.9, 0.5, 0.125, -0.25]),
+                                      min_size=1, max_size=4)), reverse=True)
+        records += [{"query": f"q{q}", "rank": str(rank), "item": f"g{rank}", "score": repr(score)}
+                    for rank, score in enumerate(scores, start=1)]
+    return corrupt(draw, records, _WRONG_TSV, encode=lambda r: "\t".join(r.values()).encode())
+
+
+def load_fuzzed(lines: list[bytes], loader):
+    """loader(path) on the lines written to a temp file, with the path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        try:
+            return loader(path), path
+        except DataError as e:
+            return e, path
+
+
+def assert_names_line(error, path, line):
+    assert isinstance(error, (ParseError, EmbeddingFormatError)), error
+    assert str(error).startswith(f"{path}:{line}: ") or f"] {path}:{line}: " in str(error)
+
+
+class TestReaderFuzz:
+    """Each text reader against a line-at-a-time reference: a clean file
+    loads to the reference's value, and a corrupted one raises only
+    ParseError or EmbeddingFormatError, naming the first line the
+    reference rejects."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_gt_files())
+    def test_detection_gt(self, lines):
+        bad_line, expected = reference_detection_gt(lines)
+        result, path = load_fuzzed(lines, formats.load_detection_gt)
+        if bad_line is None:
+            assert result == expected
+        else:
+            assert_names_line(result, path, bad_line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_retrieval_gt_files())
+    def test_retrieval_gt(self, lines):
+        bad_line, expected = reference_retrieval_gt(lines)
+        result, path = load_fuzzed(lines, formats.load_retrieval_gt)
+        if bad_line is None:
+            assert result == expected
+        else:
+            assert_names_line(result, path, bad_line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_id_files())
+    def test_id_sidecar(self, case):
+        lines, n_rows = case
+        bad_line, expected = reference_ids(lines, n_rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "m.emb"
+            data.write_bytes(b"EMB1" + n_rows.to_bytes(4, "little") + (2).to_bytes(4, "little")
+                             + np.ones((n_rows, 2), dtype="<f4").tobytes())
+            result, path = load_fuzzed(lines, lambda p: formats.load_embeddings(data, p))
+        if bad_line is None:
+            assert result.ids == tuple(expected)
+        elif bad_line == 0:
+            assert isinstance(result, EmbeddingFormatError) and result.code == "count_mismatch"
+        else:
+            assert_names_line(result, path, bad_line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_ranking_files())
+    def test_rankings(self, lines):
+        bad_line, expected = reference_rankings(lines)
+        result, path = load_fuzzed(lines, formats.load_rankings)
+        if bad_line is None:
+            assert [(r.query_id, list(r.item_ids), r.scores.tolist()) for r in result] == expected
+        else:
+            assert_names_line(result, path, bad_line)
 
 
 def reference_fused_lines(fused) -> str:

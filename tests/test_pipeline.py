@@ -13,6 +13,8 @@ from cbirkit.rerank import QeParams, RerankParams
 from cbirkit.search import build_index, knn_search
 from cbirkit.synthetic import SyntheticSpec, generate_synthetic
 
+from util import output_under_blas_threads
+
 
 def synth(tmp_path, **overrides):
     defaults = dict(seed=41, num_images=8, num_categories=3, gt_boxes_per_image=2,
@@ -117,14 +119,21 @@ class TestRunPipeline:
         assert report["config_digest"] == load_config(out).digest
 
     def test_deterministic_rankings_across_runs_and_threads(self, tmp_path):
-        out = synth(tmp_path, noise_sigma=0.2, jitter_sigma=2.0)
-        config = load_config(out)
-        blobs = []
-        for threads in (1, 1, 4):
-            result = run_pipeline(config, threads=threads)
-            with open(result.rankings_path, "rb") as fh:
-                blobs.append(fh.read())
-        assert blobs[0] == blobs[1] == blobs[2]
+        out = synth(tmp_path, noise_sigma=0.2, jitter_sigma=2.0, num_images=30)
+        raw = json.loads((out / "config.json").read_text())
+        raw["post"] = [{"step": "concat"}, {"step": "pca", "out_dim": 8},
+                       {"step": "qe", "k": 3}, {"step": "dba", "k": 3}]
+        (out / "config.json").write_text(json.dumps(raw))
+        blobs = [Path(run_pipeline(load_config(out)).rankings_path).read_bytes()
+                 for _ in range(2)]
+        script = ("import sys\n"
+                  "from cbirkit.pipeline import PipelineConfig, run_pipeline\n"
+                  f"config = PipelineConfig.from_file({str(out / 'config.json')!r})\n"
+                  "with open(run_pipeline(config).rankings_path, 'rb') as fh:\n"
+                  "    sys.stdout.buffer.write(fh.read())\n")
+        blobs += [output_under_blas_threads(script, n) for n in (1, 4)]
+        assert blobs[0].count(b"\n") > 100
+        assert blobs[1:] == blobs[:1] * 3
 
     def test_fused_boxes_written(self, tmp_path):
         out = synth(tmp_path)
@@ -192,6 +201,7 @@ BAD_CONFIGS = [
     (("post", 1), {"step": "rerank", "k1": 0}, "post[1]: k1"),
     (("post", 1), {"step": "rerank", "k1": "abc"}, "post[1].k1"),
     (("post", 1), {"step": "qe", "k": True}, "post[1].k"),
+    (("post", 1), {"step": "qe", "include_self": False}, "post[1].include_self: unknown key"),
     (("post", 1), "qe", "post[1]"),
     (("search", "k"), "abc", "search.k"),
     (("search", "restrict_to_query_category"), "yes", "search.restrict_to_query_category"),
@@ -277,10 +287,11 @@ class TestConfigRejection:
     def test_step_params_built_at_parse_time(self):
         raw = TestConfigValidation().base(post=[
             {"step": "pca", "out_dim": 4}, {"step": "qe", "alpha": 2},
-            {"step": "rerank", "lambda": 0.5}])
-        pca, qe, rerank = PipelineConfig.from_dict(raw).post
+            {"step": "dba", "include_self": False}, {"step": "rerank", "lambda": 0.5}])
+        pca, qe, dba, rerank = PipelineConfig.from_dict(raw).post
         assert pca.params == {"out_dim": 4, "whiten": True}
         assert qe.params == QeParams(alpha=2)
+        assert dba.params == QeParams(include_self=False)
         assert rerank.params == RerankParams(lam=0.5)
 
     def test_readme_example_parses(self):
