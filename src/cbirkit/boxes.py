@@ -11,7 +11,8 @@ order is name order.  `FusedDetections` has the same columns plus the
 cluster sizes and each cluster's contributing models (CSR: ascending codes
 per cluster).  Both are read-only `Sequence`s of `ScoredBox` / `FusedBox`
 objects (`len`, indexing, iteration, `==` against a list), built only on
-access; the kernels never build them.
+access; the kernels never build them.  Detection ground truth is a
+`Detections` table too: score 0 and one empty model name.
 
 `fuse_detections` fuses every (image, category) group of a detection set
 in one wavefront.  After one sort by (image, category, -weighted score,
@@ -91,16 +92,6 @@ class FusedBox:
     image_id: str
     cluster_size: int
     model_ids: frozenset[str]
-
-    def to_scored(self, model_id: str = "wbf") -> ScoredBox:
-        """View as a plain detection, e.g. for AP evaluation."""
-        return ScoredBox(
-            box=self.box,
-            score=self.score,
-            category_id=self.category_id,
-            image_id=self.image_id,
-            model_id=model_id,
-        )
 
 
 @dataclass(frozen=True)
@@ -303,11 +294,6 @@ class FusedDetections(_BoxColumns):
         return FusedBox(self._box(i), float(self.scores[i]), int(self.category_ids[i]),
                         self.image_names[self.image_codes[i]], int(self.cluster_sizes[i]),
                         frozenset(self.model_names[c] for c in members))
-
-    def to_scored(self, model_id: str = "wbf") -> Detections:
-        """View as plain detections of one model, e.g. for AP evaluation."""
-        return Detections(self.coords, self.scores, self.category_ids, self.image_codes,
-                          self.image_names, np.zeros(len(self), dtype=np.intp), (model_id,))
 
     @classmethod
     def of(cls, fused: Iterable[FusedBox]) -> "FusedDetections":

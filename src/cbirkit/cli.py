@@ -206,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
-    except CbirkitError as e:
+    except (CbirkitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -6,13 +6,15 @@ box of highest IoU at or above the threshold, the precision envelope is
 sampled at recall levels 0.00, 0.01, ..., 1.00, and AP is the mean over
 IoU thresholds 0.50:0.05:0.95 (AP50/AP75 read at single thresholds).
 
-Predictions are taken as `boxes.Detections` columns.  Matching is a
-wavefront over position-in-group: predictions are grouped by (category,
-image) in the canonical order, and step s takes the s-th prediction of
-every group, computes its IoU with each ground-truth box of its group
-once, and matches it at every threshold at once to the first unused box
-of maximal IoU at or above that threshold.  The cumulative counts and the
-interpolation then run per (category, threshold).
+Predictions and ground truth are both box tables: `boxes.Detections` (the
+ground truth as loaded: score 0, one empty model name) or
+`boxes.FusedDetections`, taken as they come.  Matching is a wavefront over
+position-in-group: predictions are grouped by (category, image) in the
+canonical order, and step s takes the s-th prediction of every group,
+computes its IoU with each ground-truth box of its group once, and matches
+it at every threshold at once to the first unused box of maximal IoU at or
+above that threshold.  The cumulative counts and the interpolation then run
+per (category, threshold).
 
 acc_at_k counts a query as a hit at K when any of its ground-truth gallery
 items appears within the first K ranked entries.
@@ -26,12 +28,10 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from ._arrays import ranges, run_starts, unique_sorted, wavefront
-from .boxes import BoundingBox, Detections, ScoredBox, areas, overlaps
+from .boxes import Detections, FusedDetections, ScoredBox, _merge, areas, overlaps
 from .errors import DataError
 from .search import RankingList
 
-# image_id -> [(box, category_id), ...]
-GroundTruthDet = Mapping[str, Sequence[tuple[BoundingBox, int]]]
 # query item_id -> set of matching gallery item_ids
 GroundTruthRet = Mapping[str, Collection[str]]
 
@@ -104,7 +104,12 @@ def check_thresholds(iou_thresholds: Sequence[float] | None) -> tuple[float, ...
     return thresholds
 
 
-def _match(preds: Detections, order: np.ndarray, group_key: np.ndarray,
+def _table(boxes) -> Detections | FusedDetections:
+    """A box table as it comes; a sequence of ScoredBox as Detections."""
+    return boxes if isinstance(boxes, (Detections, FusedDetections)) else Detections.of(boxes)
+
+
+def _match(preds: Detections | FusedDetections, order: np.ndarray, group_key: np.ndarray,
            gt_coords: np.ndarray, gt_key: np.ndarray,
            thresholds: tuple[float, ...]) -> np.ndarray:
     """Greedy TP flags, (thresholds, predictions): each prediction, in
@@ -141,45 +146,35 @@ def _match(preds: Detections, order: np.ndarray, group_key: np.ndarray,
 
 
 def detection_ap(
-    preds: Detections | Sequence[ScoredBox],
-    gt: GroundTruthDet,
+    preds: Detections | FusedDetections | Sequence[ScoredBox],
+    gt: Detections | FusedDetections | Sequence[ScoredBox],
     iou_thresholds: Sequence[float] | None = None,
 ) -> DetectionReport:
     """Score detections against ground truth at the given IoU thresholds.
 
     Categories appearing only in predictions score 0 and still enter the
     category mean; categories appearing only in ground truth count their
-    boxes as misses.
+    boxes as misses.  Ground-truth scores and model names are not read.
     """
     thresholds = check_thresholds(iou_thresholds)
-    preds = Detections.of(preds)
-    gt_image, gt_category, gt_coords = [], [], []
-    for i, boxes in enumerate(gt.values()):
-        for box, c in boxes:
-            gt_image.append(i)
-            gt_category.append(c)
-            gt_coords.append(box.as_tuple())
-    gt_category = np.array(gt_category, dtype=np.int64)
-    categories = unique_sorted(np.concatenate((gt_category, preds.category_ids)))
-    gt_rank = np.searchsorted(categories, gt_category)
+    preds, gt = _table(preds), _table(gt)
+    categories = unique_sorted(np.concatenate((gt.category_ids, preds.category_ids)))
+    gt_rank = np.searchsorted(categories, gt.category_ids)
     total_gt = np.bincount(gt_rank, minlength=categories.size)
 
     # a total order independent of input order, so reported numbers are
-    # invariant under permutation of the predictions
+    # invariant under permutation of the predictions; rows that tie on
+    # every key are identical boxes, whose order changes no number
     x = preds.coords
-    order = np.lexsort((preds.model_codes, x[:, 3], x[:, 2], x[:, 1], x[:, 0],
+    order = np.lexsort((x[:, 3], x[:, 2], x[:, 1], x[:, 0],
                         preds.image_codes, -preds.scores, preds.category_ids))
-    # (image, category) keys over the ground truth's images; -1 where the
-    # image has no ground truth
-    gt_of = {image: i for i, image in enumerate(gt)}
-    pred_image = np.array([gt_of.get(name, -1) for name in preds.image_names],
-                          dtype=np.int64)[preds.image_codes]
-    pred_key = np.where(pred_image >= 0, pred_image * categories.size
-                        + np.searchsorted(categories, preds.category_ids), -1)
-    gt_key = np.array(gt_image, dtype=np.int64) * categories.size + gt_rank
+    # (image, category) keys over one image numbering of both tables
+    image, _ = _merge([(preds.image_names, preds.image_codes), (gt.image_names, gt.image_codes)])
+    pred_key = (image[:len(preds)] * categories.size
+                + np.searchsorted(categories, preds.category_ids))
+    gt_key = image[len(preds):] * categories.size + gt_rank
     gt_order = np.argsort(gt_key, kind="stable")
-    tp = _match(preds, order, pred_key, np.array(gt_coords).reshape(-1, 4)[gt_order],
-                gt_key[gt_order], thresholds)
+    tp = _match(preds, order, pred_key, gt.coords[gt_order], gt_key[gt_order], thresholds)
 
     by_category = preds.category_ids[order]
     lo = np.searchsorted(by_category, categories, side="left")

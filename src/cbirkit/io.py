@@ -14,7 +14,8 @@ in int64.  The values are then checked a column at a time:
                  or "gallery"
   _RETRIEVAL_GT  query_id unique; matches a list of gallery item_ids
 Any fault raises ParseError naming the first offending line: invalid UTF-8
-or JSON, a missing field, a wrong type or a bad value.  A row out of
+or JSON, a missing field, a wrong type or a bad value.  In every text
+format only "\n" ends a line, and a "\r" before it is ignored.  A row out of
 sequence raises EmbeddingFormatError "count_mismatch" naming its line.
 
 Embeddings: bytes 0-3 ASCII "EMB1", bytes 4-7 row count N (u32 LE),
@@ -24,7 +25,9 @@ Rankings TSV: query_id <TAB> rank (1-based) <TAB> gallery item_id <TAB>
 score (9 significant digits); per query, ranks run 1, 2, ..., scores are
 finite and never increase, and no item_id repeats.
 
-Detections load as `boxes.Detections` columns; fused boxes are written from
+Detections load as `boxes.Detections` columns, and detection ground truth
+as the same table, with score 0 and one empty model name; it is written
+sorted stably by image id.  Fused boxes are written from
 `boxes.FusedDetections` columns as `json.dumps` writes each record.  Outputs
 (fused boxes, rankings, report) are written to a temp file and moved into
 place with `os.replace`, so a failed save leaves any previous file whole.
@@ -48,7 +51,7 @@ import numpy as np
 from .boxes import BoundingBox, Detections, FusedBox, FusedDetections, ScoredBox, invalid_detections
 from .embeddings import SOURCES, EmbeddingMatrix, IdRecord
 from .errors import ConfigError, DataError, EmbeddingFormatError, ParseError
-from .evaluation import GroundTruthDet, GroundTruthRet
+from .evaluation import GroundTruthRet
 from .search import RankingList
 
 EMB_MAGIC = b"EMB1"
@@ -117,7 +120,8 @@ def _line_records(path: str | Path, decode=_decode_line):
     file; ParseError names a line that is not UTF-8 or not valid JSON."""
     # undecodable bytes become lone surrogates, so that they fail on their
     # own line rather than on the block they were read in
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    # only "\n" ends a line, so that line numbers count the file's "\n"s
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:
@@ -226,15 +230,21 @@ def _repeat_fault(key: str):
     return lambda value: f"duplicate {key} {value!r}" if value in seen or seen.add(value) else None
 
 
-def load_detections(path: str | Path) -> Detections:
-    """A detections JSONL file as columns."""
-    lines, (images, models, categories, scores, boxes), fault = _read_jsonl(path, _DETECTIONS)
+def _detections(path, lines, fault, images, models, categories, scores, boxes) -> Detections:
+    """The rows of a detections-like file as columns, once every row before
+    the reader's fault passes `_box_fault`."""
     columns = _box_columns(boxes, scores, categories)
     if columns is None:
         _scan(path, lines, zip(boxes, scores, categories), _box_fault)
     if fault:
         raise fault
     return Detections.from_columns(*columns, images, models)
+
+
+def load_detections(path: str | Path) -> Detections:
+    """A detections JSONL file as columns."""
+    lines, columns, fault = _read_jsonl(path, _DETECTIONS)
+    return _detections(path, lines, fault, *columns)
 
 
 def save_detections(boxes: Iterable[ScoredBox], path: str | Path) -> None:
@@ -267,25 +277,20 @@ def save_fused_boxes(fused: FusedDetections | Iterable[FusedBox], path: str | Pa
                      f'"cluster_size": {size}, "model_ids": {members}}}\n')
 
 
-def load_detection_gt(path: str | Path) -> GroundTruthDet:
-    """Ground-truth boxes per image, in file order, checked as detections
-    of score 0."""
+def load_detection_gt(path: str | Path) -> Detections:
+    """Ground-truth boxes in file order, as detections of score 0 and
+    model id ""."""
     lines, (images, categories, boxes), fault = _read_jsonl(path, _DETECTION_GT)
-    columns = _box_columns(boxes, [0.0] * len(boxes), categories)
-    if columns is None:
-        _scan(path, lines, zip(boxes, itertools.repeat(0.0), categories), _box_fault)
-    if fault:
-        raise fault
-    gt: dict[str, list[tuple[BoundingBox, int]]] = {}
-    for image_id, box, category in zip(images, columns[0].tolist(), categories):
-        gt.setdefault(image_id, []).append((BoundingBox(*box), category))
-    return gt
+    return _detections(path, lines, fault, images, [""] * len(lines), categories,
+                       [0.0] * len(lines), boxes)
 
 
-def save_detection_gt(gt: GroundTruthDet, path: str | Path) -> None:
-    _write_jsonl(path, _DETECTION_GT, ((image_id, category, list(box.as_tuple()))
-                                       for image_id in sorted(gt)
-                                       for box, category in gt[image_id]))
+def save_detection_gt(gt: Detections, path: str | Path) -> None:
+    """The boxes sorted stably by image id; scores and model ids are not written."""
+    rows = np.argsort(gt.image_codes, kind="stable")
+    images = map(gt.image_names.__getitem__, gt.image_codes[rows].tolist())
+    _write_jsonl(path, _DETECTION_GT, zip(images, gt.category_ids[rows].tolist(),
+                                          gt.coords[rows].tolist()))
 
 
 def save_embeddings(m: EmbeddingMatrix, data_path: str | Path, ids_path: str | Path) -> None:
@@ -336,10 +341,13 @@ def load_embeddings(data_path: str | Path, ids_path: str | Path) -> EmbeddingMat
     if fault:
         raise fault
     if len(rows) != n:
-        raise EmbeddingFormatError("count_mismatch",
-                                   f"{ids_path}: {len(rows)} id records for {n} rows")
-    return EmbeddingMatrix(data, list(map(IdRecord, item_ids, image_ids, box_ids, categories,
-                                          sources)))
+        raise EmbeddingFormatError(
+            "count_mismatch", f"{ids_path}: {len(rows)} id records for {n} rows of {data_path}")
+    ids = list(map(IdRecord, item_ids, image_ids, box_ids, categories, sources))
+    try:
+        return EmbeddingMatrix(data, ids)
+    except DataError as e:  # a non-finite value
+        raise DataError(f"{data_path}: {e}") from None
 
 
 def save_rankings(rankings: Sequence[RankingList], path: str | Path) -> None:
@@ -353,7 +361,8 @@ def load_rankings(path: str | Path) -> list[RankingList]:
     """One RankingList per query, in the order the queries first appear; a
     bad line raises ParseError naming it."""
     per_query: dict[str, tuple[dict[str, None], list[float]]] = {}
-    for lineno, parts in _line_records(path, lambda line: line.rstrip("\n").split("\t")):
+    for lineno, parts in _line_records(
+            path, lambda line: line.removesuffix("\n").removesuffix("\r").split("\t")):
         if len(parts) != 4:
             raise ParseError(str(path), lineno, f"expected 4 tab-separated fields, got {len(parts)}")
         query_id, rank_s, item_id, score_s = parts

@@ -310,9 +310,9 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
             with _stage("load-detection-gt"):
                 gt = formats.load_detection_gt(config.detection_gt)
             with _stage("eval-det"):
-                detection_report = detection_ap(fused.to_scored(), gt)
+                detection_report = detection_ap(fused, gt)
             logger.info("eval-det: AP50=%s on %d images",
-                        detection_report.ap50, len(gt))
+                        detection_report.ap50, len(gt.image_names))
 
     queries, gallery = query_parts[0], gallery_parts[0]
     rerank: RerankParams | None = None

@@ -23,7 +23,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .boxes import BoundingBox, ScoredBox
+from .boxes import BoundingBox, Detections, ScoredBox
 from .embeddings import EmbeddingMatrix, IdRecord
 from .errors import ConfigError
 from .pipeline import check_json_type
@@ -124,11 +124,11 @@ def synth_layout(spec: SyntheticSpec) -> list[GtObject]:
     return objects
 
 
-def detection_gt(objects: list[GtObject]) -> dict[str, list[tuple[BoundingBox, int]]]:
-    gt: dict[str, list[tuple[BoundingBox, int]]] = {}
-    for obj in objects:
-        gt.setdefault(obj.image_id, []).append((obj.box, obj.category_id))
-    return gt
+def detection_gt(objects: list[GtObject]) -> Detections:
+    """The objects' boxes as ground truth: detections of score 0 and model id ""."""
+    return Detections.from_columns([o.box.as_tuple() for o in objects], [0.0] * len(objects),
+                                   [o.category_id for o in objects],
+                                   [o.image_id for o in objects], [""] * len(objects))
 
 
 def _jittered_box(box: BoundingBox, rng: np.random.Generator, sigma: float) -> BoundingBox:

@@ -48,7 +48,7 @@ def wbf_gain_trial(seed: int) -> tuple[list[float], float]:
     for k in range(1, 6):
         boxes = [b for det in detections[:k] for b in det]
         fused = fuse_detections(boxes, WbfParams())
-        fused_ap50.append(detection_ap(fused.to_scored(), gt, [0.5]).ap50)
+        fused_ap50.append(detection_ap(fused, gt, [0.5]).ap50)
     best_single = max(detection_ap(det, gt, [0.5]).ap50 for det in detections)
     return fused_ap50, best_single
 

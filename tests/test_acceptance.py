@@ -21,7 +21,7 @@ from cbirkit.synthetic import SyntheticSpec, generate_synthetic
 
 from benchmarks import concat_gain_trial, rerank_gain_trial, wbf_gain_trial
 from oracles import expand_ref, knn_ref, rerank_ref, wbf_ref
-from util import (boxes_to_dicts, gallery_ids, output_under_blas_threads, query_ids,
+from util import (boxes_to_dicts, gallery_ids, gt_table, output_under_blas_threads, query_ids,
                   random_scored_boxes, rng_for, unit_rows)
 
 _SUITE_START = time.perf_counter()
@@ -235,7 +235,7 @@ def test_criterion_8_qe_dba_contracts():
 
 def test_criterion_9_evaluators():
     with criterion(9, "AP and Acc@K reproduce the hand-derived fixtures"):
-        gt = {"img0": [(BoundingBox(0, 0, 10, 10), 1)]}
+        gt = gt_table({"img0": [(BoundingBox(0, 0, 10, 10), 1)]})
         perfect = [ScoredBox(BoundingBox(0, 0, 10, 10), 0.9, 1, "img0", "m0")]
         assert detection_ap(perfect, gt, [0.5]).ap50 == 1.0
         two = [

@@ -33,7 +33,8 @@ ODD_IMAGE_IDS = ["img", "img\x00", "imgé", "图像", "img\x00\x00", "a b"]
 @st.composite
 def detection_sets(draw, distinct_scores=False, n_categories=2):
     """Boxes on a coarse grid over a few images, categories and models, so
-    that overlaps, identical boxes and equal scores are common."""
+    that overlaps and equal scores are common; about a third of the boxes
+    copy an earlier box of their image and category (IoU exactly 1)."""
     n = draw(st.integers(0, 40))
     if distinct_scores:
         scores = draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n, unique=True))
@@ -42,12 +43,16 @@ def detection_sets(draw, distinct_scores=False, n_categories=2):
                                min_size=n, max_size=n))
     boxes = []
     for score in scores:
+        model = draw(st.sampled_from(["m0", "m1", "m2"]))
+        if boxes and draw(st.integers(0, 2)) == 0:
+            b = draw(st.sampled_from(boxes))
+            boxes.append(ScoredBox(b.box, score, b.category_id, b.image_id, model))
+            continue
         x1, y1 = draw(st.integers(0, 24)), draw(st.integers(0, 24))
         w, h = draw(st.integers(1, 16)), draw(st.integers(1, 16))
         boxes.append(ScoredBox(BoundingBox(x1 * 0.5, y1 * 0.5, x1 * 0.5 + w, y1 * 0.5 + h),
                                score, draw(st.integers(1, n_categories)),
-                               draw(st.sampled_from(ODD_IMAGE_IDS)),
-                               draw(st.sampled_from(["m0", "m1", "m2"]))))
+                               draw(st.sampled_from(ODD_IMAGE_IDS)), model))
     return boxes
 
 
@@ -328,7 +333,6 @@ class TestFuseDetections:
             dets.coords[0, 0] = 1.0
         fused = fuse_detections(dets, WbfParams())
         assert FusedDetections.of(list(fused)) == fused
-        assert list(fused.to_scored()) == [f.to_scored() for f in fused]
 
     def test_concat_merges_name_tables(self):
         a = Detections.of([sb(0, 0, 1, 1, 0.5, image="b", model="m1")])

@@ -157,6 +157,16 @@ class TestCli:
         assert e.value.code == 2
         assert f"error: argument {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "--data", "nope.emb", "--ids", "nope.ids.jsonl", "--k", "1", "--out", "r.tsv"],
+        ["eval-det", "--preds", "nope.jsonl", "--gt", "gt.jsonl"],
+    ])
+    def test_missing_input_named(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'nope." in err
+
     def test_restrict_category_flag(self, bench, tmp_path):
         rankings = tmp_path / "r.tsv"
         assert run("search", "--data", bench / "embeddings_m0.emb",

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbirkit.boxes import BoundingBox, ScoredBox
+from cbirkit.boxes import BoundingBox, ScoredBox, WbfParams, fuse_detections
 from cbirkit.errors import DataError
 from cbirkit.evaluation import acc_at_k, detection_ap
 from cbirkit.search import RankingList
 
 from oracles import detection_ap_ref
-from util import random_scored_boxes, rng_for
+from util import gt_table, random_scored_boxes, rng_for
 
 
 def sb(x1, y1, x2, y2, score, category=1, image="img0", model="m0"):
@@ -17,10 +17,8 @@ def sb(x1, y1, x2, y2, score, category=1, image="img0", model="m0"):
 
 
 def gt_of(*entries):
-    gt = {}
-    for image, x1, y1, x2, y2, cat in entries:
-        gt.setdefault(image, []).append((BoundingBox(x1, y1, x2, y2), cat))
-    return gt
+    """Ground truth as a sequence of ScoredBox of score 0."""
+    return [sb(x1, y1, x2, y2, 0.0, cat, image, "") for image, x1, y1, x2, y2, cat in entries]
 
 
 class TestDetectionAp:
@@ -62,7 +60,7 @@ class TestDetectionAp:
             rng = rng_for(700 + seed)
             preds = random_scored_boxes(rng, 30)
             gt_boxes = random_scored_boxes(rng, 10)
-            gt = {"img0": [(b.box, b.category_id) for b in gt_boxes]}
+            gt = gt_table({"img0": [(b.box, b.category_id) for b in gt_boxes]})
             report = detection_ap(preds, gt)
             assert report.ap <= report.ap50 + 1e-12
 
@@ -70,7 +68,7 @@ class TestDetectionAp:
         rng = rng_for(71)
         preds = random_scored_boxes(rng, 25)
         gt_boxes = random_scored_boxes(rng, 8)
-        gt = {"img0": [(b.box, b.category_id) for b in gt_boxes]}
+        gt = gt_table({"img0": [(b.box, b.category_id) for b in gt_boxes]})
         base = detection_ap(preds, gt)
         squashed = [
             ScoredBox(p.box, p.score ** 3, p.category_id, p.image_id, p.model_id)
@@ -84,13 +82,16 @@ class TestDetectionAp:
         rng = rng_for(72)
         preds = random_scored_boxes(rng, 30)
         gt_boxes = random_scored_boxes(rng, 10)
-        gt = {"img0": [(b.box, b.category_id) for b in gt_boxes]}
+        # copies that differ only in the model: no key orders them
+        preds += [ScoredBox(p.box, p.score, p.category_id, p.image_id, model)
+                  for p in preds[:8] for model in ("m1", "m2", "m9")]
+        gt = gt_table({"img0": [(b.box, b.category_id) for b in gt_boxes]
+                                + [(p.box, p.category_id) for p in preds[:3]]})
         base = detection_ap(preds, gt)
-        perm = list(preds)
-        rng.shuffle(perm)
-        again = detection_ap(perm, gt)
-        assert again.ap == pytest.approx(base.ap, abs=0)
-        assert (again.tp, again.fp, again.fn) == (base.tp, base.fp, base.fn)
+        for _ in range(5):
+            perm = list(preds)
+            rng.shuffle(perm)
+            assert detection_ap(perm, gt) == base
 
     def test_matches_exhaustive_reference(self):
         for seed in range(15):
@@ -98,25 +99,31 @@ class TestDetectionAp:
             preds = random_scored_boxes(rng, 30)
             gt_boxes = random_scored_boxes(rng, 10)
             gt = {"img0": [(b.box, b.category_id) for b in gt_boxes]}
-            report = detection_ap(preds, gt)
-            ref_preds = [
-                {"image_id": p.image_id, "category_id": p.category_id,
-                 "score": p.score, "box": p.box.as_tuple(), "model_id": p.model_id}
-                for p in preds
-            ]
             ref_gt = {img: [(b.as_tuple(), c) for b, c in boxes]
                       for img, boxes in gt.items()}
-            mean_ap, ap50, ap75, per_cat = detection_ap_ref(
-                ref_preds, ref_gt, list(report.thresholds))
-            assert report.ap == pytest.approx(mean_ap, abs=1e-12)
-            assert report.ap50 == pytest.approx(ap50, abs=1e-12)
-            assert report.ap75 == pytest.approx(ap75, abs=1e-12)
-            for c, v in per_cat.items():
-                assert report.per_category[c] == pytest.approx(v, abs=1e-12)
+            fused = fuse_detections(preds, WbfParams())
+            # the fused table is scored as it comes, as its boxes would be
+            fused_boxes = [ScoredBox(f.box, f.score, f.category_id, f.image_id, "wbf")
+                           for f in fused]
+            assert detection_ap(fused, gt_table(gt)) == detection_ap(fused_boxes, gt_table(gt))
+            for scored in (preds, fused_boxes):
+                report = detection_ap(scored, gt_table(gt))
+                ref_preds = [
+                    {"image_id": p.image_id, "category_id": p.category_id,
+                     "score": p.score, "box": p.box.as_tuple(), "model_id": p.model_id}
+                    for p in scored
+                ]
+                mean_ap, ap50, ap75, per_cat = detection_ap_ref(
+                    ref_preds, ref_gt, list(report.thresholds))
+                assert report.ap == pytest.approx(mean_ap, abs=1e-12)
+                assert report.ap50 == pytest.approx(ap50, abs=1e-12)
+                assert report.ap75 == pytest.approx(ap75, abs=1e-12)
+                for c, v in per_cat.items():
+                    assert report.per_category[c] == pytest.approx(v, abs=1e-12)
 
     def test_bad_thresholds_rejected(self):
         with pytest.raises(DataError):
-            detection_ap([], {}, [0.0])
+            detection_ap([], [], [0.0])
 
 
 def ranking(query_id, ids):
@@ -205,7 +212,8 @@ def ap_cases(draw):
     """Predictions and ground truth over several images and categories on
     a coarse grid, with repeated boxes, equal scores, and predictions
     shifted from a ground-truth box by a unit (IoU 0.5 is common); some
-    predictions fall on images without ground truth."""
+    predictions fall on images without ground truth, and some copy another
+    under any model."""
     def box():
         x1, y1 = draw(st.integers(0, 12)), draw(st.integers(0, 12))
         return BoundingBox(x1, y1, x1 + draw(st.integers(1, 4)), y1 + draw(st.integers(1, 4)))
@@ -224,7 +232,8 @@ def ap_cases(draw):
         model = draw(st.sampled_from(["m0", "m1"]))
         kind = draw(st.integers(0, 3))
         if kind == 0 and preds:
-            preds.append(draw(st.sampled_from(preds)))
+            p = draw(st.sampled_from(preds))
+            preds.append(ScoredBox(p.box, p.score, p.category_id, p.image_id, model))
         elif kind == 1 and gt_boxes:
             image, (b, category) = draw(st.sampled_from(gt_boxes))
             dx, dy = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
@@ -241,7 +250,7 @@ def ap_cases(draw):
 @given(ap_cases())
 def test_detection_ap_matches_reference(case):
     preds, gt, thresholds = case
-    report = detection_ap(preds, gt, thresholds)
+    report = detection_ap(preds, gt_table(gt), thresholds)
     ref_preds = [{"image_id": p.image_id, "category_id": p.category_id, "score": p.score,
                   "box": p.box.as_tuple(), "model_id": p.model_id} for p in preds]
     ref_gt = {img: [(b.as_tuple(), c) for b, c in boxes] for img, boxes in gt.items()}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbirkit import io as formats
@@ -14,7 +14,7 @@ from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 from cbirkit.errors import DataError, EmbeddingFormatError, ParseError
 from cbirkit.search import RankingList
 
-from util import gallery_ids, rng_for
+from util import gallery_ids, gt_table, rng_for
 
 
 class TestDetections:
@@ -94,13 +94,24 @@ class TestDetections:
         assert box.score == 0.5
 
 
+def by_image(gt) -> dict:
+    """A ground-truth table as image -> [(box, category), ...] in row order."""
+    out = {}
+    for b in gt:
+        assert (b.score, b.model_id) == (0.0, "")
+        out.setdefault(b.image_id, []).append((b.box, b.category_id))
+    return out
+
+
 class TestDetectionGt:
     def test_roundtrip(self, tmp_path):
-        gt = {"img0": [(BoundingBox(0, 0, 5, 5), 1), (BoundingBox(2, 2, 9, 9), 2)],
-              "img1": [(BoundingBox(1, 1, 2, 2), 1)]}
+        gt = gt_table({"img1": [(BoundingBox(1, 1, 2, 2), 1)],
+                       "img0": [(BoundingBox(0, 0, 5, 5), 1), (BoundingBox(2, 2, 9, 9), 2)]})
         path = tmp_path / "gt.jsonl"
         formats.save_detection_gt(gt, path)
-        assert formats.load_detection_gt(path) == gt
+        loaded = formats.load_detection_gt(path)
+        # written sorted stably by image id
+        assert loaded == [gt[1], gt[2], gt[0]]
 
 
 class TestEmbeddings:
@@ -286,6 +297,30 @@ def test_field_rules_name_the_line(tmp_path, loader, record, changes, message):
     assert str(e.value).startswith(f"{path}:2: {message}")
 
 
+def test_bare_cr_ends_no_line(tmp_path):
+    # two records split by a "\r" are one line, which is not JSON
+    path = tmp_path / "cr.jsonl"
+    path.write_bytes(b'{"query_id": "q0", "matches": []}\r{"query_id": "q1", "matches": []}\n'
+                     b'{"query_id": "q0", "matches": []}\n')
+    with pytest.raises(ParseError, match="invalid JSON") as e:
+        formats.load_retrieval_gt(path)
+    assert e.value.line == 1
+
+
+@pytest.mark.parametrize("loader, text", [
+    (formats.load_detections, json.dumps(_DET) + "\n\n" + json.dumps({**_DET, "score": 1}) + "\n"),
+    (formats.load_detection_gt, json.dumps(_GT) + "\n" + json.dumps({**_GT, "image_id": "j"})),
+    (formats.load_retrieval_gt,
+     '{"query_id": "q", "matches": ["g"]}\n{"query_id": "r", "matches": []}\n'),
+    (formats.load_rankings, "q\t1\tg0\t0.9\nq\t2\tg1\t0.5\n"),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_crlf_loads_as_lf(tmp_path, loader, text):
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert loader(crlf) == loader(lf)
+
+
 def reference_load(lines: list[bytes]):
     """(number of the first line the record format rejects, or None; the
     boxes of a clean file), decided one line at a time."""
@@ -322,7 +357,7 @@ _WRONG_VALUES = [None, "1", [], {}, True, False, 0, -1, 2.5, float("nan"), float
                  [0, 0, True, 4]]
 
 
-GARBLES = [b"{", b"]", b",", b'"', b"x", b" ", b"\\", b"\xff", b"\xc3"]
+GARBLES = [b"{", b"]", b",", b'"', b"x", b" ", b"\\", b"\xff", b"\xc3", b"\r"]
 JUNK_LINES = [b"", b"  ", b"[1, 2]", b"5", b"null", b"{}"]
 
 
@@ -517,6 +552,29 @@ def fuzzed_ranking_files(draw):
     return corrupt(draw, records, _WRONG_TSV, encode=lambda r: "\t".join(r.values()).encode())
 
 
+# a valid 3 x 2 container, the sidecar of which is `gallery_ids(3)`
+_CONTAINER = (b"EMB1" + (3).to_bytes(4, "little") + (2).to_bytes(4, "little")
+              + np.linspace(-1.0, 1.0, 6, dtype="<f4").tobytes())
+
+
+@st.composite
+def fuzzed_containers(draw):
+    """`_CONTAINER` truncated, padded, and with header or payload bytes set
+    to values that change a count or make a float non-finite."""
+    blob = bytearray(_CONTAINER)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "pad", "flip header", "flip payload"]))
+        if kind == "truncate":
+            del blob[draw(st.integers(0, len(blob))):]
+        elif kind == "pad":
+            blob += draw(st.binary(min_size=1, max_size=12))
+        elif blob:
+            lo, hi = (0, 12) if kind == "flip header" else (12, len(blob))
+            at = draw(st.integers(min(lo, len(blob) - 1), min(hi, len(blob)) - 1))
+            blob[at] = draw(st.sampled_from([0x00, 0x01, 0x06, 0x7f, 0x80, 0xff]))
+    return bytes(blob)
+
+
 def load_fuzzed(lines: list[bytes], loader):
     """loader(path) on the lines written to a temp file, with the path."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -537,7 +595,8 @@ class TestReaderFuzz:
     """Each text reader against a line-at-a-time reference: a clean file
     loads to the reference's value, and a corrupted one raises only
     ParseError or EmbeddingFormatError, naming the first line the
-    reference rejects."""
+    reference rejects.  A corrupted EMB1 container raises a DataError
+    naming the data file."""
 
     @settings(max_examples=300, deadline=None)
     @given(fuzzed_gt_files())
@@ -545,7 +604,7 @@ class TestReaderFuzz:
         bad_line, expected = reference_detection_gt(lines)
         result, path = load_fuzzed(lines, formats.load_detection_gt)
         if bad_line is None:
-            assert result == expected
+            assert by_image(result) == expected
         else:
             assert_names_line(result, path, bad_line)
 
@@ -575,6 +634,25 @@ class TestReaderFuzz:
             assert isinstance(result, EmbeddingFormatError) and result.code == "count_mismatch"
         else:
             assert_names_line(result, path, bad_line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fuzzed_containers())
+    @example(_CONTAINER[:15] + b"\x7f" + _CONTAINER[16:])  # row 0 holds inf
+    @example(_CONTAINER[:4] + b"\x06\0\0\0\x01" + _CONTAINER[9:])  # 6 x 1: 3 ids for 6 rows
+    def test_embedding_container(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            data, ids = Path(tmp) / "m.emb", Path(tmp) / "m.ids.jsonl"
+            formats.save_embeddings(EmbeddingMatrix(np.ones((3, 2)), gallery_ids(3)), data, ids)
+            data.write_bytes(blob)
+            try:
+                loaded = formats.load_embeddings(data, ids)
+            except DataError as e:
+                # EmbeddingFormatError and ParseError are DataErrors too
+                assert str(data) in str(e)
+                return
+        n, d = np.frombuffer(blob, "<u4", 2, offset=4)
+        assert (blob[:4], n) == (b"EMB1", 3) and len(blob) == 12 + 4 * n * d
+        assert np.array_equal(loaded.data, np.frombuffer(blob, "<f4", offset=12).reshape(n, d))
 
     @settings(max_examples=300, deadline=None)
     @given(fuzzed_ranking_files())

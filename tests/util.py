@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import cbirkit
-from cbirkit.boxes import BoundingBox, ScoredBox
+from cbirkit.boxes import BoundingBox, Detections, ScoredBox
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 
 
@@ -37,6 +37,13 @@ def random_scored_boxes(rng, n, n_models=3, n_categories=2, image_id="img0") -> 
             model_id=f"m{int(rng.integers(0, n_models))}",
         ))
     return out
+
+
+def gt_table(by_image) -> Detections:
+    """Ground truth given as image -> [(box, category), ...] as the table
+    the loader returns: detections of score 0 and model id ""."""
+    return Detections.of([ScoredBox(box, 0.0, category, image, "")
+                          for image, boxes in by_image.items() for box, category in boxes])
 
 
 def unit_rows(rng, n, dim) -> np.ndarray:
