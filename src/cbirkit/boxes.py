@@ -53,7 +53,7 @@ class BoundingBox:
     def __post_init__(self):
         for name in ("x1", "y1", "x2", "y2"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise DataError(f"box coordinate {name}={v!r} is not a finite number")
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise DataError(
@@ -76,9 +76,9 @@ class ScoredBox:
     model_id: str
 
     def __post_init__(self):
-        if not (0.0 <= self.score <= 1.0):
+        if isinstance(self.score, bool) or not (0.0 <= self.score <= 1.0):
             raise DataError(f"score {self.score!r} outside [0, 1]")
-        if not isinstance(self.category_id, int) or self.category_id < 1:
+        if type(self.category_id) is not int or self.category_id < 1:
             raise DataError(f"category_id {self.category_id!r} must be an integer >= 1")
 
 

@@ -102,12 +102,14 @@ def _cmd_rerank(args) -> int:
 
 
 def _cmd_eval_ret(args) -> int:
+    if (args.data is None) != (args.ids is None):
+        raise ConfigError("--data and --ids must be given together")
     rankings = formats.load_rankings(args.rankings)
     gt = formats.load_retrieval_gt(args.gt)
     gallery_ids = None
-    if args.data and args.ids:
+    if args.data is not None:
         matrix = formats.load_embeddings(args.data, args.ids)
-        gallery_ids = [r.item_id for r in matrix.ids if r.source == "gallery"]
+        gallery_ids = matrix.item_ids[matrix.sources == "gallery"].tolist()
     report = acc_at_k(rankings, gt, args.ks, gallery_ids=gallery_ids)
     print(format_retrieval_report(report))
     if args.report:

@@ -1,14 +1,18 @@
 """Embedding storage, row normalization, cross-model concatenation, PCA whitening.
 
-An EmbeddingMatrix binds an N x D float matrix to per-row identity records
-(item, image, box, category, query/gallery side).  Matrices are immutable
-after construction and safe to share across threads.
+An EmbeddingMatrix binds an N x D float matrix to read-only id columns
+(item, image, box, category, query/gallery side), checked once when the
+matrix is built from records or columns.  Matrices are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,7 +26,7 @@ UNIT_NORM_ATOL = 1e-5
 
 @dataclass(frozen=True)
 class IdRecord:
-    """Identity of one embedding row."""
+    """Identity of one embedding row, as `EmbeddingMatrix.ids` views it."""
 
     item_id: str
     image_id: str
@@ -30,36 +34,102 @@ class IdRecord:
     category_id: int
     source: str  # "query" or "gallery"
 
-    def __post_init__(self):
-        if self.source not in SOURCES:
-            raise DataError(f"source {self.source!r} must be one of {SOURCES}")
-        if not isinstance(self.category_id, int) or self.category_id < 0:
-            raise DataError(f"category_id {self.category_id!r} must be a non-negative integer")
+
+def _id_fault(item_ids, image_ids, box_ids, category_ids, sources) -> tuple[int, str] | None:
+    """(first bad row, why) of id columns given as lists, or None.  The rules
+    are the id sidecar's: ids are str, category_id is an int (no bool) in
+    [0, 2**63), source is "query" or "gallery", and item_ids are unique and
+    do not end in NUL, which a numpy str array drops."""
+    # rules are tested a column at a time, and rows only to name the first bad one
+    if (set(map(type, itertools.chain(item_ids, image_ids, box_ids, sources))) <= {str}
+            and set(map(type, category_ids)) <= {int} and set(sources) <= set(SOURCES)
+            and 0 <= min(category_ids, default=0) and max(category_ids, default=0) < 2 ** 63
+            and not any(item_id.endswith("\0") for item_id in item_ids)
+            and len(set(item_ids)) == len(item_ids)):
+        return None
+    seen: set[str] = set()
+    for row, (item_id, image_id, box_id, category, source) in enumerate(
+            zip(item_ids, image_ids, box_ids, category_ids, sources)):
+        if source not in SOURCES:
+            return row, f"source {source!r} must be one of {SOURCES}"
+        if type(category) is not int or category < 0:
+            return row, f"category_id {category!r} must be a non-negative integer"
+        if category >= 2 ** 63:
+            return row, f"category_id {category} out of range"
+        for name, value in (("item_id", item_id), ("image_id", image_id), ("box_id", box_id)):
+            if type(value) is not str:
+                return row, f"{name} {value!r} must be a string"
+        if item_id.endswith("\0"):
+            return row, f"item_id {item_id!r} ends in NUL"
+        if item_id in seen:
+            return row, f"duplicate item_id {item_id!r}"
+        seen.add(item_id)
+    return None
+
+
+def _float_rows(data) -> np.ndarray:
+    """data as a read-only float64 array, checked to be 2-D, non-empty and finite."""
+    arr = np.array(data, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise DataError(f"embedding data must be a non-empty 2-D array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        row = int(np.nonzero(~np.isfinite(arr).all(axis=1))[0][0])
+        raise DataError(f"non-finite value in embedding row {row}")
+    arr.setflags(write=False)
+    return arr
 
 
 class EmbeddingMatrix:
-    """Immutable N x D float64 matrix with one IdRecord per row."""
+    """Immutable N x D float64 matrix with read-only id columns: item_ids (a
+    numpy str array), image_ids and box_ids (object arrays, so that every
+    str round-trips), sources, `category_ids()` (int64) and id_rank, each
+    row's position in ascending item_id (code point) order.  `ids` views the
+    columns as one IdRecord per row, built on first use."""
 
     def __init__(self, data, ids: Sequence[IdRecord]):
-        arr = np.array(data, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DataError(f"embedding data must be a non-empty 2-D array, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            row = int(np.nonzero(~np.isfinite(arr).all(axis=1))[0][0])
-            raise DataError(f"non-finite value in embedding row {row}")
         ids = tuple(ids)
-        if len(ids) != arr.shape[0]:
-            raise DataError(f"{len(ids)} id records for {arr.shape[0]} rows")
-        seen: set[str] = set()
-        for rec in ids:
-            if rec.item_id in seen:
-                raise DataError(f"duplicate item_id {rec.item_id!r}")
-            seen.add(rec.item_id)
-        arr.setflags(write=False)
-        self.data = arr
-        self.ids = ids
-        self.item_ids = np.array([r.item_id for r in ids])
-        self._row_of = {r.item_id: i for i, r in enumerate(ids)}
+        self._check_ids(data, [r.item_id for r in ids], [r.image_id for r in ids],
+                        [r.box_id for r in ids], [r.category_id for r in ids],
+                        [r.source for r in ids])
+
+    @classmethod
+    def from_columns(cls, data, item_ids, image_ids, box_ids, category_ids,
+                     sources) -> EmbeddingMatrix:
+        """A matrix from one sequence of Python values per IdRecord field,
+        checked as the records constructor checks them."""
+        m = cls.__new__(cls)
+        m._check_ids(data, item_ids, image_ids, box_ids, category_ids, sources)
+        return m
+
+    def _check_ids(self, data, *columns: Sequence) -> None:
+        self.data = _float_rows(data)
+        columns = [list(column) for column in columns]
+        if any(len(column) != self.n_rows for column in columns):
+            raise DataError(f"{len(columns[0])} id records for {self.n_rows} rows")
+        fault = _id_fault(*columns)
+        if fault is not None:
+            raise DataError(fault[1])
+        item_ids = np.array(columns[0], dtype=str)
+        self._set_ids([item_ids, np.array(columns[1], dtype=object),
+                       np.array(columns[2], dtype=object), np.array(columns[3], dtype=np.int64),
+                       np.array(columns[4])], np.argsort(item_ids, kind="stable"))
+
+    def _set_ids(self, columns: list[np.ndarray], order: np.ndarray) -> None:
+        """Store checked id columns, read-only; `order` sorts the item_ids."""
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0])
+        for column in (*columns, order, rank):
+            column.setflags(write=False)
+        self.item_ids, self.image_ids, self.box_ids, self._category_ids, self.sources = columns
+        self._order, self.id_rank = order, rank
+
+    @property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.item_ids, self.image_ids, self.box_ids, self._category_ids, self.sources
+
+    @cached_property
+    def ids(self) -> tuple[IdRecord, ...]:
+        return tuple(map(IdRecord, *(column.tolist() for column in self._columns)))
 
     @property
     def n_rows(self) -> int:
@@ -70,37 +140,49 @@ class EmbeddingMatrix:
         return self.data.shape[1]
 
     def row_of(self, item_id: str) -> int:
-        try:
-            return self._row_of[item_id]
-        except KeyError:
-            raise DataError(f"unknown item_id {item_id!r}") from None
+        return int(self.rows_of([item_id])[0])
 
     def rows_of(self, item_ids: Sequence[str]) -> np.ndarray:
-        """Row index of each item_id, as an int64 array."""
-        try:
-            return np.fromiter(map(self._row_of.__getitem__, item_ids), dtype=np.int64,
-                               count=len(item_ids))
-        except KeyError as e:
-            raise DataError(f"unknown item_id {e.args[0]!r}") from None
+        """Row index of each item_id, as an int64 array, by binary search."""
+        wanted = list(item_ids)
+        found = np.searchsorted(self.item_ids, np.array(wanted, dtype=str), sorter=self._order)
+        rows = self._order[np.minimum(found, self.n_rows - 1)]
+        # a str array drops a trailing NUL, so matches are confirmed on the str values
+        got = self.item_ids[rows].tolist()
+        if got != wanted:
+            raise DataError(f"unknown item_id {next(w for w, g in zip(wanted, got) if w != g)!r}")
+        return rows
 
     def category_ids(self) -> np.ndarray:
-        return np.array([r.category_id for r in self.ids], dtype=np.int64)
+        return self._category_ids
 
-    def with_data(self, new_data) -> "EmbeddingMatrix":
-        """Same ids, different values (row count must match)."""
-        return EmbeddingMatrix(new_data, self.ids)
+    def with_data(self, new_data) -> EmbeddingMatrix:
+        """Same ids, different values (row count must match); ids are not checked again."""
+        m = copy.copy(self)
+        m.data = _float_rows(new_data)
+        if m.n_rows != self.n_rows:
+            raise DataError(f"{self.n_rows} id records for {m.n_rows} rows")
+        return m
 
-    def select(self, rows: Iterable[int]) -> "EmbeddingMatrix":
-        rows = list(rows)
-        return EmbeddingMatrix(self.data[rows], [self.ids[i] for i in rows])
+    def select(self, rows: Iterable[int]) -> EmbeddingMatrix:
+        """The given rows, in that order; ids are sliced, not checked again."""
+        rows = np.array(list(rows), dtype=np.int64)
+        rank = self.id_rank[rows]
+        order = np.argsort(rank, kind="stable")
+        repeat = np.flatnonzero(np.diff(rank[order]) == 0)
+        if repeat.size:
+            raise DataError(f"duplicate item_id {self.item_ids[rows[order[repeat[0]]]].item()!r}")
+        m = EmbeddingMatrix.__new__(EmbeddingMatrix)
+        m.data = _float_rows(self.data[rows])
+        m._set_ids([column[rows] for column in self._columns], order)
+        return m
 
-    def split_by_source(self) -> tuple["EmbeddingMatrix", "EmbeddingMatrix"]:
+    def split_by_source(self) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
         """(queries, gallery) in original row order; errors if a side is empty."""
-        q = [i for i, r in enumerate(self.ids) if r.source == "query"]
-        g = [i for i, r in enumerate(self.ids) if r.source == "gallery"]
-        if not q or not g:
+        is_query = self.sources == "query"
+        if is_query.all() or not is_query.any():
             raise DataError("matrix does not contain both query and gallery rows")
-        return self.select(q), self.select(g)
+        return self.select(np.flatnonzero(is_query)), self.select(np.flatnonzero(~is_query))
 
     def row_norms(self) -> np.ndarray:
         return np.linalg.norm(self.data, axis=1)
@@ -114,24 +196,23 @@ def l2_normalize(m: EmbeddingMatrix) -> EmbeddingMatrix:
     norms = m.row_norms()
     zero = norms == 0.0
     if zero.any():
-        item = m.ids[int(np.nonzero(zero)[0][0])].item_id
+        item = m.item_ids[int(np.nonzero(zero)[0][0])].item()
         raise DataError(f"cannot normalize zero-norm row for item {item!r}")
     return m.with_data(m.data / norms[:, None])
 
 
 def _check_aligned(parts: Sequence[EmbeddingMatrix]) -> None:
-    ref = parts[0].ids
+    ref = parts[0]
     for part in parts[1:]:
-        if part.ids == ref:
-            continue
-        n = min(len(ref), len(part.ids))
-        for i in range(n):
-            if part.ids[i] != ref[i]:
-                raise DataError(
-                    f"id maps diverge at row {i}: {ref[i].item_id!r} vs "
-                    f"{part.ids[i].item_id!r}"
-                )
-        raise DataError(f"id maps have different lengths: {len(ref)} vs {len(part.ids)}")
+        n = min(ref.n_rows, part.n_rows)
+        differs = np.flatnonzero(np.any([a[:n] != b[:n] for a, b in
+                                         zip(ref._columns, part._columns)], axis=0))
+        if differs.size:
+            i = differs[0]
+            raise DataError(f"id maps diverge at row {i}: {ref.item_ids[i].item()!r} vs "
+                            f"{part.item_ids[i].item()!r}")
+        if part.n_rows != ref.n_rows:
+            raise DataError(f"id maps have different lengths: {ref.n_rows} vs {part.n_rows}")
 
 
 def concat_features(
@@ -157,7 +238,7 @@ def concat_features(
     data = np.hstack([p.data for p in parts])
     if renormalize:
         data = data / np.linalg.norm(data, axis=1)[:, None]
-    return EmbeddingMatrix(data, parts[0].ids)
+    return parts[0].with_data(data)
 
 
 @dataclass(frozen=True)

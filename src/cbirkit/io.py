@@ -10,8 +10,9 @@ in int64.  The values are then checked a column at a time:
                  of finite absolute pixels, x2 > x1 and y2 > y1
   _DETECTION_GT  the same, without model_id and score
   _IDS           one record per embedding row, in row order: row is its
-                 index; item_id unique; category_id >= 0; source "query"
-                 or "gallery"
+                 index; then the rules of `embeddings.EmbeddingMatrix`:
+                 item_id unique and not ending in NUL; category_id >= 0;
+                 source "query" or "gallery"
   _RETRIEVAL_GT  query_id unique; matches a list of gallery item_ids
 Any fault raises ParseError naming the first offending line: invalid UTF-8
 or JSON, a missing field, a wrong type or a bad value.  In every text
@@ -19,7 +20,9 @@ format only "\n" ends a line, and a "\r" before it is ignored.  A row out of
 sequence raises EmbeddingFormatError "count_mismatch" naming its line.
 
 Embeddings: bytes 0-3 ASCII "EMB1", bytes 4-7 row count N (u32 LE),
-bytes 8-11 dim D (u32 LE), then N*D IEEE-754 float32 LE row-major.
+bytes 8-11 dim D (u32 LE), then N*D IEEE-754 float32 LE row-major.  The
+id sidecar is read into, and written from, the matrix's id columns, with
+no object per row.
 
 Rankings TSV: query_id <TAB> rank (1-based) <TAB> gallery item_id <TAB>
 score (9 significant digits); per query, ranks run 1, 2, ..., scores are
@@ -49,7 +52,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .boxes import BoundingBox, Detections, FusedBox, FusedDetections, ScoredBox, invalid_detections
-from .embeddings import SOURCES, EmbeddingMatrix, IdRecord
+from .embeddings import EmbeddingMatrix, _id_fault
 from .errors import ConfigError, DataError, EmbeddingFormatError, ParseError
 from .evaluation import GroundTruthRet
 from .search import RankingList
@@ -211,16 +214,12 @@ def _box_columns(boxes, scores, categories) -> tuple[np.ndarray, ...] | None:
     return None if invalid_detections(*columns).any() else columns
 
 
-def _int64_fault(category: int) -> str | None:
-    return f"category_id {category} out of range" if category > _INT64_MAX else None
-
-
 def _box_fault(bbox, score, category) -> str | None:
     """What is wrong with a detection; BoundingBox and ScoredBox raise for a bad value."""
     if len(bbox) != 4 or not all(type(v) in _NUMBER for v in bbox):
         return f"bbox must be [x1, y1, x2, y2], got {bbox!r}"
     ScoredBox(BoundingBox(*map(float, bbox)), float(score), category, "", "")
-    return _int64_fault(category)
+    return f"category_id {category} out of range" if category > _INT64_MAX else None
 
 
 def _repeat_fault(key: str):
@@ -298,8 +297,9 @@ def save_embeddings(m: EmbeddingMatrix, data_path: str | Path, ids_path: str | P
     with open(data_path, "wb") as fh:
         fh.write(_EMB_HEADER.pack(EMB_MAGIC, m.n_rows, m.dim))
         fh.write(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
-    _write_jsonl(ids_path, _IDS, ((row, r.item_id, r.image_id, r.box_id, r.category_id, r.source)
-                                  for row, r in enumerate(m.ids)))
+    _write_jsonl(ids_path, _IDS, zip(range(m.n_rows), m.item_ids.tolist(), m.image_ids.tolist(),
+                                     m.box_ids.tolist(), m.category_ids().tolist(),
+                                     m.sources.tolist()))
 
 
 def load_embeddings(data_path: str | Path, ids_path: str | Path) -> EmbeddingMatrix:
@@ -323,18 +323,12 @@ def load_embeddings(data_path: str | Path, ids_path: str | Path) -> EmbeddingMat
         )
     data = np.frombuffer(blob, dtype="<f4", offset=_EMB_HEADER.size).reshape(n, d)
 
-    lines, (rows, item_ids, image_ids, box_ids, categories, sources), fault = \
-        _read_jsonl(ids_path, _IDS)
+    lines, (rows, *columns), fault = _read_jsonl(ids_path, _IDS)
     # the first row out of sequence ends the records whose values count
     end = next((i for i, row in enumerate(rows) if row != i), len(rows))
-    if (set(sources) - set(SOURCES) or min(categories, default=0) < 0
-            or max(categories, default=0) > _INT64_MAX or len(set(item_ids)) < len(item_ids)):
-        repeat = _repeat_fault("item_id")
-
-        def id_fault(source, category, item_id):
-            IdRecord(item_id, "", "", category, source)
-            return _int64_fault(category) or repeat(item_id)
-        _scan(ids_path, lines[:end], zip(sources, categories, item_ids), id_fault)
+    bad = _id_fault(*(column[:end] for column in columns))
+    if bad is not None:
+        raise ParseError(str(ids_path), lines[bad[0]], bad[1])
     if end < len(rows):
         raise EmbeddingFormatError(
             "count_mismatch", f"{ids_path}:{lines[end]}: row index {rows[end]}, expected {end}")
@@ -343,9 +337,8 @@ def load_embeddings(data_path: str | Path, ids_path: str | Path) -> EmbeddingMat
     if len(rows) != n:
         raise EmbeddingFormatError(
             "count_mismatch", f"{ids_path}: {len(rows)} id records for {n} rows of {data_path}")
-    ids = list(map(IdRecord, item_ids, image_ids, box_ids, categories, sources))
     try:
-        return EmbeddingMatrix(data, ids)
+        return EmbeddingMatrix.from_columns(data, *columns)
     except DataError as e:  # a non-finite value
         raise DataError(f"{data_path}: {e}") from None
 

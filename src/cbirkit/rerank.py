@@ -105,23 +105,18 @@ class RerankParams:
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
 
 
-def _expand_rows(
-    vectors: np.ndarray,
-    ids,
-    neighbor_rows: np.ndarray,
-    neighbor_scores: np.ndarray,
-    source: np.ndarray,
-    alpha: float,
-) -> np.ndarray:
+def _expand_rows(m: EmbeddingMatrix, neighbor_rows: np.ndarray, neighbor_scores: np.ndarray,
+                 source: np.ndarray, alpha: float) -> EmbeddingMatrix:
+    """m with each row plus its neighbors in `source`, weighted and renormalized."""
     weights = np.power(np.maximum(neighbor_scores, 0.0), alpha)
-    acc = vectors.copy()
+    acc = m.data.copy()
     for j in range(neighbor_rows.shape[1]):
         acc += weights[:, j, None] * source[neighbor_rows[:, j]]
     norms = np.linalg.norm(acc, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise DataError(f"expansion of item {ids[zero[0]].item_id!r} produced a zero vector")
-    return acc / norms[:, None]
+        raise DataError(f"expansion of item {m.item_ids[zero[0]].item()!r} produced a zero vector")
+    return m.with_data(acc / norms[:, None])
 
 
 def _without_self(rows: np.ndarray) -> np.ndarray:
@@ -142,10 +137,8 @@ def query_expansion(
         raise DataError("queries must be unit-normalized")
     if queries.dim != index.gallery.dim:
         raise DataError(f"query dim {queries.dim} != gallery dim {index.gallery.dim}")
-    rows, scores = exact_topk(index.gallery.data, index.id_rank, queries.data, params.k)
-    data = _expand_rows(queries.data, queries.ids, rows, scores,
-                        index.gallery.data, params.alpha)
-    return queries.with_data(data)
+    rows, scores = exact_topk(index.gallery.data, index.gallery.id_rank, queries.data, params.k)
+    return _expand_rows(queries, rows, scores, index.gallery.data, params.alpha)
 
 
 def database_augmentation(gallery: EmbeddingMatrix, params: QeParams) -> EmbeddingMatrix:
@@ -156,18 +149,15 @@ def database_augmentation(gallery: EmbeddingMatrix, params: QeParams) -> Embeddi
         return gallery
     if not gallery.is_unit_normalized():
         raise DataError("gallery must be unit-normalized")
-    rank = RetrievalIndex(gallery).id_rank
     if params.include_self:
-        rows, scores = exact_topk(gallery.data, rank, gallery.data, params.k)
+        rows, scores = exact_topk(gallery.data, gallery.id_rank, gallery.data, params.k)
     else:
         # search one deeper, then drop each row's own entry
-        rows, scores = exact_topk(gallery.data, rank, gallery.data, params.k + 1)
+        rows, scores = exact_topk(gallery.data, gallery.id_rank, gallery.data, params.k + 1)
         keep = _without_self(rows)
         rows = np.take_along_axis(rows, keep, axis=1)
         scores = np.take_along_axis(scores, keep, axis=1)
-    data = _expand_rows(gallery.data, gallery.ids, rows, scores,
-                        gallery.data, params.alpha)
-    return gallery.with_data(data)
+    return _expand_rows(gallery, rows, scores, gallery.data, params.alpha)
 
 
 def _reciprocal(neighbors: np.ndarray, k: int) -> np.ndarray:
@@ -275,8 +265,10 @@ def k_reciprocal_rerank(
     inv_rows, inv_values = g_rows[by_col], values[first:][by_col]
     col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols[first:], minlength=n))])
 
-    id_rank = RetrievalIndex(gallery).id_rank
+    id_rank = gallery.id_rank
     gallery_ids = gallery.item_ids.astype(object)
+    # n_q x n_g lookups: a hash table is several times faster than `rows_of`
+    row_by_id = dict(zip(gallery_ids.tolist(), range(n_g)))
     lam = params.lam
     out = []
     for ranking in initial:
@@ -287,7 +279,10 @@ def k_reciprocal_rerank(
         mins = np.minimum(np.repeat(q_values, lengths), inv_values[src])
         minsum = np.bincount(inv_rows[src], weights=mins, minlength=n_g)
 
-        cand = gallery.rows_of(ranking.item_ids)
+        try:
+            cand = np.fromiter(map(row_by_id.__getitem__, ranking.item_ids), np.int64, len(ranking))
+        except KeyError as e:
+            raise DataError(f"unknown item_id {e.args[0]!r}") from None
         overlap = minsum[cand]
         jaccard = np.ones(cand.shape[0])
         shared = overlap > 0.0

@@ -18,8 +18,9 @@ kernel, `exact_topk`.  For each block of QUERY_BLOCK query rows it
      the feature axis, a value that depends on the two vectors alone and
      not on the block shape or the BLAS thread count, as GEMM bits do;
   4. orders the survivors by (-score, rank of item_id) in one 2-D
-     `lexsort` over the block.  The rank is computed once per index, and
-     candidates are laid out in item_id order, so a column is its rank.
+     `lexsort` over the block.  The rank is `EmbeddingMatrix.id_rank`,
+     computed once when a matrix's ids are checked, and candidates are laid
+     out in item_id order, so a column is its rank.
 
 A row whose survivors outnumber k (ties, or scores within the slack of the
 k-th) is ordered on its own; the rest of the block needs no per-row work.
@@ -76,16 +77,13 @@ class RankingList:
 
 
 class RetrievalIndex:
-    """Immutable gallery snapshot with the integer rank of each item_id and
-    a category partition, built on first use."""
+    """Immutable snapshot of a unit-normalized gallery with a category
+    partition, built on first use."""
 
     def __init__(self, gallery: EmbeddingMatrix):
         if not gallery.is_unit_normalized():
             raise DataError("gallery rows must be unit-normalized (|norm - 1| <= 1e-5)")
         self.gallery = gallery
-        # position of each row's item_id in ascending id order: the tie-break key
-        self.id_rank = np.empty(gallery.n_rows, dtype=np.int64)
-        self.id_rank[np.argsort(gallery.item_ids, kind="stable")] = np.arange(gallery.n_rows)
         self._partition: dict[int, np.ndarray] | None = None
 
     def category_rows(self, category_id: int) -> np.ndarray:
@@ -177,7 +175,7 @@ def exact_topk(data: np.ndarray, tie_rank: np.ndarray, queries: np.ndarray, k: i
     Candidates default to every row of `data`.  Returns two n_q x min(k, m)
     arrays (m candidates): row indices and scores, each row ordered by
     descending score, ties by ascending `tie_rank` (one distinct integer
-    per row of `data`; search passes `RetrievalIndex.id_rank`).
+    per row of `data`; search passes `EmbeddingMatrix.id_rank`).
     """
     rows = np.arange(data.shape[0]) if candidate_rows is None else candidate_rows
     # candidates in tie-break order, so a column index is its tie-break key
@@ -226,10 +224,12 @@ def knn_search(
         groups = [(np.arange(queries.n_rows), None)]
     # one str object per gallery id, shared by every ranking
     gallery_ids = index.gallery.item_ids.astype(object)
+    query_ids = queries.item_ids.tolist()
     rankings: list[RankingList] = [None] * queries.n_rows  # type: ignore[list-item]
     for qrows, cand in groups:
-        rows, scores = exact_topk(index.gallery.data, index.id_rank, queries.data[qrows], k, cand)
+        rows, scores = exact_topk(index.gallery.data, index.gallery.id_rank, queries.data[qrows],
+                                  k, cand)
         ids = gallery_ids[rows].tolist()
         for qi, item_ids, row_scores in zip(qrows.tolist(), ids, scores):
-            rankings[qi] = RankingList(queries.ids[qi].item_id, item_ids, row_scores)
+            rankings[qi] = RankingList(query_ids[qi], item_ids, row_scores)
     return rankings

@@ -24,7 +24,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .boxes import BoundingBox, Detections, ScoredBox
-from .embeddings import EmbeddingMatrix, IdRecord
+from .embeddings import EmbeddingMatrix
 from .errors import ConfigError
 from .pipeline import check_json_type
 from . import io as formats
@@ -215,18 +215,14 @@ def synth_embeddings(spec: SyntheticSpec, objects: list[GtObject],
     noise_g = rng.normal(size=(n, spec.embedding_dim))
     queries = _unit(centers + spec.noise_sigma * noise_q)
     gallery = _unit(centers + spec.noise_sigma * noise_g)
-    data = np.vstack([queries, gallery])
-    ids = [
-        IdRecord(item_id=f"q{obj.item_index:06d}", image_id=obj.image_id,
-                 box_id=obj.box_id, category_id=obj.category_id, source="query")
-        for obj in objects
-    ] + [
-        IdRecord(item_id=f"g{obj.item_index:06d}", image_id="gallery",
-                 box_id=f"g{obj.item_index:06d}", category_id=obj.category_id,
-                 source="gallery")
-        for obj in objects
-    ]
-    return EmbeddingMatrix(data, ids)
+    gallery_ids = [f"g{obj.item_index:06d}" for obj in objects]
+    return EmbeddingMatrix.from_columns(
+        np.vstack([queries, gallery]),
+        item_ids=[f"q{obj.item_index:06d}" for obj in objects] + gallery_ids,
+        image_ids=[obj.image_id for obj in objects] + ["gallery"] * n,
+        box_ids=[obj.box_id for obj in objects] + gallery_ids,
+        category_ids=[obj.category_id for obj in objects] * 2,
+        sources=["query"] * n + ["gallery"] * n)
 
 
 def retrieval_pairs(objects: list[GtObject]) -> dict[str, set[str]]:

@@ -167,6 +167,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'nope." in err
 
+    @pytest.mark.parametrize("flag", ["--data", "--ids"])
+    def test_eval_ret_needs_data_with_ids(self, capsys, flag):
+        assert run("eval-ret", "--rankings", "r.tsv", "--gt", "gt.jsonl", flag, "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--data" in err and "--ids" in err
+
     def test_restrict_category_flag(self, bench, tmp_path):
         rankings = tmp_path / "r.tsv"
         assert run("search", "--data", bench / "embeddings_m0.emb",

@@ -1,7 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cbirkit import embeddings
 from cbirkit.embeddings import (
+    SOURCES,
     EmbeddingMatrix,
     IdRecord,
     concat_features,
@@ -48,6 +54,111 @@ class TestEmbeddingMatrix:
         q, g = m.split_by_source()
         assert [r.item_id for r in q.ids] == ["q0", "q1"]
         assert [r.item_id for r in g.ids] == ["g0"]
+
+
+def columns_of(records):
+    """The id columns of records, one list per IdRecord field."""
+    return [[getattr(r, f.name) for r in records] for f in dataclasses.fields(IdRecord)]
+
+
+def assert_same_matrix(m, expected):
+    assert np.array_equal(m.data, expected.data)
+    assert m.ids == expected.ids
+    assert m.item_ids.tolist() == expected.item_ids.tolist()
+    assert m.id_rank.tolist() == expected.id_rank.tolist()
+    assert m.category_ids().tolist() == expected.category_ids().tolist()
+    ids = [r.item_id for r in expected.ids]
+    assert m.rows_of(ids[::-1]).tolist() == expected.rows_of(ids[::-1]).tolist()
+
+
+# non-ASCII and NUL-bearing ids, so that id order is by code point and ids round-trip
+ODD_IDS = st.text(max_size=3) | st.sampled_from(["a", "a\x00b", "é", "图", "\U0001f600", "i\x00"])
+
+
+@st.composite
+def id_tables(draw):
+    item_ids = draw(st.lists(ODD_IDS.filter(lambda s: not s.endswith("\x00")),
+                             min_size=1, max_size=8, unique=True))
+    records = [IdRecord(item_id, draw(ODD_IDS), draw(ODD_IDS),
+                        draw(st.integers(0, 2 ** 63 - 1)), draw(st.sampled_from(SOURCES)))
+               for item_id in item_ids]
+    rows = draw(st.permutations(range(len(records))))
+    return records, rows[:draw(st.integers(1, len(rows)))]
+
+
+class TestIdColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(id_tables())
+    def test_constructors_and_derived_matrices_agree(self, case):
+        records, rows = case
+        data = np.arange(2.0 * len(records)).reshape(-1, 2)
+        by_records = EmbeddingMatrix(data, records)
+        by_columns = EmbeddingMatrix.from_columns(data, *columns_of(records))
+        assert_same_matrix(by_columns, by_records)
+        item_ids = [r.item_id for r in records]
+        assert by_records.ids == tuple(records)
+        assert by_records.item_ids.tolist() == item_ids
+        assert by_records.id_rank.tolist() == [sorted(item_ids).index(i) for i in item_ids]
+        assert by_records.rows_of(item_ids).tolist() == list(range(len(records)))
+        assert_same_matrix(by_columns.with_data(data + 1), EmbeddingMatrix(data + 1, records))
+        assert_same_matrix(by_columns.select(rows),
+                           EmbeddingMatrix(data[rows], [records[i] for i in rows]))
+        sides = [[i for i, r in enumerate(records) if r.source == s] for s in SOURCES]
+        if all(sides):
+            for side, expected in zip(by_columns.split_by_source(), sides):
+                assert_same_matrix(side, EmbeddingMatrix(data[expected],
+                                                         [records[i] for i in expected]))
+
+    # (changes to the second of two good records, message)
+    RULES = [
+        ({"source": "both"}, "source 'both' must be one of ('query', 'gallery')"),
+        ({"category_id": -1}, "category_id -1 must be a non-negative integer"),
+        ({"category_id": True}, "category_id True must be a non-negative integer"),
+        ({"category_id": 1.0}, "category_id 1.0 must be a non-negative integer"),
+        ({"category_id": np.int64(3)}, f"category_id {np.int64(3)!r} must be a non-negative integer"),
+        ({"category_id": 2 ** 63}, "category_id 9223372036854775808 out of range"),
+        ({"item_id": 5}, "item_id 5 must be a string"),
+        ({"image_id": None}, "image_id None must be a string"),
+        ({"box_id": b"b"}, "box_id b'b' must be a string"),
+        ({"item_id": "a\x00"}, "item_id 'a\\x00' ends in NUL"),
+        ({"item_id": "a"}, "duplicate item_id 'a'"),
+    ]
+
+    @pytest.mark.parametrize("changes, message", RULES, ids=[m for _, m in RULES])
+    def test_every_rule_has_one_message(self, changes, message):
+        good = [IdRecord("a", "i", "b", 1, "query"), IdRecord("c", "j", "d", 2, "gallery")]
+        records = [good[0], dataclasses.replace(good[1], **changes)]
+        for build in (lambda: EmbeddingMatrix(np.eye(2), records),
+                      lambda: EmbeddingMatrix.from_columns(np.eye(2), *columns_of(records))):
+            with pytest.raises(DataError) as e:
+                build()
+            assert str(e.value) == message
+
+    def test_derived_matrices_check_no_ids(self, monkeypatch):
+        m = EmbeddingMatrix(np.eye(3), [IdRecord("q0", "img0", "b0", 1, "query"),
+                                        IdRecord("g0", "gallery", "g0", 1, "gallery"),
+                                        IdRecord("q1", "img1", "b0", 2, "query")])
+
+        def checked(*columns):
+            raise AssertionError("ids checked again")
+        monkeypatch.setattr(embeddings, "_id_fault", checked)
+        assert m.with_data(m.data * 2).ids == m.ids
+        assert [r.item_id for r in m.select([2, 0]).ids] == ["q1", "q0"]
+        queries, gallery = m.split_by_source()
+        assert concat_features([queries, l2_normalize(queries.with_data(queries.data + 1))]).ids \
+            == queries.ids
+
+    def test_select_rejects_repeated_rows(self):
+        with pytest.raises(DataError, match="duplicate item_id 'g00001'"):
+            matrix(np.eye(3)).select([1, 2, 1])
+
+    def test_unknown_item_id_named(self):
+        m = matrix(np.eye(2))
+        for missing in ["g00002", "g00001\x00", "", "h"]:
+            with pytest.raises(DataError, match="unknown item_id"):
+                m.row_of(missing)
+        with pytest.raises(DataError, match="unknown item_id 'x'"):
+            m.rows_of(["g00001", "x", "g00000"])
 
 
 class TestL2Normalize:

@@ -280,6 +280,7 @@ FIELD_RULES = [
      "category_id 100000000000000000000000 out of range"),
     (load_ids, _ID, {"row": False}, "field 'row' has wrong type: False"),
     (load_ids, _ID, {"row": 1, "source": "gallery"}, "duplicate item_id 'a'"),
+    (load_ids, _ID, {"row": 1, "item_id": "a\x00"}, "item_id 'a\\x00' ends in NUL"),
     (load_ids, _ID, {"row": 1, "item_id": "c", "category_id": 10 ** 23},
      "category_id 100000000000000000000000 out of range"),
     (formats.load_retrieval_gt, {"query_id": "q", "matches": []}, {"matches": [True]},
@@ -295,6 +296,24 @@ def test_field_rules_name_the_line(tmp_path, loader, record, changes, message):
     with pytest.raises(ParseError) as e:
         loader(path)
     assert str(e.value).startswith(f"{path}:2: {message}")
+
+
+def test_sidecar_roundtrip_keeps_every_id(tmp_path):
+    # a trailing NUL survives in image and box ids; a boolean is no category
+    ids = [IdRecord("é", "i\x00", "b\x00\x00", 2 ** 63 - 1, "query"),
+           IdRecord("", "", "", 0, "gallery")]
+    m = EmbeddingMatrix(np.eye(2), ids)
+    formats.save_embeddings(m, tmp_path / "m.emb", tmp_path / "m.ids.jsonl")
+    assert formats.load_embeddings(tmp_path / "m.emb", tmp_path / "m.ids.jsonl").ids == tuple(ids)
+    with pytest.raises(DataError, match="category_id True must be"):
+        EmbeddingMatrix(np.eye(2), [IdRecord("a", "i", "b", True, "query"), ids[1]])
+
+
+@pytest.mark.parametrize("score, category, x2", [(True, 1, 1.0), (1.0, True, 1.0), (1.0, 1, True)])
+def test_no_boolean_is_a_detection_number(score, category, x2):
+    # save_detections would write the boolean, which load_detections rejects
+    with pytest.raises(DataError):
+        ScoredBox(BoundingBox(0.0, 0.0, x2, 1.0), score, category, "i", "m")
 
 
 def test_bare_cr_ends_no_line(tmp_path):
@@ -485,7 +504,7 @@ def reference_ids(lines, n_rows):
         if not (type(row) is int and type(category) is int
                 and all(type(v) is str for v in (item_id, image_id, box_id, source))
                 and row == len(ids) and 0 <= category < 2 ** 63
-                and source in ("query", "gallery")
+                and source in ("query", "gallery") and not item_id.endswith("\x00")
                 and item_id not in {r.item_id for r in ids}):
             return lineno, None
         ids.append(IdRecord(item_id, image_id, box_id, category, source))
@@ -538,7 +557,7 @@ def fuzzed_id_files(draw):
                 "box_id": f"b{i}", "category_id": draw(st.integers(0, 3)),
                 "source": draw(st.sampled_from(["query", "gallery"]))}
                for i in range(draw(st.integers(1, 6)))]
-    return corrupt(draw, records, _WRONG_IDS), len(records)
+    return corrupt(draw, records, _WRONG_IDS + ["g\x00"]), len(records)
 
 
 @st.composite

@@ -234,6 +234,15 @@ class TestKReciprocalRerank:
         with pytest.raises(DataError, match="nope"):
             k_reciprocal_rerank(q, g, [initial[1], stray], RerankParams(k1=4, k2=2))
 
+    def test_unknown_gallery_id_rejected(self):
+        rng = rng_for(64)
+        q = qmat(unit_rows(rng, 3, 4))
+        g = gmat(unit_rows(rng, 12, 4))
+        initial = _initial_rankings(q, g)
+        stray = RankingList("q00000", ("g00001", "g00001\x00"), [0.5, 0.25])
+        with pytest.raises(DataError, match=r"unknown item_id 'g00001\\x00'"):
+            k_reciprocal_rerank(q, g, [initial[1], stray], RerankParams(k1=2, k2=2))
+
     def test_repeated_query_id_rejected(self):
         rng = rng_for(65)
         q = qmat(unit_rows(rng, 3, 4))
