@@ -9,7 +9,8 @@ and fixes a share of those misses.
 
 import numpy as np
 
-from cbirkit import QeParams, RerankParams, acc_at_k, build_index, k_reciprocal_rerank, knn_search, query_expansion
+from cbirkit import (QeParams, RerankParams, acc_at_k, build_index, every_gallery_row,
+                     k_reciprocal_rerank, knn_search, query_expansion)
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 
 rng = np.random.default_rng(7)
@@ -39,18 +40,18 @@ gallery = EmbeddingMatrix(np.array(gallery_rows), gallery_ids)
 queries = EmbeddingMatrix(np.array(queries_rows), query_ids)
 index = build_index(gallery)
 
-initial = knn_search(index, queries, gallery.n_rows)
-top10 = [r.head(10) for r in initial]
+top10 = knn_search(index, queries, 10)
 print("gallery:", gallery.n_rows, "rows;", "queries:", queries.n_rows)
 print("Acc@10 with plain cosine search:",
       round(acc_at_k(top10, gt, [10]).acc[10], 4))
 
 expanded = query_expansion(queries, index, QeParams(k=5, alpha=1.0))
-qe_rankings = [r.head(10) for r in knn_search(index, expanded, 10)]
+qe_rankings = knn_search(index, expanded, 10)
 print("Acc@10 after query expansion:  ",
       round(acc_at_k(qe_rankings, gt, [10]).acc[10], 4))
 
-reranked = k_reciprocal_rerank(queries, gallery, initial,
-                               RerankParams(k1=20, k2=6, lam=0.3))
+# re-ranking orders every gallery row; the first ten are the result
+reranked = k_reciprocal_rerank(queries, gallery, every_gallery_row(queries, gallery),
+                               RerankParams(k1=20, k2=6, lam=0.3)).head(10)
 print("Acc@10 after k-reciprocal rerank:",
-      round(acc_at_k([r.head(10) for r in reranked], gt, [10]).acc[10], 4))
+      round(acc_at_k(reranked, gt, [10]).acc[10], 4))

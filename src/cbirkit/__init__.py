@@ -42,10 +42,11 @@ from .rerank import (
     QeParams,
     RerankParams,
     database_augmentation,
+    every_gallery_row,
     k_reciprocal_rerank,
     query_expansion,
 )
-from .search import RankingList, RetrievalIndex, build_index, knn_search
+from .search import RankingList, Rankings, RetrievalIndex, build_index, knn_search
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __version__ = "0.1.0"
@@ -56,9 +57,9 @@ __all__ = [
     "PoolingSpec", "pool", "combine_descriptors",
     "EmbeddingMatrix", "IdRecord", "PcaModel",
     "l2_normalize", "concat_features", "pca_fit", "pca_transform",
-    "RetrievalIndex", "RankingList", "build_index", "knn_search",
+    "RetrievalIndex", "RankingList", "Rankings", "build_index", "knn_search",
     "QeParams", "RerankParams", "query_expansion", "database_augmentation",
-    "k_reciprocal_rerank",
+    "every_gallery_row", "k_reciprocal_rerank",
     "DetectionReport", "RetrievalReport", "detection_ap", "acc_at_k",
     "PipelineConfig", "run_pipeline",
     "SyntheticSpec", "generate_synthetic",

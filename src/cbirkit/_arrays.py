@@ -24,6 +24,15 @@ def unique_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
+def isin_sorted(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """np.isin(values, keys) for integer arrays, by a sort and a binary
+    search: np.isin dedupes keys on numpy's slow hash path."""
+    keys = np.sort(keys, axis=None)
+    if keys.size == 0:
+        return np.zeros(np.shape(values), dtype=bool)
+    return keys[np.minimum(np.searchsorted(keys, values), keys.size - 1)] == values
+
+
 def run_starts(*keys: np.ndarray) -> np.ndarray:
     """Start positions of the runs of equal rows in the sorted key columns,
     plus one past the end."""

@@ -69,7 +69,9 @@ def _id_fault(item_ids, image_ids, box_ids, category_ids, sources) -> tuple[int,
 
 def _float_rows(data) -> np.ndarray:
     """data as a read-only float64 array, checked to be 2-D, non-empty and finite."""
-    arr = np.array(data, dtype=np.float64)
+    # a signalling NaN would warn in the cast; the finiteness check below reports it
+    with np.errstate(invalid="ignore"):
+        arr = np.array(data, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DataError(f"embedding data must be a non-empty 2-D array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -94,19 +96,21 @@ class EmbeddingMatrix:
 
     @classmethod
     def from_columns(cls, data, item_ids, image_ids, box_ids, category_ids,
-                     sources) -> EmbeddingMatrix:
+                     sources, ids_checked: bool = False) -> EmbeddingMatrix:
         """A matrix from one sequence of Python values per IdRecord field,
-        checked as the records constructor checks them."""
+        checked as the records constructor checks them.  ids_checked skips
+        the id rules for columns that `_id_fault` has already passed."""
         m = cls.__new__(cls)
-        m._check_ids(data, item_ids, image_ids, box_ids, category_ids, sources)
+        m._check_ids(data, item_ids, image_ids, box_ids, category_ids, sources,
+                     ids_checked=ids_checked)
         return m
 
-    def _check_ids(self, data, *columns: Sequence) -> None:
+    def _check_ids(self, data, *columns: Sequence, ids_checked: bool = False) -> None:
         self.data = _float_rows(data)
         columns = [list(column) for column in columns]
         if any(len(column) != self.n_rows for column in columns):
             raise DataError(f"{len(columns[0])} id records for {self.n_rows} rows")
-        fault = _id_fault(*columns)
+        fault = None if ids_checked else _id_fault(*columns)
         if fault is not None:
             raise DataError(fault[1])
         item_ids = np.array(columns[0], dtype=str)

@@ -17,7 +17,9 @@ above that threshold.  The cumulative counts and the interpolation then run
 per (category, threshold).
 
 acc_at_k counts a query as a hit at K when any of its ground-truth gallery
-items appears within the first K ranked entries.
+items appears within the first K ranked entries.  It reads `search.Rankings`
+columns: each match is coded once through the rankings' id table, and a
+query's first hit is its first entry whose code is a match.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import ranges, run_starts, unique_sorted, wavefront
+from ._arrays import isin_sorted, ranges, run_starts, unique_sorted, wavefront
 from .boxes import Detections, FusedDetections, ScoredBox, _merge, areas, overlaps
 from .errors import DataError
-from .search import RankingList
+from .search import RankingList, Rankings
 
 # query item_id -> set of matching gallery item_ids
 GroundTruthRet = Mapping[str, Collection[str]]
@@ -228,7 +230,7 @@ def detection_ap(
 
 
 def acc_at_k(
-    rankings: Sequence[RankingList],
+    rankings: Rankings | Sequence[RankingList],
     gt: GroundTruthRet,
     ks: Sequence[int],
     gallery_ids: Collection[str] | None = None,
@@ -242,41 +244,46 @@ def acc_at_k(
     """
     if not ks or any(k < 1 for k in ks):
         raise DataError(f"ks must be positive integers, got {ks!r}")
+    rankings = Rankings.of(rankings)
+    query_ids = rankings.query_ids.tolist()
     seen: set[str] = set()
-    for r in rankings:
-        if r.query_id in seen:
-            raise DataError(f"duplicate query_id {r.query_id!r} in rankings")
-        seen.add(r.query_id)
+    # set.add returns None, so a new id is added and passes
+    repeat = next((q for q in query_ids if q in seen or seen.add(q)), None)
+    if repeat is not None:
+        raise DataError(f"duplicate query_id {repeat!r} in rankings")
     missing = sorted(q for q in seen if q not in gt)
     if missing:
         raise DataError(f"query {missing[0]!r} has no ground-truth entry")
 
-    gallery_set = set(gallery_ids) if gallery_ids is not None else None
-    first_hit: dict[str, int | None] = {}
+    matches = [gt[q] for q in query_ids]
+    evaluated = np.flatnonzero([len(m) > 0 for m in matches])
+    # (query, code) keys of the matches the id table holds
+    table = rankings.item_table.tolist()
+    m = len(table)
+    code_of = dict(zip(table, range(m)))
+    keys = [i * m + code_of[item] for i in evaluated.tolist()
+            for item in matches[i] if item in code_of]
+    width = rankings.codes.shape[1]
+    hit = (isin_sorted(rankings.codes + np.arange(len(query_ids))[:, None] * m, keys)
+           & (np.arange(width) < rankings.lengths[:, None]))
+    # 1-based rank of each row's first hit; width + 1 where it has none
+    first = np.where(hit, np.arange(1, width + 1), width + 1).min(axis=1, initial=width + 1)
+    rank = np.where(first > width, 0, first)[evaluated]
     impossible: list[str] = []
-    evaluated = 0
-    excluded = 0
-    hits = {k: 0 for k in ks}
-    for r in rankings:
-        matches = set(gt[r.query_id])
-        if not matches:
-            excluded += 1
-            continue
-        evaluated += 1
-        if gallery_set is not None and matches.isdisjoint(gallery_set):
-            impossible.append(r.query_id)
-        rank = next((i + 1 for i, g in enumerate(r.item_ids) if g in matches), None)
-        first_hit[r.query_id] = rank
-        for k in ks:
-            if rank is not None and rank <= k:
-                hits[k] += 1
-    acc = {k: (hits[k] / evaluated if evaluated else 0.0) for k in ks}
+    if gallery_ids is not None:
+        gallery_set = set(gallery_ids)
+        impossible = [query_ids[i] for i in evaluated.tolist()
+                      if gallery_set.isdisjoint(matches[i])]
+    num = evaluated.size
+    acc = {k: (int(np.count_nonzero((rank >= 1) & (rank <= k))) / num if num else 0.0)
+           for k in ks}
     return RetrievalReport(
         acc=acc,
-        num_queries=evaluated,
-        num_excluded=excluded,
+        num_queries=num,
+        num_excluded=len(query_ids) - num,
         impossible_query_ids=tuple(impossible),
-        first_hit_rank=first_hit,
+        first_hit_rank={query_ids[i]: r or None
+                        for i, r in zip(evaluated.tolist(), rank.tolist())},
     )
 
 

@@ -55,7 +55,7 @@ from .boxes import BoundingBox, Detections, FusedBox, FusedDetections, ScoredBox
 from .embeddings import EmbeddingMatrix, _id_fault
 from .errors import ConfigError, DataError, EmbeddingFormatError, ParseError
 from .evaluation import GroundTruthRet
-from .search import RankingList
+from .search import RankingList, Rankings
 
 EMB_MAGIC = b"EMB1"
 _EMB_HEADER = struct.Struct("<4sII")
@@ -338,21 +338,31 @@ def load_embeddings(data_path: str | Path, ids_path: str | Path) -> EmbeddingMat
         raise EmbeddingFormatError(
             "count_mismatch", f"{ids_path}: {len(rows)} id records for {n} rows of {data_path}")
     try:
-        return EmbeddingMatrix.from_columns(data, *columns)
+        return EmbeddingMatrix.from_columns(data, *columns, ids_checked=True)
     except DataError as e:  # a non-finite value
         raise DataError(f"{data_path}: {e}") from None
 
 
-def save_rankings(rankings: Sequence[RankingList], path: str | Path) -> None:
+def save_rankings(rankings: Rankings | Sequence[RankingList], path: str | Path) -> None:
+    """One line per entry, formatted from the columns; one write per query."""
+    rankings = Rankings.of(rankings)
+    valid = np.arange(rankings.codes.shape[1]) < rankings.lengths[:, None]
+    items = rankings.item_table[rankings.codes[valid]].tolist()
+    scores = rankings.scores[valid].tolist()
     with _atomic_open(path, newline="\n") as fh:
-        for r in rankings:
-            for rank, (item_id, score) in enumerate(r.entries(), start=1):
-                fh.write(f"{r.query_id}\t{rank}\t{item_id}\t{score:.9g}\n")
+        start = 0
+        for query_id, end in zip(rankings.query_ids.tolist(),
+                                 np.cumsum(rankings.lengths).tolist()):
+            fh.write("".join(f"{query_id}\t{rank}\t{item_id}\t{score:.9g}\n"
+                             for rank, item_id, score in zip(itertools.count(1),
+                                                             items[start:end],
+                                                             scores[start:end])))
+            start = end
 
 
-def load_rankings(path: str | Path) -> list[RankingList]:
-    """One RankingList per query, in the order the queries first appear; a
-    bad line raises ParseError naming it."""
+def load_rankings(path: str | Path) -> Rankings:
+    """One row per query, in the order the queries first appear, over the
+    file's sorted distinct item ids; a bad line raises ParseError naming it."""
     per_query: dict[str, tuple[dict[str, None], list[float]]] = {}
     for lineno, parts in _line_records(
             path, lambda line: line.removesuffix("\n").removesuffix("\r").split("\t")):
@@ -374,8 +384,10 @@ def load_rankings(path: str | Path) -> list[RankingList]:
             raise ParseError(str(path), lineno, f"ranking for {query_id!r}: duplicate gallery ids")
         items[item_id] = None
         scores.append(score)
-    return [RankingList(query_id, tuple(items), np.array(scores))
-            for query_id, (items, scores) in per_query.items()]
+    rows = per_query.values()
+    return Rankings.from_flat(list(per_query), [len(scores) for _, scores in rows],
+                              [item for items, _ in rows for item in items],
+                              [score for _, scores in rows for score in scores])
 
 
 def load_retrieval_gt(path: str | Path) -> GroundTruthRet:

@@ -13,9 +13,8 @@ input and output cardinalities; a failure inside one is re-raised as
 out_dim against the embedding dimension and the gallery size) is checked
 once the embeddings are loaded, before the first output is written.  The feature steps
 {concat, pca, qe, dba} run before search; rerank, when configured, must be
-the last step and runs on the search output (search is widened to the full
-gallery so re-ranking sees a complete initial ranking, then results are
-truncated back to the configured K).
+the last step: it orders every gallery row for each query by the blended
+distance, and the first search.k of that order replace the search output.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ from .boxes import Detections, WbfParams, fuse_detections
 from .embeddings import EmbeddingMatrix, concat_features, l2_normalize, pca_fit, pca_transform
 from .errors import ConfigError, StageError
 from .evaluation import DetectionReport, RetrievalReport, acc_at_k, detection_ap
-from .rerank import QeParams, RerankParams, database_augmentation, k_reciprocal_rerank, query_expansion
+from .rerank import (QeParams, RerankParams, database_augmentation, every_gallery_row,
+                     k_reciprocal_rerank, query_expansion)
 from .search import build_index, knn_search
 
 logger = logging.getLogger("cbirkit.pipeline")
@@ -328,19 +328,20 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
 
     with _stage("build-index"):
         index = build_index(gallery)
-    k_search = gallery.n_rows if rerank is not None else config.search_k
     with _stage("search"):
-        rankings = knn_search(index, queries, k_search,
+        rankings = knn_search(index, queries, config.search_k,
                               restrict_to_query_category=config.restrict_to_query_category)
     logger.info("search: %d queries -> %d rankings (k=%d)",
-                queries.n_rows, len(rankings), k_search)
+                queries.n_rows, len(rankings), config.search_k)
 
     if rerank is not None:
         with _stage("rerank"):
-            rankings = k_reciprocal_rerank(queries, gallery, rankings, rerank)
+            # re-ranking orders every gallery row by (d*, item_id); the
+            # first search_k of that order are the output
+            rankings = k_reciprocal_rerank(queries, gallery, every_gallery_row(queries, gallery),
+                                           rerank).head(config.search_k)
         logger.info("rerank: %s", rerank)
 
-    rankings = [r.head(config.search_k) for r in rankings]
     rankings_path = str(out / "rankings.tsv")
     formats.save_rankings(rankings, rankings_path)
 

@@ -51,10 +51,20 @@ per (point, neighbor) pair, per (point, neighbor, half-set slot) in the R*
 test, or per nonzero of V after local expansion (at most k2 |R*| for a
 point); the kernel's temporaries are O(QUERY_BLOCK x n).
 
-Each ranking is matched to its query row by query_id, and the output
-re-orders exactly the candidates present in it, ascending by d* with ties
-broken by ascending item_id.  Reported ranking scores are 1 - d*, so at
-lambda = 1 they reduce to the original cosine scores.
+The initial rankings are `search.Rankings`; each is matched to its query
+row by query_id, and the output re-orders exactly the candidates present
+in it, ascending by d* with ties broken by ascending item_id, as Rankings
+over the gallery's item_ids.  Reported ranking scores are 1 - d*, so at
+lambda = 1 they reduce to the original cosine scores.  Because the order
+depends on (d*, item_id) alone, the candidates may arrive in any order:
+`every_gallery_row` offers the whole gallery as broadcast views, and the
+first K of that re-ranking are the whole-gallery top K.
+
+The rankings' id table is mapped to gallery rows once.  Queries are then
+re-ranked RERANK_BLOCK at a time: one bincount gathers the block's
+min-sums into a RERANK_BLOCK x n_g array (each query's terms in its own
+order, so every sum has the bits of a single query's), one `pair_scores`
+call gives the block's cosines, and one 2-D lexsort orders its rows.
 """
 
 from __future__ import annotations
@@ -64,10 +74,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ._arrays import ranges, unique_sorted
+from ._arrays import isin_sorted, ranges, unique_sorted
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .search import RankingList, RetrievalIndex, exact_topk, pair_scores
+from .search import RankingList, Rankings, RetrievalIndex, exact_topk, pair_scores
+
+# rankings re-ordered per pass; bounds the n_q x n_g min-sums to RERANK_BLOCK x n_g
+RERANK_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -166,7 +179,7 @@ def _reciprocal(neighbors: np.ndarray, k: int) -> np.ndarray:
     n = neighbors.shape[0]
     head = neighbors[:, : k + 1]
     own = np.arange(n)[:, None]
-    return np.isin(head * n + own, own * n + head)
+    return isin_sorted(head * n + own, own * n + head)
 
 
 def _expanded_sets(neighbors: np.ndarray, k1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +195,7 @@ def _expanded_sets(neighbors: np.ndarray, k1: int) -> tuple[np.ndarray, np.ndarr
     c = neighbors[full]
     members = neighbors[c, : k_half + 1]
     in_half = half[c]
-    shared = np.count_nonzero(in_half & np.isin(p[:, None] * n + members, r_keys), axis=1)
+    shared = np.count_nonzero(in_half & isin_sorted(p[:, None] * n + members, r_keys), axis=1)
     accept = shared * 3 >= np.count_nonzero(half, axis=1)[c] * 2
     extra = (p[accept, None] * n + members[accept])[in_half[accept]]
     keys = unique_sorted(np.concatenate([r_keys, extra]))
@@ -212,20 +225,68 @@ def _encodings(points: np.ndarray, neighbors: np.ndarray,
     return indptr, keys % n, smoothed
 
 
+def every_gallery_row(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> Rankings:
+    """Each query's candidate set as every gallery row, in row order and
+    unscored (score 0), for `k_reciprocal_rerank` to order.  The codes and
+    scores are broadcast views: no n_q x n_g array is built."""
+    shape = (queries.n_rows, gallery.n_rows)
+    return Rankings(queries.item_ids, gallery.item_ids,
+                    np.broadcast_to(np.arange(shape[1]), shape), np.broadcast_to(0.0, shape),
+                    np.full(shape[0], shape[1]))
+
+
+def _query_rows(queries: EmbeddingMatrix, initial: Rankings, k1: int) -> np.ndarray:
+    """The query row of each ranking; each ranking names a distinct known
+    query and holds at least k1 entries."""
+    query_ids = initial.query_ids.tolist()
+    try:
+        rows = queries.rows_of(query_ids)
+    except DataError:
+        known = set(queries.item_ids.tolist())
+        unknown = next(q for q in query_ids if q not in known)
+        raise DataError(f"ranking for unknown query_id {unknown!r}") from None
+    order = np.argsort(rows, kind="stable")
+    repeats = order[1:][rows[order[1:]] == rows[order[:-1]]]
+    if repeats.size:
+        raise DataError(f"more than one ranking for query_id {query_ids[repeats.min()]!r}")
+    short = np.flatnonzero(initial.lengths < k1)
+    if short.size:
+        i = short[0]
+        raise DataError(f"initial ranking for {query_ids[i]!r} has {initial.lengths[i]} entries; "
+                        f"k1={k1} required")
+    return rows
+
+
+def _gallery_rows(gallery: EmbeddingMatrix, initial: Rankings) -> np.ndarray:
+    """The gallery row of each entry of the rankings' id table."""
+    table = initial.item_table.tolist()
+    try:
+        return gallery.rows_of(table)
+    except DataError:
+        # name the first unknown id in ranking order
+        known = set(gallery.item_ids.tolist())
+        unknown = np.array([item not in known for item in table])[initial.codes]
+        unknown &= np.arange(initial.codes.shape[1]) < initial.lengths[:, None]
+        code = initial.codes[np.unravel_index(np.flatnonzero(unknown)[0], unknown.shape)]
+        raise DataError(f"unknown item_id {table[code]!r}") from None
+
+
 def k_reciprocal_rerank(
     queries: EmbeddingMatrix,
     gallery: EmbeddingMatrix,
-    initial: Sequence[RankingList],
+    initial: Rankings | Sequence[RankingList],
     params: RerankParams,
-) -> list[RankingList]:
+) -> Rankings:
     """Re-rank each query's initial candidates by the blended distance d*.
 
     Each ranking is matched to its query row by query_id; rankings may
     cover any subset of the queries, in any order, and the output follows
     their order.  Every query row still shapes the neighborhoods.  Each
     ranking must hold at least k1 entries; the output re-orders exactly its
-    candidate set.  The top-K kernel runs on the BLAS threads that the
-    environment sets; results do not depend on their count.
+    candidate set, as Rankings over the gallery's item_ids.  For the whole
+    gallery, pass `every_gallery_row(queries, gallery)`.  The top-K kernel
+    runs on the BLAS threads that the environment sets; results do not
+    depend on their count.
     """
     if params.k1 > gallery.n_rows:
         raise ConfigError(f"k1={params.k1} exceeds the gallery size {gallery.n_rows}")
@@ -233,21 +294,9 @@ def k_reciprocal_rerank(
         raise DataError(f"query dim {queries.dim} != gallery dim {gallery.dim}")
     if not queries.is_unit_normalized() or not gallery.is_unit_normalized():
         raise DataError("queries and gallery must be unit-normalized")
-    query_rows: dict[str, int] = {}
-    for r in initial:
-        if r.query_id in query_rows:
-            raise DataError(f"more than one ranking for query_id {r.query_id!r}")
-        try:
-            query_rows[r.query_id] = queries.row_of(r.query_id)
-        except DataError:
-            raise DataError(f"ranking for unknown query_id {r.query_id!r}") from None
-        if len(r) < params.k1:
-            raise DataError(
-                f"initial ranking for {r.query_id!r} has {len(r)} entries; "
-                f"k1={params.k1} required"
-            )
-    if not initial:
-        return []
+    initial = Rankings.of(initial)
+    query_rows = _query_rows(queries, initial, params.k1)
+    cand_rows = _gallery_rows(gallery, initial)
 
     n_q, n_g = queries.n_rows, gallery.n_rows
     points = np.vstack([queries.data, gallery.data])
@@ -265,31 +314,35 @@ def k_reciprocal_rerank(
     inv_rows, inv_values = g_rows[by_col], values[first:][by_col]
     col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols[first:], minlength=n))])
 
-    id_rank = gallery.id_rank
-    gallery_ids = gallery.item_ids.astype(object)
-    # n_q x n_g lookups: a hash table is several times faster than `rows_of`
-    row_by_id = dict(zip(gallery_ids.tolist(), range(n_g)))
-    lam = params.lam
-    out = []
-    for ranking in initial:
-        q = query_rows[ranking.query_id]
-        q_cols, q_values = cols[indptr[q]:indptr[q + 1]], values[indptr[q]:indptr[q + 1]]
+    width = initial.codes.shape[1]
+    out_rows = np.empty((len(initial), width), dtype=np.int64)
+    out_scores = np.empty((len(initial), width))
+    for start in range(0, len(initial), RERANK_BLOCK):
+        block = slice(start, start + RERANK_BLOCK)
+        q = query_rows[block]
+        # the block's V entries, query by query, and the gallery entries of
+        # each one's column; bincount adds in array order, so each
+        # (query, row) min-sum runs in the order of a single query's
+        q_entries = ranges(indptr[q], indptr[q + 1] - indptr[q])
+        q_cols = cols[q_entries]
         lengths = col_ptr[q_cols + 1] - col_ptr[q_cols]
         src = ranges(col_ptr[q_cols], lengths)
-        mins = np.minimum(np.repeat(q_values, lengths), inv_values[src])
-        minsum = np.bincount(inv_rows[src], weights=mins, minlength=n_g)
+        owner = np.repeat(np.repeat(np.arange(q.shape[0]), indptr[q + 1] - indptr[q]), lengths)
+        mins = np.minimum(np.repeat(values[q_entries], lengths), inv_values[src])
+        minsum = np.bincount(owner * n_g + inv_rows[src], weights=mins,
+                             minlength=q.shape[0] * n_g).reshape(q.shape[0], n_g)
 
-        try:
-            cand = np.fromiter(map(row_by_id.__getitem__, ranking.item_ids), np.int64, len(ranking))
-        except KeyError as e:
-            raise DataError(f"unknown item_id {e.args[0]!r}") from None
-        overlap = minsum[cand]
-        jaccard = np.ones(cand.shape[0])
+        cand = cand_rows[initial.codes[block]]
+        overlap = np.take_along_axis(minsum, cand, axis=1)
+        jaccard = np.ones(cand.shape)
         shared = overlap > 0.0
         jaccard[shared] = 1.0 - overlap[shared] / (2.0 - overlap[shared])
-        dist = 1.0 - pair_scores(points, np.full(cand.shape[0], q), n_q + cand)
-        final = (1.0 - lam) * jaccard + lam * dist
-        order = np.lexsort((id_rank[cand], final))
-        out.append(RankingList(ranking.query_id, gallery_ids[cand[order]].tolist(),
-                               1.0 - final[order]))
-    return out
+        dist = 1.0 - pair_scores(points, np.repeat(q, width),
+                                 n_q + cand.ravel()).reshape(cand.shape)
+        final = (1.0 - params.lam) * jaccard + params.lam * dist
+        # padding past a ranking's length sorts last
+        final[np.arange(width) >= initial.lengths[block, None]] = np.inf
+        order = np.lexsort((gallery.id_rank[cand], final), axis=1)
+        out_rows[block] = np.take_along_axis(cand, order, axis=1)
+        out_scores[block] = 1.0 - np.take_along_axis(final, order, axis=1)
+    return Rankings(initial.query_ids, gallery.item_ids, out_rows, out_scores, initial.lengths)

@@ -25,10 +25,20 @@ kernel, `exact_topk`.  For each block of QUERY_BLOCK query rows it
 A row whose survivors outnumber k (ties, or scores within the slack of the
 k-th) is ordered on its own; the rest of the block needs no per-row work.
 Temporary memory is O(QUERY_BLOCK x candidates), whatever the query count.
+
+`knn_search` returns the kernel's arrays as they come, as `Rankings`: the
+query ids, the gallery's item_ids as the id table, an n_q x k array of
+gallery rows (codes into that table), their scores, and each query's
+length, which is shorter than k on the category-restricted path when a
+category holds fewer than k gallery rows, and 0 when it holds none.
+`RankingList` is the object view of one row (`rankings[i]`), for callers
+that hold or build rankings one query at a time.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +56,8 @@ _PRODUCT_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class RankingList:
-    """Ordered retrieval result for one query: ids with non-increasing scores."""
+    """Ordered retrieval result for one query: ids with non-increasing
+    scores.  `Rankings` hands one out per row."""
 
     query_id: str
     item_ids: tuple[str, ...]
@@ -74,6 +85,102 @@ class RankingList:
         if k >= len(self):
             return self
         return RankingList(self.query_id, self.item_ids[:k], self.scores[:k])
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Rankings(Sequence):
+    """The rankings of many queries as columns; a read-only Sequence of
+    RankingList.
+
+    Row i ranks query query_ids[i]: the ids item_table[codes[i, :n]] with
+    scores scores[i, :n], n = lengths[i].  Entries past a row's length are
+    padding, so rows of different lengths (the category-restricted search)
+    share one array.  Search and re-ranking output use the gallery's
+    item_ids column as the table, so a code is a gallery row; a rankings
+    file has its own table of the distinct ids it names, sorted.  Rows are
+    taken as ranked: the producers (the top-K kernel, the re-ranker, the
+    file loader and RankingList) order them and keep their ids distinct.
+    """
+
+    query_ids: np.ndarray   # (n,) object array of str
+    item_table: np.ndarray  # (m,) str or object array of str
+    codes: np.ndarray       # (n, width) integer codes into item_table
+    scores: np.ndarray      # (n, width) float64
+    lengths: np.ndarray     # (n,) int64, each in [0, width]
+
+    def __post_init__(self):
+        object.__setattr__(self, "query_ids", np.asarray(self.query_ids, dtype=object))
+        object.__setattr__(self, "lengths", np.asarray(self.lengths, dtype=np.int64))
+        n, m = self.query_ids.shape[0], self.item_table.shape[0]
+        if (self.query_ids.ndim != 1 or self.codes.ndim != 2 or self.codes.shape[0] != n
+                or self.scores.shape != self.codes.shape or self.lengths.shape != (n,)):
+            raise DataError("rankings must hold n query ids, n x width codes and scores, "
+                            "and n lengths")
+        if n and (self.lengths.min() < 0 or self.lengths.max() > self.codes.shape[1]):
+            raise DataError("ranking lengths must lie in [0, width]")
+        if self.codes.size and (self.codes.min() < 0 or self.codes.max() >= m):
+            raise DataError(f"ranking codes must lie in [0, {m})")
+        for name in ("query_ids", "item_table", "codes", "scores", "lengths"):
+            # a read-only view: the caller's array keeps its own flags
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+
+    @classmethod
+    def from_flat(cls, query_ids: Sequence[str], lengths: Sequence[int],
+                  item_ids: Sequence[str], scores: Sequence[float]) -> "Rankings":
+        """Query i ranks the next lengths[i] of the flat item_ids and
+        scores.  The table is the sorted distinct ids."""
+        table = sorted(set(item_ids))
+        code_of = dict(zip(table, range(len(table))))
+        lengths = np.array(lengths, dtype=np.int64)
+        valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        codes = np.zeros(valid.shape, dtype=np.int64)
+        codes[valid] = np.fromiter(map(code_of.__getitem__, item_ids), np.int64, len(item_ids))
+        padded = np.zeros(valid.shape)
+        padded[valid] = scores
+        return cls(query_ids, np.array(table, dtype=object), codes, padded, lengths)
+
+    @classmethod
+    def of(cls, rankings: Iterable[RankingList]) -> "Rankings":
+        """`rankings` itself if it is a Rankings, else its columns."""
+        if isinstance(rankings, Rankings):
+            return rankings
+        rankings = list(rankings)
+        return cls.from_flat([r.query_id for r in rankings], [len(r) for r in rankings],
+                             [item for r in rankings for item in r.item_ids],
+                             [s for r in rankings for s in r.scores.tolist()])
+
+    def __len__(self) -> int:
+        return self.query_ids.shape[0]
+
+    def __getitem__(self, index) -> RankingList | "Rankings":
+        if isinstance(index, slice):
+            return Rankings(self.query_ids[index], self.item_table, self.codes[index],
+                            self.scores[index], self.lengths[index])
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"ranking index {index} out of range for {len(self)} rankings")
+        n = self.lengths[i]
+        return RankingList(self.query_ids[i], self.item_table[self.codes[i, :n]].tolist(),
+                           self.scores[i, :n])
+
+    def head(self, k: int) -> "Rankings":
+        """Each row cut to its first k entries."""
+        return Rankings(self.query_ids, self.item_table, self.codes[:, :k], self.scores[:, :k],
+                        np.minimum(self.lengths, k))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Rankings, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Rankings({len(self)} queries, {self.lengths.sum()} entries)"
 
 
 class RetrievalIndex:
@@ -197,13 +304,15 @@ def knn_search(
     queries: EmbeddingMatrix,
     k: int,
     restrict_to_query_category: bool = False,
-) -> list[RankingList]:
-    """Exact top-k cosine search for every query row.
+) -> Rankings:
+    """Exact top-k cosine search for every query row, as Rankings over the
+    gallery's item_ids (a code is a gallery row), one row per query in
+    query row order.
 
     With restrict_to_query_category only gallery rows sharing the query's
     category are candidates, and the kernel runs once per query category;
-    a category absent from the gallery yields an empty RankingList.  Fewer
-    than k candidates yield a shorter list.
+    a category absent from the gallery yields an empty row.  Fewer than k
+    candidates yield a shorter row.
 
     The GEMM runs on the BLAS threads that the environment sets
     (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); results do not depend on
@@ -216,20 +325,21 @@ def knn_search(
     if not queries.is_unit_normalized():
         raise DataError("query rows must be unit-normalized (|norm - 1| <= 1e-5)")
 
-    if restrict_to_query_category:
-        cats = queries.category_ids()
-        groups = [(np.flatnonzero(cats == c), index.category_rows(int(c)))
-                  for c in np.unique(cats)]
-    else:
-        groups = [(np.arange(queries.n_rows), None)]
-    # one str object per gallery id, shared by every ranking
-    gallery_ids = index.gallery.item_ids.astype(object)
-    query_ids = queries.item_ids.tolist()
-    rankings: list[RankingList] = [None] * queries.n_rows  # type: ignore[list-item]
-    for qrows, cand in groups:
-        rows, scores = exact_topk(index.gallery.data, index.gallery.id_rank, queries.data[qrows],
-                                  k, cand)
-        ids = gallery_ids[rows].tolist()
-        for qi, item_ids, row_scores in zip(qrows.tolist(), ids, scores):
-            rankings[qi] = RankingList(query_ids[qi], item_ids, row_scores)
-    return rankings
+    gallery = index.gallery
+    if not restrict_to_query_category:
+        rows, scores = exact_topk(gallery.data, gallery.id_rank, queries.data, k)
+        return Rankings(queries.item_ids, gallery.item_ids, rows, scores,
+                        np.full(queries.n_rows, rows.shape[1]))
+    cats = queries.category_ids()
+    rows = np.zeros((queries.n_rows, min(k, gallery.n_rows)), dtype=np.int64)
+    scores = np.zeros(rows.shape)
+    lengths = np.zeros(queries.n_rows, dtype=np.int64)
+    for c in np.unique(cats):
+        qrows = np.flatnonzero(cats == c)
+        found, found_scores = exact_topk(gallery.data, gallery.id_rank, queries.data[qrows], k,
+                                         index.category_rows(int(c)))
+        n = found.shape[1]
+        rows[qrows, :n], scores[qrows, :n], lengths[qrows] = found, found_scores, n
+    width = lengths.max(initial=0)
+    return Rankings(queries.item_ids, gallery.item_ids, rows[:, :width], scores[:, :width],
+                    lengths)

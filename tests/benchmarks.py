@@ -22,7 +22,7 @@ from cbirkit.boxes import WbfParams
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord, concat_features
 from cbirkit.evaluation import acc_at_k, detection_ap
 from cbirkit.pipeline import fuse_detections
-from cbirkit.rerank import RerankParams, k_reciprocal_rerank
+from cbirkit.rerank import RerankParams, every_gallery_row, k_reciprocal_rerank
 from cbirkit.search import build_index, knn_search
 from cbirkit.synthetic import (
     SyntheticSpec,
@@ -117,8 +117,7 @@ def rerank_gain_trial(seed: int, params: RerankParams | None = None) -> tuple[fl
     """Acc@10 before and after k-reciprocal re-ranking on clustered data."""
     queries, gallery, gt = clustered_retrieval(seed)
     params = params or RerankParams(k1=20, k2=6, lam=0.3)
-    initial = knn_search(build_index(gallery), queries, gallery.n_rows)
-    before = acc_at_k([r.head(10) for r in initial], gt, [10]).acc[10]
-    reranked = k_reciprocal_rerank(queries, gallery, initial, params)
-    after = acc_at_k([r.head(10) for r in reranked], gt, [10]).acc[10]
+    before = acc_at_k(knn_search(build_index(gallery), queries, 10), gt, [10]).acc[10]
+    reranked = k_reciprocal_rerank(queries, gallery, every_gallery_row(queries, gallery), params)
+    after = acc_at_k(reranked.head(10), gt, [10]).acc[10]
     return before, after

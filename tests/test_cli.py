@@ -92,6 +92,30 @@ class TestCli:
             assert reversed_order[qid].item_ids == ranking.item_ids
             assert np.array_equal(reversed_order[qid].scores, ranking.scores)
 
+    @pytest.mark.parametrize("field, message", [
+        (2, "unknown item_id 'x'"),
+        (0, "ranking for unknown query_id 'q'"),
+    ])
+    def test_rerank_unknown_id(self, bench, tmp_path, capsys, field, message):
+        data, ids = bench / "embeddings_m0.emb", bench / "embeddings_m0.ids.jsonl"
+        rankings = tmp_path / "rankings.tsv"
+        assert run("search", "--data", data, "--ids", ids, "--k", 16, "--out", rankings) == 0
+        lines = rankings.read_text().splitlines(keepends=True)
+        first_query = lines[0].split("\t")[0]
+        edited = []
+        for line in lines:
+            parts = line.split("\t")
+            if parts[0] == first_query and (field == 0 or parts[1] == "3"):
+                parts[field] = "x" if field == 2 else "q"
+            edited.append("\t".join(parts))
+        rankings.write_text("".join(edited))
+        out = tmp_path / "out.tsv"
+        capsys.readouterr()
+        assert run("rerank", "--data", data, "--ids", ids, "--rankings", rankings,
+                   "--k1", 8, "--k2", 3, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_run_subcommand(self, bench, capsys):
         assert run("run", "--config", bench / "config.json") == 0
         out = capsys.readouterr().out

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cbirkit import embeddings
 from cbirkit import io as formats
 from cbirkit.boxes import BoundingBox, FusedBox, ScoredBox, WbfParams, fuse_detections
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
@@ -179,6 +180,33 @@ class TestEmbeddings:
         with pytest.raises(DataError):
             formats.load_embeddings(tmp_path / "inf.emb", tmp_path / "inf.ids.jsonl")
 
+    @pytest.mark.filterwarnings("error")
+    def test_signalling_nan_fails_without_warning(self, tmp_path):
+        header = b"EMB1" + (1).to_bytes(4, "little") + (2).to_bytes(4, "little")
+        payload = np.array([[0x7FA00000, 0]], dtype="<u4").tobytes()
+        (tmp_path / "snan.emb").write_bytes(header + payload)
+        (tmp_path / "snan.ids.jsonl").write_text(json.dumps(
+            {"row": 0, "item_id": "g0", "image_id": "x", "box_id": "b",
+             "category_id": 1, "source": "gallery"}) + "\n")
+        with pytest.raises(DataError) as e:
+            formats.load_embeddings(tmp_path / "snan.emb", tmp_path / "snan.ids.jsonl")
+        assert str(e.value) == f"{tmp_path / 'snan.emb'}: non-finite value in embedding row 0"
+
+    def test_ids_checked_once_per_load(self, tmp_path, monkeypatch):
+        m = EmbeddingMatrix(rng_for(85).normal(size=(5, 3)), gallery_ids(5))
+        formats.save_embeddings(m, tmp_path / "m.emb", tmp_path / "m.ids.jsonl")
+        calls, fault = [], embeddings._id_fault
+
+        def counted(*columns):
+            calls.append(len(columns[0]))
+            return fault(*columns)
+
+        monkeypatch.setattr(formats, "_id_fault", counted)
+        monkeypatch.setattr(embeddings, "_id_fault", counted)
+        loaded = formats.load_embeddings(tmp_path / "m.emb", tmp_path / "m.ids.jsonl")
+        assert calls == [5]
+        assert loaded.ids == m.ids
+
 
 class TestRankings:
     def test_roundtrip(self, tmp_path):
@@ -220,11 +248,9 @@ class TestRankings:
 
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
-        class Broken:
-            query_id = "q2"
-
-            def entries(self):
-                yield "g1", 0.5
+        class Broken(str):
+            # fails when its lines are formatted, after the first query's are written
+            def __format__(self, spec):
                 raise RuntimeError("disk full")
 
         path = tmp_path / "rankings.tsv"
@@ -232,7 +258,7 @@ class TestRankings:
         formats.save_rankings([good], path)
         before = path.read_bytes()
         with pytest.raises(RuntimeError, match="disk full"):
-            formats.save_rankings([good, Broken()], path)
+            formats.save_rankings([good, RankingList(Broken("q2"), ("g1",), [0.5])], path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["rankings.tsv"]
 

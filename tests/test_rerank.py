@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbirkit import io as formats
+from cbirkit import rerank
 from cbirkit.embeddings import EmbeddingMatrix
 from cbirkit.errors import ConfigError, DataError
 from cbirkit.rerank import (
     QeParams,
     RerankParams,
     database_augmentation,
+    every_gallery_row,
     k_reciprocal_rerank,
     query_expansion,
 )
-from cbirkit.search import RankingList, build_index, knn_search
+from cbirkit.search import RankingList, Rankings, build_index, knn_search
 
 from oracles import expand_ref, rerank_ref
 from util import gallery_ids, query_ids, rng_for, unit_rows
@@ -243,6 +246,15 @@ class TestKReciprocalRerank:
         with pytest.raises(DataError, match=r"unknown item_id 'g00001\\x00'"):
             k_reciprocal_rerank(q, g, [initial[1], stray], RerankParams(k1=2, k2=2))
 
+    def test_first_unknown_gallery_id_in_ranking_order_named(self):
+        rng = rng_for(64)
+        q = qmat(unit_rows(rng, 3, 4))
+        g = gmat(unit_rows(rng, 12, 4))
+        strays = [RankingList("q00002", ("g00001", "zz", "aa"), [0.5, 0.25, 0.125]),
+                  RankingList("q00000", ("bb", "g00002"), [0.5, 0.25])]
+        with pytest.raises(DataError, match="unknown item_id 'zz'"):
+            k_reciprocal_rerank(q, g, strays, RerankParams(k1=2, k2=2))
+
     def test_repeated_query_id_rejected(self):
         rng = rng_for(65)
         q = qmat(unit_rows(rng, 3, 4))
@@ -313,3 +325,73 @@ class TestRerankProperties:
             # ascending d*, equal d* by ascending item_id
             for a, b, da, db in zip(ranking.item_ids, ranking.item_ids[1:], dstar, dstar[1:]):
                 assert da < db or (da == db and a < b)
+
+
+@st.composite
+def whole_gallery_cases(draw):
+    """Random unit rows with some gallery rows repeated, so that candidates
+    tie exactly on d*, plus a cut K that may exceed the gallery."""
+    dim = draw(st.integers(3, 6))
+    n_q, n_g = draw(st.integers(1, 4)), draw(st.integers(2, 14))
+    data = unit_rows(rng_for(draw(st.integers(0, 2**32 - 1))), n_q + n_g, dim)
+    rows = st.integers(n_q, n_q + n_g - 1)
+    for dst, src in draw(st.lists(st.tuples(rows, rows), min_size=1, max_size=5)):
+        data[dst] = data[src]
+    k1 = draw(st.integers(1, n_g))
+    params = RerankParams(k1=k1, k2=draw(st.integers(1, k1)),
+                          lam=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    return qmat(data[:n_q]), gmat(data[n_q:]), params, draw(st.integers(1, n_g + 2))
+
+
+class TestWholeGalleryRerank:
+    @settings(max_examples=150, deadline=None)
+    @given(whole_gallery_cases())
+    def test_cut_matches_oracle_over_full_gallery(self, case):
+        q, g, params, k = case
+        got = k_reciprocal_rerank(q, g, every_gallery_row(q, g), params).head(k)
+        # re-ranking a full search gives the same rows, bit for bit
+        searched = k_reciprocal_rerank(q, g, knn_search(build_index(g), q, g.n_rows),
+                                       params).head(k)
+        assert got == searched
+        assert all(np.array_equal(a.scores, b.scores) for a, b in zip(got, searched))
+        ref = rerank_ref(q.data, g.data, [range(g.n_rows)] * q.n_rows,
+                         params.k1, params.k2, params.lam)
+        for ranking, pairs in zip(got, ref):
+            expected = sorted((d, f"g{row:05d}") for row, d in pairs)
+            dstar = 1.0 - ranking.scores
+            assert len(ranking) == min(k, g.n_rows)
+            # the cut holds the oracle's first K distances, in order
+            assert np.abs(dstar - [d for d, _ in expected[:k]]).max() <= 1e-6
+            oracle = {item: d for d, item in expected}
+            assert max(abs(oracle[i] - d) for i, d in zip(ranking.item_ids, dstar)) <= 1e-6
+            # every row clear of the cut's last distance is in or out as the oracle says
+            last = expected[len(ranking) - 1][0]
+            assert {i for d, i in expected if d < last - 1e-6} <= set(ranking.item_ids)
+            assert all(oracle[i] <= last + 1e-6 for i in ranking.item_ids)
+            # ascending d*, equal d* by ascending item_id
+            for a, b, da, db in zip(ranking.item_ids, ranking.item_ids[1:], dstar, dstar[1:]):
+                assert da < db or (da == db and a < b)
+
+    def test_bytes_do_not_depend_on_query_block(self, tmp_path, monkeypatch):
+        rng = rng_for(67)
+        data = unit_rows(rng, 60, 8)
+        data[40:45] = data[3]
+        q, g = qmat(data[:17]), gmat(data[17:])
+        found = knn_search(build_index(g), q, 12)
+        # ragged rows: every query's own depth, at least k1
+        ragged = Rankings.of([found[i].head(6 + i % 7) for i in reversed(range(len(found)))])
+        params = RerankParams(k1=6, k2=3, lam=0.3)
+
+        def outputs(block) -> list[bytes]:
+            monkeypatch.setattr(rerank, "RERANK_BLOCK", block)
+            out = []
+            for name, initial in (("whole", every_gallery_row(q, g)), ("ragged", ragged)):
+                path = tmp_path / f"{name}-{block}.tsv"
+                formats.save_rankings(k_reciprocal_rerank(q, g, initial, params), path)
+                out.append(path.read_bytes())
+            return out
+
+        base = outputs(rerank.RERANK_BLOCK)
+        assert base[1].count(b"\n") == sum(6 + i % 7 for i in range(q.n_rows))
+        for block in (1, 7):
+            assert outputs(block) == base

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbirkit import io as formats
 from cbirkit import search
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 from cbirkit.errors import ConfigError, DataError
 from cbirkit.rerank import (QeParams, RerankParams, database_augmentation, k_reciprocal_rerank,
                             query_expansion)
-from cbirkit.search import RankingList, build_index, knn_search
+from cbirkit.search import RankingList, Rankings, build_index, knn_search
 
 from oracles import expand_ref, knn_ref
 from util import gallery_ids, output_under_blas_threads, query_ids, rng_for, unit_rows
@@ -37,6 +38,52 @@ class TestRankingList:
         r = RankingList("q", ("a", "b", "c"), np.array([0.9, 0.5, 0.1]))
         assert r.head(2).item_ids == ("a", "b")
         assert r.head(10) is r
+
+
+class TestRankings:
+    def test_row_view_equals_ranking_list(self):
+        lists = [("q0", ["g2", "g0", "g1"], [0.9, 0.5, -0.25]), ("q1", [], []),
+                 ("q2", ["g1\x00"], [0.125])]
+        rankings = Rankings.from_flat([q for q, _, _ in lists], [len(i) for _, i, _ in lists],
+                                      [i for _, items, _ in lists for i in items],
+                                      [s for _, _, scores in lists for s in scores])
+        assert len(rankings) == 3
+        for i, (query_id, items, scores) in enumerate(lists):
+            expected = RankingList(query_id, items, scores)
+            assert rankings[i] == expected == rankings[i - 3]
+            assert rankings[i].item_ids == tuple(items)
+            assert np.array_equal(rankings[i].scores, expected.scores)
+        assert rankings == Rankings.of([RankingList(*row) for row in lists])
+        assert rankings[1:] == [RankingList(*row) for row in lists[1:]]
+        with pytest.raises(IndexError):
+            rankings[3]
+
+    def test_columns_are_read_only(self):
+        rows = np.array([[1, 0]])
+        rankings = Rankings(["q"], np.array(["a", "b"]), rows, np.array([[0.5, 0.25]]), [2])
+        assert rankings[0].item_ids == ("b", "a")
+        with pytest.raises(ValueError):
+            rankings.codes[0, 0] = 0
+        rows[0, 0] = 0  # the caller's array stays writable
+        with pytest.raises(DataError, match="codes"):
+            Rankings(["q"], np.array(["a"]), rows + 1, np.zeros((1, 2)), [2])
+
+    def test_restricted_search_round_trips(self, tmp_path):
+        g = gmat(unit_rows(rng_for(46), 9, 4), categories=[1, 1, 1, 1, 1, 1, 2, 2, 2])
+        # category 1 fills k, category 2 has fewer rows than k, category 3 none
+        q = qmat(unit_rows(rng_for(47), 5, 4), categories=[2, 1, 3, 1, 2])
+        rankings = knn_search(build_index(g), q, 4, restrict_to_query_category=True)
+        assert rankings.lengths.tolist() == [3, 4, 0, 4, 3]
+        path = tmp_path / "r.tsv"
+        formats.save_rankings(rankings, path)
+        loaded = formats.load_rankings(path)
+        # a query with no entries writes no lines
+        kept = [r for r in rankings if len(r)]
+        assert loaded == kept
+        for a, b in zip(loaded, kept):
+            assert np.array_equal(a.scores, [float(f"{s:.9g}") for s in b.scores.tolist()])
+        formats.save_rankings(loaded, tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
 
 class TestBuildIndex:
@@ -245,7 +292,7 @@ class TestKernelInvariance:
             "g = database_augmentation(g, QeParams(k=5, alpha=1.0))\n"
             "found = knn_search(build_index(g), q, 10)\n"
             "reranked = k_reciprocal_rerank(q, g, found, RerankParams(k1=10, k2=3, lam=0.3))\n"
-            "for r in found + reranked:\n"
+            "for r in [*found, *reranked]:\n"
             "    print(r.query_id, *r.item_ids, *(s.hex() for s in r.scores.tolist()))\n"
         )
         outputs = [output_under_blas_threads(script, n) for n in (1, 2)]
