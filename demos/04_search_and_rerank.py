@@ -50,8 +50,8 @@ qe_rankings = knn_search(index, expanded, 10)
 print("Acc@10 after query expansion:  ",
       round(acc_at_k(qe_rankings, gt, [10]).acc[10], 4))
 
-# re-ranking orders every gallery row; the first ten are the result
+# re-rank every gallery row straight to the first ten
 reranked = k_reciprocal_rerank(queries, gallery, every_gallery_row(queries, gallery),
-                               RerankParams(k1=20, k2=6, lam=0.3)).head(10)
+                               RerankParams(k1=20, k2=6, lam=0.3), k=10)
 print("Acc@10 after k-reciprocal rerank:",
       round(acc_at_k(reranked, gt, [10]).acc[10], 4))

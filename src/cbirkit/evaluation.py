@@ -24,6 +24,7 @@ query's first hit is its first entry whose code is a match.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence
 
@@ -256,13 +257,15 @@ def acc_at_k(
         raise DataError(f"query {missing[0]!r} has no ground-truth entry")
 
     matches = [gt[q] for q in query_ids]
-    evaluated = np.flatnonzero([len(m) > 0 for m in matches])
-    # (query, code) keys of the matches the id table holds
-    table = rankings.item_table.tolist()
-    m = len(table)
-    code_of = dict(zip(table, range(m)))
-    keys = [i * m + code_of[item] for i in evaluated.tolist()
-            for item in matches[i] if item in code_of]
+    sizes = np.fromiter(map(len, matches), np.int64, len(matches))
+    evaluated = np.flatnonzero(sizes)
+    # (query, code) keys of the matches the id table holds; a missing match
+    # codes as -1
+    m = rankings.item_table.shape[0]
+    code_of = dict(zip(rankings.item_table.tolist(), range(m)))
+    codes = np.fromiter(map(code_of.get, itertools.chain.from_iterable(matches),
+                            itertools.repeat(-1)), np.int64, sizes.sum())
+    keys = (np.repeat(np.arange(len(matches)), sizes) * m + codes)[codes >= 0]
     width = rankings.codes.shape[1]
     hit = (isin_sorted(rankings.codes + np.arange(len(query_ids))[:, None] * m, keys)
            & (np.arange(width) < rankings.lengths[:, None]))

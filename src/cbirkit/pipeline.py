@@ -13,8 +13,10 @@ input and output cardinalities; a failure inside one is re-raised as
 out_dim against the embedding dimension and the gallery size) is checked
 once the embeddings are loaded, before the first output is written.  The feature steps
 {concat, pca, qe, dba} run before search; rerank, when configured, must be
-the last step: it orders every gallery row for each query by the blended
-distance, and the first search.k of that order replace the search output.
+the last step: it re-ranks every gallery row for each query by the blended
+distance straight to the top search.k, which replace the search output.
+Re-ranking keeps O(queries x search.k) output and temporaries of
+O(RERANK_BLOCK x gallery rows), never a queries x gallery array.
 """
 
 from __future__ import annotations
@@ -336,10 +338,9 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
 
     if rerank is not None:
         with _stage("rerank"):
-            # re-ranking orders every gallery row by (d*, item_id); the
-            # first search_k of that order are the output
+            # the first search_k of every gallery row in (d*, item_id) order
             rankings = k_reciprocal_rerank(queries, gallery, every_gallery_row(queries, gallery),
-                                           rerank).head(config.search_k)
+                                           rerank, k=config.search_k)
         logger.info("rerank: %s", rerank)
 
     rankings_path = str(out / "rankings.tsv")

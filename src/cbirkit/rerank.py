@@ -45,26 +45,31 @@ with no arithmetic.  Cosines (d and the exp(-d) weights) are products
 summed along the feature axis, as in `search.pair_scores`, so results
 depend neither on the kernel's block size nor on the BLAS thread count.
 
-No array is n x n (n = queries + gallery), so memory grows linearly in n
-where the dense method needs O(n^2).  The largest arrays hold one entry
-per (point, neighbor) pair, per (point, neighbor, half-set slot) in the R*
-test, or per nonzero of V after local expansion (at most k2 |R*| for a
-point); the kernel's temporaries are O(QUERY_BLOCK x n).
+No array is n x n (n = queries + gallery), and none is n_q x n_g.  The
+largest arrays hold one entry per (point, neighbor) pair, per (point,
+neighbor, half-set slot) in the R* test, or per nonzero of V after local
+expansion (at most k2 |R*| for a point); the kernel's temporaries are
+O(QUERY_BLOCK x n) and the re-ranking's O(RERANK_BLOCK x n_g).  Re-ranked
+to the top K, the output is O(n_q x K).
 
 The initial rankings are `search.Rankings`; each is matched to its query
-row by query_id, and the output re-orders exactly the candidates present
-in it, ascending by d* with ties broken by ascending item_id, as Rankings
-over the gallery's item_ids.  Reported ranking scores are 1 - d*, so at
-lambda = 1 they reduce to the original cosine scores.  Because the order
-depends on (d*, item_id) alone, the candidates may arrive in any order:
-`every_gallery_row` offers the whole gallery as broadcast views, and the
-first K of that re-ranking are the whole-gallery top K.
+row by query_id, and the output re-orders the candidates present in it,
+ascending by d* with ties broken by ascending item_id, as Rankings over
+the gallery's item_ids, cut to the first K when K is given.  Reported
+ranking scores are 1 - d*, so at lambda = 1 they reduce to the original
+cosine scores.  Because the order depends on (d*, item_id) alone, the
+candidates may arrive in any order: `every_gallery_row` offers the whole
+gallery as broadcast views, and re-ranking it to K gives the whole-gallery
+top K, bit for bit the first K of the whole re-ranking.
 
 The rankings' id table is mapped to gallery rows once.  Queries are then
 re-ranked RERANK_BLOCK at a time: one bincount gathers the block's
 min-sums into a RERANK_BLOCK x n_g array (each query's terms in its own
-order, so every sum has the bits of a single query's), one `pair_scores`
-call gives the block's cosines, and one 2-D lexsort orders its rows.
+order, so every sum has the bits of a single query's).  With K below the
+rankings' width, one GEMM against the gallery bounds every candidate's d*
+and only the candidates that can reach the first K go on (see
+`k_reciprocal_rerank`).  One `pair_scores` call gives their cosines, and
+one 2-D lexsort orders the block's rows.
 """
 
 from __future__ import annotations
@@ -217,10 +222,20 @@ def _encodings(points: np.ndarray, neighbors: np.ndarray,
     near = neighbors[:, : params.k2].ravel()
     lengths = counts[near]
     src = ranges(indptr[near], lengths)
-    owner = np.repeat(np.repeat(np.arange(n), params.k2), lengths)
-    keys, slot = np.unique(owner * n + cols[src], return_inverse=True)
+    keys = np.repeat(np.repeat(np.arange(n), params.k2), lengths)
+    keys *= n
+    keys += cols[src]
+    # np.unique(keys, return_inverse=True), with fewer temporaries
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(keys.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
     # bincount adds in array order, so each sum runs in neighbor order
     smoothed = np.bincount(slot, weights=values[src]) / params.k2
+    keys = keys[first]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
     return indptr, keys % n, smoothed
 
@@ -271,23 +286,53 @@ def _gallery_rows(gallery: EmbeddingMatrix, initial: Rankings) -> np.ndarray:
         raise DataError(f"unknown item_id {table[code]!r}") from None
 
 
+def _survivors(approx: np.ndarray, k: int, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of each row whose estimate lies within 2 * slack of the
+    row's k-th smallest, in column order and padded with column 0, and the
+    mask of that padding."""
+    bound = np.partition(approx, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(approx <= (bound + 2 * slack)[:, None])
+    counts = np.bincount(rows, minlength=approx.shape[0])
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    picked = np.zeros((approx.shape[0], counts.max()), dtype=np.int64)
+    picked[rows, slots] = cols
+    return picked, np.arange(picked.shape[1]) >= counts[:, None]
+
+
 def k_reciprocal_rerank(
     queries: EmbeddingMatrix,
     gallery: EmbeddingMatrix,
     initial: Rankings | Sequence[RankingList],
     params: RerankParams,
+    k: int | None = None,
 ) -> Rankings:
     """Re-rank each query's initial candidates by the blended distance d*.
 
     Each ranking is matched to its query row by query_id; rankings may
     cover any subset of the queries, in any order, and the output follows
     their order.  Every query row still shapes the neighborhoods.  Each
-    ranking must hold at least k1 entries; the output re-orders exactly its
-    candidate set, as Rankings over the gallery's item_ids.  For the whole
+    ranking must hold at least k1 entries; the output re-orders its
+    candidate set, as Rankings over the gallery's item_ids, cut to each
+    row's first k entries (k=None keeps every candidate).  For the whole
     gallery, pass `every_gallery_row(queries, gallery)`.  The top-K kernel
-    runs on the BLAS threads that the environment sets; results do not
-    depend on their count.
+    and the candidate filter run on the BLAS threads that the environment
+    sets; results do not depend on their count.
+
+    With k below the rankings' width, a block's candidates are filtered
+    first.  The estimate d~ = (1 - lam) J + lam (1 - c~) takes the exact
+    Jaccard term J and the clipped GEMM cosine c~ in place of the exact
+    cosine c.  A GEMM cosine and its recomputed twin differ by about
+    dim eps (see `search._block_topk`), and clipping only brings them
+    closer; allow 4 dim eps.  The blend's subtraction, product and sum each
+    round a value of at most 2, so by at most eps, in d~ and d* alike.
+    Hence |d~ - d*| <= eps_d = (4 lam dim + 8) eps.  With T the k-th
+    smallest d*, the k-th smallest d~ is at least T - eps_d, and every
+    candidate with d* <= T has d~ <= T + eps_d: keeping each d~ within
+    2 eps_d of the k-th smallest keeps every candidate of the first k and
+    every tie at T.  Only the survivors get exact cosines and the sort.
     """
+    if k is not None and k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     if params.k1 > gallery.n_rows:
         raise ConfigError(f"k1={params.k1} exceeds the gallery size {gallery.n_rows}")
     if queries.dim != gallery.dim:
@@ -315,8 +360,10 @@ def k_reciprocal_rerank(
     col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols[first:], minlength=n))])
 
     width = initial.codes.shape[1]
-    out_rows = np.empty((len(initial), width), dtype=np.int64)
-    out_scores = np.empty((len(initial), width))
+    keep = width if k is None else min(k, width)
+    slack = (params.lam * 4 * gallery.dim + 8) * np.finfo(np.float64).eps
+    out_rows = np.empty((len(initial), keep), dtype=np.int64)
+    out_scores = np.empty((len(initial), keep))
     for start in range(0, len(initial), RERANK_BLOCK):
         block = slice(start, start + RERANK_BLOCK)
         q = query_rows[block]
@@ -337,12 +384,23 @@ def k_reciprocal_rerank(
         jaccard = np.ones(cand.shape)
         shared = overlap > 0.0
         jaccard[shared] = 1.0 - overlap[shared] / (2.0 - overlap[shared])
-        dist = 1.0 - pair_scores(points, np.repeat(q, width),
+        # padding past a ranking's length sorts last
+        pad = np.arange(width) >= initial.lengths[block, None]
+        if keep < width:
+            sims = np.clip(points[q] @ points[n_q:].T, -1.0, 1.0)
+            approx = ((1.0 - params.lam) * jaccard
+                      + params.lam * (1.0 - np.take_along_axis(sims, cand, axis=1)))
+            approx[pad] = np.inf
+            picked, fill = _survivors(approx, keep, slack)
+            cand = np.take_along_axis(cand, picked, axis=1)
+            jaccard = np.take_along_axis(jaccard, picked, axis=1)
+            pad = np.take_along_axis(pad, picked, axis=1) | fill
+        dist = 1.0 - pair_scores(points, np.repeat(q, cand.shape[1]),
                                  n_q + cand.ravel()).reshape(cand.shape)
         final = (1.0 - params.lam) * jaccard + params.lam * dist
-        # padding past a ranking's length sorts last
-        final[np.arange(width) >= initial.lengths[block, None]] = np.inf
-        order = np.lexsort((gallery.id_rank[cand], final), axis=1)
+        final[pad] = np.inf
+        order = np.lexsort((gallery.id_rank[cand], final), axis=1)[:, :keep]
         out_rows[block] = np.take_along_axis(cand, order, axis=1)
         out_scores[block] = 1.0 - np.take_along_axis(final, order, axis=1)
-    return Rankings(initial.query_ids, gallery.item_ids, out_rows, out_scores, initial.lengths)
+    return Rankings(initial.query_ids, gallery.item_ids, out_rows, out_scores,
+                    np.minimum(initial.lengths, keep))

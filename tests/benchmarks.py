@@ -118,6 +118,7 @@ def rerank_gain_trial(seed: int, params: RerankParams | None = None) -> tuple[fl
     queries, gallery, gt = clustered_retrieval(seed)
     params = params or RerankParams(k1=20, k2=6, lam=0.3)
     before = acc_at_k(knn_search(build_index(gallery), queries, 10), gt, [10]).acc[10]
-    reranked = k_reciprocal_rerank(queries, gallery, every_gallery_row(queries, gallery), params)
-    after = acc_at_k(reranked.head(10), gt, [10]).acc[10]
+    reranked = k_reciprocal_rerank(queries, gallery, every_gallery_row(queries, gallery), params,
+                                   k=10)
+    after = acc_at_k(reranked, gt, [10]).acc[10]
     return before, after

@@ -157,6 +157,13 @@ class TestKReciprocalRerank:
         with pytest.raises(ConfigError, match="gallery"):
             k_reciprocal_rerank(q, g, _initial_rankings(q, g), RerankParams(k1=6, k2=2))
 
+    def test_k_below_one_rejected(self):
+        rng = rng_for(56)
+        q = qmat(unit_rows(rng, 2, 4))
+        g = gmat(unit_rows(rng, 5, 4))
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            k_reciprocal_rerank(q, g, every_gallery_row(q, g), RerankParams(k1=2, k2=1), k=0)
+
     def test_short_initial_rankings_rejected(self):
         rng = rng_for(57)
         q = qmat(unit_rows(rng, 2, 4))
@@ -280,6 +287,20 @@ class TestKReciprocalRerank:
         n = q.n_rows + g.n_rows
         assert peak < 2 * 8 * n * n
 
+    def test_top_k_memory_is_not_queries_by_gallery(self):
+        # one float64 n_q x n_g array (32 MB here) outweighs every other
+        # temporary; cutting a whole-gallery re-ranking to k held three
+        rng = rng_for(68)
+        q = qmat(unit_rows(rng, 2000, 8))
+        g = gmat(unit_rows(rng, 2000, 8))
+        tracemalloc.start()
+        try:
+            k_reciprocal_rerank(q, g, every_gallery_row(q, g), RerankParams(k1=4, k2=2), k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * q.n_rows * g.n_rows
+
 
 @st.composite
 def rerank_cases(draw):
@@ -343,6 +364,27 @@ def whole_gallery_cases(draw):
     return qmat(data[:n_q]), gmat(data[n_q:]), params, draw(st.integers(1, n_g + 2))
 
 
+def _assert_oracle_cut(got, q, g, params, k):
+    """`got` holds the first k of the oracle's whole-gallery re-ranking."""
+    ref = rerank_ref(q.data, g.data, [range(g.n_rows)] * q.n_rows,
+                     params.k1, params.k2, params.lam)
+    for ranking, pairs in zip(got, ref):
+        expected = sorted((d, f"g{row:05d}") for row, d in pairs)
+        dstar = 1.0 - ranking.scores
+        assert len(ranking) == min(k, g.n_rows)
+        # the cut holds the oracle's first K distances, in order
+        assert np.abs(dstar - [d for d, _ in expected[:k]]).max() <= 1e-6
+        oracle = {item: d for d, item in expected}
+        assert max(abs(oracle[i] - d) for i, d in zip(ranking.item_ids, dstar)) <= 1e-6
+        # every row clear of the cut's last distance is in or out as the oracle says
+        last = expected[len(ranking) - 1][0]
+        assert {i for d, i in expected if d < last - 1e-6} <= set(ranking.item_ids)
+        assert all(oracle[i] <= last + 1e-6 for i in ranking.item_ids)
+        # ascending d*, equal d* by ascending item_id
+        for a, b, da, db in zip(ranking.item_ids, ranking.item_ids[1:], dstar, dstar[1:]):
+            assert da < db or (da == db and a < b)
+
+
 class TestWholeGalleryRerank:
     @settings(max_examples=150, deadline=None)
     @given(whole_gallery_cases())
@@ -354,23 +396,31 @@ class TestWholeGalleryRerank:
                                        params).head(k)
         assert got == searched
         assert all(np.array_equal(a.scores, b.scores) for a, b in zip(got, searched))
-        ref = rerank_ref(q.data, g.data, [range(g.n_rows)] * q.n_rows,
-                         params.k1, params.k2, params.lam)
-        for ranking, pairs in zip(got, ref):
-            expected = sorted((d, f"g{row:05d}") for row, d in pairs)
-            dstar = 1.0 - ranking.scores
-            assert len(ranking) == min(k, g.n_rows)
-            # the cut holds the oracle's first K distances, in order
-            assert np.abs(dstar - [d for d, _ in expected[:k]]).max() <= 1e-6
-            oracle = {item: d for d, item in expected}
-            assert max(abs(oracle[i] - d) for i, d in zip(ranking.item_ids, dstar)) <= 1e-6
-            # every row clear of the cut's last distance is in or out as the oracle says
-            last = expected[len(ranking) - 1][0]
-            assert {i for d, i in expected if d < last - 1e-6} <= set(ranking.item_ids)
-            assert all(oracle[i] <= last + 1e-6 for i in ranking.item_ids)
-            # ascending d*, equal d* by ascending item_id
-            for a, b, da, db in zip(ranking.item_ids, ranking.item_ids[1:], dstar, dstar[1:]):
-                assert da < db or (da == db and a < b)
+        _assert_oracle_cut(got, q, g, params, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(whole_gallery_cases(), st.data())
+    def test_top_k_matches_cut_of_whole_gallery(self, case, data):
+        q, g, params, k = case
+        # plant near-ties: copies of gallery rows nudged by a few ulps, whose
+        # GEMM and exact cosines may order them differently
+        rows = g.data.copy()
+        for dst, src, steps in data.draw(st.lists(st.tuples(
+                st.integers(0, g.n_rows - 1), st.integers(0, g.n_rows - 1), st.integers(-4, 4)),
+                max_size=4)):
+            rows[dst] = rows[src] + steps * np.spacing(rows[src])
+        tops = []
+        for gallery in (g, gmat(rows)):
+            cut = k_reciprocal_rerank(q, gallery, every_gallery_row(q, gallery), params).head(k)
+            got = k_reciprocal_rerank(q, gallery, every_gallery_row(q, gallery), params, k=k)
+            assert got == cut
+            assert np.array_equal(got.lengths, cut.lengths)
+            assert all(np.array_equal(a.scores.view(np.int64), b.scores.view(np.int64))
+                       for a, b in zip(got, cut))
+            tops.append(got)
+        # the oracle's own dot products may put a nudged copy on either side
+        # of its source in a neighbor list, so it checks the exact copies only
+        _assert_oracle_cut(tops[0], q, g, params, k)
 
     def test_bytes_do_not_depend_on_query_block(self, tmp_path, monkeypatch):
         rng = rng_for(67)
@@ -381,17 +431,23 @@ class TestWholeGalleryRerank:
         # ragged rows: every query's own depth, at least k1
         ragged = Rankings.of([found[i].head(6 + i % 7) for i in reversed(range(len(found)))])
         params = RerankParams(k1=6, k2=3, lam=0.3)
+        runs = (("whole", every_gallery_row(q, g), None), ("ragged", ragged, None),
+                ("whole-top", every_gallery_row(q, g), 5), ("ragged-top", ragged, 9))
 
         def outputs(block) -> list[bytes]:
             monkeypatch.setattr(rerank, "RERANK_BLOCK", block)
             out = []
-            for name, initial in (("whole", every_gallery_row(q, g)), ("ragged", ragged)):
+            for name, initial, k in runs:
                 path = tmp_path / f"{name}-{block}.tsv"
-                formats.save_rankings(k_reciprocal_rerank(q, g, initial, params), path)
+                formats.save_rankings(k_reciprocal_rerank(q, g, initial, params, k=k), path)
                 out.append(path.read_bytes())
             return out
 
         base = outputs(rerank.RERANK_BLOCK)
         assert base[1].count(b"\n") == sum(6 + i % 7 for i in range(q.n_rows))
+        # the top k are the whole re-ranking's first k; shorter rows stay whole
+        cut = tmp_path / "cut.tsv"
+        formats.save_rankings(k_reciprocal_rerank(q, g, ragged, params).head(9), cut)
+        assert cut.read_bytes() == base[3]
         for block in (1, 7):
             assert outputs(block) == base

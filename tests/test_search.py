@@ -283,7 +283,7 @@ class TestKernelInvariance:
         script = (
             "from cbirkit.embeddings import EmbeddingMatrix\n"
             "from cbirkit.rerank import QeParams, RerankParams, database_augmentation\n"
-            "from cbirkit.rerank import k_reciprocal_rerank\n"
+            "from cbirkit.rerank import every_gallery_row, k_reciprocal_rerank\n"
             "from cbirkit.search import build_index, knn_search\n"
             "from util import gallery_ids, query_ids, rng_for, unit_rows\n"
             "rng = rng_for(49)\n"
@@ -291,12 +291,14 @@ class TestKernelInvariance:
             "q = EmbeddingMatrix(unit_rows(rng, 700, 48), query_ids(700))\n"
             "g = database_augmentation(g, QeParams(k=5, alpha=1.0))\n"
             "found = knn_search(build_index(g), q, 10)\n"
-            "reranked = k_reciprocal_rerank(q, g, found, RerankParams(k1=10, k2=3, lam=0.3))\n"
-            "for r in [*found, *reranked]:\n"
+            "params = RerankParams(k1=10, k2=3, lam=0.3)\n"
+            "reranked = k_reciprocal_rerank(q, g, found, params)\n"
+            "top = k_reciprocal_rerank(q, g, every_gallery_row(q, g), params, k=10)\n"
+            "for r in [*found, *reranked, *top]:\n"
             "    print(r.query_id, *r.item_ids, *(s.hex() for s in r.scores.tolist()))\n"
         )
         outputs = [output_under_blas_threads(script, n) for n in (1, 2)]
-        assert outputs[0].count(b"\n") == 1400
+        assert outputs[0].count(b"\n") == 2100
         assert outputs[0] == outputs[1]
 
 
