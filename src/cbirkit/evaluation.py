@@ -247,14 +247,15 @@ def acc_at_k(
         raise DataError(f"ks must be positive integers, got {ks!r}")
     rankings = Rankings.of(rankings)
     query_ids = rankings.query_ids.tolist()
-    seen: set[str] = set()
-    # set.add returns None, so a new id is added and passes
-    repeat = next((q for q in query_ids if q in seen or seen.add(q)), None)
-    if repeat is not None:
+    unique = set(query_ids)
+    if len(unique) < len(query_ids):
+        seen: set[str] = set()
+        # set.add returns None, so a new id is added and passes
+        repeat = next(q for q in query_ids if q in seen or seen.add(q))
         raise DataError(f"duplicate query_id {repeat!r} in rankings")
-    missing = sorted(q for q in seen if q not in gt)
+    missing = unique.difference(gt)
     if missing:
-        raise DataError(f"query {missing[0]!r} has no ground-truth entry")
+        raise DataError(f"query {min(missing)!r} has no ground-truth entry")
 
     matches = [gt[q] for q in query_ids]
     sizes = np.fromiter(map(len, matches), np.int64, len(matches))

@@ -212,7 +212,7 @@ def _encodings(points: np.ndarray, neighbors: np.ndarray,
     """V after local expansion, in CSR form: (indptr, columns, values)."""
     n = points.shape[0]
     rows, cols = _expanded_sets(neighbors, params.k1)
-    dist = 1.0 - pair_scores(points, rows, cols)
+    dist = 1.0 - pair_scores(points, rows, points, cols)
     dist[rows == cols] = 0.0
     weights = np.exp(-dist)
     values = weights / np.bincount(rows, weights=weights, minlength=n)[rows]
@@ -321,13 +321,13 @@ def k_reciprocal_rerank(
     With k below the rankings' width, a block's candidates are filtered
     first.  The estimate d~ = (1 - lam) J + lam (1 - c~) takes the exact
     Jaccard term J and the clipped GEMM cosine c~ in place of the exact
-    cosine c.  A GEMM cosine and its recomputed twin differ by about
-    dim eps (see `search._block_topk`), and clipping only brings them
-    closer; allow 4 dim eps.  The blend's subtraction, product and sum each
-    round a value of at most 2, so by at most eps, in d~ and d* alike.
-    Hence |d~ - d*| <= eps_d = (4 lam dim + 8) eps.  With T the k-th
-    smallest d*, the k-th smallest d~ is at least T - eps_d, and every
-    candidate with d* <= T has d~ <= T + eps_d: keeping each d~ within
+    cosine c.  A GEMM cosine and its recomputed twin differ by at most dim
+    eps (the slack paragraph of `search._block_topk`), and clipping both
+    only brings them closer; allow 4 dim eps.  The blend's subtraction,
+    product and sum each round a value of at most 2, so by at most eps, in
+    d~ and d* alike.  Hence |d~ - d*| <= eps_d = (4 lam dim + 8) eps.  With
+    T the k-th smallest d*, the k-th smallest d~ is at least T - eps_d, and
+    every candidate with d* <= T has d~ <= T + eps_d: keeping each d~ within
     2 eps_d of the k-th smallest keeps every candidate of the first k and
     every tie at T.  Only the survivors get exact cosines and the sort.
     """
@@ -395,7 +395,7 @@ def k_reciprocal_rerank(
             cand = np.take_along_axis(cand, picked, axis=1)
             jaccard = np.take_along_axis(jaccard, picked, axis=1)
             pad = np.take_along_axis(pad, picked, axis=1) | fill
-        dist = 1.0 - pair_scores(points, np.repeat(q, cand.shape[1]),
+        dist = 1.0 - pair_scores(points, np.repeat(q, cand.shape[1]), points,
                                  n_q + cand.ravel()).reshape(cand.shape)
         final = (1.0 - params.lam) * jaccard + params.lam * dist
         final[pad] = np.inf

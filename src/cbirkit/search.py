@@ -9,22 +9,27 @@ reproducible across runs and thread counts.
 Search, query expansion and database augmentation share one blocked
 kernel, `exact_topk`.  For each block of QUERY_BLOCK query rows it
 
-  1. scores the block against every candidate with one GEMM and clips the
-     scores to [-1, 1];
-  2. finds each row's k-th score with `argpartition` and keeps every
-     candidate scoring at least that much, less a slack that covers the
-     rounding of two dot products (so boundary ties always survive);
-  3. recomputes the survivors' scores as elementwise products summed along
-     the feature axis, a value that depends on the two vectors alone and
-     not on the block shape or the BLAS thread count, as GEMM bits do;
-  4. orders the survivors by (-score, rank of item_id) in one 2-D
-     `lexsort` over the block.  The rank is `EmbeddingMatrix.id_rank`,
-     computed once when a matrix's ids are checked, and candidates are laid
-     out in item_id order, so a column is its rank.
+  1. scores the block against every candidate with one GEMM;
+  2. bounds each row's k-th score from below by the k-th largest of its
+     tile maxima (tiles of max(1, m // 4k) of the m candidates) and keeps
+     every candidate whose GEMM score reaches that bound, capped at 1, less
+     a slack that covers the rounding of two dot products (so boundary ties
+     always survive);
+  3. recomputes the survivors' scores with `pair_scores`: elementwise
+     products summed along the feature axis, a value that depends on the
+     two vectors alone and not on the block shape or the BLAS thread
+     count, as GEMM bits do;
+  4. orders all of the block's survivors by (row, -score, rank of item_id)
+     in one flat stable sort and keeps each row's first k.  The rank is
+     `EmbeddingMatrix.id_rank`, computed once when a matrix's ids are
+     checked, and candidates are laid out in item_id order, so a column is
+     its rank.
 
-A row whose survivors outnumber k (ties, or scores within the slack of the
-k-th) is ordered on its own; the rest of the block needs no per-row work.
-Temporary memory is O(QUERY_BLOCK x candidates), whatever the query count.
+Every row keeps at least k survivors: about k on spread-out scores, more
+with ties or scores within the slack of the bound, and all of them when k
+is the candidate count.  All cases take the same path, with no per-row
+work.  Temporary memory is O(QUERY_BLOCK x candidates), whatever the query
+count and however many candidates survive: survivors are scored in chunks.
 
 `knn_search` returns the kernel's arrays as they come, as `Rankings`: the
 query ids, the gallery's item_ids as the id table, an n_q x k array of
@@ -207,72 +212,66 @@ def build_index(gallery: EmbeddingMatrix) -> RetrievalIndex:
     return RetrievalIndex(gallery)
 
 
-def _exact_scores(block: np.ndarray, cand: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
-    """Clipped cosine of block row i with cand row cols[i, j] (every cand
-    row when cols is None), for all i, j.
+def pair_scores(a: np.ndarray, left: np.ndarray, b: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Clipped cosine of a[left[i]] with b[right[i]], for each i.
 
     Each product is summed along the feature axis of a fresh contiguous
-    array, so a value depends only on its two vectors.  Rows go in chunks
-    whose product array holds about _PRODUCT_CHUNK elements.
-    """
-    width = cand.shape[0] if cols is None else cols.shape[1]
-    out = np.empty((block.shape[0], width))
-    step = max(1, _PRODUCT_CHUNK // (width * cand.shape[1]))
-    for s in range(0, block.shape[0], step):
-        pairs = cand[None] if cols is None else cand[cols[s:s + step]]
-        out[s:s + step] = np.multiply(block[s:s + step, None, :], pairs).sum(axis=2)
-    return np.clip(out, -1.0, 1.0, out=out)
-
-
-def pair_scores(data: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Clipped cosine of data[left[i]] with data[right[i]], for each i.
-
-    The formula of `_exact_scores`, over a flat list of pairs: a value
-    depends only on its two vectors.  Pairs go in chunks whose product
-    array holds about _PRODUCT_CHUNK elements.
+    array, so a value depends only on its two vectors: not on the other
+    pairs, the block shape or the BLAS thread count, as GEMM bits do.
+    Pairs go in chunks whose product array holds about _PRODUCT_CHUNK
+    elements, so temporaries stay small however many pairs there are.
     """
     out = np.empty(left.shape[0])
-    step = max(1, _PRODUCT_CHUNK // max(1, data.shape[1]))
+    step = max(1, _PRODUCT_CHUNK // max(1, a.shape[1]))
     for s in range(0, out.shape[0], step):
-        out[s:s + step] = np.multiply(data[left[s:s + step]], data[right[s:s + step]]).sum(axis=1)
+        out[s:s + step] = np.multiply(a[left[s:s + step]], b[right[s:s + step]]).sum(axis=1)
     return np.clip(out, -1.0, 1.0, out=out)
-
-
-def _order(block: np.ndarray, cand: np.ndarray,
-           cols: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's candidate columns (all when cols is None) and their scores,
-    sorted by (-exact score, column).  Columns follow item_id order."""
-    scores = _exact_scores(block, cand, cols)
-    if cols is None:
-        cols = np.broadcast_to(np.arange(cand.shape[0]), scores.shape)
-    order = np.lexsort((cols, -scores), axis=1)
-    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(scores, order, axis=1)
 
 
 def _block_topk(block: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k candidate columns and scores of one query block (k <= len(cand))."""
-    m = cand.shape[0]
-    if k == m:  # every candidate survives: no GEMM or selection needed
-        return _order(block, cand, None)
+    """Top-k candidate columns and scores of one query block (k <= m = len(cand)).
+
+    Bound: cut each row's GEMM scores g into tiles of max(1, m // 4k)
+    columns, the last one shorter, and let T be the k-th largest tile
+    maximum.  There are at least min(m, 4k) >= k tiles, and k of them hold
+    a g >= T, so at least k candidates have g >= T.
+
+    Slack: a dot product of two near-unit vectors, summed in any order,
+    lies within about dim eps / 2 of the exact value, so the GEMM score g
+    and the recomputed score e of one pair differ by at most d = dim eps.
+    The exact score is s = clip(e, -1, 1).  The k candidates with g >= T
+    have s >= min(T - d, 1), so the k-th largest s, S, is at least
+    min(T, 1) - d.  A candidate with s >= S has g >= S - d >= min(T, 1) - 2d
+    when -1 < s < 1 (then e = s), and g >= 1 - d when s = 1 (then e >= 1).
+    The floor min(T, 1) - 4d, with a factor of two to spare, keeps all of
+    them, ties at S included.  The min matters: rows normalised to within
+    1e-5 score up to about 1 + 2e-5, and a T above 1 would drop a candidate
+    whose e is 1 but whose g is below T, though it ties at 1 once clipped.
+    s = -1 needs S = -1, so min(T, 1) - d <= -1 and the floor lies below
+    -1; such a floor keeps every candidate, as an unclipped e may lie
+    anywhere below -1.
+
+    Verify: the survivors' exact scores come from `pair_scores`, one flat
+    stable sort orders them by (row, -score, column), and each row's first
+    k are its top k.  The order depends on the exact scores and columns
+    alone, so the GEMM's rounding never reaches the output.
+    """
+    n, m = block.shape[0], cand.shape[0]
     sims = block @ cand.T
-    np.clip(sims, -1.0, 1.0, out=sims)
-    top = np.argpartition(sims, m - k, axis=1)[:, m - k:]
-    # a dot product of two near-unit vectors, summed in any order, lies within
-    # about dim * eps / 2 of the exact value, so a GEMM score and its
-    # recomputed twin differ by about dim * eps at most.  A candidate whose
-    # recomputed score reaches the k-th then has a GEMM score within twice
-    # that of the k-th GEMM score; the floor leaves another factor of two.
-    floor = np.take_along_axis(sims, top, axis=1).min(axis=1) - 4 * cand.shape[1] * _EPS
-    wide = np.count_nonzero(sims >= floor[:, None], axis=1) > k
-    cols = np.empty((block.shape[0], k), dtype=np.int64)
-    scores = np.empty((block.shape[0], k))
-    narrow = np.flatnonzero(~wide)
-    cols[narrow], scores[narrow] = _order(block[narrow], cand, top[narrow])
-    for i in np.flatnonzero(wide):
-        survivors = np.flatnonzero(sims[i] >= floor[i])[None, :]
-        row_cols, row_scores = _order(block[i:i + 1], cand, survivors)
-        cols[i], scores[i] = row_cols[0, :k], row_scores[0, :k]
-    return cols, scores
+    tiles = np.arange(0, m, max(1, m // (4 * k)))
+    bound = np.partition(np.maximum.reduceat(sims, tiles, axis=1), tiles.size - k,
+                         axis=1)[:, tiles.size - k]
+    floor = np.minimum(bound, 1.0) - 4 * cand.shape[1] * _EPS
+    floor[floor < -1.0] = -np.inf
+    rows, cols = divmod(np.flatnonzero(sims >= floor[:, None]), m)
+    scores = pair_scores(block, rows, cand, cols)
+    # complex numbers sort by real part, then imaginary part; the sort is
+    # stable and each row's columns come ascending, so ties keep column order
+    order = np.argsort(rows - 1j * scores, kind="stable")
+    # rows come out of flatnonzero ascending, so row i's survivors start here
+    first = np.searchsorted(rows, np.arange(n))
+    top = order[first[:, None] + np.arange(k)]
+    return cols[top], scores[top]
 
 
 def exact_topk(data: np.ndarray, tie_rank: np.ndarray, queries: np.ndarray, k: int,

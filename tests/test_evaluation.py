@@ -178,6 +178,16 @@ class TestAccAtK:
         with pytest.raises(DataError, match="q0"):
             acc_at_k([ranking("q0", ["g0"])], {}, [1])
 
+    def test_error_names_first_repeat_and_first_missing(self):
+        # q1 repeats first in ranking order; q0 sorts first and q2 comes first
+        order = ["q2", "q0", "q1", "q1", "q0", "q2"]
+        with pytest.raises(DataError, match=r"^duplicate query_id 'q1' in rankings$"):
+            acc_at_k([ranking(q, ["g0"]) for q in order], {q: {"g0"} for q in order}, [1])
+        # of the missing q3 and q1, the first in sorted order is named
+        rankings = [ranking(q, ["g0"]) for q in ("q3", "q2", "q1")]
+        with pytest.raises(DataError, match=r"^query 'q1' has no ground-truth entry$"):
+            acc_at_k(rankings, {"q2": {"g0"}}, [1])
+
     def test_monotone_in_k(self):
         rng = rng_for(73)
         gallery = [f"g{i:03d}" for i in range(50)]

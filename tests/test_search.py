@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,38 @@ class TestKernelTies:
             [ranking] = knn_search(build_index(gallery), q, k)
             assert_matches_oracle(ranking, oracle_ranking(gallery, q.data[0], k), atol=0.0)
 
+    def test_nudged_copies_straddle_kth(self):
+        # a row and eight copies nudged by -4..4 ulps per coordinate score
+        # within a few ulps of each other, where GEMM and exact rounding
+        # disagree on their order; every k must cut the full exact ranking
+        rng = rng_for(52)
+        for dim in (5, 12, 32):
+            row = unit_rows(rng, 1, dim)[0]
+            data = np.vstack([row + s * np.spacing(row) for s in range(-4, 5)]
+                             + [unit_rows(rng, 6, dim)])
+            gallery = named_gallery(data, [f"g{n:05d}" for n in rng.permutation(15)])
+            q = qmat(np.vstack([data[[4, 0, 8]], unit_rows(rng, 3, dim)]))
+            idx = build_index(gallery)
+            full = knn_search(idx, q, 15)
+            for k in range(1, 15):
+                got, cut = knn_search(idx, q, k), full.head(k)
+                assert np.array_equal(got.codes, cut.codes)
+                assert np.array_equal(got.scores.view(np.int64), cut.scores.view(np.int64))
+
+    def test_ties_at_the_clip_bounds(self):
+        # rows within the 1e-5 norm tolerance score past +-1 before the clip
+        # and tie at +-1 after it; k cuts through both groups
+        eye = np.eye(4)
+        scales = [[1 + 8e-6], [1.0], [1 + 4e-6]]
+        data = np.vstack([eye[[0, 0, 0]] * scales, eye[1:3], -eye[[0, 0, 0]] * scales])
+        q = qmat(eye[[0]])
+        rng = rng_for(50)
+        for _ in range(8):
+            gallery = named_gallery(data, [f"g{n:05d}" for n in rng.permutation(8)])
+            for k in range(1, 9):
+                [ranking] = knn_search(build_index(gallery), q, k)
+                assert_matches_oracle(ranking, oracle_ranking(gallery, q.data[0], k), atol=0.0)
+
 
 def kernel_outputs(gallery, queries):
     idx = build_index(gallery)
@@ -259,6 +293,25 @@ def kernel_outputs(gallery, queries):
         query_expansion(queries, idx, QeParams(k=5, alpha=1.0)).data,
         database_augmentation(gallery, QeParams(k=5, alpha=2.0, include_self=False)).data,
     )
+
+
+class TestKernelMemory:
+    def test_all_tied_gallery_stays_per_block(self):
+        # every candidate of an all-tied gallery survives the filter; scoring
+        # them by gathering both sides whole would hold 2 x dim floats per
+        # (query, candidate) pair of a block, 512 bytes at 32-d
+        rng = rng_for(51)
+        m, dim = 2000, 32
+        data = np.repeat(unit_rows(rng, 1, dim), m, axis=0)
+        queries = unit_rows(rng, search.QUERY_BLOCK + 44, dim)
+        tracemalloc.start()
+        try:
+            rows, scores = search.exact_topk(data, np.arange(m), queries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.tolist() == [list(range(10))] * queries.shape[0]
+        assert peak < 12 * 8 * search.QUERY_BLOCK * m
 
 
 class TestKernelInvariance:
@@ -283,22 +336,29 @@ class TestKernelInvariance:
         script = (
             "from cbirkit.embeddings import EmbeddingMatrix\n"
             "from cbirkit.rerank import QeParams, RerankParams, database_augmentation\n"
-            "from cbirkit.rerank import every_gallery_row, k_reciprocal_rerank\n"
+            "from cbirkit.rerank import every_gallery_row, k_reciprocal_rerank, query_expansion\n"
             "from cbirkit.search import build_index, knn_search\n"
             "from util import gallery_ids, query_ids, rng_for, unit_rows\n"
             "rng = rng_for(49)\n"
-            "g = EmbeddingMatrix(unit_rows(rng, 3000, 48), gallery_ids(3000))\n"
-            "q = EmbeddingMatrix(unit_rows(rng, 700, 48), query_ids(700))\n"
+            "g = EmbeddingMatrix(unit_rows(rng, 3000, 48),\n"
+            "                    gallery_ids(3000, rng.integers(0, 12, size=3000)))\n"
+            "q = EmbeddingMatrix(unit_rows(rng, 700, 48),\n"
+            "                    query_ids(700, rng.integers(0, 12, size=700)))\n"
             "g = database_augmentation(g, QeParams(k=5, alpha=1.0))\n"
-            "found = knn_search(build_index(g), q, 10)\n"
+            "index = build_index(g)\n"
+            "found = knn_search(index, q, 10)\n"
+            "# twelve categories of about 250 gallery rows each\n"
+            "restricted = knn_search(index, q, 10, restrict_to_query_category=True)\n"
             "params = RerankParams(k1=10, k2=3, lam=0.3)\n"
             "reranked = k_reciprocal_rerank(q, g, found, params)\n"
             "top = k_reciprocal_rerank(q, g, every_gallery_row(q, g), params, k=10)\n"
-            "for r in [*found, *reranked, *top]:\n"
+            "for r in [*found, *restricted, *reranked, *top]:\n"
             "    print(r.query_id, *r.item_ids, *(s.hex() for s in r.scores.tolist()))\n"
+            "for row in query_expansion(q, index, QeParams(k=5, alpha=1.0)).data:\n"
+            "    print(row.tobytes().hex())\n"
         )
         outputs = [output_under_blas_threads(script, n) for n in (1, 2)]
-        assert outputs[0].count(b"\n") == 2100
+        assert outputs[0].count(b"\n") == 3500
         assert outputs[0] == outputs[1]
 
 
@@ -333,7 +393,59 @@ def retrieval_cases(draw):
     return (named_gallery(gallery, names, g_cats), qmat(queries, q_cats), k)
 
 
+@st.composite
+def tiled_cases(draw):
+    """A gallery sized against the kernel's tile width max(1, m // 4k):
+    m < 4k makes it 1, and most other sizes leave a shorter last tile.  Rows
+    copied onto others put exact ties in different tiles; a second gallery
+    also holds copies nudged by 1 to 4 ulps per coordinate, whose GEMM and
+    exact scores may order them differently.  Some queries are gallery
+    rows, so the ties reach the top score."""
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 12 * k + 5))
+    dim = draw(st.integers(3, 12))
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    data = unit_rows(rng, m, dim)
+    pairs = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    for dst, src in draw(st.lists(pairs, max_size=6)):
+        data[dst] = data[src]
+    nudged = data.copy()
+    steps = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
+    for (dst, src), step in draw(st.lists(st.tuples(pairs, steps), max_size=4)):
+        nudged[dst] = data[src] + step * np.spacing(data[src])
+    queries = unit_rows(rng, draw(st.integers(1, 4)), dim)
+    for i, src in enumerate(draw(st.lists(st.integers(0, m - 1), max_size=queries.shape[0]))):
+        queries[i] = data[src]
+    names = [f"g{i:05d}" for i in draw(st.permutations(range(m)))]
+    return data, nudged, names, qmat(queries), k
+
+
 class TestKernelProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(tiled_cases())
+    def test_tile_bound_matches_oracle_and_full_ranking(self, case):
+        data, nudged, names, queries, k = case
+        for rows in (data, nudged):
+            gallery = named_gallery(rows, names)
+            idx = build_index(gallery)
+            got = knn_search(idx, queries, k)
+            full = knn_search(idx, queries, gallery.n_rows).head(k)
+            assert np.array_equal(got.codes, full.codes)
+            assert np.array_equal(got.lengths, full.lengths)
+            assert np.array_equal(got.scores.view(np.int64), full.scores.view(np.int64))
+            for ranking, qrow in zip(got, queries.data):
+                expected = oracle_ranking(gallery, qrow, gallery.n_rows)
+                if rows is data:
+                    assert_matches_oracle(ranking, expected[:k])
+                    continue
+                # the oracle's own dot products may order a nudged copy and
+                # its source either way: compare scores rank by rank, and
+                # require every clearly better item
+                assert np.allclose(ranking.scores, [s for _, s in expected[:k]],
+                                   rtol=0.0, atol=1e-12)
+                last = expected[len(ranking) - 1][1]
+                assert {i for i, s in expected if s > last + 1e-12} <= set(ranking.item_ids)
+
     @settings(max_examples=150, deadline=None)
     @given(retrieval_cases(), st.booleans())
     def test_search_matches_oracle(self, case, restrict):
