@@ -11,7 +11,6 @@ from .boxes import (
     fuse_detections,
     iou,
     nms,
-    wbf_fuse,
 )
 from .descriptors import PoolingSpec, combine_descriptors, pool
 from .embeddings import (
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundingBox", "ScoredBox", "FusedBox", "Detections", "FusedDetections",
-    "WbfParams", "iou", "nms", "wbf_fuse", "fuse_detections",
+    "WbfParams", "iou", "nms", "fuse_detections",
     "PoolingSpec", "pool", "combine_descriptors",
     "EmbeddingMatrix", "IdRecord", "PcaModel",
     "l2_normalize", "concat_features", "pca_fit", "pca_transform",

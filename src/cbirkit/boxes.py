@@ -4,15 +4,15 @@ Fusion merges overlapping boxes emitted by several detectors into a single
 confidence-weighted box per cluster instead of suppressing all but one, so
 the ensemble keeps localization evidence from every model.
 
-Detections are carried as columns.  `Detections` holds an (n, 4) float64
-coordinate array, the scores, the category ids, and the image and model
-ids as integer codes into sorted tables of distinct names, so that code
-order is name order.  `FusedDetections` has the same columns plus the
-cluster sizes and each cluster's contributing models (CSR: ascending codes
-per cluster).  Both are read-only `Sequence`s of `ScoredBox` / `FusedBox`
-objects (`len`, indexing, iteration, `==` against a list), built only on
-access; the kernels never build them.  Detection ground truth is a
-`Detections` table too: score 0 and one empty model name.
+Every function here takes detections as columns.  `Detections` holds an
+(n, 4) float64 coordinate array, the scores, the category ids, and the
+image and model ids as integer codes into sorted tables of distinct names,
+so that code order is name order.  `FusedDetections` has the same columns
+plus the cluster sizes and each cluster's contributing models (CSR:
+ascending codes per cluster).  Both are read-only `Sequence`s whose rows
+read as `ScoredBox` / `FusedBox` views (indexing, iteration, `==` against
+a list), built only on access; the kernels never build them.  Detection
+ground truth is a `Detections` table too: score 0 and one empty model name.
 
 `fuse_detections` fuses every (image, category) group of a detection set
 in one wavefront.  After one sort by (image, category, -weighted score,
@@ -21,9 +21,9 @@ one, computes its IoU with each of that group's current clusters, and
 joins the first with IoU > iou_threshold or opens a new one.  A cluster
 keeps its running weighted sums, updated in member order, so every fused
 number comes from the same operations as fusing the group box by box.
-`wbf_fuse` runs the same kernel on one image.  `nms` walks the same
-wavefront, but a box either survives as-is or is dropped: it is dropped
-when a box already kept in its group overlaps it with IoU >= the threshold.
+`nms` walks the same wavefront, but a box either survives as-is or is
+dropped: it is dropped when a box already kept in its group overlaps it
+with IoU >= the threshold.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -239,20 +239,10 @@ class Detections(_BoxColumns):
                    model_codes, model_names)
 
     @classmethod
-    def of(cls, boxes: Iterable[ScoredBox]) -> "Detections":
-        """`boxes` itself if it is a Detections, else its columns."""
-        if isinstance(boxes, Detections):
-            return boxes
-        boxes = list(boxes)
-        return cls.from_columns([b.box.as_tuple() for b in boxes], [b.score for b in boxes],
-                                [b.category_id for b in boxes],
-                                [b.image_id for b in boxes], [b.model_id for b in boxes])
-
-    @classmethod
     def concat(cls, parts: Sequence["Detections"]) -> "Detections":
         """The rows of every part, in order, over merged name tables."""
         if not parts:
-            return cls.of([])
+            return cls.from_columns(np.zeros((0, 4)), [], [], [], [])
         image_codes, image_names = _merge([(p.image_names, p.image_codes) for p in parts])
         model_codes, model_names = _merge([(p.model_names, p.model_codes) for p in parts])
         return cls(np.concatenate([p.coords for p in parts]),
@@ -295,21 +285,6 @@ class FusedDetections(_BoxColumns):
                         self.image_names[self.image_codes[i]], int(self.cluster_sizes[i]),
                         frozenset(self.model_names[c] for c in members))
 
-    @classmethod
-    def of(cls, fused: Iterable[FusedBox]) -> "FusedDetections":
-        """`fused` itself if it is a FusedDetections, else its columns."""
-        if isinstance(fused, FusedDetections):
-            return fused
-        fused = list(fused)
-        image_codes, image_names = _encode([f.image_id for f in fused])
-        members = [sorted(f.model_ids) for f in fused]
-        model_codes, model_names = _encode([m for ms in members for m in ms])
-        return cls([f.box.as_tuple() for f in fused], [f.score for f in fused],
-                   [f.category_id for f in fused], image_codes, image_names,
-                   [f.cluster_size for f in fused],
-                   np.concatenate(([0], np.cumsum([len(ms) for ms in members]))),
-                   model_codes, model_names)
-
 
 def areas(coords: np.ndarray) -> np.ndarray:
     """(x2 - x1) * (y2 - y1) per row."""
@@ -333,7 +308,7 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return float(overlaps(pair[:1], area[:1], pair[1:], area[1:])[0])
 
 
-def nms(boxes: Detections | Iterable[ScoredBox], iou_threshold: float) -> Detections:
+def nms(boxes: Detections, iou_threshold: float) -> Detections:
     """Greedy non-maximum suppression within each (image, category) group.
 
     A group's boxes are visited in descending score order (ties by model
@@ -341,15 +316,14 @@ def nms(boxes: Detections | Iterable[ScoredBox], iou_threshold: float) -> Detect
     group overlaps it with IoU >= iou_threshold.  The kept boxes are
     ordered by (image id, -score, model id, input order).
     """
-    dets = Detections.of(boxes)
-    order = np.lexsort((dets.model_codes, -dets.scores, dets.category_ids, dets.image_codes))
-    coords = dets.coords[order]
+    order = np.lexsort((boxes.model_codes, -boxes.scores, boxes.category_ids, boxes.image_codes))
+    coords = boxes.coords[order]
     area = areas(coords)
-    bounds = run_starts(dets.image_codes[order], dets.category_ids[order])
+    bounds = run_starts(boxes.image_codes[order], boxes.category_ids[order])
     start = bounds[:-1]
     # the k-th kept box of the group starting at position p is kept[p + k]
     n_kept = np.zeros(start.size, dtype=np.intp)
-    kept = np.empty(len(dets), dtype=np.intp)
+    kept = np.empty(len(boxes), dtype=np.intp)
     for s, group in enumerate(wavefront(np.diff(bounds))):
         box = start[group] + s
         k = n_kept[group]
@@ -361,11 +335,11 @@ def nms(boxes: Detections | Iterable[ScoredBox], iou_threshold: float) -> Detect
         kept[start[group[alive]] + k[alive]] = box[alive]
         n_kept[group[alive]] += 1
     rows = order[kept[ranges(start, n_kept)]]
-    rows = rows[np.lexsort((rows, dets.model_codes[rows], -dets.scores[rows],
-                            dets.image_codes[rows]))]
-    return Detections(dets.coords[rows], dets.scores[rows], dets.category_ids[rows],
-                      dets.image_codes[rows], dets.image_names, dets.model_codes[rows],
-                      dets.model_names)
+    rows = rows[np.lexsort((rows, boxes.model_codes[rows], -boxes.scores[rows],
+                            boxes.image_codes[rows]))]
+    return Detections(boxes.coords[rows], boxes.scores[rows], boxes.category_ids[rows],
+                      boxes.image_codes[rows], boxes.image_names, boxes.model_codes[rows],
+                      boxes.model_names)
 
 
 def _clip01(x: np.ndarray) -> np.ndarray:
@@ -399,8 +373,7 @@ def _model_counts(dets: Detections, params: WbfParams) -> np.ndarray:
     return observed
 
 
-def fuse_detections(boxes: Detections | Iterable[ScoredBox],
-                    params: WbfParams) -> FusedDetections:
+def fuse_detections(boxes: Detections, params: WbfParams) -> FusedDetections:
     """Fuse a mixed-image detection set image by image (sorted by image id).
 
     Per image and category: boxes are visited in descending weighted-score
@@ -415,23 +388,23 @@ def fuse_detections(boxes: Detections | Iterable[ScoredBox],
     Each image's clusters are ordered by descending fused score, ties in
     (category, creation) order.
     """
-    dets = Detections.of(boxes)
-    if len(dets) == 0:
-        return FusedDetections.of([])
-    observed = _model_counts(dets, params)
+    if len(boxes) == 0:
+        return FusedDetections(boxes.coords, boxes.scores, boxes.category_ids, boxes.image_codes,
+                               boxes.image_names, [], [0], [], boxes.model_names)
+    observed = _model_counts(boxes, params)
     weights = params.model_weights or {}
-    weight = np.array([weights.get(m, 1.0) for m in dets.model_names], dtype=np.float64)
-    weighted = _clip01(dets.scores * weight[dets.model_codes])
+    weight = np.array([weights.get(m, 1.0) for m in boxes.model_names], dtype=np.float64)
+    weighted = _clip01(boxes.scores * weight[boxes.model_codes])
 
     # positions in this order are both box and cluster slots: the k-th
     # cluster of the group starting at position p lives in slot p + k
-    order = np.lexsort((dets.model_codes, -weighted, dets.category_ids, dets.image_codes))
-    coords, w = dets.coords[order], weighted[order]
+    order = np.lexsort((boxes.model_codes, -weighted, boxes.category_ids, boxes.image_codes))
+    coords, w = boxes.coords[order], weighted[order]
     area = areas(coords)
-    bounds = run_starts(dets.image_codes[order], dets.category_ids[order])
+    bounds = run_starts(boxes.image_codes[order], boxes.category_ids[order])
     start = bounds[:-1]
 
-    n = len(dets)
+    n = len(boxes)
     n_clusters = np.zeros(start.size, dtype=np.intp)
     wsum, size = np.zeros(n), np.zeros(n, dtype=np.int64)
     wcoords, csum = np.zeros((n, 4)), np.zeros((n, 4))
@@ -464,7 +437,7 @@ def fuse_detections(boxes: Detections | Iterable[ScoredBox],
 
     used = np.flatnonzero(size)
     t = size[used]
-    image = dets.image_codes[order][used]
+    image = boxes.image_codes[order][used]
     score = wsum[used] / t
     if params.score_mode == "rescale":
         n_models = params.num_models if params.num_models is not None else observed[image]
@@ -473,21 +446,12 @@ def fuse_detections(boxes: Detections | Iterable[ScoredBox],
     rank = np.lexsort((-score, image))
     out = used[rank]
 
-    n_models = len(dets.model_names)
-    members = unique_sorted(slot.astype(np.int64) * n_models + dets.model_codes[order])
+    n_models = len(boxes.model_names)
+    members = unique_sorted(slot.astype(np.int64) * n_models + boxes.model_codes[order])
     per_slot = np.bincount(members // n_models, minlength=n)
     first_member = np.concatenate(([0], np.cumsum(per_slot)[:-1]))
     counts = per_slot[out]
     return FusedDetections(
-        fused[out], score[rank], dets.category_ids[order][out], image[rank],
-        dets.image_names, t[rank], np.concatenate(([0], np.cumsum(counts))),
-        (members % n_models)[ranges(first_member[out], counts)], dets.model_names)
-
-
-def wbf_fuse(boxes: Iterable[ScoredBox], params: WbfParams) -> FusedDetections:
-    """Fuse one image's detections from multiple models into weighted
-    boxes, as `fuse_detections` does per image."""
-    dets = Detections.of(boxes)
-    if len(dets.image_names) > 1:
-        raise DataError(f"boxes span multiple images: {list(dets.image_names)!r}")
-    return fuse_detections(dets, params)
+        fused[out], score[rank], boxes.category_ids[order][out], image[rank],
+        boxes.image_names, t[rank], np.concatenate(([0], np.cumsum(counts))),
+        (members % n_models)[ranges(first_member[out], counts)], boxes.model_names)

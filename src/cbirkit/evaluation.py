@@ -8,7 +8,7 @@ IoU thresholds 0.50:0.05:0.95 (AP50/AP75 read at single thresholds).
 
 Predictions and ground truth are both box tables: `boxes.Detections` (the
 ground truth as loaded: score 0, one empty model name) or
-`boxes.FusedDetections`, taken as they come.  Matching is a wavefront over
+`boxes.FusedDetections`.  Matching is a wavefront over
 position-in-group: predictions are grouped by (category, image) in the
 canonical order, and step s takes the s-th prediction of every group,
 computes its IoU with each ground-truth box of its group once, and matches
@@ -17,7 +17,7 @@ above that threshold.  The cumulative counts and the interpolation then run
 per (category, threshold).
 
 acc_at_k counts a query as a hit at K when any of its ground-truth gallery
-items appears within the first K ranked entries.  It reads `search.Rankings`
+items appears within the first K ranked entries.  It takes `search.Rankings`
 columns: each match is coded once through the rankings' id table, and a
 query's first hit is its first entry whose code is a match.
 """
@@ -31,9 +31,9 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from ._arrays import isin_sorted, ranges, run_starts, unique_sorted, wavefront
-from .boxes import Detections, FusedDetections, ScoredBox, _merge, areas, overlaps
+from .boxes import Detections, FusedDetections, _merge, areas, overlaps
 from .errors import DataError
-from .search import RankingList, Rankings
+from .search import Rankings
 
 # query item_id -> set of matching gallery item_ids
 GroundTruthRet = Mapping[str, Collection[str]]
@@ -107,11 +107,6 @@ def check_thresholds(iou_thresholds: Sequence[float] | None) -> tuple[float, ...
     return thresholds
 
 
-def _table(boxes) -> Detections | FusedDetections:
-    """A box table as it comes; a sequence of ScoredBox as Detections."""
-    return boxes if isinstance(boxes, (Detections, FusedDetections)) else Detections.of(boxes)
-
-
 def _match(preds: Detections | FusedDetections, order: np.ndarray, group_key: np.ndarray,
            gt_coords: np.ndarray, gt_key: np.ndarray,
            thresholds: tuple[float, ...]) -> np.ndarray:
@@ -149,8 +144,8 @@ def _match(preds: Detections | FusedDetections, order: np.ndarray, group_key: np
 
 
 def detection_ap(
-    preds: Detections | FusedDetections | Sequence[ScoredBox],
-    gt: Detections | FusedDetections | Sequence[ScoredBox],
+    preds: Detections | FusedDetections,
+    gt: Detections | FusedDetections,
     iou_thresholds: Sequence[float] | None = None,
 ) -> DetectionReport:
     """Score detections against ground truth at the given IoU thresholds.
@@ -160,7 +155,6 @@ def detection_ap(
     boxes as misses.  Ground-truth scores and model names are not read.
     """
     thresholds = check_thresholds(iou_thresholds)
-    preds, gt = _table(preds), _table(gt)
     categories = unique_sorted(np.concatenate((gt.category_ids, preds.category_ids)))
     gt_rank = np.searchsorted(categories, gt.category_ids)
     total_gt = np.bincount(gt_rank, minlength=categories.size)
@@ -231,7 +225,7 @@ def detection_ap(
 
 
 def acc_at_k(
-    rankings: Rankings | Sequence[RankingList],
+    rankings: Rankings,
     gt: GroundTruthRet,
     ks: Sequence[int],
     gallery_ids: Collection[str] | None = None,
@@ -245,7 +239,6 @@ def acc_at_k(
     """
     if not ks or any(k < 1 for k in ks):
         raise DataError(f"ks must be positive integers, got {ks!r}")
-    rankings = Rankings.of(rankings)
     query_ids = rankings.query_ids.tolist()
     unique = set(query_ids)
     if len(unique) < len(query_ids):

@@ -26,12 +26,14 @@ no object per row.
 
 Rankings TSV: query_id <TAB> rank (1-based) <TAB> gallery item_id <TAB>
 score (9 significant digits); per query, ranks run 1, 2, ..., scores are
-finite and never increase, and no item_id repeats.
+finite and never increase, and no item_id repeats.  Rankings are read into
+and written from `search.Rankings` columns.
 
-Detections load as `boxes.Detections` columns, and detection ground truth
-as the same table, with score 0 and one empty model name; it is written
-sorted stably by image id.  Fused boxes are written from
-`boxes.FusedDetections` columns as `json.dumps` writes each record.  Outputs
+Detections load as `boxes.Detections` columns and are written from them in
+row order; detection ground truth is the same table, with score 0 and one
+empty model name, and is written sorted stably by image id.  Fused boxes
+are written from `boxes.FusedDetections` columns as `json.dumps` writes
+each record.  Every writer takes its table type only.  Outputs
 (fused boxes, rankings, report) are written to a temp file and moved into
 place with `os.replace`, so a failed save leaves any previous file whole.
 """
@@ -47,15 +49,15 @@ import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .boxes import BoundingBox, Detections, FusedBox, FusedDetections, ScoredBox, invalid_detections
+from .boxes import BoundingBox, Detections, FusedDetections, ScoredBox, invalid_detections
 from .embeddings import EmbeddingMatrix, _id_fault
 from .errors import ConfigError, DataError, EmbeddingFormatError, ParseError
 from .evaluation import GroundTruthRet
-from .search import RankingList, Rankings
+from .search import Rankings
 
 EMB_MAGIC = b"EMB1"
 _EMB_HEADER = struct.Struct("<4sII")
@@ -246,17 +248,19 @@ def load_detections(path: str | Path) -> Detections:
     return _detections(path, lines, fault, *columns)
 
 
-def save_detections(boxes: Iterable[ScoredBox], path: str | Path) -> None:
-    _write_jsonl(path, _DETECTIONS, ((b.image_id, b.model_id, b.category_id, b.score,
-                                      list(b.box.as_tuple())) for b in boxes))
+def save_detections(dets: Detections, path: str | Path) -> None:
+    """The rows in table order, written from the columns."""
+    images = map(dets.image_names.__getitem__, dets.image_codes.tolist())
+    models = map(dets.model_names.__getitem__, dets.model_codes.tolist())
+    _write_jsonl(path, _DETECTIONS, zip(images, models, dets.category_ids.tolist(),
+                                        dets.scores.tolist(), dets.coords.tolist()))
 
 
-def save_fused_boxes(fused: FusedDetections | Iterable[FusedBox], path: str | Path) -> None:
+def save_fused_boxes(fused: FusedDetections, path: str | Path) -> None:
     """Fused boxes use the detections schema (model_id "wbf") plus
     cluster_size and the contributing model ids, so the file can be fed
     straight back into detection evaluation.  Lines are formatted from the
     columns, byte for byte as json.dumps writes the record."""
-    fused = FusedDetections.of(fused)
     images = [json.dumps(name) for name in fused.image_names]
     models = [json.dumps(name) for name in fused.model_names]
     codes, bounds = fused.model_codes.tolist(), fused.model_indptr.tolist()
@@ -343,9 +347,8 @@ def load_embeddings(data_path: str | Path, ids_path: str | Path) -> EmbeddingMat
         raise DataError(f"{data_path}: {e}") from None
 
 
-def save_rankings(rankings: Rankings | Sequence[RankingList], path: str | Path) -> None:
+def save_rankings(rankings: Rankings, path: str | Path) -> None:
     """One line per entry, formatted from the columns; one write per query."""
-    rankings = Rankings.of(rankings)
     valid = np.arange(rankings.codes.shape[1]) < rankings.lengths[:, None]
     items = rankings.item_table[rankings.codes[valid]].tolist()
     scores = rankings.scores[valid].tolist()

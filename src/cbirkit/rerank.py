@@ -75,14 +75,13 @@ one 2-D lexsort orders the block's rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ._arrays import isin_sorted, ranges, unique_sorted
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .search import RankingList, Rankings, RetrievalIndex, exact_topk, pair_scores
+from .search import Rankings, RetrievalIndex, exact_topk, pair_scores
 
 # rankings re-ordered per pass; bounds the n_q x n_g min-sums to RERANK_BLOCK x n_g
 RERANK_BLOCK = 32
@@ -302,7 +301,7 @@ def _survivors(approx: np.ndarray, k: int, slack: float) -> tuple[np.ndarray, np
 def k_reciprocal_rerank(
     queries: EmbeddingMatrix,
     gallery: EmbeddingMatrix,
-    initial: Rankings | Sequence[RankingList],
+    initial: Rankings,
     params: RerankParams,
     k: int | None = None,
 ) -> Rankings:
@@ -339,7 +338,6 @@ def k_reciprocal_rerank(
         raise DataError(f"query dim {queries.dim} != gallery dim {gallery.dim}")
     if not queries.is_unit_normalized() or not gallery.is_unit_normalized():
         raise DataError("queries and gallery must be unit-normalized")
-    initial = Rankings.of(initial)
     query_rows = _query_rows(queries, initial, params.k1)
     cand_rows = _gallery_rows(gallery, initial)
 

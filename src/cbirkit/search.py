@@ -36,14 +36,14 @@ query ids, the gallery's item_ids as the id table, an n_q x k array of
 gallery rows (codes into that table), their scores, and each query's
 length, which is shorter than k on the category-restricted path when a
 category holds fewer than k gallery rows, and 0 when it holds none.
-`RankingList` is the object view of one row (`rankings[i]`), for callers
-that hold or build rankings one query at a time.
+Rankings are only ever taken as columns; `rankings[i]` reads one row as a
+`RankingList` view.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +61,7 @@ _PRODUCT_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class RankingList:
-    """Ordered retrieval result for one query: ids with non-increasing
-    scores.  `Rankings` hands one out per row."""
+    """One row of `Rankings`, read as one query's ids and scores."""
 
     query_id: str
     item_ids: tuple[str, ...]
@@ -73,23 +72,12 @@ class RankingList:
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "item_ids", tuple(self.item_ids))
-        if len(self.item_ids) != scores.shape[0]:
-            raise DataError(f"ranking for {self.query_id!r}: ids/scores length mismatch")
-        if (scores[1:] > scores[:-1]).any():
-            raise DataError(f"ranking for {self.query_id!r}: scores increase")
-        if len(set(self.item_ids)) != len(self.item_ids):
-            raise DataError(f"ranking for {self.query_id!r}: duplicate gallery ids")
 
     def __len__(self) -> int:
         return len(self.item_ids)
 
     def entries(self):
         return zip(self.item_ids, self.scores.tolist())
-
-    def head(self, k: int) -> "RankingList":
-        if k >= len(self):
-            return self
-        return RankingList(self.query_id, self.item_ids[:k], self.scores[:k])
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -103,8 +91,9 @@ class Rankings(Sequence):
     share one array.  Search and re-ranking output use the gallery's
     item_ids column as the table, so a code is a gallery row; a rankings
     file has its own table of the distinct ids it names, sorted.  Rows are
-    taken as ranked: the producers (the top-K kernel, the re-ranker, the
-    file loader and RankingList) order them and keep their ids distinct.
+    taken as ranked: the producers (the top-K kernel, the re-ranker and
+    `from_flat`, which the file loader calls) order them and keep their
+    ids distinct.
     """
 
     query_ids: np.ndarray   # (n,) object array of str
@@ -135,26 +124,37 @@ class Rankings(Sequence):
     def from_flat(cls, query_ids: Sequence[str], lengths: Sequence[int],
                   item_ids: Sequence[str], scores: Sequence[float]) -> "Rankings":
         """Query i ranks the next lengths[i] of the flat item_ids and
-        scores.  The table is the sorted distinct ids."""
+        scores.  The table is the sorted distinct ids.  DataError names the
+        first query whose length is negative or runs past the ids or scores
+        (the last query, when they run past every length), then the first
+        whose scores increase, then the first with a score that is not
+        finite, then the first that repeats an id."""
+        lengths = np.array(lengths, dtype=np.int64)
+        scores = np.array(scores, dtype=np.float64)
+        n = len(item_ids)
+        if lengths.shape != (len(query_ids),) or (lengths.size == 0 and (n or scores.size)):
+            raise DataError("rankings need one length per query id")
+        ends = np.cumsum(lengths)
+        short = (lengths < 0) | (ends > min(n, scores.size))
+        short[-1:] |= not ends[-1:].sum() == n == scores.size
+        _name_first(query_ids, np.flatnonzero(short), "ids/scores length mismatch")
         table = sorted(set(item_ids))
         code_of = dict(zip(table, range(len(table))))
-        lengths = np.array(lengths, dtype=np.int64)
+        flat = np.fromiter(map(code_of.__getitem__, item_ids), np.int64, n)
+        row = np.repeat(np.arange(lengths.size), lengths)
+        rises = (row[1:] == row[:-1]) & (scores[1:] > scores[:-1])
+        _name_first(query_ids, row[1:][rises], "scores increase")
+        _name_first(query_ids, row[~np.isfinite(scores)], "a score is not finite")
+        # (row, code) keys: a repeated key is an id repeated within a row
+        key = np.sort(row * len(table) + flat)
+        _name_first(query_ids, key[1:][key[1:] == key[:-1]] // max(len(table), 1),
+                    "duplicate gallery ids")
         valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
         codes = np.zeros(valid.shape, dtype=np.int64)
-        codes[valid] = np.fromiter(map(code_of.__getitem__, item_ids), np.int64, len(item_ids))
+        codes[valid] = flat
         padded = np.zeros(valid.shape)
         padded[valid] = scores
         return cls(query_ids, np.array(table, dtype=object), codes, padded, lengths)
-
-    @classmethod
-    def of(cls, rankings: Iterable[RankingList]) -> "Rankings":
-        """`rankings` itself if it is a Rankings, else its columns."""
-        if isinstance(rankings, Rankings):
-            return rankings
-        rankings = list(rankings)
-        return cls.from_flat([r.query_id for r in rankings], [len(r) for r in rankings],
-                             [item for r in rankings for item in r.item_ids],
-                             [s for r in rankings for s in r.scores.tolist()])
 
     def __len__(self) -> int:
         return self.query_ids.shape[0]
@@ -186,6 +186,12 @@ class Rankings(Sequence):
 
     def __repr__(self) -> str:
         return f"Rankings({len(self)} queries, {self.lengths.sum()} entries)"
+
+
+def _name_first(query_ids: Sequence[str], rows: np.ndarray, message: str) -> None:
+    """Raise DataError naming the query of the smallest of `rows`, if any."""
+    if rows.size:
+        raise DataError(f"ranking for {query_ids[int(rows.min())]!r}: {message}")
 
 
 class RetrievalIndex:

@@ -23,7 +23,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .boxes import BoundingBox, Detections, ScoredBox
+from .boxes import BoundingBox, Detections
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError
 from .pipeline import check_json_type
@@ -131,7 +131,8 @@ def detection_gt(objects: list[GtObject]) -> Detections:
                                    [o.image_id for o in objects], [""] * len(objects))
 
 
-def _jittered_box(box: BoundingBox, rng: np.random.Generator, sigma: float) -> BoundingBox:
+def _jittered_box(box: BoundingBox, rng: np.random.Generator,
+                  sigma: float) -> tuple[float, float, float, float]:
     x1, y1, x2, y2 = (c + rng.normal(0.0, sigma) if sigma > 0 else c
                       for c in box.as_tuple())
     x1, x2 = sorted((x1, x2))
@@ -140,12 +141,11 @@ def _jittered_box(box: BoundingBox, rng: np.random.Generator, sigma: float) -> B
         x2 = x1 + 1.0
     if y2 - y1 < 1.0:
         y2 = y1 + 1.0
-    return BoundingBox(x1, y1, x2, y2)
+    return x1, y1, x2, y2
 
 
-def synth_detections(spec: SyntheticSpec, objects: list[GtObject],
-                     detector: int) -> list[ScoredBox]:
-    """One detector's noisy view of the ground truth.
+def synth_detections(spec: SyntheticSpec, objects: list[GtObject], detector: int) -> Detections:
+    """One detector's noisy view of the ground truth, as a table.
 
     Each object is missed with probability miss_rate, otherwise emitted with
     jittered coordinates and score 1 - |N(0, score_sigma)|.  Per image, the
@@ -155,37 +155,32 @@ def synth_detections(spec: SyntheticSpec, objects: list[GtObject],
     if not (0 <= detector < spec.detector_count):
         raise ConfigError(f"detector index {detector} outside [0, {spec.detector_count})")
     rng = _rng(spec.seed, _STREAM_DETECTOR, detector)
-    model_id = f"det{detector}"
-    out = []
+    coords, scores, categories, images = [], [], [], []
     by_image: dict[str, list[GtObject]] = {}
     for obj in objects:
         by_image.setdefault(obj.image_id, []).append(obj)
+    # the written files are pinned, so the draws keep their order: score,
+    # then box, for a hit; box, score, then category for a false positive
     for image_id in sorted(by_image):
         for obj in by_image[image_id]:
             if rng.random() < spec.miss_rate:
                 continue
-            score = min(1.0, max(0.0, 1.0 - abs(rng.normal(0.0, spec.score_sigma))))
-            out.append(ScoredBox(
-                box=_jittered_box(obj.box, rng, spec.jitter_sigma),
-                score=score,
-                category_id=obj.category_id,
-                image_id=image_id,
-                model_id=model_id,
-            ))
+            scores.append(min(1.0, max(0.0, 1.0 - abs(rng.normal(0.0, spec.score_sigma)))))
+            coords.append(_jittered_box(obj.box, rng, spec.jitter_sigma))
+            categories.append(obj.category_id)
+            images.append(image_id)
         n_fp = int(rng.binomial(spec.gt_boxes_per_image, spec.fp_rate))
         for _ in range(n_fp):
             w = rng.uniform(MIN_BOX_SIDE, MAX_BOX_SIDE)
             h = rng.uniform(MIN_BOX_SIDE, MAX_BOX_SIDE)
             x1 = rng.uniform(0.0, CANVAS - w)
             y1 = rng.uniform(0.0, CANVAS - h)
-            out.append(ScoredBox(
-                box=BoundingBox(x1, y1, x1 + w, y1 + h),
-                score=float(rng.uniform(*FP_SCORE_RANGE)),
-                category_id=int(rng.integers(1, spec.num_categories + 1)),
-                image_id=image_id,
-                model_id=model_id,
-            ))
-    return out
+            coords.append((x1, y1, x1 + w, y1 + h))
+            scores.append(rng.uniform(*FP_SCORE_RANGE))
+            categories.append(int(rng.integers(1, spec.num_categories + 1)))
+            images.append(image_id)
+    return Detections.from_columns(coords, scores, categories, images,
+                                   [f"det{detector}"] * len(scores))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cbirkit.boxes import WbfParams
+from cbirkit.boxes import Detections, WbfParams
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord, concat_features
 from cbirkit.evaluation import acc_at_k, detection_ap
 from cbirkit.pipeline import fuse_detections
@@ -46,8 +46,7 @@ def wbf_gain_trial(seed: int) -> tuple[list[float], float]:
     detections = [synth_detections(spec, objects, d) for d in range(5)]
     fused_ap50 = []
     for k in range(1, 6):
-        boxes = [b for det in detections[:k] for b in det]
-        fused = fuse_detections(boxes, WbfParams())
+        fused = fuse_detections(Detections.concat(detections[:k]), WbfParams())
         fused_ap50.append(detection_ap(fused, gt, [0.5]).ap50)
     best_single = max(detection_ap(det, gt, [0.5]).ap50 for det in detections)
     return fused_ap50, best_single

@@ -10,19 +10,19 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from cbirkit.boxes import BoundingBox, ScoredBox, WbfParams, wbf_fuse
+from cbirkit.boxes import BoundingBox, WbfParams, fuse_detections
 from cbirkit.descriptors import PoolingSpec, pool
 from cbirkit.embeddings import EmbeddingMatrix, concat_features, pca_fit, pca_transform
 from cbirkit.evaluation import acc_at_k, detection_ap
 from cbirkit.pipeline import PipelineConfig, run_pipeline
 from cbirkit.rerank import QeParams, RerankParams, database_augmentation, k_reciprocal_rerank, query_expansion
-from cbirkit.search import RankingList, build_index, knn_search
+from cbirkit.search import Rankings, build_index, knn_search
 from cbirkit.synthetic import SyntheticSpec, generate_synthetic
 
 from benchmarks import concat_gain_trial, rerank_gain_trial, wbf_gain_trial
 from oracles import expand_ref, knn_ref, rerank_ref, wbf_ref
-from util import (boxes_to_dicts, gallery_ids, gt_table, output_under_blas_threads, query_ids,
-                  random_scored_boxes, rng_for, unit_rows)
+from util import (boxes_to_dicts, detections, gallery_ids, gt_table, output_under_blas_threads,
+                  query_ids, random_scored_boxes, rng_for, unit_rows)
 
 _SUITE_START = time.perf_counter()
 
@@ -54,7 +54,7 @@ def test_criterion_1_wbf_oracle_equivalence():
             mode = "rescale" if rng.random() < 0.8 else "mean"
             params = WbfParams(iou_threshold=0.55, model_weights=weights,
                                score_mode=mode)
-            got = wbf_fuse(boxes, params)
+            got = fuse_detections(boxes, params)
             exp = wbf_ref(boxes_to_dicts(boxes), 0.55,
                           weights or {m: 1.0 for m in observed},
                           len(observed), mode)
@@ -236,17 +236,18 @@ def test_criterion_8_qe_dba_contracts():
 def test_criterion_9_evaluators():
     with criterion(9, "AP and Acc@K reproduce the hand-derived fixtures"):
         gt = gt_table({"img0": [(BoundingBox(0, 0, 10, 10), 1)]})
-        perfect = [ScoredBox(BoundingBox(0, 0, 10, 10), 0.9, 1, "img0", "m0")]
+        perfect = detections([(0, 0, 10, 10, 0.9, 1, "img0", "m0")])
         assert detection_ap(perfect, gt, [0.5]).ap50 == 1.0
-        two = [
-            ScoredBox(BoundingBox(50, 50, 60, 60), 0.9, 1, "img0", "m0"),
-            ScoredBox(BoundingBox(0, 0, 10, 10), 0.6, 1, "img0", "m0"),
-        ]
+        two = detections([
+            (50, 50, 60, 60, 0.9, 1, "img0", "m0"),
+            (0, 0, 10, 10, 0.6, 1, "img0", "m0"),
+        ])
         assert detection_ap(two, gt, [0.5]).ap50 == 0.5
 
         gallery = [f"g{i:02d}" for i in range(12)]
-        scores = np.linspace(1.0, 0.1, 12)
-        rankings = [RankingList(f"q{i}", tuple(gallery), scores) for i in range(3)]
+        scores = np.linspace(1.0, 0.1, 12).tolist()
+        rankings = Rankings.from_flat([f"q{i}" for i in range(3)], [12] * 3, gallery * 3,
+                                      scores * 3)
         ret_gt = {"q0": {"g00"}, "q1": {"g10"}, "q2": {"g04"}}
         report = acc_at_k(rankings, ret_gt, [1, 10])
         assert report.acc[10] == pytest.approx(2 / 3, abs=0)
@@ -254,12 +255,12 @@ def test_criterion_9_evaluators():
 
         rng = rng_for(17_000)
         for _ in range(20):
-            perm_rankings = []
+            perms = []
             rand_gt = {}
             for qi in range(25):
-                perm = list(rng.permutation(gallery))
-                perm_rankings.append(RankingList(f"q{qi}", tuple(perm), scores))
+                perms += rng.permutation(gallery).tolist()
                 rand_gt[f"q{qi}"] = {gallery[int(rng.integers(0, 12))]}
+            perm_rankings = Rankings.from_flat(list(rand_gt), [12] * 25, perms, scores * 25)
             ks = [1, 2, 3, 5, 8, 12]
             rep = acc_at_k(perm_rankings, rand_gt, ks)
             values = [rep.acc[k] for k in ks]

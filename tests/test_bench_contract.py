@@ -1,27 +1,38 @@
-"""The library surface that the benchmark's tracer relies on.
+"""The library surface that the benchmark relies on.
 
 `perfbench/spans.py` patches the module attributes named in its TARGETS
 and reads the arguments of the calls it wraps; `perfbench/child.py` calls
-`run_pipeline(config, threads=...)`.  These tests run that tracer, as it
-is, around two small pipelines, so that renaming or removing something
-the benchmark calls fails here rather than in a benchmark run.
+`run_pipeline(config, threads=...)` and spot-checks the traced searches
+through the rankings' row views; `perfbench/workloads.py` writes the
+synthetic detections.  These tests run that code, as it is, around small
+inputs, so that renaming or removing something the benchmark calls fails
+here rather than in a benchmark run.
 """
 
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cbirkit import io as formats
 from cbirkit.pipeline import PipelineConfig, run_pipeline
-from cbirkit.synthetic import SyntheticSpec, generate_synthetic
+from cbirkit.synthetic import (SyntheticSpec, detection_gt, generate_synthetic, synth_detections,
+                               synth_layout)
 
 ROOT = Path(__file__).resolve().parents[1]
 
 _spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
 spans = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(spans)
+
+# child.py imports its sibling modules by name
+sys.path.append(str(ROOT / "perfbench"))
+workloads = importlib.import_module("workloads")
+child = importlib.import_module("child")
 
 CONFIGS = {
     "retrieval": ([{"step": "concat"}, {"step": "pca", "out_dim": 8},
@@ -68,3 +79,21 @@ def test_traced_run_reports_every_layer(tmp_path, name):
     assert set(called) <= seen, sorted(set(called) - seen)
     [knn] = tracer.knn_calls
     assert knn[0].arguments["restrict_to_query_category"] is restrict
+    check = child.spot_check(tracer.knn_calls)
+    assert check["queries_checked"] > 0 and check["mismatched"] == 0, check
+
+
+def test_written_detections_load_back(tmp_path):
+    spec = SyntheticSpec(seed=7, num_images=6, num_categories=3, gt_boxes_per_image=2,
+                         detector_count=3, fp_rate=0.5)
+    paths, gt_path, sizes = workloads._write_detections(spec, tmp_path)
+    objects = synth_layout(spec)
+    tables = [synth_detections(spec, objects, d) for d in range(spec.detector_count)]
+    assert len(paths) == len(tables)
+    for path, table in zip(paths, tables):
+        loaded = formats.load_detections(path)
+        assert loaded == table
+        assert np.array_equal(loaded.coords, table.coords)
+        assert np.array_equal(loaded.scores, table.scores)
+    assert sizes["detections"] == sum(map(len, tables)) > 0
+    assert formats.load_detection_gt(gt_path) == detection_gt(objects)

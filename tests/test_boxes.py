@@ -7,22 +7,20 @@ from cbirkit.boxes import (
     SCORE_MODES,
     BoundingBox,
     Detections,
-    FusedDetections,
-    ScoredBox,
     WbfParams,
     fuse_detections,
     iou,
     nms,
-    wbf_fuse,
 )
 from cbirkit.errors import ConfigError, DataError
 
 from oracles import nms_ref, wbf_ref
-from util import boxes_to_dicts, random_scored_boxes, rng_for
+from util import boxes_to_dicts, detections, random_scored_boxes, rng_for, take
 
 
 def sb(x1, y1, x2, y2, score, category=1, image="img0", model="m0"):
-    return ScoredBox(BoundingBox(x1, y1, x2, y2), score, category, image, model)
+    """One row for `detections`."""
+    return (x1, y1, x2, y2, score, category, image, model)
 
 
 # image ids that fixed-width string arrays or byte-wise handling would
@@ -41,19 +39,19 @@ def detection_sets(draw, distinct_scores=False, n_categories=2):
     else:
         scores = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]),
                                min_size=n, max_size=n))
-    boxes = []
+    rows = []
     for score in scores:
         model = draw(st.sampled_from(["m0", "m1", "m2"]))
-        if boxes and draw(st.integers(0, 2)) == 0:
-            b = draw(st.sampled_from(boxes))
-            boxes.append(ScoredBox(b.box, score, b.category_id, b.image_id, model))
+        if rows and draw(st.integers(0, 2)) == 0:
+            x1, y1, x2, y2, _, category, image, _ = draw(st.sampled_from(rows))
+            rows.append((x1, y1, x2, y2, score, category, image, model))
             continue
         x1, y1 = draw(st.integers(0, 24)), draw(st.integers(0, 24))
         w, h = draw(st.integers(1, 16)), draw(st.integers(1, 16))
-        boxes.append(ScoredBox(BoundingBox(x1 * 0.5, y1 * 0.5, x1 * 0.5 + w, y1 * 0.5 + h),
-                               score, draw(st.integers(1, n_categories)),
-                               draw(st.sampled_from(ODD_IMAGE_IDS)), model))
-    return boxes
+        rows.append((x1 * 0.5, y1 * 0.5, x1 * 0.5 + w, y1 * 0.5 + h, score,
+                     draw(st.integers(1, n_categories)), draw(st.sampled_from(ODD_IMAGE_IDS)),
+                     model))
+    return detections(rows)
 
 
 class TestBoundingBox:
@@ -97,39 +95,39 @@ class TestIou:
 
 class TestNms:
     def test_singleton(self):
-        b = sb(0, 0, 10, 10, 0.7)
-        assert nms([b], 0.5) == [b]
+        dets = detections([sb(0, 0, 10, 10, 0.7)])
+        assert nms(dets, 0.5) == [dets[0]]
 
     def test_empty(self):
-        assert nms([], 0.5) == []
+        assert nms(detections([]), 0.5) == []
 
     def test_full_overlap_keeps_top(self):
-        a = sb(0, 0, 10, 10, 0.9)
-        b = sb(0, 0, 10, 10, 0.8, model="m1")
-        assert nms([a, b], 0.5) == [a]
+        dets = detections([sb(0, 0, 10, 10, 0.9), sb(0, 0, 10, 10, 0.8, model="m1")])
+        assert nms(dets, 0.5) == [dets[0]]
 
     def test_category_isolation(self):
-        a = sb(0, 0, 10, 10, 0.9, category=1)
-        b = sb(0, 0, 10, 10, 0.8, category=2)
-        assert len(nms([a, b], 0.5)) == 2
+        dets = detections([sb(0, 0, 10, 10, 0.9, category=1), sb(0, 0, 10, 10, 0.8, category=2)])
+        assert len(nms(dets, 0.5)) == 2
 
     def test_mixed_images_equal_per_image_calls(self):
         rng = rng_for(1500)
         images = ["b", "a", "c\x00", "a b"]
-        boxes = [b for image in images for b in random_scored_boxes(rng, 12, image_id=image)]
-        rng.shuffle(boxes)
-        per_image = [nms([b for b in boxes if b.image_id == image], 0.3)
-                     for image in sorted(images)]
+        boxes = Detections.concat([random_scored_boxes(rng, 12, image_id=image)
+                                   for image in images])
+        boxes = take(boxes, rng.permutation(len(boxes)))
+        # image codes are in id order
+        per_image = [nms(take(boxes, boxes.image_codes == code), 0.3)
+                     for code in range(len(images))]
         assert nms(boxes, 0.3) == [b for kept in per_image for b in kept]
 
     @settings(max_examples=200, deadline=None)
     @given(detection_sets(n_categories=4), st.sampled_from([1e-4, 0.5, 1.0]), st.data())
     def test_matches_oracle_per_image(self, boxes, threshold, data):
         # copies of drawn boxes under other scores and models: IoU exactly 1
-        copies = data.draw(st.lists(st.sampled_from(boxes), max_size=8)) if boxes else []
-        boxes += [ScoredBox(b.box, data.draw(st.sampled_from([0.2, 0.5, 0.9])), b.category_id,
-                            b.image_id, data.draw(st.sampled_from(["m0", "m1", "m2"])))
-                  for b in copies]
+        copies = data.draw(st.lists(st.sampled_from(list(boxes)), max_size=8)) if boxes else []
+        boxes = Detections.concat([boxes, detections(
+            (*b.box.as_tuple(), data.draw(st.sampled_from([0.2, 0.5, 0.9])), b.category_id,
+             b.image_id, data.draw(st.sampled_from(["m0", "m1", "m2"]))) for b in copies)])
         expected = []
         for image in sorted({b.image_id for b in boxes}):
             mine = [b for b in boxes if b.image_id == image]
@@ -146,8 +144,8 @@ class TestNms:
             assert boxes_to_dicts(kept) == ref
 
 
-def fuse_simple(boxes, **kwargs):
-    return wbf_fuse(boxes, WbfParams(**kwargs))
+def fuse_simple(rows, **kwargs):
+    return fuse_detections(detections(rows), WbfParams(**kwargs))
 
 
 class TestWbfParams:
@@ -171,7 +169,7 @@ class TestWbfFuse:
     def test_singleton_passthrough(self):
         b = sb(0, 0, 10, 10, 0.8)
         [f] = fuse_simple([b], num_models=1)
-        assert f.box == b.box
+        assert f.box == BoundingBox(0, 0, 10, 10)
         assert f.score == pytest.approx(0.8, abs=1e-12)
         assert f.cluster_size == 1
         assert f.model_ids == frozenset({"m0"})
@@ -194,13 +192,13 @@ class TestWbfFuse:
     def test_unknown_model_weight_named(self):
         boxes = [sb(0, 0, 10, 10, 0.8, model="mystery")]
         with pytest.raises(ConfigError, match="mystery"):
-            wbf_fuse(boxes, WbfParams(model_weights={"m0": 1.0}))
+            fuse_simple(boxes, model_weights={"m0": 1.0})
 
     def test_num_models_below_observed_rejected(self):
         boxes = [sb(0, 0, 10, 10, 0.8, model="m0"),
                  sb(50, 50, 60, 60, 0.8, model="m1")]
         with pytest.raises(ConfigError):
-            wbf_fuse(boxes, WbfParams(num_models=1))
+            fuse_simple(boxes, num_models=1)
 
     def test_single_model_cluster_demoted_by_rescale(self):
         near = [sb(0, 0, 10, 10, 0.9, model="m0"), sb(1, 0, 11, 10, 0.9, model="m1")]
@@ -228,7 +226,7 @@ class TestWbfFuse:
         for seed in range(30):
             rng = rng_for(2000 + seed)
             boxes = random_scored_boxes(rng, 10)
-            fused = fuse_simple(boxes)
+            fused = fuse_detections(boxes, WbfParams())
             assert sum(f.cluster_size for f in fused) == len(boxes)
             assert len(fused) <= len(boxes)
             for f in fused:
@@ -244,7 +242,7 @@ class TestWbfFuse:
             rng = rng_for(2500 + seed)
             boxes = random_scored_boxes(rng, 10)
             best = max(b.score for b in boxes)
-            for f in fuse_simple(boxes):
+            for f in fuse_detections(boxes, WbfParams()):
                 assert f.score <= best + 1e-12
 
     def test_matches_reference_oracle(self):
@@ -253,7 +251,7 @@ class TestWbfFuse:
         for seed in range(25):
             rng = rng_for(3000 + seed)
             boxes = random_scored_boxes(rng, int(rng.integers(1, 11)))
-            got = fuse_simple(boxes)
+            got = fuse_detections(boxes, WbfParams())
             weights = {f"m{i}": 1.0 for i in range(3)}
             exp = wbf_ref(boxes_to_dicts(boxes), 0.55, weights,
                           len({b.model_id for b in boxes}))
@@ -314,33 +312,36 @@ class TestFuseDetections:
     @given(detection_sets(distinct_scores=True), st.data())
     def test_invariant_under_input_order(self, boxes, data):
         base = fuse_detections(boxes, WbfParams())
-        by_image: dict[str, list] = {}
-        for b in boxes:
-            by_image.setdefault(b.image_id, []).append(b)
-        images = data.draw(st.permutations(list(by_image)))
-        assert fuse_detections([b for i in images for b in by_image[i]], WbfParams()) == base
+        # the images in a drawn order, each image's boxes in input order
+        rank = np.array(data.draw(st.permutations(range(len(boxes.image_names)))), dtype=np.intp)
+        by_image = np.argsort(rank[boxes.image_codes], kind="stable")
+        assert fuse_detections(take(boxes, by_image), WbfParams()) == base
         # with distinct (score, model_id) keys no tie reaches the input index
-        assert fuse_detections(data.draw(st.permutations(boxes)), WbfParams()) == base
+        shuffled = np.array(data.draw(st.permutations(range(len(boxes)))), dtype=np.intp)
+        assert fuse_detections(take(boxes, shuffled), WbfParams()) == base
 
     def test_columns_match_sequence_view(self):
-        boxes = random_scored_boxes(rng_for(4000), 30)
-        dets = Detections.of(boxes)
-        assert len(dets) == 30 and dets == boxes and list(dets) == boxes
-        assert dets[-1] == boxes[-1] and dets[2] == boxes[2]
+        dets = random_scored_boxes(rng_for(4000), 30)
+        boxes = list(dets)
+        assert len(boxes) == 30 and dets == boxes and dets[-1] == boxes[29]
+        for i, b in enumerate(boxes):
+            assert b.box.as_tuple() == tuple(dets.coords[i].tolist())
+            assert (b.score, b.category_id, b.model_id) == (
+                dets.scores[i], dets.category_ids[i], dets.model_names[dets.model_codes[i]])
         with pytest.raises(IndexError):
             dets[30]
         with pytest.raises(ValueError):
             dets.coords[0, 0] = 1.0
-        fused = fuse_detections(dets, WbfParams())
-        assert FusedDetections.of(list(fused)) == fused
 
     def test_concat_merges_name_tables(self):
-        a = Detections.of([sb(0, 0, 1, 1, 0.5, image="b", model="m1")])
-        b = Detections.of([sb(0, 0, 2, 2, 0.6, image="a", model="m0"),
-                           sb(0, 0, 3, 3, 0.7, image="b", model="m2")])
+        a = detections([sb(0, 0, 1, 1, 0.5, image="b", model="m1")])
+        b = detections([sb(0, 0, 2, 2, 0.6, image="a", model="m0"),
+                        sb(0, 0, 3, 3, 0.7, image="b", model="m2")])
         both = Detections.concat([a, b])
         assert both == list(a) + list(b)
         assert both.image_names == ("a", "b") and both.model_names == ("m0", "m1", "m2")
+        empty = Detections.concat([])
+        assert empty == [] and fuse_detections(empty, WbfParams()) == []
 
     def test_invalid_columns_rejected(self):
         with pytest.raises(DataError, match="degenerate"):

@@ -3,28 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbirkit.boxes import BoundingBox, ScoredBox, WbfParams, fuse_detections
+from cbirkit.boxes import BoundingBox, Detections, WbfParams, fuse_detections
 from cbirkit.errors import DataError
 from cbirkit.evaluation import acc_at_k, detection_ap
-from cbirkit.search import RankingList
+from cbirkit.search import Rankings
 
 from oracles import detection_ap_ref
-from util import gt_table, random_scored_boxes, rng_for
+from util import detections, gt_table, random_scored_boxes, rng_for, take
 
 
 def sb(x1, y1, x2, y2, score, category=1, image="img0", model="m0"):
-    return ScoredBox(BoundingBox(x1, y1, x2, y2), score, category, image, model)
+    """One row for `detections`."""
+    return (x1, y1, x2, y2, score, category, image, model)
 
 
 def gt_of(*entries):
-    """Ground truth as a sequence of ScoredBox of score 0."""
-    return [sb(x1, y1, x2, y2, 0.0, cat, image, "") for image, x1, y1, x2, y2, cat in entries]
+    """Ground truth as a table of score 0 and model id ""."""
+    return detections(sb(x1, y1, x2, y2, 0.0, cat, image, "")
+                      for image, x1, y1, x2, y2, cat in entries)
 
 
 class TestDetectionAp:
     def test_perfect_single_detection(self):
         gt = gt_of(("img0", 0, 0, 10, 10, 1))
-        report = detection_ap([sb(0, 0, 10, 10, 0.9)], gt)
+        report = detection_ap(detections([sb(0, 0, 10, 10, 0.9)]), gt)
         assert report.ap50 == pytest.approx(1.0)
         assert report.ap75 == pytest.approx(1.0)
         assert report.ap == pytest.approx(1.0)
@@ -32,17 +34,18 @@ class TestDetectionAp:
 
     def test_fp_above_tp_halves_ap50(self):
         gt = gt_of(("img0", 0, 0, 10, 10, 1))
-        preds = [
+        preds = detections([
             sb(50, 50, 60, 60, 0.9),   # disjoint, higher score: FP
             sb(0, 0, 10, 10, 0.6),     # exact: TP
-        ]
+        ])
         report = detection_ap(preds, gt, [0.5])
         assert report.ap50 == pytest.approx(0.5)
         assert (report.tp, report.fp, report.fn) == (1, 1, 0)
 
     def test_prediction_only_category_scores_zero(self):
         gt = gt_of(("img0", 0, 0, 10, 10, 1))
-        preds = [sb(0, 0, 10, 10, 0.9, category=1), sb(0, 0, 10, 10, 0.8, category=2)]
+        preds = detections([sb(0, 0, 10, 10, 0.9, category=1),
+                            sb(0, 0, 10, 10, 0.8, category=2)])
         report = detection_ap(preds, gt, [0.5])
         assert report.per_category[1] == pytest.approx(1.0)
         assert report.per_category[2] == 0.0
@@ -50,7 +53,7 @@ class TestDetectionAp:
 
     def test_missed_gt_counts_fn(self):
         gt = gt_of(("img0", 0, 0, 10, 10, 1), ("img0", 30, 30, 40, 40, 1))
-        report = detection_ap([sb(0, 0, 10, 10, 0.9)], gt, [0.5])
+        report = detection_ap(detections([sb(0, 0, 10, 10, 0.9)]), gt, [0.5])
         assert (report.tp, report.fp, report.fn) == (1, 0, 1)
         total_gt = 2
         assert report.tp + report.fn == total_gt
@@ -70,10 +73,9 @@ class TestDetectionAp:
         gt_boxes = random_scored_boxes(rng, 8)
         gt = gt_table({"img0": [(b.box, b.category_id) for b in gt_boxes]})
         base = detection_ap(preds, gt)
-        squashed = [
-            ScoredBox(p.box, p.score ** 3, p.category_id, p.image_id, p.model_id)
-            for p in preds
-        ]
+        squashed = Detections(preds.coords, preds.scores ** 3, preds.category_ids,
+                              preds.image_codes, preds.image_names, preds.model_codes,
+                              preds.model_names)
         again = detection_ap(squashed, gt)
         assert again.ap == pytest.approx(base.ap, abs=1e-12)
         assert again.ap50 == pytest.approx(base.ap50, abs=1e-12)
@@ -83,15 +85,15 @@ class TestDetectionAp:
         preds = random_scored_boxes(rng, 30)
         gt_boxes = random_scored_boxes(rng, 10)
         # copies that differ only in the model: no key orders them
-        preds += [ScoredBox(p.box, p.score, p.category_id, p.image_id, model)
-                  for p in preds[:8] for model in ("m1", "m2", "m9")]
+        first = np.repeat(np.arange(8), 3)
+        preds = Detections.concat([preds, Detections.from_columns(
+            preds.coords[first], preds.scores[first], preds.category_ids[first],
+            ["img0"] * first.size, ["m1", "m2", "m9"] * 8)])
         gt = gt_table({"img0": [(b.box, b.category_id) for b in gt_boxes]
-                                + [(p.box, p.category_id) for p in preds[:3]]})
+                                + [(preds[i].box, preds[i].category_id) for i in range(3)]})
         base = detection_ap(preds, gt)
         for _ in range(5):
-            perm = list(preds)
-            rng.shuffle(perm)
-            assert detection_ap(perm, gt) == base
+            assert detection_ap(take(preds, rng.permutation(len(preds))), gt) == base
 
     def test_matches_exhaustive_reference(self):
         for seed in range(15):
@@ -103,8 +105,9 @@ class TestDetectionAp:
                       for img, boxes in gt.items()}
             fused = fuse_detections(preds, WbfParams())
             # the fused table is scored as it comes, as its boxes would be
-            fused_boxes = [ScoredBox(f.box, f.score, f.category_id, f.image_id, "wbf")
-                           for f in fused]
+            fused_boxes = Detections(fused.coords, fused.scores, fused.category_ids,
+                                     fused.image_codes, fused.image_names,
+                                     np.zeros(len(fused), dtype=np.intp), ("wbf",))
             assert detection_ap(fused, gt_table(gt)) == detection_ap(fused_boxes, gt_table(gt))
             for scored in (preds, fused_boxes):
                 report = detection_ap(scored, gt_table(gt))
@@ -123,12 +126,16 @@ class TestDetectionAp:
 
     def test_bad_thresholds_rejected(self):
         with pytest.raises(DataError):
-            detection_ap([], [], [0.0])
+            detection_ap(detections([]), detections([]), [0.0])
 
 
-def ranking(query_id, ids):
-    scores = np.linspace(1.0, 0.1, len(ids))
-    return RankingList(query_id, tuple(ids), scores)
+def ranked(rows) -> Rankings:
+    """Rankings of (query_id, ids) rows, each row's scores falling evenly
+    from 1.0 to 0.1."""
+    rows = list(rows)
+    return Rankings.from_flat([q for q, _ in rows], [len(ids) for _, ids in rows],
+                              [i for _, ids in rows for i in ids],
+                              [s for _, ids in rows for s in np.linspace(1.0, 0.1, len(ids))])
 
 
 class TestAccAtK:
@@ -136,57 +143,57 @@ class TestAccAtK:
         # first ground-truth hits at ranks 1, 11 and 5
         gallery = [f"g{i:02d}" for i in range(12)]
         rankings = [
-            ranking("q0", gallery),
-            ranking("q1", gallery),
-            ranking("q2", gallery),
+            ("q0", gallery),
+            ("q1", gallery),
+            ("q2", gallery),
         ]
         gt = {"q0": {"g00"}, "q1": {"g10"}, "q2": {"g04"}}
-        report = acc_at_k(rankings, gt, [1, 10])
+        report = acc_at_k(ranked(rankings), gt, [1, 10])
         assert report.acc[10] == pytest.approx(2 / 3)
         assert report.acc[1] == pytest.approx(1 / 3)
         assert report.first_hit_rank == {"q0": 1, "q1": 11, "q2": 5}
 
     def test_all_rank_one(self):
-        rankings = [ranking(f"q{i}", [f"g{i}", "other"]) for i in range(4)]
+        rankings = [(f"q{i}", [f"g{i}", "other"]) for i in range(4)]
         gt = {f"q{i}": {f"g{i}"} for i in range(4)}
-        report = acc_at_k(rankings, gt, [1, 10])
+        report = acc_at_k(ranked(rankings), gt, [1, 10])
         assert report.acc[1] == 1.0
         assert report.acc[10] == 1.0
 
     def test_impossible_query_flagged(self):
-        rankings = [ranking("q0", ["g0", "g1"])]
+        rankings = [("q0", ["g0", "g1"])]
         gt = {"q0": {"missing"}}
-        report = acc_at_k(rankings, gt, [1], gallery_ids=["g0", "g1"])
+        report = acc_at_k(ranked(rankings), gt, [1], gallery_ids=["g0", "g1"])
         assert report.impossible_query_ids == ("q0",)
         assert report.acc[1] == 0.0
         assert report.num_queries == 1
 
     def test_empty_match_set_excluded(self):
-        rankings = [ranking("q0", ["g0"]), ranking("q1", ["g0"])]
+        rankings = [("q0", ["g0"]), ("q1", ["g0"])]
         gt = {"q0": set(), "q1": {"g0"}}
-        report = acc_at_k(rankings, gt, [1])
+        report = acc_at_k(ranked(rankings), gt, [1])
         assert report.num_excluded == 1
         assert report.num_queries == 1
         assert report.acc[1] == 1.0
 
     def test_duplicate_query_rejected(self):
-        rankings = [ranking("q0", ["g0"]), ranking("q0", ["g1"])]
+        rankings = [("q0", ["g0"]), ("q0", ["g1"])]
         with pytest.raises(DataError, match="duplicate"):
-            acc_at_k(rankings, {"q0": {"g0"}}, [1])
+            acc_at_k(ranked(rankings), {"q0": {"g0"}}, [1])
 
     def test_unknown_query_rejected(self):
         with pytest.raises(DataError, match="q0"):
-            acc_at_k([ranking("q0", ["g0"])], {}, [1])
+            acc_at_k(ranked([("q0", ["g0"])]), {}, [1])
 
     def test_error_names_first_repeat_and_first_missing(self):
         # q1 repeats first in ranking order; q0 sorts first and q2 comes first
         order = ["q2", "q0", "q1", "q1", "q0", "q2"]
         with pytest.raises(DataError, match=r"^duplicate query_id 'q1' in rankings$"):
-            acc_at_k([ranking(q, ["g0"]) for q in order], {q: {"g0"} for q in order}, [1])
+            acc_at_k(ranked((q, ["g0"]) for q in order), {q: {"g0"} for q in order}, [1])
         # of the missing q3 and q1, the first in sorted order is named
-        rankings = [ranking(q, ["g0"]) for q in ("q3", "q2", "q1")]
+        rankings = [(q, ["g0"]) for q in ("q3", "q2", "q1")]
         with pytest.raises(DataError, match=r"^query 'q1' has no ground-truth entry$"):
-            acc_at_k(rankings, {"q2": {"g0"}}, [1])
+            acc_at_k(ranked(rankings), {"q2": {"g0"}}, [1])
 
     def test_monotone_in_k(self):
         rng = rng_for(73)
@@ -195,22 +202,22 @@ class TestAccAtK:
         gt = {}
         for qi in range(30):
             perm = list(rng.permutation(gallery))
-            rankings.append(ranking(f"q{qi}", perm))
+            rankings.append((f"q{qi}", perm))
             gt[f"q{qi}"] = {gallery[int(rng.integers(0, 50))]}
         ks = [1, 2, 5, 10, 20, 50]
-        report = acc_at_k(rankings, gt, ks)
+        report = acc_at_k(ranked(rankings), gt, ks)
         values = [report.acc[k] for k in ks]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_permuting_ranking_order_invariant(self):
         rng = rng_for(74)
         gallery = [f"g{i:02d}" for i in range(10)]
-        rankings = [ranking(f"q{i}", list(rng.permutation(gallery))) for i in range(8)]
+        rankings = [(f"q{i}", list(rng.permutation(gallery))) for i in range(8)]
         gt = {f"q{i}": {gallery[i]} for i in range(8)}
-        base = acc_at_k(rankings, gt, [1, 5])
+        base = acc_at_k(ranked(rankings), gt, [1, 5])
         shuffled = list(rankings)
         rng.shuffle(shuffled)
-        again = acc_at_k(shuffled, gt, [1, 5])
+        again = acc_at_k(ranked(shuffled), gt, [1, 5])
         assert again.acc == base.acc
 
 
@@ -242,18 +249,17 @@ def ap_cases(draw):
         model = draw(st.sampled_from(["m0", "m1"]))
         kind = draw(st.integers(0, 3))
         if kind == 0 and preds:
-            p = draw(st.sampled_from(preds))
-            preds.append(ScoredBox(p.box, p.score, p.category_id, p.image_id, model))
+            preds.append(draw(st.sampled_from(preds))[:-1] + (model,))
         elif kind == 1 and gt_boxes:
             image, (b, category) = draw(st.sampled_from(gt_boxes))
             dx, dy = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
-            preds.append(ScoredBox(BoundingBox(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy),
-                                   score, category, image, model))
+            preds.append((b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy, score, category, image,
+                          model))
         else:
-            preds.append(ScoredBox(box(), score, draw(st.integers(1, 3)),
-                                   draw(st.sampled_from(IMAGES + ["z"])), model))
+            preds.append((*box().as_tuple(), score, draw(st.integers(1, 3)),
+                          draw(st.sampled_from(IMAGES + ["z"])), model))
     thresholds = draw(st.sampled_from([None, [0.5], [0.3, 0.5, 0.75], [0.75, 0.5, 0.5]]))
-    return preds, gt, thresholds
+    return detections(preds), gt, thresholds
 
 
 @settings(max_examples=200, deadline=None)

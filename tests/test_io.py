@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from cbirkit import embeddings
 from cbirkit import io as formats
-from cbirkit.boxes import BoundingBox, FusedBox, ScoredBox, WbfParams, fuse_detections
+from cbirkit.boxes import (BoundingBox, Detections, FusedDetections, ScoredBox, WbfParams,
+                           fuse_detections)
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 from cbirkit.errors import DataError, EmbeddingFormatError, ParseError
-from cbirkit.search import RankingList
+from cbirkit.search import Rankings
 
-from util import gallery_ids, gt_table, rng_for
+from util import detections, gallery_ids, gt_table, rng_for
 
 
 class TestDetections:
@@ -38,17 +39,22 @@ class TestDetections:
 
     def test_write_then_read_many(self, tmp_path):
         rng = rng_for(80)
-        boxes = []
-        for i in range(1000):
+        coords, scores, categories = [], [], []
+        for _ in range(1000):
             x1, y1 = rng.uniform(0, 50, size=2)
             w, h = rng.uniform(1, 30, size=2)
-            boxes.append(ScoredBox(
-                BoundingBox(float(x1), float(y1), float(x1 + w), float(y1 + h)),
-                float(rng.uniform(0, 1)), int(rng.integers(1, 5)),
-                f"img{i % 7}", f"m{i % 3}"))
+            coords.append((x1, y1, x1 + w, y1 + h))
+            scores.append(rng.uniform(0, 1))
+            categories.append(int(rng.integers(1, 5)))
+        dets = Detections.from_columns(coords, scores, categories,
+                                       [f"img{i % 7}" for i in range(1000)],
+                                       [f"m{i % 3}" for i in range(1000)])
         path = tmp_path / "boxes.jsonl"
-        formats.save_detections(boxes, path)
-        assert formats.load_detections(path) == boxes
+        formats.save_detections(dets, path)
+        loaded = formats.load_detections(path)
+        assert loaded == dets
+        assert np.array_equal(loaded.coords, dets.coords)
+        assert np.array_equal(loaded.scores, dets.scores)
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -86,8 +92,8 @@ class TestDetections:
             formats.load_detections(path)
 
     def test_fused_file_loads_as_detections(self, tmp_path):
-        fused = [FusedBox(BoundingBox(0, 0, 5, 5), 0.5, 1, "img0", 2,
-                          frozenset({"m0", "m1"}))]
+        fused = FusedDetections([[0, 0, 5, 5]], [0.5], [1], [0], ("img0",), [2], [0, 2], [0, 1],
+                                ("m0", "m1"))
         path = tmp_path / "fused.jsonl"
         formats.save_fused_boxes(fused, path)
         [box] = formats.load_detections(path)
@@ -210,10 +216,8 @@ class TestEmbeddings:
 
 class TestRankings:
     def test_roundtrip(self, tmp_path):
-        rankings = [
-            RankingList("q0", ("g1", "g0"), np.array([0.875, 0.25])),
-            RankingList("q1", ("g2",), np.array([-0.5])),
-        ]
+        rankings = Rankings.from_flat(["q0", "q1"], [2, 1], ["g1", "g0", "g2"],
+                                      [0.875, 0.25, -0.5])
         path = tmp_path / "r.tsv"
         formats.save_rankings(rankings, path)
         loaded = formats.load_rankings(path)
@@ -222,7 +226,7 @@ class TestRankings:
         assert "q0\t1\tg1\t0.875\n" in text
 
     def test_nine_significant_digits(self, tmp_path):
-        r = [RankingList("q", ("g",), np.array([1 / 3]))]
+        r = Rankings.from_flat(["q"], [1], ["g"], [1 / 3])
         path = tmp_path / "r.tsv"
         formats.save_rankings(r, path)
         assert path.read_text() == "q\t1\tg\t0.333333333\n"
@@ -254,11 +258,11 @@ class TestRankings:
                 raise RuntimeError("disk full")
 
         path = tmp_path / "rankings.tsv"
-        good = RankingList("q1", ("g0",), np.array([0.9]))
-        formats.save_rankings([good], path)
+        formats.save_rankings(Rankings.from_flat(["q1"], [1], ["g0"], [0.9]), path)
         before = path.read_bytes()
         with pytest.raises(RuntimeError, match="disk full"):
-            formats.save_rankings([good, RankingList(Broken("q2"), ("g1",), [0.5])], path)
+            formats.save_rankings(Rankings.from_flat(["q1", Broken("q2")], [1, 1], ["g0", "g1"],
+                                                     [0.9, 0.5]), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["rankings.tsv"]
 
@@ -723,16 +727,16 @@ class TestOddIds:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(IDS), st.sampled_from(IDS),
                               st.integers(0, 6), st.floats(0.0, 1.0)), max_size=30))
-    def test_columnar_path_matches_object_path(self, rows):
-        boxes = [ScoredBox(BoundingBox(x, x, x + 5.5, x + 4), score, 1, image, model)
-                 for image, model, x, score in rows]
+    def test_odd_ids_round_trip(self, rows):
+        dets = detections((x, x, x + 5.5, x + 4, score, 1, image, model)
+                          for image, model, x, score in rows)
         with tempfile.TemporaryDirectory() as tmp:
             det_path, fused_path = Path(tmp) / "d.jsonl", Path(tmp) / "f.jsonl"
-            formats.save_detections(boxes, det_path)
+            formats.save_detections(dets, det_path)
             loaded = formats.load_detections(det_path)
-            assert loaded == boxes
-            assert sorted(loaded.image_names) == sorted({b.image_id for b in boxes})
+            assert loaded == dets
+            assert loaded.image_names == dets.image_names == tuple(sorted({r[0] for r in rows}))
             fused = fuse_detections(loaded, WbfParams())
-            assert fused == fuse_detections(boxes, WbfParams())
+            assert fused == fuse_detections(dets, WbfParams())
             formats.save_fused_boxes(fused, fused_path)
             assert fused_path.read_text(encoding="utf-8") == reference_fused_lines(fused)

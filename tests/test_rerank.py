@@ -17,10 +17,10 @@ from cbirkit.rerank import (
     k_reciprocal_rerank,
     query_expansion,
 )
-from cbirkit.search import RankingList, Rankings, build_index, knn_search
+from cbirkit.search import Rankings, build_index, knn_search
 
 from oracles import expand_ref, rerank_ref
-from util import gallery_ids, query_ids, rng_for, unit_rows
+from util import gallery_ids, pick, query_ids, rng_for, unit_rows
 
 
 def gmat(data):
@@ -240,25 +240,31 @@ class TestKReciprocalRerank:
         q = qmat(unit_rows(rng, 3, 4))
         g = gmat(unit_rows(rng, 12, 4))
         initial = _initial_rankings(q, g)
-        stray = RankingList("nope", initial[0].item_ids, initial[0].scores)
+        # the second row is the first query's, under an unknown query id
+        stray = Rankings(["q00001", "nope"], initial.item_table, initial.codes[[1, 0]],
+                         initial.scores[[1, 0]], initial.lengths[[1, 0]])
         with pytest.raises(DataError, match="nope"):
-            k_reciprocal_rerank(q, g, [initial[1], stray], RerankParams(k1=4, k2=2))
+            k_reciprocal_rerank(q, g, stray, RerankParams(k1=4, k2=2))
 
     def test_unknown_gallery_id_rejected(self):
         rng = rng_for(64)
         q = qmat(unit_rows(rng, 3, 4))
         g = gmat(unit_rows(rng, 12, 4))
         initial = _initial_rankings(q, g)
-        stray = RankingList("q00000", ("g00001", "g00001\x00"), [0.5, 0.25])
+        row = initial[1]
+        stray = Rankings.from_flat(["q00001", "q00000"], [len(row), 2],
+                                   [*row.item_ids, "g00001", "g00001\x00"],
+                                   [*row.scores.tolist(), 0.5, 0.25])
         with pytest.raises(DataError, match=r"unknown item_id 'g00001\\x00'"):
-            k_reciprocal_rerank(q, g, [initial[1], stray], RerankParams(k1=2, k2=2))
+            k_reciprocal_rerank(q, g, stray, RerankParams(k1=2, k2=2))
 
     def test_first_unknown_gallery_id_in_ranking_order_named(self):
         rng = rng_for(64)
         q = qmat(unit_rows(rng, 3, 4))
         g = gmat(unit_rows(rng, 12, 4))
-        strays = [RankingList("q00002", ("g00001", "zz", "aa"), [0.5, 0.25, 0.125]),
-                  RankingList("q00000", ("bb", "g00002"), [0.5, 0.25])]
+        strays = Rankings.from_flat(["q00002", "q00000"], [3, 2],
+                                    ["g00001", "zz", "aa", "bb", "g00002"],
+                                    [0.5, 0.25, 0.125, 0.5, 0.25])
         with pytest.raises(DataError, match="unknown item_id 'zz'"):
             k_reciprocal_rerank(q, g, strays, RerankParams(k1=2, k2=2))
 
@@ -268,8 +274,7 @@ class TestKReciprocalRerank:
         g = gmat(unit_rows(rng, 12, 4))
         initial = _initial_rankings(q, g)
         with pytest.raises(DataError, match="q00001"):
-            k_reciprocal_rerank(q, g, [initial[1], initial[0], initial[1]],
-                                RerankParams(k1=4, k2=2))
+            k_reciprocal_rerank(q, g, pick(initial, [1, 0, 1]), RerankParams(k1=4, k2=2))
 
     def test_memory_is_not_quadratic(self):
         # one n x n float64 array takes 8 n^2 bytes; the dense method held seven
@@ -336,7 +341,7 @@ class TestRerankProperties:
         initial = _initial_rankings(q, g, k=depth)
         rows = [[g.row_of(i) for i in r.item_ids] for r in initial]
         ref = rerank_ref(q.data, g.data, rows, params.k1, params.k2, params.lam)
-        got = k_reciprocal_rerank(q, g, [initial[i] for i in picked], params)
+        got = k_reciprocal_rerank(q, g, pick(initial, np.array(picked, dtype=np.intp)), params)
         assert [r.query_id for r in got] == [initial[i].query_id for i in picked]
         for qi, ranking in zip(picked, got):
             expected = {f"g{row:05d}": d for row, d in ref[qi]}
@@ -429,7 +434,9 @@ class TestWholeGalleryRerank:
         q, g = qmat(data[:17]), gmat(data[17:])
         found = knn_search(build_index(g), q, 12)
         # ragged rows: every query's own depth, at least k1
-        ragged = Rankings.of([found[i].head(6 + i % 7) for i in reversed(range(len(found)))])
+        rows = np.arange(len(found))[::-1]
+        ragged = Rankings(found.query_ids[rows], found.item_table, found.codes[rows],
+                          found.scores[rows], np.minimum(found.lengths[rows], 6 + rows % 7))
         params = RerankParams(k1=6, k2=3, lam=0.3)
         runs = (("whole", every_gallery_row(q, g), None), ("ragged", ragged, None),
                 ("whole-top", every_gallery_row(q, g), 5), ("ragged-top", ragged, 9))

@@ -1,4 +1,7 @@
+import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from cbirkit import io as formats
 from cbirkit import search
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
-from cbirkit.errors import ConfigError, DataError
+from cbirkit.errors import ConfigError, DataError, ParseError
 from cbirkit.rerank import (QeParams, RerankParams, database_augmentation, k_reciprocal_rerank,
                             query_expansion)
 from cbirkit.search import RankingList, Rankings, build_index, knn_search
@@ -27,19 +30,64 @@ def qmat(data, categories=None):
     return EmbeddingMatrix(data, query_ids(data.shape[0], categories))
 
 
-class TestRankingList:
+class TestFromFlat:
     def test_rejects_increasing_scores(self):
-        with pytest.raises(DataError, match="increase"):
-            RankingList("q", ("a", "b"), np.array([0.1, 0.9]))
+        with pytest.raises(DataError, match="^ranking for 'q': scores increase$"):
+            Rankings.from_flat(["q"], [2], ["a", "b"], [0.1, 0.9])
 
     def test_rejects_duplicates(self):
-        with pytest.raises(DataError, match="duplicate"):
-            RankingList("q", ("a", "a"), np.array([0.9, 0.1]))
+        with pytest.raises(DataError, match="^ranking for 'q': duplicate gallery ids$"):
+            Rankings.from_flat(["q"], [2], ["a", "a"], [0.9, 0.1])
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(DataError, match="^ranking for 'q': ids/scores length mismatch$"):
+            Rankings.from_flat(["q"], [3], ["a", "b"], [0.1, 0.0])
+
+    @pytest.mark.parametrize("lengths, items, scores, fault", [
+        ([1, 2], ["a", "b", "c"], [0.5, 0.1, 0.9], "'r': scores increase"),
+        ([1, 2], ["a", "b", "b"], [0.5, 0.9, 0.1], "'r': duplicate gallery ids"),
+        ([1, 3], ["a", "b", "c"], [0.5, 0.9, 0.1], "'r': ids/scores length mismatch"),
+        ([1, 2], ["a", "b", "c"], [0.5, 0.9], "'r': ids/scores length mismatch"),
+        ([1, 1], ["a", "b", "c"], [0.5, 0.9, 0.1], "'r': ids/scores length mismatch"),
+        ([-1, 2], ["a"], [0.5], "'q': ids/scores length mismatch"),
+        ([1, 2], ["a", "b", "c"], [0.5, 0.9, math.nan], "'r': a score is not finite"),
+    ], ids=["rise", "repeat", "overrun", "few-scores", "leftover", "negative", "nan"])
+    def test_names_the_faulty_query(self, lengths, items, scores, fault):
+        # a score may rise and an id recur across rows, not within one
+        with pytest.raises(DataError) as e:
+            Rankings.from_flat(["q", "r"], lengths, items, scores)
+        assert str(e.value) == f"ranking for {fault}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),
+                                       st.sampled_from([1.0, 0.5, -0.5, math.inf, math.nan])),
+                             min_size=1, max_size=4), max_size=4))
+    def test_accepts_what_the_loader_accepts(self, rows):
+        query_ids = [f"q{i}" for i in range(len(rows))]
+        try:
+            built = Rankings.from_flat(query_ids, [len(r) for r in rows],
+                                       [item for r in rows for item, _ in r],
+                                       [score for r in rows for _, score in r])
+        except DataError:
+            built = None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.tsv"
+            path.write_text("".join(f"{q}\t{rank}\t{item}\t{score!r}\n"
+                                    for q, r in zip(query_ids, rows)
+                                    for rank, (item, score) in enumerate(r, start=1)))
+            try:
+                loaded = formats.load_rankings(path)
+            except ParseError:
+                loaded = None
+        assert (built is None) == (loaded is None)
+        assert built == loaded
+        assert built is None or all(np.array_equal(a.scores, b.scores)
+                                    for a, b in zip(built, loaded))
 
     def test_head(self):
-        r = RankingList("q", ("a", "b", "c"), np.array([0.9, 0.5, 0.1]))
-        assert r.head(2).item_ids == ("a", "b")
-        assert r.head(10) is r
+        r = Rankings.from_flat(["q", "r"], [3, 1], ["a", "b", "c", "a"], [0.9, 0.5, 0.1, 0.2])
+        assert [row.item_ids for row in r.head(2)] == [("a", "b"), ("a",)]
+        assert r.head(10) == r
 
 
 class TestRankings:
@@ -55,7 +103,6 @@ class TestRankings:
             assert rankings[i] == expected == rankings[i - 3]
             assert rankings[i].item_ids == tuple(items)
             assert np.array_equal(rankings[i].scores, expected.scores)
-        assert rankings == Rankings.of([RankingList(*row) for row in lists])
         assert rankings[1:] == [RankingList(*row) for row in lists[1:]]
         with pytest.raises(IndexError):
             rankings[3]

@@ -92,7 +92,7 @@ class TestNoiselessLimit:
         objects = synth_layout(spec)
         boxes = synth_detections(spec, objects, 0)
         assert boxes == []
-        report = detection_ap([], detection_gt(objects), [0.5])
+        report = detection_ap(boxes, detection_gt(objects), [0.5])
         assert report.ap50 == 0.0
 
 

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 
 import cbirkit
-from cbirkit.boxes import BoundingBox, Detections, ScoredBox
+from cbirkit.boxes import BoundingBox, Detections
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
+from cbirkit.search import Rankings
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -26,24 +27,42 @@ def random_box(rng, lo=0.0, hi=100.0, min_side=2.0, max_side=40.0) -> BoundingBo
     return BoundingBox(x1, y1, x1 + w, y1 + h)
 
 
-def random_scored_boxes(rng, n, n_models=3, n_categories=2, image_id="img0") -> list[ScoredBox]:
-    out = []
+def random_scored_boxes(rng, n, n_models=3, n_categories=2, image_id="img0") -> Detections:
+    coords, scores, categories, models = [], [], [], []
     for _ in range(n):
-        out.append(ScoredBox(
-            box=random_box(rng),
-            score=float(rng.uniform(0.05, 1.0)),
-            category_id=int(rng.integers(1, n_categories + 1)),
-            image_id=image_id,
-            model_id=f"m{int(rng.integers(0, n_models))}",
-        ))
-    return out
+        coords.append(random_box(rng).as_tuple())
+        scores.append(float(rng.uniform(0.05, 1.0)))
+        categories.append(int(rng.integers(1, n_categories + 1)))
+        models.append(f"m{int(rng.integers(0, n_models))}")
+    return Detections.from_columns(coords, scores, categories, [image_id] * n, models)
+
+
+def detections(rows) -> Detections:
+    """A table of (x1, y1, x2, y2, score, category, image, model) rows."""
+    rows = list(rows)
+    return Detections.from_columns([r[:4] for r in rows], [r[4] for r in rows],
+                                   [r[5] for r in rows], [r[6] for r in rows],
+                                   [r[7] for r in rows])
+
+
+def take(dets: Detections, rows) -> Detections:
+    """The rows of `dets` at `rows`, in that order, over its name tables."""
+    return Detections(dets.coords[rows], dets.scores[rows], dets.category_ids[rows],
+                      dets.image_codes[rows], dets.image_names, dets.model_codes[rows],
+                      dets.model_names)
+
+
+def pick(rankings: Rankings, rows) -> Rankings:
+    """The rows of `rankings` at `rows`, in that order."""
+    return Rankings(rankings.query_ids[rows], rankings.item_table, rankings.codes[rows],
+                    rankings.scores[rows], rankings.lengths[rows])
 
 
 def gt_table(by_image) -> Detections:
     """Ground truth given as image -> [(box, category), ...] as the table
     the loader returns: detections of score 0 and model id ""."""
-    return Detections.of([ScoredBox(box, 0.0, category, image, "")
-                          for image, boxes in by_image.items() for box, category in boxes])
+    return detections((*box.as_tuple(), 0.0, category, image, "")
+                      for image, boxes in by_image.items() for box, category in boxes)
 
 
 def unit_rows(rng, n, dim) -> np.ndarray:
