@@ -30,7 +30,9 @@ def qmat(data, categories=None):
     return EmbeddingMatrix(data, query_ids(data.shape[0], categories))
 
 
-class TestFromFlat:
+class TestRankingList:
+    """One query's ranking row: what `from_flat` rejects in it, and `head`."""
+
     def test_rejects_increasing_scores(self):
         with pytest.raises(DataError, match="^ranking for 'q': scores increase$"):
             Rankings.from_flat(["q"], [2], ["a", "b"], [0.1, 0.9])
@@ -39,6 +41,13 @@ class TestFromFlat:
         with pytest.raises(DataError, match="^ranking for 'q': duplicate gallery ids$"):
             Rankings.from_flat(["q"], [2], ["a", "a"], [0.9, 0.1])
 
+    def test_head(self):
+        r = Rankings.from_flat(["q", "r"], [3, 1], ["a", "b", "c", "a"], [0.9, 0.5, 0.1, 0.2])
+        assert [row.item_ids for row in r.head(2)] == [("a", "b"), ("a",)]
+        assert r.head(10) == r
+
+
+class TestFromFlat:
     def test_rejects_length_mismatch(self):
         with pytest.raises(DataError, match="^ranking for 'q': ids/scores length mismatch$"):
             Rankings.from_flat(["q"], [3], ["a", "b"], [0.1, 0.0])
@@ -83,11 +92,6 @@ class TestFromFlat:
         assert built == loaded
         assert built is None or all(np.array_equal(a.scores, b.scores)
                                     for a, b in zip(built, loaded))
-
-    def test_head(self):
-        r = Rankings.from_flat(["q", "r"], [3, 1], ["a", "b", "c", "a"], [0.9, 0.5, 0.1, 0.2])
-        assert [row.item_ids for row in r.head(2)] == [("a", "b"), ("a",)]
-        assert r.head(10) == r
 
 
 class TestRankings:
