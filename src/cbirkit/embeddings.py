@@ -86,7 +86,12 @@ class EmbeddingMatrix:
     numpy str array), image_ids and box_ids (object arrays, so that every
     str round-trips), sources, `category_ids()` (int64) and id_rank, each
     row's position in ascending item_id (code point) order.  `ids` views the
-    columns as one IdRecord per row, built on first use."""
+    columns as one IdRecord per row, built on first use.
+
+    Matrices may share the very same id column arrays, as `with_data` makes
+    them and as the models of one embedding set do when their id sidecars
+    are byte-identical (`shares_ids`); the columns are read-only, so no
+    matrix can change another's ids."""
 
     def __init__(self, data, ids: Sequence[IdRecord]):
         ids = tuple(ids)
@@ -181,6 +186,10 @@ class EmbeddingMatrix:
         m._set_ids([column[rows] for column in self._columns], order)
         return m
 
+    def shares_ids(self, other: EmbeddingMatrix) -> bool:
+        """Whether both matrices hold the very same id column arrays."""
+        return all(a is b for a, b in zip(self._columns, other._columns))
+
     def split_by_source(self) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
         """(queries, gallery) in original row order; errors if a side is empty."""
         is_query = self.sources == "query"
@@ -208,6 +217,8 @@ def l2_normalize(m: EmbeddingMatrix) -> EmbeddingMatrix:
 def _check_aligned(parts: Sequence[EmbeddingMatrix]) -> None:
     ref = parts[0]
     for part in parts[1:]:
+        if part.shares_ids(ref):
+            continue
         n = min(ref.n_rows, part.n_rows)
         differs = np.flatnonzero(np.any([a[:n] != b[:n] for a, b in
                                          zip(ref._columns, part._columns)], axis=0))
@@ -217,6 +228,28 @@ def _check_aligned(parts: Sequence[EmbeddingMatrix]) -> None:
                             f"{part.item_ids[i].item()!r}")
         if part.n_rows != ref.n_rows:
             raise DataError(f"id maps have different lengths: {ref.n_rows} vs {part.n_rows}")
+
+
+def split_models(
+    models: Sequence[EmbeddingMatrix],
+) -> tuple[list[EmbeddingMatrix], list[EmbeddingMatrix]]:
+    """The query parts and the gallery parts of the models, each part as
+    `split_by_source` makes it.  A model that shares its id columns with an
+    earlier one is not split again: its parts take the id columns of that
+    model's parts, so that they share them too."""
+    queries: list[EmbeddingMatrix] = []
+    gallery: list[EmbeddingMatrix] = []
+    for i, m in enumerate(models):
+        first = next(j for j in range(i + 1) if m.shares_ids(models[j]))
+        if first == i:
+            q, g = m.split_by_source()
+        else:
+            is_query = m.sources == "query"
+            q = queries[first].with_data(m.data[is_query])
+            g = gallery[first].with_data(m.data[~is_query])
+        queries.append(q)
+        gallery.append(g)
+    return queries, gallery
 
 
 def concat_features(

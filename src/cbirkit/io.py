@@ -22,7 +22,10 @@ sequence raises EmbeddingFormatError "count_mismatch" naming its line.
 Embeddings: bytes 0-3 ASCII "EMB1", bytes 4-7 row count N (u32 LE),
 bytes 8-11 dim D (u32 LE), then N*D IEEE-754 float32 LE row-major.  The
 id sidecar is read into, and written from, the matrix's id columns, with
-no object per row.
+no object per row.  Its bytes are read once and decoded from memory; the
+models of one embedding set hold the same records, so a sidecar whose
+bytes equal one loaded before in the same run is not parsed again, and
+the new matrix shares that matrix's id columns.
 
 Rankings TSV: query_id <TAB> rank (1-based) <TAB> gallery item_id <TAB>
 score (9 significant digits); per query, ranks run 1, 2, ..., scores are
@@ -48,6 +51,7 @@ import operator
 import os
 import struct
 from contextlib import contextmanager
+from io import StringIO
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -120,13 +124,15 @@ def _decode_line(line: str):
     return obj
 
 
-def _line_records(path: str | Path, decode=_decode_line):
+def _line_records(path: str | Path, decode=_decode_line, raw: bytes | None = None):
     """(line number, decode(line)) of each non-blank line of a UTF-8 text
-    file; ParseError names a line that is not UTF-8 or not valid JSON."""
+    file, or of `raw`, its bytes, when given; ParseError names a line that
+    is not UTF-8 or not valid JSON."""
     # undecodable bytes become lone surrogates, so that they fail on their
     # own line rather than on the block they were read in
     # only "\n" ends a line, so that line numbers count the file's "\n"s
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+    with (open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n")
+          if raw is None else StringIO(raw.decode("utf-8", "surrogateescape"), newline="\n")) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:
@@ -153,8 +159,10 @@ def _type_fault(obj, fields) -> str:
             return f"field '{key}' has wrong type: {obj[key]!r}"
 
 
-def _read_jsonl(path: str | Path, fields) -> tuple[list[int], list[list], ParseError | None]:
-    """(line numbers, one list of values per field, fault) of a JSONL file.
+def _read_jsonl(path: str | Path, fields,
+                raw: bytes | None = None) -> tuple[list[int], list[list], ParseError | None]:
+    """(line numbers, one list of values per field, fault) of a JSONL file,
+    or of `raw`, its bytes, when given.
     The records end before the first line that is not an object with the
     table's fields and types; that line's ParseError is the fault, which the
     caller raises once the values of the records before it pass."""
@@ -164,7 +172,7 @@ def _read_jsonl(path: str | Path, fields) -> tuple[list[int], list[list], ParseE
     # add an object per line for the garbage collector to traverse
     lines, values, fault = [], [], None
     try:
-        for lineno, obj in _line_records(path):
+        for lineno, obj in _line_records(path, raw=raw):
             try:
                 values += values_of(obj)
             except (KeyError, TypeError):
@@ -306,9 +314,16 @@ def save_embeddings(m: EmbeddingMatrix, data_path: str | Path, ids_path: str | P
                                      m.sources.tolist()))
 
 
-def load_embeddings(data_path: str | Path, ids_path: str | Path) -> EmbeddingMatrix:
+def load_embeddings(data_path: str | Path, ids_path: str | Path,
+                    sidecars: dict[bytes, EmbeddingMatrix] | None = None) -> EmbeddingMatrix:
     """Read the binary matrix plus sidecar; malformed containers raise
-    EmbeddingFormatError with a distinct code."""
+    EmbeddingFormatError with a distinct code.
+
+    `sidecars` maps the bytes of id sidecars loaded before to a matrix read
+    with each.  A sidecar found there is not parsed again: the matrix takes
+    that matrix's checked, read-only id columns.  One that is not is parsed,
+    checked and added.  The header, the row count against the id records
+    and finiteness are checked either way."""
     with open(data_path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _EMB_HEADER.size:
@@ -327,7 +342,31 @@ def load_embeddings(data_path: str | Path, ids_path: str | Path) -> EmbeddingMat
         )
     data = np.frombuffer(blob, dtype="<f4", offset=_EMB_HEADER.size).reshape(n, d)
 
-    lines, (rows, *columns), fault = _read_jsonl(ids_path, _IDS)
+    with open(ids_path, "rb") as fh:
+        raw = fh.read()
+    shared = None if sidecars is None else sidecars.get(raw)
+    if shared is None:
+        columns = _id_columns(ids_path, raw)
+        records = len(columns[0])
+    else:
+        records = shared.n_rows
+    if records != n:
+        raise EmbeddingFormatError(
+            "count_mismatch", f"{ids_path}: {records} id records for {n} rows of {data_path}")
+    try:
+        m = (EmbeddingMatrix.from_columns(data, *columns, ids_checked=True) if shared is None
+             else shared.with_data(data))
+    except DataError as e:  # a non-finite value
+        raise DataError(f"{data_path}: {e}") from None
+    if sidecars is not None:
+        sidecars.setdefault(raw, m)
+    return m
+
+
+def _id_columns(ids_path: str | Path, raw: bytes) -> list[list]:
+    """The item, image, box, category and source columns of an id sidecar,
+    from its bytes `raw`, once every record passes the sidecar's rules."""
+    lines, (rows, *columns), fault = _read_jsonl(ids_path, _IDS, raw)
     # the first row out of sequence ends the records whose values count
     end = next((i for i, row in enumerate(rows) if row != i), len(rows))
     bad = _id_fault(*(column[:end] for column in columns))
@@ -338,13 +377,7 @@ def load_embeddings(data_path: str | Path, ids_path: str | Path) -> EmbeddingMat
             "count_mismatch", f"{ids_path}:{lines[end]}: row index {rows[end]}, expected {end}")
     if fault:
         raise fault
-    if len(rows) != n:
-        raise EmbeddingFormatError(
-            "count_mismatch", f"{ids_path}: {len(rows)} id records for {n} rows of {data_path}")
-    try:
-        return EmbeddingMatrix.from_columns(data, *columns, ids_checked=True)
-    except DataError as e:  # a non-finite value
-        raise DataError(f"{data_path}: {e}") from None
+    return columns
 
 
 def save_rankings(rankings: Rankings, path: str | Path) -> None:

@@ -6,10 +6,11 @@ raises `ConfigError` naming its key path (e.g. `post[1].kk`), and each post
 step's options are built into its parameters there.
 
 Stages run in a fixed frame — load and split the query/gallery
-embeddings, fuse detections per image, apply the configured feature steps
-in order, search, optionally re-rank, then score — and each stage logs its
-input and output cardinalities; a failure inside one is re-raised as
-`StageError` naming it.  A bound that depends on the data (a pca step's
+embeddings (each distinct id sidecar parsed once, and the models that
+share it split once), fuse detections per image, apply the configured
+feature steps in order, search, optionally re-rank, then score — and each
+stage logs its input and output cardinalities; a failure inside one is
+re-raised as `StageError` naming it.  A bound that depends on the data (a pca step's
 out_dim against the embedding dimension and the gallery size) is checked
 once the embeddings are loaded, before the first output is written.  The feature steps
 {concat, pca, qe, dba} run before search; rerank, when configured, must be
@@ -32,7 +33,8 @@ from typing import Sequence, get_args, get_origin
 
 from . import io as formats
 from .boxes import Detections, WbfParams, fuse_detections
-from .embeddings import EmbeddingMatrix, concat_features, l2_normalize, pca_fit, pca_transform
+from .embeddings import (EmbeddingMatrix, concat_features, l2_normalize, pca_fit, pca_transform,
+                         split_models)
 from .errors import ConfigError, StageError
 from .evaluation import DetectionReport, RetrievalReport, acc_at_k, detection_ap
 from .rerank import (QeParams, RerankParams, database_augmentation, every_gallery_row,
@@ -287,11 +289,12 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
         raise ConfigError("eval.retrieval_gt is required to score the run")
 
     with _stage("load-embeddings"):
-        models = [formats.load_embeddings(d, i) for d, i in config.embeddings]
+        # this run's id sidecars by their bytes, so that each distinct one is parsed once
+        sidecars: dict[bytes, EmbeddingMatrix] = {}
+        models = [formats.load_embeddings(d, i, sidecars) for d, i in config.embeddings]
+        del sidecars  # the bytes are not needed past loading
     with _stage("split"):
-        split = [m.split_by_source() for m in models]
-    query_parts = [q for q, _ in split]
-    gallery_parts = [g for _, g in split]
+        query_parts, gallery_parts = split_models(models)
     logger.info("embeddings: %d models, %d queries, %d gallery rows",
                 len(models), query_parts[0].n_rows, gallery_parts[0].n_rows)
     _check_pca_dims(config.post, [m.dim for m in models], gallery_parts[0].n_rows)

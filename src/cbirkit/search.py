@@ -29,7 +29,9 @@ Every row keeps at least k survivors: about k on spread-out scores, more
 with ties or scores within the slack of the bound, and all of them when k
 is the candidate count.  All cases take the same path, with no per-row
 work.  Temporary memory is O(QUERY_BLOCK x candidates), whatever the query
-count and however many candidates survive: survivors are scored in chunks.
+count and however many candidates survive: survivors are scored in chunks,
+and when ties keep more than an eighth of a block's GEMM entries, steps 3
+and 4 run on an eighth of its rows at a time.
 
 `knn_search` returns the kernel's arrays as they come, as `Rankings`: the
 query ids, the gallery's item_ids as the id table, an n_q x k array of
@@ -57,11 +59,18 @@ QUERY_BLOCK = 256
 _EPS = np.finfo(np.float64).eps
 # elements per product array when scores are recomputed; small enough to stay in cache
 _PRODUCT_CHUNK = 1 << 16
+# a block whose survivors exceed 1/_SURVIVOR_SHARE of its GEMM entries is
+# verified in slices of 1/_SURVIVOR_SHARE of its rows
+_SURVIVOR_SHARE = 8
 
 
 @dataclass(frozen=True)
 class RankingList:
-    """One row of `Rankings`, read as one query's ids and scores."""
+    """One row of `Rankings`, read as one query's ids and scores.
+
+    `==` compares query_id and item_ids only: `scores` is left out of the
+    comparison, so rows that differ in scores alone are equal.  Compare
+    the scores on their own."""
 
     query_id: str
     item_ids: tuple[str, ...]
@@ -94,6 +103,9 @@ class Rankings(Sequence):
     taken as ranked: the producers (the top-K kernel, the re-ranker and
     `from_flat`, which the file loader calls) order them and keep their
     ids distinct.
+
+    `==` compares the rows as RankingList does, on query ids and item ids
+    alone, not on scores.
     """
 
     query_ids: np.ndarray   # (n,) object array of str
@@ -260,7 +272,11 @@ def _block_topk(block: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray
     Verify: the survivors' exact scores come from `pair_scores`, one flat
     stable sort orders them by (row, -score, column), and each row's first
     k are its top k.  The order depends on the exact scores and columns
-    alone, so the GEMM's rounding never reaches the output.
+    alone, so the GEMM's rounding never reaches the output.  A row's top k
+    depend on its own survivors only, so when more than 1/_SURVIVOR_SHARE
+    of the GEMM entries survive (ties), slices of 1/_SURVIVOR_SHARE of the
+    rows are verified in turn, and the survivors' temporaries stay near
+    the size of the GEMM scores.
     """
     n, m = block.shape[0], cand.shape[0]
     sims = block @ cand.T
@@ -269,13 +285,31 @@ def _block_topk(block: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray
                          axis=1)[:, tiles.size - k]
     floor = np.minimum(bound, 1.0) - 4 * cand.shape[1] * _EPS
     floor[floor < -1.0] = -np.inf
-    rows, cols = divmod(np.flatnonzero(sims >= floor[:, None]), m)
+    keep = sims >= floor[:, None]
+    del sims  # verification needs the mask only
+    step = n
+    if np.count_nonzero(keep) > keep.size // _SURVIVOR_SHARE:
+        step = max(1, n // _SURVIVOR_SHARE)
+    cols = np.empty((n, k), dtype=np.int64)
+    scores = np.empty((n, k))
+    for start in range(0, n, step):
+        stop = start + step
+        cols[start:stop], scores[start:stop] = _verify(block[start:stop], cand,
+                                                       keep[start:stop], k)
+    return cols, scores
+
+
+def _verify(block: np.ndarray, cand: np.ndarray, keep: np.ndarray,
+            k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k columns and exact scores of each row of `block` among the
+    candidates that `keep` marks, at least k in every row."""
+    rows, cols = divmod(np.flatnonzero(keep), cand.shape[0])
     scores = pair_scores(block, rows, cand, cols)
     # complex numbers sort by real part, then imaginary part; the sort is
     # stable and each row's columns come ascending, so ties keep column order
     order = np.argsort(rows - 1j * scores, kind="stable")
     # rows come out of flatnonzero ascending, so row i's survivors start here
-    first = np.searchsorted(rows, np.arange(n))
+    first = np.searchsorted(rows, np.arange(block.shape[0]))
     top = order[first[:, None] + np.arange(k)]
     return cols[top], scores[top]
 

@@ -75,6 +75,12 @@ def test_traced_run_reports_every_layer(tmp_path, name):
     metrics = spans.layer_metrics(tracer.spans)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(metrics) == {layer["name"] for layer in benchmark["per_layer"]}
+    # one load per model, so that io.load_embeddings_s and io.embedding_rows
+    # measure the same calls however many sidecars are parsed
+    loads = [s for s in tracer.spans if s["name"] == "io.load_embeddings"]
+    assert len(loads) == len(raw["embeddings"]) == 2
+    assert metrics["io.embedding_rows"] == sum(
+        formats.load_embeddings(e["data"], e["ids"]).n_rows for e in raw["embeddings"])
     seen = {s["name"] for s in tracer.spans}
     assert set(called) <= seen, sorted(set(called) - seen)
     [knn] = tracer.knn_calls

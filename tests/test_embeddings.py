@@ -55,6 +55,22 @@ class TestEmbeddingMatrix:
         assert [r.item_id for r in q.ids] == ["q0", "q1"]
         assert [r.item_id for r in g.ids] == ["g0"]
 
+    def test_split_models_shares_ids(self):
+        rng = rng_for(27)
+        ids = [IdRecord(f"{s[0]}{i}", f"img{i}", "b", i % 2, s)
+               for i, s in enumerate(["query", "gallery", "gallery", "query", "gallery"])]
+        a = EmbeddingMatrix(unit_rows(rng, 5, 3), ids)
+        b = a.with_data(unit_rows(rng, 5, 3))
+        c = EmbeddingMatrix(unit_rows(rng, 5, 3), ids)
+        assert b.shares_ids(a) and not c.shares_ids(a)
+        queries, gallery = embeddings.split_models([a, c, b])
+        for parts, side in ((queries, 0), (gallery, 1)):
+            for part, m in zip(parts, (a, c, b)):
+                assert_same_matrix(part, m.split_by_source()[side])
+            assert parts[2].shares_ids(parts[0]) and not parts[1].shares_ids(parts[0])
+        assert_same_matrix(concat_features(queries),
+                           concat_features([m.split_by_source()[0] for m in (a, c, b)]))
+
 
 def columns_of(records):
     """The id columns of records, one list per IdRecord field."""
@@ -204,6 +220,9 @@ class TestConcatFeatures:
         b = EmbeddingMatrix(unit_rows(rng, 3, 4), other)
         with pytest.raises(DataError, match="row 1"):
             concat_features([a, b])
+        # a part that shares the first part's id columns is skipped; later parts are compared
+        with pytest.raises(DataError, match="row 1"):
+            concat_features([a, a.with_data(unit_rows(rng, 3, 4)), b])
 
     def test_partwise_cosine_halving(self):
         # u = [u1;u2]/sqrt(2), v = [v1;v2]/sqrt(2), u1.v1 = 1, u2.v2 = 0

@@ -16,7 +16,7 @@ from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 from cbirkit.errors import DataError, EmbeddingFormatError, ParseError
 from cbirkit.search import Rankings
 
-from util import detections, gallery_ids, gt_table, rng_for
+from util import detections, gallery_ids, gt_table, rng_for, row_scores
 
 
 class TestDetections:
@@ -213,15 +213,55 @@ class TestEmbeddings:
         assert calls == [5]
         assert loaded.ids == m.ids
 
+    def test_identical_sidecar_shares_checked_ids(self, tmp_path, monkeypatch):
+        rng = rng_for(86)
+        m = EmbeddingMatrix(rng.normal(size=(6, 3)), gallery_ids(6))
+        for name in "abc":
+            formats.save_embeddings(m.with_data(rng.normal(size=(6, 3))),
+                                    tmp_path / f"{name}.emb", tmp_path / f"{name}.ids.jsonl")
+        (tmp_path / "c.ids.jsonl").write_text((tmp_path / "c.ids.jsonl").read_text() + "\n")
+        parsed, read = [], formats._read_jsonl
+        monkeypatch.setattr(formats, "_read_jsonl",
+                            lambda path, *args: parsed.append(path) or read(path, *args))
+        sidecars = {}
+        a, b, c = (formats.load_embeddings(tmp_path / f"{name}.emb",
+                                           tmp_path / f"{name}.ids.jsonl", sidecars)
+                   for name in "abc")
+        # c's sidecar holds the same records with one more (blank) line
+        assert parsed == [tmp_path / "a.ids.jsonl", tmp_path / "c.ids.jsonl"]
+        assert b.shares_ids(a) and not c.shares_ids(a)
+        assert a.ids == b.ids == c.ids == m.ids
+        assert np.array_equal(b.data, formats.load_embeddings(tmp_path / "b.emb",
+                                                              tmp_path / "b.ids.jsonl").data)
+        assert list(sidecars.values()) == [a, c]
+        with pytest.raises(ValueError):
+            b.item_ids[0] = "x"
+
+    def test_identical_sidecar_still_checks_values(self, tmp_path):
+        m = EmbeddingMatrix(np.eye(2), gallery_ids(2))
+        formats.save_embeddings(m, tmp_path / "a.emb", tmp_path / "a.ids.jsonl")
+        header = (tmp_path / "a.emb").read_bytes()[:12]
+        (tmp_path / "b.emb").write_bytes(header + np.array([[0, 1], [np.inf, 0]], "<f4").tobytes())
+        (tmp_path / "b.ids.jsonl").write_bytes((tmp_path / "a.ids.jsonl").read_bytes())
+        sidecars = {}
+        formats.load_embeddings(tmp_path / "a.emb", tmp_path / "a.ids.jsonl", sidecars)
+        with pytest.raises(DataError) as e:
+            formats.load_embeddings(tmp_path / "b.emb", tmp_path / "b.ids.jsonl", sidecars)
+        assert str(e.value) == f"{tmp_path / 'b.emb'}: non-finite value in embedding row 1"
+
 
 class TestRankings:
     def test_roundtrip(self, tmp_path):
         rankings = Rankings.from_flat(["q0", "q1"], [2, 1], ["g1", "g0", "g2"],
-                                      [0.875, 0.25, -0.5])
+                                      [0.875, 1 / 3, -0.5])
         path = tmp_path / "r.tsv"
         formats.save_rankings(rankings, path)
         loaded = formats.load_rankings(path)
         assert loaded == rankings
+        # == compares ids only; the file keeps 9 significant digits of each score
+        assert row_scores(loaded) == [[0.875, 0.333333333], [-0.5]]
+        assert row_scores(loaded) == [[float(f"{s:.9g}") for s in row]
+                                      for row in row_scores(rankings)]
         text = path.read_text()
         assert "q0\t1\tg1\t0.875\n" in text
 

@@ -7,7 +7,7 @@ import pytest
 from cbirkit import io as formats
 from cbirkit.cli import main
 from cbirkit.embeddings import concat_features, l2_normalize, pca_fit, pca_transform
-from cbirkit.errors import ConfigError, StageError
+from cbirkit.errors import ConfigError, EmbeddingFormatError, ParseError, StageError
 from cbirkit.pipeline import PipelineConfig, run_pipeline
 from cbirkit.rerank import QeParams, RerankParams
 from cbirkit.search import build_index, knn_search
@@ -190,6 +190,101 @@ class TestRunPipeline:
         loaded = formats.load_rankings(result.rankings_path)
         assert len(loaded) == n_items
         assert result.retrieval.num_queries + result.retrieval.num_excluded == n_items
+
+
+def outputs(result) -> list[bytes]:
+    return [Path(p).read_bytes()
+            for p in (result.rankings_path, result.report_path, result.fused_path)]
+
+
+def rewrite_compact(path) -> None:
+    """The same records, written without spaces after separators."""
+    path = Path(path)
+    path.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+                            for line in path.read_text().splitlines()))
+
+
+class TestSharedIdSidecar:
+    """The models of one embedding set hold the same id records; an id
+    sidecar whose bytes equal an earlier model's is not parsed again."""
+
+    @pytest.fixture
+    def raw(self, tmp_path):
+        out = synth(tmp_path, embedding_models=3, noise_sigma=0.2, num_images=12)
+        raw = json.loads((out / "config.json").read_text())
+        raw["post"] = [{"step": "concat"}, {"step": "pca", "out_dim": 8}, {"step": "qe", "k": 3}]
+        return raw
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The id sidecars that are parsed, in order."""
+        calls, read = [], formats._read_jsonl
+
+        def counted(path, fields, *args):
+            if fields is formats._IDS:
+                calls.append(str(path))
+            return read(path, fields, *args)
+
+        monkeypatch.setattr(formats, "_read_jsonl", counted)
+        return calls
+
+    def test_identical_sidecars_decoded_once(self, raw, parsed):
+        sidecars = [Path(entry["ids"]).read_bytes() for entry in raw["embeddings"]]
+        assert len(sidecars) == 3 and sidecars[1:] == sidecars[:1] * 2
+        result = run_pipeline(PipelineConfig.from_dict(raw))
+        assert parsed == [raw["embeddings"][0]["ids"]]
+        assert result.retrieval.num_queries > 0
+
+    def test_rewritten_sidecars_parsed_with_same_outputs(self, raw, parsed):
+        config = PipelineConfig.from_dict(raw)
+        shared = outputs(run_pipeline(config))
+        parsed.clear()
+        # models 1 and 2 hold model 0's records in other bytes, equal to each other's
+        for entry in raw["embeddings"][1:]:
+            rewrite_compact(entry["ids"])
+        ids = [entry["ids"] for entry in raw["embeddings"]]
+        assert Path(ids[1]).read_bytes() != Path(ids[0]).read_bytes()
+        assert outputs(run_pipeline(config)) == shared
+        assert parsed == ids[:2]
+
+    def test_fewer_rows_behind_identical_sidecar(self, raw):
+        entry = raw["embeddings"][2]
+        m = formats.load_embeddings(entry["data"], entry["ids"])
+        formats.save_embeddings(m.select(range(m.n_rows - 1)), entry["data"],
+                                Path(entry["ids"]).with_suffix(".unused"))
+        with pytest.raises(EmbeddingFormatError) as alone:
+            formats.load_embeddings(entry["data"], entry["ids"])
+        assert alone.value.code == "count_mismatch"
+        assert str(alone.value) == (f"[count_mismatch] {entry['ids']}: {m.n_rows} id records "
+                                    f"for {m.n_rows - 1} rows of {entry['data']}")
+        with pytest.raises(StageError) as err:
+            run_pipeline(PipelineConfig.from_dict(raw))
+        assert err.value.stage == "load-embeddings"
+        assert type(err.value.cause) is EmbeddingFormatError
+        assert str(err.value.cause) == str(alone.value)
+
+    def test_different_ids_diverge(self, raw):
+        path = Path(raw["embeddings"][1]["ids"])
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[4])
+        record["item_id"] += "x"
+        lines[4] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StageError, match="id maps diverge at row") as err:
+            run_pipeline(PipelineConfig.from_dict(raw))
+        assert err.value.stage == "concat"
+
+    def test_bad_line_in_other_sidecar_named(self, raw):
+        path = Path(raw["embeddings"][2]["ids"])
+        rewrite_compact(path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2][:-1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StageError) as err:
+            run_pipeline(PipelineConfig.from_dict(raw))
+        assert type(err.value.cause) is ParseError
+        assert (err.value.cause.path, err.value.cause.line) == (str(path), 3)
+        assert str(err.value.cause).startswith(f"{path}:3: invalid JSON")
 
 
 # (keys leading to the replaced value, new value, key path the error names);

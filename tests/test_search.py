@@ -17,7 +17,8 @@ from cbirkit.rerank import (QeParams, RerankParams, database_augmentation, k_rec
 from cbirkit.search import RankingList, Rankings, build_index, knn_search
 
 from oracles import expand_ref, knn_ref
-from util import gallery_ids, output_under_blas_threads, query_ids, rng_for, unit_rows
+from util import (gallery_ids, output_under_blas_threads, query_ids, rng_for, row_scores,
+                  unit_rows)
 
 
 def gmat(data, categories=None):
@@ -44,7 +45,10 @@ class TestRankingList:
     def test_head(self):
         r = Rankings.from_flat(["q", "r"], [3, 1], ["a", "b", "c", "a"], [0.9, 0.5, 0.1, 0.2])
         assert [row.item_ids for row in r.head(2)] == [("a", "b"), ("a",)]
+        assert row_scores(r.head(2)) == [[0.9, 0.5], [0.2]]
+        # == compares ids only, so the scores are compared on their own
         assert r.head(10) == r
+        assert row_scores(r.head(10)) == row_scores(r) == [[0.9, 0.5, 0.1], [0.2]]
 
 
 class TestFromFlat:
@@ -363,6 +367,54 @@ class TestKernelMemory:
             tracemalloc.stop()
         assert rows.tolist() == [list(range(10))] * queries.shape[0]
         assert peak < 12 * 8 * search.QUERY_BLOCK * m
+
+    def test_tied_gallery_peak_within_twice_distinct(self, monkeypatch):
+        # a tied gallery's survivors are verified a slice of rows at a time,
+        # so they hold about what the GEMM scores of distinct rows hold
+        rng = rng_for(52)
+        m, dim = 2000, 32
+        queries = unit_rows(rng, 300, dim)
+        tied = np.repeat(unit_rows(rng, 1, dim), m, axis=0)
+
+        def traced(data):
+            tracemalloc.start()
+            try:
+                out = search.exact_topk(data, np.arange(m), queries, 10)
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (rows, scores), tied_peak = traced(tied)
+        _, distinct_peak = traced(unit_rows(rng, m, dim))
+        assert tied_peak < 2 * distinct_peak
+        monkeypatch.setattr(search, "_SURVIVOR_SHARE", 1)  # every block in one pass
+        whole = search.exact_topk(tied, np.arange(m), queries, 10)
+        assert np.array_equal(rows, whole[0]) and np.array_equal(scores, whole[1])
+
+    def test_sliced_verification_matches_one_pass(self, monkeypatch):
+        # queries near a vector that half the gallery repeats keep that half
+        # as survivors; the others keep about k, so the slices differ
+        rng = rng_for(53)
+        m, dim = 400, 16
+        data = unit_rows(rng, m, dim)
+        data[::2] = data[0]
+        near = data[0] + 0.05 * rng.normal(size=(60, dim))
+        queries = np.vstack([near / np.linalg.norm(near, axis=1, keepdims=True),
+                             unit_rows(rng, 60, dim)])[rng.permutation(120)]
+        tie_rank = rng.permutation(m)
+        calls, verify = [], search._verify
+        monkeypatch.setattr(search, "_verify", lambda *a: calls.append(1) or verify(*a))
+        sliced = search.exact_topk(data, tie_rank, queries, 7)
+        assert len(calls) == 8  # one block of 120 rows, in slices of 15
+        calls.clear()
+        monkeypatch.setattr(search, "_SURVIVOR_SHARE", 1)
+        whole = search.exact_topk(data, tie_rank, queries, 7)
+        assert len(calls) == 1
+        assert np.array_equal(sliced[0], whole[0]) and np.array_equal(sliced[1], whole[1])
+        for query, rows, scores in zip(queries, *sliced):
+            ref = knn_ref(data, tie_rank, query, 7)
+            assert tie_rank[rows].tolist() == [rank for rank, _ in ref]
+            assert scores.tolist() == pytest.approx([s for _, s in ref], abs=1e-12)
 
 
 class TestKernelInvariance:

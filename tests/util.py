@@ -58,6 +58,11 @@ def pick(rankings: Rankings, rows) -> Rankings:
                     rankings.scores[rows], rankings.lengths[rows])
 
 
+def row_scores(rankings: Rankings) -> list[list[float]]:
+    """Each row's scores, which `==` on Rankings leaves out."""
+    return [row.scores.tolist() for row in rankings]
+
+
 def gt_table(by_image) -> Detections:
     """Ground truth given as image -> [(box, category), ...] as the table
     the loader returns: detections of score 0 and model id ""."""
