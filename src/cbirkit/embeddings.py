@@ -35,16 +35,29 @@ class IdRecord:
     source: str  # "query" or "gallery"
 
 
+def _rankings_field(text: str) -> bool:
+    """Whether `text` can be a field of a rankings TSV line: it holds no
+    tab, no newline and no lone surrogate, which UTF-8 cannot encode."""
+    if "\t" in text or "\n" in text:
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _id_fault(item_ids, image_ids, box_ids, category_ids, sources) -> tuple[int, str] | None:
     """(first bad row, why) of id columns given as lists, or None.  The rules
     are the id sidecar's: ids are str, category_id is an int (no bool) in
-    [0, 2**63), source is "query" or "gallery", and item_ids are unique and
-    do not end in NUL, which a numpy str array drops."""
+    [0, 2**63), source is "query" or "gallery", and item_ids are unique, do
+    not end in NUL, which a numpy str array drops, and are rankings fields."""
     # rules are tested a column at a time, and rows only to name the first bad one
     if (set(map(type, itertools.chain(item_ids, image_ids, box_ids, sources))) <= {str}
             and set(map(type, category_ids)) <= {int} and set(sources) <= set(SOURCES)
             and 0 <= min(category_ids, default=0) and max(category_ids, default=0) < 2 ** 63
             and not any(item_id.endswith("\0") for item_id in item_ids)
+            and _rankings_field("".join(item_ids))
             and len(set(item_ids)) == len(item_ids)):
         return None
     seen: set[str] = set()
@@ -61,6 +74,8 @@ def _id_fault(item_ids, image_ids, box_ids, category_ids, sources) -> tuple[int,
                 return row, f"{name} {value!r} must be a string"
         if item_id.endswith("\0"):
             return row, f"item_id {item_id!r} ends in NUL"
+        if not _rankings_field(item_id):
+            return row, f"item_id {item_id!r} holds a tab, newline or lone surrogate"
         if item_id in seen:
             return row, f"duplicate item_id {item_id!r}"
         seen.add(item_id)
@@ -90,8 +105,9 @@ class EmbeddingMatrix:
 
     Matrices may share the very same id column arrays, as `with_data` makes
     them and as the models of one embedding set do when their id sidecars
-    are byte-identical (`shares_ids`); the columns are read-only, so no
-    matrix can change another's ids."""
+    are byte-identical (`shares_ids`), which lets `concat_features` take
+    them as aligned without comparing them; the columns are read-only, so
+    no matrix can change another's ids."""
 
     def __init__(self, data, ids: Sequence[IdRecord]):
         ids = tuple(ids)
@@ -228,28 +244,6 @@ def _check_aligned(parts: Sequence[EmbeddingMatrix]) -> None:
                             f"{part.item_ids[i].item()!r}")
         if part.n_rows != ref.n_rows:
             raise DataError(f"id maps have different lengths: {ref.n_rows} vs {part.n_rows}")
-
-
-def split_models(
-    models: Sequence[EmbeddingMatrix],
-) -> tuple[list[EmbeddingMatrix], list[EmbeddingMatrix]]:
-    """The query parts and the gallery parts of the models, each part as
-    `split_by_source` makes it.  A model that shares its id columns with an
-    earlier one is not split again: its parts take the id columns of that
-    model's parts, so that they share them too."""
-    queries: list[EmbeddingMatrix] = []
-    gallery: list[EmbeddingMatrix] = []
-    for i, m in enumerate(models):
-        first = next(j for j in range(i + 1) if m.shares_ids(models[j]))
-        if first == i:
-            q, g = m.split_by_source()
-        else:
-            is_query = m.sources == "query"
-            q = queries[first].with_data(m.data[is_query])
-            g = gallery[first].with_data(m.data[~is_query])
-        queries.append(q)
-        gallery.append(g)
-    return queries, gallery
 
 
 def concat_features(

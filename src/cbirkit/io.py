@@ -11,8 +11,9 @@ in int64.  The values are then checked a column at a time:
   _DETECTION_GT  the same, without model_id and score
   _IDS           one record per embedding row, in row order: row is its
                  index; then the rules of `embeddings.EmbeddingMatrix`:
-                 item_id unique and not ending in NUL; category_id >= 0;
-                 source "query" or "gallery"
+                 item_id unique, not ending in NUL and holding no tab,
+                 newline or lone surrogate, so that rankings can hold it;
+                 category_id >= 0; source "query" or "gallery"
   _RETRIEVAL_GT  query_id unique; matches a list of gallery item_ids
 Any fault raises ParseError naming the first offending line: invalid UTF-8
 or JSON, a missing field, a wrong type or a bad value.  In every text
@@ -36,9 +37,9 @@ Detections load as `boxes.Detections` columns and are written from them in
 row order; detection ground truth is the same table, with score 0 and one
 empty model name, and is written sorted stably by image id.  Fused boxes
 are written from `boxes.FusedDetections` columns as `json.dumps` writes
-each record.  Every writer takes its table type only.  Outputs
-(fused boxes, rankings, report) are written to a temp file and moved into
-place with `os.replace`, so a failed save leaves any previous file whole.
+each record.  Every writer takes its table type only.  Every file is
+written to a temp file and moved into place with `os.replace`, so a failed
+save leaves any previous file whole.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import operator
 import os
 import struct
 from contextlib import contextmanager
-from io import StringIO
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -78,13 +79,14 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 @contextmanager
-def _atomic_open(path: str | Path, **kwargs):
-    """A text file to write that replaces `path` only when the block ends
-    without error; on error the temp file is removed."""
+def _atomic_open(path: str | Path, mode: str = "w", **kwargs):
+    """A file to write, UTF-8 text unless `mode` is binary, that replaces
+    `path` only when the block ends without error; on error the temp file
+    is removed."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", **kwargs) as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8", **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -131,8 +133,8 @@ def _line_records(path: str | Path, decode=_decode_line, raw: bytes | None = Non
     # undecodable bytes become lone surrogates, so that they fail on their
     # own line rather than on the block they were read in
     # only "\n" ends a line, so that line numbers count the file's "\n"s
-    with (open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n")
-          if raw is None else StringIO(raw.decode("utf-8", "surrogateescape"), newline="\n")) as fh:
+    with TextIOWrapper(open(path, "rb") if raw is None else BytesIO(raw), encoding="utf-8",
+                       errors="surrogateescape", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:
@@ -194,7 +196,7 @@ def _read_jsonl(path: str | Path, fields,
 def _write_jsonl(path: str | Path, fields, rows: Iterable[tuple]) -> None:
     """One line per row, the values under the table's keys, in its order."""
     keys = [key for key, _ in fields]
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for row in rows:
             fh.write(json.dumps(dict(zip(keys, row))) + "\n")
 
@@ -306,7 +308,7 @@ def save_detection_gt(gt: Detections, path: str | Path) -> None:
 
 def save_embeddings(m: EmbeddingMatrix, data_path: str | Path, ids_path: str | Path) -> None:
     """Write the binary matrix (values cast to float32) and its id sidecar."""
-    with open(data_path, "wb") as fh:
+    with _atomic_open(data_path, "wb") as fh:
         fh.write(_EMB_HEADER.pack(EMB_MAGIC, m.n_rows, m.dim))
         fh.write(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
     _write_jsonl(ids_path, _IDS, zip(range(m.n_rows), m.item_ids.tolist(), m.image_ids.tolist(),

@@ -5,17 +5,19 @@ any stage runs: an unknown key, a wrong JSON type or an out-of-range value
 raises `ConfigError` naming its key path (e.g. `post[1].kk`), and each post
 step's options are built into its parameters there.
 
-Stages run in a fixed frame — load and split the query/gallery
-embeddings (each distinct id sidecar parsed once, and the models that
-share it split once), fuse detections per image, apply the configured
-feature steps in order, search, optionally re-rank, then score — and each
-stage logs its input and output cardinalities; a failure inside one is
-re-raised as `StageError` naming it.  A bound that depends on the data (a pca step's
-out_dim against the embedding dimension and the gallery size) is checked
-once the embeddings are loaded, before the first output is written.  The feature steps
-{concat, pca, qe, dba} run before search; rerank, when configured, must be
-the last step: it re-ranks every gallery row for each query by the blended
-distance straight to the top search.k, which replace the search output.
+Stages run in a fixed order: load the embeddings (each distinct id
+sidecar parsed once), concatenate the models when a concat step is
+configured, split the one matrix into queries and gallery, fuse
+detections per image, apply the other feature steps in the listed order,
+search, optionally re-rank, then score.  Each stage logs its input and
+output cardinalities; a failure inside one is re-raised as `StageError`
+naming it.  Concat and the checks that depend on the data (a pca step's
+out_dim against the embedding dimension and the gallery size) run before
+the first output is written, so a misaligned model set or a bad out_dim
+leaves no output.  The feature steps {pca, qe, dba} run before search;
+rerank, when configured, must be the last step: it re-ranks every gallery
+row for each query by the blended distance straight to the top search.k,
+which replace the search output.
 Re-ranking keeps O(queries x search.k) output and temporaries of
 O(RERANK_BLOCK x gallery rows), never a queries x gallery array.
 """
@@ -33,8 +35,7 @@ from typing import Sequence, get_args, get_origin
 
 from . import io as formats
 from .boxes import Detections, WbfParams, fuse_detections
-from .embeddings import (EmbeddingMatrix, concat_features, l2_normalize, pca_fit, pca_transform,
-                         split_models)
+from .embeddings import EmbeddingMatrix, concat_features, l2_normalize, pca_fit, pca_transform
 from .errors import ConfigError, StageError
 from .evaluation import DetectionReport, RetrievalReport, acc_at_k, detection_ap
 from .rerank import (QeParams, RerankParams, database_augmentation, every_gallery_row,
@@ -246,15 +247,12 @@ def _stage(name: str):
         raise StageError(name, e) from e
 
 
-def _check_pca_dims(post: Sequence[PostStep], dims: list[int], gallery_rows: int) -> None:
+def _check_pca_dims(post: Sequence[PostStep], dim: int, gallery_rows: int) -> None:
     """Raise ConfigError naming post[i].out_dim when a pca step asks for
-    more components than its input has dimensions, or when the gallery it
-    is fitted on has fewer than max(2, out_dim) rows (a null out_dim keeps
-    every input dimension)."""
-    dim = dims[0]
+    more than the `dim` dimensions of the (concatenated) embeddings, or
+    when the gallery it is fitted on has fewer than max(2, out_dim) rows (a
+    null out_dim keeps every input dimension)."""
     for i, step in enumerate(post):
-        if step.step == "concat":
-            dim = sum(dims)
         if step.step != "pca":
             continue
         out_dim = step.params.get("out_dim")
@@ -293,11 +291,18 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
         sidecars: dict[bytes, EmbeddingMatrix] = {}
         models = [formats.load_embeddings(d, i, sidecars) for d, i in config.embeddings]
         del sidecars  # the bytes are not needed past loading
+    # the config puts concat first when there are several models; on one
+    # model it is a no-op wherever it is listed
+    concat = next((step for step in config.post if step.step == "concat"), None)
+    if concat is not None:
+        with _stage("concat"):
+            models = [concat_features(models, **concat.params)]
     with _stage("split"):
-        query_parts, gallery_parts = split_models(models)
-    logger.info("embeddings: %d models, %d queries, %d gallery rows",
-                len(models), query_parts[0].n_rows, gallery_parts[0].n_rows)
-    _check_pca_dims(config.post, [m.dim for m in models], gallery_parts[0].n_rows)
+        # pop, so that the one matrix is dropped once it is split
+        queries, gallery = models.pop().split_by_source()
+    logger.info("embeddings: %d models, queries %dx%d, gallery %dx%d", len(config.embeddings),
+                queries.n_rows, queries.dim, gallery.n_rows, gallery.dim)
+    _check_pca_dims(config.post, queries.dim, gallery.n_rows)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -319,17 +324,15 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
             logger.info("eval-det: AP50=%s on %d images",
                         detection_report.ap50, len(gt.image_names))
 
-    queries, gallery = query_parts[0], gallery_parts[0]
     rerank: RerankParams | None = None
     for step in config.post:
         if step.step == "rerank":
             rerank = step.params
-            continue
-        with _stage(step.step):
-            queries, gallery = _apply_feature_step(step, queries, gallery,
-                                                   query_parts, gallery_parts)
-        logger.info("%s: queries %dx%d, gallery %dx%d", step.step,
-                    queries.n_rows, queries.dim, gallery.n_rows, gallery.dim)
+        elif step.step != "concat":  # concat ran on the loaded models
+            with _stage(step.step):
+                queries, gallery = _apply_feature_step(step, queries, gallery)
+            logger.info("%s: queries %dx%d, gallery %dx%d", step.step,
+                        queries.n_rows, queries.dim, gallery.n_rows, gallery.dim)
 
     with _stage("build-index"):
         index = build_index(gallery)
@@ -375,15 +378,8 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
 
 
 def _apply_feature_step(
-    step: PostStep,
-    queries: EmbeddingMatrix,
-    gallery: EmbeddingMatrix,
-    query_parts: list[EmbeddingMatrix],
-    gallery_parts: list[EmbeddingMatrix],
+    step: PostStep, queries: EmbeddingMatrix, gallery: EmbeddingMatrix
 ) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-    if step.step == "concat":
-        return (concat_features(query_parts, **step.params),
-                concat_features(gallery_parts, **step.params))
     if step.step == "pca":
         # the basis is learned on the gallery side only; rows are re-normalized
         # afterwards because search requires unit vectors

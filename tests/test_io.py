@@ -56,6 +56,18 @@ class TestDetections:
         assert np.array_equal(loaded.coords, dets.coords)
         assert np.array_equal(loaded.scores, dets.scores)
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "boxes.jsonl"
+        formats.save_detections(detections([(0, 0, 2, 2, 0.25, 1, "i0", "m")]), path)
+        before = path.read_bytes()
+        # the second row names an image the table lacks, so it fails after the first is written
+        broken = Detections(np.tile([0.0, 0.0, 1.0, 1.0], (2, 1)), [0.5, 0.5], [1, 1],
+                            [0, 1], ("i0",), [0, 0], ("m",))
+        with pytest.raises(IndexError):
+            formats.save_detections(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["boxes.jsonl"]
+
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         good = json.dumps({"image_id": "i", "model_id": "m", "category_id": 1,
@@ -351,6 +363,10 @@ FIELD_RULES = [
     (load_ids, _ID, {"row": False}, "field 'row' has wrong type: False"),
     (load_ids, _ID, {"row": 1, "source": "gallery"}, "duplicate item_id 'a'"),
     (load_ids, _ID, {"row": 1, "item_id": "a\x00"}, "item_id 'a\\x00' ends in NUL"),
+    (load_ids, _ID, {"row": 1, "item_id": "g\t1"},
+     "item_id 'g\\t1' holds a tab, newline or lone surrogate"),
+    (load_ids, _ID, {"row": 1, "item_id": "g\ud800"},
+     "item_id 'g\\ud800' holds a tab, newline or lone surrogate"),
     (load_ids, _ID, {"row": 1, "item_id": "c", "category_id": 10 ** 23},
      "category_id 100000000000000000000000 out of range"),
     (formats.load_retrieval_gt, {"query_id": "q", "matches": []}, {"matches": [True]},
@@ -575,6 +591,8 @@ def reference_ids(lines, n_rows):
                 and all(type(v) is str for v in (item_id, image_id, box_id, source))
                 and row == len(ids) and 0 <= category < 2 ** 63
                 and source in ("query", "gallery") and not item_id.endswith("\x00")
+                and "\t" not in item_id and "\n" not in item_id
+                and not any(0xD800 <= ord(c) < 0xE000 for c in item_id)
                 and item_id not in {r.item_id for r in ids}):
             return lineno, None
         ids.append(IdRecord(item_id, image_id, box_id, category, source))
@@ -601,7 +619,8 @@ def reference_rankings(lines):
     return None, [(q, items, scores) for q, (items, scores) in per_query.items()]
 
 
-_WRONG_IDS = [None, 1, True, False, -1, 2 ** 63, 2.0, "1", "g0", "query", "gallery", "both", [], {}]
+_WRONG_IDS = [None, 1, True, False, -1, 2 ** 63, 2.0, "1", "g0", "g\t1", "g\ud800", "query",
+              "gallery", "both", [], {}]
 _WRONG_TSV = ["", "0", "3", "-1", "1.5", "x", "nan", "inf", "-inf", "1e999", "0.9", "g1", "q1"]
 
 

@@ -166,6 +166,18 @@ class TestRunPipeline:
         loaded = formats.load_rankings(result.rankings_path)
         assert [r.item_ids for r in loaded] == [r.item_ids for r in manual]
 
+    @pytest.mark.parametrize("step", [{"step": "pca", "out_dim": 6}, {"step": "qe", "k": 3}])
+    def test_late_concat_on_one_model_is_a_no_op(self, tmp_path, step):
+        out = synth(tmp_path, embedding_models=1, noise_sigma=0.2, num_images=12)
+        raw = json.loads((out / "config.json").read_text())
+        blobs = []
+        for post in ([], [step], [step, {"step": "concat"}]):
+            raw["post"] = post
+            blobs.append(Path(run_pipeline(PipelineConfig.from_dict(raw)).rankings_path)
+                         .read_bytes())
+        assert blobs[1] != blobs[0]
+        assert blobs[2] == blobs[1]
+
     def test_rerank_step_runs(self, tmp_path):
         out = synth(tmp_path, noise_sigma=0.15)
         raw = json.loads((out / "config.json").read_text())
@@ -271,6 +283,18 @@ class TestSharedIdSidecar:
         lines[4] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(StageError, match="id maps diverge at row") as err:
+            run_pipeline(PipelineConfig.from_dict(raw))
+        assert err.value.stage == "concat"
+        assert raw["detections"] and not Path(raw["output_dir"]).exists()
+
+    def test_other_interleaving_diverges(self, raw):
+        # the same records with the gallery rows first: the query and
+        # gallery sides align, the models do not
+        entry = raw["embeddings"][1]
+        m = formats.load_embeddings(entry["data"], entry["ids"])
+        formats.save_embeddings(m.select(np.argsort(m.sources == "query", kind="stable")),
+                                entry["data"], entry["ids"])
+        with pytest.raises(StageError, match="id maps diverge at row 0") as err:
             run_pipeline(PipelineConfig.from_dict(raw))
         assert err.value.stage == "concat"
 
