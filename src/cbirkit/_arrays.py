@@ -1,8 +1,10 @@
-"""Index helpers shared by the vectorised kernels."""
+"""Index helpers shared by the vectorised kernels, and the first-fault pass
+that every input table states its rules for."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import itertools
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,3 +55,50 @@ def wavefront(lengths: np.ndarray) -> Iterator[np.ndarray]:
     longest_first = -lengths[by_length]
     for s in range(-longest_first[0] if lengths.size else 0):
         yield by_length[:np.searchsorted(longest_first, -s)]
+
+
+def holds(test, values, n: int, *args) -> np.ndarray:
+    """Whether test(value, *args) holds for each of the first n values."""
+    return np.fromiter(map(test, itertools.islice(values, n), *map(itertools.repeat, args)),
+                       bool, n)
+
+
+def wrong_type(values, n: int, types: tuple[type, ...]) -> np.ndarray:
+    """Whether the type of each of the first n values is none of `types`."""
+    kinds = list(map(type, itertools.islice(values, n)))
+    wrong = set(kinds).difference(types)
+    return holds(wrong.__contains__, kinds, n) if wrong else np.zeros(n, dtype=bool)
+
+
+def repeats(values: Sequence) -> np.ndarray:
+    """Whether each of the hashable values equals one before it."""
+    n = len(values)
+    firsts = set(dict(zip(reversed(values), range(n - 1, -1, -1))).values())
+    return ~holds(firsts.__contains__, range(n), n) if len(firsts) < n else np.zeros(n, bool)
+
+
+# A rule: mask(n) says which of the first n rows break it; message(row) how row does.
+Rule = tuple[Callable[[int], np.ndarray], Callable[[int], str]]
+
+
+def first_fault(n: int, rules: Sequence[Rule]) -> tuple[int, str] | None:
+    """(earliest bad row, its message) of n rows under `rules`, or None.
+    The rules run in order, each on the rows before the earliest fault found
+    so far: a rule sees only rows that passed every earlier rule, and may
+    assume what they checked.  Inside one row, the earlier rule wins."""
+    found = None
+    for mask, message in rules:
+        bad = np.flatnonzero(mask(n))
+        if bad.size:
+            n, found = int(bad[0]), message
+    return None if found is None else (n, found(n))
+
+
+def fault_rule(fault: Callable[[int], tuple[int, str] | None]) -> Rule:
+    """fault(n), the first fault of the first n rows under rules of their
+    own (say, over arrays of the rows that passed the rules before), as one rule."""
+    def mask(n: int) -> np.ndarray:
+        found = fault(n)
+        return np.arange(n) == (n if found is None else found[0])
+    # the rows before `row` pass, so row is the fault of the first row + 1
+    return mask, lambda row: fault(row + 1)[1]

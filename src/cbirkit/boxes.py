@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import ranges, run_starts, unique_sorted, wavefront
+from ._arrays import Rule, first_fault, ranges, run_starts, unique_sorted, wavefront
 from .errors import ConfigError, DataError
 
 SCORE_MODES = ("rescale", "mean")
@@ -140,17 +140,33 @@ def _frozen(values, dtype) -> np.ndarray:
     return array
 
 
-def _invalid_boxes(coords: np.ndarray) -> np.ndarray:
-    """Rows that `BoundingBox` rejects: a non-finite coordinate or no area."""
-    return ~(np.isfinite(coords).all(axis=1)
-             & (coords[:, 0] < coords[:, 2]) & (coords[:, 1] < coords[:, 3]))
+_COORDINATES = ("x1", "y1", "x2", "y2")
 
 
-def invalid_detections(coords: np.ndarray, scores: np.ndarray,
-                       category_ids: np.ndarray) -> np.ndarray:
-    """Rows that `BoundingBox` or `ScoredBox` rejects."""
-    return (_invalid_boxes(coords) | ~((scores >= 0.0) & (scores <= 1.0))
-            | (category_ids < 1))
+def box_rules(coords: np.ndarray) -> list[Rule]:
+    """`BoundingBox`'s rules, with its messages, over the rows of (n, 4)
+    coordinates, as `first_fault` takes them: each coordinate finite, then
+    x1 < x2 and y1 < y2."""
+    def not_finite(row: int) -> str:
+        name, v = next((name, v) for name, v in zip(_COORDINATES, coords[row].tolist())
+                       if not math.isfinite(v))
+        return f"box coordinate {name}={v!r} is not a finite number"
+
+    return [(lambda n: ~np.isfinite(coords[:n]).all(axis=1), not_finite),
+            (lambda n: ~((coords[:n, 0] < coords[:n, 2]) & (coords[:n, 1] < coords[:n, 3])),
+             lambda row: "degenerate box ({}, {}, {}, {}): zero or negative area".format(
+                 *coords[row].tolist()))]
+
+
+def detection_rules(coords: np.ndarray, scores: np.ndarray,
+                    category_ids: np.ndarray) -> list[Rule]:
+    """`box_rules`, then `ScoredBox`'s, with its messages: score in [0, 1],
+    then category_id >= 1."""
+    return box_rules(coords) + [
+        (lambda n: ~((scores[:n] >= 0.0) & (scores[:n] <= 1.0)),
+         lambda row: f"score {scores[row].item()!r} outside [0, 1]"),
+        (lambda n: category_ids[:n] < 1,
+         lambda row: f"category_id {category_ids[row].item()!r} must be an integer >= 1")]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -163,8 +179,11 @@ class _BoxColumns(Sequence):
     category_ids: np.ndarray  # (n,) int64
     image_codes: np.ndarray   # (n,) intp into image_names
     image_names: tuple[str, ...]
+    # the rows have passed the table's rules: a loader that applied them
+    # while naming the bad line does not apply them again
+    _checked: InitVar[bool] = field(default=False, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, _checked: bool):
         coords = _frozen(self.coords, np.float64)
         if coords.size == 0:
             coords = _frozen(coords.reshape(0, 4), np.float64)
@@ -175,16 +194,16 @@ class _BoxColumns(Sequence):
         if coords.shape != (n, 4) or any(getattr(self, name).shape != (n,)
                                          for name, _ in self._columns()):
             raise DataError("box columns must be (n, 4) coordinates and n-long vectors")
-        bad = np.flatnonzero(self._invalid())
-        if bad.size:
-            self[int(bad[0])]  # raises the object type's DataError for that row
+        fault = None if _checked else first_fault(n, self._rules())
+        if fault is not None:
+            raise DataError(fault[1])
 
     def _columns(self) -> list[tuple[str, type]]:
         return [("scores", np.float64), ("category_ids", np.int64),
                 ("image_codes", np.intp)]
 
-    def _invalid(self) -> np.ndarray:
-        return _invalid_boxes(self.coords)
+    def _rules(self) -> list[Rule]:
+        return box_rules(self.coords)
 
     def __len__(self) -> int:
         return self.scores.shape[0]
@@ -221,8 +240,8 @@ class Detections(_BoxColumns):
     def _columns(self):
         return super()._columns() + [("model_codes", np.intp)]
 
-    def _invalid(self) -> np.ndarray:
-        return invalid_detections(self.coords, self.scores, self.category_ids)
+    def _rules(self) -> list[Rule]:
+        return detection_rules(self.coords, self.scores, self.category_ids)
 
     def _item(self, i: int) -> ScoredBox:
         return ScoredBox(self._box(i), float(self.scores[i]), int(self.category_ids[i]),
@@ -272,12 +291,12 @@ class FusedDetections(_BoxColumns):
     def _columns(self):
         return super()._columns() + [("cluster_sizes", np.int64)]
 
-    def __post_init__(self):
+    def __post_init__(self, _checked: bool):
         for name in ("model_indptr", "model_codes"):
             object.__setattr__(self, name, _frozen(getattr(self, name), np.intp))
         if self.model_indptr.shape != (len(self.scores) + 1,):
             raise DataError("model_indptr must hold one offset per cluster plus one")
-        super().__post_init__()
+        super().__post_init__(_checked)
 
     def _item(self, i: int) -> FusedBox:
         members = self.model_codes[self.model_indptr[i]:self.model_indptr[i + 1]]

@@ -9,7 +9,8 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import copy
-import itertools
+import operator
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._arrays import Rule, fault_rule, first_fault, holds, repeats, wrong_type
 from .errors import DataError
 
 SOURCES = ("query", "gallery")
@@ -35,51 +37,43 @@ class IdRecord:
     source: str  # "query" or "gallery"
 
 
-def _rankings_field(text: str) -> bool:
-    """Whether `text` can be a field of a rankings TSV line: it holds no
-    tab, no newline and no lone surrogate, which UTF-8 cannot encode."""
-    if "\t" in text or "\n" in text:
-        return False
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
+# what a rankings TSV field cannot hold: a tab, a newline, or a lone
+# surrogate, which UTF-8 cannot encode
+_NOT_IN_RANKINGS = re.compile("[\t\n\ud800-\udfff]")
+
+
+def _id_types(item_ids, image_ids, box_ids, category_ids, sources) -> list[Rule]:
+    """The types of id columns, as `first_fault` takes them: category_id is
+    an int (no bool), and the ids and source are str."""
+    return [(lambda n, column=column, kind=kind: wrong_type(column, n, (kind,)),
+             lambda row, name=name, column=column, message=message:
+             f"{name} {column[row]!r} must be {message}")
+            for name, column, kind, message in (
+                ("source", sources, str, f"one of {SOURCES}"),
+                ("category_id", category_ids, int, "a non-negative integer"),
+                ("item_id", item_ids, str, "a string"), ("image_id", image_ids, str, "a string"),
+                ("box_id", box_ids, str, "a string"))]
 
 
 def _id_fault(item_ids, image_ids, box_ids, category_ids, sources) -> tuple[int, str] | None:
-    """(first bad row, why) of id columns given as lists, or None.  The rules
-    are the id sidecar's: ids are str, category_id is an int (no bool) in
-    [0, 2**63), source is "query" or "gallery", and item_ids are unique, do
-    not end in NUL, which a numpy str array drops, and are rankings fields."""
-    # rules are tested a column at a time, and rows only to name the first bad one
-    if (set(map(type, itertools.chain(item_ids, image_ids, box_ids, sources))) <= {str}
-            and set(map(type, category_ids)) <= {int} and set(sources) <= set(SOURCES)
-            and 0 <= min(category_ids, default=0) and max(category_ids, default=0) < 2 ** 63
-            and not any(item_id.endswith("\0") for item_id in item_ids)
-            and _rankings_field("".join(item_ids))
-            and len(set(item_ids)) == len(item_ids)):
-        return None
-    seen: set[str] = set()
-    for row, (item_id, image_id, box_id, category, source) in enumerate(
-            zip(item_ids, image_ids, box_ids, category_ids, sources)):
-        if source not in SOURCES:
-            return row, f"source {source!r} must be one of {SOURCES}"
-        if type(category) is not int or category < 0:
-            return row, f"category_id {category!r} must be a non-negative integer"
-        if category >= 2 ** 63:
-            return row, f"category_id {category} out of range"
-        for name, value in (("item_id", item_id), ("image_id", image_id), ("box_id", box_id)):
-            if type(value) is not str:
-                return row, f"{name} {value!r} must be a string"
-        if item_id.endswith("\0"):
-            return row, f"item_id {item_id!r} ends in NUL"
-        if not _rankings_field(item_id):
-            return row, f"item_id {item_id!r} holds a tab, newline or lone surrogate"
-        if item_id in seen:
-            return row, f"duplicate item_id {item_id!r}"
-        seen.add(item_id)
-    return None
+    """(first bad row, why) of id columns of `_id_types`'s types, or None.
+    Source is "query" or "gallery"; category_id is in [0, 2**63); item_ids
+    do not end in NUL, which a numpy str array drops, hold no tab, newline
+    or lone surrogate, so that rankings can hold them, and are unique."""
+    return first_fault(len(item_ids), [
+        (lambda n: ~holds(set(SOURCES).__contains__, sources, n),
+         lambda row: f"source {sources[row]!r} must be one of {SOURCES}"),
+        (lambda n: holds(operator.lt, category_ids, n, 0),
+         lambda row: f"category_id {category_ids[row]!r} must be a non-negative integer"),
+        (lambda n: holds(operator.ge, category_ids, n, 2 ** 63),
+         lambda row: f"category_id {category_ids[row]} out of range"),
+        (lambda n: holds(str.endswith, item_ids, n, "\0"),
+         lambda row: f"item_id {item_ids[row]!r} ends in NUL"),
+        # a text holds a character when the texts' join does
+        (lambda n: (holds(bool, map(_NOT_IN_RANKINGS.search, item_ids), n)
+                    if _NOT_IN_RANKINGS.search("".join(item_ids[:n])) else np.zeros(n, bool)),
+         lambda row: f"item_id {item_ids[row]!r} holds a tab, newline or lone surrogate"),
+        (lambda n: repeats(item_ids[:n]), lambda row: f"duplicate item_id {item_ids[row]!r}")])
 
 
 def _float_rows(data) -> np.ndarray:
@@ -120,7 +114,8 @@ class EmbeddingMatrix:
                      sources, ids_checked: bool = False) -> EmbeddingMatrix:
         """A matrix from one sequence of Python values per IdRecord field,
         checked as the records constructor checks them.  ids_checked skips
-        the id rules for columns that `_id_fault` has already passed."""
+        the id rules for columns that a loader has already checked: the id
+        sidecar's field types, then `_id_fault`."""
         m = cls.__new__(cls)
         m._check_ids(data, item_ids, image_ids, box_ids, category_ids, sources,
                      ids_checked=ids_checked)
@@ -131,7 +126,8 @@ class EmbeddingMatrix:
         columns = [list(column) for column in columns]
         if any(len(column) != self.n_rows for column in columns):
             raise DataError(f"{len(columns[0])} id records for {self.n_rows} rows")
-        fault = None if ids_checked else _id_fault(*columns)
+        fault = None if ids_checked else first_fault(self.n_rows, _id_types(*columns) + [
+            fault_rule(lambda n: _id_fault(*(column[:n] for column in columns)))])
         if fault is not None:
             raise DataError(fault[1])
         item_ids = np.array(columns[0], dtype=str)

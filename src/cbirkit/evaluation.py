@@ -30,7 +30,7 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import isin_sorted, ranges, run_starts, unique_sorted, wavefront
+from ._arrays import isin_sorted, ranges, repeats, run_starts, unique_sorted, wavefront
 from .boxes import Detections, FusedDetections, _merge, areas, overlaps
 from .errors import DataError
 from .search import Rankings
@@ -240,13 +240,10 @@ def acc_at_k(
     if not ks or any(k < 1 for k in ks):
         raise DataError(f"ks must be positive integers, got {ks!r}")
     query_ids = rankings.query_ids.tolist()
-    unique = set(query_ids)
-    if len(unique) < len(query_ids):
-        seen: set[str] = set()
-        # set.add returns None, so a new id is added and passes
-        repeat = next(q for q in query_ids if q in seen or seen.add(q))
-        raise DataError(f"duplicate query_id {repeat!r} in rankings")
-    missing = unique.difference(gt)
+    repeat = np.flatnonzero(repeats(query_ids))
+    if repeat.size:
+        raise DataError(f"duplicate query_id {query_ids[repeat[0]]!r} in rankings")
+    missing = set(query_ids).difference(gt)
     if missing:
         raise DataError(f"query {min(missing)!r} has no ground-truth entry")
 

@@ -2,23 +2,27 @@
 TSV, retrieval ground-truth JSONL, and the report JSON.
 
 A JSONL file holds one object per line; blank lines and unknown keys are
-skipped.  Each format is a field table of (key, accepted types), in the
-order the keys are written and checked: `int` is a JSON integer, `float`
-any JSON number, no boolean is a number, and every integer field must fit
-in int64.  The values are then checked a column at a time:
-  _DETECTIONS    category_id >= 1; score in [0, 1]; bbox [x1, y1, x2, y2]
-                 of finite absolute pixels, x2 > x1 and y2 > y1
+skipped.  A line that is not UTF-8, JSON, or an object holding each field
+of its format ends the records.  Each format's rules are then stated once,
+as `_arrays.first_fault` takes them, and run on those records in order:
+  every format   each field's type: `int` a JSON integer, `float` any
+                 JSON number, and no boolean is a number
+  _DETECTIONS    bbox is [x1, y1, x2, y2] of numbers; every number fits a
+                 float64, category_id an int64; `boxes.detection_rules`:
+                 finite coordinates, x1 < x2 and y1 < y2, score in [0, 1],
+                 category_id >= 1
   _DETECTION_GT  the same, without model_id and score
-  _IDS           one record per embedding row, in row order: row is its
-                 index; then the rules of `embeddings.EmbeddingMatrix`:
-                 item_id unique, not ending in NUL and holding no tab,
-                 newline or lone surrogate, so that rankings can hold it;
-                 category_id >= 0; source "query" or "gallery"
-  _RETRIEVAL_GT  query_id unique; matches a list of gallery item_ids
-Any fault raises ParseError naming the first offending line: invalid UTF-8
-or JSON, a missing field, a wrong type or a bad value.  In every text
-format only "\n" ends a line, and a "\r" before it is ignored.  A row out of
-sequence raises EmbeddingFormatError "count_mismatch" naming its line.
+  _IDS           row is the record's index (else EmbeddingFormatError
+                 "count_mismatch"); `embeddings._id_fault`: source "query"
+                 or "gallery"; category_id in [0, 2**63); item_id not
+                 ending in NUL, holding no tab, newline or lone surrogate
+                 (so that rankings can hold it), and unique
+  _RETRIEVAL_GT  matches is a list of strings; query_id is unique
+Rankings TSV: four tab-separated fields, a numeric and finite score and
+ranks 1, 2, ... per query, line by line; then `Rankings.from_flat`'s
+rules.  ParseError names the earliest bad line, and inside one the first
+rule it breaks.  In every text format only "\n" ends a line, and a "\r"
+before it is ignored.
 
 Embeddings: bytes 0-3 ASCII "EMB1", bytes 4-7 row count N (u32 LE),
 bytes 8-11 dim D (u32 LE), then N*D IEEE-754 float32 LE row-major.  The
@@ -28,17 +32,14 @@ models of one embedding set hold the same records, so a sidecar whose
 bytes equal one loaded before in the same run is not parsed again, and
 the new matrix shares that matrix's id columns.
 
-Rankings TSV: query_id <TAB> rank (1-based) <TAB> gallery item_id <TAB>
-score (9 significant digits); per query, ranks run 1, 2, ..., scores are
-finite and never increase, and no item_id repeats.  Rankings are read into
-and written from `search.Rankings` columns.
-
-Detections load as `boxes.Detections` columns and are written from them in
-row order; detection ground truth is the same table, with score 0 and one
-empty model name, and is written sorted stably by image id.  Fused boxes
-are written from `boxes.FusedDetections` columns as `json.dumps` writes
-each record.  Every writer takes its table type only.  Every file is
-written to a temp file and moved into place with `os.replace`, so a failed
+Rankings are read into and written from `search.Rankings` columns, a line
+per entry: query_id, rank (1-based), gallery item_id, score (9 significant
+digits).  Detections load as `boxes.Detections` columns and are written
+from them in row order; detection ground truth is the same table, with
+score 0 and one empty model name, and is written sorted stably by image
+id.  Fused boxes are written from `boxes.FusedDetections` columns as
+`json.dumps` writes each record.  Every writer takes its table type only,
+and writes a temp file that `os.replace` moves into place, so a failed
 save leaves any previous file whole.
 """
 
@@ -58,11 +59,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .boxes import BoundingBox, Detections, FusedDetections, ScoredBox, invalid_detections
+from ._arrays import fault_rule, first_fault, holds, repeats, wrong_type
+from .boxes import Detections, FusedDetections, _encode, detection_rules
 from .embeddings import EmbeddingMatrix, _id_fault
 from .errors import ConfigError, DataError, EmbeddingFormatError, ParseError
 from .evaluation import GroundTruthRet
-from .search import Rankings
+from .search import Rankings, _BadEntry
 
 EMB_MAGIC = b"EMB1"
 _EMB_HEADER = struct.Struct("<4sII")
@@ -74,8 +76,6 @@ _DETECTION_GT = (("image_id", (str,)), ("category_id", (int,)), ("bbox", (list,)
 _IDS = (("row", (int,)), ("item_id", (str,)), ("image_id", (str,)), ("box_id", (str,)),
         ("category_id", (int,)), ("source", (str,)))
 _RETRIEVAL_GT = (("query_id", (str,)), ("matches", (list,)))
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 @contextmanager
@@ -150,24 +150,25 @@ def _line_records(path: str | Path, decode=_decode_line, raw: bytes | None = Non
             yield lineno, obj
 
 
-def _type_fault(obj, fields) -> str:
-    """Why a decoded line does not match its field table."""
-    if not isinstance(obj, dict):
-        return "record is not a JSON object"
-    for key, types in fields:
-        if key not in obj:
-            return f"missing field '{key}'"
-        if type(obj[key]) not in types:
-            return f"field '{key}' has wrong type: {obj[key]!r}"
+def _any_wrong_type(lists: list, n: int, types: tuple[type, ...]) -> np.ndarray:
+    """Whether any value of each of the first n lists has a type none of `types`."""
+    lengths = np.fromiter(map(len, lists[:n]), np.intp, n)
+    wrong = wrong_type(itertools.chain.from_iterable(lists[:n]), int(lengths.sum()), types)
+    return np.bincount(np.repeat(np.arange(n), lengths)[wrong], minlength=n) > 0
 
 
-def _read_jsonl(path: str | Path, fields,
-                raw: bytes | None = None) -> tuple[list[int], list[list], ParseError | None]:
-    """(line numbers, one list of values per field, fault) of a JSONL file,
-    or of `raw`, its bytes, when given.
+class _CountMismatch(str):
+    """A rule's message raised as EmbeddingFormatError "count_mismatch"."""
+
+
+def _read_jsonl(path: str | Path, fields, rules,
+                raw: bytes | None = None) -> tuple[list[int], list[list]]:
+    """(line numbers, one list of values per field) of a JSONL file, or of
+    `raw`, its bytes, when given, once every record passes.
     The records end before the first line that is not an object with the
-    table's fields and types; that line's ParseError is the fault, which the
-    caller raises once the values of the records before it pass."""
+    table's fields.  The field types, then `rules(*columns)`, the format's
+    rules as `first_fault` takes them, run on the records before it; the
+    earliest bad line wins, and ParseError names it."""
     keys = [key for key, _ in fields]
     values_of = operator.itemgetter(*keys)
     # the values of all records in one list: a tuple kept per record would
@@ -178,19 +179,25 @@ def _read_jsonl(path: str | Path, fields,
             try:
                 values += values_of(obj)
             except (KeyError, TypeError):
-                raise ParseError(str(path), lineno, _type_fault(obj, fields)) from None
+                why = (f"missing field '{next(k for k in keys if k not in obj)}'"
+                       if isinstance(obj, dict) else "record is not a JSON object")
+                raise ParseError(str(path), lineno, why) from None
             lines.append(lineno)
     except ParseError as e:
         fault = e
     columns = [values[i::len(fields)] for i in range(len(fields))]
-    # types are tested a column at a time, and rows only to name the first bad one
-    if any(set(map(type, column)).difference(types)
-           for column, (_, types) in zip(columns, fields)):
-        end, row = next((i, row) for i, row in enumerate(zip(*columns))
-                        if any(type(v) not in types for v, (_, types) in zip(row, fields)))
-        fault = ParseError(str(path), lines[end], _type_fault(dict(zip(keys, row)), fields))
-        lines, columns = lines[:end], [column[:end] for column in columns]
-    return lines, columns, fault
+    types = [(lambda n, column=column, types=types: wrong_type(column, n, types),
+              lambda row, key=key, column=column: f"field '{key}' has wrong type: {column[row]!r}")
+             for column, (key, types) in zip(columns, fields)]
+    bad = first_fault(len(lines), types + rules(*columns))
+    if bad is not None:
+        row, message = bad
+        if isinstance(message, _CountMismatch):
+            raise EmbeddingFormatError("count_mismatch", f"{path}:{lines[row]}: {message}")
+        raise ParseError(str(path), lines[row], message)
+    if fault is not None:
+        raise fault
+    return lines, columns
 
 
 def _write_jsonl(path: str | Path, fields, rows: Iterable[tuple]) -> None:
@@ -201,61 +208,58 @@ def _write_jsonl(path: str | Path, fields, rows: Iterable[tuple]) -> None:
             fh.write(json.dumps(dict(zip(keys, row))) + "\n")
 
 
-def _scan(path, lines, rows, fault) -> None:
-    """Raise ParseError at the first row for which `fault` returns a message
-    or raises DataError or OverflowError."""
-    for lineno, row in zip(lines, rows):
-        try:
-            message = fault(*row)
-        except (DataError, OverflowError) as e:
-            message = str(e)
-        if message:
-            raise ParseError(str(path), lineno, message)
+# the ints that float64 and int64 hold; a JSON integer has no bound
+_HELD = {np.float64: range(2 ** 970 - 2 ** 1024 + 1, 2 ** 1024 - 2 ** 970),
+         np.int64: range(-2 ** 63, 2 ** 63)}
 
 
-def _box_columns(boxes, scores, categories) -> tuple[np.ndarray, ...] | None:
-    """(coords, scores, category ids) as arrays, or None unless every row passes `_box_fault`."""
-    if (set(map(len, boxes)) - {4}
-            or set(map(type, itertools.chain.from_iterable(boxes))) - {float, int}):
-        return None
+def _numbers(values: list, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """`values`, JSON numbers, as a `dtype` array, and whether each is an int
+    too large for it, which the array holds as 0."""
     try:
-        columns = (np.fromiter(itertools.chain.from_iterable(boxes), np.float64).reshape(-1, 4),
-                   np.array(scores, np.float64), np.array(categories, np.int64))
+        return np.array(values, dtype), np.zeros(len(values), dtype=bool)
     except OverflowError:
-        return None
-    return None if invalid_detections(*columns).any() else columns
+        big = np.array([type(v) is int and v not in _HELD[dtype] for v in values], dtype=bool)
+        return np.where(big, 0, np.array(values, dtype=object)).astype(dtype), big
 
 
-def _box_fault(bbox, score, category) -> str | None:
-    """What is wrong with a detection; BoundingBox and ScoredBox raise for a bad value."""
-    if len(bbox) != 4 or not all(type(v) in _NUMBER for v in bbox):
-        return f"bbox must be [x1, y1, x2, y2], got {bbox!r}"
-    ScoredBox(BoundingBox(*map(float, bbox)), float(score), category, "", "")
-    return f"category_id {category} out of range" if category > _INT64_MAX else None
+def _boxes(path: str | Path, fields, columns_of) -> Detections:
+    """A detections-like file's rows as a table, once each passes its field
+    types, then: a bbox is four numbers; each number fits its array
+    (float64, and int64 for category_id); then `boxes.detection_rules`.
+    columns_of(*columns) gives the image ids, model ids, category ids,
+    scores and bboxes of the file's columns."""
+    tables = {}  # the arrays of the first n rows, by n
 
+    def rules(*columns):
+        _, _, categories, scores, boxes = columns_of(*columns)
 
-def _repeat_fault(key: str):
-    """A fault function naming each value of `key` seen before."""
-    seen = set()
-    # set.add returns None, so a new value is added and passes
-    return lambda value: f"duplicate {key} {value!r}" if value in seen or seen.add(value) else None
+        def box_fault(n: int) -> tuple[int, str] | None:
+            coords, coords_big = _numbers(list(itertools.chain.from_iterable(boxes[:n])),
+                                          np.float64)
+            (score, score_big), (category, category_big) = (
+                _numbers(scores[:n], np.float64), _numbers(categories[:n], np.int64))
+            tables[n] = coords.reshape(n, 4), score, category
+            return first_fault(n, [
+                (lambda m: coords_big.reshape(n, 4)[:m].any(axis=1) | score_big[:m],
+                 lambda row: "int too large to convert to float"),
+                (lambda m: category_big[:m],
+                 lambda row: f"category_id {categories[row]} out of range"),
+                *detection_rules(*tables[n])])
 
+        return [(lambda n: holds(operator.ne, map(len, boxes), n, 4)
+                 | _any_wrong_type(boxes, n, _NUMBER),
+                 lambda row: f"bbox must be [x1, y1, x2, y2], got {boxes[row]!r}"),
+                fault_rule(box_fault)]
 
-def _detections(path, lines, fault, images, models, categories, scores, boxes) -> Detections:
-    """The rows of a detections-like file as columns, once every row before
-    the reader's fault passes `_box_fault`."""
-    columns = _box_columns(boxes, scores, categories)
-    if columns is None:
-        _scan(path, lines, zip(boxes, scores, categories), _box_fault)
-    if fault:
-        raise fault
-    return Detections.from_columns(*columns, images, models)
+    lines, columns = _read_jsonl(path, fields, rules)
+    images, models, *_ = columns_of(*columns)
+    return Detections(*tables[len(lines)], *_encode(images), *_encode(models), _checked=True)
 
 
 def load_detections(path: str | Path) -> Detections:
     """A detections JSONL file as columns."""
-    lines, columns, fault = _read_jsonl(path, _DETECTIONS)
-    return _detections(path, lines, fault, *columns)
+    return _boxes(path, _DETECTIONS, lambda *columns: columns)
 
 
 def save_detections(dets: Detections, path: str | Path) -> None:
@@ -293,9 +297,8 @@ def save_fused_boxes(fused: FusedDetections, path: str | Path) -> None:
 def load_detection_gt(path: str | Path) -> Detections:
     """Ground-truth boxes in file order, as detections of score 0 and
     model id ""."""
-    lines, (images, categories, boxes), fault = _read_jsonl(path, _DETECTION_GT)
-    return _detections(path, lines, fault, images, [""] * len(lines), categories,
-                       [0.0] * len(lines), boxes)
+    return _boxes(path, _DETECTION_GT, lambda images, categories, boxes: (
+        images, [""] * len(images), categories, [0.0] * len(images), boxes))
 
 
 def save_detection_gt(gt: Detections, path: str | Path) -> None:
@@ -348,7 +351,11 @@ def load_embeddings(data_path: str | Path, ids_path: str | Path,
         raw = fh.read()
     shared = None if sidecars is None else sidecars.get(raw)
     if shared is None:
-        columns = _id_columns(ids_path, raw)
+        # the sidecar's rules: row is the record's index, then `_id_fault`'s
+        _, (_, *columns) = _read_jsonl(ids_path, _IDS, lambda rows, *columns: [
+            (lambda n: np.fromiter(map(operator.ne, rows[:n], range(n)), bool, n),
+             lambda row: _CountMismatch(f"row index {rows[row]}, expected {row}")),
+            fault_rule(lambda n: _id_fault(*(column[:n] for column in columns)))], raw)
         records = len(columns[0])
     else:
         records = shared.n_rows
@@ -363,23 +370,6 @@ def load_embeddings(data_path: str | Path, ids_path: str | Path,
     if sidecars is not None:
         sidecars.setdefault(raw, m)
     return m
-
-
-def _id_columns(ids_path: str | Path, raw: bytes) -> list[list]:
-    """The item, image, box, category and source columns of an id sidecar,
-    from its bytes `raw`, once every record passes the sidecar's rules."""
-    lines, (rows, *columns), fault = _read_jsonl(ids_path, _IDS, raw)
-    # the first row out of sequence ends the records whose values count
-    end = next((i for i, row in enumerate(rows) if row != i), len(rows))
-    bad = _id_fault(*(column[:end] for column in columns))
-    if bad is not None:
-        raise ParseError(str(ids_path), lines[bad[0]], bad[1])
-    if end < len(rows):
-        raise EmbeddingFormatError(
-            "count_mismatch", f"{ids_path}:{lines[end]}: row index {rows[end]}, expected {end}")
-    if fault:
-        raise fault
-    return columns
 
 
 def save_rankings(rankings: Rankings, path: str | Path) -> None:
@@ -400,45 +390,56 @@ def save_rankings(rankings: Rankings, path: str | Path) -> None:
 
 def load_rankings(path: str | Path) -> Rankings:
     """One row per query, in the order the queries first appear, over the
-    file's sorted distinct item ids; a bad line raises ParseError naming it."""
-    per_query: dict[str, tuple[dict[str, None], list[float]]] = {}
-    for lineno, parts in _line_records(
-            path, lambda line: line.removesuffix("\n").removesuffix("\r").split("\t")):
-        if len(parts) != 4:
-            raise ParseError(str(path), lineno, f"expected 4 tab-separated fields, got {len(parts)}")
-        query_id, rank_s, item_id, score_s = parts
+    file's sorted distinct item ids.  The text's rules run line by line:
+    four tab-separated fields, a numeric and finite score, and each query's
+    ranks 1, 2, ...  The lines before the first that breaks one go to
+    `Rankings.from_flat`; ParseError names the line of its earliest bad
+    entry, or else that first line."""
+    per_query: dict[str, list[tuple[int, str, float]]] = {}  # (line, item_id, score)s
+    error = None
+    try:
+        for lineno, parts in _line_records(
+                path, lambda line: line.removesuffix("\n").removesuffix("\r").split("\t")):
+            if len(parts) != 4:
+                raise ParseError(str(path), lineno,
+                                 f"expected 4 tab-separated fields, got {len(parts)}")
+            query_id, rank_s, item_id, score_s = parts
+            try:
+                rank, score = int(rank_s), float(score_s)
+            except ValueError:
+                raise ParseError(str(path), lineno, "rank or score is not numeric") from None
+            if not math.isfinite(score):
+                raise ParseError(str(path), lineno, f"score {score_s} is not finite")
+            entries = per_query.setdefault(query_id, [])
+            if rank != len(entries) + 1:
+                raise ParseError(str(path), lineno, f"rank {rank} out of sequence")
+            entries.append((lineno, item_id, score))
+    except ParseError as e:
+        error = e
+    end = math.inf
+    while True:
+        # queries may interleave, so the earliest bad entry need not be on
+        # the earliest bad line: the lines before it are checked again
+        rows = [[entry for entry in entries if entry[0] < end] for entries in per_query.values()]
+        lines, items, scores = list(zip(*itertools.chain(*rows))) or ((), (), ())
         try:
-            rank, score = int(rank_s), float(score_s)
-        except ValueError:
-            raise ParseError(str(path), lineno, "rank or score is not numeric") from None
-        items, scores = per_query.setdefault(query_id, ({}, []))
-        if not math.isfinite(score):
-            raise ParseError(str(path), lineno, f"score {score_s} is not finite")
-        if rank != len(items) + 1:
-            raise ParseError(str(path), lineno, f"rank {rank} out of sequence")
-        if scores and score > scores[-1]:
-            raise ParseError(str(path), lineno, f"ranking for {query_id!r}: scores increase")
-        if item_id in items:
-            raise ParseError(str(path), lineno, f"ranking for {query_id!r}: duplicate gallery ids")
-        items[item_id] = None
-        scores.append(score)
-    rows = per_query.values()
-    return Rankings.from_flat(list(per_query), [len(scores) for _, scores in rows],
-                              [item for items, _ in rows for item in items],
-                              [score for _, scores in rows for score in scores])
+            rankings = Rankings.from_flat(list(per_query), list(map(len, rows)), items, scores)
+        except _BadEntry as e:
+            end = lines[e.entry]
+            error = ParseError(str(path), end, str(e))
+            continue
+        if error is not None:
+            raise error
+        return rankings
 
 
 def load_retrieval_gt(path: str | Path) -> GroundTruthRet:
-    lines, (query_ids, matches), fault = _read_jsonl(path, _RETRIEVAL_GT)
-    if (set(map(type, itertools.chain.from_iterable(matches))) - {str}
-            or len(set(query_ids)) < len(query_ids)):
-        repeat = _repeat_fault("query_id")
-        _scan(path, lines, zip(query_ids, matches),
-              lambda query_id, items: ("matches must be a list of strings"
-                                       if any(type(m) is not str for m in items)
-                                       else repeat(query_id)))
-    if fault:
-        raise fault
+    """Each query's set of matching gallery item ids: matches is a list of
+    strings, and no query_id repeats."""
+    _, (query_ids, matches) = _read_jsonl(path, _RETRIEVAL_GT, lambda query_ids, matches: [
+        (lambda n: _any_wrong_type(matches, n, (str,)),
+         lambda row: "matches must be a list of strings"),
+        (lambda n: repeats(query_ids[:n]), lambda row: f"duplicate query_id {query_ids[row]!r}")])
     return dict(zip(query_ids, map(set, matches)))
 
 

@@ -12,12 +12,13 @@ detections per image, apply the other feature steps in the listed order,
 search, optionally re-rank, then score.  Each stage logs its input and
 output cardinalities; a failure inside one is re-raised as `StageError`
 naming it.  Concat and the checks that depend on the data (a pca step's
-out_dim against the embedding dimension and the gallery size) run before
-the first output is written, so a misaligned model set or a bad out_dim
-leaves no output.  The feature steps {pca, qe, dba} run before search;
-rerank, when configured, must be the last step: it re-ranks every gallery
-row for each query by the blended distance straight to the top search.k,
-which replace the search output.
+out_dim against the embedding dimension and the gallery size, a rerank
+step's k1 against the gallery size) run before the detection half.  The
+outputs, and the output directory, are written only once every stage has
+passed, so a failed run writes nothing.  The feature steps {pca, qe, dba}
+run before search; rerank, when configured, must be the last step: it
+re-ranks every gallery row for each query by the blended distance
+straight to the top search.k, which replace the search output.
 Re-ranking keeps O(queries x search.k) output and temporaries of
 O(RERANK_BLOCK x gallery rows), never a queries x gallery array.
 """
@@ -247,12 +248,16 @@ def _stage(name: str):
         raise StageError(name, e) from e
 
 
-def _check_pca_dims(post: Sequence[PostStep], dim: int, gallery_rows: int) -> None:
+def _check_sizes(post: Sequence[PostStep], dim: int, gallery_rows: int) -> None:
     """Raise ConfigError naming post[i].out_dim when a pca step asks for
     more than the `dim` dimensions of the (concatenated) embeddings, or
     when the gallery it is fitted on has fewer than max(2, out_dim) rows (a
-    null out_dim keeps every input dimension)."""
+    null out_dim keeps every input dimension), and post[i].k1 when a rerank
+    step asks for more neighbours than the gallery holds."""
     for i, step in enumerate(post):
+        if step.step == "rerank" and step.params.k1 > gallery_rows:
+            raise ConfigError(f"post[{i}].k1: {step.params.k1} exceeds the gallery size "
+                              f"{gallery_rows}")
         if step.step != "pca":
             continue
         out_dim = step.params.get("out_dim")
@@ -302,20 +307,15 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
         queries, gallery = models.pop().split_by_source()
     logger.info("embeddings: %d models, queries %dx%d, gallery %dx%d", len(config.embeddings),
                 queries.n_rows, queries.dim, gallery.n_rows, gallery.dim)
-    _check_pca_dims(config.post, queries.dim, gallery.n_rows)
+    _check_sizes(config.post, queries.dim, gallery.n_rows)
 
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     detection_report: DetectionReport | None = None
-    fused_path: str | None = None
     if config.detections:
         with _stage("load-detections"):
             boxes = Detections.concat([formats.load_detections(p) for p in config.detections])
         with _stage("fuse"):
             fused = fuse_detections(boxes, config.wbf)
         logger.info("fuse: %d boxes in -> %d fused", len(boxes), len(fused))
-        fused_path = str(out / "fused_boxes.jsonl")
-        formats.save_fused_boxes(fused, fused_path)
         if config.detection_gt:
             with _stage("load-detection-gt"):
                 gt = formats.load_detection_gt(config.detection_gt)
@@ -349,9 +349,6 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
                                            rerank, k=config.search_k)
         logger.info("rerank: %s", rerank)
 
-    rankings_path = str(out / "rankings.tsv")
-    formats.save_rankings(rankings, rankings_path)
-
     with _stage("load-retrieval-gt"):
         gt = formats.load_retrieval_gt(config.retrieval_gt)
     with _stage("eval-ret"):
@@ -365,6 +362,14 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
         "retrieval": retrieval_report.to_dict(),
         "config_digest": config.digest,
     }
+    # every stage has passed: only now is anything written
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    fused_path = str(out / "fused_boxes.jsonl") if config.detections else None
+    if fused_path:
+        formats.save_fused_boxes(fused, fused_path)
+    rankings_path = str(out / "rankings.tsv")
+    formats.save_rankings(rankings, rankings_path)
     report_path = str(out / "report.json")
     formats.save_report(report, report_path)
     return PipelineResult(

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._arrays import first_fault, repeats
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
 
@@ -136,11 +137,14 @@ class Rankings(Sequence):
     def from_flat(cls, query_ids: Sequence[str], lengths: Sequence[int],
                   item_ids: Sequence[str], scores: Sequence[float]) -> "Rankings":
         """Query i ranks the next lengths[i] of the flat item_ids and
-        scores.  The table is the sorted distinct ids.  DataError names the
+        scores.  The table is the sorted distinct ids.
+
+        DataError names the query of the earliest bad entry: one whose
+        score is above the score before it in its row, or is not finite, or
+        whose id its row holds before; inside one entry, in that order.  The
         first query whose length is negative or runs past the ids or scores
-        (the last query, when they run past every length), then the first
-        whose scores increase, then the first with a score that is not
-        finite, then the first that repeats an id."""
+        (the last query, when they run past every length) ends the entries
+        checked, and is named when the entries before it pass."""
         lengths = np.array(lengths, dtype=np.int64)
         scores = np.array(scores, dtype=np.float64)
         n = len(item_ids)
@@ -149,18 +153,25 @@ class Rankings(Sequence):
         ends = np.cumsum(lengths)
         short = (lengths < 0) | (ends > min(n, scores.size))
         short[-1:] |= not ends[-1:].sum() == n == scores.size
-        _name_first(query_ids, np.flatnonzero(short), "ids/scores length mismatch")
+        # the queries before the first short one hold well-formed rows
+        rows = int(np.argmax(short)) if short.any() else lengths.size
+        row = np.repeat(np.arange(rows), lengths[:rows])
         table = sorted(set(item_ids))
         code_of = dict(zip(table, range(len(table))))
         flat = np.fromiter(map(code_of.__getitem__, item_ids), np.int64, n)
-        row = np.repeat(np.arange(lengths.size), lengths)
-        rises = (row[1:] == row[:-1]) & (scores[1:] > scores[:-1])
-        _name_first(query_ids, row[1:][rises], "scores increase")
-        _name_first(query_ids, row[~np.isfinite(scores)], "a score is not finite")
         # (row, code) keys: a repeated key is an id repeated within a row
-        key = np.sort(row * len(table) + flat)
-        _name_first(query_ids, key[1:][key[1:] == key[:-1]] // max(len(table), 1),
-                    "duplicate gallery ids")
+        keys = (row * len(table) + flat[:row.size]).tolist()
+        rises = np.concatenate(([False], (row[1:] == row[:-1])
+                                & (scores[1:row.size] > scores[:row.size - 1])))
+        fault = first_fault(row.size, [
+            (lambda m: rises[:m], lambda entry: "scores increase"),
+            (lambda m: ~np.isfinite(scores[:m]), lambda entry: "a score is not finite"),
+            (lambda m: repeats(keys[:m]), lambda entry: "duplicate gallery ids")])
+        if fault is not None:
+            entry, message = fault
+            raise _BadEntry(entry, f"ranking for {query_ids[row[entry]]!r}: {message}")
+        if rows < lengths.size:
+            raise DataError(f"ranking for {query_ids[rows]!r}: ids/scores length mismatch")
         valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
         codes = np.zeros(valid.shape, dtype=np.int64)
         codes[valid] = flat
@@ -200,10 +211,11 @@ class Rankings(Sequence):
         return f"Rankings({len(self)} queries, {self.lengths.sum()} entries)"
 
 
-def _name_first(query_ids: Sequence[str], rows: np.ndarray, message: str) -> None:
-    """Raise DataError naming the query of the smallest of `rows`, if any."""
-    if rows.size:
-        raise DataError(f"ranking for {query_ids[int(rows.min())]!r}: {message}")
+class _BadEntry(DataError):
+    """`Rankings.from_flat`'s fault in the flat entry `entry`."""
+    def __init__(self, entry: int, message: str):
+        super().__init__(message)
+        self.entry = entry
 
 
 class RetrievalIndex:

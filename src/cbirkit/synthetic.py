@@ -272,7 +272,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> dict[str, ob
                  "ks": [1, 10]},
         "output_dir": str(out / "run"),
     }
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
+    with formats._atomic_open(out / "config.json") as fh:
         json.dump(config, fh, indent=2)
         fh.write("\n")
 
@@ -285,7 +285,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> dict[str, ob
         "config": str(out / "config.json"),
         "num_items": len(objects),
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+    with formats._atomic_open(out / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return manifest

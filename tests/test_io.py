@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbirkit import embeddings
+from cbirkit import boxes, embeddings
 from cbirkit import io as formats
 from cbirkit.boxes import (BoundingBox, Detections, FusedDetections, ScoredBox, WbfParams,
                            fuse_detections)
@@ -303,6 +303,22 @@ class TestRankings:
         assert str(e.value) == f"{path}:2: {message}"
 
 
+    def test_score_rise_named_before_a_later_text_fault(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("q\t1\tg0\t0.5\nq\t2\tg1\t0.9\nq\t3\tg2\tx\n")
+        with pytest.raises(ParseError) as e:
+            formats.load_rankings(path)
+        assert str(e.value) == f"{path}:2: ranking for 'q': scores increase"
+
+    def test_interleaved_queries_name_the_earliest_line(self, tmp_path):
+        # r's rise is on line 3, q's on line 4, though q's entries come first
+        path = tmp_path / "bad.tsv"
+        path.write_text("q\t1\tg0\t0.5\nr\t1\tg0\t0.5\nr\t2\tg1\t0.9\n"
+                        "q\t2\tg1\t0.9\n")
+        with pytest.raises(ParseError) as e:
+            formats.load_rankings(path)
+        assert str(e.value) == f"{path}:3: ranking for 'r': scores increase"
+
     def test_failed_save_keeps_previous_file(self, tmp_path):
         class Broken(str):
             # fails when its lines are formatted, after the first query's are written
@@ -382,6 +398,66 @@ def test_field_rules_name_the_line(tmp_path, loader, record, changes, message):
     with pytest.raises(ParseError) as e:
         loader(path)
     assert str(e.value).startswith(f"{path}:2: {message}")
+
+
+# (loader, first record, a record with a bad value, its message)
+VALUE_FAULTS = [
+    (formats.load_detections, _DET, {**_DET, "score": 1.5}, "score 1.5 outside [0, 1]"),
+    (formats.load_detection_gt, _GT, {**_GT, "bbox": [5, 5, 5, 9]},
+     "degenerate box (5.0, 5.0, 5.0, 9.0): zero or negative area"),
+    (load_ids, _ID, {**_ID, "row": 1, "source": "both"},
+     "source 'both' must be one of ('query', 'gallery')"),
+    (formats.load_retrieval_gt, {"query_id": "q", "matches": []},
+     {"query_id": "q", "matches": ["g"]}, "duplicate query_id 'q'"),
+]
+
+
+@pytest.mark.parametrize("value_first", [True, False])
+@pytest.mark.parametrize("fault", ["json", "type"])
+@pytest.mark.parametrize("loader, record, bad, message", VALUE_FAULTS,
+                         ids=[rule[0].__name__ for rule in VALUE_FAULTS])
+def test_earliest_bad_line_wins(tmp_path, loader, record, bad, message, fault, value_first):
+    # a value fault on line 2 and a reader fault on line 3, or the reverse
+    other = "{" if fault == "json" else json.dumps({**record, next(iter(record)): None})
+    lines = [json.dumps(record), json.dumps(bad), other]
+    if not value_first:
+        lines[1:] = lines[:0:-1]
+    path = tmp_path / "f.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as e:
+        loader(path)
+    assert e.value.line == 2
+    if value_first:
+        assert str(e.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"bbox": [0, 0, 10 ** 400, 1]}, "int too large to convert to float"),
+    ({"score": 10 ** 400}, "int too large to convert to float"),
+    ({"category_id": -2 ** 63 - 1}, f"category_id {-2 ** 63 - 1} out of range"),
+], ids=["coordinate", "score", "negative-category"])
+def test_number_too_large_for_its_array(tmp_path, changes, message):
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(_DET) + "\n" + json.dumps({**_DET, **changes}) + "\n")
+    with pytest.raises(ParseError) as e:
+        formats.load_detections(path)
+    assert str(e.value) == f"{path}:2: {message}"
+
+
+def test_box_rules_applied_once_per_load(tmp_path, monkeypatch):
+    dets = detections([(0, 0, 2, 2, 0.25, 1, "i0", "m"), (1, 1, 3, 4, 0.5, 2, "i1", "m")])
+    path = tmp_path / "d.jsonl"
+    formats.save_detections(dets, path)
+    calls, rules = [], boxes.detection_rules
+
+    def counted(*columns):
+        calls.append(len(columns[0]))
+        return rules(*columns)
+
+    monkeypatch.setattr(formats, "detection_rules", counted)
+    monkeypatch.setattr(boxes, "detection_rules", counted)
+    assert formats.load_detections(path) == dets
+    assert calls == [2]
 
 
 def test_sidecar_roundtrip_keeps_every_id(tmp_path):

@@ -403,6 +403,18 @@ class TestConfigRejection:
         assert "error: post[0].out_dim" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_rerank_k1_checked_before_writing(self, tmp_path, capsys):
+        # 10 images x 3 boxes: 30 gallery rows, fewer than k1 neighbours
+        small = synth(tmp_path, num_images=10, gt_boxes_per_image=3, embedding_models=1)
+        raw = json.loads((small / "config.json").read_text())
+        raw["post"] = [{"step": "rerank", "k1": 500}]
+        raw["output_dir"] = str(tmp_path / "run")
+        with pytest.raises(ConfigError, match=r"^post\[0\]\.k1: 500 exceeds the gallery size 30$"):
+            run_pipeline(PipelineConfig.from_dict(raw))
+        assert self.run_cli(raw, tmp_path) == 2
+        assert "error: post[0].k1: 500 exceeds the gallery size 30" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_step_params_built_at_parse_time(self):
         raw = TestConfigValidation().base(post=[
             {"step": "pca", "out_dim": 4}, {"step": "qe", "alpha": 2},
@@ -419,3 +431,36 @@ class TestConfigRejection:
         example = section.split("```json", 1)[1].split("```", 1)[0]
         config = PipelineConfig.from_dict(json.loads(example))
         assert [s.step for s in config.post] == ["concat", "pca", "qe", "dba", "rerank"]
+
+
+class TestFailedRunWritesNothing:
+    """A run that fails in any stage leaves none of its outputs behind."""
+
+    OUTPUTS = ("fused_boxes.jsonl", "rankings.tsv", "report.json")
+
+    @pytest.fixture
+    def raw(self, tmp_path):
+        out = synth(tmp_path, num_images=10, gt_boxes_per_image=3)
+        raw = json.loads((out / "config.json").read_text())
+        raw["output_dir"] = str(tmp_path / "run")
+        return raw
+
+    def assert_fails_writing_nothing(self, raw, stage):
+        assert raw["detections"] and raw["eval"]["detection_gt"]
+        with pytest.raises(StageError) as err:
+            run_pipeline(PipelineConfig.from_dict(raw))
+        assert err.value.stage == stage
+        assert not any((Path(raw["output_dir"]) / name).exists() for name in self.OUTPUTS)
+
+    @pytest.mark.parametrize("key, stage", [("detection_gt", "load-detection-gt"),
+                                            ("retrieval_gt", "load-retrieval-gt")])
+    def test_invalid_ground_truth(self, raw, tmp_path, key, stage):
+        bad = tmp_path / "bad_gt.jsonl"
+        bad.write_text("{\n")
+        raw["eval"][key] = str(bad)
+        self.assert_fails_writing_nothing(raw, stage)
+
+    def test_query_missing_from_retrieval_gt(self, raw):
+        path = Path(raw["eval"]["retrieval_gt"])
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+        self.assert_fails_writing_nothing(raw, "eval-ret")

@@ -71,6 +71,14 @@ class TestFromFlat:
             Rankings.from_flat(["q", "r"], lengths, items, scores)
         assert str(e.value) == f"ranking for {fault}"
 
+    def test_names_the_query_of_the_earliest_bad_entry(self):
+        # q repeats an id in its second entry, r's scores rise in its third,
+        # and s runs past the ids: q's entry comes first
+        with pytest.raises(DataError) as e:
+            Rankings.from_flat(["q", "r", "s"], [2, 3, 2], ["a", "a", "a", "b", "c", "d"],
+                               [0.9, 0.8, 0.9, 0.5, 0.7, 0.1])
+        assert str(e.value) == "ranking for 'q': duplicate gallery ids"
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),
                                        st.sampled_from([1.0, 0.5, -0.5, math.inf, math.nan])),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,24 @@ class TestGenerateFiles:
                                     out / "embeddings_m1.ids.jsonl")
         # float32 storage keeps norms well within the index tolerance
         assert np.abs(np.linalg.norm(m.data, axis=1) - 1.0).max() <= 1e-5
+
+    @pytest.mark.parametrize("name, failing_call", [("config.json", 1), ("manifest.json", 2)])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, name, failing_call):
+        out = tmp_path / "bench"
+        generate_synthetic(spec_of(), out)
+        before = (out / name).read_bytes()
+        dump, calls = json.dump, []
+
+        def broken(obj, fh, **kwargs):
+            # the failing call writes part of the file, then fails
+            calls.append(obj)
+            if len(calls) == failing_call:
+                fh.write("{")
+                raise RuntimeError("disk full")
+            return dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", broken)
+        with pytest.raises(RuntimeError, match="disk full"):
+            generate_synthetic(spec_of(seed=124), out)
+        assert (out / name).read_bytes() == before
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
