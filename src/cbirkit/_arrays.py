@@ -8,6 +8,9 @@ from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
+# bytes of the bool table that `pairs_in` marks one block of rows in
+PAIR_TABLE_BYTES = 1 << 20
+
 
 def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenation of arange(s, s + l) over the pairs (s, l)."""
@@ -26,13 +29,33 @@ def unique_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
-def isin_sorted(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """np.isin(values, keys) for integer arrays, by a sort and a binary
-    search: np.isin dedupes keys on numpy's slow hash path."""
-    keys = np.sort(keys, axis=None)
-    if keys.size == 0:
-        return np.zeros(np.shape(values), dtype=bool)
-    return keys[np.minimum(np.searchsorted(keys, values), keys.size - 1)] == values
+def pairs_in(rows: np.ndarray, cols: np.ndarray, set_rows: np.ndarray,
+             set_cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """Whether each pair (rows[i], cols[i, j]) is one of the pairs
+    (set_rows[s], set_cols[s]).  Rows are non-negative and come ascending,
+    in `rows` and in `set_rows`; columns lie in [0, n_cols).
+
+    The set's pairs are marked in a bool table over one block of rows at a
+    time, PAIR_TABLE_BYTES of them (one row when a row is larger), looked
+    up, and unmarked: no sort and no search per pair, and
+    O(PAIR_TABLE_BYTES + pairs) memory however many rows there are."""
+    out = np.zeros(cols.shape, dtype=bool)
+    if rows.size == 0 or set_rows.size == 0:
+        return out
+    step = max(1, PAIR_TABLE_BYTES // max(1, n_cols))
+    table = np.zeros(step * n_cols, dtype=bool)
+    block = rows // step
+    edges = run_starts(block)
+    # each block of rows [start, start + step) and its slice of the set
+    starts = block[edges[:-1]] * step
+    set_edges = np.searchsorted(set_rows, np.stack([starts, starts + step]))
+    for lo, hi, start, set_lo, set_hi in zip(edges[:-1].tolist(), edges[1:].tolist(),
+                                              starts.tolist(), *set_edges.tolist()):
+        marks = (set_rows[set_lo:set_hi] - start) * n_cols + set_cols[set_lo:set_hi]
+        table[marks] = True
+        out[lo:hi] = table[((rows[lo:hi] - start) * n_cols)[:, None] + cols[lo:hi]]
+        table[marks] = False
+    return out
 
 
 def run_starts(*keys: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import isin_sorted, ranges, repeats, run_starts, unique_sorted, wavefront
+from ._arrays import pairs_in, ranges, repeats, run_starts, unique_sorted, wavefront
 from .boxes import Detections, FusedDetections, _merge, areas, overlaps
 from .errors import DataError
 from .search import Rankings
@@ -250,15 +250,16 @@ def acc_at_k(
     matches = [gt[q] for q in query_ids]
     sizes = np.fromiter(map(len, matches), np.int64, len(matches))
     evaluated = np.flatnonzero(sizes)
-    # (query, code) keys of the matches the id table holds; a missing match
-    # codes as -1
+    # (query, code) pairs of the matches the id table holds, by query; a
+    # missing match codes as -1
     m = rankings.item_table.shape[0]
     code_of = dict(zip(rankings.item_table.tolist(), range(m)))
     codes = np.fromiter(map(code_of.get, itertools.chain.from_iterable(matches),
                             itertools.repeat(-1)), np.int64, sizes.sum())
-    keys = (np.repeat(np.arange(len(matches)), sizes) * m + codes)[codes >= 0]
+    known = codes >= 0
     width = rankings.codes.shape[1]
-    hit = (isin_sorted(rankings.codes + np.arange(len(query_ids))[:, None] * m, keys)
+    hit = (pairs_in(np.arange(len(query_ids)), rankings.codes,
+                    np.repeat(np.arange(len(matches)), sizes)[known], codes[known], m)
            & (np.arange(width) < rankings.lengths[:, None]))
     # 1-based rank of each row's first hit; width + 1 where it has none
     first = np.where(hit, np.arange(1, width + 1), width + 1).min(axis=1, initial=width + 1)

@@ -129,7 +129,8 @@ def _decode_line(line: str):
 def _line_records(path: str | Path, decode=_decode_line, raw: bytes | None = None):
     """(line number, decode(line)) of each non-blank line of a UTF-8 text
     file, or of `raw`, its bytes, when given; ParseError names a line that
-    is not UTF-8 or not valid JSON."""
+    is not UTF-8 or not valid JSON (an integer of more digits than Python
+    converts included)."""
     # undecodable bytes become lone surrogates, so that they fail on their
     # own line rather than on the block they were read in
     # only "\n" ends a line, so that line numbers count the file's "\n"s
@@ -145,8 +146,10 @@ def _line_records(path: str | Path, decode=_decode_line, raw: bytes | None = Non
                 continue
             try:
                 obj = decode(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(str(path), lineno, f"invalid JSON: {e.msg}") from None
+            except ValueError as e:
+                # json also raises a plain ValueError, for an integer too long to convert
+                why = e.msg if isinstance(e, json.JSONDecodeError) else str(e)
+                raise ParseError(str(path), lineno, f"invalid JSON: {why}") from None
             yield lineno, obj
 
 

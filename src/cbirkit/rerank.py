@@ -30,8 +30,10 @@ set, query rows first and then gallery rows:
   6. Jaccard distance d_J(q, g) = 1 - sum(min(Vq, Vg)) / sum(max(Vq, Vg)).
   7. Final distance d* = (1 - lambda) * d_J + lambda * d.
 
-Every set is sparse.  R and R* are index sets built by vectorised
-membership tests over (point, neighbor) pairs, and V is stored
+Every set is sparse.  R and R* are index sets of (point, neighbor) pairs.
+Each membership test among them marks one pair set, sorted by point, in a
+bool table over a block of points at a time and looks the other pairs up
+in it (`_arrays.pairs_in`), with no binary search.  V is stored
 row-compressed (CSR): each row holds its support columns and weights.
 Each row of V sums to 1 before local expansion, so each mean of k2 rows
 sums to 1 after it, and for two such rows
@@ -48,9 +50,10 @@ depend neither on the kernel's block size nor on the BLAS thread count.
 No array is n x n (n = queries + gallery), and none is n_q x n_g.  The
 largest arrays hold one entry per (point, neighbor) pair, per (point,
 neighbor, half-set slot) in the R* test, or per nonzero of V after local
-expansion (at most k2 |R*| for a point); the kernel's temporaries are
-O(QUERY_BLOCK x n) and the re-ranking's O(RERANK_BLOCK x n_g).  Re-ranked
-to the top K, the output is O(n_q x K).
+expansion (at most k2 |R*| for a point).  The membership tests' table
+holds `_arrays.PAIR_TABLE_BYTES` (1 MiB) whatever n is, the kernel's
+temporaries are O(QUERY_BLOCK x n) and the re-ranking's O(RERANK_BLOCK x
+n_g).  Re-ranked to the top K, the output is O(n_q x K).
 
 The initial rankings are `search.Rankings`; each is matched to its query
 row by query_id, and the output re-orders the candidates present in it,
@@ -66,8 +69,8 @@ The rankings' id table is mapped to gallery rows once.  Queries are then
 re-ranked RERANK_BLOCK at a time: one bincount gathers the block's
 min-sums into a RERANK_BLOCK x n_g array (each query's terms in its own
 order, so every sum has the bits of a single query's).  With K below the
-rankings' width, one GEMM against the gallery bounds every candidate's d*
-and only the candidates that can reach the first K go on (see
+rankings' width, one float32 GEMM against the gallery bounds every
+candidate's d* and only the candidates that can reach the first K go on (see
 `k_reciprocal_rerank`).  One `pair_scores` call gives their cosines, and
 one 2-D lexsort orders the block's rows.
 """
@@ -78,10 +81,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import isin_sorted, ranges, unique_sorted
+from ._arrays import pairs_in, ranges, unique_sorted
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .search import Rankings, RetrievalIndex, exact_topk, pair_scores
+from .search import Rankings, RetrievalIndex, exact_topk, gemm_error, pair_scores
 
 # rankings re-ordered per pass; bounds the n_q x n_g min-sums to RERANK_BLOCK x n_g
 RERANK_BLOCK = 32
@@ -182,27 +185,29 @@ def _reciprocal(neighbors: np.ndarray, k: int) -> np.ndarray:
     the row's point among its own first k + 1 entries."""
     n = neighbors.shape[0]
     head = neighbors[:, : k + 1]
-    own = np.arange(n)[:, None]
-    return isin_sorted(head * n + own, own * n + head)
+    own = np.arange(n)
+    # (c, p) for every p listing c, sorted by c: (p, c) is one of them
+    # exactly when c lists p as well
+    keys = np.sort(head * n + own[:, None], axis=None)
+    return pairs_in(own, head, keys // n, keys % n, n)
 
 
 def _expanded_sets(neighbors: np.ndarray, k1: int) -> tuple[np.ndarray, np.ndarray]:
     """R*(p) for every point p, as (p, member) pairs sorted by p, then member."""
     n = neighbors.shape[0]
-    own = np.arange(n)[:, None]
     full = _reciprocal(neighbors, k1)
     k_half = int(round(k1 / 2))
     half = _reciprocal(neighbors, k_half)
-    r_keys = (own * n + neighbors)[full]
-    # every (p, c) with c in R(p, k1), against each slot of c's half-size list
+    # R(p, k1) as (p, c) pairs, sorted by p
     p = np.nonzero(full)[0]
     c = neighbors[full]
+    # every (p, c) with c in R(p, k1), against each slot of c's half-size list
     members = neighbors[c, : k_half + 1]
     in_half = half[c]
-    shared = np.count_nonzero(in_half & isin_sorted(p[:, None] * n + members, r_keys), axis=1)
+    shared = np.count_nonzero(in_half & pairs_in(p, members, p, c, n), axis=1)
     accept = shared * 3 >= np.count_nonzero(half, axis=1)[c] * 2
     extra = (p[accept, None] * n + members[accept])[in_half[accept]]
-    keys = unique_sorted(np.concatenate([r_keys, extra]))
+    keys = unique_sorted(np.concatenate([p * n + c, extra]))
     return keys // n, keys % n
 
 
@@ -319,12 +324,14 @@ def k_reciprocal_rerank(
 
     With k below the rankings' width, a block's candidates are filtered
     first.  The estimate d~ = (1 - lam) J + lam (1 - c~) takes the exact
-    Jaccard term J and the clipped GEMM cosine c~ in place of the exact
-    cosine c.  A GEMM cosine and its recomputed twin differ by at most dim
-    eps (the slack paragraph of `search._block_topk`), and clipping both
-    only brings them closer; allow 4 dim eps.  The blend's subtraction,
-    product and sum each round a value of at most 2, so by at most eps, in
-    d~ and d* alike.  Hence |d~ - d*| <= eps_d = (4 lam dim + 8) eps.  With
+    Jaccard term J and the clipped float32 GEMM cosine c~ in place of the
+    exact cosine c.  A float32 GEMM cosine and its float64 recomputed twin
+    differ by at most d = (dim + 4) 2^-24 (`search.gemm_error`, derived in
+    the slack paragraph of `search._block_topk`), and clipping both only
+    brings them closer; allow 4d.  The blend runs in float64: its
+    subtraction, product and sum each round a value of at most 2, so by at
+    most eps, in d~ and d* alike.  Hence
+    |d~ - d*| <= eps_d = 4 lam d + 8 eps.  With
     T the k-th smallest d*, the k-th smallest d~ is at least T - eps_d, and
     every candidate with d* <= T has d~ <= T + eps_d: keeping each d~ within
     2 eps_d of the k-th smallest keeps every candidate of the first k and
@@ -359,7 +366,9 @@ def k_reciprocal_rerank(
 
     width = initial.codes.shape[1]
     keep = width if k is None else min(k, width)
-    slack = (params.lam * 4 * gallery.dim + 8) * np.finfo(np.float64).eps
+    slack = params.lam * 4 * gemm_error(gallery.dim) + 8 * np.finfo(np.float64).eps
+    # the candidate filter's GEMM operand, cast once
+    gallery32 = gallery.data.astype(np.float32) if keep < width else None
     out_rows = np.empty((len(initial), keep), dtype=np.int64)
     out_scores = np.empty((len(initial), keep))
     for start in range(0, len(initial), RERANK_BLOCK):
@@ -379,15 +388,13 @@ def k_reciprocal_rerank(
 
         cand = cand_rows[initial.codes[block]]
         overlap = np.take_along_axis(minsum, cand, axis=1)
-        jaccard = np.ones(cand.shape)
-        shared = overlap > 0.0
-        jaccard[shared] = 1.0 - overlap[shared] / (2.0 - overlap[shared])
+        jaccard = 1.0 - overlap / (2.0 - overlap)
         # padding past a ranking's length sorts last
         pad = np.arange(width) >= initial.lengths[block, None]
         if keep < width:
-            sims = np.clip(points[q] @ points[n_q:].T, -1.0, 1.0)
-            approx = ((1.0 - params.lam) * jaccard
-                      + params.lam * (1.0 - np.take_along_axis(sims, cand, axis=1)))
+            sims = np.clip(points[q].astype(np.float32) @ gallery32.T, -1.0, 1.0)
+            cosines = np.take_along_axis(sims, cand, axis=1).astype(np.float64)
+            approx = (1.0 - params.lam) * jaccard + params.lam * (1.0 - cosines)
             approx[pad] = np.inf
             picked, fill = _survivors(approx, keep, slack)
             cand = np.take_along_axis(cand, picked, axis=1)

@@ -7,31 +7,40 @@ item_id, which makes every ranking a total order and therefore
 reproducible across runs and thread counts.
 
 Search, query expansion and database augmentation share one blocked
-kernel, `exact_topk`.  For each block of QUERY_BLOCK query rows it
+kernel, `exact_topk`.  It casts the candidates to float32 once per call
+and, for each block of query rows,
 
-  1. scores the block against every candidate with one GEMM;
+  1. scores the block against every candidate with one float32 GEMM;
   2. bounds each row's k-th score from below by the k-th largest of its
      tile maxima (tiles of max(1, m // 4k) of the m candidates) and keeps
      every candidate whose GEMM score reaches that bound, capped at 1, less
-     a slack that covers the rounding of two dot products (so boundary ties
-     always survive);
-  3. recomputes the survivors' scores with `pair_scores`: elementwise
-     products summed along the feature axis, a value that depends on the
-     two vectors alone and not on the block shape or the BLAS thread
-     count, as GEMM bits do;
+     a slack that covers float32 rounding of the inputs and the sum (so
+     boundary ties always survive; see `_block_topk` for the proof);
+  3. recomputes the survivors' scores in float64 with `pair_scores`:
+     elementwise products summed along the feature axis, a value that
+     depends on the two vectors alone and not on the block shape or the
+     BLAS thread count, as GEMM bits do;
   4. orders all of the block's survivors by (row, -score, rank of item_id)
      in one flat stable sort and keeps each row's first k.  The rank is
      `EmbeddingMatrix.id_rank`, computed once when a matrix's ids are
      checked, and candidates are laid out in item_id order, so a column is
      its rank.
 
+Steps 1 and 2 only choose which candidates step 3 scores, so the float32
+scores never reach the output: rankings and scores are those of a float64
+search, bit for bit.  A block holds as many rows as fit _BLOCK_BYTES of
+float32 scores over the call's candidates, at most QUERY_BLOCK: 256 rows
+up to 4096 candidates, fewer above, so that the score array stays about
+cache-sized and each pass over it runs at cache speed.
+
 Every row keeps at least k survivors: about k on spread-out scores, more
 with ties or scores within the slack of the bound, and all of them when k
 is the candidate count.  All cases take the same path, with no per-row
-work.  Temporary memory is O(QUERY_BLOCK x candidates), whatever the query
-count and however many candidates survive: survivors are scored in chunks,
-and when ties keep more than an eighth of a block's GEMM entries, steps 3
-and 4 run on an eighth of its rows at a time.
+work.  Temporary memory is O(min(QUERY_BLOCK x candidates, _BLOCK_BYTES)
++ candidates), whatever the query count and however many candidates
+survive: survivors are scored in chunks, and when ties keep more than an
+eighth of a block's GEMM entries, steps 3 and 4 run on an eighth of its
+rows at a time.
 
 `knn_search` returns the kernel's arrays as they come, as `Rankings`: the
 query ids, the gallery's item_ids as the id table, an n_q x k array of
@@ -54,10 +63,12 @@ from ._arrays import first_fault, repeats
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
 
-# query rows scored per GEMM; bounds the kernel's temporary memory
+# query rows scored per GEMM, at most; bounds the kernel's temporary memory
 QUERY_BLOCK = 256
+# bytes of float32 GEMM scores per query block: fewer rows per block over
+# more candidates keep the scores near cache-sized
+_BLOCK_BYTES = 1 << 22
 
-_EPS = np.finfo(np.float64).eps
 # elements per product array when scores are recomputed; small enough to stay in cache
 _PRODUCT_CHUNK = 1 << 16
 # a block whose survivors exceed 1/_SURVIVOR_SHARE of its GEMM entries is
@@ -258,46 +269,67 @@ def pair_scores(a: np.ndarray, left: np.ndarray, b: np.ndarray, right: np.ndarra
     return np.clip(out, -1.0, 1.0, out=out)
 
 
-def _block_topk(block: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k candidate columns and scores of one query block (k <= m = len(cand)).
+def gemm_error(dim: int) -> float:
+    """d = (dim + 4) 2^-24: how far a float32 GEMM score of two rows with
+    norms within 1e-5 of 1 may lie from their float64 `pair_scores` value
+    (derived in `_block_topk`)."""
+    return (dim + 4) * 2.0 ** -24
 
-    Bound: cut each row's GEMM scores g into tiles of max(1, m // 4k)
-    columns, the last one shorter, and let T be the k-th largest tile
-    maximum.  There are at least min(m, 4k) >= k tiles, and k of them hold
-    a g >= T, so at least k candidates have g >= T.
 
-    Slack: a dot product of two near-unit vectors, summed in any order,
-    lies within about dim eps / 2 of the exact value, so the GEMM score g
-    and the recomputed score e of one pair differ by at most d = dim eps.
-    The exact score is s = clip(e, -1, 1).  The k candidates with g >= T
-    have s >= min(T - d, 1), so the k-th largest s, S, is at least
-    min(T, 1) - d.  A candidate with s >= S has g >= S - d >= min(T, 1) - 2d
-    when -1 < s < 1 (then e = s), and g >= 1 - d when s = 1 (then e >= 1).
-    The floor min(T, 1) - 4d, with a factor of two to spare, keeps all of
-    them, ties at S included.  The min matters: rows normalised to within
-    1e-5 score up to about 1 + 2e-5, and a T above 1 would drop a candidate
-    whose e is 1 but whose g is below T, though it ties at 1 once clipped.
-    s = -1 needs S = -1, so min(T, 1) - d <= -1 and the floor lies below
-    -1; such a floor keeps every candidate, as an unclipped e may lie
-    anywhere below -1.
+def _block_topk(block: np.ndarray, cand32: np.ndarray, data: np.ndarray, rows: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k candidate columns and scores of one query block (k <= m).
 
-    Verify: the survivors' exact scores come from `pair_scores`, one flat
-    stable sort orders them by (row, -score, column), and each row's first
-    k are its top k.  The order depends on the exact scores and columns
-    alone, so the GEMM's rounding never reaches the output.  A row's top k
-    depend on its own survivors only, so when more than 1/_SURVIVOR_SHARE
-    of the GEMM entries survive (ties), slices of 1/_SURVIVOR_SHARE of the
-    rows are verified in turn, and the survivors' temporaries stay near
-    the size of the GEMM scores.
+    The m candidates are the rows `rows` of `data`, in tie-break order, and
+    cand32 holds them cast to float32.
+
+    Bound: cut each row's float32 GEMM scores g into tiles of
+    max(1, m // 4k) columns, the last one shorter, and let T be the k-th
+    largest tile maximum.  There are at least min(m, 4k) >= k tiles, and k
+    of them hold a g >= T, so at least k candidates have g >= T.
+
+    Slack: let x and y be rows with norms within 1e-5 of 1, and u = 2^-24.
+    The cast to float32 moves each coordinate by at most u of its size, so
+    the exact dot product of the cast rows lies within (2u + u^2)|x||y| of
+    x.y.  Their float32 dot product, summed in any order with or without
+    fused multiply-adds, lies within dim u / (1 - dim u) sum|x'_i y'_i| of
+    that, and sum|x'_i y'_i| <= (1 + u)^2 |x||y|.  The float64 recomputed
+    score e lies within dim 2^-53 |x||y| of x.y.  With |x||y| <= 1 + 2.1e-5
+    and dim <= 4096 these add up to less than d = (dim + 4) u
+    (`gemm_error`), so |g - e| <= d.  The exact score is s = clip(e, -1, 1).
+    The k candidates with g >= T have s >= min(T - d, 1), so the k-th
+    largest s, S, is at least min(T, 1) - d.  A candidate with s >= S has
+    g >= S - d >= min(T, 1) - 2d when -1 < s < 1 (then e = s), and
+    g >= 1 - d when s = 1 (then e >= 1).  The floor min(T, 1) - 4d keeps all
+    of them, ties at S included; its factor of two to spare also covers the
+    growth of dim u / (1 - dim u) beyond dim u for any dim below 2^22.  The
+    floor is computed in float64 and moved to a float32 at or below it, so
+    that the float32 compare keeps every g at or above it.  The min
+    matters: rows normalised to within 1e-5 score up to about 1 + 2e-5, and
+    a T above 1 would drop a candidate whose e is 1 but whose g is below T,
+    though it ties at 1 once clipped.  s = -1 needs S = -1, so
+    min(T, 1) - d <= -1 and the floor lies below -1; such a floor keeps
+    every candidate, as an unclipped e may lie anywhere below -1.
+
+    Verify: the survivors' exact scores come from `pair_scores` over the
+    float64 rows, one flat stable sort orders them by (row, -score,
+    column), and each row's first k are its top k.  The order depends on
+    the exact scores and columns alone, so the GEMM's rounding never
+    reaches the output.  A row's top k depend on its own survivors only,
+    so when more than 1/_SURVIVOR_SHARE of the GEMM entries survive (ties),
+    slices of 1/_SURVIVOR_SHARE of the rows are verified in turn, and the
+    survivors' temporaries stay near the size of the GEMM scores.
     """
-    n, m = block.shape[0], cand.shape[0]
-    sims = block @ cand.T
+    n, m = block.shape[0], cand32.shape[0]
+    sims = block.astype(np.float32) @ cand32.T
     tiles = np.arange(0, m, max(1, m // (4 * k)))
     bound = np.partition(np.maximum.reduceat(sims, tiles, axis=1), tiles.size - k,
                          axis=1)[:, tiles.size - k]
-    floor = np.minimum(bound, 1.0) - 4 * cand.shape[1] * _EPS
-    floor[floor < -1.0] = -np.inf
-    keep = sims >= floor[:, None]
+    floor = np.minimum(bound, 1.0).astype(np.float64) - 4 * gemm_error(block.shape[1])
+    # the nearest float32, one step down, lies at or below the float64 floor
+    floor32 = np.nextafter(floor.astype(np.float32), np.float32(-np.inf))
+    floor32[floor < -1.0] = -np.inf
+    keep = sims >= floor32[:, None]
     del sims  # verification needs the mask only
     step = n
     if np.count_nonzero(keep) > keep.size // _SURVIVOR_SHARE:
@@ -306,22 +338,22 @@ def _block_topk(block: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray
     scores = np.empty((n, k))
     for start in range(0, n, step):
         stop = start + step
-        cols[start:stop], scores[start:stop] = _verify(block[start:stop], cand,
+        cols[start:stop], scores[start:stop] = _verify(block[start:stop], data, rows,
                                                        keep[start:stop], k)
     return cols, scores
 
 
-def _verify(block: np.ndarray, cand: np.ndarray, keep: np.ndarray,
+def _verify(block: np.ndarray, data: np.ndarray, rows: np.ndarray, keep: np.ndarray,
             k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k columns and exact scores of each row of `block` among the
-    candidates that `keep` marks, at least k in every row."""
-    rows, cols = divmod(np.flatnonzero(keep), cand.shape[0])
-    scores = pair_scores(block, rows, cand, cols)
+    candidates data[rows] that `keep` marks, at least k in every row."""
+    block_rows, cols = divmod(np.flatnonzero(keep), rows.shape[0])
+    scores = pair_scores(block, block_rows, data, rows[cols])
     # complex numbers sort by real part, then imaginary part; the sort is
     # stable and each row's columns come ascending, so ties keep column order
-    order = np.argsort(rows - 1j * scores, kind="stable")
+    order = np.argsort(block_rows - 1j * scores, kind="stable")
     # rows come out of flatnonzero ascending, so row i's survivors start here
-    first = np.searchsorted(rows, np.arange(block.shape[0]))
+    first = np.searchsorted(block_rows, np.arange(block.shape[0]))
     top = order[first[:, None] + np.arange(k)]
     return cols[top], scores[top]
 
@@ -338,15 +370,17 @@ def exact_topk(data: np.ndarray, tie_rank: np.ndarray, queries: np.ndarray, k: i
     rows = np.arange(data.shape[0]) if candidate_rows is None else candidate_rows
     # candidates in tie-break order, so a column index is its tie-break key
     rows = rows[np.argsort(tie_rank[rows])]
-    cand = data[rows]
+    cand32 = data[rows].astype(np.float32)
     n_q, kk = queries.shape[0], min(k, rows.shape[0])
     cols = np.empty((n_q, kk), dtype=np.int64)
     scores = np.empty((n_q, kk))
     if kk == 0:
         return cols, scores
-    for start in range(0, n_q, QUERY_BLOCK):
-        stop = min(start + QUERY_BLOCK, n_q)
-        cols[start:stop], scores[start:stop] = _block_topk(queries[start:stop], cand, kk)
+    step = max(1, min(QUERY_BLOCK, _BLOCK_BYTES // (cand32.itemsize * rows.shape[0])))
+    for start in range(0, n_q, step):
+        stop = min(start + step, n_q)
+        cols[start:stop], scores[start:stop] = _block_topk(queries[start:stop], cand32, data,
+                                                           rows, kk)
     return rows[cols], scores
 
 

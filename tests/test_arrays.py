@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbirkit._arrays import fault_rule, first_fault, repeats
+from cbirkit import _arrays
+from cbirkit._arrays import fault_rule, first_fault, pairs_in, repeats
 
 VALUES = [3, "x", -1, 0, 5]
 
@@ -59,3 +64,61 @@ def test_repeats_marks_all_but_the_first_of_equal_values():
     assert repeats(["a", "b", "a", "c", "b", "a"]).tolist() == [False, False, True, False,
                                                                 True, True]
     assert repeats([]).tolist() == []
+
+
+@st.composite
+def pair_sets(draw):
+    """Rows with a few columns each, and a pair set, over an n_rows x n_cols
+    grid; the rows come ascending and may repeat, and some of the set's
+    pairs are planted among the queries, so both answers occur."""
+    n_rows, n_cols, width = (draw(st.integers(1, 12)) for _ in range(3))
+    members = draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+                            max_size=30))
+    members.sort(key=lambda pair: pair[0])  # a set may repeat a pair
+    rows = sorted(draw(st.lists(st.integers(0, n_rows - 1), max_size=10)))
+    cols = np.array(draw(st.lists(st.lists(st.integers(0, n_cols - 1), min_size=width,
+                                           max_size=width),
+                                  min_size=len(rows), max_size=len(rows))),
+                    dtype=np.int64).reshape(len(rows), width)
+    for i, (row, col) in enumerate(members[:len(rows)]):
+        rows[i], cols[i, 0] = row, col
+    order = np.argsort(rows, kind="stable")
+    members = np.array(members, dtype=np.int64).reshape(-1, 2)
+    return np.array(rows, dtype=np.int64)[order], cols[order], members, n_cols
+
+
+@pytest.mark.parametrize("table_bytes", [1, 1 << 30], ids=["one-row-per-block", "one-block"])
+@settings(max_examples=200, deadline=None)
+@given(pair_sets())
+def test_pairs_in_matches_isin_on_flat_keys(table_bytes, case):
+    rows, cols, members, n_cols = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_arrays, "PAIR_TABLE_BYTES", table_bytes)
+        got = pairs_in(rows, cols, members[:, 0], members[:, 1], n_cols)
+    expected = np.isin(rows[:, None] * n_cols + cols, members @ [n_cols, 1])
+    assert got.shape == cols.shape and np.array_equal(got, expected)
+
+
+def test_pairs_in_pairs_each_row_with_its_columns():
+    cols = np.array([[0, 2, 1], [1, 1, 0]])
+    got = pairs_in(np.arange(2), cols, np.array([0, 1, 1]), np.array([2, 0, 1]), 3)
+    assert got.tolist() == [[False, True, False], [True, True, True]]
+
+
+def test_pairs_in_memory_stays_near_its_table():
+    # an n x n bool table would take 20 times the table's budget
+    n, k = int((20 * _arrays.PAIR_TABLE_BYTES) ** 0.5) + 1, 10
+    rng = np.random.default_rng(5)
+    cols = rng.integers(0, n, size=(n, k))
+    set_rows = np.repeat(np.arange(n), k)
+    set_cols = rng.integers(0, n, size=n * k)
+    rows = np.arange(n)
+    tracemalloc.start()
+    try:
+        got = pairs_in(rows, cols, set_rows, set_cols, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, np.isin(rows[:, None] * n + cols, set_rows * n + set_cols))
+    # the table plus a few int64 temporaries of the query pairs
+    assert peak < _arrays.PAIR_TABLE_BYTES + 4 * 8 * cols.size < n * n / 5

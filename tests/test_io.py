@@ -444,6 +444,24 @@ def test_number_too_large_for_its_array(tmp_path, changes, message):
     assert str(e.value) == f"{path}:2: {message}"
 
 
+@pytest.mark.parametrize("loader, record, key", [
+    (formats.load_detections, _DET, "category_id"),
+    (formats.load_detection_gt, _GT, "category_id"),
+    (load_ids, _ID, "row"),
+    (formats.load_retrieval_gt, {"query_id": "q", "matches": []}, "query_id"),
+], ids=["detections", "detection-gt", "ids", "retrieval-gt"])
+def test_integer_too_long_to_convert_names_its_line(tmp_path, loader, record, key):
+    # json refuses to convert an integer of more than 4300 digits, with a
+    # plain ValueError rather than a JSONDecodeError
+    path = tmp_path / "f.jsonl"
+    line = json.dumps({**record, key: "@"}).replace('"@"', "1" * 5000)
+    path.write_text(json.dumps(record) + "\n" + line + "\n")
+    with pytest.raises(ParseError) as e:
+        loader(path)
+    assert e.value.line == 2
+    assert str(e.value).startswith(f"{path}:2: invalid JSON: Exceeds the limit")
+
+
 def test_box_rules_applied_once_per_load(tmp_path, monkeypatch):
     dets = detections([(0, 0, 2, 2, 0.25, 1, "i0", "m"), (1, 1, 3, 4, 0.5, 2, "i1", "m")])
     path = tmp_path / "d.jsonl"

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbirkit import io as formats
-from cbirkit import rerank
+from cbirkit import _arrays, rerank
 from cbirkit.embeddings import EmbeddingMatrix
 from cbirkit.errors import ConfigError, DataError
 from cbirkit.rerank import (
     QeParams,
     RerankParams,
+    _expanded_sets,
+    _reciprocal,
     database_augmentation,
     every_gallery_row,
     k_reciprocal_rerank,
@@ -305,6 +307,78 @@ class TestKReciprocalRerank:
         finally:
             tracemalloc.stop()
         assert peak < 8 * q.n_rows * g.n_rows
+
+
+def neighbor_lists(rng, n, k1):
+    """Each point first in its own list, then k1 distinct others."""
+    others = np.argsort(rng.random((n, n)) + 2 * np.eye(n), axis=1)[:, : k1]
+    return np.hstack([np.arange(n)[:, None], others])
+
+
+def reciprocal_ref(neighbors, p, k):
+    """R(p, k) as the module docstring defines it, as a set."""
+    return {c for c in neighbors[p, : k + 1].tolist() if p in neighbors[c, : k + 1].tolist()}
+
+
+def expanded_ref(neighbors, p, k1):
+    """R*(p) as the module docstring defines it, as a set."""
+    full = reciprocal_ref(neighbors, p, k1)
+    out = set(full)
+    for c in full:
+        half = reciprocal_ref(neighbors, c, int(round(k1 / 2)))
+        if 3 * len(half & full) >= 2 * len(half):
+            out |= half
+    return out
+
+
+class TestNeighborhoodSets:
+    @pytest.mark.parametrize("seed, n, k1", [(0, 30, 5), (1, 12, 11), (2, 40, 1), (3, 25, 8)])
+    def test_match_the_definitions(self, monkeypatch, seed, n, k1):
+        # a one-byte table budget: every pair test runs one row per block
+        monkeypatch.setattr(_arrays, "PAIR_TABLE_BYTES", 1)
+        neighbors = neighbor_lists(rng_for(seed), n, k1)
+        for k in sorted({k1, int(round(k1 / 2))}):
+            mask = _reciprocal(neighbors, k)
+            for p in range(n):
+                assert set(neighbors[p, : k + 1][mask[p]].tolist()) == reciprocal_ref(
+                    neighbors, p, k)
+        rows, cols = _expanded_sets(neighbors, k1)
+        keys = list(zip(rows.tolist(), cols.tolist()))
+        assert keys == sorted(set(keys))
+        assert keys == [(p, c) for p in range(n) for c in sorted(expanded_ref(neighbors, p, k1))]
+
+
+def _nudged_copies(seed, dim=16, copies=40, others=30, n_q=12):
+    """Queries near one row, and a gallery of that row's copies each nudged
+    by about 1e-7 per coordinate: their cosines differ by about as much as
+    a float32 GEMM's rounding, so the GEMM may order them either way."""
+    rng = rng_for(seed)
+    base = unit_rows(rng, 1, dim)[0]
+    near = base + 1e-7 * rng.normal(size=(copies, dim))
+    data = np.vstack([near / np.linalg.norm(near, axis=1, keepdims=True),
+                      unit_rows(rng, others, dim)])
+    q = base + 0.3 * rng.normal(size=(n_q, dim))
+    return qmat(q / np.linalg.norm(q, axis=1, keepdims=True)), gmat(data)
+
+
+class TestFloat32Filter:
+    def test_nudged_copies_need_the_float32_slack(self, monkeypatch):
+        # the filter's slack eps_d must cover the float32 GEMM's rounding:
+        # with the float64 bound d = dim eps in its place, cutting to k drops
+        # candidates of the whole re-ranking's first k
+        params = RerankParams(k1=4, k2=2, lam=0.3)
+
+        def cut_differs(q, g):
+            whole = k_reciprocal_rerank(q, g, every_gallery_row(q, g), params)
+            for k in range(1, 25, 3):
+                top = k_reciprocal_rerank(q, g, every_gallery_row(q, g), params, k=k)
+                yield not (np.array_equal(top.codes, whole.codes[:, :k])
+                           and np.array_equal(top.scores, whole.scores[:, :k]))
+
+        cases = [_nudged_copies(seed) for seed in range(3)]
+        assert not any(any(cut_differs(q, g)) for q, g in cases)
+        monkeypatch.setattr(rerank, "gemm_error", lambda dim: dim * np.finfo(np.float64).eps)
+        assert any(any(cut_differs(q, g)) for q, g in cases)
 
 
 @st.composite

@@ -425,6 +425,38 @@ class TestKernelMemory:
             assert scores.tolist() == pytest.approx([s for _, s in ref], abs=1e-12)
 
 
+class TestFloat32Filter:
+    def test_nudged_copies_need_the_float32_slack(self, monkeypatch):
+        # copies of one row nudged by about 1e-7 per coordinate have cosines
+        # about as far apart as a float32 GEMM's rounding, which may order
+        # them either way; with the float64 bound d = dim eps in place of the
+        # float32 one, the filter drops members of the exact top k
+        rng = rng_for(54)
+        cases = []
+        for dim in (8, 32, 96):
+            base = unit_rows(rng, 1, dim)[0]
+            near = base + 1e-7 * rng.normal(size=(60, dim))
+            data = np.vstack([near / np.linalg.norm(near, axis=1, keepdims=True),
+                              unit_rows(rng, 40, dim)])
+            queries = base + 0.3 * rng.normal(size=(20, dim))
+            queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+            tie_rank = rng.permutation(data.shape[0])
+            # at k = m every candidate survives whatever the slack
+            full = search.exact_topk(data, tie_rank, queries, data.shape[0])
+            cases.append((data, tie_rank, queries, full))
+
+        def dropped():
+            for data, tie_rank, queries, (rows, scores) in cases:
+                for k in range(1, 30, 2):
+                    got = search.exact_topk(data, tie_rank, queries, k)
+                    yield not (np.array_equal(got[0], rows[:, :k])
+                               and np.array_equal(got[1], scores[:, :k]))
+
+        assert not any(dropped())
+        monkeypatch.setattr(search, "gemm_error", lambda dim: dim * np.finfo(np.float64).eps)
+        assert any(dropped())
+
+
 class TestKernelInvariance:
     def test_block_size(self, monkeypatch):
         rng = rng_for(48)
