@@ -13,22 +13,24 @@ dets = Detections.from_columns(
     [(100, 80, 300, 380), (112, 90, 308, 395), (500, 500, 590, 600)],
     scores=[0.92, 0.71, 0.64], category_ids=[1, 1, 1],
     image_ids=["street"] * 3, model_ids=["det_a", "det_b", "det_b"])
-jacket_a, jacket_b, ghost_b = dets  # rows read as ScoredBox views
+jacket_a, jacket_b, ghost_b = dets.coords.tolist()  # a table is columns
 
-print("IoU of the two jacket boxes:", round(iou(jacket_a.box, jacket_b.box), 3))
+print("IoU of the two jacket boxes:", round(iou(jacket_a, jacket_b), 3))
 
 kept = nms(dets, iou_threshold=0.5)
 print("\nNMS keeps", len(kept), "boxes:")
-for b in kept:
-    print(f"  {b.model_id}  score={b.score:.2f}  {b.box.as_tuple()}")
+for box, score, model in zip(kept.coords.tolist(), kept.scores, kept.model_codes):
+    print(f"  {kept.model_names[model]}  score={score:.2f}  {tuple(box)}")
 
 # fusion with two models: the ghost seen by one of two models is halved
 fused = fuse_detections(dets, WbfParams(iou_threshold=0.55))
 print("\nWeighted fusion yields", len(fused), "boxes:")
-for f in fused:
-    coords = tuple(round(c, 1) for c in f.box.as_tuple())
-    print(f"  score={f.score:.3f}  members={f.cluster_size}  "
-          f"models={sorted(f.model_ids)}  {coords}")
+for i, box in enumerate(fused.coords.tolist()):
+    # cluster i's models are the codes between two offsets of model_indptr
+    members = fused.model_codes[fused.model_indptr[i]:fused.model_indptr[i + 1]]
+    coords = tuple(round(c, 1) for c in box)
+    print(f"  score={fused.scores[i]:.3f}  members={fused.cluster_sizes[i]}  "
+          f"models={[fused.model_names[c] for c in members]}  {coords}")
 
 # trusting detector A twice as much shifts the fused coordinates its way
 jackets = Detections.from_columns(dets.coords[:2], dets.scores[:2], [1, 1],
@@ -36,4 +38,4 @@ jackets = Detections.from_columns(dets.coords[:2], dets.scores[:2], [1, 1],
 weighted = fuse_detections(
     jackets, WbfParams(model_weights={"det_a": 2.0, "det_b": 1.0}, num_models=2))
 print("\nWith det_a weighted 2x the fused jacket is",
-      tuple(round(c, 1) for c in weighted[0].box.as_tuple()))
+      tuple(round(c, 1) for c in weighted.coords[0].tolist()))

@@ -45,7 +45,7 @@ print("gallery:", gallery.n_rows, "rows;", "queries:", queries.n_rows)
 print("Acc@10 with plain cosine search:",
       round(acc_at_k(top10, gt, [10]).acc[10], 4))
 
-expanded = query_expansion(queries, index, QeParams(k=5, alpha=1.0))
+expanded = query_expansion(queries, gallery, QeParams(k=5, alpha=1.0))
 qe_rankings = knn_search(index, expanded, 10)
 print("Acc@10 after query expansion:  ",
       round(acc_at_k(qe_rankings, gt, [10]).acc[10], 4))

@@ -2,11 +2,8 @@
 for image-search pipelines, downstream of the neural networks."""
 
 from .boxes import (
-    BoundingBox,
     Detections,
-    FusedBox,
     FusedDetections,
-    ScoredBox,
     WbfParams,
     fuse_detections,
     iou,
@@ -51,8 +48,7 @@ from .synthetic import SyntheticSpec, generate_synthetic
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundingBox", "ScoredBox", "FusedBox", "Detections", "FusedDetections",
-    "WbfParams", "iou", "nms", "fuse_detections",
+    "Detections", "FusedDetections", "WbfParams", "iou", "nms", "fuse_detections",
     "PoolingSpec", "pool", "combine_descriptors",
     "EmbeddingMatrix", "IdRecord", "PcaModel",
     "l2_normalize", "concat_features", "pca_fit", "pca_transform",

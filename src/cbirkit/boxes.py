@@ -9,10 +9,11 @@ Every function here takes detections as columns.  `Detections` holds an
 image and model ids as integer codes into sorted tables of distinct names,
 so that code order is name order.  `FusedDetections` has the same columns
 plus the cluster sizes and each cluster's contributing models (CSR:
-ascending codes per cluster).  Both are read-only `Sequence`s whose rows
-read as `ScoredBox` / `FusedBox` views (indexing, iteration, `==` against
-a list), built only on access; the kernels never build them.  Detection
+ascending codes per cluster).  Both are read-only columns and nothing
+else: a table has a length but no rows to index or iterate.  Detection
 ground truth is a `Detections` table too: score 0 and one empty model name.
+`box_rules` and `detection_rules` are the one statement of what a valid
+box and detection are; the tables, the loaders and `iou` all apply them.
 
 `fuse_detections` fuses every (image, category) group of a detection set
 in one wavefront.  After one sort by (image, category, -weighted score,
@@ -29,7 +30,6 @@ with IoU >= the threshold.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import InitVar, dataclass, field
 from collections.abc import Mapping, Sequence
 
@@ -39,59 +39,6 @@ from ._arrays import Rule, first_fault, ranges, run_starts, unique_sorted, wavef
 from .errors import ConfigError, DataError
 
 SCORE_MODES = ("rescale", "mean")
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned rectangle in absolute pixel coordinates, x2 > x1, y2 > y1."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        for name in ("x1", "y1", "x2", "y2"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise DataError(f"box coordinate {name}={v!r} is not a finite number")
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise DataError(
-                f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2}): "
-                "zero or negative area"
-            )
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
-
-
-@dataclass(frozen=True)
-class ScoredBox:
-    """One detector output: a box with confidence, category and provenance."""
-
-    box: BoundingBox
-    score: float
-    category_id: int
-    image_id: str
-    model_id: str
-
-    def __post_init__(self):
-        if isinstance(self.score, bool) or not (0.0 <= self.score <= 1.0):
-            raise DataError(f"score {self.score!r} outside [0, 1]")
-        if type(self.category_id) is not int or self.category_id < 1:
-            raise DataError(f"category_id {self.category_id!r} must be an integer >= 1")
-
-
-@dataclass(frozen=True)
-class FusedBox:
-    """Result of fusing one cluster of overlapping detections."""
-
-    box: BoundingBox
-    score: float
-    category_id: int
-    image_id: str
-    cluster_size: int
-    model_ids: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -144,9 +91,9 @@ _COORDINATES = ("x1", "y1", "x2", "y2")
 
 
 def box_rules(coords: np.ndarray) -> list[Rule]:
-    """`BoundingBox`'s rules, with its messages, over the rows of (n, 4)
-    coordinates, as `first_fault` takes them: each coordinate finite, then
-    x1 < x2 and y1 < y2."""
+    """The rules of a box, over the rows of (n, 4) coordinates, as
+    `first_fault` takes them: each coordinate finite, then x1 < x2 and
+    y1 < y2 (a positive area)."""
     def not_finite(row: int) -> str:
         name, v = next((name, v) for name, v in zip(_COORDINATES, coords[row].tolist())
                        if not math.isfinite(v))
@@ -160,8 +107,8 @@ def box_rules(coords: np.ndarray) -> list[Rule]:
 
 def detection_rules(coords: np.ndarray, scores: np.ndarray,
                     category_ids: np.ndarray) -> list[Rule]:
-    """`box_rules`, then `ScoredBox`'s, with its messages: score in [0, 1],
-    then category_id >= 1."""
+    """`box_rules`, then the rules of a detection: score in [0, 1], then
+    category_id >= 1."""
     return box_rules(coords) + [
         (lambda n: ~((scores[:n] >= 0.0) & (scores[:n] <= 1.0)),
          lambda row: f"score {scores[row].item()!r} outside [0, 1]"),
@@ -170,7 +117,7 @@ def detection_rules(coords: np.ndarray, scores: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class _BoxColumns(Sequence):
+class _BoxColumns:
     """Columns shared by detections and fused boxes; row i is the box
     coords[i] of image image_names[image_codes[i]]."""
 
@@ -208,31 +155,13 @@ class _BoxColumns(Sequence):
     def __len__(self) -> int:
         return self.scores.shape[0]
 
-    def __getitem__(self, index):
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"box index {index} out of range for {len(self)} boxes")
-        return self._item(i)
-
-    def _box(self, i: int) -> BoundingBox:
-        return BoundingBox(*self.coords[i].tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, (_BoxColumns, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self)} boxes, {len(self.image_names)} images)"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Detections(_BoxColumns):
-    """Detector outputs as columns; a read-only Sequence of ScoredBox."""
+    """Detector outputs as columns."""
 
     model_codes: np.ndarray   # (n,) intp into model_names
     model_names: tuple[str, ...]
@@ -242,11 +171,6 @@ class Detections(_BoxColumns):
 
     def _rules(self) -> list[Rule]:
         return detection_rules(self.coords, self.scores, self.category_ids)
-
-    def _item(self, i: int) -> ScoredBox:
-        return ScoredBox(self._box(i), float(self.scores[i]), int(self.category_ids[i]),
-                         self.image_names[self.image_codes[i]],
-                         self.model_names[self.model_codes[i]])
 
     @classmethod
     def from_columns(cls, coords, scores, category_ids, image_ids: Sequence[str],
@@ -280,8 +204,8 @@ def _merge(tables: list[tuple[tuple[str, ...], np.ndarray]]) -> tuple[np.ndarray
 
 @dataclass(frozen=True, eq=False, repr=False)
 class FusedDetections(_BoxColumns):
-    """Fused boxes as columns; a read-only Sequence of FusedBox.  Cluster
-    i's models are model_codes[model_indptr[i]:model_indptr[i + 1]]."""
+    """Fused boxes as columns.  Cluster i's models are
+    model_codes[model_indptr[i]:model_indptr[i + 1]]."""
 
     cluster_sizes: np.ndarray  # (n,) int64
     model_indptr: np.ndarray   # (n + 1,) intp
@@ -297,12 +221,6 @@ class FusedDetections(_BoxColumns):
         if self.model_indptr.shape != (len(self.scores) + 1,):
             raise DataError("model_indptr must hold one offset per cluster plus one")
         super().__post_init__(_checked)
-
-    def _item(self, i: int) -> FusedBox:
-        members = self.model_codes[self.model_indptr[i]:self.model_indptr[i + 1]]
-        return FusedBox(self._box(i), float(self.scores[i]), int(self.category_ids[i]),
-                        self.image_names[self.image_codes[i]], int(self.cluster_sizes[i]),
-                        frozenset(self.model_names[c] for c in members))
 
 
 def areas(coords: np.ndarray) -> np.ndarray:
@@ -320,9 +238,15 @@ def overlaps(a: np.ndarray, a_area: np.ndarray, b: np.ndarray, b_area: np.ndarra
         return np.where((iw > 0) & (ih > 0), inter / (a_area + b_area - inter), 0.0)
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two valid boxes, in [0, 1]."""
-    pair = np.array([a.as_tuple(), b.as_tuple()], dtype=np.float64)
+def iou(a: Sequence[float], b: Sequence[float]) -> float:
+    """Intersection over union of two (x1, y1, x2, y2) boxes, in [0, 1].
+    A box that breaks `box_rules` raises DataError with its message."""
+    if len(a) != 4 or len(b) != 4:
+        raise DataError(f"a box is (x1, y1, x2, y2), got {a!r} and {b!r}")
+    pair = np.array([a, b], dtype=np.float64)
+    fault = first_fault(2, box_rules(pair))
+    if fault is not None:
+        raise DataError(fault[1])
     area = areas(pair)
     return float(overlaps(pair[:1], area[:1], pair[1:], area[1:])[0])
 

@@ -212,8 +212,14 @@ class EmbeddingMatrix:
     def row_norms(self) -> np.ndarray:
         return np.linalg.norm(self.data, axis=1)
 
-    def is_unit_normalized(self, atol: float = UNIT_NORM_ATOL) -> bool:
-        return bool(np.all(np.abs(self.row_norms() - 1.0) <= atol))
+    def check_unit_rows(self) -> None:
+        """Raise DataError naming the first item whose row norm is more than
+        UNIT_NORM_ATOL from 1."""
+        norms = self.row_norms()
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_ATOL))
+        if bad.size:
+            raise DataError(f"rows must be unit-normalized: item {self.item_ids[bad[0]].item()!r} "
+                            f"has norm {norms[bad[0]]:.6g}, not 1 within {UNIT_NORM_ATOL}")
 
 
 def l2_normalize(m: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -257,8 +263,10 @@ def concat_features(
     if len(parts) < 1:
         raise DataError("concat_features needs at least one part")
     for k, part in enumerate(parts):
-        if not part.is_unit_normalized():
-            raise DataError(f"part {k} is not L2-normalized")
+        try:
+            part.check_unit_rows()
+        except DataError as e:
+            raise DataError(f"part {k} is not L2-normalized: {e}") from None
     _check_aligned(parts)
     if len(parts) == 1:
         return parts[0]

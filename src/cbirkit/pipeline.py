@@ -6,16 +6,18 @@ raises `ConfigError` naming its key path (e.g. `post[1].kk`), and each post
 step's options are built into its parameters there.
 
 Stages run in a fixed order: load the embeddings (each distinct id
-sidecar parsed once), concatenate the models when a concat step is
-configured, split the one matrix into queries and gallery, fuse
-detections per image, apply the other feature steps in the listed order,
-search, optionally re-rank, then score.  Each stage logs its input and
-output cardinalities; a failure inside one is re-raised as `StageError`
-naming it.  Concat and the checks that depend on the data (a pca step's
-out_dim against the embedding dimension and the gallery size, a rerank
-step's k1 against the gallery size) run before the detection half.  The
-outputs, and the output directory, are written only once every stage has
-passed, so a failed run writes nothing.  The feature steps {pca, qe, dba}
+sidecar parsed once) and the ground truth, concatenate the models when a
+concat step is configured, split the one matrix into queries and
+gallery, fuse detections per image, apply the other feature steps in the
+listed order, search, optionally re-rank, then score.  Each stage logs
+its input and output cardinalities; a failure inside one is re-raised as
+`StageError` naming it.  An output_dir that cannot be a directory fails
+before the first stage.  Concat and the checks that depend on the data
+(unit rows unless pca comes first, a pca step's out_dim against the
+embedding dimension and the gallery size, a rerank step's k1 against
+the gallery size) run before the detection half.  The outputs, and the
+output directory, are written only once every stage has passed, so a
+failed run writes nothing.  The feature steps {pca, qe, dba}
 run before search; rerank, when configured, must be the last step: it
 re-ranks every gallery row for each query by the blended distance
 straight to the top search.k, which replace the search output.
@@ -270,6 +272,17 @@ def _check_sizes(post: Sequence[PostStep], dim: int, gallery_rows: int) -> None:
                               f"at least {max(2, components)} gallery rows, got {gallery_rows}")
 
 
+def _check_output_dir(path: str) -> None:
+    """Raise ConfigError naming output_dir when the path, or its nearest
+    existing ancestor, is not a directory, so that a run cannot fail there
+    after every stage has passed."""
+    existing = Path(path)
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ConfigError(f"output_dir: {str(existing)!r} is not a directory")
+
+
 @dataclass
 class PipelineResult:
     report: dict
@@ -290,12 +303,20 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
     """
     if not config.retrieval_gt:
         raise ConfigError("eval.retrieval_gt is required to score the run")
+    _check_output_dir(config.output_dir)
 
     with _stage("load-embeddings"):
         # this run's id sidecars by their bytes, so that each distinct one is parsed once
         sidecars: dict[bytes, EmbeddingMatrix] = {}
         models = [formats.load_embeddings(d, i, sidecars) for d, i in config.embeddings]
         del sidecars  # the bytes are not needed past loading
+    # the ground truth is read before any work, so that a bad file fails first
+    with _stage("load-retrieval-gt"):
+        retrieval_gt = formats.load_retrieval_gt(config.retrieval_gt)
+    detection_gt = None
+    if config.detections and config.detection_gt:
+        with _stage("load-detection-gt"):
+            detection_gt = formats.load_detection_gt(config.detection_gt)
     # the config puts concat first when there are several models; on one
     # model it is a no-op wherever it is listed
     concat = next((step for step in config.post if step.step == "concat"), None)
@@ -303,6 +324,9 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
         with _stage("concat"):
             models = [concat_features(models, **concat.params)]
     with _stage("split"):
+        # a first feature step other than pca searches or expands the rows as loaded
+        if next((s.step for s in config.post if s.step != "concat"), None) != "pca":
+            models[-1].check_unit_rows()
         # pop, so that the one matrix is dropped once it is split
         queries, gallery = models.pop().split_by_source()
     logger.info("embeddings: %d models, queries %dx%d, gallery %dx%d", len(config.embeddings),
@@ -316,13 +340,11 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
         with _stage("fuse"):
             fused = fuse_detections(boxes, config.wbf)
         logger.info("fuse: %d boxes in -> %d fused", len(boxes), len(fused))
-        if config.detection_gt:
-            with _stage("load-detection-gt"):
-                gt = formats.load_detection_gt(config.detection_gt)
+        if detection_gt is not None:
             with _stage("eval-det"):
-                detection_report = detection_ap(fused, gt)
+                detection_report = detection_ap(fused, detection_gt)
             logger.info("eval-det: AP50=%s on %d images",
-                        detection_report.ap50, len(gt.image_names))
+                        detection_report.ap50, len(detection_gt.image_names))
 
     rerank: RerankParams | None = None
     for step in config.post:
@@ -349,10 +371,8 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
                                            rerank, k=config.search_k)
         logger.info("rerank: %s", rerank)
 
-    with _stage("load-retrieval-gt"):
-        gt = formats.load_retrieval_gt(config.retrieval_gt)
     with _stage("eval-ret"):
-        retrieval_report = acc_at_k(rankings, gt, config.eval_ks,
+        retrieval_report = acc_at_k(rankings, retrieval_gt, config.eval_ks,
                                     gallery_ids=gallery.item_ids.tolist())
     logger.info("eval-ret: %d queries scored, %d excluded",
                 retrieval_report.num_queries, retrieval_report.num_excluded)
@@ -392,5 +412,5 @@ def _apply_feature_step(
         return (l2_normalize(pca_transform(model, queries)),
                 l2_normalize(pca_transform(model, gallery)))
     if step.step == "qe":
-        return query_expansion(queries, build_index(gallery), step.params), gallery
+        return query_expansion(queries, gallery, step.params), gallery
     return queries, database_augmentation(gallery, step.params)

@@ -84,7 +84,7 @@ import numpy as np
 from ._arrays import pairs_in, ranges, unique_sorted
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .search import Rankings, RetrievalIndex, exact_topk, gemm_error, pair_scores
+from .search import Rankings, exact_topk, gemm_error, pair_scores
 
 # rankings re-ordered per pass; bounds the n_q x n_g min-sums to RERANK_BLOCK x n_g
 RERANK_BLOCK = 32
@@ -147,18 +147,18 @@ def _without_self(rows: np.ndarray) -> np.ndarray:
 
 
 def query_expansion(
-    queries: EmbeddingMatrix, index: RetrievalIndex, params: QeParams
+    queries: EmbeddingMatrix, gallery: EmbeddingMatrix, params: QeParams
 ) -> EmbeddingMatrix:
     """Replace each query with the weighted sum of itself and its top-k
     gallery neighbors, renormalized.  k=0 returns the input unchanged."""
     if params.k == 0:
         return queries
-    if not queries.is_unit_normalized():
-        raise DataError("queries must be unit-normalized")
-    if queries.dim != index.gallery.dim:
-        raise DataError(f"query dim {queries.dim} != gallery dim {index.gallery.dim}")
-    rows, scores = exact_topk(index.gallery.data, index.gallery.id_rank, queries.data, params.k)
-    return _expand_rows(queries, rows, scores, index.gallery.data, params.alpha)
+    queries.check_unit_rows()
+    gallery.check_unit_rows()
+    if queries.dim != gallery.dim:
+        raise DataError(f"query dim {queries.dim} != gallery dim {gallery.dim}")
+    rows, scores = exact_topk(gallery.data, gallery.id_rank, queries.data, params.k)
+    return _expand_rows(queries, rows, scores, gallery.data, params.alpha)
 
 
 def database_augmentation(gallery: EmbeddingMatrix, params: QeParams) -> EmbeddingMatrix:
@@ -167,8 +167,7 @@ def database_augmentation(gallery: EmbeddingMatrix, params: QeParams) -> Embeddi
     unless params.include_self."""
     if params.k == 0:
         return gallery
-    if not gallery.is_unit_normalized():
-        raise DataError("gallery must be unit-normalized")
+    gallery.check_unit_rows()
     if params.include_self:
         rows, scores = exact_topk(gallery.data, gallery.id_rank, gallery.data, params.k)
     else:
@@ -343,8 +342,8 @@ def k_reciprocal_rerank(
         raise ConfigError(f"k1={params.k1} exceeds the gallery size {gallery.n_rows}")
     if queries.dim != gallery.dim:
         raise DataError(f"query dim {queries.dim} != gallery dim {gallery.dim}")
-    if not queries.is_unit_normalized() or not gallery.is_unit_normalized():
-        raise DataError("queries and gallery must be unit-normalized")
+    queries.check_unit_rows()
+    gallery.check_unit_rows()
     query_rows = _query_rows(queries, initial, params.k1)
     cand_rows = _gallery_rows(gallery, initial)
 

@@ -234,8 +234,7 @@ class RetrievalIndex:
     partition, built on first use."""
 
     def __init__(self, gallery: EmbeddingMatrix):
-        if not gallery.is_unit_normalized():
-            raise DataError("gallery rows must be unit-normalized (|norm - 1| <= 1e-5)")
+        gallery.check_unit_rows()
         self.gallery = gallery
         self._partition: dict[int, np.ndarray] | None = None
 
@@ -407,8 +406,7 @@ def knn_search(
         raise ConfigError(f"k must be >= 1, got {k}")
     if queries.dim != index.gallery.dim:
         raise DataError(f"query dim {queries.dim} != gallery dim {index.gallery.dim}")
-    if not queries.is_unit_normalized():
-        raise DataError("query rows must be unit-normalized (|norm - 1| <= 1e-5)")
+    queries.check_unit_rows()
 
     gallery = index.gallery
     if not restrict_to_query_category:

@@ -23,7 +23,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .boxes import BoundingBox, Detections
+from .boxes import Detections
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError
 from .pipeline import check_json_type
@@ -57,6 +57,8 @@ class SyntheticSpec:
     noise_sigma: float = 0.4
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed!r}")
         for name in ("miss_rate", "fp_rate"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
@@ -96,7 +98,7 @@ class GtObject:
     item_index: int
     image_id: str
     box_id: str
-    box: BoundingBox
+    box: tuple[float, float, float, float]  # x1, y1, x2, y2
     category_id: int
 
 
@@ -117,7 +119,7 @@ def synth_layout(spec: SyntheticSpec) -> list[GtObject]:
                 item_index=index,
                 image_id=image_id,
                 box_id=f"{image_id}:b{b}",
-                box=BoundingBox(x1, y1, x1 + w, y1 + h),
+                box=(x1, y1, x1 + w, y1 + h),
                 category_id=category,
             ))
             index += 1
@@ -126,15 +128,15 @@ def synth_layout(spec: SyntheticSpec) -> list[GtObject]:
 
 def detection_gt(objects: list[GtObject]) -> Detections:
     """The objects' boxes as ground truth: detections of score 0 and model id ""."""
-    return Detections.from_columns([o.box.as_tuple() for o in objects], [0.0] * len(objects),
+    return Detections.from_columns([o.box for o in objects], [0.0] * len(objects),
                                    [o.category_id for o in objects],
                                    [o.image_id for o in objects], [""] * len(objects))
 
 
-def _jittered_box(box: BoundingBox, rng: np.random.Generator,
+def _jittered_box(box: tuple[float, float, float, float], rng: np.random.Generator,
                   sigma: float) -> tuple[float, float, float, float]:
     x1, y1, x2, y2 = (c + rng.normal(0.0, sigma) if sigma > 0 else c
-                      for c in box.as_tuple())
+                      for c in box)
     x1, x2 = sorted((x1, x2))
     y1, y2 = sorted((y1, y2))
     if x2 - x1 < 1.0:

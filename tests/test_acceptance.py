@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from cbirkit.boxes import BoundingBox, WbfParams, fuse_detections
+from cbirkit.boxes import WbfParams, fuse_detections
 from cbirkit.descriptors import PoolingSpec, pool
 from cbirkit.embeddings import EmbeddingMatrix, concat_features, pca_fit, pca_transform
 from cbirkit.evaluation import acc_at_k, detection_ap
@@ -21,8 +21,8 @@ from cbirkit.synthetic import SyntheticSpec, generate_synthetic
 
 from benchmarks import concat_gain_trial, rerank_gain_trial, wbf_gain_trial
 from oracles import expand_ref, knn_ref, rerank_ref, wbf_ref
-from util import (boxes_to_dicts, detections, gallery_ids, gt_table, output_under_blas_threads,
-                  query_ids, random_scored_boxes, rng_for, unit_rows)
+from util import (boxes_to_dicts, detections, fused_to_dicts, gallery_ids, gt_table,
+                  output_under_blas_threads, query_ids, random_scored_boxes, rng_for, unit_rows)
 
 _SUITE_START = time.perf_counter()
 
@@ -46,7 +46,7 @@ def test_criterion_1_wbf_oracle_equivalence():
             n_models = int(rng.integers(1, 4))
             boxes = random_scored_boxes(rng, int(rng.integers(1, 11)),
                                         n_models=n_models, n_categories=2)
-            observed = {b.model_id for b in boxes}
+            observed = {b["model_id"] for b in boxes_to_dicts(boxes)}
             if rng.random() < 0.5:
                 weights = {m: float(rng.uniform(0.5, 2.0)) for m in observed}
             else:
@@ -54,17 +54,17 @@ def test_criterion_1_wbf_oracle_equivalence():
             mode = "rescale" if rng.random() < 0.8 else "mean"
             params = WbfParams(iou_threshold=0.55, model_weights=weights,
                                score_mode=mode)
-            got = fuse_detections(boxes, params)
+            got = fused_to_dicts(fuse_detections(boxes, params))
             exp = wbf_ref(boxes_to_dicts(boxes), 0.55,
                           weights or {m: 1.0 for m in observed},
                           len(observed), mode)
             assert len(got) == len(exp)
             for g, e in zip(got, exp):
-                assert g.cluster_size == e["cluster_size"]
-                assert g.model_ids == e["model_ids"]
-                assert g.category_id == e["category_id"]
-                assert abs(g.score - e["score"]) <= 1e-9
-                assert max(abs(a - b) for a, b in zip(g.box.as_tuple(), e["box"])) <= 1e-9
+                assert g["cluster_size"] == e["cluster_size"]
+                assert g["model_ids"] == e["model_ids"]
+                assert g["category_id"] == e["category_id"]
+                assert abs(g["score"] - e["score"]) <= 1e-9
+                assert max(abs(a - b) for a, b in zip(g["box"], e["box"])) <= 1e-9
         assert time.perf_counter() - start < 5.0
 
 
@@ -212,8 +212,8 @@ def test_criterion_8_qe_dba_contracts():
     with criterion(8, "QE k=0 identity, duplicate fixed point, DBA fixture matches oracle"):
         rng = rng_for(16_000)
         queries = EmbeddingMatrix(unit_rows(rng, 5, 8), query_ids(5))
-        index = build_index(EmbeddingMatrix(unit_rows(rng, 30, 8), gallery_ids(30)))
-        assert query_expansion(queries, index, QeParams(k=0)) is queries
+        gallery = EmbeddingMatrix(unit_rows(rng, 30, 8), gallery_ids(30))
+        assert query_expansion(queries, gallery, QeParams(k=0)) is queries
 
         row = unit_rows(rng, 1, 8)[0]
         dup = EmbeddingMatrix(np.tile(row, (6, 1)), gallery_ids(6))
@@ -235,7 +235,7 @@ def test_criterion_8_qe_dba_contracts():
 
 def test_criterion_9_evaluators():
     with criterion(9, "AP and Acc@K reproduce the hand-derived fixtures"):
-        gt = gt_table({"img0": [(BoundingBox(0, 0, 10, 10), 1)]})
+        gt = gt_table({"img0": [((0, 0, 10, 10), 1)]})
         perfect = detections([(0, 0, 10, 10, 0.9, 1, "img0", "m0")])
         assert detection_ap(perfect, gt, [0.5]).ap50 == 1.0
         two = detections([

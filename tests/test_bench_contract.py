@@ -23,6 +23,8 @@ from cbirkit.pipeline import PipelineConfig, run_pipeline
 from cbirkit.synthetic import (SyntheticSpec, detection_gt, generate_synthetic, synth_detections,
                                synth_layout)
 
+from util import boxes_to_dicts
+
 ROOT = Path(__file__).resolve().parents[1]
 
 _spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
@@ -98,8 +100,9 @@ def test_written_detections_load_back(tmp_path):
     assert len(paths) == len(tables)
     for path, table in zip(paths, tables):
         loaded = formats.load_detections(path)
-        assert loaded == table
+        assert boxes_to_dicts(loaded) == boxes_to_dicts(table)
         assert np.array_equal(loaded.coords, table.coords)
         assert np.array_equal(loaded.scores, table.scores)
     assert sizes["detections"] == sum(map(len, tables)) > 0
-    assert formats.load_detection_gt(gt_path) == detection_gt(objects)
+    assert (boxes_to_dicts(formats.load_detection_gt(gt_path))
+            == boxes_to_dicts(detection_gt(objects)))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cbirkit.boxes import (
     SCORE_MODES,
-    BoundingBox,
     Detections,
     WbfParams,
     fuse_detections,
@@ -15,7 +14,8 @@ from cbirkit.boxes import (
 from cbirkit.errors import ConfigError, DataError
 
 from oracles import nms_ref, wbf_ref
-from util import boxes_to_dicts, detections, random_scored_boxes, rng_for, take
+from util import (boxes_to_dicts, detections, fused_to_dicts, random_box, random_scored_boxes,
+                  rng_for, take)
 
 
 def sb(x1, y1, x2, y2, score, category=1, image="img0", model="m0"):
@@ -54,40 +54,48 @@ def detection_sets(draw, distinct_scores=False, n_categories=2):
     return detections(rows)
 
 
+def assert_rejected(box):
+    """iou rejects `box`, on either side, with the message a table gives it."""
+    with pytest.raises(DataError) as by_table:
+        Detections.from_columns([box], [0.5], [1], ["i"], ["m"])
+    for pair in ((box, (0, 0, 1, 1)), ((0, 0, 1, 1), box)):
+        with pytest.raises(DataError) as by_iou:
+            iou(*pair)
+        assert str(by_iou.value) == str(by_table.value)
+
+
 class TestBoundingBox:
     def test_rejects_zero_area(self):
-        with pytest.raises(DataError):
-            BoundingBox(0, 0, 0, 10)
-        with pytest.raises(DataError):
-            BoundingBox(5, 5, 5, 5)
+        assert_rejected((0, 0, 0, 10))
+        assert_rejected((5, 5, 5, 5))
 
     def test_rejects_inverted(self):
-        with pytest.raises(DataError):
-            BoundingBox(10, 0, 0, 10)
+        assert_rejected((10, 0, 0, 10))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(DataError):
-            BoundingBox(0, 0, float("nan"), 10)
-        with pytest.raises(DataError):
-            BoundingBox(0, 0, float("inf"), 10)
+        assert_rejected((0, 0, float("nan"), 10))
+        assert_rejected((0, 0, float("inf"), 10))
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(DataError, match="x1, y1, x2, y2"):
+            iou((0, 0, 1), (0, 0, 1, 1))
 
 
 class TestIou:
     def test_identity(self):
-        b = BoundingBox(0, 0, 10, 10)
+        b = (0, 0, 10, 10)
         assert iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert iou(BoundingBox(0, 0, 1, 1), BoundingBox(5, 5, 6, 6)) == 0.0
+        assert iou((0, 0, 1, 1), (5, 5, 6, 6)) == 0.0
 
     def test_partial_overlap(self):
         # intersection 1, union 4 + 4 - 1 = 7
-        v = iou(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 3, 3))
+        v = iou((0, 0, 2, 2), (1, 1, 3, 3))
         assert v == pytest.approx(1.0 / 7.0, abs=1e-12)
 
     def test_symmetry(self):
         rng = rng_for(11)
-        from util import random_box
         for _ in range(200):
             a, b = random_box(rng), random_box(rng)
             assert iou(a, b) == pytest.approx(iou(b, a), abs=0)
@@ -96,14 +104,14 @@ class TestIou:
 class TestNms:
     def test_singleton(self):
         dets = detections([sb(0, 0, 10, 10, 0.7)])
-        assert nms(dets, 0.5) == [dets[0]]
+        assert boxes_to_dicts(nms(dets, 0.5)) == boxes_to_dicts(dets)[:1]
 
     def test_empty(self):
-        assert nms(detections([]), 0.5) == []
+        assert boxes_to_dicts(nms(detections([]), 0.5)) == []
 
     def test_full_overlap_keeps_top(self):
         dets = detections([sb(0, 0, 10, 10, 0.9), sb(0, 0, 10, 10, 0.8, model="m1")])
-        assert nms(dets, 0.5) == [dets[0]]
+        assert boxes_to_dicts(nms(dets, 0.5)) == boxes_to_dicts(dets)[:1]
 
     def test_category_isolation(self):
         dets = detections([sb(0, 0, 10, 10, 0.9, category=1), sb(0, 0, 10, 10, 0.8, category=2)])
@@ -118,22 +126,23 @@ class TestNms:
         # image codes are in id order
         per_image = [nms(take(boxes, boxes.image_codes == code), 0.3)
                      for code in range(len(images))]
-        assert nms(boxes, 0.3) == [b for kept in per_image for b in kept]
+        assert boxes_to_dicts(nms(boxes, 0.3)) == [b for kept in per_image
+                                                   for b in boxes_to_dicts(kept)]
 
     @settings(max_examples=200, deadline=None)
     @given(detection_sets(n_categories=4), st.sampled_from([1e-4, 0.5, 1.0]), st.data())
     def test_matches_oracle_per_image(self, boxes, threshold, data):
         # copies of drawn boxes under other scores and models: IoU exactly 1
-        copies = data.draw(st.lists(st.sampled_from(list(boxes)), max_size=8)) if boxes else []
+        rows = boxes_to_dicts(boxes)
+        copies = data.draw(st.lists(st.sampled_from(rows), max_size=8)) if rows else []
         boxes = Detections.concat([boxes, detections(
-            (*b.box.as_tuple(), data.draw(st.sampled_from([0.2, 0.5, 0.9])), b.category_id,
-             b.image_id, data.draw(st.sampled_from(["m0", "m1", "m2"]))) for b in copies)])
+            (*b["box"], data.draw(st.sampled_from([0.2, 0.5, 0.9])), b["category_id"],
+             b["image_id"], data.draw(st.sampled_from(["m0", "m1", "m2"]))) for b in copies)])
+        rows = boxes_to_dicts(boxes)
         expected = []
-        for image in sorted({b.image_id for b in boxes}):
-            mine = [b for b in boxes if b.image_id == image]
-            expected += [(image, d) for d in nms_ref(boxes_to_dicts(mine), threshold)]
-        got = nms(boxes, threshold)
-        assert [(b.image_id, d) for b, d in zip(got, boxes_to_dicts(got))] == expected
+        for image in sorted({b["image_id"] for b in rows}):
+            expected += nms_ref([b for b in rows if b["image_id"] == image], threshold)
+        assert boxes_to_dicts(nms(boxes, threshold)) == expected
 
     def test_matches_quadratic_reference(self):
         for seed in range(40):
@@ -145,7 +154,7 @@ class TestNms:
 
 
 def fuse_simple(rows, **kwargs):
-    return fuse_detections(detections(rows), WbfParams(**kwargs))
+    return fused_to_dicts(fuse_detections(detections(rows), WbfParams(**kwargs)))
 
 
 class TestWbfParams:
@@ -169,25 +178,25 @@ class TestWbfFuse:
     def test_singleton_passthrough(self):
         b = sb(0, 0, 10, 10, 0.8)
         [f] = fuse_simple([b], num_models=1)
-        assert f.box == BoundingBox(0, 0, 10, 10)
-        assert f.score == pytest.approx(0.8, abs=1e-12)
-        assert f.cluster_size == 1
-        assert f.model_ids == frozenset({"m0"})
+        assert f["box"] == (0, 0, 10, 10)
+        assert f["score"] == pytest.approx(0.8, abs=1e-12)
+        assert f["cluster_size"] == 1
+        assert f["model_ids"] == frozenset({"m0"})
 
     def test_two_models_identical_box_rescale(self):
         boxes = [sb(0, 0, 10, 10, 0.8, model="m0"), sb(0, 0, 10, 10, 0.6, model="m1")]
         [f] = fuse_simple(boxes, num_models=2)
-        assert f.box.as_tuple() == pytest.approx((0, 0, 10, 10), abs=1e-12)
+        assert f["box"] == pytest.approx((0, 0, 10, 10), abs=1e-12)
         # min(2, 2)/2 * (0.8 + 0.6)/2
-        assert f.score == pytest.approx(0.7, abs=1e-12)
-        assert f.cluster_size == 2
+        assert f["score"] == pytest.approx(0.7, abs=1e-12)
+        assert f["cluster_size"] == 2
 
     def test_agreement_idempotence(self):
         # all N models emitting the same box at the same score fuse to it
         boxes = [sb(2, 3, 20, 30, 0.55, model=f"m{i}") for i in range(4)]
         [f] = fuse_simple(boxes)
-        assert f.box.as_tuple() == pytest.approx((2, 3, 20, 30), abs=1e-12)
-        assert f.score == pytest.approx(0.55, abs=1e-12)
+        assert f["box"] == pytest.approx((2, 3, 20, 30), abs=1e-12)
+        assert f["score"] == pytest.approx(0.55, abs=1e-12)
 
     def test_unknown_model_weight_named(self):
         boxes = [sb(0, 0, 10, 10, 0.8, model="mystery")]
@@ -205,34 +214,35 @@ class TestWbfFuse:
         lone = [sb(50, 50, 70, 70, 0.9, model="m0")]
         fused = fuse_simple(near + lone, num_models=2)
         assert len(fused) == 2
-        pair = next(f for f in fused if f.cluster_size == 2)
-        solo = next(f for f in fused if f.cluster_size == 1)
-        assert pair.score == pytest.approx(0.9, abs=1e-12)
-        assert solo.score == pytest.approx(0.45, abs=1e-12)
+        pair = next(f for f in fused if f["cluster_size"] == 2)
+        solo = next(f for f in fused if f["cluster_size"] == 1)
+        assert pair["score"] == pytest.approx(0.9, abs=1e-12)
+        assert solo["score"] == pytest.approx(0.45, abs=1e-12)
 
     def test_mean_mode_skips_rescale(self):
         lone = [sb(50, 50, 70, 70, 0.9, model="m0")]
         [f] = fuse_simple(lone, num_models=3, score_mode="mean")
-        assert f.score == pytest.approx(0.9, abs=1e-12)
+        assert f["score"] == pytest.approx(0.9, abs=1e-12)
 
     def test_category_isolation(self):
         a = sb(0, 0, 10, 10, 0.9, category=1)
         b = sb(0, 0, 10, 10, 0.9, category=2, model="m1")
         fused = fuse_simple([a, b], num_models=2)
-        assert sorted(f.category_id for f in fused) == [1, 2]
-        assert all(f.cluster_size == 1 for f in fused)
+        assert sorted(f["category_id"] for f in fused) == [1, 2]
+        assert all(f["cluster_size"] == 1 for f in fused)
 
     def test_containment_and_partition(self):
         for seed in range(30):
             rng = rng_for(2000 + seed)
             boxes = random_scored_boxes(rng, 10)
-            fused = fuse_detections(boxes, WbfParams())
-            assert sum(f.cluster_size for f in fused) == len(boxes)
+            fused = fused_to_dicts(fuse_detections(boxes, WbfParams()))
+            assert sum(f["cluster_size"] for f in fused) == len(boxes)
             assert len(fused) <= len(boxes)
+            rows = boxes_to_dicts(boxes)
             for f in fused:
-                lo = [min(b.box.as_tuple()[c] for b in boxes) for c in range(4)]
-                hi = [max(b.box.as_tuple()[c] for b in boxes) for c in range(4)]
-                for c, v in enumerate(f.box.as_tuple()):
+                lo = [min(b["box"][c] for b in rows) for c in range(4)]
+                hi = [max(b["box"][c] for b in rows) for c in range(4)]
+                for c, v in enumerate(f["box"]):
                     assert lo[c] - 1e-9 <= v <= hi[c] + 1e-9
 
     def test_rescaled_score_bounded_by_best_member(self):
@@ -241,9 +251,9 @@ class TestWbfFuse:
         for seed in range(20):
             rng = rng_for(2500 + seed)
             boxes = random_scored_boxes(rng, 10)
-            best = max(b.score for b in boxes)
-            for f in fuse_detections(boxes, WbfParams()):
-                assert f.score <= best + 1e-12
+            best = max(boxes.scores.tolist())
+            for f in fused_to_dicts(fuse_detections(boxes, WbfParams())):
+                assert f["score"] <= best + 1e-12
 
     def test_matches_reference_oracle(self):
         # acceptance-scale check lives in test_acceptance; this is the
@@ -251,26 +261,27 @@ class TestWbfFuse:
         for seed in range(25):
             rng = rng_for(3000 + seed)
             boxes = random_scored_boxes(rng, int(rng.integers(1, 11)))
-            got = fuse_detections(boxes, WbfParams())
+            got = fused_to_dicts(fuse_detections(boxes, WbfParams()))
             weights = {f"m{i}": 1.0 for i in range(3)}
             exp = wbf_ref(boxes_to_dicts(boxes), 0.55, weights,
-                          len({b.model_id for b in boxes}))
+                          len({b["model_id"] for b in boxes_to_dicts(boxes)}))
             assert len(got) == len(exp)
             for g, e in zip(got, exp):
-                assert g.cluster_size == e["cluster_size"]
-                assert g.model_ids == e["model_ids"]
-                assert g.category_id == e["category_id"]
-                assert g.score == pytest.approx(e["score"], abs=1e-9)
-                assert np.allclose(g.box.as_tuple(), e["box"], atol=1e-9)
+                assert g["cluster_size"] == e["cluster_size"]
+                assert g["model_ids"] == e["model_ids"]
+                assert g["category_id"] == e["category_id"]
+                assert g["score"] == pytest.approx(e["score"], abs=1e-9)
+                assert np.allclose(g["box"], e["box"], atol=1e-9)
 
 
 def expected_fusion(boxes, params):
     """Per image in id order: the oracle's clusters, or the ConfigError
     message of the first image whose models the parameters cannot cover."""
     out = []
-    for image in sorted({b.image_id for b in boxes}):
-        mine = [b for b in boxes if b.image_id == image]
-        observed = {b.model_id for b in mine}
+    rows = boxes_to_dicts(boxes)
+    for image in sorted({b["image_id"] for b in rows}):
+        mine = [b for b in rows if b["image_id"] == image]
+        observed = {b["model_id"] for b in mine}
         weights = params.model_weights or {m: 1.0 for m in observed}
         missing = sorted(observed - set(weights))
         if missing:
@@ -279,8 +290,8 @@ def expected_fusion(boxes, params):
             return (f"num_models={params.num_models} is less than the "
                     f"{len(observed)} distinct models observed")
         n_models = params.num_models or len(observed)
-        out += [(image, f) for f in wbf_ref(boxes_to_dicts(mine), params.iou_threshold,
-                                            weights, n_models, params.score_mode)]
+        out += [(image, f) for f in wbf_ref(mine, params.iou_threshold, weights, n_models,
+                                            params.score_mode)]
     return out
 
 
@@ -298,50 +309,50 @@ class TestFuseDetections:
                 fuse_detections(boxes, params)
             assert str(e.value) == expected
             return
-        got = fuse_detections(boxes, params)
+        got = fused_to_dicts(fuse_detections(boxes, params))
         assert len(got) == len(expected)
         for g, (image, e) in zip(got, expected):
-            assert g.image_id == image
-            assert g.cluster_size == e["cluster_size"]
-            assert g.model_ids == e["model_ids"]
-            assert g.category_id == e["category_id"]
-            assert abs(g.score - e["score"]) <= 1e-9
-            assert max(abs(a - b) for a, b in zip(g.box.as_tuple(), e["box"])) <= 1e-9
+            assert g["image_id"] == image
+            assert g["cluster_size"] == e["cluster_size"]
+            assert g["model_ids"] == e["model_ids"]
+            assert g["category_id"] == e["category_id"]
+            assert abs(g["score"] - e["score"]) <= 1e-9
+            assert max(abs(a - b) for a, b in zip(g["box"], e["box"])) <= 1e-9
 
     @settings(max_examples=100, deadline=None)
     @given(detection_sets(distinct_scores=True), st.data())
     def test_invariant_under_input_order(self, boxes, data):
-        base = fuse_detections(boxes, WbfParams())
+        base = fused_to_dicts(fuse_detections(boxes, WbfParams()))
         # the images in a drawn order, each image's boxes in input order
         rank = np.array(data.draw(st.permutations(range(len(boxes.image_names)))), dtype=np.intp)
         by_image = np.argsort(rank[boxes.image_codes], kind="stable")
-        assert fuse_detections(take(boxes, by_image), WbfParams()) == base
+        assert fused_to_dicts(fuse_detections(take(boxes, by_image), WbfParams())) == base
         # with distinct (score, model_id) keys no tie reaches the input index
         shuffled = np.array(data.draw(st.permutations(range(len(boxes)))), dtype=np.intp)
-        assert fuse_detections(take(boxes, shuffled), WbfParams()) == base
+        assert fused_to_dicts(fuse_detections(take(boxes, shuffled), WbfParams())) == base
 
-    def test_columns_match_sequence_view(self):
+    def test_tables_are_read_only_columns(self):
         dets = random_scored_boxes(rng_for(4000), 30)
-        boxes = list(dets)
-        assert len(boxes) == 30 and dets == boxes and dets[-1] == boxes[29]
-        for i, b in enumerate(boxes):
-            assert b.box.as_tuple() == tuple(dets.coords[i].tolist())
-            assert (b.score, b.category_id, b.model_id) == (
-                dets.scores[i], dets.category_ids[i], dets.model_names[dets.model_codes[i]])
-        with pytest.raises(IndexError):
-            dets[30]
-        with pytest.raises(ValueError):
-            dets.coords[0, 0] = 1.0
+        for table in (dets, fuse_detections(dets, WbfParams())):
+            assert len(table) == table.coords.shape[0] == table.scores.shape[0]
+            # no rows to index, iterate or compare with a list
+            with pytest.raises(TypeError):
+                table[0]
+            with pytest.raises(TypeError):
+                iter(table)
+            assert table != []
+            with pytest.raises(ValueError):
+                table.coords[0, 0] = 1.0
 
     def test_concat_merges_name_tables(self):
         a = detections([sb(0, 0, 1, 1, 0.5, image="b", model="m1")])
         b = detections([sb(0, 0, 2, 2, 0.6, image="a", model="m0"),
                         sb(0, 0, 3, 3, 0.7, image="b", model="m2")])
         both = Detections.concat([a, b])
-        assert both == list(a) + list(b)
+        assert boxes_to_dicts(both) == boxes_to_dicts(a) + boxes_to_dicts(b)
         assert both.image_names == ("a", "b") and both.model_names == ("m0", "m1", "m2")
         empty = Detections.concat([])
-        assert empty == [] and fuse_detections(empty, WbfParams()) == []
+        assert boxes_to_dicts(empty) == [] == fused_to_dicts(fuse_detections(empty, WbfParams()))
 
     def test_invalid_columns_rejected(self):
         with pytest.raises(DataError, match="degenerate"):

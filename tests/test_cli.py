@@ -149,6 +149,14 @@ class TestCli:
         assert err.startswith("error: num_images must be an integer")
         assert not (tmp_path / "o").exists()
 
+    def test_gen_synth_negative_seed(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"seed": 1, "num_images": 3}')
+        assert run("--seed", -1, "gen-synth", "--spec", spec_path, "--out", tmp_path / "neg") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be in [0, 2**64)")
+        assert not (tmp_path / "neg").exists()
+
     def test_eval_det_category_out_of_range(self, bench, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"
         gt.write_text(json.dumps({"image_id": "img0", "category_id": 10 ** 23,

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbirkit.boxes import BoundingBox, Detections, WbfParams, fuse_detections
+from cbirkit.boxes import Detections, WbfParams, fuse_detections
 from cbirkit.errors import DataError
 from cbirkit.evaluation import acc_at_k, detection_ap
 from cbirkit.search import Rankings
 
 from oracles import detection_ap_ref
-from util import detections, gt_table, random_scored_boxes, rng_for, take
+from util import boxes_to_dicts, detections, gt_table, random_scored_boxes, rng_for, take
 
 
 def sb(x1, y1, x2, y2, score, category=1, image="img0", model="m0"):
@@ -21,6 +21,11 @@ def gt_of(*entries):
     """Ground truth as a table of score 0 and model id ""."""
     return detections(sb(x1, y1, x2, y2, 0.0, cat, image, "")
                       for image, x1, y1, x2, y2, cat in entries)
+
+
+def entries(dets):
+    """The (box, category) of each row of a table, as `gt_table` takes them."""
+    return [(b["box"], b["category_id"]) for b in boxes_to_dicts(dets)]
 
 
 class TestDetectionAp:
@@ -63,7 +68,7 @@ class TestDetectionAp:
             rng = rng_for(700 + seed)
             preds = random_scored_boxes(rng, 30)
             gt_boxes = random_scored_boxes(rng, 10)
-            gt = gt_table({"img0": [(b.box, b.category_id) for b in gt_boxes]})
+            gt = gt_table({"img0": entries(gt_boxes)})
             report = detection_ap(preds, gt)
             assert report.ap <= report.ap50 + 1e-12
 
@@ -71,7 +76,7 @@ class TestDetectionAp:
         rng = rng_for(71)
         preds = random_scored_boxes(rng, 25)
         gt_boxes = random_scored_boxes(rng, 8)
-        gt = gt_table({"img0": [(b.box, b.category_id) for b in gt_boxes]})
+        gt = gt_table({"img0": entries(gt_boxes)})
         base = detection_ap(preds, gt)
         squashed = Detections(preds.coords, preds.scores ** 3, preds.category_ids,
                               preds.image_codes, preds.image_names, preds.model_codes,
@@ -89,8 +94,7 @@ class TestDetectionAp:
         preds = Detections.concat([preds, Detections.from_columns(
             preds.coords[first], preds.scores[first], preds.category_ids[first],
             ["img0"] * first.size, ["m1", "m2", "m9"] * 8)])
-        gt = gt_table({"img0": [(b.box, b.category_id) for b in gt_boxes]
-                                + [(preds[i].box, preds[i].category_id) for i in range(3)]})
+        gt = gt_table({"img0": entries(gt_boxes) + entries(preds)[:3]})
         base = detection_ap(preds, gt)
         for _ in range(5):
             assert detection_ap(take(preds, rng.permutation(len(preds))), gt) == base
@@ -100,9 +104,7 @@ class TestDetectionAp:
             rng = rng_for(800 + seed)
             preds = random_scored_boxes(rng, 30)
             gt_boxes = random_scored_boxes(rng, 10)
-            gt = {"img0": [(b.box, b.category_id) for b in gt_boxes]}
-            ref_gt = {img: [(b.as_tuple(), c) for b, c in boxes]
-                      for img, boxes in gt.items()}
+            gt = {"img0": entries(gt_boxes)}
             fused = fuse_detections(preds, WbfParams())
             # the fused table is scored as it comes, as its boxes would be
             fused_boxes = Detections(fused.coords, fused.scores, fused.category_ids,
@@ -111,13 +113,9 @@ class TestDetectionAp:
             assert detection_ap(fused, gt_table(gt)) == detection_ap(fused_boxes, gt_table(gt))
             for scored in (preds, fused_boxes):
                 report = detection_ap(scored, gt_table(gt))
-                ref_preds = [
-                    {"image_id": p.image_id, "category_id": p.category_id,
-                     "score": p.score, "box": p.box.as_tuple(), "model_id": p.model_id}
-                    for p in scored
-                ]
+                ref_preds = boxes_to_dicts(scored)
                 mean_ap, ap50, ap75, per_cat = detection_ap_ref(
-                    ref_preds, ref_gt, list(report.thresholds))
+                    ref_preds, gt, list(report.thresholds))
                 assert report.ap == pytest.approx(mean_ap, abs=1e-12)
                 assert report.ap50 == pytest.approx(ap50, abs=1e-12)
                 assert report.ap75 == pytest.approx(ap75, abs=1e-12)
@@ -233,7 +231,7 @@ def ap_cases(draw):
     under any model."""
     def box():
         x1, y1 = draw(st.integers(0, 12)), draw(st.integers(0, 12))
-        return BoundingBox(x1, y1, x1 + draw(st.integers(1, 4)), y1 + draw(st.integers(1, 4)))
+        return (x1, y1, x1 + draw(st.integers(1, 4)), y1 + draw(st.integers(1, 4)))
 
     gt: dict[str, list] = {}
     gt_boxes = []
@@ -253,10 +251,10 @@ def ap_cases(draw):
         elif kind == 1 and gt_boxes:
             image, (b, category) = draw(st.sampled_from(gt_boxes))
             dx, dy = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
-            preds.append((b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy, score, category, image,
-                          model))
+            x1, y1, x2, y2 = b
+            preds.append((x1 + dx, y1 + dy, x2 + dx, y2 + dy, score, category, image, model))
         else:
-            preds.append((*box().as_tuple(), score, draw(st.integers(1, 3)),
+            preds.append((*box(), score, draw(st.integers(1, 3)),
                           draw(st.sampled_from(IMAGES + ["z"])), model))
     thresholds = draw(st.sampled_from([None, [0.5], [0.3, 0.5, 0.75], [0.75, 0.5, 0.5]]))
     return detections(preds), gt, thresholds
@@ -267,10 +265,8 @@ def ap_cases(draw):
 def test_detection_ap_matches_reference(case):
     preds, gt, thresholds = case
     report = detection_ap(preds, gt_table(gt), thresholds)
-    ref_preds = [{"image_id": p.image_id, "category_id": p.category_id, "score": p.score,
-                  "box": p.box.as_tuple(), "model_id": p.model_id} for p in preds]
-    ref_gt = {img: [(b.as_tuple(), c) for b, c in boxes] for img, boxes in gt.items()}
-    mean_ap, ap50, ap75, per_cat = detection_ap_ref(ref_preds, ref_gt, list(report.thresholds))
+    ref_preds = boxes_to_dicts(preds)
+    mean_ap, ap50, ap75, per_cat = detection_ap_ref(ref_preds, gt, list(report.thresholds))
     assert report.ap == pytest.approx(mean_ap, abs=1e-12)
     for got, want, level in ((report.ap50, ap50, 0.5), (report.ap75, ap75, 0.75)):
         if level in report.thresholds:

@@ -10,32 +10,32 @@ from hypothesis import strategies as st
 
 from cbirkit import boxes, embeddings
 from cbirkit import io as formats
-from cbirkit.boxes import (BoundingBox, Detections, FusedDetections, ScoredBox, WbfParams,
-                           fuse_detections)
+from cbirkit.boxes import Detections, FusedDetections, WbfParams, fuse_detections
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 from cbirkit.errors import DataError, EmbeddingFormatError, ParseError
 from cbirkit.search import Rankings
 
-from util import detections, gallery_ids, gt_table, rng_for, row_scores
+from util import (boxes_to_dicts, detections, fused_to_dicts, gallery_ids, gt_table, rng_for,
+                  row_scores)
 
 
 class TestDetections:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert formats.load_detections(path) == []
+        assert boxes_to_dicts(formats.load_detections(path)) == []
 
     def test_single_record_roundtrip(self, tmp_path):
         path = tmp_path / "one.jsonl"
         record = {"image_id": "img0", "model_id": "m0", "category_id": 3,
                   "score": 0.75, "bbox": [1.0, 2.0, 3.5, 4.25]}
         path.write_text(json.dumps(record) + "\n")
-        [box] = formats.load_detections(path)
-        assert box.image_id == "img0"
-        assert box.model_id == "m0"
-        assert box.category_id == 3
-        assert box.score == 0.75
-        assert box.box.as_tuple() == (1.0, 2.0, 3.5, 4.25)
+        [box] = boxes_to_dicts(formats.load_detections(path))
+        assert box["image_id"] == "img0"
+        assert box["model_id"] == "m0"
+        assert box["category_id"] == 3
+        assert box["score"] == 0.75
+        assert box["box"] == (1.0, 2.0, 3.5, 4.25)
 
     def test_write_then_read_many(self, tmp_path):
         rng = rng_for(80)
@@ -52,7 +52,7 @@ class TestDetections:
         path = tmp_path / "boxes.jsonl"
         formats.save_detections(dets, path)
         loaded = formats.load_detections(path)
-        assert loaded == dets
+        assert boxes_to_dicts(loaded) == boxes_to_dicts(dets)
         assert np.array_equal(loaded.coords, dets.coords)
         assert np.array_equal(loaded.scores, dets.scores)
 
@@ -108,29 +108,30 @@ class TestDetections:
                                 ("m0", "m1"))
         path = tmp_path / "fused.jsonl"
         formats.save_fused_boxes(fused, path)
-        [box] = formats.load_detections(path)
-        assert box.model_id == "wbf"
-        assert box.score == 0.5
+        [box] = boxes_to_dicts(formats.load_detections(path))
+        assert box["model_id"] == "wbf"
+        assert box["score"] == 0.5
 
 
 def by_image(gt) -> dict:
     """A ground-truth table as image -> [(box, category), ...] in row order."""
     out = {}
-    for b in gt:
-        assert (b.score, b.model_id) == (0.0, "")
-        out.setdefault(b.image_id, []).append((b.box, b.category_id))
+    for b in boxes_to_dicts(gt):
+        assert (b["score"], b["model_id"]) == (0.0, "")
+        out.setdefault(b["image_id"], []).append((b["box"], b["category_id"]))
     return out
 
 
 class TestDetectionGt:
     def test_roundtrip(self, tmp_path):
-        gt = gt_table({"img1": [(BoundingBox(1, 1, 2, 2), 1)],
-                       "img0": [(BoundingBox(0, 0, 5, 5), 1), (BoundingBox(2, 2, 9, 9), 2)]})
+        gt = gt_table({"img1": [((1, 1, 2, 2), 1)],
+                       "img0": [((0, 0, 5, 5), 1), ((2, 2, 9, 9), 2)]})
         path = tmp_path / "gt.jsonl"
         formats.save_detection_gt(gt, path)
-        loaded = formats.load_detection_gt(path)
+        loaded = boxes_to_dicts(formats.load_detection_gt(path))
+        rows = boxes_to_dicts(gt)
         # written sorted stably by image id
-        assert loaded == [gt[1], gt[2], gt[0]]
+        assert loaded == [rows[1], rows[2], rows[0]]
 
 
 class TestEmbeddings:
@@ -474,7 +475,7 @@ def test_box_rules_applied_once_per_load(tmp_path, monkeypatch):
 
     monkeypatch.setattr(formats, "detection_rules", counted)
     monkeypatch.setattr(boxes, "detection_rules", counted)
-    assert formats.load_detections(path) == dets
+    assert boxes_to_dicts(formats.load_detections(path)) == boxes_to_dicts(dets)
     assert calls == [2]
 
 
@@ -490,10 +491,12 @@ def test_sidecar_roundtrip_keeps_every_id(tmp_path):
 
 
 @pytest.mark.parametrize("score, category, x2", [(True, 1, 1.0), (1.0, True, 1.0), (1.0, 1, True)])
-def test_no_boolean_is_a_detection_number(score, category, x2):
-    # save_detections would write the boolean, which load_detections rejects
-    with pytest.raises(DataError):
-        ScoredBox(BoundingBox(0.0, 0.0, x2, 1.0), score, category, "i", "m")
+def test_no_boolean_is_a_detection_number(tmp_path, score, category, x2):
+    # load_detections rejects a boolean, so the table holds it as a number,
+    # which save_detections writes as one
+    dets = Detections.from_columns([(0.0, 0.0, x2, 1.0)], [score], [category], ["i"], ["m"])
+    formats.save_detections(dets, tmp_path / "d.jsonl")
+    assert boxes_to_dicts(formats.load_detections(tmp_path / "d.jsonl")) == boxes_to_dicts(dets)
 
 
 def test_bare_cr_ends_no_line(tmp_path):
@@ -517,7 +520,10 @@ def test_crlf_loads_as_lf(tmp_path, loader, text):
     lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
     lf.write_bytes(text.encode())
     crlf.write_bytes(text.replace("\n", "\r\n").encode())
-    assert loader(crlf) == loader(lf)
+    loaded = [loader(crlf), loader(lf)]
+    if isinstance(loaded[0], Detections):
+        loaded = [boxes_to_dicts(table) for table in loaded]
+    assert loaded[0] == loaded[1]
 
 
 def reference_load(lines: list[bytes]):
@@ -546,8 +552,8 @@ def reference_load(lines: list[bytes]):
         if not (all(math.isfinite(v) for v in (x1, y1, x2, y2)) and x1 < x2 and y1 < y2
                 and 0.0 <= score <= 1.0 and category >= 1):
             return lineno, None
-        out.append(ScoredBox(BoundingBox(x1, y1, x2, y2), float(score), category,
-                             image_id, model_id))
+        out.append({"box": (x1, y1, x2, y2), "score": float(score), "category_id": category,
+                    "image_id": image_id, "model_id": model_id})
     return None, out
 
 
@@ -605,7 +611,7 @@ class TestDetectionFuzz:
             path = Path(tmp) / "d.jsonl"
             path.write_bytes(b"\n".join(lines) + b"\n")
             if bad_line is None:
-                assert formats.load_detections(path) == expected
+                assert boxes_to_dicts(formats.load_detections(path)) == expected
             else:
                 with pytest.raises(ParseError) as e:
                     formats.load_detections(path)
@@ -645,7 +651,7 @@ def reference_box(bbox, category):
         return None
     x1, y1, x2, y2 = (float(v) for v in bbox)
     if all(math.isfinite(v) for v in (x1, y1, x2, y2)) and x1 < x2 and y1 < y2:
-        return BoundingBox(x1, y1, x2, y2)
+        return (x1, y1, x2, y2)
     return None
 
 
@@ -869,9 +875,9 @@ class TestReaderFuzz:
 
 def reference_fused_lines(fused) -> str:
     return "".join(json.dumps({
-        "image_id": f.image_id, "model_id": "wbf", "category_id": f.category_id,
-        "score": f.score, "bbox": list(f.box.as_tuple()), "cluster_size": f.cluster_size,
-        "model_ids": sorted(f.model_ids)}) + "\n" for f in fused)
+        "image_id": f["image_id"], "model_id": "wbf", "category_id": f["category_id"],
+        "score": f["score"], "bbox": list(f["box"]), "cluster_size": f["cluster_size"],
+        "model_ids": sorted(f["model_ids"])}) + "\n" for f in fused_to_dicts(fused))
 
 
 class TestOddIds:
@@ -887,9 +893,9 @@ class TestOddIds:
             det_path, fused_path = Path(tmp) / "d.jsonl", Path(tmp) / "f.jsonl"
             formats.save_detections(dets, det_path)
             loaded = formats.load_detections(det_path)
-            assert loaded == dets
+            assert boxes_to_dicts(loaded) == boxes_to_dicts(dets)
             assert loaded.image_names == dets.image_names == tuple(sorted({r[0] for r in rows}))
             fused = fuse_detections(loaded, WbfParams())
-            assert fused == fuse_detections(dets, WbfParams())
+            assert fused_to_dicts(fused) == fused_to_dicts(fuse_detections(dets, WbfParams()))
             formats.save_fused_boxes(fused, fused_path)
             assert fused_path.read_text(encoding="utf-8") == reference_fused_lines(fused)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cbirkit import io as formats
+from cbirkit import pipeline
 from cbirkit.cli import main
 from cbirkit.embeddings import concat_features, l2_normalize, pca_fit, pca_transform
 from cbirkit.errors import ConfigError, EmbeddingFormatError, ParseError, StageError
@@ -13,7 +14,7 @@ from cbirkit.rerank import QeParams, RerankParams
 from cbirkit.search import build_index, knn_search
 from cbirkit.synthetic import SyntheticSpec, generate_synthetic
 
-from util import output_under_blas_threads
+from util import boxes_to_dicts, output_under_blas_threads
 
 
 def synth(tmp_path, **overrides):
@@ -139,7 +140,7 @@ class TestRunPipeline:
         out = synth(tmp_path)
         result = run_pipeline(load_config(out))
         fused = formats.load_detections(result.fused_path)
-        assert fused and all(b.model_id == "wbf" for b in fused)
+        assert fused and all(b["model_id"] == "wbf" for b in boxes_to_dicts(fused))
 
     def test_stage_error_names_stage(self, tmp_path):
         out = synth(tmp_path)
@@ -432,6 +433,11 @@ class TestConfigRejection:
         config = PipelineConfig.from_dict(json.loads(example))
         assert [s.step for s in config.post] == ["concat", "pca", "qe", "dba", "rerank"]
 
+    def test_readme_quick_tour_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        tour = readme.split("```python", 1)[1].split("```", 1)[0]
+        exec(compile(tour, "README.md", "exec"), {})
+
 
 class TestFailedRunWritesNothing:
     """A run that fails in any stage leaves none of its outputs behind."""
@@ -451,6 +457,7 @@ class TestFailedRunWritesNothing:
             run_pipeline(PipelineConfig.from_dict(raw))
         assert err.value.stage == stage
         assert not any((Path(raw["output_dir"]) / name).exists() for name in self.OUTPUTS)
+        return err.value
 
     @pytest.mark.parametrize("key, stage", [("detection_gt", "load-detection-gt"),
                                             ("retrieval_gt", "load-retrieval-gt")])
@@ -464,3 +471,44 @@ class TestFailedRunWritesNothing:
         path = Path(raw["eval"]["retrieval_gt"])
         path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
         self.assert_fails_writing_nothing(raw, "eval-ret")
+
+    @pytest.fixture
+    def no_fusion(self, monkeypatch):
+        """Make fusion fail the test: the bad input must be found before it."""
+        def fuse(*args):
+            pytest.fail("fuse_detections ran before the bad input was found")
+        monkeypatch.setattr(pipeline, "fuse_detections", fuse)
+
+    @pytest.mark.parametrize("key, stage", [("detection_gt", "load-detection-gt"),
+                                            ("retrieval_gt", "load-retrieval-gt")])
+    def test_invalid_ground_truth_fails_before_fusion(self, raw, tmp_path, no_fusion, key,
+                                                      stage):
+        bad = tmp_path / "bad_gt.jsonl"
+        bad.write_text("{\n")
+        raw["eval"][key] = str(bad)
+        self.assert_fails_writing_nothing(raw, stage)
+        assert not Path(raw["output_dir"]).exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_dir_that_is_a_file(self, raw, tmp_path, no_fusion, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        raw["output_dir"] = str(taken / below)
+        with pytest.raises(ConfigError, match=r"^output_dir: .*taken' is not a directory"):
+            run_pipeline(PipelineConfig.from_dict(raw))
+        assert taken.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bench", "taken"]
+
+    @pytest.mark.parametrize("post", [[], [{"step": "qe"}], [{"step": "rerank"}]])
+    def test_rows_off_unit_norm_fail_at_split(self, raw, tmp_path, no_fusion, post):
+        # one model whose rows have norm 2, fed to search, QE or re-ranking as loaded
+        data, ids = raw["embeddings"][0]["data"], raw["embeddings"][0]["ids"]
+        m = formats.load_embeddings(data, ids)
+        formats.save_embeddings(m.with_data(2.0 * m.data), tmp_path / "x2.emb",
+                                tmp_path / "x2.ids.jsonl")
+        raw["embeddings"] = [{"data": str(tmp_path / "x2.emb"),
+                              "ids": str(tmp_path / "x2.ids.jsonl")}]
+        raw["post"] = post
+        err = self.assert_fails_writing_nothing(raw, "split")
+        assert f"item '{m.item_ids[0]}' has norm 2, not 1 within 1e-05" in str(err)
+        assert not Path(raw["output_dir"]).exists()

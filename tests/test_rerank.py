@@ -53,14 +53,14 @@ class TestQueryExpansion:
     def test_k0_identity_object(self):
         rng = rng_for(50)
         q = qmat(unit_rows(rng, 4, 6))
-        idx = build_index(gmat(unit_rows(rng, 10, 6)))
-        assert query_expansion(q, idx, QeParams(k=0)) is q
+        g = gmat(unit_rows(rng, 10, 6))
+        assert query_expansion(q, g, QeParams(k=0)) is q
 
     def test_identical_neighbor_fixed_point(self):
         v = np.array([[0.6, 0.8]])
         q = qmat(v)
-        idx = build_index(gmat(v))
-        out = query_expansion(q, idx, QeParams(k=1, alpha=0.0))
+        g = gmat(v)
+        out = query_expansion(q, g, QeParams(k=1, alpha=0.0))
         assert np.abs(out.data - q.data).max() <= 1e-12
 
     def test_hand_computed_weighted_sum(self):
@@ -68,7 +68,7 @@ class TestQueryExpansion:
         # with k=2, alpha=1 the update is q + 1*g1 + 0.5*g2, renormalized
         q = qmat([[1.0, 0.0]])
         g = gmat([[1.0, 0.0], [0.5, np.sqrt(3) / 2], [0.0, 1.0]])
-        out = query_expansion(q, build_index(g), QeParams(k=2, alpha=1.0))
+        out = query_expansion(q, g, QeParams(k=2, alpha=1.0))
         raw = np.array([1.0, 0.0]) + 1.0 * g.data[0] + 0.5 * g.data[1]
         assert np.allclose(out.data[0], raw / np.linalg.norm(raw), atol=1e-12)
 
@@ -78,7 +78,7 @@ class TestQueryExpansion:
         g = gmat(unit_rows(rng, 30, 10))
         idx = build_index(g)
         k, alpha = 4, 2.0
-        out = query_expansion(q, idx, QeParams(k=k, alpha=alpha))
+        out = query_expansion(q, g, QeParams(k=k, alpha=alpha))
         ranked = knn_search(idx, q, k)
         for i, r in enumerate(ranked):
             neighbors = [g.data[g.row_of(item)] for item in r.item_ids]
@@ -88,8 +88,8 @@ class TestQueryExpansion:
     def test_output_unit_norm(self):
         rng = rng_for(52)
         q = qmat(unit_rows(rng, 20, 8))
-        idx = build_index(gmat(unit_rows(rng, 50, 8)))
-        out = query_expansion(q, idx, QeParams(k=5, alpha=3.0))
+        g = gmat(unit_rows(rng, 50, 8))
+        out = query_expansion(q, g, QeParams(k=5, alpha=3.0))
         assert np.abs(np.linalg.norm(out.data, axis=1) - 1.0).max() <= 1e-6
 
     def test_zero_vector_error_names_query(self):
@@ -97,7 +97,7 @@ class TestQueryExpansion:
         q = qmat([[1.0, 0.0]])
         g = gmat([[-1.0, 0.0]])
         with pytest.raises(DataError, match="q00000"):
-            query_expansion(q, build_index(g), QeParams(k=1, alpha=0.0))
+            query_expansion(q, g, QeParams(k=1, alpha=0.0))
 
 
 class TestDatabaseAugmentation:

@@ -353,7 +353,7 @@ def kernel_outputs(gallery, queries):
         full,
         knn_search(idx, queries, 4, restrict_to_query_category=True),
         k_reciprocal_rerank(queries, gallery, full, RerankParams(k1=8, k2=3, lam=0.3)),
-        query_expansion(queries, idx, QeParams(k=5, alpha=1.0)).data,
+        query_expansion(queries, gallery, QeParams(k=5, alpha=1.0)).data,
         database_augmentation(gallery, QeParams(k=5, alpha=2.0, include_self=False)).data,
     )
 
@@ -497,7 +497,7 @@ class TestKernelInvariance:
             "top = k_reciprocal_rerank(q, g, every_gallery_row(q, g), params, k=10)\n"
             "for r in [*found, *restricted, *reranked, *top]:\n"
             "    print(r.query_id, *r.item_ids, *(s.hex() for s in r.scores.tolist()))\n"
-            "for row in query_expansion(q, index, QeParams(k=5, alpha=1.0)).data:\n"
+            "for row in query_expansion(q, g, QeParams(k=5, alpha=1.0)).data:\n"
             "    print(row.tobytes().hex())\n"
         )
         outputs = [output_under_blas_threads(script, n) for n in (1, 2)]

@@ -18,6 +18,8 @@ from cbirkit.synthetic import (
     synth_layout,
 )
 
+from util import boxes_to_dicts
+
 
 def spec_of(**kwargs):
     defaults = dict(seed=123, num_images=6, num_categories=3, gt_boxes_per_image=2,
@@ -34,6 +36,11 @@ class TestSpec:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="wat"):
             SyntheticSpec.from_dict({"seed": 1, "wat": 2})
+
+    @pytest.mark.parametrize("seed", [-5, -1, 2 ** 64])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            SyntheticSpec.from_dict({"seed": seed})
 
     def test_rate_bounds(self):
         with pytest.raises(ConfigError):
@@ -63,7 +70,7 @@ class TestDeterminism:
         objects = synth_layout(spec)
         late = synth_detections(spec, objects, 2)
         again = synth_detections(spec, objects, 2)
-        assert late == again
+        assert boxes_to_dicts(late) == boxes_to_dicts(again)
 
 
 class TestNoiselessLimit:
@@ -73,11 +80,12 @@ class TestNoiselessLimit:
         for d in range(spec.detector_count):
             boxes = synth_detections(spec, objects, d)
             assert len(boxes) == len(objects)
-            for got, obj in zip(sorted(boxes, key=lambda b: (b.image_id, b.box.x1)),
-                                sorted(objects, key=lambda o: (o.image_id, o.box.x1))):
-                assert got.box == obj.box
-                assert got.score == 1.0
-                assert got.category_id == obj.category_id
+            for got, obj in zip(sorted(boxes_to_dicts(boxes),
+                                       key=lambda b: (b["image_id"], b["box"][0])),
+                                sorted(objects, key=lambda o: (o.image_id, o.box[0]))):
+                assert got["box"] == obj.box
+                assert got["score"] == 1.0
+                assert got["category_id"] == obj.category_id
 
     def test_noiseless_retrieval_rank_one(self):
         spec = spec_of(noise_sigma=0.0, cluster_spread=1.0)
@@ -93,7 +101,7 @@ class TestNoiselessLimit:
         spec = spec_of(miss_rate=1.0, fp_rate=0.0)
         objects = synth_layout(spec)
         boxes = synth_detections(spec, objects, 0)
-        assert boxes == []
+        assert boxes_to_dicts(boxes) == []
         report = detection_ap(boxes, detection_gt(objects), [0.5])
         assert report.ap50 == 0.0
 
@@ -104,7 +112,7 @@ class TestGenerateFiles:
         manifest = generate_synthetic(spec_of(), out)
         assert manifest["num_items"] == 12
         boxes = formats.load_detections(out / "detections_det0.jsonl")
-        assert all(b.model_id == "det0" for b in boxes)
+        assert all(b["model_id"] == "det0" for b in boxes_to_dicts(boxes))
         m = formats.load_embeddings(out / "embeddings_m0.emb",
                                     out / "embeddings_m0.ids.jsonl")
         assert m.n_rows == 24  # one query + one gallery row per item

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import cbirkit
-from cbirkit.boxes import BoundingBox, Detections
+from cbirkit.boxes import Detections, FusedDetections
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 from cbirkit.search import Rankings
 
@@ -19,18 +19,19 @@ def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_box(rng, lo=0.0, hi=100.0, min_side=2.0, max_side=40.0) -> BoundingBox:
+def random_box(rng, lo=0.0, hi=100.0, min_side=2.0, max_side=40.0) -> tuple:
+    """A random (x1, y1, x2, y2) box inside [lo, hi]^2."""
     w = rng.uniform(min_side, max_side)
     h = rng.uniform(min_side, max_side)
     x1 = rng.uniform(lo, hi - w)
     y1 = rng.uniform(lo, hi - h)
-    return BoundingBox(x1, y1, x1 + w, y1 + h)
+    return (x1, y1, x1 + w, y1 + h)
 
 
 def random_scored_boxes(rng, n, n_models=3, n_categories=2, image_id="img0") -> Detections:
     coords, scores, categories, models = [], [], [], []
     for _ in range(n):
-        coords.append(random_box(rng).as_tuple())
+        coords.append(random_box(rng))
         scores.append(float(rng.uniform(0.05, 1.0)))
         categories.append(int(rng.integers(1, n_categories + 1)))
         models.append(f"m{int(rng.integers(0, n_models))}")
@@ -64,9 +65,9 @@ def row_scores(rankings: Rankings) -> list[list[float]]:
 
 
 def gt_table(by_image) -> Detections:
-    """Ground truth given as image -> [(box, category), ...] as the table
-    the loader returns: detections of score 0 and model id ""."""
-    return detections((*box.as_tuple(), 0.0, category, image, "")
+    """Ground truth given as image -> [((x1, y1, x2, y2), category), ...] as
+    the table the loader returns: detections of score 0 and model id ""."""
+    return detections((*box, 0.0, category, image, "")
                       for image, boxes in by_image.items() for box, category in boxes)
 
 
@@ -102,12 +103,27 @@ def query_matrix(rng, n, dim, categories=None) -> EmbeddingMatrix:
     return EmbeddingMatrix(unit_rows(rng, n, dim), query_ids(n, categories))
 
 
-def boxes_to_dicts(boxes) -> list[dict]:
-    return [
-        {"box": b.box.as_tuple(), "score": b.score, "category_id": b.category_id,
-         "model_id": b.model_id}
-        for b in boxes
-    ]
+def boxes_to_dicts(dets: Detections) -> list[dict]:
+    """Each row of a detection table as the oracles take it: box, score,
+    category_id, image_id and model_id."""
+    return [{"box": tuple(box), "score": score, "category_id": category,
+             "image_id": dets.image_names[image], "model_id": dets.model_names[model]}
+            for box, score, category, image, model in zip(
+                dets.coords.tolist(), dets.scores.tolist(), dets.category_ids.tolist(),
+                dets.image_codes.tolist(), dets.model_codes.tolist())]
+
+
+def fused_to_dicts(fused: FusedDetections) -> list[dict]:
+    """Each fused box as the fusion oracle gives it, plus its image_id: box,
+    score, category_id, cluster_size and the set of model_ids."""
+    bounds = fused.model_indptr.tolist()
+    return [{"box": tuple(box), "score": score, "category_id": category,
+             "image_id": fused.image_names[image], "cluster_size": size,
+             "model_ids": frozenset(fused.model_names[c] for c in fused.model_codes[lo:hi])}
+            for box, score, category, image, size, lo, hi in zip(
+                fused.coords.tolist(), fused.scores.tolist(), fused.category_ids.tolist(),
+                fused.image_codes.tolist(), fused.cluster_sizes.tolist(),
+                bounds[:-1], bounds[1:])]
 
 
 def output_under_blas_threads(script: str, n: int) -> bytes:
