@@ -1,5 +1,5 @@
-"""Index helpers shared by the vectorised kernels, and the first-fault pass
-that every input table states its rules for."""
+"""Index helpers shared by the vectorised kernels, the one id coder, and
+the first-fault pass that every input table states its rules for."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import itertools
 from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
+
+from .errors import DataError
 
 # bytes of the bool table that `pairs_in` marks one block of rows in
 PAIR_TABLE_BYTES = 1 << 20
@@ -18,6 +20,26 @@ def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     if ends.size == 0:
         return np.zeros(0, dtype=np.intp)
     return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def encode(values: Sequence, table: Sequence | None) -> tuple[np.ndarray, Sequence]:
+    """Integer codes of the hashable `values` into `table`, a sequence of
+    distinct values, with -1 for a value that the table lacks, and the table.
+    A table of None is the sorted distinct values, as a tuple."""
+    table = tuple(sorted(set(values))) if table is None else table
+    index = dict(zip(table, range(len(table))))
+    return (np.fromiter(map(index.get, values, itertools.repeat(-1)), np.intp, len(values)),
+            table)
+
+
+def numbers(values, dtype, column: str) -> np.ndarray:
+    """`values` as a new `dtype` array.  A string or a boolean among them,
+    which the cast would take for a number, raises DataError naming `column`."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        for value in np.asarray(values, dtype=object).ravel().tolist():
+            if isinstance(value, (str, bytes, bool, np.bool_)):
+                raise DataError(f"{column}: {value!r} is not a number")
+    return np.array(values, dtype=dtype)
 
 
 def unique_sorted(keys: np.ndarray) -> np.ndarray:

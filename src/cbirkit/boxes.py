@@ -35,7 +35,8 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import Rule, first_fault, ranges, run_starts, unique_sorted, wavefront
+from ._arrays import (Rule, encode, first_fault, numbers, ranges, run_starts, unique_sorted,
+                      wavefront)
 from .errors import ConfigError, DataError
 
 SCORE_MODES = ("rescale", "mean")
@@ -71,18 +72,10 @@ class WbfParams:
                     raise ConfigError(f"weight for model '{mid}' must be positive, got {w!r}")
 
 
-def _encode(values: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Integer codes of `values` into the sorted table of their distinct values."""
-    names = sorted(set(values))
-    index = {name: i for i, name in enumerate(names)}
-    return (np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values)),
-            tuple(names))
-
-
-def _frozen(values, dtype) -> np.ndarray:
+def _frozen(values, dtype, column: str) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
         return values
-    array = np.array(values, dtype=dtype)
+    array = numbers(values, dtype, column)
     array.flags.writeable = False
     return array
 
@@ -131,12 +124,12 @@ class _BoxColumns:
     _checked: InitVar[bool] = field(default=False, kw_only=True)
 
     def __post_init__(self, _checked: bool):
-        coords = _frozen(self.coords, np.float64)
+        coords = _frozen(self.coords, np.float64, "coords")
         if coords.size == 0:
-            coords = _frozen(coords.reshape(0, 4), np.float64)
+            coords = _frozen(coords.reshape(0, 4), np.float64, "coords")
         object.__setattr__(self, "coords", coords)
         for name, dtype in self._columns():
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype, name))
         n = len(self)
         if coords.shape != (n, 4) or any(getattr(self, name).shape != (n,)
                                          for name, _ in self._columns()):
@@ -176,8 +169,8 @@ class Detections(_BoxColumns):
     def from_columns(cls, coords, scores, category_ids, image_ids: Sequence[str],
                      model_ids: Sequence[str]) -> "Detections":
         """Build from per-row values, encoding the id strings."""
-        image_codes, image_names = _encode(image_ids)
-        model_codes, model_names = _encode(model_ids)
+        image_codes, image_names = encode(image_ids, None)
+        model_codes, model_names = encode(model_ids, None)
         return cls(coords, scores, category_ids, image_codes, image_names,
                    model_codes, model_names)
 
@@ -196,10 +189,8 @@ class Detections(_BoxColumns):
 
 def _merge(tables: list[tuple[tuple[str, ...], np.ndarray]]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Concatenated codes re-coded into the sorted union of their tables."""
-    names = sorted(set().union(*(t for t, _ in tables)))
-    index = {name: i for i, name in enumerate(names)}
-    return (np.concatenate([np.array([index[n] for n in t], dtype=np.intp)[codes]
-                            for t, codes in tables]), tuple(names))
+    names = tuple(sorted(set().union(*(t for t, _ in tables))))
+    return np.concatenate([encode(t, names)[0][codes] for t, codes in tables]), names
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -217,7 +208,7 @@ class FusedDetections(_BoxColumns):
 
     def __post_init__(self, _checked: bool):
         for name in ("model_indptr", "model_codes"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), np.intp))
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.intp, name))
         if self.model_indptr.shape != (len(self.scores) + 1,):
             raise DataError("model_indptr must hold one offset per cluster plus one")
         super().__post_init__(_checked)
@@ -240,10 +231,11 @@ def overlaps(a: np.ndarray, a_area: np.ndarray, b: np.ndarray, b_area: np.ndarra
 
 def iou(a: Sequence[float], b: Sequence[float]) -> float:
     """Intersection over union of two (x1, y1, x2, y2) boxes, in [0, 1].
-    A box that breaks `box_rules` raises DataError with its message."""
+    A coordinate that is a string or a boolean, or a box that breaks
+    `box_rules`, raises DataError."""
     if len(a) != 4 or len(b) != 4:
         raise DataError(f"a box is (x1, y1, x2, y2), got {a!r} and {b!r}")
-    pair = np.array([a, b], dtype=np.float64)
+    pair = numbers([a, b], np.float64, "coords")
     fault = first_fault(2, box_rules(pair))
     if fault is not None:
         raise DataError(fault[1])

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._arrays import Rule, fault_rule, first_fault, holds, repeats, wrong_type
+from ._arrays import Rule, encode, fault_rule, first_fault, holds, repeats, wrong_type
 from .errors import DataError
 
 SOURCES = ("query", "gallery")
@@ -139,10 +139,10 @@ class EmbeddingMatrix:
         """Store checked id columns, read-only; `order` sorts the item_ids."""
         rank = np.empty_like(order)
         rank[order] = np.arange(order.shape[0])
-        for column in (*columns, order, rank):
+        for column in (*columns, rank):
             column.setflags(write=False)
         self.item_ids, self.image_ids, self.box_ids, self._category_ids, self.sources = columns
-        self._order, self.id_rank = order, rank
+        self.id_rank = rank
 
     @property
     def _columns(self) -> tuple[np.ndarray, ...]:
@@ -164,14 +164,11 @@ class EmbeddingMatrix:
         return int(self.rows_of([item_id])[0])
 
     def rows_of(self, item_ids: Sequence[str]) -> np.ndarray:
-        """Row index of each item_id, as an int64 array, by binary search."""
-        wanted = list(item_ids)
-        found = np.searchsorted(self.item_ids, np.array(wanted, dtype=str), sorter=self._order)
-        rows = self._order[np.minimum(found, self.n_rows - 1)]
-        # a str array drops a trailing NUL, so matches are confirmed on the str values
-        got = self.item_ids[rows].tolist()
-        if got != wanted:
-            raise DataError(f"unknown item_id {next(w for w, g in zip(wanted, got) if w != g)!r}")
+        """Row index of each item_id, as an intp array."""
+        rows, _ = encode(item_ids, self.item_ids.tolist())
+        unknown = np.flatnonzero(rows < 0)
+        if unknown.size:
+            raise DataError(f"unknown item_id {item_ids[unknown[0]]!r}")
         return rows
 
     def category_ids(self) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import pairs_in, ranges, repeats, run_starts, unique_sorted, wavefront
+from ._arrays import encode, pairs_in, ranges, repeats, run_starts, unique_sorted, wavefront
 from .boxes import Detections, FusedDetections, _merge, areas, overlaps
 from .errors import DataError
 from .search import Rankings
@@ -250,25 +250,22 @@ def acc_at_k(
     matches = [gt[q] for q in query_ids]
     sizes = np.fromiter(map(len, matches), np.int64, len(matches))
     evaluated = np.flatnonzero(sizes)
-    # (query, code) pairs of the matches the id table holds, by query; a
-    # missing match codes as -1
-    m = rankings.item_table.shape[0]
-    code_of = dict(zip(rankings.item_table.tolist(), range(m)))
-    codes = np.fromiter(map(code_of.get, itertools.chain.from_iterable(matches),
-                            itertools.repeat(-1)), np.int64, sizes.sum())
+    # each match's query and its code into the id table, -1 if it lacks it
+    flat = list(itertools.chain.from_iterable(matches))
+    owner = np.repeat(np.arange(len(matches)), sizes)
+    codes, _ = encode(flat, rankings.item_table.tolist())
     known = codes >= 0
-    width = rankings.codes.shape[1]
-    hit = (pairs_in(np.arange(len(query_ids)), rankings.codes,
-                    np.repeat(np.arange(len(matches)), sizes)[known], codes[known], m)
+    m, width = rankings.item_table.shape[0], rankings.codes.shape[1]
+    hit = (pairs_in(np.arange(len(query_ids)), rankings.codes, owner[known], codes[known], m)
            & (np.arange(width) < rankings.lengths[:, None]))
     # 1-based rank of each row's first hit; width + 1 where it has none
     first = np.where(hit, np.arange(1, width + 1), width + 1).min(axis=1, initial=width + 1)
     rank = np.where(first > width, 0, first)[evaluated]
-    impossible: list[str] = []
+    impossible = np.zeros(0, dtype=np.intp)
     if gallery_ids is not None:
-        gallery_set = set(gallery_ids)
-        impossible = [query_ids[i] for i in evaluated.tolist()
-                      if gallery_set.isdisjoint(matches[i])]
+        in_gallery = encode(flat, list(gallery_ids))[0] >= 0
+        possible = np.bincount(owner[in_gallery], minlength=len(matches)) > 0
+        impossible = evaluated[~possible[evaluated]]
     num = evaluated.size
     acc = {k: (int(np.count_nonzero((rank >= 1) & (rank <= k))) / num if num else 0.0)
            for k in ks}
@@ -276,7 +273,7 @@ def acc_at_k(
         acc=acc,
         num_queries=num,
         num_excluded=len(query_ids) - num,
-        impossible_query_ids=tuple(impossible),
+        impossible_query_ids=tuple(rankings.query_ids[impossible].tolist()),
         first_hit_rank={query_ids[i]: r or None
                         for i, r in zip(evaluated.tolist(), rank.tolist())},
     )

@@ -19,8 +19,9 @@ as `_arrays.first_fault` takes them, and run on those records in order:
                  (so that rankings can hold it), and unique
   _RETRIEVAL_GT  matches is a list of strings; query_id is unique
 Rankings TSV: four tab-separated fields, a numeric and finite score and
-ranks 1, 2, ... per query, line by line; then `Rankings.from_flat`'s
-rules.  ParseError names the earliest bad line, and inside one the first
+ranks 1, 2, ... per query, line by line; then `Rankings.from_entries`'
+rules, over the entries in line order, so that queries may interleave.
+ParseError names the earliest bad line, and inside one the first
 rule it breaks.  In every text format only "\n" ends a line, and a "\r"
 before it is ignored.
 
@@ -59,8 +60,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._arrays import fault_rule, first_fault, holds, repeats, wrong_type
-from .boxes import Detections, FusedDetections, _encode, detection_rules
+from ._arrays import encode, fault_rule, first_fault, holds, repeats, wrong_type
+from .boxes import Detections, FusedDetections, detection_rules
 from .embeddings import EmbeddingMatrix, _id_fault
 from .errors import ConfigError, DataError, EmbeddingFormatError, ParseError
 from .evaluation import GroundTruthRet
@@ -257,7 +258,8 @@ def _boxes(path: str | Path, fields, columns_of) -> Detections:
 
     lines, columns = _read_jsonl(path, fields, rules)
     images, models, *_ = columns_of(*columns)
-    return Detections(*tables[len(lines)], *_encode(images), *_encode(models), _checked=True)
+    return Detections(*tables[len(lines)], *encode(images, None), *encode(models, None),
+                      _checked=True)
 
 
 def load_detections(path: str | Path) -> Detections:
@@ -393,12 +395,14 @@ def save_rankings(rankings: Rankings, path: str | Path) -> None:
 
 def load_rankings(path: str | Path) -> Rankings:
     """One row per query, in the order the queries first appear, over the
-    file's sorted distinct item ids.  The text's rules run line by line:
-    four tab-separated fields, a numeric and finite score, and each query's
-    ranks 1, 2, ...  The lines before the first that breaks one go to
-    `Rankings.from_flat`; ParseError names the line of its earliest bad
-    entry, or else that first line."""
-    per_query: dict[str, list[tuple[int, str, float]]] = {}  # (line, item_id, score)s
+    file's sorted distinct item ids; queries may interleave.  The text's
+    rules run line by line: four tab-separated fields, a numeric and finite
+    score, and each query's ranks 1, 2, ...  The lines before the first
+    that breaks one go to `Rankings.from_entries` as entries in line order;
+    ParseError names the line of its earliest bad entry, or else that first
+    line."""
+    ranked: dict[str, int] = {}  # entries so far, by query_id
+    values = []  # each entry's line, query_id, item_id and score, in one list
     error = None
     try:
         for lineno, parts in _line_records(
@@ -413,27 +417,21 @@ def load_rankings(path: str | Path) -> Rankings:
                 raise ParseError(str(path), lineno, "rank or score is not numeric") from None
             if not math.isfinite(score):
                 raise ParseError(str(path), lineno, f"score {score_s} is not finite")
-            entries = per_query.setdefault(query_id, [])
-            if rank != len(entries) + 1:
+            if rank != ranked.get(query_id, 0) + 1:
                 raise ParseError(str(path), lineno, f"rank {rank} out of sequence")
-            entries.append((lineno, item_id, score))
+            ranked[query_id] = rank
+            values += (lineno, query_id, item_id, score)
     except ParseError as e:
         error = e
-    end = math.inf
-    while True:
-        # queries may interleave, so the earliest bad entry need not be on
-        # the earliest bad line: the lines before it are checked again
-        rows = [[entry for entry in entries if entry[0] < end] for entries in per_query.values()]
-        lines, items, scores = list(zip(*itertools.chain(*rows))) or ((), (), ())
-        try:
-            rankings = Rankings.from_flat(list(per_query), list(map(len, rows)), items, scores)
-        except _BadEntry as e:
-            end = lines[e.entry]
-            error = ParseError(str(path), end, str(e))
-            continue
-        if error is not None:
-            raise error
-        return rankings
+    lines, queries, items, scores = (values[i::4] for i in range(4))
+    query_ids = list(ranked)
+    try:
+        rankings = Rankings.from_entries(query_ids, encode(queries, query_ids)[0], items, scores)
+    except _BadEntry as e:
+        raise ParseError(str(path), lines[e.entry], str(e)) from None
+    if error is not None:
+        raise error
+    return rankings
 
 
 def load_retrieval_gt(path: str | Path) -> GroundTruthRet:

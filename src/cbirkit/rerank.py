@@ -81,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import pairs_in, ranges, unique_sorted
+from ._arrays import encode, pairs_in, ranges, repeats, unique_sorted
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
 from .search import Rankings, exact_topk, gemm_error, pair_scores
@@ -256,17 +256,14 @@ def every_gallery_row(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> Ran
 def _query_rows(queries: EmbeddingMatrix, initial: Rankings, k1: int) -> np.ndarray:
     """The query row of each ranking; each ranking names a distinct known
     query and holds at least k1 entries."""
-    query_ids = initial.query_ids.tolist()
-    try:
-        rows = queries.rows_of(query_ids)
-    except DataError:
-        known = set(queries.item_ids.tolist())
-        unknown = next(q for q in query_ids if q not in known)
-        raise DataError(f"ranking for unknown query_id {unknown!r}") from None
-    order = np.argsort(rows, kind="stable")
-    repeats = order[1:][rows[order[1:]] == rows[order[:-1]]]
-    if repeats.size:
-        raise DataError(f"more than one ranking for query_id {query_ids[repeats.min()]!r}")
+    query_ids = initial.query_ids
+    rows, _ = encode(query_ids, queries.item_ids.tolist())
+    unknown = np.flatnonzero(rows < 0)
+    if unknown.size:
+        raise DataError(f"ranking for unknown query_id {query_ids[unknown[0]]!r}")
+    repeat = np.flatnonzero(repeats(rows.tolist()))
+    if repeat.size:
+        raise DataError(f"more than one ranking for query_id {query_ids[repeat[0]]!r}")
     short = np.flatnonzero(initial.lengths < k1)
     if short.size:
         i = short[0]
@@ -276,17 +273,16 @@ def _query_rows(queries: EmbeddingMatrix, initial: Rankings, k1: int) -> np.ndar
 
 
 def _gallery_rows(gallery: EmbeddingMatrix, initial: Rankings) -> np.ndarray:
-    """The gallery row of each entry of the rankings' id table."""
-    table = initial.item_table.tolist()
-    try:
-        return gallery.rows_of(table)
-    except DataError:
-        # name the first unknown id in ranking order
-        known = set(gallery.item_ids.tolist())
-        unknown = np.array([item not in known for item in table])[initial.codes]
-        unknown &= np.arange(initial.codes.shape[1]) < initial.lengths[:, None]
-        code = initial.codes[np.unravel_index(np.flatnonzero(unknown)[0], unknown.shape)]
-        raise DataError(f"unknown item_id {table[code]!r}") from None
+    """The gallery row of each entry of the rankings' id table.  The first
+    id in ranking order that the gallery lacks is named; one that no entry
+    refers to maps to row 0, which only padding reads."""
+    rows, _ = encode(initial.item_table.tolist(), gallery.item_ids.tolist())
+    if (rows < 0).any():
+        entries = initial.codes[np.arange(initial.codes.shape[1]) < initial.lengths[:, None]]
+        unknown = entries[rows[entries] < 0]
+        if unknown.size:
+            raise DataError(f"unknown item_id {str(initial.item_table[unknown[0]])!r}")
+    return np.maximum(rows, 0)
 
 
 def _survivors(approx: np.ndarray, k: int, slack: float) -> tuple[np.ndarray, np.ndarray]:

@@ -48,7 +48,9 @@ gallery rows (codes into that table), their scores, and each query's
 length, which is shorter than k on the category-restricted path when a
 category holds fewer than k gallery rows, and 0 when it holds none.
 Rankings are only ever taken as columns; `rankings[i]` reads one row as a
-`RankingList` view.
+`RankingList` view.  `Rankings.from_entries` builds them from (row, item
+id, score) entries, the rows interleaved in any order, and checks the
+entries in one pass, in entry order, so the fault it names is the earliest.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import first_fault, repeats
+from ._arrays import encode, first_fault, numbers, repeats
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
 
@@ -113,7 +115,7 @@ class Rankings(Sequence):
     item_ids column as the table, so a code is a gallery row; a rankings
     file has its own table of the distinct ids it names, sorted.  Rows are
     taken as ranked: the producers (the top-K kernel, the re-ranker and
-    `from_flat`, which the file loader calls) order them and keep their
+    `from_entries`, which the file loader calls) order them and keep their
     ids distinct.
 
     `==` compares the rows as RankingList does, on query ids and item ids
@@ -145,50 +147,44 @@ class Rankings(Sequence):
             object.__setattr__(self, name, view)
 
     @classmethod
-    def from_flat(cls, query_ids: Sequence[str], lengths: Sequence[int],
-                  item_ids: Sequence[str], scores: Sequence[float]) -> "Rankings":
-        """Query i ranks the next lengths[i] of the flat item_ids and
-        scores.  The table is the sorted distinct ids.
+    def from_entries(cls, query_ids: Sequence[str], rows: Sequence[int],
+                     item_ids: Sequence[str], scores: Sequence[float]) -> "Rankings":
+        """Entry e ranks item_ids[e], with score scores[e], next in row
+        rows[e], the ranking of query_ids[rows[e]]; the rows may interleave.
+        The table is the sorted distinct ids.
 
-        DataError names the query of the earliest bad entry: one whose
-        score is above the score before it in its row, or is not finite, or
-        whose id its row holds before; inside one entry, in that order.  The
-        first query whose length is negative or runs past the ids or scores
-        (the last query, when they run past every length) ends the entries
-        checked, and is named when the entries before it pass."""
-        lengths = np.array(lengths, dtype=np.int64)
-        scores = np.array(scores, dtype=np.float64)
-        n = len(item_ids)
-        if lengths.shape != (len(query_ids),) or (lengths.size == 0 and (n or scores.size)):
-            raise DataError("rankings need one length per query id")
-        ends = np.cumsum(lengths)
-        short = (lengths < 0) | (ends > min(n, scores.size))
-        short[-1:] |= not ends[-1:].sum() == n == scores.size
-        # the queries before the first short one hold well-formed rows
-        rows = int(np.argmax(short)) if short.any() else lengths.size
-        row = np.repeat(np.arange(rows), lengths[:rows])
-        table = sorted(set(item_ids))
-        code_of = dict(zip(table, range(len(table))))
-        flat = np.fromiter(map(code_of.__getitem__, item_ids), np.int64, n)
+        DataError names the query of the earliest bad entry: one whose score
+        is above the score of the entry before it in its row, or is not
+        finite, or whose id its row holds before; inside one entry, in that
+        order.  Each entry needs a row in [0, len(query_ids)) and a score
+        that is a number."""
+        rows = np.array(rows, dtype=np.int64)
+        scores = numbers(scores, np.float64, "scores")
+        n, n_rows = len(item_ids), len(query_ids)
+        if rows.shape != (n,) or scores.shape != (n,):
+            raise DataError("rankings need one row, item id and score per entry")
+        if n and (rows.min() < 0 or rows.max() >= n_rows):
+            raise DataError(f"ranking rows must lie in [0, {n_rows})")
+        codes, table = encode(item_ids, None)
+        # the entries by row, each row's in entry order
+        by_row = np.argsort(rows, kind="stable")
+        lengths = np.bincount(rows, minlength=n_rows)
+        rises = np.zeros(n, dtype=bool)
+        rises[by_row[1:]] = ((rows[by_row[1:]] == rows[by_row[:-1]])
+                             & (scores[by_row[1:]] > scores[by_row[:-1]]))
         # (row, code) keys: a repeated key is an id repeated within a row
-        keys = (row * len(table) + flat[:row.size]).tolist()
-        rises = np.concatenate(([False], (row[1:] == row[:-1])
-                                & (scores[1:row.size] > scores[:row.size - 1])))
-        fault = first_fault(row.size, [
+        keys = (rows * len(table) + codes).tolist()
+        fault = first_fault(n, [
             (lambda m: rises[:m], lambda entry: "scores increase"),
             (lambda m: ~np.isfinite(scores[:m]), lambda entry: "a score is not finite"),
             (lambda m: repeats(keys[:m]), lambda entry: "duplicate gallery ids")])
         if fault is not None:
             entry, message = fault
-            raise _BadEntry(entry, f"ranking for {query_ids[row[entry]]!r}: {message}")
-        if rows < lengths.size:
-            raise DataError(f"ranking for {query_ids[rows]!r}: ids/scores length mismatch")
+            raise _BadEntry(entry, f"ranking for {query_ids[rows[entry]]!r}: {message}")
         valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
-        codes = np.zeros(valid.shape, dtype=np.int64)
-        codes[valid] = flat
-        padded = np.zeros(valid.shape)
-        padded[valid] = scores
-        return cls(query_ids, np.array(table, dtype=object), codes, padded, lengths)
+        ranked, padded = np.zeros(valid.shape, dtype=np.int64), np.zeros(valid.shape)
+        ranked[valid], padded[valid] = codes[by_row], scores[by_row]
+        return cls(query_ids, np.array(table, dtype=object), ranked, padded, lengths)
 
     def __len__(self) -> int:
         return self.query_ids.shape[0]
@@ -223,7 +219,7 @@ class Rankings(Sequence):
 
 
 class _BadEntry(DataError):
-    """`Rankings.from_flat`'s fault in the flat entry `entry`."""
+    """`Rankings.from_entries`' fault in the entry `entry`."""
     def __init__(self, entry: int, message: str):
         super().__init__(message)
         self.entry = entry

@@ -128,8 +128,9 @@ def synth_layout(spec: SyntheticSpec) -> list[GtObject]:
 
 def detection_gt(objects: list[GtObject]) -> Detections:
     """The objects' boxes as ground truth: detections of score 0 and model id ""."""
-    return Detections.from_columns([o.box for o in objects], [0.0] * len(objects),
-                                   [o.category_id for o in objects],
+    # number columns as arrays, which the table takes without a per-value type check
+    return Detections.from_columns(np.array([o.box for o in objects]), np.zeros(len(objects)),
+                                   np.array([o.category_id for o in objects]),
                                    [o.image_id for o in objects], [""] * len(objects))
 
 
@@ -181,8 +182,8 @@ def synth_detections(spec: SyntheticSpec, objects: list[GtObject], detector: int
             scores.append(rng.uniform(*FP_SCORE_RANGE))
             categories.append(int(rng.integers(1, spec.num_categories + 1)))
             images.append(image_id)
-    return Detections.from_columns(coords, scores, categories, images,
-                                   [f"det{detector}"] * len(scores))
+    return Detections.from_columns(np.array(coords), np.array(scores), np.array(categories),
+                                   images, [f"det{detector}"] * len(scores))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

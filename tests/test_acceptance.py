@@ -48,7 +48,7 @@ def test_criterion_1_wbf_oracle_equivalence():
                                         n_models=n_models, n_categories=2)
             observed = {b["model_id"] for b in boxes_to_dicts(boxes)}
             if rng.random() < 0.5:
-                weights = {m: float(rng.uniform(0.5, 2.0)) for m in observed}
+                weights = {m: float(rng.uniform(0.5, 2.0)) for m in sorted(observed)}
             else:
                 weights = None
             mode = "rescale" if rng.random() < 0.8 else "mean"
@@ -246,8 +246,8 @@ def test_criterion_9_evaluators():
 
         gallery = [f"g{i:02d}" for i in range(12)]
         scores = np.linspace(1.0, 0.1, 12).tolist()
-        rankings = Rankings.from_flat([f"q{i}" for i in range(3)], [12] * 3, gallery * 3,
-                                      scores * 3)
+        rankings = Rankings.from_entries([f"q{i}" for i in range(3)], np.repeat(range(3), 12),
+                                         gallery * 3, scores * 3)
         ret_gt = {"q0": {"g00"}, "q1": {"g10"}, "q2": {"g04"}}
         report = acc_at_k(rankings, ret_gt, [1, 10])
         assert report.acc[10] == pytest.approx(2 / 3, abs=0)
@@ -260,7 +260,8 @@ def test_criterion_9_evaluators():
             for qi in range(25):
                 perms += rng.permutation(gallery).tolist()
                 rand_gt[f"q{qi}"] = {gallery[int(rng.integers(0, 12))]}
-            perm_rankings = Rankings.from_flat(list(rand_gt), [12] * 25, perms, scores * 25)
+            perm_rankings = Rankings.from_entries(list(rand_gt), np.repeat(range(25), 12), perms,
+                                                  scores * 25)
             ks = [1, 2, 3, 5, 8, 12]
             rep = acc_at_k(perm_rankings, rand_gt, ks)
             values = [rep.acc[k] for k in ks]

@@ -4,9 +4,11 @@
 and reads the arguments of the calls it wraps; `perfbench/child.py` calls
 `run_pipeline(config, threads=...)` and spot-checks the traced searches
 through the rankings' row views; `perfbench/workloads.py` writes the
-synthetic detections.  These tests run that code, as it is, around small
-inputs, so that renaming or removing something the benchmark calls fails
-here rather than in a benchmark run.
+synthetic detections, and builds the multishot set with the records
+constructor and writes it with `save_embeddings` and `save_retrieval_gt`.
+These tests run that code, as it is, around small inputs, so that renaming
+or removing something the benchmark calls fails here rather than in a
+benchmark run.
 """
 
 import importlib
@@ -106,3 +108,17 @@ def test_written_detections_load_back(tmp_path):
     assert sizes["detections"] == sum(map(len, tables)) > 0
     assert (boxes_to_dicts(formats.load_detection_gt(gt_path))
             == boxes_to_dicts(detection_gt(objects)))
+
+
+def test_multishot_set_loads_back(tmp_path):
+    matrix, gt = workloads.multishot_set(3, n_items=4, dim=6, noise=0.1, distractors=2,
+                                         distractor_noise=0.2)
+    formats.save_embeddings(matrix, tmp_path / "m.emb", tmp_path / "m.ids.jsonl")
+    formats.save_retrieval_gt(gt, tmp_path / "gt.jsonl")
+    loaded = formats.load_embeddings(tmp_path / "m.emb", tmp_path / "m.ids.jsonl")
+    assert loaded.ids == matrix.ids
+    assert np.array_equal(loaded.data, matrix.data.astype(np.float32))
+    assert formats.load_retrieval_gt(tmp_path / "gt.jsonl") == gt
+    queries, gallery = loaded.split_by_source()
+    assert sorted(gt) == sorted(queries.item_ids.tolist())
+    assert set().union(*gt.values()) < set(gallery.item_ids.tolist())

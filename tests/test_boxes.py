@@ -12,6 +12,7 @@ from cbirkit.boxes import (
     nms,
 )
 from cbirkit.errors import ConfigError, DataError
+from cbirkit.search import Rankings
 
 from oracles import nms_ref, wbf_ref
 from util import (boxes_to_dicts, detections, fused_to_dicts, random_box, random_scored_boxes,
@@ -79,6 +80,26 @@ class TestBoundingBox:
     def test_rejects_wrong_length(self):
         with pytest.raises(DataError, match="x1, y1, x2, y2"):
             iou((0, 0, 1), (0, 0, 1, 1))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Detections.from_columns([("0", "0", "1", "1")], ["0.5"], [True], ["i"], ["m"]),
+         "coords: '0' is not a number"),
+        (lambda: Detections.from_columns([(0, 0, 1, 1)], ["0.5"], [1], ["i"], ["m"]),
+         "scores: '0.5' is not a number"),
+        (lambda: Detections.from_columns(np.ones((1, 4)) > 0, [0.5], [1], ["i"], ["m"]),
+         "coords: True is not a number"),
+        (lambda: iou(("0", "0", "1", "1"), (0, 0, 1, 1)), "coords: '0' is not a number"),
+        (lambda: iou((0, 0, 1, 1), (0, 0, True, 1)), "coords: True is not a number"),
+        (lambda: Rankings.from_entries(["q"], [0], ["g"], ["0.5"]),
+         "scores: '0.5' is not a number"),
+        (lambda: Rankings.from_entries(["q"], [0, 0], ["g", "h"], [1.0, False]),
+         "scores: False is not a number"),
+    ], ids=["table-strings", "table-score-string", "table-bool-array", "iou-strings",
+            "iou-bool", "rankings-string", "rankings-bool"])
+    def test_rejects_strings_and_booleans(self, build, message):
+        # a cast would take each for a number
+        with pytest.raises(DataError, match=f"^{message}$"):
+            build()
 
 
 class TestIou:

@@ -131,9 +131,10 @@ def ranked(rows) -> Rankings:
     """Rankings of (query_id, ids) rows, each row's scores falling evenly
     from 1.0 to 0.1."""
     rows = list(rows)
-    return Rankings.from_flat([q for q, _ in rows], [len(ids) for _, ids in rows],
-                              [i for _, ids in rows for i in ids],
-                              [s for _, ids in rows for s in np.linspace(1.0, 0.1, len(ids))])
+    return Rankings.from_entries([q for q, _ in rows],
+                                 [row for row, (_, ids) in enumerate(rows) for _ in ids],
+                                 [i for _, ids in rows for i in ids],
+                                 [s for _, ids in rows for s in np.linspace(1.0, 0.1, len(ids))])
 
 
 class TestAccAtK:
@@ -206,6 +207,24 @@ class TestAccAtK:
         report = acc_at_k(ranked(rankings), gt, ks)
         values = [report.acc[k] for k in ks]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(["g0", "g1", "g2", "g3"]), unique=True,
+                                       max_size=4),
+                              st.sets(st.sampled_from(["g0", "g1", "g2", "x"]), max_size=3)),
+                    min_size=1, max_size=5),
+           st.sets(st.sampled_from(["g0", "g1", "g2", "g3", "x"])))
+    def test_matches_a_per_query_reference(self, rows, gallery):
+        rankings = ranked((f"q{i}", ids) for i, (ids, _) in enumerate(rows))
+        gt = {f"q{i}": matches for i, (_, matches) in enumerate(rows)}
+        report = acc_at_k(rankings, gt, [1, 2, 4], gallery_ids=gallery)
+        first = {q: next((r for r, item in enumerate(ids, start=1) if item in gt[q]), None)
+                 for q, (ids, _) in zip(gt, rows) if gt[q]}
+        assert report.first_hit_rank == first
+        assert report.impossible_query_ids == tuple(q for q in first
+                                                    if gallery.isdisjoint(gt[q]))
+        assert report.acc == {k: sum(1 for r in first.values() if r and r <= k) / len(first)
+                              if first else 0.0 for k in [1, 2, 4]}
 
     def test_permuting_ranking_order_invariant(self):
         rng = rng_for(74)

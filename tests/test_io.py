@@ -265,8 +265,8 @@ class TestEmbeddings:
 
 class TestRankings:
     def test_roundtrip(self, tmp_path):
-        rankings = Rankings.from_flat(["q0", "q1"], [2, 1], ["g1", "g0", "g2"],
-                                      [0.875, 1 / 3, -0.5])
+        rankings = Rankings.from_entries(["q0", "q1"], [0, 0, 1], ["g1", "g0", "g2"],
+                                         [0.875, 1 / 3, -0.5])
         path = tmp_path / "r.tsv"
         formats.save_rankings(rankings, path)
         loaded = formats.load_rankings(path)
@@ -279,7 +279,7 @@ class TestRankings:
         assert "q0\t1\tg1\t0.875\n" in text
 
     def test_nine_significant_digits(self, tmp_path):
-        r = Rankings.from_flat(["q"], [1], ["g"], [1 / 3])
+        r = Rankings.from_entries(["q"], [0], ["g"], [1 / 3])
         path = tmp_path / "r.tsv"
         formats.save_rankings(r, path)
         assert path.read_text() == "q\t1\tg\t0.333333333\n"
@@ -320,6 +320,27 @@ class TestRankings:
             formats.load_rankings(path)
         assert str(e.value) == f"{path}:3: ranking for 'r': scores increase"
 
+    def test_interleaved_faults_are_found_in_one_pass(self, tmp_path, monkeypatch):
+        # 20 queries, interleaved rank by rank: query i repeats its first id
+        # at rank 20 - i, so the later a query's first line, the earlier its
+        # fault, and q18's, on line 39, is the earliest
+        path = tmp_path / "bad.tsv"
+        path.write_text("".join(f"q{i}\t{rank}\tg{0 if rank == 20 - i else rank - 1}"
+                                f"\t{1 - rank / 64}\n"
+                                for rank in range(1, 21) for i in range(20)))
+        calls = []
+        from_entries = Rankings.from_entries.__func__
+
+        def counted(cls, *args):
+            calls.append(args)
+            return from_entries(cls, *args)
+
+        monkeypatch.setattr(Rankings, "from_entries", classmethod(counted))
+        with pytest.raises(ParseError) as e:
+            formats.load_rankings(path)
+        assert str(e.value) == f"{path}:39: ranking for 'q18': duplicate gallery ids"
+        assert len(calls) == 1
+
     def test_failed_save_keeps_previous_file(self, tmp_path):
         class Broken(str):
             # fails when its lines are formatted, after the first query's are written
@@ -327,11 +348,11 @@ class TestRankings:
                 raise RuntimeError("disk full")
 
         path = tmp_path / "rankings.tsv"
-        formats.save_rankings(Rankings.from_flat(["q1"], [1], ["g0"], [0.9]), path)
+        formats.save_rankings(Rankings.from_entries(["q1"], [0], ["g0"], [0.9]), path)
         before = path.read_bytes()
         with pytest.raises(RuntimeError, match="disk full"):
-            formats.save_rankings(Rankings.from_flat(["q1", Broken("q2")], [1, 1], ["g0", "g1"],
-                                                     [0.9, 0.5]), path)
+            formats.save_rankings(Rankings.from_entries(["q1", Broken("q2")], [0, 1],
+                                                        ["g0", "g1"], [0.9, 0.5]), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["rankings.tsv"]
 
@@ -491,12 +512,11 @@ def test_sidecar_roundtrip_keeps_every_id(tmp_path):
 
 
 @pytest.mark.parametrize("score, category, x2", [(True, 1, 1.0), (1.0, True, 1.0), (1.0, 1, True)])
-def test_no_boolean_is_a_detection_number(tmp_path, score, category, x2):
-    # load_detections rejects a boolean, so the table holds it as a number,
-    # which save_detections writes as one
-    dets = Detections.from_columns([(0.0, 0.0, x2, 1.0)], [score], [category], ["i"], ["m"])
-    formats.save_detections(dets, tmp_path / "d.jsonl")
-    assert boxes_to_dicts(formats.load_detections(tmp_path / "d.jsonl")) == boxes_to_dicts(dets)
+def test_no_boolean_is_a_detection_number(score, category, x2):
+    # load_detections rejects a boolean, and so does a table built in code
+    column = "scores" if score is True else "category_ids" if category is True else "coords"
+    with pytest.raises(DataError, match=f"^{column}: True is not a number$"):
+        Detections.from_columns([(0.0, 0.0, x2, 1.0)], [score], [category], ["i"], ["m"])
 
 
 def test_bare_cr_ends_no_line(tmp_path):
@@ -751,12 +771,16 @@ def fuzzed_id_files(draw):
 
 @st.composite
 def fuzzed_ranking_files(draw):
-    records = []
+    queues = []
     for q in range(draw(st.integers(1, 3))):
         scores = sorted(draw(st.lists(st.sampled_from([0.9, 0.5, 0.125, -0.25]),
                                       min_size=1, max_size=4)), reverse=True)
-        records += [{"query": f"q{q}", "rank": str(rank), "item": f"g{rank}", "score": repr(score)}
-                    for rank, score in enumerate(scores, start=1)]
+        queues.append([{"query": f"q{q}", "rank": str(rank), "item": f"g{rank}",
+                        "score": repr(score)} for rank, score in enumerate(scores, start=1)])
+    # the queries' lines interleave, each query's in rank order
+    records = []
+    while any(queues):
+        records.append(draw(st.sampled_from([queue for queue in queues if queue])).pop(0))
     return corrupt(draw, records, _WRONG_TSV, encode=lambda r: "\t".join(r.values()).encode())
 
 

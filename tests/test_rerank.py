@@ -254,9 +254,9 @@ class TestKReciprocalRerank:
         g = gmat(unit_rows(rng, 12, 4))
         initial = _initial_rankings(q, g)
         row = initial[1]
-        stray = Rankings.from_flat(["q00001", "q00000"], [len(row), 2],
-                                   [*row.item_ids, "g00001", "g00001\x00"],
-                                   [*row.scores.tolist(), 0.5, 0.25])
+        stray = Rankings.from_entries(["q00001", "q00000"], [0] * len(row) + [1, 1],
+                                      [*row.item_ids, "g00001", "g00001\x00"],
+                                      [*row.scores.tolist(), 0.5, 0.25])
         with pytest.raises(DataError, match=r"unknown item_id 'g00001\\x00'"):
             k_reciprocal_rerank(q, g, stray, RerankParams(k1=2, k2=2))
 
@@ -264,11 +264,30 @@ class TestKReciprocalRerank:
         rng = rng_for(64)
         q = qmat(unit_rows(rng, 3, 4))
         g = gmat(unit_rows(rng, 12, 4))
-        strays = Rankings.from_flat(["q00002", "q00000"], [3, 2],
-                                    ["g00001", "zz", "aa", "bb", "g00002"],
-                                    [0.5, 0.25, 0.125, 0.5, 0.25])
+        strays = Rankings.from_entries(["q00002", "q00000"], [0, 0, 0, 1, 1],
+                                       ["g00001", "zz", "aa", "bb", "g00002"],
+                                       [0.5, 0.25, 0.125, 0.5, 0.25])
         with pytest.raises(DataError, match="unknown item_id 'zz'"):
             k_reciprocal_rerank(q, g, strays, RerankParams(k1=2, k2=2))
+
+    def test_unknown_id_of_a_dropped_row_is_ignored(self, tmp_path):
+        rng = rng_for(64)
+        q = qmat(unit_rows(rng, 3, 4))
+        g = gmat(unit_rows(rng, 12, 4))
+        initial = _initial_rankings(q, g, k=4)
+        # the first row names "zz", which the gallery lacks; the file's id
+        # table keeps it after that row is sliced away
+        path = tmp_path / "r.tsv"
+        path.write_text("q00000\t1\tzz\t0.5\n" + "".join(
+            f"{row.query_id}\t{rank}\t{item}\t{score!r}\n" for row in initial[1:]
+            for rank, (item, score) in enumerate(row.entries(), start=1)))
+        loaded = formats.load_rankings(path)
+        params = RerankParams(k1=1, k2=1)
+        assert (k_reciprocal_rerank(q, g, loaded[1:], params)
+                == k_reciprocal_rerank(q, g, initial[1:], params))
+        # an entry that refers to it still has it named
+        with pytest.raises(DataError, match="^unknown item_id 'zz'$"):
+            k_reciprocal_rerank(q, g, loaded, params)
 
     def test_repeated_query_id_rejected(self):
         rng = rng_for(65)

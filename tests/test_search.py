@@ -32,18 +32,19 @@ def qmat(data, categories=None):
 
 
 class TestRankingList:
-    """One query's ranking row: what `from_flat` rejects in it, and `head`."""
+    """One query's ranking row: what `from_entries` rejects in it, and `head`."""
 
     def test_rejects_increasing_scores(self):
         with pytest.raises(DataError, match="^ranking for 'q': scores increase$"):
-            Rankings.from_flat(["q"], [2], ["a", "b"], [0.1, 0.9])
+            Rankings.from_entries(["q"], [0, 0], ["a", "b"], [0.1, 0.9])
 
     def test_rejects_duplicates(self):
         with pytest.raises(DataError, match="^ranking for 'q': duplicate gallery ids$"):
-            Rankings.from_flat(["q"], [2], ["a", "a"], [0.9, 0.1])
+            Rankings.from_entries(["q"], [0, 0], ["a", "a"], [0.9, 0.1])
 
     def test_head(self):
-        r = Rankings.from_flat(["q", "r"], [3, 1], ["a", "b", "c", "a"], [0.9, 0.5, 0.1, 0.2])
+        r = Rankings.from_entries(["q", "r"], [0, 0, 0, 1], ["a", "b", "c", "a"],
+                                  [0.9, 0.5, 0.1, 0.2])
         assert [row.item_ids for row in r.head(2)] == [("a", "b"), ("a",)]
         assert row_scores(r.head(2)) == [[0.9, 0.5], [0.2]]
         # == compares ids only, so the scores are compared on their own
@@ -52,50 +53,83 @@ class TestRankingList:
 
 
 class TestFromFlat:
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(DataError, match="^ranking for 'q': ids/scores length mismatch$"):
-            Rankings.from_flat(["q"], [3], ["a", "b"], [0.1, 0.0])
+    """`Rankings.from_entries`: rankings built from flat entry columns."""
 
-    @pytest.mark.parametrize("lengths, items, scores, fault", [
-        ([1, 2], ["a", "b", "c"], [0.5, 0.1, 0.9], "'r': scores increase"),
-        ([1, 2], ["a", "b", "b"], [0.5, 0.9, 0.1], "'r': duplicate gallery ids"),
-        ([1, 3], ["a", "b", "c"], [0.5, 0.9, 0.1], "'r': ids/scores length mismatch"),
-        ([1, 2], ["a", "b", "c"], [0.5, 0.9], "'r': ids/scores length mismatch"),
-        ([1, 1], ["a", "b", "c"], [0.5, 0.9, 0.1], "'r': ids/scores length mismatch"),
-        ([-1, 2], ["a"], [0.5], "'q': ids/scores length mismatch"),
-        ([1, 2], ["a", "b", "c"], [0.5, 0.9, math.nan], "'r': a score is not finite"),
-    ], ids=["rise", "repeat", "overrun", "few-scores", "leftover", "negative", "nan"])
-    def test_names_the_faulty_query(self, lengths, items, scores, fault):
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(DataError,
+                           match="^rankings need one row, item id and score per entry$"):
+            Rankings.from_entries(["q"], [0, 0, 0], ["a", "b"], [0.1, 0.0])
+
+    @pytest.mark.parametrize("rows, items, scores, fault", [
+        ([0, 1, 2], ["a", "b", "c"], [0.5, 0.9, 0.1], "ranking rows must lie in [0, 2)"),
+        ([0, 1, 1], ["a", "b", "c"], [0.5, 0.9],
+         "rankings need one row, item id and score per entry"),
+        ([0, 1], ["a", "b", "c"], [0.5, 0.9, 0.1],
+         "rankings need one row, item id and score per entry"),
+        ([-1, 1], ["a", "b"], [0.5, 0.9], "ranking rows must lie in [0, 2)"),
+    ], ids=["overrun", "few-scores", "leftover", "negative"])
+    def test_rejects_bad_rows_and_shapes(self, rows, items, scores, fault):
+        with pytest.raises(DataError) as e:
+            Rankings.from_entries(["q", "r"], rows, items, scores)
+        assert str(e.value) == fault
+
+    @pytest.mark.parametrize("rows, items, scores, fault", [
+        ([0, 1, 1], ["a", "b", "c"], [0.5, 0.1, 0.9], "'r': scores increase"),
+        ([0, 1, 1], ["a", "b", "b"], [0.5, 0.9, 0.1], "'r': duplicate gallery ids"),
+        ([0, 1, 1], ["a", "b", "c"], [0.5, 0.9, math.nan], "'r': a score is not finite"),
+        ([1, 0, 1, 0], ["a", "a", "b", "b"], [0.5, 0.5, 0.9, 0.1],
+         "'r': scores increase"),
+        ([1, 0, 0, 1], ["a", "a", "a", "b"], [0.5, 0.5, 0.1, 0.9],
+         "'q': duplicate gallery ids"),
+    ], ids=["rise", "repeat", "nan", "interleaved-rise", "interleaved-repeat"])
+    def test_names_the_faulty_query(self, rows, items, scores, fault):
         # a score may rise and an id recur across rows, not within one
         with pytest.raises(DataError) as e:
-            Rankings.from_flat(["q", "r"], lengths, items, scores)
+            Rankings.from_entries(["q", "r"], rows, items, scores)
         assert str(e.value) == f"ranking for {fault}"
 
     def test_names_the_query_of_the_earliest_bad_entry(self):
-        # q repeats an id in its second entry, r's scores rise in its third,
-        # and s runs past the ids: q's entry comes first
+        # r's scores rise in entry 2, q repeats an id in entry 3 and s's
+        # scores rise in entry 5; rows interleave, so r's entry comes first
         with pytest.raises(DataError) as e:
-            Rankings.from_flat(["q", "r", "s"], [2, 3, 2], ["a", "a", "a", "b", "c", "d"],
-                               [0.9, 0.8, 0.9, 0.5, 0.7, 0.1])
-        assert str(e.value) == "ranking for 'q': duplicate gallery ids"
+            Rankings.from_entries(["q", "r", "s"], [0, 1, 1, 0, 2, 2],
+                                  ["a", "a", "b", "a", "c", "d"],
+                                  [0.9, 0.5, 0.7, 0.8, 0.1, 0.9])
+        assert str(e.value) == "ranking for 'r': scores increase"
+        assert e.value.entry == 2
+
+    def test_interleaved_entries_fill_rows_in_entry_order(self):
+        rankings = Rankings.from_entries(["q", "r", "s"], [1, 0, 1, 1, 0],
+                                         ["c", "a", "a", "b", "c"],
+                                         [0.9, 0.8, 0.7, -0.5, 0.25])
+        assert rankings == [RankingList("q", ["a", "c"], []),
+                            RankingList("r", ["c", "a", "b"], []), RankingList("s", [], [])]
+        assert row_scores(rankings) == [[0.8, 0.25], [0.9, 0.7, -0.5], []]
+        assert rankings.item_table.tolist() == ["a", "b", "c"]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]),
                                        st.sampled_from([1.0, 0.5, -0.5, math.inf, math.nan])),
-                             min_size=1, max_size=4), max_size=4))
-    def test_accepts_what_the_loader_accepts(self, rows):
-        query_ids = [f"q{i}" for i in range(len(rows))]
+                             min_size=1, max_size=4), max_size=4), st.randoms())
+    def test_accepts_what_the_loader_accepts(self, rows, random):
+        # the rows' entries, interleaved at random, each row's in its order
+        owners = [i for i, r in enumerate(rows) for _ in r]
+        random.shuffle(owners)
+        queues = [iter(enumerate(r, start=1)) for r in rows]
+        entries = [(i, *next(queues[i])) for i in owners]
+        # the loader lists the queries in the order they first appear
+        first = list(dict.fromkeys(owners))
         try:
-            built = Rankings.from_flat(query_ids, [len(r) for r in rows],
-                                       [item for r in rows for item, _ in r],
-                                       [score for r in rows for _, score in r])
+            built = Rankings.from_entries([f"q{i}" for i in first],
+                                          [first.index(i) for i in owners],
+                                          [item for _, _, (item, _) in entries],
+                                          [score for _, _, (_, score) in entries])
         except DataError:
             built = None
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "r.tsv"
-            path.write_text("".join(f"{q}\t{rank}\t{item}\t{score!r}\n"
-                                    for q, r in zip(query_ids, rows)
-                                    for rank, (item, score) in enumerate(r, start=1)))
+            path.write_text("".join(f"q{i}\t{rank}\t{item}\t{score!r}\n"
+                                    for i, rank, (item, score) in entries))
             try:
                 loaded = formats.load_rankings(path)
             except ParseError:
@@ -110,9 +144,11 @@ class TestRankings:
     def test_row_view_equals_ranking_list(self):
         lists = [("q0", ["g2", "g0", "g1"], [0.9, 0.5, -0.25]), ("q1", [], []),
                  ("q2", ["g1\x00"], [0.125])]
-        rankings = Rankings.from_flat([q for q, _, _ in lists], [len(i) for _, i, _ in lists],
-                                      [i for _, items, _ in lists for i in items],
-                                      [s for _, _, scores in lists for s in scores])
+        rankings = Rankings.from_entries([q for q, _, _ in lists],
+                                         [row for row, (_, items, _) in enumerate(lists)
+                                          for _ in items],
+                                         [i for _, items, _ in lists for i in items],
+                                         [s for _, _, scores in lists for s in scores])
         assert len(rankings) == 3
         for i, (query_id, items, scores) in enumerate(lists):
             expected = RankingList(query_id, items, scores)
