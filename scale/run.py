@@ -13,7 +13,8 @@ detection half left out and the size multiplied by each scale:
   k-reciprocal re-ranking to the top 10.
 
 The inputs are written under --work (default .scale/ in the checkout),
-by a child process, and removed once their runs are done.  Each run is
+by a child process, and removed once their runs are done; the output
+records the wall seconds each generation took (setup_s).  Each run is
 `run_pipeline` in a fresh child process, traced with
 perfbench's `spans.Tracer` and bracketed by the workload's calibration
 kernel (perfbench/calibrate.py).  Per run the output records the wall and
@@ -25,13 +26,16 @@ perfbench/pins.json, whose digests do not depend on the detection half.
 With --baseline, the same inputs also run against the library of another
 checkout (its src/ directory), alternating with this one run by run, so
 that drift of a shared host hits both alike.  The inputs are generated
-once per workload and scale, by this checkout.
+--repeats times per workload and scale by each library, alternating too;
+the script fails unless every generation writes the same files, sha256
+for sha256.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -54,12 +58,13 @@ def _libraries(src: Path) -> None:
 
 def setup(name: str, scale: float, seed: int, out: Path) -> dict:
     """Write one workload's inputs at `scale` and a config without the
-    detection half; return the config path, the input sizes and the
-    workload's calibration kernel."""
+    detection half; return the config path, the input sizes, the
+    workload's calibration kernel and the wall seconds the writing took."""
     import workloads
     from cbirkit import io as formats
     from cbirkit.synthetic import SyntheticSpec, generate_synthetic
 
+    start = time.perf_counter()
     out.mkdir(parents=True, exist_ok=True)
     if name == "retrieval_chain":
         spec = dict(workloads.RETRIEVAL_CHAIN_SPEC)
@@ -85,7 +90,8 @@ def setup(name: str, scale: float, seed: int, out: Path) -> dict:
     path = out / "config.json"
     path.write_text(json.dumps(config, indent=2) + "\n")
     return {"config": str(path), "sizes": {SCALE_OF[name]: spec[SCALE_OF[name]], **sizes},
-            "kernel": workloads.WORKLOADS[name].calibration}
+            "kernel": workloads.WORKLOADS[name].calibration,
+            "setup_s": time.perf_counter() - start}
 
 
 def child(config: str, result: str, kernel: str) -> None:
@@ -148,6 +154,12 @@ def _run(src: Path, config: str, kernel: str, work: Path) -> dict:
     return record
 
 
+def _digests(root: Path) -> dict[str, str]:
+    """sha256 of every file under `root`, by its path below it."""
+    return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
 def _summary(runs: list[dict]) -> dict:
     """Medians of the timings and memory; the digest and accuracy, which
     must agree across the runs."""
@@ -166,8 +178,8 @@ def main(argv: list[str]) -> int:
         child(config, result, kernel)
         return 0
     if argv[:1] == ["--setup"]:
-        name, scale, seed, out = argv[1:]
-        _libraries(ROOT / "src")
+        src, name, scale, seed, out = argv[1:]
+        _libraries(Path(src))
         print(json.dumps(setup(name, float(scale), int(seed), Path(out))))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -189,19 +201,33 @@ def main(argv: list[str]) -> int:
             work = args.work / f"{name}-x{scale:g}"
             shutil.rmtree(work, ignore_errors=True)
             work.mkdir(parents=True)
-            log = work / "setup.log"
-            _spawn(["--setup", name, str(scale), str(args.seed), str(work / "inputs")], log)
-            inputs = json.loads(log.read_text().splitlines()[-1])
+            # alternate which tree goes first, so that neither always runs warm
+            orders = [list(trees)[::1 if repeat % 2 == 0 else -1]
+                      for repeat in range(args.repeats)]
+            setup_s, first = {tree: [] for tree in trees}, None
+            for tree in itertools.chain.from_iterable(orders):
+                shutil.rmtree(work / "inputs", ignore_errors=True)
+                _spawn(["--setup", str(trees[tree]), name, str(scale), str(args.seed),
+                        str(work / "inputs")], work / "setup.log")
+                inputs = json.loads((work / "setup.log").read_text().splitlines()[-1])
+                setup_s[tree].append(inputs["setup_s"])
+                digests = _digests(work / "inputs")
+                first = first or (tree, digests)
+                differ = sorted(f for f in digests.keys() | first[1].keys()
+                                if digests.get(f) != first[1].get(f))
+                if differ:
+                    raise SystemExit(f"scale: {name} x{scale:g}: the inputs that {tree} "
+                                     f"writes differ from {first[0]}'s: {', '.join(differ)}")
             runs = {tree: [] for tree in trees}
-            for repeat in range(args.repeats):
-                # alternate which tree goes first, so that neither always runs warm
-                order = list(trees) if repeat % 2 == 0 else list(trees)[::-1]
-                for tree in order:
-                    runs[tree].append(_run(trees[tree], inputs["config"], inputs["kernel"], work))
-                    print(f"{name} x{scale:g} {tree}: {runs[tree][-1]['wall_s']:.3f} s",
-                          file=sys.stderr)
+            for tree in itertools.chain.from_iterable(orders):
+                runs[tree].append(_run(trees[tree], inputs["config"], inputs["kernel"], work))
+                print(f"{name} x{scale:g} {tree}: {runs[tree][-1]['wall_s']:.3f} s",
+                      file=sys.stderr)
             entry = {"workload": name, "scale": scale, "sizes": inputs["sizes"],
-                     "summary": {tree: _summary(r) for tree, r in runs.items()}, "runs": runs}
+                     "summary": {tree: {**_summary(runs[tree]),
+                                        "setup_s": statistics.median(setup_s[tree])}
+                                 for tree in trees},
+                     "setup_s": setup_s, "runs": runs}
             pin = pins[name].get(str(args.seed)) if scale == 1 else None
             if pin is not None:
                 entry["pinned"] = {tree: s["rankings_sha256"] == pin["rankings_sha256"]

@@ -38,10 +38,17 @@ per entry: query_id, rank (1-based), gallery item_id, score (9 significant
 digits).  Detections load as `boxes.Detections` columns and are written
 from them in row order; detection ground truth is the same table, with
 score 0 and one empty model name, and is written sorted stably by image
-id.  Fused boxes are written from `boxes.FusedDetections` columns as
-`json.dumps` writes each record.  Every writer takes its table type only,
-and writes a temp file that `os.replace` moves into place, so a failed
-save leaves any previous file whole.
+id.  Fused boxes are written from `boxes.FusedDetections` columns.
+
+Every JSONL writer formats its lines from the table's columns, byte for
+byte as `json.dumps` writes each record, and streams them to the file a
+line at a time: no dict, `json.dumps` call or string of the whole file.
+A format's field table states its line, one form per field; a string goes
+through `encode_basestring_ascii` (a coded table's names once each), a
+float through `repr`, an int through `%d`.  Fused boxes have a loop of
+their own, which caches each cluster's list of model ids.  Every writer
+takes its table type only, and writes a temp file that `os.replace` moves
+into place, so a failed save leaves any previous file whole.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ import os
 import struct
 from contextlib import contextmanager
 from io import BytesIO, TextIOWrapper
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -70,13 +78,19 @@ from .search import Rankings, _BadEntry
 EMB_MAGIC = b"EMB1"
 _EMB_HEADER = struct.Struct("<4sII")
 
+# a JSONL format's fields: each one's key, the JSON types its value may
+# have, and its value's form in a written line, whose values `_write_jsonl`
+# takes: %s a string or list already in JSON, %d an int, %r a finite float
+# (its repr is json.dumps' text for it)
 _NUMBER = (float, int)
-_DETECTIONS = (("image_id", (str,)), ("model_id", (str,)), ("category_id", (int,)),
-               ("score", _NUMBER), ("bbox", (list,)))
-_DETECTION_GT = (("image_id", (str,)), ("category_id", (int,)), ("bbox", (list,)))
-_IDS = (("row", (int,)), ("item_id", (str,)), ("image_id", (str,)), ("box_id", (str,)),
-        ("category_id", (int,)), ("source", (str,)))
-_RETRIEVAL_GT = (("query_id", (str,)), ("matches", (list,)))
+_DETECTIONS = (("image_id", (str,), "%s"), ("model_id", (str,), "%s"),
+               ("category_id", (int,), "%d"), ("score", _NUMBER, "%r"),
+               ("bbox", (list,), "[%r, %r, %r, %r]"))
+_DETECTION_GT = (("image_id", (str,), "%s"), ("category_id", (int,), "%d"),
+                 ("bbox", (list,), "[%r, %r, %r, %r]"))
+_IDS = (("row", (int,), "%d"), ("item_id", (str,), "%s"), ("image_id", (str,), "%s"),
+        ("box_id", (str,), "%s"), ("category_id", (int,), "%d"), ("source", (str,), "%s"))
+_RETRIEVAL_GT = (("query_id", (str,), "%s"), ("matches", (list,), "%s"))
 
 
 @contextmanager
@@ -173,7 +187,7 @@ def _read_jsonl(path: str | Path, fields, rules,
     table's fields.  The field types, then `rules(*columns)`, the format's
     rules as `first_fault` takes them, run on the records before it; the
     earliest bad line wins, and ParseError names it."""
-    keys = [key for key, _ in fields]
+    keys = [key for key, _, _ in fields]
     values_of = operator.itemgetter(*keys)
     # the values of all records in one list: a tuple kept per record would
     # add an object per line for the garbage collector to traverse
@@ -192,7 +206,7 @@ def _read_jsonl(path: str | Path, fields, rules,
     columns = [values[i::len(fields)] for i in range(len(fields))]
     types = [(lambda n, column=column, types=types: wrong_type(column, n, types),
               lambda row, key=key, column=column: f"field '{key}' has wrong type: {column[row]!r}")
-             for column, (key, types) in zip(columns, fields)]
+             for column, (key, types, _) in zip(columns, fields)]
     bad = first_fault(len(lines), types + rules(*columns))
     if bad is not None:
         row, message = bad
@@ -204,12 +218,14 @@ def _read_jsonl(path: str | Path, fields, rules,
     return lines, columns
 
 
-def _write_jsonl(path: str | Path, fields, rows: Iterable[tuple]) -> None:
-    """One line per row, the values under the table's keys, in its order."""
-    keys = [key for key, _ in fields]
+def _write_jsonl(path: str | Path, fields, columns: Iterable[Iterable]) -> None:
+    """One line per row of `columns`, the fields' forms filled in order, a
+    column per conversion: each line is json.dumps' bytes for the record of
+    the row's values under the table's keys.  The lines are streamed, one at
+    a time, with no dict per row and no string of the whole file."""
+    line = "{" + ", ".join(f'"{key}": {form}' for key, _, form in fields) + "}\n"
     with _atomic_open(path) as fh:
-        for row in rows:
-            fh.write(json.dumps(dict(zip(keys, row))) + "\n")
+        fh.writelines(map(line.__mod__, zip(*columns)))
 
 
 # the ints that float64 and int64 hold; a JSON integer has no bound
@@ -262,6 +278,11 @@ def _boxes(path: str | Path, fields, columns_of) -> Detections:
                       _checked=True)
 
 
+def _names(names: tuple[str, ...], codes: np.ndarray) -> Iterable[str]:
+    """The names of `codes` as JSON strings, each distinct name encoded once."""
+    return map(list(map(encode_basestring_ascii, names)).__getitem__, codes.tolist())
+
+
 def load_detections(path: str | Path) -> Detections:
     """A detections JSONL file as columns."""
     return _boxes(path, _DETECTIONS, lambda *columns: columns)
@@ -269,19 +290,18 @@ def load_detections(path: str | Path) -> Detections:
 
 def save_detections(dets: Detections, path: str | Path) -> None:
     """The rows in table order, written from the columns."""
-    images = map(dets.image_names.__getitem__, dets.image_codes.tolist())
-    models = map(dets.model_names.__getitem__, dets.model_codes.tolist())
-    _write_jsonl(path, _DETECTIONS, zip(images, models, dets.category_ids.tolist(),
-                                        dets.scores.tolist(), dets.coords.tolist()))
+    _write_jsonl(path, _DETECTIONS, [_names(dets.image_names, dets.image_codes),
+                                     _names(dets.model_names, dets.model_codes),
+                                     dets.category_ids.tolist(), dets.scores.tolist(),
+                                     *dets.coords.T.tolist()])
 
 
 def save_fused_boxes(fused: FusedDetections, path: str | Path) -> None:
     """Fused boxes use the detections schema (model_id "wbf") plus
     cluster_size and the contributing model ids, so the file can be fed
-    straight back into detection evaluation.  Lines are formatted from the
-    columns, byte for byte as json.dumps writes the record."""
-    images = [json.dumps(name) for name in fused.image_names]
-    models = [json.dumps(name) for name in fused.model_names]
+    straight back into detection evaluation."""
+    images = list(map(encode_basestring_ascii, fused.image_names))
+    models = list(map(encode_basestring_ascii, fused.model_names))
     codes, bounds = fused.model_codes.tolist(), fused.model_indptr.tolist()
     member_lists: dict[tuple[int, ...], str] = {}
     with _atomic_open(path) as fh:
@@ -309,9 +329,9 @@ def load_detection_gt(path: str | Path) -> Detections:
 def save_detection_gt(gt: Detections, path: str | Path) -> None:
     """The boxes sorted stably by image id; scores and model ids are not written."""
     rows = np.argsort(gt.image_codes, kind="stable")
-    images = map(gt.image_names.__getitem__, gt.image_codes[rows].tolist())
-    _write_jsonl(path, _DETECTION_GT, zip(images, gt.category_ids[rows].tolist(),
-                                          gt.coords[rows].tolist()))
+    _write_jsonl(path, _DETECTION_GT, [_names(gt.image_names, gt.image_codes[rows]),
+                                       gt.category_ids[rows].tolist(),
+                                       *gt.coords[rows].T.tolist()])
 
 
 def save_embeddings(m: EmbeddingMatrix, data_path: str | Path, ids_path: str | Path) -> None:
@@ -319,9 +339,11 @@ def save_embeddings(m: EmbeddingMatrix, data_path: str | Path, ids_path: str | P
     with _atomic_open(data_path, "wb") as fh:
         fh.write(_EMB_HEADER.pack(EMB_MAGIC, m.n_rows, m.dim))
         fh.write(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
-    _write_jsonl(ids_path, _IDS, zip(range(m.n_rows), m.item_ids.tolist(), m.image_ids.tolist(),
-                                     m.box_ids.tolist(), m.category_ids().tolist(),
-                                     m.sources.tolist()))
+    item_ids, image_ids, box_ids, sources = (
+        map(encode_basestring_ascii, column.tolist())
+        for column in (m.item_ids, m.image_ids, m.box_ids, m.sources))
+    _write_jsonl(ids_path, _IDS, [range(m.n_rows), item_ids, image_ids, box_ids,
+                                  m.category_ids().tolist(), sources])
 
 
 def load_embeddings(data_path: str | Path, ids_path: str | Path,
@@ -445,7 +467,12 @@ def load_retrieval_gt(path: str | Path) -> GroundTruthRet:
 
 
 def save_retrieval_gt(gt: GroundTruthRet, path: str | Path) -> None:
-    _write_jsonl(path, _RETRIEVAL_GT, ((query_id, sorted(gt[query_id])) for query_id in sorted(gt)))
+    """The queries sorted by id, each one's matches sorted."""
+    query_ids = sorted(gt)
+    _write_jsonl(path, _RETRIEVAL_GT, [
+        map(encode_basestring_ascii, query_ids),
+        ("[" + ", ".join(map(encode_basestring_ascii, sorted(gt[query_id]))) + "]"
+         for query_id in query_ids)])
 
 
 def save_report(report: Mapping, path: str | Path) -> None:

@@ -156,8 +156,13 @@ class Rankings(Sequence):
         DataError names the query of the earliest bad entry: one whose score
         is above the score of the entry before it in its row, or is not
         finite, or whose id its row holds before; inside one entry, in that
-        order.  Each entry needs a row in [0, len(query_ids)) and a score
-        that is a number."""
+        order.  Each entry needs a row in [0, len(query_ids)) that is an
+        integer, and a score that is a number."""
+        if not (isinstance(rows, np.ndarray) and rows.dtype.kind in "iu"):
+            # the cast would truncate a float and take a boolean or a string for a row
+            for row in np.asarray(rows, dtype=object).ravel().tolist():
+                if not isinstance(row, (int, np.integer)) or isinstance(row, bool):
+                    raise DataError(f"rows: {row!r} is not an integer")
         rows = np.array(rows, dtype=np.int64)
         scores = numbers(scores, np.float64, "scores")
         n, n_rows = len(item_ids), len(query_ids)

@@ -11,6 +11,7 @@ or removing something the benchmark calls fails here rather than in a
 benchmark run.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -122,3 +123,34 @@ def test_multishot_set_loads_back(tmp_path):
     queries, gallery = loaded.split_by_source()
     assert sorted(gt) == sorted(queries.item_ids.tolist())
     assert set().union(*gt.values()) < set(gallery.item_ids.tolist())
+
+
+# sha256 of each file below, with the output directory's path replaced by "OUT"
+GENERATED = {
+    "config.json": "bad0f33a5daf7de769b5d3402e629d3f88206aa99d621d420aeeff905c4e9c9e",
+    "detection_gt.jsonl": "7438996aa6df74ae8106f0e66c86344e50317c6f9b259455516d0bcee70f9476",
+    "detections_det0.jsonl": "8b2d517d88675b695b05f3534baa7c6164aebf60ed79fea425caf52d6070ea39",
+    "detections_det1.jsonl": "63dd6e9a88b44881e74f315082e860984ffc08f3cbe8817344f5026550ea62f8",
+    "embeddings_m0.emb": "a74712d8d845bf0941cf36aded1e6d22bdc18e6447d850df7aa6ade0ac5c3fe8",
+    "embeddings_m0.ids.jsonl": "87b4ab81a8b3c7f5751b5e6647eef44b6a8662184b9596b5fa672fed35d66159",
+    "embeddings_m1.emb": "0084af3a9a05759a86760ec5849de9226539cdfa1b3bd269c256d3d49e4715d5",
+    "embeddings_m1.ids.jsonl": "87b4ab81a8b3c7f5751b5e6647eef44b6a8662184b9596b5fa672fed35d66159",
+    "manifest.json": "5e3fa14b4564d117d33a55ddcdc9bafdb551ffa063ea654c4433e1282f2c7a58",
+    "multishot.emb": "1f52efa350b5ec8683c6185300c1efe6238467d2723407b085285de0d3aeda62",
+    "multishot.ids.jsonl": "96df8ab9022e0c3ed230d873da2e6ce65fdde29cc0aed186407a05927fabff49",
+    "multishot_gt.jsonl": "637d0c13ab74dbedf71d2ea4670cf4bda8f00d2558446700890620ccc2a8d6e5",
+    "retrieval_gt.jsonl": "6f8b4d94de0222da355c04294b8d1e7795bb292167dd3dee449dc134ef556201",
+}
+
+
+def test_generated_inputs_keep_their_bytes(tmp_path):
+    # the benchmark's inputs come from these writers: a writer that moves a
+    # byte changes what every workload loads
+    out = tmp_path / "synth"
+    generate_synthetic(SyntheticSpec(seed=3, num_images=20, detector_count=2,
+                                     embedding_models=2), out)
+    matrix, gt = workloads.multishot_set(3, **dict(workloads.MULTISHOT, n_items=4))
+    formats.save_embeddings(matrix, out / "multishot.emb", out / "multishot.ids.jsonl")
+    formats.save_retrieval_gt(gt, out / "multishot_gt.jsonl")
+    assert {path.name: hashlib.sha256(path.read_bytes().replace(str(out).encode(), b"OUT"))
+            .hexdigest() for path in out.iterdir()} == GENERATED

@@ -923,3 +923,94 @@ class TestOddIds:
             assert fused_to_dicts(fused) == fused_to_dicts(fuse_detections(dets, WbfParams()))
             formats.save_fused_boxes(fused, fused_path)
             assert fused_path.read_text(encoding="utf-8") == reference_fused_lines(fused)
+
+
+# strings json.dumps escapes: quotes, backslashes, control characters,
+# non-ASCII, U+2028, astral characters and a lone surrogate
+WRITTEN_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\t", "\n", "é",
+                                        " ", "\U0001f600", "\ud800", "a"])
+                       | st.characters(), max_size=5)
+# the floats whose repr is shortest-round-trip at the edges, and any finite one
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 0.1, 1.7976931348623157e308,
+                               -1.7976931348623157e308])
+COORDINATE_PAIRS = st.lists(EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=2, max_size=2, unique=True).map(sorted)
+INT64_MAX = 2 ** 63 - 1
+
+
+@st.composite
+def box_rows(draw):
+    """(x1, y1, x2, y2, score, category, image, model) rows that a
+    detections table holds."""
+    return [(x1, y1, x2, y2, draw(st.sampled_from([-0.0, 5e-324, 0.1, 1.0])
+                                  | st.floats(0.0, 1.0)),
+             draw(st.sampled_from([1, INT64_MAX]) | st.integers(1, INT64_MAX)),
+             draw(WRITTEN_TEXT), draw(WRITTEN_TEXT))
+            for (x1, x2), (y1, y2) in draw(st.lists(st.tuples(COORDINATE_PAIRS,
+                                                              COORDINATE_PAIRS), max_size=8))]
+
+
+def written(path, records) -> None:
+    """The file is json.dumps' line for each record, in order."""
+    assert path.read_bytes() == "".join(json.dumps(r) + "\n" for r in records).encode()
+
+
+def same_boxes(a: Detections, b: Detections) -> None:
+    assert boxes_to_dicts(a) == boxes_to_dicts(b)
+    # bitwise, so that -0.0 stays -0.0
+    assert a.coords.tobytes() == b.coords.tobytes() and a.scores.tobytes() == b.scores.tobytes()
+
+
+class TestWrittenLines:
+    """Each JSONL writer writes json.dumps' bytes, and its loader reads the table back."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(box_rows())
+    def test_detections(self, rows):
+        dets = detections(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            formats.save_detections(dets, path)
+            written(path, [{"image_id": b["image_id"], "model_id": b["model_id"],
+                            "category_id": b["category_id"], "score": b["score"],
+                            "bbox": list(b["box"])} for b in boxes_to_dicts(dets)])
+            same_boxes(formats.load_detections(path), dets)
+
+    @settings(max_examples=150, deadline=None)
+    @given(box_rows())
+    def test_detection_gt(self, rows):
+        # rows sorted by image, as the writer sorts them, so that loading gives the table back
+        gt = detections(sorted(((*r[:4], 0.0, r[5], r[6], "") for r in rows), key=lambda r: r[6]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gt.jsonl"
+            formats.save_detection_gt(gt, path)
+            written(path, [{"image_id": b["image_id"], "category_id": b["category_id"],
+                            "bbox": list(b["box"])} for b in boxes_to_dicts(gt)])
+            same_boxes(formats.load_detection_gt(path), gt)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(WRITTEN_TEXT.filter(lambda s: not s.endswith("\x00") and
+                                        not any(c in s for c in "\t\n\ud800")),
+                    min_size=1, max_size=8, unique=True), st.data())
+    def test_id_sidecar(self, item_ids, data):
+        ids = [IdRecord(item_id, data.draw(WRITTEN_TEXT), data.draw(WRITTEN_TEXT),
+                        data.draw(st.sampled_from([0, INT64_MAX]) | st.integers(0, INT64_MAX)),
+                        data.draw(st.sampled_from(["query", "gallery"])))
+               for item_id in item_ids]
+        m = EmbeddingMatrix(np.eye(len(ids)), ids)
+        with tempfile.TemporaryDirectory() as tmp:
+            emb, path = Path(tmp) / "m.emb", Path(tmp) / "m.ids.jsonl"
+            formats.save_embeddings(m, emb, path)
+            written(path, [{"row": row, "item_id": r.item_id, "image_id": r.image_id,
+                            "box_id": r.box_id, "category_id": r.category_id,
+                            "source": r.source} for row, r in enumerate(ids)])
+            assert formats.load_embeddings(emb, path).ids == tuple(ids)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(WRITTEN_TEXT, st.sets(WRITTEN_TEXT, max_size=4), max_size=6))
+    def test_retrieval_gt(self, gt):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gt.jsonl"
+            formats.save_retrieval_gt(gt, path)
+            written(path, [{"query_id": q, "matches": sorted(gt[q])} for q in sorted(gt)])
+            assert formats.load_retrieval_gt(path) == gt

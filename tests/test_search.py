@@ -73,6 +73,19 @@ class TestFromFlat:
             Rankings.from_entries(["q", "r"], rows, items, scores)
         assert str(e.value) == fault
 
+    @pytest.mark.parametrize("rows, value", [
+        ([0.7, True], "0.7"), ([0, True], "True"), ([np.float64(1.0), 0], "np.float64(1.0)"),
+        (["0", 1], "'0'"), ([0, np.bool_(True)], "np.True_"), (np.array([0.0, 1.0]), "0.0"),
+    ], ids=["float", "bool", "numpy-float", "string", "numpy-bool", "float-array"])
+    def test_rejects_rows_that_are_not_integers(self, rows, value):
+        # a cast would truncate 0.7 and True to rows 0 and 1
+        with pytest.raises(DataError) as e:
+            Rankings.from_entries(["q", "r"], rows, ["a", "b"], [0.5, 0.4])
+        assert str(e.value) == f"rows: {value} is not an integer"
+        for ints in ([0, 1], [np.int64(0), np.uint8(1)], np.array([0, 1], np.int32)):
+            assert Rankings.from_entries(["q", "r"], ints, ["a", "b"], [0.5, 0.4]) == [
+                RankingList("q", ["a"], [0.5]), RankingList("r", ["b"], [0.4])]
+
     @pytest.mark.parametrize("rows, items, scores, fault", [
         ([0, 1, 1], ["a", "b", "c"], [0.5, 0.1, 0.9], "'r': scores increase"),
         ([0, 1, 1], ["a", "b", "b"], [0.5, 0.9, 0.1], "'r': duplicate gallery ids"),
