@@ -14,6 +14,8 @@ else: a table has a length but no rows to index or iterate.  Detection
 ground truth is a `Detections` table too: score 0 and one empty model name.
 `box_rules` and `detection_rules` are the one statement of what a valid
 box and detection are; the tables, the loaders and `iou` all apply them.
+The tables add `code_rule`: every image and model code indexes its table
+of names.
 
 `fuse_detections` fuses every (image, category) group of a detection set
 in one wavefront.  After one sort by (image, category, -weighted score,
@@ -109,6 +111,30 @@ def detection_rules(coords: np.ndarray, scores: np.ndarray,
          lambda row: f"category_id {category_ids[row].item()!r} must be an integer >= 1")]
 
 
+def code_rule(kind: str, codes: np.ndarray, names: tuple[str, ...],
+              indptr: np.ndarray | None = None) -> Rule:
+    """The rule that a row's `kind` codes index its table of names, as
+    `first_fault` takes it: row i holds codes[indptr[i]:indptr[i + 1]], or
+    codes[i] alone when indptr is None.  The message names the row."""
+    def outside(values: np.ndarray) -> np.ndarray:
+        return (values < 0) | (values >= len(names))
+
+    def mask(n: int) -> np.ndarray:
+        if indptr is None:
+            return outside(codes[:n])
+        rows = np.searchsorted(indptr, np.flatnonzero(outside(codes)), side="right") - 1
+        bad = np.zeros(n, dtype=bool)
+        bad[rows[rows < n]] = True
+        return bad
+
+    def message(row: int) -> str:
+        own = codes[row:row + 1] if indptr is None else codes[indptr[row]:indptr[row + 1]]
+        code = own[outside(own)][0].item()
+        return f"row {row}: {kind} code {code} outside the table of {len(names)} {kind} names"
+
+    return mask, message
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class _BoxColumns:
     """Columns shared by detections and fused boxes; row i is the box
@@ -143,7 +169,8 @@ class _BoxColumns:
                 ("image_codes", np.intp)]
 
     def _rules(self) -> list[Rule]:
-        return box_rules(self.coords)
+        return detection_rules(self.coords, self.scores, self.category_ids) + [
+            code_rule("image", self.image_codes, self.image_names)]
 
     def __len__(self) -> int:
         return self.scores.shape[0]
@@ -163,7 +190,7 @@ class Detections(_BoxColumns):
         return super()._columns() + [("model_codes", np.intp)]
 
     def _rules(self) -> list[Rule]:
-        return detection_rules(self.coords, self.scores, self.category_ids)
+        return super()._rules() + [code_rule("model", self.model_codes, self.model_names)]
 
     @classmethod
     def from_columns(cls, coords, scores, category_ids, image_ids: Sequence[str],
@@ -209,9 +236,16 @@ class FusedDetections(_BoxColumns):
     def __post_init__(self, _checked: bool):
         for name in ("model_indptr", "model_codes"):
             object.__setattr__(self, name, _frozen(getattr(self, name), np.intp, name))
-        if self.model_indptr.shape != (len(self.scores) + 1,):
-            raise DataError("model_indptr must hold one offset per cluster plus one")
+        indptr = self.model_indptr
+        if (indptr.shape != (len(self.scores) + 1,) or indptr[0] != 0
+                or self.model_codes.shape != (indptr[-1],) or (np.diff(indptr) < 0).any()):
+            raise DataError("model_indptr must hold one offset per cluster plus one, "
+                            "rising from 0 to the number of model codes")
         super().__post_init__(_checked)
+
+    def _rules(self) -> list[Rule]:
+        return super()._rules() + [code_rule("model", self.model_codes, self.model_names,
+                                             self.model_indptr)]
 
 
 def areas(coords: np.ndarray) -> np.ndarray:

@@ -12,6 +12,22 @@ category) versus noise_sigma (sample noise per embedding model).
 All randomness derives from one seed through counter-based Philox streams
 keyed by (seed, purpose, index), so any part can be regenerated
 independently and in parallel with identical results.
+
+The generators draw in bulk and compute in numpy, yet take exactly the
+draws, in the order and of the kind, that one scalar call per value
+would.  Three rules make the two the same:
+
+* `uniform(a, b)` is `a + (b - a) * random()`;
+* `normal(0, s)` is `0.0 + s * standard_normal()`;
+* k scalar draws of one kind in a row are one size-k draw of that kind.
+
+So a layout box is `random(4)`, a detector's hit is `random()` then
+`standard_normal(5)` (one normal when jitter_sigma is 0), and a false
+positive is `random(5)`; `integers` and `binomial` stay scalar calls.
+Every output is therefore tied to numpy's `Generator` streams (Philox,
+`random`, `standard_normal`, `integers`, `binomial`), which numpy does not
+promise to keep across versions.  The files the benchmark pins were made
+with numpy 2.4.6.
 """
 
 from __future__ import annotations
@@ -103,27 +119,33 @@ class GtObject:
 
 
 def synth_layout(spec: SyntheticSpec) -> list[GtObject]:
-    """Ground-truth objects for every image, deterministic in the seed."""
+    """Ground-truth objects for every image, deterministic in the seed.
+    Per object, in order: width, height, x1 and y1 (uniform; one `random(4)`),
+    then the category."""
     rng = _rng(spec.seed, _STREAM_LAYOUT)
-    objects = []
-    index = 0
-    for i in range(spec.num_images):
-        image_id = f"img{i:05d}"
-        for b in range(spec.gt_boxes_per_image):
-            w = rng.uniform(MIN_BOX_SIDE, MAX_BOX_SIDE)
-            h = rng.uniform(MIN_BOX_SIDE, MAX_BOX_SIDE)
-            x1 = rng.uniform(0.0, CANVAS - w)
-            y1 = rng.uniform(0.0, CANVAS - h)
-            category = int(rng.integers(1, spec.num_categories + 1))
-            objects.append(GtObject(
-                item_index=index,
-                image_id=image_id,
-                box_id=f"{image_id}:b{b}",
-                box=(x1, y1, x1 + w, y1 + h),
-                category_id=category,
-            ))
-            index += 1
-    return objects
+    random, integers = rng.random, rng.integers
+    n = spec.num_images * spec.gt_boxes_per_image
+    draws = np.empty((n, 4))
+    categories = [0] * n
+    for i, row in enumerate(draws):
+        random(out=row)
+        categories[i] = int(integers(1, spec.num_categories + 1))
+    image_ids = [f"img{i:05d}" for i in range(spec.num_images)]
+    return list(map(GtObject, range(n),
+                    [image_id for image_id in image_ids for _ in range(spec.gt_boxes_per_image)],
+                    [f"{image_id}:b{b}" for image_id in image_ids
+                     for b in range(spec.gt_boxes_per_image)],
+                    zip(*_uniform_boxes(draws).T.tolist()), categories))
+
+
+def _uniform_boxes(draws: np.ndarray) -> np.ndarray:
+    """(n, 4) random boxes on the canvas from the first four columns of
+    (n, k) draws in [0, 1): width, height, x1 and y1, each as `uniform`
+    makes it from its draw, low + (high - low) * draw."""
+    w = MIN_BOX_SIDE + (MAX_BOX_SIDE - MIN_BOX_SIDE) * draws[:, 0]
+    h = MIN_BOX_SIDE + (MAX_BOX_SIDE - MIN_BOX_SIDE) * draws[:, 1]
+    x1, y1 = 0.0 + (CANVAS - w) * draws[:, 2], 0.0 + (CANVAS - h) * draws[:, 3]
+    return np.stack([x1, y1, x1 + w, y1 + h], axis=1)
 
 
 def detection_gt(objects: list[GtObject]) -> Detections:
@@ -134,17 +156,16 @@ def detection_gt(objects: list[GtObject]) -> Detections:
                                    [o.image_id for o in objects], [""] * len(objects))
 
 
-def _jittered_box(box: tuple[float, float, float, float], rng: np.random.Generator,
-                  sigma: float) -> tuple[float, float, float, float]:
-    x1, y1, x2, y2 = (c + rng.normal(0.0, sigma) if sigma > 0 else c
-                      for c in box)
-    x1, x2 = sorted((x1, x2))
-    y1, y2 = sorted((y1, y2))
-    if x2 - x1 < 1.0:
-        x2 = x1 + 1.0
-    if y2 - y1 < 1.0:
-        y2 = y1 + 1.0
-    return x1, y1, x2, y2
+def _jittered_boxes(boxes: np.ndarray, normals: np.ndarray, sigma: float) -> np.ndarray:
+    """Each box plus N(0, sigma) noise per coordinate (sigma * normals, as
+    `normal` makes it), the coordinates of each axis put in order, and a
+    side below 1 widened to 1 from its low end."""
+    x1, y1, x2, y2 = (boxes + (0.0 + sigma * normals)).T if sigma > 0 else boxes.T
+    # sorted((a, b)) swaps only when b < a, which keeps the sign of equal zeros
+    x1, x2 = np.where(x2 < x1, x2, x1), np.where(x2 < x1, x1, x2)
+    y1, y2 = np.where(y2 < y1, y2, y1), np.where(y2 < y1, y1, y2)
+    return np.stack([x1, y1, np.where(x2 - x1 < 1.0, x1 + 1.0, x2),
+                     np.where(y2 - y1 < 1.0, y1 + 1.0, y2)], axis=1)
 
 
 def synth_detections(spec: SyntheticSpec, objects: list[GtObject], detector: int) -> Detections:
@@ -153,37 +174,56 @@ def synth_detections(spec: SyntheticSpec, objects: list[GtObject], detector: int
     Each object is missed with probability miss_rate, otherwise emitted with
     jittered coordinates and score 1 - |N(0, score_sigma)|.  Per image, the
     detector additionally hallucinates Binomial(gt_boxes_per_image, fp_rate)
-    random boxes with scores drawn from FP_SCORE_RANGE.
+    random boxes with scores drawn from FP_SCORE_RANGE.  The rows come image
+    by image in id order: the image's hits in object order, then its false
+    positives.
     """
     if not (0 <= detector < spec.detector_count):
         raise ConfigError(f"detector index {detector} outside [0, {spec.detector_count})")
     rng = _rng(spec.seed, _STREAM_DETECTOR, detector)
-    coords, scores, categories, images = [], [], [], []
-    by_image: dict[str, list[GtObject]] = {}
-    for obj in objects:
-        by_image.setdefault(obj.image_id, []).append(obj)
-    # the written files are pinned, so the draws keep their order: score,
-    # then box, for a hit; box, score, then category for a false positive
-    for image_id in sorted(by_image):
-        for obj in by_image[image_id]:
-            if rng.random() < spec.miss_rate:
-                continue
-            scores.append(min(1.0, max(0.0, 1.0 - abs(rng.normal(0.0, spec.score_sigma)))))
-            coords.append(_jittered_box(obj.box, rng, spec.jitter_sigma))
-            categories.append(obj.category_id)
-            images.append(image_id)
-        n_fp = int(rng.binomial(spec.gt_boxes_per_image, spec.fp_rate))
-        for _ in range(n_fp):
-            w = rng.uniform(MIN_BOX_SIDE, MAX_BOX_SIDE)
-            h = rng.uniform(MIN_BOX_SIDE, MAX_BOX_SIDE)
-            x1 = rng.uniform(0.0, CANVAS - w)
-            y1 = rng.uniform(0.0, CANVAS - h)
-            coords.append((x1, y1, x1 + w, y1 + h))
-            scores.append(rng.uniform(*FP_SCORE_RANGE))
-            categories.append(int(rng.integers(1, spec.num_categories + 1)))
-            images.append(image_id)
-    return Detections.from_columns(np.array(coords), np.array(scores), np.array(categories),
-                                   images, [f"det{detector}"] * len(scores))
+    random, standard_normal, binomial, integers = (rng.random, rng.standard_normal,
+                                                   rng.binomial, rng.integers)
+    by_image: dict[str, list[int]] = {}
+    for row, obj in enumerate(objects):
+        by_image.setdefault(obj.image_id, []).append(row)
+    images = sorted(by_image)
+    # the written files are pinned, so the draws keep their order: the miss
+    # draw, then the score's normal and the box's four, for a hit; per image
+    # the false-positive count, then per false positive the box's four
+    # uniforms, the score's, and the category
+    normals = np.empty((len(objects), 5 if spec.jitter_sigma > 0 else 1))
+    fp_draws = np.empty((len(images) * spec.gt_boxes_per_image, 5))
+    hits, fp_counts, fp_categories = [], [], []
+    for image_id in images:
+        for row in by_image[image_id]:
+            if random() >= spec.miss_rate:
+                standard_normal(out=normals[len(hits)])
+                hits.append(row)
+        fp_counts.append(int(binomial(spec.gt_boxes_per_image, spec.fp_rate)))
+        for _ in range(fp_counts[-1]):
+            random(out=fp_draws[len(fp_categories)])
+            fp_categories.append(int(integers(1, spec.num_categories + 1)))
+    normals, fp_draws = normals[:len(hits)], fp_draws[:len(fp_categories)]
+    hit_scores = 1.0 - np.abs(0.0 + spec.score_sigma * normals[:, 0])
+    hit_scores = np.minimum(1.0, np.maximum(0.0, hit_scores))
+    hit_coords = _jittered_boxes(np.array([objects[row].box for row in hits]).reshape(-1, 4),
+                                 normals[:, 1:], spec.jitter_sigma)
+    low, high = FP_SCORE_RANGE
+    # each row's image, as its rank in `images`; a stable sort by it puts the
+    # hits of an image, in object order, before its false positives
+    image_rank = np.empty(len(objects), dtype=np.intp)
+    for rank, image_id in enumerate(images):
+        image_rank[by_image[image_id]] = rank
+    row_images = np.concatenate([image_rank[hits],
+                                 np.repeat(np.arange(len(images)), fp_counts)])
+    order = np.argsort(row_images, kind="stable")
+    coords = np.concatenate([hit_coords, _uniform_boxes(fp_draws)])[order]
+    scores = np.concatenate([hit_scores, low + (high - low) * fp_draws[:, 4]])[order]
+    categories = np.array([objects[row].category_id for row in hits] + fp_categories,
+                          dtype=np.int64)[order]
+    image_rows = np.array(images, dtype=object)[row_images[order]]
+    return Detections.from_columns(coords, scores, categories, image_rows.tolist(),
+                                   [f"det{detector}"] * len(order))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -195,10 +235,23 @@ def synth_item_centers(spec: SyntheticSpec, objects: list[GtObject]) -> np.ndarr
     rng = _rng(spec.seed, _STREAM_EMBEDDING, 0)
     anchors = _unit(rng.normal(size=(spec.num_categories, spec.embedding_dim)))
     deviations = rng.normal(size=(len(objects), spec.embedding_dim))
-    centers = np.empty((len(objects), spec.embedding_dim))
-    for i, obj in enumerate(objects):
-        centers[i] = anchors[obj.category_id - 1] + spec.cluster_spread * deviations[i]
-    return _unit(centers)
+    categories = np.array([obj.category_id for obj in objects], dtype=np.intp)
+    return _unit(anchors[categories - 1] + spec.cluster_spread * deviations)
+
+
+def _embedding_rows(spec: SyntheticSpec, centers: np.ndarray, model: int) -> np.ndarray:
+    """One model's query rows then gallery rows: each item center plus
+    independent N(0, noise_sigma) noise, unit-normalised.  The noise is
+    drawn as one array and the sums are made in place in it, so no
+    temporary of its size is held beside it."""
+    rng = _rng(spec.seed, _STREAM_EMBEDDING, 1 + model)
+    n = centers.shape[0]
+    rows = rng.normal(size=(2 * n, spec.embedding_dim))
+    rows *= spec.noise_sigma
+    rows[:n] += centers
+    rows[n:] += centers
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    return rows
 
 
 def synth_embeddings(spec: SyntheticSpec, objects: list[GtObject],
@@ -207,15 +260,10 @@ def synth_embeddings(spec: SyntheticSpec, objects: list[GtObject],
     each the item center plus independent N(0, noise_sigma) noise."""
     if not (0 <= model < spec.embedding_models):
         raise ConfigError(f"model index {model} outside [0, {spec.embedding_models})")
-    rng = _rng(spec.seed, _STREAM_EMBEDDING, 1 + model)
     n = len(objects)
-    noise_q = rng.normal(size=(n, spec.embedding_dim))
-    noise_g = rng.normal(size=(n, spec.embedding_dim))
-    queries = _unit(centers + spec.noise_sigma * noise_q)
-    gallery = _unit(centers + spec.noise_sigma * noise_g)
     gallery_ids = [f"g{obj.item_index:06d}" for obj in objects]
     return EmbeddingMatrix.from_columns(
-        np.vstack([queries, gallery]),
+        _embedding_rows(spec, centers, model),
         item_ids=[f"q{obj.item_index:06d}" for obj in objects] + gallery_ids,
         image_ids=[obj.image_id for obj in objects] + ["gallery"] * n,
         box_ids=[obj.box_id for obj in objects] + gallery_ids,
@@ -253,11 +301,14 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> dict[str, ob
         det_files.append(str(path))
 
     centers = synth_item_centers(spec, objects)
+    # the models share one id table, built and checked once
+    first = synth_embeddings(spec, objects, centers, 0)
     emb_files = []
     for m in range(spec.embedding_models):
         data_path = out / f"embeddings_m{m}.emb"
         ids_path = out / f"embeddings_m{m}.ids.jsonl"
-        formats.save_embeddings(synth_embeddings(spec, objects, centers, m),
+        formats.save_embeddings(first if m == 0 else
+                                first.with_data(_embedding_rows(spec, centers, m)),
                                 data_path, ids_path)
         emb_files.append({"data": str(data_path), "ids": str(ids_path)})
 

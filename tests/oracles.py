@@ -297,3 +297,59 @@ def detection_ap_ref(preds, gt_by_image, thresholds):
     ap50 = sum(ap50s) / len(ap50s) if ap50s else None
     ap75 = sum(ap75s) / len(ap75s) if ap75s else None
     return mean_ap, ap50, ap75, per_cat
+
+
+def _synth_rng(seed, purpose, index=0):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, purpose, index))))
+
+
+def synth_layout_ref(spec):
+    """(item_index, image_id, box_id, box, category_id) per planted object:
+    the generator's layout drawn one scalar at a time, as first written."""
+    rng = _synth_rng(spec.seed, 0)
+    objects = []
+    for i in range(spec.num_images):
+        image_id = f"img{i:05d}"
+        for b in range(spec.gt_boxes_per_image):
+            w = rng.uniform(80.0, 240.0)
+            h = rng.uniform(80.0, 240.0)
+            x1 = rng.uniform(0.0, 640.0 - w)
+            y1 = rng.uniform(0.0, 640.0 - h)
+            category = int(rng.integers(1, spec.num_categories + 1))
+            objects.append((len(objects), image_id, f"{image_id}:b{b}",
+                            (x1, y1, x1 + w, y1 + h), category))
+    return objects
+
+
+def synth_detections_ref(spec, objects, detector):
+    """(x1, y1, x2, y2, score, category_id, image_id, model_id) per row of
+    one detector's view of `objects` (anything with image_id, box and
+    category_id), drawn one scalar at a time, as first written."""
+    rng = _synth_rng(spec.seed, 1, detector)
+    rows = []
+    by_image = {}
+    for obj in objects:
+        by_image.setdefault(obj.image_id, []).append(obj)
+    for image_id in sorted(by_image):
+        for obj in by_image[image_id]:
+            if rng.random() < spec.miss_rate:
+                continue
+            score = min(1.0, max(0.0, 1.0 - abs(rng.normal(0.0, spec.score_sigma))))
+            x1, y1, x2, y2 = (c + rng.normal(0.0, spec.jitter_sigma)
+                              if spec.jitter_sigma > 0 else c for c in obj.box)
+            x1, x2 = sorted((x1, x2))
+            y1, y2 = sorted((y1, y2))
+            if x2 - x1 < 1.0:
+                x2 = x1 + 1.0
+            if y2 - y1 < 1.0:
+                y2 = y1 + 1.0
+            rows.append((x1, y1, x2, y2, score, obj.category_id, image_id, f"det{detector}"))
+        for _ in range(int(rng.binomial(spec.gt_boxes_per_image, spec.fp_rate))):
+            w = rng.uniform(80.0, 240.0)
+            h = rng.uniform(80.0, 240.0)
+            x1 = rng.uniform(0.0, 640.0 - w)
+            y1 = rng.uniform(0.0, 640.0 - h)
+            score = rng.uniform(0.2, 0.7)
+            category = int(rng.integers(1, spec.num_categories + 1))
+            rows.append((x1, y1, x1 + w, y1 + h, score, category, image_id, f"det{detector}"))
+    return rows

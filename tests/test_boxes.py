@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from cbirkit.boxes import (
     SCORE_MODES,
     Detections,
+    FusedDetections,
     WbfParams,
     fuse_detections,
     iou,
@@ -380,3 +383,39 @@ class TestFuseDetections:
             Detections.from_columns([[0, 0, 0, 1]], [0.5], [1], ["i"], ["m"])
         with pytest.raises(DataError, match="score"):
             Detections.from_columns([[0, 0, 1, 1]], [1.5], [1], ["i"], ["m"])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Detections([[0, 0, 1, 1]], [0.5], [1], [-1], ("a", "b"), [0], ("m",)),
+         "row 0: image code -1 outside the table of 2 image names"),
+        (lambda: Detections([[0, 0, 1, 1]] * 2, [0.5] * 2, [1] * 2, [0, 1], ("a",), [0, 0],
+                            ("m",)),
+         "row 1: image code 1 outside the table of 1 image names"),
+        (lambda: Detections([[0, 0, 1, 1]] * 2, [0.5] * 2, [1] * 2, [0, 0], ("a",), [0, 3],
+                            ("m",)),
+         "row 1: model code 3 outside the table of 1 model names"),
+        (lambda: FusedDetections([[0, 0, 1, 1]] * 2, [0.5] * 2, [1] * 2, [0, 2], ("a",), [1, 1],
+                                 [0, 1, 2], [0, 0], ("m",)),
+         "row 1: image code 2 outside the table of 1 image names"),
+        (lambda: FusedDetections([[0, 0, 1, 1]] * 3, [0.5] * 3, [1] * 3, [0] * 3, ("a",),
+                                 [1, 2, 1], [0, 1, 3, 4], [0, 0, -1, 0], ("m", "n")),
+         "row 1: model code -1 outside the table of 2 model names"),
+        (lambda: FusedDetections([[0, 0, 1, 1]], [0.5], [1], [0], ("a",), [1], [0, 2], [0],
+                                 ("m",)),
+         "model_indptr must hold one offset per cluster plus one, "
+         "rising from 0 to the number of model codes"),
+    ], ids=["negative-image", "image-past-end", "model-past-end", "fused-image",
+            "fused-model-cluster", "fused-indptr"])
+    def test_codes_outside_name_tables_rejected(self, build, message):
+        # a code of -1 would read as the last name, and one past the end
+        # would fail a writer halfway through its file
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), 1.5])
+    def test_fused_score_rules_match_detections(self, score):
+        # a NaN score would be written as `nan`, which is not JSON
+        with pytest.raises(DataError) as by_detections:
+            Detections([[0, 0, 1, 1]], [score], [1], [0], ("a",), [0], ("m",))
+        with pytest.raises(DataError) as by_fused:
+            FusedDetections([[0, 0, 1, 1]], [score], [1], [0], ("a",), [1], [0, 1], [0], ("m",))
+        assert str(by_fused.value) == str(by_detections.value) == f"score {score!r} outside [0, 1]"

@@ -57,15 +57,21 @@ class TestDetections:
         assert np.array_equal(loaded.coords, dets.coords)
         assert np.array_equal(loaded.scores, dets.scores)
 
-    def test_failed_save_keeps_previous_file(self, tmp_path):
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "boxes.jsonl"
         formats.save_detections(detections([(0, 0, 2, 2, 0.25, 1, "i0", "m")]), path)
         before = path.read_bytes()
-        # the second row names an image the table lacks, so it fails after the first is written
-        broken = Detections(np.tile([0.0, 0.0, 1.0, 1.0], (2, 1)), [0.5, 0.5], [1, 1],
-                            [0, 1], ("i0",), [0, 0], ("m",))
-        with pytest.raises(IndexError):
-            formats.save_detections(broken, path)
+        names = formats._names
+
+        def failing(*args):
+            # the second row's name fails, after the first row is written
+            yield next(iter(names(*args)))
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(formats, "_names", failing)
+        with pytest.raises(RuntimeError, match="disk full"):
+            formats.save_detections(detections([(0, 0, 1, 1, 0.5, 1, "i0", "m"),
+                                                (0, 0, 1, 1, 0.5, 1, "i1", "m")]), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["boxes.jsonl"]
 

@@ -2,12 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cbirkit import embeddings
 from cbirkit import io as formats
 from cbirkit.errors import ConfigError
 from cbirkit.evaluation import acc_at_k, detection_ap
 from cbirkit.search import build_index, knn_search
 from cbirkit.synthetic import (
+    GtObject,
     SyntheticSpec,
     detection_gt,
     generate_synthetic,
@@ -18,6 +22,7 @@ from cbirkit.synthetic import (
     synth_layout,
 )
 
+from oracles import synth_detections_ref, synth_layout_ref
 from util import boxes_to_dicts
 
 
@@ -73,6 +78,51 @@ class TestDeterminism:
         assert boxes_to_dicts(late) == boxes_to_dicts(again)
 
 
+def table_rows(dets) -> list[tuple]:
+    """A detections table as the oracle's rows."""
+    return [(*box, score, category, dets.image_names[image], dets.model_names[model])
+            for box, score, category, image, model in zip(
+                dets.coords.tolist(), dets.scores.tolist(), dets.category_ids.tolist(),
+                dets.image_codes.tolist(), dets.model_codes.tolist())]
+
+
+@st.composite
+def generator_cases(draw):
+    """A spec with its edge values likely (zero noise, rates 0 and 1, one
+    category, one box per image), and either its layout or a few small
+    boxes that jitter inverts and narrows below one pixel."""
+    spec = SyntheticSpec(
+        seed=draw(st.integers(0, 2 ** 64 - 1)), num_images=draw(st.integers(1, 6)),
+        num_categories=draw(st.sampled_from([1, 2, 5])),
+        gt_boxes_per_image=draw(st.sampled_from([1, 2, 4])),
+        detector_count=draw(st.integers(1, 3)),
+        jitter_sigma=draw(st.sampled_from([0.0, 0.5, 4.0, 300.0])),
+        score_sigma=draw(st.sampled_from([0.0, 0.1, 2.0])),
+        miss_rate=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        fp_rate=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    if draw(st.booleans()):
+        return spec, synth_layout(spec)
+    objects = [GtObject(i, f"img{image:05d}", f"img{image:05d}:b{i}", (x, y, x + w, y + h), c)
+               for i, (image, x, y, w, h, c) in enumerate(draw(st.lists(st.tuples(
+                   st.integers(0, 3), *[st.floats(0.0, 50.0)] * 2,
+                   *[st.sampled_from([0.25, 1.0, 2.0])] * 2, st.integers(1, 3)),
+                   min_size=1, max_size=8)))]
+    return spec, objects
+
+
+class TestBulkDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(generator_cases())
+    def test_identical_to_scalar_draws(self, case):
+        # the reprs tell apart every float bit pattern, -0.0 and 0.0 included
+        spec, objects = case
+        assert repr([(o.item_index, o.image_id, o.box_id, o.box, o.category_id)
+                     for o in synth_layout(spec)]) == repr(synth_layout_ref(spec))
+        for d in range(spec.detector_count):
+            assert repr(table_rows(synth_detections(spec, objects, d))) == repr(
+                synth_detections_ref(spec, objects, d))
+
+
 class TestNoiselessLimit:
     def test_detectors_reproduce_gt(self):
         spec = spec_of(jitter_sigma=0.0, score_sigma=0.0, miss_rate=0.0, fp_rate=0.0)
@@ -118,6 +168,28 @@ class TestGenerateFiles:
         assert m.n_rows == 24  # one query + one gallery row per item
         gt = formats.load_retrieval_gt(out / "retrieval_gt.jsonl")
         assert len(gt) == 12
+
+    def test_models_share_ids_checked_once(self, tmp_path, monkeypatch):
+        spec = spec_of(embedding_models=3)
+        calls, fault = [], embeddings._id_fault
+
+        def counted(*columns):
+            calls.append(len(columns[0]))
+            return fault(*columns)
+
+        monkeypatch.setattr(embeddings, "_id_fault", counted)
+        out = tmp_path / "bench"
+        generate_synthetic(spec, out)
+        assert calls == [24]
+        objects = synth_layout(spec)
+        centers = synth_item_centers(spec, objects)
+        for m in range(3):
+            # each model's files are those of its matrix built on its own
+            formats.save_embeddings(synth_embeddings(spec, objects, centers, m),
+                                    tmp_path / "alone.emb", tmp_path / "alone.ids.jsonl")
+            for suffix in ("emb", "ids.jsonl"):
+                assert ((out / f"embeddings_m{m}.{suffix}").read_bytes()
+                        == (tmp_path / f"alone.{suffix}").read_bytes())
 
     def test_saved_embeddings_rows_near_unit(self, tmp_path):
         out = tmp_path / "bench"
