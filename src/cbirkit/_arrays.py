@@ -22,6 +22,19 @@ def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
 
 
+def blocks(weights: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Ranges (start, stop) that partition [0, len(weights)) in order, each
+    as long as its non-negative weights sum to at most `budget`, and at
+    least one point long."""
+    ends = np.concatenate(([0], np.cumsum(weights)))
+    start, n = 0, len(weights)
+    while start < n:
+        stop = int(np.searchsorted(ends, ends[start] + budget, side="right")) - 1
+        stop = max(stop, start + 1)
+        yield start, stop
+        start = stop
+
+
 def encode(values: Sequence, table: Sequence | None) -> tuple[np.ndarray, Sequence]:
     """Integer codes of the hashable `values` into `table`, a sequence of
     distinct values, with -1 for a value that the table lacks, and the table.

@@ -44,6 +44,12 @@ from .errors import ConfigError, DataError
 SCORE_MODES = ("rescale", "mean")
 
 
+def _check_iou_threshold(value: float) -> None:
+    """Raise ConfigError unless value lies in [0, 1] (NaN does not)."""
+    if not (0.0 <= value <= 1.0):
+        raise ConfigError(f"iou_threshold {value!r} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class WbfParams:
     """Fusion parameters.
@@ -62,8 +68,7 @@ class WbfParams:
     score_mode: str = "rescale"
 
     def __post_init__(self):
-        if not (0.0 <= self.iou_threshold <= 1.0):
-            raise ConfigError(f"iou_threshold {self.iou_threshold!r} outside [0, 1]")
+        _check_iou_threshold(self.iou_threshold)
         if self.num_models is not None and self.num_models < 1:
             raise ConfigError("num_models must be a positive integer")
         if self.score_mode not in SCORE_MODES:
@@ -283,8 +288,10 @@ def nms(boxes: Detections, iou_threshold: float) -> Detections:
     A group's boxes are visited in descending score order (ties by model
     id, then input order); a box is kept unless a box already kept in its
     group overlaps it with IoU >= iou_threshold.  The kept boxes are
-    ordered by (image id, -score, model id, input order).
+    ordered by (image id, -score, model id, input order).  A threshold
+    outside [0, 1] raises ConfigError.
     """
+    _check_iou_threshold(iou_threshold)
     order = np.lexsort((boxes.model_codes, -boxes.scores, boxes.category_ids, boxes.image_codes))
     coords = boxes.coords[order]
     area = areas(coords)

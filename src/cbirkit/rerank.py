@@ -47,13 +47,24 @@ with no arithmetic.  Cosines (d and the exp(-d) weights) are products
 summed along the feature axis, as in `search.pair_scores`, so results
 depend neither on the kernel's block size nor on the BLAS thread count.
 
-No array is n x n (n = queries + gallery), and none is n_q x n_g.  The
-largest arrays hold one entry per (point, neighbor) pair, per (point,
-neighbor, half-set slot) in the R* test, or per nonzero of V after local
-expansion (at most k2 |R*| for a point).  The membership tests' table
-holds `_arrays.PAIR_TABLE_BYTES` (1 MiB) whatever n is, the kernel's
-temporaries are O(QUERY_BLOCK x n) and the re-ranking's O(RERANK_BLOCK x
-n_g).  Re-ranked to the top K, the output is O(n_q x K).
+No array is n x n (n = queries + gallery), and none is n_q x n_g.  R* and
+the local expansion of V run over blocks of consecutive points
+(`_arrays.blocks`) holding at most BLOCK_ENTRIES entries each: one per
+(point, R member, half-set slot) in the R* test, or one per gathered V
+entry in the expansion; a point with more entries is a block of its own.
+Blocking moves no bit.  A block's keys p n + c lie in [start n, stop n),
+so its sorted distinct keys, in block order, are the sorted distinct keys
+of all points, and the pair test over a block's rows sees exactly that
+block's R pairs.  All of a point's gathered V entries fall in its block,
+in neighbor order, and bincount adds in array order, so each (point,
+column) sum adds the same terms in the same order.  What stays whole is
+O(n k1) or output-sized: the neighbor lists and R masks, n x (k1 + 1);
+the R* pairs with their cosines, weights and values, one entry per member;
+and V after local expansion, at most k2 |R*| entries for a point.  The
+membership tests' table holds `_arrays.PAIR_TABLE_BYTES` (1 MiB) whatever
+n is, the kernel's temporaries are O(QUERY_BLOCK x n) and the
+re-ranking's O(RERANK_BLOCK x n_g).  Re-ranked to the top K, the output
+is O(n_q x K).
 
 The initial rankings are `search.Rankings`; each is matched to its query
 row by query_id, and the output re-orders the candidates present in it,
@@ -77,17 +88,21 @@ one 2-D lexsort orders the block's rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import encode, pairs_in, ranges, repeats, unique_sorted
+from ._arrays import blocks, encode, pairs_in, ranges, repeats, unique_sorted
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
 from .search import Rankings, exact_topk, gemm_error, pair_scores
 
 # rankings re-ordered per pass; bounds the n_q x n_g min-sums to RERANK_BLOCK x n_g
 RERANK_BLOCK = 32
+# entries per block of points in R* and in the local expansion of V; a
+# block's int64 temporaries then take about _arrays.PAIR_TABLE_BYTES
+BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -106,8 +121,8 @@ class QeParams:
     def __post_init__(self):
         if self.k < 0:
             raise ConfigError(f"k must be >= 0, got {self.k}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not (self.alpha >= 0 and math.isfinite(self.alpha)):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -179,6 +194,15 @@ def database_augmentation(gallery: EmbeddingMatrix, params: QeParams) -> Embeddi
     return _expand_rows(gallery, rows, scores, gallery.data, params.alpha)
 
 
+def _neighbor_lists(points: np.ndarray, k1: int) -> np.ndarray:
+    """N(p) for every point p: p itself first, then its k1 nearest other
+    points, ties by ascending index."""
+    n = points.shape[0]
+    found, _ = exact_topk(points, np.arange(n), points, k1 + 1)
+    return np.hstack([np.arange(n)[:, None],
+                      np.take_along_axis(found, _without_self(found), axis=1)])
+
+
 def _reciprocal(neighbors: np.ndarray, k: int) -> np.ndarray:
     """Mask over neighbors[:, :k + 1]: True where that neighbor also lists
     the row's point among its own first k + 1 entries."""
@@ -197,16 +221,23 @@ def _expanded_sets(neighbors: np.ndarray, k1: int) -> tuple[np.ndarray, np.ndarr
     full = _reciprocal(neighbors, k1)
     k_half = int(round(k1 / 2))
     half = _reciprocal(neighbors, k_half)
-    # R(p, k1) as (p, c) pairs, sorted by p
-    p = np.nonzero(full)[0]
-    c = neighbors[full]
-    # every (p, c) with c in R(p, k1), against each slot of c's half-size list
-    members = neighbors[c, : k_half + 1]
-    in_half = half[c]
-    shared = np.count_nonzero(in_half & pairs_in(p, members, p, c, n), axis=1)
-    accept = shared * 3 >= np.count_nonzero(half, axis=1)[c] * 2
-    extra = (p[accept, None] * n + members[accept])[in_half[accept]]
-    keys = unique_sorted(np.concatenate([p * n + c, extra]))
+    half_sizes = np.count_nonzero(half, axis=1)
+    keys = []
+    # a block's keys p * n + c lie in [start * n, stop * n), so the blocks'
+    # sorted keys, in block order, are the sorted keys of all points
+    for start, stop in blocks(np.count_nonzero(full, axis=1) * (k_half + 1), BLOCK_ENTRIES):
+        # R(p, k1) as (p, c) pairs, sorted by p
+        own = full[start:stop]
+        p = np.nonzero(own)[0] + start
+        c = neighbors[start:stop][own]
+        # every (p, c) with c in R(p, k1), against each slot of c's half-size list
+        members = neighbors[c, : k_half + 1]
+        in_half = half[c]
+        shared = np.count_nonzero(in_half & pairs_in(p, members, p, c, n), axis=1)
+        accept = shared * 3 >= half_sizes[c] * 2
+        extra = (p[accept, None] * n + members[accept])[in_half[accept]]
+        keys.append(unique_sorted(np.concatenate([p * n + c, extra])))
+    keys = np.concatenate(keys)
     return keys // n, keys % n
 
 
@@ -221,26 +252,31 @@ def _encodings(points: np.ndarray, neighbors: np.ndarray,
     values = weights / np.bincount(rows, weights=weights, minlength=n)[rows]
     counts = np.bincount(rows, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    # gather the V rows of each point's first k2 neighbors, in neighbor order
-    near = neighbors[:, : params.k2].ravel()
-    lengths = counts[near]
-    src = ranges(indptr[near], lengths)
-    keys = np.repeat(np.repeat(np.arange(n), params.k2), lengths)
-    keys *= n
-    keys += cols[src]
-    # np.unique(keys, return_inverse=True), with fewer temporaries
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.empty(keys.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    slot = np.empty_like(order)
-    slot[order] = np.cumsum(first) - 1
-    # bincount adds in array order, so each sum runs in neighbor order
-    smoothed = np.bincount(slot, weights=values[src]) / params.k2
-    keys = keys[first]
+    near = neighbors[:, : params.k2]
+    keys, smoothed = [], []
+    # gather the V rows of each point's first k2 neighbors, in neighbor
+    # order; all of a point's entries fall in its block
+    for start, stop in blocks(counts[near].sum(axis=1), BLOCK_ENTRIES):
+        block_near = near[start:stop].ravel()
+        lengths = counts[block_near]
+        src = ranges(indptr[block_near], lengths)
+        block_keys = np.repeat(np.repeat(np.arange(start, stop), params.k2), lengths)
+        block_keys *= n
+        block_keys += cols[src]
+        # np.unique(block_keys, return_inverse=True), with fewer temporaries
+        order = np.argsort(block_keys)
+        block_keys = block_keys[order]
+        first = np.empty(block_keys.shape, dtype=bool)
+        first[:1] = True
+        np.not_equal(block_keys[1:], block_keys[:-1], out=first[1:])
+        slot = np.empty_like(order)
+        slot[order] = np.cumsum(first) - 1
+        # bincount adds in array order, so each sum runs in neighbor order
+        smoothed.append(np.bincount(slot, weights=values[src]) / params.k2)
+        keys.append(block_keys[first])
+    keys = np.concatenate(keys)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-    return indptr, keys % n, smoothed
+    return indptr, keys % n, np.concatenate(smoothed)
 
 
 def every_gallery_row(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> Rankings:
@@ -346,10 +382,7 @@ def k_reciprocal_rerank(
     n_q, n_g = queries.n_rows, gallery.n_rows
     points = np.vstack([queries.data, gallery.data])
     n = points.shape[0]
-    # self first, then the k1 nearest others, ties by joint index
-    found, _ = exact_topk(points, np.arange(n), points, params.k1 + 1)
-    neighbors = np.hstack([np.arange(n)[:, None],
-                           np.take_along_axis(found, _without_self(found), axis=1)])
+    neighbors = _neighbor_lists(points, params.k1)
     indptr, cols, values = _encodings(points, neighbors, params)
 
     # inverted index over the gallery rows of V: per column, (row, value)

@@ -2,7 +2,11 @@
 
 Everything here is written straight from the operation definitions with
 plain Python loops and no shared code with the package, so agreement is
-meaningful.  Slow on purpose; only run at desk scale.
+meaningful.  Slow on purpose; only run at desk scale.  The exceptions are
+`expanded_sets_ref` and `encodings_ref`: whole-array numpy forms of the
+re-ranking encodings, built over every point at once, that the blocked
+library code must equal bit for bit.  They take their cosines from the
+library's `pair_scores`, which the blocking leaves alone.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from cbirkit.search import pair_scores
 
 
 def iou_ref(a, b) -> float:
@@ -227,6 +233,52 @@ def rerank_ref(queries, gallery, initial_ids, k1, k2, lam):
             out.append((g, (1.0 - lam) * jac + lam * dist[qi][j]))
         results.append(out)
     return results
+
+
+def expanded_sets_ref(neighbors, k1):
+    """R*(p) for every point p, as (p, member) pairs sorted by p, then
+    member, from neighbor lists that start with each point itself; every
+    pair test is one np.isin over all points."""
+    n = neighbors.shape[0]
+    own = np.arange(n)[:, None]
+
+    def reciprocal(k):
+        head = neighbors[:, : k + 1]
+        return np.isin(head * n + own, own * n + head)
+
+    k_half = int(round(k1 / 2))
+    full, half = reciprocal(k1), reciprocal(k_half)
+    p = np.nonzero(full)[0]
+    c = neighbors[full]
+    members = neighbors[c, : k_half + 1]
+    in_half = half[c]
+    in_full = np.isin(p[:, None] * n + members, p * n + c)
+    shared = np.count_nonzero(in_half & in_full, axis=1)
+    accept = shared * 3 >= np.count_nonzero(half, axis=1)[c] * 2
+    extra = (p[accept, None] * n + members[accept])[in_half[accept]]
+    keys = np.unique(np.concatenate([p * n + c, extra]))
+    return keys // n, keys % n
+
+
+def encodings_ref(points, neighbors, k1, k2):
+    """V after local expansion in CSR form, (indptr, columns, values), with
+    every point's gathered V entries in one array and one np.unique."""
+    n = points.shape[0]
+    rows, cols = expanded_sets_ref(neighbors, k1)
+    dist = 1.0 - pair_scores(points, rows, points, cols)
+    dist[rows == cols] = 0.0
+    weights = np.exp(-dist)
+    values = weights / np.bincount(rows, weights=weights, minlength=n)[rows]
+    counts = np.bincount(rows, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    near = neighbors[:, :k2].ravel()
+    src = np.concatenate([np.arange(indptr[c], indptr[c + 1]) for c in near])
+    keys = np.repeat(np.repeat(np.arange(n), k2), counts[near]) * n + cols[src]
+    unique, slot = np.unique(keys, return_inverse=True)
+    # bincount adds in array order: each sum runs in neighbor order
+    smoothed = np.bincount(slot, weights=values[src]) / k2
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(unique // n, minlength=n))])
+    return indptr, unique % n, smoothed
 
 
 def ap_101_ref(matches, n_gt):

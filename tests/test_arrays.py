@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbirkit import _arrays
-from cbirkit._arrays import fault_rule, first_fault, pairs_in, repeats
+from cbirkit._arrays import blocks, fault_rule, first_fault, pairs_in, repeats
 
 VALUES = [3, "x", -1, 0, 5]
 
@@ -122,3 +122,24 @@ def test_pairs_in_memory_stays_near_its_table():
     assert np.array_equal(got, np.isin(rows[:, None] * n + cols, set_rows * n + set_cols))
     # the table plus a few int64 temporaries of the query pairs
     assert peak < _arrays.PAIR_TABLE_BYTES + 4 * 8 * cols.size < n * n / 5
+
+
+def test_blocks_skip_nothing_and_keep_zero_weights_in_blocks():
+    # the 5 exceeds the budget on its own
+    assert list(blocks(np.array([0, 0, 5, 0, 3, 0]), 4)) == [(0, 2), (2, 3), (3, 6)]
+    assert list(blocks(np.zeros(3, dtype=np.int64), 1)) == [(0, 3)]
+    assert list(blocks(np.zeros(0, dtype=np.int64), 4)) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 20), max_size=40), st.integers(1, 30))
+def test_blocks_partition_points_under_the_budget(weights, budget):
+    weights = np.array(weights, dtype=np.int64)
+    got = list(blocks(weights, budget))
+    edges = [0] + [stop for _, stop in got]
+    assert got == list(zip(edges[:-1], edges[1:])) and edges[-1] == weights.size
+    for start, stop in got:
+        assert stop > start
+        # at most the budget unless alone, and as long as the budget allows
+        assert weights[start:stop].sum() <= budget or stop - start == 1
+        assert stop == weights.size or weights[start:stop + 1].sum() > budget

@@ -168,6 +168,13 @@ class TestNms:
             expected += nms_ref([b for b in rows if b["image_id"] == image], threshold)
         assert boxes_to_dicts(nms(boxes, threshold)) == expected
 
+    @pytest.mark.parametrize("threshold", [-1.0, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        dets = detections([sb(0, 0, 10, 10, 0.9), sb(1, 1, 11, 11, 0.8),
+                           sb(50, 50, 60, 60, 0.7)])
+        with pytest.raises(ConfigError, match=r"iou_threshold .* outside \[0, 1\]"):
+            nms(dets, threshold)
+
     def test_matches_quadratic_reference(self):
         for seed in range(40):
             rng = rng_for(1000 + seed)

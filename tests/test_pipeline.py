@@ -81,6 +81,16 @@ class TestConfigValidation:
         raw["search"]["restrict_to_query_category"] = False
         assert PipelineConfig.from_dict(raw).post[0].step == "rerank"
 
+    @pytest.mark.parametrize("step", ["qe", "dba"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_alpha_in_file_rejected(self, tmp_path, step, literal):
+        # json reads the NaN and Infinity literals as floats
+        text = json.dumps(self.base(post=[{"step": "pca"}, {"step": step, "k": 3}]))
+        path = tmp_path / "config.json"
+        path.write_text(text.replace('"k": 3', f'"k": 3, "alpha": {literal}'))
+        with pytest.raises(ConfigError, match=r"^post\[1\]: alpha must be finite and >= 0"):
+            PipelineConfig.from_file(path)
+
     def test_embeddings_required(self):
         with pytest.raises(ConfigError, match="embedding"):
             PipelineConfig.from_dict({"search": {"k": 5}, "output_dir": "o"})

@@ -12,7 +12,9 @@ from cbirkit.errors import ConfigError, DataError
 from cbirkit.rerank import (
     QeParams,
     RerankParams,
+    _encodings,
     _expanded_sets,
+    _neighbor_lists,
     _reciprocal,
     database_augmentation,
     every_gallery_row,
@@ -21,7 +23,7 @@ from cbirkit.rerank import (
 )
 from cbirkit.search import Rankings, build_index, knn_search
 
-from oracles import expand_ref, rerank_ref
+from oracles import encodings_ref, expand_ref, expanded_sets_ref, rerank_ref
 from util import gallery_ids, pick, query_ids, rng_for, unit_rows
 
 
@@ -39,6 +41,11 @@ class TestParams:
     def test_qe_rejects_negative_k(self):
         with pytest.raises(ConfigError):
             QeParams(k=-1)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_qe_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ConfigError, match="alpha must be finite"):
+            QeParams(k=3, alpha=alpha)
 
     def test_rerank_rejects_k2_above_k1(self):
         with pytest.raises(ConfigError):
@@ -365,6 +372,62 @@ class TestNeighborhoodSets:
         keys = list(zip(rows.tolist(), cols.tolist()))
         assert keys == sorted(set(keys))
         assert keys == [(p, c) for p in range(n) for c in sorted(expanded_ref(neighbors, p, k1))]
+
+
+@st.composite
+def joint_points(draw):
+    """Unit rows, some copied onto others so that neighbor lists tie, with
+    k1 up to n - 1 and k2 at 1, at k1 or between."""
+    n, dim = draw(st.integers(2, 30)), draw(st.integers(2, 5))
+    data = unit_rows(rng_for(draw(st.integers(0, 2**32 - 1))), n, dim)
+    rows = st.integers(0, n - 1)
+    for dst, src in draw(st.lists(st.tuples(rows, rows), max_size=n)):
+        data[dst] = data[src]
+    k1 = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
+    k2 = draw(st.one_of(st.just(1), st.just(k1), st.integers(1, k1)))
+    return data, RerankParams(k1=k1, k2=k2)
+
+
+def multishot_points(seed, items=150, shots=6, looks=14, dim=32):
+    """Items of several close shots, each ringed by looser look-alikes."""
+    rng = rng_for(seed)
+    centers = unit_rows(rng, items, dim)
+    radii = np.repeat([[0.12] * shots + [0.24] * looks], items, axis=0)
+    rows = centers[:, None] + radii[..., None] * rng.normal(size=(items, shots + looks, dim))
+    rows = rows.reshape(-1, dim)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestBlockedEncodings:
+    @pytest.mark.parametrize("budget", [1, 31, rerank.BLOCK_ENTRIES])
+    @settings(max_examples=150, deadline=None)
+    @given(joint_points())
+    def test_equal_the_whole_array_forms_bit_for_bit(self, budget, case):
+        points, params = case
+        neighbors = _neighbor_lists(points, params.k1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rerank, "BLOCK_ENTRIES", budget)
+            sets = _expanded_sets(neighbors, params.k1)
+            encodings = _encodings(points, neighbors, params)
+        expected = (*expanded_sets_ref(neighbors, params.k1),
+                    *encodings_ref(points, neighbors, params.k1, params.k2))
+        for got, ref in zip((*sets, *encodings), expected):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_memory_stays_near_output_and_budget(self):
+        # gathering every point's V entries at once peaked near 9 times the output
+        points = multishot_points(70)
+        params = RerankParams(k1=20, k2=6)
+        neighbors = _neighbor_lists(points, params.k1)
+        tracemalloc.start()
+        try:
+            out = _encodings(points, neighbors, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole R* arrays and the output, plus one block's temporaries
+        # and the pair table
+        assert peak < 4 * sum(a.nbytes for a in out) + 16 * 8 * rerank.BLOCK_ENTRIES
 
 
 def _nudged_copies(seed, dim=16, copies=40, others=30, n_q=12):
