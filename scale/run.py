@@ -1,16 +1,21 @@
-"""Scale study: the retrieval half of two benchmark workloads at several sizes.
+"""Scale study: three benchmark workloads at several sizes.
 
     python3 scale/run.py --out BENCH.json [--scales 1,10] [--seed 1]
                          [--repeats 1] [--baseline CHECKOUT] [--work DIR]
 
 Run from the root of a source checkout.  The inputs come from perfbench's
-workload definitions (perfbench/workloads.py, read only), with the
-detection half left out and the size multiplied by each scale:
+workload definitions (perfbench/workloads.py, read only), with the size
+multiplied by each scale:
 
 * retrieval_chain: `num_images` times the scale (1000 at 1x, so 3000
   queries against 3000 gallery rows), then concat, PCA, QE, DBA, search;
+  the detection half is left out;
 * rerank_multishot: `n_items` times the scale (80 at 1x), then whole-gallery
-  k-reciprocal re-ranking to the top 10.
+  k-reciprocal re-ranking to the top 10; the detection half is left out;
+* detection_fusion: perfbench's own set-up with the detection half's
+  `num_images` times the scale (2000 at 1x, about 66,000 boxes from five
+  detectors), then the JSONL loaders, WBF and detection AP; the retrieval
+  half stays at its 1x size.
 
 The inputs are written under --work (default .scale/ in the checkout),
 by a child process, and removed once their runs are done; the output
@@ -19,9 +24,11 @@ records the wall seconds each generation took (setup_s).  Each run is
 perfbench's `spans.Tracer` and bracketed by the workload's calibration
 kernel (perfbench/calibrate.py).  Per run the output records the wall and
 CPU seconds of the pipeline, reference seconds (wall seconds scaled by the
-calibration kernel), peak RSS from wait4, Acc@1 and Acc@10, the sha256 of
-rankings.tsv and the traced layers.  At 1x the digest is compared with
-perfbench/pins.json, whose digests do not depend on the detection half.
+calibration kernel), peak RSS from wait4, Acc@1 and Acc@10, AP and AP50
+where there is a detection half, the sha256 of rankings.tsv and of
+fused_boxes.jsonl (null without a detection half) and the traced layers.
+At 1x the rankings digest is compared with perfbench/pins.json, whose
+digests do not depend on the detection half.
 
 With --baseline, the same inputs also run against the library of another
 checkout (its src/ directory), alternating with this one run by run, so
@@ -48,7 +55,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-SCALE_OF = {"retrieval_chain": "num_images", "rerank_multishot": "n_items"}
+SCALE_OF = {"retrieval_chain": "num_images", "rerank_multishot": "n_items",
+            "detection_fusion": "num_images"}
 
 
 def _libraries(src: Path) -> None:
@@ -57,9 +65,9 @@ def _libraries(src: Path) -> None:
 
 
 def setup(name: str, scale: float, seed: int, out: Path) -> dict:
-    """Write one workload's inputs at `scale` and a config without the
-    detection half; return the config path, the input sizes, the
-    workload's calibration kernel and the wall seconds the writing took."""
+    """Write one workload's inputs at `scale` and its config; return the
+    config path, the input sizes, the workload's calibration kernel and the
+    wall seconds the writing took."""
     import workloads
     from cbirkit import io as formats
     from cbirkit.synthetic import SyntheticSpec, generate_synthetic
@@ -74,6 +82,14 @@ def setup(name: str, scale: float, seed: int, out: Path) -> dict:
         config.update(detections=[], post=workloads.RETRIEVAL_CHAIN_POST)
         config["eval"]["detection_gt"] = None
         sizes = {"queries": manifest["num_items"], "gallery": manifest["num_items"]}
+    elif name == "detection_fusion":
+        spec = dict(workloads.FUSION_DETECTION_SPEC)
+        spec["num_images"] = round(spec["num_images"] * scale)
+        # the set-up reads its detection spec from the module when it runs;
+        # this process runs the one set-up and exits
+        workloads.FUSION_DETECTION_SPEC = spec
+        path, sizes = workloads.WORKLOADS[name].setup(seed, out)
+        config = json.loads(path.read_text())
     else:
         spec = dict(workloads.MULTISHOT)
         spec["n_items"] = round(spec["n_items"] * scale)
@@ -92,6 +108,12 @@ def setup(name: str, scale: float, seed: int, out: Path) -> dict:
     return {"config": str(path), "sizes": {SCALE_OF[name]: spec[SCALE_OF[name]], **sizes},
             "kernel": workloads.WORKLOADS[name].calibration,
             "setup_s": time.perf_counter() - start}
+
+
+def _sha256(path: str) -> str:
+    """sha256 of a file, read in chunks."""
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def child(config: str, result: str, kernel: str) -> None:
@@ -118,11 +140,14 @@ def child(config: str, result: str, kernel: str) -> None:
         tracer.uninstall()
     calibration.append(time_kernel(kernel))
     acc = outcome.report["retrieval"]["acc"]
+    detection = outcome.report["detection"] or {}
     Path(result).write_text(json.dumps({
         "wall_s": wall, "cpu_s": cpu, "calibration_s": calibration,
         "ref_s": wall * speed_factor(kernel, calibration), "numpy": np.__version__,
         "acc_at_1": acc["1"], "acc_at_10": acc["10"],
-        "rankings_sha256": hashlib.sha256(Path(outcome.rankings_path).read_bytes()).hexdigest(),
+        "ap": detection.get("ap"), "ap50": detection.get("ap50"),
+        "rankings_sha256": _sha256(outcome.rankings_path),
+        "fused_sha256": _sha256(outcome.fused_path) if outcome.fused_path else None,
         "layers": {k: v for k, v in layer_metrics(tracer.spans).items() if v},
     }))
 
@@ -161,11 +186,11 @@ def _digests(root: Path) -> dict[str, str]:
 
 
 def _summary(runs: list[dict]) -> dict:
-    """Medians of the timings and memory; the digest and accuracy, which
-    must agree across the runs."""
+    """Medians of the timings and memory; the digests and quality numbers,
+    which must agree across the runs."""
     out = {key: statistics.median(r[key] for r in runs)
            for key in ("wall_s", "cpu_s", "ref_s", "peak_rss_mb")}
-    for key in ("acc_at_1", "acc_at_10", "rankings_sha256"):
+    for key in ("acc_at_1", "acc_at_10", "ap", "ap50", "rankings_sha256", "fused_sha256"):
         values = {r[key] for r in runs}
         out[key] = values.pop() if len(values) == 1 else sorted(values)
     return out

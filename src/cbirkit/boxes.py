@@ -17,13 +17,18 @@ box and detection are; the tables, the loaders and `iou` all apply them.
 The tables add `code_rule`: every image and model code indexes its table
 of names.
 
-`fuse_detections` fuses every (image, category) group of a detection set
-in one wavefront.  After one sort by (image, category, -weighted score,
+`fuse_detections` fuses the (image, category) groups of a detection set
+in a wavefront.  After one sort by (image, category, -weighted score,
 model id, input index), step s takes the s-th box of every group that has
 one, computes its IoU with each of that group's current clusters, and
 joins the first with IoU > iou_threshold or opens a new one.  A cluster
 keeps its running weighted sums, updated in member order, so every fused
 number comes from the same operations as fusing the group box by box.
+The wavefront runs over one block of whole images at a time, at most
+BLOCK_BOXES boxes (an image with more is a block of its own), so its
+working arrays, about 300 bytes a box, are block-sized rather than
+table-sized.  The blocks' outputs, concatenated in image order, are the
+whole table's bit for bit: no group spans two blocks.
 `nms` walks the same wavefront, but a box either survives as-is or is
 dropped: it is dropped when a box already kept in its group overlaps it
 with IoU >= the threshold.
@@ -37,11 +42,13 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import (Rule, encode, first_fault, numbers, ranges, run_starts, unique_sorted,
-                      wavefront)
+from ._arrays import (Rule, blocks, encode, first_fault, numbers, ranges, run_starts,
+                      unique_sorted, wavefront)
 from .errors import ConfigError, DataError
 
 SCORE_MODES = ("rescale", "mean")
+# boxes in one block of whole images that fusion holds temporaries for
+BLOCK_BOXES = 1 << 14
 
 
 def _check_iou_threshold(value: float) -> None:
@@ -349,38 +356,21 @@ def _model_counts(dets: Detections, params: WbfParams) -> np.ndarray:
     return observed
 
 
-def fuse_detections(boxes: Detections, params: WbfParams) -> FusedDetections:
-    """Fuse a mixed-image detection set image by image (sorted by image id).
-
-    Per image and category: boxes are visited in descending weighted-score
-    order (score times model weight, clamped to [0, 1]; ties by model id,
-    then input order); each box joins the first cluster whose current
-    fused box overlaps it with IoU > iou_threshold, or starts a new
-    cluster.  A cluster's fused box is the weighted-score average of its
-    members' coordinates (the plain average when every weight is zero) and
-    its score is the mean member weighted score; "rescale" then multiplies
-    the score by min(T, N)/N, where T is the cluster size and N is
-    params.num_models or else the number of models seen in the image.
-    Each image's clusters are ordered by descending fused score, ties in
-    (category, creation) order.
-    """
-    if len(boxes) == 0:
-        return FusedDetections(boxes.coords, boxes.scores, boxes.category_ids, boxes.image_codes,
-                               boxes.image_names, [], [0], [], boxes.model_names)
-    observed = _model_counts(boxes, params)
-    weights = params.model_weights or {}
-    weight = np.array([weights.get(m, 1.0) for m in boxes.model_names], dtype=np.float64)
-    weighted = _clip01(boxes.scores * weight[boxes.model_codes])
-
+def _fuse_block(boxes: Detections, rows: np.ndarray, weighted: np.ndarray,
+                observed: np.ndarray, params: WbfParams) -> tuple[np.ndarray, ...]:
+    """Fuse boxes[rows], whole images given in (image, category, -weighted
+    score, model id, input index) order.  Returns the clusters' fused
+    coordinates, scores, category ids, image codes and sizes in output
+    order, then their model counts and the concatenated model codes."""
     # positions in this order are both box and cluster slots: the k-th
     # cluster of the group starting at position p lives in slot p + k
-    order = np.lexsort((boxes.model_codes, -weighted, boxes.category_ids, boxes.image_codes))
-    coords, w = boxes.coords[order], weighted[order]
+    coords, w = boxes.coords[rows], weighted[rows]
     area = areas(coords)
-    bounds = run_starts(boxes.image_codes[order], boxes.category_ids[order])
+    image_codes, category_ids = boxes.image_codes[rows], boxes.category_ids[rows]
+    bounds = run_starts(image_codes, category_ids)
     start = bounds[:-1]
 
-    n = len(boxes)
+    n = rows.size
     n_clusters = np.zeros(start.size, dtype=np.intp)
     wsum, size = np.zeros(n), np.zeros(n, dtype=np.int64)
     wcoords, csum = np.zeros((n, 4)), np.zeros((n, 4))
@@ -413,7 +403,7 @@ def fuse_detections(boxes: Detections, params: WbfParams) -> FusedDetections:
 
     used = np.flatnonzero(size)
     t = size[used]
-    image = boxes.image_codes[order][used]
+    image = image_codes[used]
     score = wsum[used] / t
     if params.score_mode == "rescale":
         n_models = params.num_models if params.num_models is not None else observed[image]
@@ -423,11 +413,52 @@ def fuse_detections(boxes: Detections, params: WbfParams) -> FusedDetections:
     out = used[rank]
 
     n_models = len(boxes.model_names)
-    members = unique_sorted(slot.astype(np.int64) * n_models + boxes.model_codes[order])
+    members = unique_sorted(slot.astype(np.int64) * n_models + boxes.model_codes[rows])
     per_slot = np.bincount(members // n_models, minlength=n)
     first_member = np.concatenate(([0], np.cumsum(per_slot)[:-1]))
     counts = per_slot[out]
-    return FusedDetections(
-        fused[out], score[rank], boxes.category_ids[order][out], image[rank],
-        boxes.image_names, t[rank], np.concatenate(([0], np.cumsum(counts))),
-        (members % n_models)[ranges(first_member[out], counts)], boxes.model_names)
+    return (fused[out], score[rank], category_ids[out], image[rank], t[rank], counts,
+            (members % n_models)[ranges(first_member[out], counts)])
+
+
+def fuse_detections(boxes: Detections, params: WbfParams) -> FusedDetections:
+    """Fuse a mixed-image detection set image by image (sorted by image id).
+
+    Per image and category: boxes are visited in descending weighted-score
+    order (score times model weight, clamped to [0, 1]; ties by model id,
+    then input order); each box joins the first cluster whose current
+    fused box overlaps it with IoU > iou_threshold, or starts a new
+    cluster.  A cluster's fused box is the weighted-score average of its
+    members' coordinates (the plain average when every weight is zero) and
+    its score is the mean member weighted score; "rescale" then multiplies
+    the score by min(T, N)/N, where T is the cluster size and N is
+    params.num_models or else the number of models seen in the image.
+    Each image's clusters are ordered by descending fused score, ties in
+    (category, creation) order.
+
+    The wavefront runs over blocks of whole images, in image order, of at
+    most BLOCK_BOXES boxes each (an image with more is a block of its
+    own), so its temporaries are block-sized.  Blocking moves no bit: a
+    group's steps, IoU tests and running sums read only its own boxes, in
+    the same member order; the models seen per image come from the whole
+    table; and the output order, by (image, -score, slot), is the blocks'
+    output orders concatenated.
+    """
+    if len(boxes) == 0:
+        return FusedDetections(boxes.coords, boxes.scores, boxes.category_ids, boxes.image_codes,
+                               boxes.image_names, [], [0], [], boxes.model_names)
+    observed = _model_counts(boxes, params)
+    weights = params.model_weights or {}
+    weight = np.array([weights.get(m, 1.0) for m in boxes.model_names], dtype=np.float64)
+    weighted = _clip01(boxes.scores * weight[boxes.model_codes])
+    order = np.lexsort((boxes.model_codes, -weighted, boxes.category_ids, boxes.image_codes))
+    images = run_starts(boxes.image_codes[order])
+    parts = [_fuse_block(boxes, order[images[lo]:images[hi]], weighted, observed, params)
+             for lo, hi in blocks(np.diff(images), BLOCK_BOXES)]
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    for column in columns:
+        # new arrays that nothing else holds: the table keeps them uncopied
+        column.flags.writeable = False
+    coords, scores, category_ids, image_codes, sizes, counts, models = columns
+    return FusedDetections(coords, scores, category_ids, image_codes, boxes.image_names, sizes,
+                           np.concatenate(([0], np.cumsum(counts))), models, boxes.model_names)

@@ -241,19 +241,27 @@ def _expanded_sets(neighbors: np.ndarray, k1: int) -> tuple[np.ndarray, np.ndarr
     return keys // n, keys % n
 
 
-def _encodings(points: np.ndarray, neighbors: np.ndarray,
-               params: RerankParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V after local expansion, in CSR form: (indptr, columns, values)."""
+def _weights(points: np.ndarray, neighbors: np.ndarray,
+             k1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V before local expansion, as per-point counts, columns and values:
+    exp(-d) over R*(p), normalized to sum 1."""
     n = points.shape[0]
-    rows, cols = _expanded_sets(neighbors, params.k1)
+    rows, cols = _expanded_sets(neighbors, k1)
     dist = 1.0 - pair_scores(points, rows, points, cols)
     dist[rows == cols] = 0.0
     weights = np.exp(-dist)
     values = weights / np.bincount(rows, weights=weights, minlength=n)[rows]
-    counts = np.bincount(rows, minlength=n)
+    return np.bincount(rows, minlength=n), cols, values
+
+
+def _encodings(points: np.ndarray, neighbors: np.ndarray,
+               params: RerankParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V after local expansion, in CSR form: (indptr, columns, values)."""
+    n = points.shape[0]
+    counts, cols, values = _weights(points, neighbors, params.k1)
     indptr = np.concatenate([[0], np.cumsum(counts)])
     near = neighbors[:, : params.k2]
-    keys, smoothed = [], []
+    per_point, columns, smoothed = [], [], []
     # gather the V rows of each point's first k2 neighbors, in neighbor
     # order; all of a point's entries fall in its block
     for start, stop in blocks(counts[near].sum(axis=1), BLOCK_ENTRIES):
@@ -273,10 +281,13 @@ def _encodings(points: np.ndarray, neighbors: np.ndarray,
         slot[order] = np.cumsum(first) - 1
         # bincount adds in array order, so each sum runs in neighbor order
         smoothed.append(np.bincount(slot, weights=values[src]) / params.k2)
-        keys.append(block_keys[first])
-    keys = np.concatenate(keys)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-    return indptr, keys % n, np.concatenate(smoothed)
+        block_keys = block_keys[first]
+        per_point.append(np.bincount(block_keys // n - start, minlength=stop - start))
+        columns.append(block_keys % n)
+    # rebinding frees each list once joined: at most one beside its array
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(per_point))])
+    columns = np.concatenate(columns)
+    return indptr, columns, np.concatenate(smoothed)
 
 
 def every_gallery_row(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> Rankings:

@@ -3,10 +3,12 @@
 Everything here is written straight from the operation definitions with
 plain Python loops and no shared code with the package, so agreement is
 meaningful.  Slow on purpose; only run at desk scale.  The exceptions are
-`expanded_sets_ref` and `encodings_ref`: whole-array numpy forms of the
-re-ranking encodings, built over every point at once, that the blocked
-library code must equal bit for bit.  They take their cosines from the
-library's `pair_scores`, which the blocking leaves alone.
+`expanded_sets_ref`, `encodings_ref` and `fuse_detections_ref`: whole-array
+numpy forms of the re-ranking encodings and of box fusion, built over
+every point or box at once, that the blocked library code must equal bit
+for bit.  They take their cosines from the library's `pair_scores`, and
+their box geometry, index helpers and model checks from the library's
+own, which the blocking leaves alone.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 
 import numpy as np
 
+from cbirkit._arrays import ranges, run_starts, unique_sorted, wavefront
+from cbirkit.boxes import FusedDetections, _clip01, _model_counts, areas, overlaps
 from cbirkit.search import pair_scores
 
 
@@ -102,6 +106,75 @@ def wbf_ref(boxes, iou_threshold, weights, num_models, score_mode="rescale"):
     fused.sort(key=lambda f: -f["score"])
     return fused
 
+
+def fuse_detections_ref(boxes, params):
+    """`fuse_detections` with one wavefront over every (image, category)
+    group of the table at once, as first written."""
+    if len(boxes) == 0:
+        return FusedDetections(boxes.coords, boxes.scores, boxes.category_ids, boxes.image_codes,
+                               boxes.image_names, [], [0], [], boxes.model_names)
+    observed = _model_counts(boxes, params)
+    weights = params.model_weights or {}
+    weight = np.array([weights.get(m, 1.0) for m in boxes.model_names], dtype=np.float64)
+    weighted = _clip01(boxes.scores * weight[boxes.model_codes])
+
+    order = np.lexsort((boxes.model_codes, -weighted, boxes.category_ids, boxes.image_codes))
+    coords, w = boxes.coords[order], weighted[order]
+    area = areas(coords)
+    bounds = run_starts(boxes.image_codes[order], boxes.category_ids[order])
+    start = bounds[:-1]
+
+    n = len(boxes)
+    n_clusters = np.zeros(start.size, dtype=np.intp)
+    wsum, size = np.zeros(n), np.zeros(n, dtype=np.int64)
+    wcoords, csum = np.zeros((n, 4)), np.zeros((n, 4))
+    fused, fused_area = np.zeros((n, 4)), np.zeros(n)
+    slot = np.empty(n, dtype=np.intp)
+    for s, group in enumerate(wavefront(np.diff(bounds))):
+        box = start[group] + s
+        k = n_clusters[group]
+        target = start[group] + k
+        candidates = ranges(start[group], k)
+        if candidates.size:
+            owner = np.repeat(np.arange(group.size), k)
+            b = box[owner]
+            hit = np.flatnonzero(overlaps(fused[candidates], fused_area[candidates],
+                                           coords[b], area[b]) > params.iou_threshold)
+            if hit.size:
+                first = hit[np.concatenate(([True], owner[hit[1:]] != owner[hit[:-1]]))]
+                target[owner[first]] = candidates[first]
+        n_clusters[group[target == start[group] + k]] += 1
+        slot[box] = target
+        wsum[target] += w[box]
+        wcoords[target] += w[box, None] * coords[box]
+        csum[target] += coords[box]
+        size[target] += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fused[target] = np.where(wsum[target, None] > 0.0,
+                                     wcoords[target] / wsum[target, None],
+                                     csum[target] / size[target, None])
+        fused_area[target] = areas(fused[target])
+
+    used = np.flatnonzero(size)
+    t = size[used]
+    image = boxes.image_codes[order][used]
+    score = wsum[used] / t
+    if params.score_mode == "rescale":
+        n_models = params.num_models if params.num_models is not None else observed[image]
+        score = score * (np.minimum(t, n_models) / n_models)
+    score = _clip01(score)
+    rank = np.lexsort((-score, image))
+    out = used[rank]
+
+    n_models = len(boxes.model_names)
+    members = unique_sorted(slot.astype(np.int64) * n_models + boxes.model_codes[order])
+    per_slot = np.bincount(members // n_models, minlength=n)
+    first_member = np.concatenate(([0], np.cumsum(per_slot)[:-1]))
+    counts = per_slot[out]
+    return FusedDetections(
+        fused[out], score[rank], boxes.category_ids[order][out], image[rank],
+        boxes.image_names, t[rank], np.concatenate(([0], np.cumsum(counts))),
+        (members % n_models)[ranges(first_member[out], counts)], boxes.model_names)
 
 def spoc_ref(values):
     c, h, w = values.shape

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbirkit import boxes as boxes_module
 from cbirkit.boxes import (
     SCORE_MODES,
     Detections,
@@ -16,8 +18,9 @@ from cbirkit.boxes import (
 )
 from cbirkit.errors import ConfigError, DataError
 from cbirkit.search import Rankings
+from cbirkit.synthetic import SyntheticSpec, synth_detections, synth_layout
 
-from oracles import nms_ref, wbf_ref
+from oracles import fuse_detections_ref, nms_ref, wbf_ref
 from util import (boxes_to_dicts, detections, fused_to_dicts, random_box, random_scored_boxes,
                   rng_for, take)
 
@@ -326,10 +329,13 @@ def expected_fusion(boxes, params):
     return out
 
 
+WEIGHT_TABLES = [None, {"m0": 2.0, "m1": 0.5, "m2": 1.0}, {"m0": 1.5, "m2": 0.75}]
+
+
 class TestFuseDetections:
     @settings(max_examples=200, deadline=None)
     @given(detection_sets(), st.sampled_from([0.0, 0.3, 0.55, 0.9]),
-           st.sampled_from([None, {"m0": 2.0, "m1": 0.5, "m2": 1.0}, {"m0": 1.5, "m2": 0.75}]),
+           st.sampled_from(WEIGHT_TABLES),
            st.sampled_from([None, 1, 2, 3, 5]), st.sampled_from(SCORE_MODES))
     def test_matches_per_image_oracle(self, boxes, threshold, weights, num_models, mode):
         params = WbfParams(iou_threshold=threshold, model_weights=weights,
@@ -426,3 +432,78 @@ class TestFuseDetections:
         with pytest.raises(DataError) as by_fused:
             FusedDetections([[0, 0, 1, 1]], [score], [1], [0], ("a",), [1], [0, 1], [0], ("m",))
         assert str(by_fused.value) == str(by_detections.value) == f"score {score!r} outside [0, 1]"
+
+
+FUSED_COLUMNS = ("coords", "scores", "category_ids", "image_codes", "cluster_sizes",
+                 "model_indptr", "model_codes")
+
+
+def assert_fuses_like_whole_table(boxes, params, budget):
+    """fuse_detections in blocks of `budget` boxes gives the whole-table
+    wavefront's columns bit for bit, or its ConfigError."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boxes_module, "BLOCK_BOXES", budget)
+        try:
+            expected = fuse_detections_ref(boxes, params)
+        except ConfigError as e:
+            with pytest.raises(ConfigError) as got:
+                fuse_detections(boxes, params)
+            assert str(got.value) == str(e)
+            return
+        got = fuse_detections(boxes, params)
+    assert (got.image_names, got.model_names) == (expected.image_names, expected.model_names)
+    for column in FUSED_COLUMNS:
+        a, b = getattr(got, column), getattr(expected, column)
+        assert a.dtype == b.dtype and np.array_equal(a, b), column
+        assert a.tobytes() == b.tobytes(), column
+
+
+def one_large_image(n_boxes):
+    """A table whose middle image holds n_boxes boxes, four to a category,
+    between two images of three boxes."""
+    rng = rng_for(7)
+    images = np.repeat([0, 1, 2], [3, n_boxes, 3])
+    n = images.size
+    corner = rng.uniform(0.0, 20.0, size=(n, 2))
+    side = rng.uniform(5.0, 15.0, size=(n, 2))
+    return Detections(np.hstack([corner, corner + side]), rng.choice([0.2, 0.5, 0.9], n),
+                      np.arange(n) // 4 + 1, images, ("a", "big", "z"),
+                      rng.integers(0, 3, n), ("m0", "m1", "m2"))
+
+
+class TestBlockedFusion:
+    @pytest.mark.parametrize("budget", [1, 3, boxes_module.BLOCK_BOXES])
+    @settings(max_examples=150, deadline=None)
+    @given(detection_sets(), st.sampled_from([0.0, 0.3, 0.55, 0.9]),
+           st.sampled_from(WEIGHT_TABLES), st.one_of(st.none(), st.integers(1, 5)),
+           st.sampled_from(SCORE_MODES))
+    def test_equals_the_whole_table_wavefront_bit_for_bit(self, budget, boxes, threshold,
+                                                          weights, num_models, mode):
+        params = WbfParams(iou_threshold=threshold, model_weights=weights,
+                           num_models=num_models, score_mode=mode)
+        assert_fuses_like_whole_table(boxes, params, budget)
+
+    @pytest.mark.parametrize("budget", [1, 3, boxes_module.BLOCK_BOXES])
+    def test_empty_table_and_an_image_over_the_budget(self, budget):
+        assert_fuses_like_whole_table(detections([]), WbfParams(), budget)
+        boxes = one_large_image(max(budget, 3) + 5)
+        assert_fuses_like_whole_table(boxes, WbfParams(iou_threshold=0.3), budget)
+        assert_fuses_like_whole_table(boxes, WbfParams(num_models=2), budget)
+
+    def test_memory_grows_with_the_block_not_the_table(self):
+        # fusing the whole table at once held about 290 bytes per box
+        spec = SyntheticSpec(seed=3, num_images=4000, num_categories=5, gt_boxes_per_image=6,
+                             detector_count=5, jitter_sigma=8.0, miss_rate=0.2, fp_rate=0.3)
+        objects = synth_layout(spec)
+        boxes = Detections.concat([synth_detections(spec, objects, d) for d in range(5)])
+        assert len(boxes) > 8 * boxes_module.BLOCK_BOXES
+        tracemalloc.start()
+        try:
+            fused = fuse_detections(boxes, WbfParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = sum(getattr(fused, column).nbytes for column in FUSED_COLUMNS)
+        # the sort keys and the model checks over the whole table, plus one
+        # block's working arrays
+        assert peak - out < 64 * len(boxes) + 400 * boxes_module.BLOCK_BOXES

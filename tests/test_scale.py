@@ -9,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_scale_script_runs_both_workloads(tmp_path):
+def test_scale_script_runs_every_workload(tmp_path):
     out = tmp_path / "bench.json"
     # the checkout as its own baseline: both trees must give the same rankings
     subprocess.run([sys.executable, str(ROOT / "scale" / "run.py"), "--scales", "0.05",
@@ -17,13 +17,21 @@ def test_scale_script_runs_both_workloads(tmp_path):
                     "--work", str(tmp_path / "work")], check=True, capture_output=True)
     bench = json.loads(out.read_text())
     assert [(r["workload"], r["scale"]) for r in bench["results"]] == [
-        ("retrieval_chain", 0.05), ("rerank_multishot", 0.05)]
-    layers = {"retrieval_chain": "rerank.dba_s", "rerank_multishot": "rerank.k_reciprocal_s"}
+        ("retrieval_chain", 0.05), ("rerank_multishot", 0.05), ("detection_fusion", 0.05)]
+    layers = {"retrieval_chain": "rerank.dba_s", "rerank_multishot": "rerank.k_reciprocal_s",
+              "detection_fusion": "boxes.fuse_s"}
     for result in bench["results"]:
         assert result["sizes"]["queries"] > 0 and "pinned" not in result
         baseline, checkout = result["summary"]["baseline"], result["summary"]["checkout"]
         assert len(checkout["rankings_sha256"]) == 64
         assert checkout["rankings_sha256"] == baseline["rankings_sha256"]
+        assert checkout["fused_sha256"] == baseline["fused_sha256"]
+        # only detection_fusion keeps its detection half, scaled
+        fuses = result["workload"] == "detection_fusion"
+        assert (checkout["fused_sha256"] is not None) == fuses
+        assert (checkout["ap"] is not None) == fuses
+        if fuses:
+            assert result["sizes"]["num_images"] == result["sizes"]["images"] == 100
         # each tree wrote the inputs once, byte for byte the same
         assert {tree: len(s) for tree, s in result["setup_s"].items()} == {
             "baseline": 1, "checkout": 1}
