@@ -9,8 +9,8 @@ and fixes a share of those misses.
 
 import numpy as np
 
-from cbirkit import (QeParams, RerankParams, acc_at_k, build_index, every_gallery_row,
-                     k_reciprocal_rerank, knn_search, query_expansion)
+from cbirkit import (QeParams, RerankParams, acc_at_k, build_index, k_reciprocal_rerank,
+                     knn_search, query_expansion)
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 
 rng = np.random.default_rng(7)
@@ -51,7 +51,7 @@ print("Acc@10 after query expansion:  ",
       round(acc_at_k(qe_rankings, gt, [10]).acc[10], 4))
 
 # re-rank every gallery row straight to the first ten
-reranked = k_reciprocal_rerank(queries, gallery, every_gallery_row(queries, gallery),
-                               RerankParams(k1=20, k2=6, lam=0.3), k=10)
+reranked = k_reciprocal_rerank(queries, gallery, None, RerankParams(k1=20, k2=6, lam=0.3),
+                               k=10)
 print("Acc@10 after k-reciprocal rerank:",
       round(acc_at_k(reranked, gt, [10]).acc[10], 4))

@@ -38,7 +38,6 @@ from .rerank import (
     QeParams,
     RerankParams,
     database_augmentation,
-    every_gallery_row,
     k_reciprocal_rerank,
     query_expansion,
 )
@@ -54,7 +53,7 @@ __all__ = [
     "l2_normalize", "concat_features", "pca_fit", "pca_transform",
     "RetrievalIndex", "RankingList", "Rankings", "build_index", "knn_search",
     "QeParams", "RerankParams", "query_expansion", "database_augmentation",
-    "every_gallery_row", "k_reciprocal_rerank",
+    "k_reciprocal_rerank",
     "DetectionReport", "RetrievalReport", "detection_ap", "acc_at_k",
     "PipelineConfig", "run_pipeline",
     "SyntheticSpec", "generate_synthetic",

@@ -19,8 +19,9 @@ the gallery size) run before the detection half.  The outputs, and the
 output directory, are written only once every stage has passed, so a
 failed run writes nothing.  The feature steps {pca, qe, dba}
 run before search; rerank, when configured, must be the last step: it
-re-ranks every gallery row for each query by the blended distance
-straight to the top search.k, which replace the search output.
+re-ranks every gallery row for each query (`k_reciprocal_rerank` with no
+initial rankings) by the blended distance straight to the top search.k,
+which replace the search output.
 Re-ranking keeps O(queries x search.k) output and temporaries of
 O(RERANK_BLOCK x gallery rows), never a queries x gallery array.
 """
@@ -41,8 +42,8 @@ from .boxes import Detections, WbfParams, fuse_detections
 from .embeddings import EmbeddingMatrix, concat_features, l2_normalize, pca_fit, pca_transform
 from .errors import ConfigError, StageError
 from .evaluation import DetectionReport, RetrievalReport, acc_at_k, detection_ap
-from .rerank import (QeParams, RerankParams, database_augmentation, every_gallery_row,
-                     k_reciprocal_rerank, query_expansion)
+from .rerank import (QeParams, RerankParams, database_augmentation, k_reciprocal_rerank,
+                     query_expansion)
 from .search import build_index, knn_search
 
 logger = logging.getLogger("cbirkit.pipeline")
@@ -367,8 +368,7 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
     if rerank is not None:
         with _stage("rerank"):
             # the first search_k of every gallery row in (d*, item_id) order
-            rankings = k_reciprocal_rerank(queries, gallery, every_gallery_row(queries, gallery),
-                                           rerank, k=config.search_k)
+            rankings = k_reciprocal_rerank(queries, gallery, None, rerank, k=config.search_k)
         logger.info("rerank: %s", rerank)
 
     with _stage("eval-ret"):

@@ -66,24 +66,27 @@ n is, the kernel's temporaries are O(QUERY_BLOCK x n) and the
 re-ranking's O(RERANK_BLOCK x n_g).  Re-ranked to the top K, the output
 is O(n_q x K).
 
-The initial rankings are `search.Rankings`; each is matched to its query
-row by query_id, and the output re-orders the candidates present in it,
-ascending by d* with ties broken by ascending item_id, as Rankings over
-the gallery's item_ids, cut to the first K when K is given.  Reported
+The candidate sets are `search.Rankings`, each matched to its query row
+by query_id, or None for every gallery row of every query, in query row
+order.  The output re-orders each set ascending by d*, ties broken by
+ascending item_id, as Rankings over the gallery's item_ids, cut to the
+first K when K is given and padded with code 0 and score 0.  Reported
 ranking scores are 1 - d*, so at lambda = 1 they reduce to the original
 cosine scores.  Because the order depends on (d*, item_id) alone, the
-candidates may arrive in any order: `every_gallery_row` offers the whole
-gallery as broadcast views, and re-ranking it to K gives the whole-gallery
-top K, bit for bit the first K of the whole re-ranking.
+candidates may arrive in any order, and re-ranking the whole gallery to
+K gives the whole-gallery top K, bit for bit the first K of the whole
+re-ranking.
 
-The rankings' id table is mapped to gallery rows once.  Queries are then
-re-ranked RERANK_BLOCK at a time: one bincount gathers the block's
-min-sums into a RERANK_BLOCK x n_g array (each query's terms in its own
-order, so every sum has the bits of a single query's).  With K below the
-rankings' width, one float32 GEMM against the gallery bounds every
-candidate's d* and only the candidates that can reach the first K go on (see
-`k_reciprocal_rerank`).  One `pair_scores` call gives their cosines, and
-one 2-D lexsort orders the block's rows.
+Every kind of candidate set takes one path, RERANK_BLOCK queries at a
+time.  One bincount gathers the block's min-sums into a RERANK_BLOCK x n_g
+array (each query's terms in its own order, so every sum has the bits of
+a single query's), and one float32 GEMM against the gallery gives an
+estimate of every d*.  Explicit rankings mark their entries in a
+RERANK_BLOCK x n_g mask, outside which the estimate is infinite.  Only the
+candidates whose estimate can reach the first K survive (see
+`k_reciprocal_rerank`), taken flat; one `pair_scores` call gives their
+exact cosines, and one flat lexsort by (block row, d*, item_id rank)
+orders them all.
 """
 
 from __future__ import annotations
@@ -290,16 +293,6 @@ def _encodings(points: np.ndarray, neighbors: np.ndarray,
     return indptr, columns, np.concatenate(smoothed)
 
 
-def every_gallery_row(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> Rankings:
-    """Each query's candidate set as every gallery row, in row order and
-    unscored (score 0), for `k_reciprocal_rerank` to order.  The codes and
-    scores are broadcast views: no n_q x n_g array is built."""
-    shape = (queries.n_rows, gallery.n_rows)
-    return Rankings(queries.item_ids, gallery.item_ids,
-                    np.broadcast_to(np.arange(shape[1]), shape), np.broadcast_to(0.0, shape),
-                    np.full(shape[0], shape[1]))
-
-
 def _query_rows(queries: EmbeddingMatrix, initial: Rankings, k1: int) -> np.ndarray:
     """The query row of each ranking; each ranking names a distinct known
     query and holds at least k1 entries."""
@@ -320,64 +313,52 @@ def _query_rows(queries: EmbeddingMatrix, initial: Rankings, k1: int) -> np.ndar
 
 
 def _gallery_rows(gallery: EmbeddingMatrix, initial: Rankings) -> np.ndarray:
-    """The gallery row of each entry of the rankings' id table.  The first
-    id in ranking order that the gallery lacks is named; one that no entry
-    refers to maps to row 0, which only padding reads."""
+    """The gallery row of each entry of the rankings' id table, -1 for an
+    id that the gallery lacks.  The first such id in ranking order is named;
+    one that no entry refers to is never read."""
     rows, _ = encode(initial.item_table.tolist(), gallery.item_ids.tolist())
     if (rows < 0).any():
         entries = initial.codes[np.arange(initial.codes.shape[1]) < initial.lengths[:, None]]
         unknown = entries[rows[entries] < 0]
         if unknown.size:
             raise DataError(f"unknown item_id {str(initial.item_table[unknown[0]])!r}")
-    return np.maximum(rows, 0)
-
-
-def _survivors(approx: np.ndarray, k: int, slack: float) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of each row whose estimate lies within 2 * slack of the
-    row's k-th smallest, in column order and padded with column 0, and the
-    mask of that padding."""
-    bound = np.partition(approx, k - 1, axis=1)[:, k - 1]
-    rows, cols = np.nonzero(approx <= (bound + 2 * slack)[:, None])
-    counts = np.bincount(rows, minlength=approx.shape[0])
-    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    picked = np.zeros((approx.shape[0], counts.max()), dtype=np.int64)
-    picked[rows, slots] = cols
-    return picked, np.arange(picked.shape[1]) >= counts[:, None]
+    return rows
 
 
 def k_reciprocal_rerank(
     queries: EmbeddingMatrix,
     gallery: EmbeddingMatrix,
-    initial: Rankings,
+    initial: Rankings | None,
     params: RerankParams,
     k: int | None = None,
 ) -> Rankings:
-    """Re-rank each query's initial candidates by the blended distance d*.
+    """Re-rank each query's candidates by the blended distance d*.
 
-    Each ranking is matched to its query row by query_id; rankings may
-    cover any subset of the queries, in any order, and the output follows
-    their order.  Every query row still shapes the neighborhoods.  Each
-    ranking must hold at least k1 entries; the output re-orders its
-    candidate set, as Rankings over the gallery's item_ids, cut to each
-    row's first k entries (k=None keeps every candidate).  For the whole
-    gallery, pass `every_gallery_row(queries, gallery)`.  The top-K kernel
-    and the candidate filter run on the BLAS threads that the environment
-    sets; results do not depend on their count.
+    initial=None takes every gallery row as each query's candidates, in
+    query row order.  Otherwise each ranking is matched to its query row
+    by query_id; rankings may cover any subset of the queries, in any
+    order, and the output follows their order.  Every query row still
+    shapes the neighborhoods.  Each ranking must hold at least k1 entries.
+    The output re-orders each candidate set, as Rankings over the gallery's
+    item_ids, cut to each row's first k entries (k=None keeps every
+    candidate).  The top-K kernel and the candidate filter run on the BLAS
+    threads that the environment sets; results do not depend on their count.
 
-    With k below the rankings' width, a block's candidates are filtered
-    first.  The estimate d~ = (1 - lam) J + lam (1 - c~) takes the exact
-    Jaccard term J and the clipped float32 GEMM cosine c~ in place of the
-    exact cosine c.  A float32 GEMM cosine and its float64 recomputed twin
-    differ by at most d = (dim + 4) 2^-24 (`search.gemm_error`, derived in
-    the slack paragraph of `search._block_topk`), and clipping both only
-    brings them closer; allow 4d.  The blend runs in float64: its
-    subtraction, product and sum each round a value of at most 2, so by at
-    most eps, in d~ and d* alike.  Hence
-    |d~ - d*| <= eps_d = 4 lam d + 8 eps.  With
-    T the k-th smallest d*, the k-th smallest d~ is at least T - eps_d, and
-    every candidate with d* <= T has d~ <= T + eps_d: keeping each d~ within
-    2 eps_d of the k-th smallest keeps every candidate of the first k and
-    every tie at T.  Only the survivors get exact cosines and the sort.
+    A block's candidates are filtered first.  The estimate
+    d~ = (1 - lam) J + lam (1 - c~) takes the exact Jaccard term J and the
+    clipped float32 GEMM cosine c~ in place of the exact cosine c.  A
+    float32 GEMM cosine and its float64 recomputed twin differ by at most
+    d = (dim + 4) 2^-24 (`search.gemm_error`, derived in the slack paragraph
+    of `search._block_topk`), and clipping both only brings them closer;
+    allow 4d.  The blend runs in float64: its subtraction, product and sum
+    each round a value of at most 2, so by at most eps, in d~ and d* alike.
+    Hence |d~ - d*| <= eps_d = 4 lam d + 8 eps.  With T the k-th smallest
+    d*, the k-th smallest d~ is at least T - eps_d, and every candidate with
+    d* <= T has d~ <= T + eps_d: keeping each d~ within 2 eps_d of the k-th
+    smallest keeps every candidate of the first k and every tie at T.  A
+    row with fewer than k candidates has an infinite k-th smallest d~, so
+    all of its candidates survive; k=None is k = the rankings' width.  Only
+    the survivors get exact cosines and the sort.
     """
     if k is not None and k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -387,10 +368,15 @@ def k_reciprocal_rerank(
         raise DataError(f"query dim {queries.dim} != gallery dim {gallery.dim}")
     queries.check_unit_rows()
     gallery.check_unit_rows()
-    query_rows = _query_rows(queries, initial, params.k1)
-    cand_rows = _gallery_rows(gallery, initial)
-
     n_q, n_g = queries.n_rows, gallery.n_rows
+    if initial is None:
+        query_ids = np.asarray(queries.item_ids, dtype=object)
+        query_rows, sizes, width = np.arange(n_q), np.full(n_q, n_g), n_g
+    else:
+        query_ids, sizes, width = initial.query_ids, initial.lengths, initial.codes.shape[1]
+        query_rows = _query_rows(queries, initial, params.k1)
+        cand_rows = _gallery_rows(gallery, initial)
+
     points = np.vstack([queries.data, gallery.data])
     n = points.shape[0]
     neighbors = _neighbor_lists(points, params.k1)
@@ -403,14 +389,16 @@ def k_reciprocal_rerank(
     inv_rows, inv_values = g_rows[by_col], values[first:][by_col]
     col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols[first:], minlength=n))])
 
-    width = initial.codes.shape[1]
     keep = width if k is None else min(k, width)
+    # the column of a row's keep-th smallest estimate; padding columns may
+    # make a ranking wider than the gallery
+    kth = min(keep, n_g) - 1
     slack = params.lam * 4 * gemm_error(gallery.dim) + 8 * np.finfo(np.float64).eps
     # the candidate filter's GEMM operand, cast once
-    gallery32 = gallery.data.astype(np.float32) if keep < width else None
-    out_rows = np.empty((len(initial), keep), dtype=np.int64)
-    out_scores = np.empty((len(initial), keep))
-    for start in range(0, len(initial), RERANK_BLOCK):
+    gallery32 = gallery.data.astype(np.float32)
+    out_rows = np.zeros((len(query_rows), keep), dtype=np.int64)
+    out_scores = np.zeros((len(query_rows), keep))
+    for start in range(0, len(query_rows), RERANK_BLOCK):
         block = slice(start, start + RERANK_BLOCK)
         q = query_rows[block]
         # the block's V entries, query by query, and the gallery entries of
@@ -424,27 +412,29 @@ def k_reciprocal_rerank(
         mins = np.minimum(np.repeat(values[q_entries], lengths), inv_values[src])
         minsum = np.bincount(owner * n_g + inv_rows[src], weights=mins,
                              minlength=q.shape[0] * n_g).reshape(q.shape[0], n_g)
+        jaccard = 1.0 - minsum / (2.0 - minsum)
 
-        cand = cand_rows[initial.codes[block]]
-        overlap = np.take_along_axis(minsum, cand, axis=1)
-        jaccard = 1.0 - overlap / (2.0 - overlap)
-        # padding past a ranking's length sorts last
-        pad = np.arange(width) >= initial.lengths[block, None]
-        if keep < width:
-            sims = np.clip(points[q].astype(np.float32) @ gallery32.T, -1.0, 1.0)
-            cosines = np.take_along_axis(sims, cand, axis=1).astype(np.float64)
-            approx = (1.0 - params.lam) * jaccard + params.lam * (1.0 - cosines)
-            approx[pad] = np.inf
-            picked, fill = _survivors(approx, keep, slack)
-            cand = np.take_along_axis(cand, picked, axis=1)
-            jaccard = np.take_along_axis(jaccard, picked, axis=1)
-            pad = np.take_along_axis(pad, picked, axis=1) | fill
-        dist = 1.0 - pair_scores(points, np.repeat(q, cand.shape[1]), points,
-                                 n_q + cand.ravel()).reshape(cand.shape)
-        final = (1.0 - params.lam) * jaccard + params.lam * dist
-        final[pad] = np.inf
-        order = np.lexsort((gallery.id_rank[cand], final), axis=1)[:, :keep]
-        out_rows[block] = np.take_along_axis(cand, order, axis=1)
-        out_scores[block] = 1.0 - np.take_along_axis(final, order, axis=1)
-    return Rankings(initial.query_ids, gallery.item_ids, out_rows, out_scores,
-                    np.minimum(initial.lengths, keep))
+        sims = np.clip(points[q].astype(np.float32) @ gallery32.T, -1.0, 1.0)
+        approx = (1.0 - params.lam) * jaccard + params.lam * (1.0 - sims.astype(np.float64))
+        if initial is not None:
+            # each ranking's entries before its length
+            valid = np.arange(width) < sizes[block, None]
+            mask = np.zeros(approx.shape, dtype=bool)
+            mask[np.nonzero(valid)[0], cand_rows[initial.codes[block][valid]]] = True
+            approx[~mask] = np.inf
+        bound = np.partition(approx, kth, axis=1)[:, kth]
+        near = approx <= (bound + 2 * slack)[:, None]
+        if initial is not None:
+            near &= mask
+        rows, cand = np.nonzero(near)
+
+        dist = 1.0 - pair_scores(points, q[rows], points, n_q + cand)
+        final = (1.0 - params.lam) * jaccard[rows, cand] + params.lam * dist
+        order = np.lexsort((gallery.id_rank[cand], final, rows))
+        rows, cand, final = rows[order], cand[order], final[order]
+        counts = np.bincount(rows, minlength=q.shape[0])
+        slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        top = slots < keep
+        out_rows[start + rows[top], slots[top]] = cand[top]
+        out_scores[start + rows[top], slots[top]] = 1.0 - final[top]
+    return Rankings(query_ids, gallery.item_ids, out_rows, out_scores, np.minimum(sizes, keep))

@@ -116,7 +116,9 @@ class Rankings(Sequence):
     file has its own table of the distinct ids it names, sorted.  Rows are
     taken as ranked: the producers (the top-K kernel, the re-ranker and
     `from_entries`, which the file loader calls) order them and keep their
-    ids distinct.
+    ids distinct.  The constructor checks what a reader or `save_rankings`
+    needs: integer codes within the table, and finite scores within each
+    row's length; padding is never read and goes unchecked.
 
     `==` compares the rows as RankingList does, on query ids and item ids
     alone, not on scores.
@@ -138,8 +140,14 @@ class Rankings(Sequence):
                             "and n lengths")
         if n and (self.lengths.min() < 0 or self.lengths.max() > self.codes.shape[1]):
             raise DataError("ranking lengths must lie in [0, width]")
+        if self.codes.dtype.kind not in "iu":
+            raise DataError(f"ranking codes must be integers, not {self.codes.dtype}")
         if self.codes.size and (self.codes.min() < 0 or self.codes.max() >= m):
             raise DataError(f"ranking codes must lie in [0, {m})")
+        bad = ~np.isfinite(self.scores) & (np.arange(self.codes.shape[1]) < self.lengths[:, None])
+        if bad.any():
+            query_id = self.query_ids[np.flatnonzero(bad.any(axis=1))[0]]
+            raise DataError(f"ranking for {query_id!r}: a score is not finite")
         for name in ("query_ids", "item_table", "codes", "scores", "lengths"):
             # a read-only view: the caller's array keeps its own flags
             view = getattr(self, name).view()

@@ -22,7 +22,7 @@ from cbirkit.boxes import Detections, WbfParams
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord, concat_features
 from cbirkit.evaluation import acc_at_k, detection_ap
 from cbirkit.pipeline import fuse_detections
-from cbirkit.rerank import RerankParams, every_gallery_row, k_reciprocal_rerank
+from cbirkit.rerank import RerankParams, k_reciprocal_rerank
 from cbirkit.search import build_index, knn_search
 from cbirkit.synthetic import (
     SyntheticSpec,
@@ -117,7 +117,6 @@ def rerank_gain_trial(seed: int, params: RerankParams | None = None) -> tuple[fl
     queries, gallery, gt = clustered_retrieval(seed)
     params = params or RerankParams(k1=20, k2=6, lam=0.3)
     before = acc_at_k(knn_search(build_index(gallery), queries, 10), gt, [10]).acc[10]
-    reranked = k_reciprocal_rerank(queries, gallery, every_gallery_row(queries, gallery), params,
-                                   k=10)
+    reranked = k_reciprocal_rerank(queries, gallery, None, params, k=10)
     after = acc_at_k(reranked, gt, [10]).acc[10]
     return before, after

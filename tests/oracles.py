@@ -8,7 +8,10 @@ numpy forms of the re-ranking encodings and of box fusion, built over
 every point or box at once, that the blocked library code must equal bit
 for bit.  They take their cosines from the library's `pair_scores`, and
 their box geometry, index helpers and model checks from the library's
-own, which the blocking leaves alone.
+own, which the blocking leaves alone.  `rerank_loop_ref` is the earlier
+re-ranking loop, with a fork for uncut candidate sets and padded survivor
+matrices, that the one survivor path must equal bit for bit; it takes the
+encodings from the library.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 
 from cbirkit._arrays import ranges, run_starts, unique_sorted, wavefront
 from cbirkit.boxes import FusedDetections, _clip01, _model_counts, areas, overlaps
-from cbirkit.search import pair_scores
+from cbirkit.rerank import _encodings, _neighbor_lists
+from cbirkit.search import Rankings, gemm_error, pair_scores
 
 
 def iou_ref(a, b) -> float:
@@ -352,6 +356,87 @@ def encodings_ref(points, neighbors, k1, k2):
     smoothed = np.bincount(slot, weights=values[src]) / k2
     indptr = np.concatenate([[0], np.cumsum(np.bincount(unique // n, minlength=n))])
     return indptr, unique % n, smoothed
+
+
+def _survivors_ref(approx, k, slack):
+    """The columns of each row whose estimate lies within 2 * slack of the
+    row's k-th smallest, in column order and padded with column 0, and the
+    mask of that padding."""
+    bound = np.partition(approx, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(approx <= (bound + 2 * slack)[:, None])
+    counts = np.bincount(rows, minlength=approx.shape[0])
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    picked = np.zeros((approx.shape[0], counts.max()), dtype=np.int64)
+    picked[rows, slots] = cols
+    return picked, np.arange(picked.shape[1]) >= counts[:, None]
+
+
+def rerank_loop_ref(queries, gallery, initial, params, k=None, block_rows=32):
+    """`rerank.k_reciprocal_rerank` as a loop over blocks of rankings that
+    gathers min-sums, cosines and candidate rows per ranking entry, filters
+    only when k is below the rankings' width, and pads with score -inf.
+    initial=None re-ranks every gallery row, given as broadcast rankings."""
+    n_q, n_g = queries.n_rows, gallery.n_rows
+    if initial is None:
+        shape = (n_q, n_g)
+        initial = Rankings(queries.item_ids, gallery.item_ids,
+                           np.broadcast_to(np.arange(n_g), shape), np.broadcast_to(0.0, shape),
+                           np.full(n_q, n_g))
+    row_of = {item: row for row, item in enumerate(queries.item_ids.tolist())}
+    query_rows = np.array([row_of[i] for i in initial.query_ids.tolist()], dtype=np.int64)
+    g_row_of = {item: row for row, item in enumerate(gallery.item_ids.tolist())}
+    cand_rows = np.array([g_row_of.get(i, 0) for i in initial.item_table.tolist()],
+                         dtype=np.int64)
+
+    points = np.vstack([queries.data, gallery.data])
+    n = points.shape[0]
+    indptr, cols, values = _encodings(points, _neighbor_lists(points, params.k1), params)
+    first = indptr[n_q]
+    g_rows = np.repeat(np.arange(n_g), np.diff(indptr[n_q:]))
+    by_col = np.argsort(cols[first:], kind="stable")
+    inv_rows, inv_values = g_rows[by_col], values[first:][by_col]
+    col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols[first:], minlength=n))])
+
+    width = initial.codes.shape[1]
+    keep = width if k is None else min(k, width)
+    slack = params.lam * 4 * gemm_error(gallery.dim) + 8 * np.finfo(np.float64).eps
+    gallery32 = gallery.data.astype(np.float32)
+    out_rows = np.empty((len(initial), keep), dtype=np.int64)
+    out_scores = np.empty((len(initial), keep))
+    for start in range(0, len(initial), block_rows):
+        block = slice(start, start + block_rows)
+        q = query_rows[block]
+        q_entries = ranges(indptr[q], indptr[q + 1] - indptr[q])
+        q_cols = cols[q_entries]
+        lengths = col_ptr[q_cols + 1] - col_ptr[q_cols]
+        src = ranges(col_ptr[q_cols], lengths)
+        owner = np.repeat(np.repeat(np.arange(q.shape[0]), indptr[q + 1] - indptr[q]), lengths)
+        mins = np.minimum(np.repeat(values[q_entries], lengths), inv_values[src])
+        minsum = np.bincount(owner * n_g + inv_rows[src], weights=mins,
+                             minlength=q.shape[0] * n_g).reshape(q.shape[0], n_g)
+
+        cand = cand_rows[initial.codes[block]]
+        overlap = np.take_along_axis(minsum, cand, axis=1)
+        jaccard = 1.0 - overlap / (2.0 - overlap)
+        pad = np.arange(width) >= initial.lengths[block, None]
+        if keep < width:
+            sims = np.clip(points[q].astype(np.float32) @ gallery32.T, -1.0, 1.0)
+            cosines = np.take_along_axis(sims, cand, axis=1).astype(np.float64)
+            approx = (1.0 - params.lam) * jaccard + params.lam * (1.0 - cosines)
+            approx[pad] = np.inf
+            picked, fill = _survivors_ref(approx, keep, slack)
+            cand = np.take_along_axis(cand, picked, axis=1)
+            jaccard = np.take_along_axis(jaccard, picked, axis=1)
+            pad = np.take_along_axis(pad, picked, axis=1) | fill
+        dist = 1.0 - pair_scores(points, np.repeat(q, cand.shape[1]), points,
+                                 n_q + cand.ravel()).reshape(cand.shape)
+        final = (1.0 - params.lam) * jaccard + params.lam * dist
+        final[pad] = np.inf
+        order = np.lexsort((gallery.id_rank[cand], final), axis=1)[:, :keep]
+        out_rows[block] = np.take_along_axis(cand, order, axis=1)
+        out_scores[block] = 1.0 - np.take_along_axis(final, order, axis=1)
+    return Rankings(initial.query_ids, gallery.item_ids, out_rows, out_scores,
+                    np.minimum(initial.lengths, keep))
 
 
 def ap_101_ref(matches, n_gt):

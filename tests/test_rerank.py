@@ -17,13 +17,12 @@ from cbirkit.rerank import (
     _neighbor_lists,
     _reciprocal,
     database_augmentation,
-    every_gallery_row,
     k_reciprocal_rerank,
     query_expansion,
 )
 from cbirkit.search import Rankings, build_index, knn_search
 
-from oracles import encodings_ref, expand_ref, expanded_sets_ref, rerank_ref
+from oracles import encodings_ref, expand_ref, expanded_sets_ref, rerank_loop_ref, rerank_ref
 from util import gallery_ids, pick, query_ids, rng_for, unit_rows
 
 
@@ -171,7 +170,7 @@ class TestKReciprocalRerank:
         q = qmat(unit_rows(rng, 2, 4))
         g = gmat(unit_rows(rng, 5, 4))
         with pytest.raises(ConfigError, match="k must be >= 1"):
-            k_reciprocal_rerank(q, g, every_gallery_row(q, g), RerankParams(k1=2, k2=1), k=0)
+            k_reciprocal_rerank(q, g, None, RerankParams(k1=2, k2=1), k=0)
 
     def test_short_initial_rankings_rejected(self):
         rng = rng_for(57)
@@ -328,7 +327,7 @@ class TestKReciprocalRerank:
         g = gmat(unit_rows(rng, 2000, 8))
         tracemalloc.start()
         try:
-            k_reciprocal_rerank(q, g, every_gallery_row(q, g), RerankParams(k1=4, k2=2), k=10)
+            k_reciprocal_rerank(q, g, None, RerankParams(k1=4, k2=2), k=10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -451,9 +450,9 @@ class TestFloat32Filter:
         params = RerankParams(k1=4, k2=2, lam=0.3)
 
         def cut_differs(q, g):
-            whole = k_reciprocal_rerank(q, g, every_gallery_row(q, g), params)
+            whole = k_reciprocal_rerank(q, g, None, params)
             for k in range(1, 25, 3):
-                top = k_reciprocal_rerank(q, g, every_gallery_row(q, g), params, k=k)
+                top = k_reciprocal_rerank(q, g, None, params, k=k)
                 yield not (np.array_equal(top.codes, whole.codes[:, :k])
                            and np.array_equal(top.scores, whole.scores[:, :k]))
 
@@ -551,7 +550,7 @@ class TestWholeGalleryRerank:
     @given(whole_gallery_cases())
     def test_cut_matches_oracle_over_full_gallery(self, case):
         q, g, params, k = case
-        got = k_reciprocal_rerank(q, g, every_gallery_row(q, g), params).head(k)
+        got = k_reciprocal_rerank(q, g, None, params).head(k)
         # re-ranking a full search gives the same rows, bit for bit
         searched = k_reciprocal_rerank(q, g, knn_search(build_index(g), q, g.n_rows),
                                        params).head(k)
@@ -572,8 +571,8 @@ class TestWholeGalleryRerank:
             rows[dst] = rows[src] + steps * np.spacing(rows[src])
         tops = []
         for gallery in (g, gmat(rows)):
-            cut = k_reciprocal_rerank(q, gallery, every_gallery_row(q, gallery), params).head(k)
-            got = k_reciprocal_rerank(q, gallery, every_gallery_row(q, gallery), params, k=k)
+            cut = k_reciprocal_rerank(q, gallery, None, params).head(k)
+            got = k_reciprocal_rerank(q, gallery, None, params, k=k)
             assert got == cut
             assert np.array_equal(got.lengths, cut.lengths)
             assert all(np.array_equal(a.scores.view(np.int64), b.scores.view(np.int64))
@@ -594,8 +593,8 @@ class TestWholeGalleryRerank:
         ragged = Rankings(found.query_ids[rows], found.item_table, found.codes[rows],
                           found.scores[rows], np.minimum(found.lengths[rows], 6 + rows % 7))
         params = RerankParams(k1=6, k2=3, lam=0.3)
-        runs = (("whole", every_gallery_row(q, g), None), ("ragged", ragged, None),
-                ("whole-top", every_gallery_row(q, g), 5), ("ragged-top", ragged, 9))
+        runs = (("whole", None, None), ("ragged", ragged, None),
+                ("whole-top", None, 5), ("ragged-top", ragged, 9))
 
         def outputs(block) -> list[bytes]:
             monkeypatch.setattr(rerank, "RERANK_BLOCK", block)
@@ -614,3 +613,77 @@ class TestWholeGalleryRerank:
         assert cut.read_bytes() == base[3]
         for block in (1, 7):
             assert outputs(block) == base
+
+
+@st.composite
+def loop_cases(draw):
+    """Unit rows with exact copies and nudged copies among them, with the
+    whole gallery or ragged rankings for a subset of the queries, in any
+    order and each row's entries shuffled, and a cut K that may be None or
+    exceed the gallery.  A copy moves a few ulps, which the float64 cosines
+    may order either way, or about 1e-7 a coordinate, near a float32
+    GEMM's rounding."""
+    dim = draw(st.integers(3, 6))
+    n_q, n_g = draw(st.integers(1, 6)), draw(st.integers(2, 16))
+    n = n_q + n_g
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    data = unit_rows(rng, n, dim)
+    rows = st.integers(0, n - 1)
+    copies = st.tuples(rows, rows, st.integers(-4, 4), st.sampled_from([0.0, 1e-7]))
+    for dst, src, steps, unit in draw(st.lists(copies, max_size=n)):
+        if unit:
+            nudged = data[src] + steps * unit * rng.normal(size=dim)
+            data[dst] = nudged / np.linalg.norm(nudged)
+        else:
+            data[dst] = data[src] + steps * np.spacing(data[src])
+    k1 = draw(st.integers(1, n_g))
+    params = RerankParams(k1=k1, k2=draw(st.sampled_from([1, k1])),
+                          lam=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    q, g = qmat(data[:n_q]), gmat(data[n_q:])
+    k = draw(st.one_of(st.none(), st.integers(1, n_g + 2)))
+    if draw(st.booleans()):
+        return q, g, None, params, k
+    found = _initial_rankings(q, g)
+    picked = draw(st.permutations(range(n_q)))[: draw(st.integers(0, n_q))]
+    lengths = np.array([draw(st.integers(k1, n_g)) for _ in picked], dtype=np.int64)
+    # padding columns may make the rankings wider than the gallery
+    pad = ((0, 0), (0, draw(st.integers(0, 2))))
+    codes = np.pad(found.codes[picked], pad)
+    for row, length in enumerate(lengths.tolist()):
+        codes[row, :length] = draw(st.permutations(codes[row, :length].tolist()))
+    ragged = Rankings(found.query_ids[picked], found.item_table, codes,
+                      np.pad(found.scores[picked], pad), lengths)
+    return q, g, ragged, params, k
+
+
+def _assert_same_bits(got, ref):
+    """Equal query ids, lengths, valid codes and score bits, and zero padding."""
+    assert np.array_equal(got.query_ids, ref.query_ids)
+    assert np.array_equal(got.lengths, ref.lengths)
+    assert got.codes.shape == ref.codes.shape
+    valid = np.arange(got.codes.shape[1]) < got.lengths[:, None]
+    assert np.array_equal(got.codes[valid], ref.codes[valid])
+    assert np.array_equal(got.scores[valid].view(np.int64), ref.scores[valid].view(np.int64))
+    assert not got.codes[~valid].any() and not got.scores[~valid].view(np.int64).any()
+
+
+class TestOneSurvivorPath:
+    @pytest.mark.parametrize("block", [1, 7, rerank.RERANK_BLOCK])
+    @settings(max_examples=150, deadline=None)
+    @given(loop_cases())
+    def test_equals_the_forked_loop_bit_for_bit(self, block, case):
+        q, g, initial, params, k = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rerank, "RERANK_BLOCK", block)
+            got = k_reciprocal_rerank(q, g, initial, params, k=k)
+        _assert_same_bits(got, rerank_loop_ref(q, g, initial, params, k=k))
+
+    @pytest.mark.parametrize("depth, k", [(None, 10), (50, None), (50, 7)])
+    def test_equals_the_forked_loop_on_multishot_points(self, depth, k):
+        # at k = 10 the filter keeps 10 of the 480 gallery rows per query
+        points = multishot_points(71, items=30)
+        q, g = qmat(points[::5]), gmat(np.delete(points, np.s_[::5], axis=0))
+        params = RerankParams(k1=20, k2=6, lam=0.3)
+        initial = None if depth is None else _initial_rankings(q, g, k=depth)
+        _assert_same_bits(k_reciprocal_rerank(q, g, initial, params, k=k),
+                          rerank_loop_ref(q, g, initial, params, k=k))

@@ -182,6 +182,25 @@ class TestRankings:
         with pytest.raises(DataError, match="codes"):
             Rankings(["q"], np.array(["a"]), rows + 1, np.zeros((1, 2)), [2])
 
+    @pytest.mark.parametrize("codes", [np.array([[1.0, 0.0]]), np.array([[True, False]])],
+                             ids=["float", "bool"])
+    def test_rejects_codes_that_are_not_integers(self, codes):
+        # a float code once built and then raised IndexError on rankings[0]
+        with pytest.raises(DataError, match="ranking codes must be integers"):
+            Rankings(["q"], np.array(["a", "b"]), codes, np.array([[0.5, 0.25]]), [2])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_scores_within_a_row(self, tmp_path, bad):
+        # a NaN score once built and was saved as "nan", which load_rankings rejects
+        table, codes = np.array(["a", "b", "c"]), np.array([[0, 1, 2], [2, 1, 0]])
+        with pytest.raises(DataError, match="^ranking for 'r': a score is not finite$"):
+            Rankings(["q", "r"], table, codes, np.array([[0.5, 0.25, 0], [0.5, bad, 0]]), [3, 2])
+        # padding past a row's length is not read, so it goes unchecked
+        padded = Rankings(["q", "r"], table, codes, np.array([[0.5, 0.25, 0], [0.5, 0.25, bad]]),
+                          [3, 2])
+        formats.save_rankings(padded, tmp_path / "r.tsv")
+        assert formats.load_rankings(tmp_path / "r.tsv") == padded
+
     def test_restricted_search_round_trips(self, tmp_path):
         g = gmat(unit_rows(rng_for(46), 9, 4), categories=[1, 1, 1, 1, 1, 1, 2, 2, 2])
         # category 1 fills k, category 2 has fewer rows than k, category 3 none
@@ -528,7 +547,7 @@ class TestKernelInvariance:
         script = (
             "from cbirkit.embeddings import EmbeddingMatrix\n"
             "from cbirkit.rerank import QeParams, RerankParams, database_augmentation\n"
-            "from cbirkit.rerank import every_gallery_row, k_reciprocal_rerank, query_expansion\n"
+            "from cbirkit.rerank import k_reciprocal_rerank, query_expansion\n"
             "from cbirkit.search import build_index, knn_search\n"
             "from util import gallery_ids, query_ids, rng_for, unit_rows\n"
             "rng = rng_for(49)\n"
@@ -543,7 +562,7 @@ class TestKernelInvariance:
             "restricted = knn_search(index, q, 10, restrict_to_query_category=True)\n"
             "params = RerankParams(k1=10, k2=3, lam=0.3)\n"
             "reranked = k_reciprocal_rerank(q, g, found, params)\n"
-            "top = k_reciprocal_rerank(q, g, every_gallery_row(q, g), params, k=10)\n"
+            "top = k_reciprocal_rerank(q, g, None, params, k=10)\n"
             "for r in [*found, *restricted, *reranked, *top]:\n"
             "    print(r.query_id, *r.item_ids, *(s.hex() for s in r.scores.tolist()))\n"
             "for row in query_expansion(q, g, QeParams(k=5, alpha=1.0)).data:\n"
