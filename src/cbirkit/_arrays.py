@@ -55,6 +55,13 @@ def numbers(values, dtype, column: str) -> np.ndarray:
     return np.array(values, dtype=dtype)
 
 
+def check_integer(value, name: str, error: type[Exception]) -> None:
+    """Raise `error` naming `name` unless value is an int or a numpy
+    integer, which a count must be; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def unique_sorted(keys: np.ndarray) -> np.ndarray:
     """np.unique(keys) for integer keys, by a sort and a neighbour compare:
     numpy's hash path for integer keys is several times slower."""

@@ -42,8 +42,8 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import (Rule, blocks, encode, first_fault, numbers, ranges, run_starts,
-                      unique_sorted, wavefront)
+from ._arrays import (Rule, blocks, check_integer, encode, first_fault, numbers, ranges,
+                      run_starts, unique_sorted, wavefront)
 from .errors import ConfigError, DataError
 
 SCORE_MODES = ("rescale", "mean")
@@ -76,8 +76,10 @@ class WbfParams:
 
     def __post_init__(self):
         _check_iou_threshold(self.iou_threshold)
-        if self.num_models is not None and self.num_models < 1:
-            raise ConfigError("num_models must be a positive integer")
+        if self.num_models is not None:
+            check_integer(self.num_models, "num_models", ConfigError)
+            if self.num_models < 1:
+                raise ConfigError("num_models must be a positive integer")
         if self.score_mode not in SCORE_MODES:
             raise ConfigError(f"score_mode must be one of {SCORE_MODES}")
         if self.model_weights is not None:

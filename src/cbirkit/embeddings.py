@@ -14,11 +14,11 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._arrays import Rule, encode, fault_rule, first_fault, holds, repeats, wrong_type
+from ._arrays import Rule, check_integer, fault_rule, first_fault, holds, repeats, wrong_type
 from .errors import DataError
 
 SOURCES = ("query", "gallery")
@@ -99,9 +99,9 @@ class EmbeddingMatrix:
 
     Matrices may share the very same id column arrays, as `with_data` makes
     them and as the models of one embedding set do when their id sidecars
-    are byte-identical (`shares_ids`), which lets `concat_features` take
-    them as aligned without comparing them; the columns are read-only, so
-    no matrix can change another's ids."""
+    are byte-identical, which lets `concat_features` take them as aligned
+    without comparing them; the columns are read-only, so no matrix can
+    change another's ids."""
 
     def __init__(self, data, ids: Sequence[IdRecord]):
         ids = tuple(ids)
@@ -160,17 +160,6 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.data.shape[1]
 
-    def row_of(self, item_id: str) -> int:
-        return int(self.rows_of([item_id])[0])
-
-    def rows_of(self, item_ids: Sequence[str]) -> np.ndarray:
-        """Row index of each item_id, as an intp array."""
-        rows, _ = encode(item_ids, self.item_ids.tolist())
-        unknown = np.flatnonzero(rows < 0)
-        if unknown.size:
-            raise DataError(f"unknown item_id {item_ids[unknown[0]]!r}")
-        return rows
-
     def category_ids(self) -> np.ndarray:
         return self._category_ids
 
@@ -182,29 +171,20 @@ class EmbeddingMatrix:
             raise DataError(f"{self.n_rows} id records for {m.n_rows} rows")
         return m
 
-    def select(self, rows: Iterable[int]) -> EmbeddingMatrix:
-        """The given rows, in that order; ids are sliced, not checked again."""
-        rows = np.array(list(rows), dtype=np.int64)
-        rank = self.id_rank[rows]
-        order = np.argsort(rank, kind="stable")
-        repeat = np.flatnonzero(np.diff(rank[order]) == 0)
-        if repeat.size:
-            raise DataError(f"duplicate item_id {self.item_ids[rows[order[repeat[0]]]].item()!r}")
-        m = EmbeddingMatrix.__new__(EmbeddingMatrix)
-        m.data = _float_rows(self.data[rows])
-        m._set_ids([column[rows] for column in self._columns], order)
-        return m
-
-    def shares_ids(self, other: EmbeddingMatrix) -> bool:
-        """Whether both matrices hold the very same id column arrays."""
-        return all(a is b for a, b in zip(self._columns, other._columns))
-
     def split_by_source(self) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-        """(queries, gallery) in original row order; errors if a side is empty."""
+        """(queries, gallery) in original row order, their ids sliced from
+        this matrix's checked columns; errors if a side is empty."""
         is_query = self.sources == "query"
         if is_query.all() or not is_query.any():
             raise DataError("matrix does not contain both query and gallery rows")
-        return self.select(np.flatnonzero(is_query)), self.select(np.flatnonzero(~is_query))
+        sides = []
+        for side in (is_query, ~is_query):
+            m = EmbeddingMatrix.__new__(EmbeddingMatrix)
+            m.data = _float_rows(self.data[side])
+            m._set_ids([column[side] for column in self._columns],
+                       np.argsort(self.id_rank[side], kind="stable"))
+            sides.append(m)
+        return tuple(sides)
 
     def row_norms(self) -> np.ndarray:
         return np.linalg.norm(self.data, axis=1)
@@ -232,7 +212,7 @@ def l2_normalize(m: EmbeddingMatrix) -> EmbeddingMatrix:
 def _check_aligned(parts: Sequence[EmbeddingMatrix]) -> None:
     ref = parts[0]
     for part in parts[1:]:
-        if part.shares_ids(ref):
+        if all(a is b for a, b in zip(ref._columns, part._columns)):
             continue
         n = min(ref.n_rows, part.n_rows)
         differs = np.flatnonzero(np.any([a[:n] != b[:n] for a, b in
@@ -318,6 +298,7 @@ def pca_fit(m: EmbeddingMatrix, out_dim: int | None = None, whiten: bool = False
     n, d = m.n_rows, m.dim
     if out_dim is None:
         out_dim = d
+    check_integer(out_dim, "out_dim", DataError)
     if not (1 <= out_dim <= d):
         raise DataError(f"out_dim {out_dim} outside [1, {d}]")
     if n < 2:

@@ -30,7 +30,8 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import encode, pairs_in, ranges, repeats, run_starts, unique_sorted, wavefront
+from ._arrays import (check_integer, encode, pairs_in, ranges, repeats, run_starts,
+                      unique_sorted, wavefront)
 from .boxes import Detections, FusedDetections, _merge, areas, overlaps
 from .errors import DataError
 from .search import Rankings
@@ -237,6 +238,8 @@ def acc_at_k(
     whose match set is disjoint from the gallery are flagged as impossible
     (they still count as misses).
     """
+    for k in ks:
+        check_integer(k, "each of ks", DataError)
     if not ks or any(k < 1 for k in ks):
         raise DataError(f"ks must be positive integers, got {ks!r}")
     query_ids = rankings.query_ids.tolist()

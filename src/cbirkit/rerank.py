@@ -96,7 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import blocks, encode, pairs_in, ranges, repeats, unique_sorted
+from ._arrays import blocks, check_integer, encode, pairs_in, ranges, repeats, unique_sorted
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
 from .search import Rankings, exact_topk, gemm_error, pair_scores
@@ -122,6 +122,7 @@ class QeParams:
     include_self: bool = True
 
     def __post_init__(self):
+        check_integer(self.k, "k", ConfigError)
         if self.k < 0:
             raise ConfigError(f"k must be >= 0, got {self.k}")
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
@@ -135,8 +136,10 @@ class RerankParams:
     lam: float = 0.3
 
     def __post_init__(self):
+        check_integer(self.k1, "k1", ConfigError)
         if self.k1 < 1:
             raise ConfigError(f"k1 must be >= 1, got {self.k1}")
+        check_integer(self.k2, "k2", ConfigError)
         if not (1 <= self.k2 <= self.k1):
             raise ConfigError(f"k2 must satisfy 1 <= k2 <= k1, got k2={self.k2}")
         if not (0.0 <= self.lam <= 1.0):
@@ -360,8 +363,10 @@ def k_reciprocal_rerank(
     all of its candidates survive; k=None is k = the rankings' width.  Only
     the survivors get exact cosines and the sort.
     """
-    if k is not None and k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    if k is not None:
+        check_integer(k, "k", ConfigError)
+        if k < 1:
+            raise ConfigError(f"k must be >= 1, got {k}")
     if params.k1 > gallery.n_rows:
         raise ConfigError(f"k1={params.k1} exceeds the gallery size {gallery.n_rows}")
     if queries.dim != gallery.dim:

@@ -47,10 +47,12 @@ query ids, the gallery's item_ids as the id table, an n_q x k array of
 gallery rows (codes into that table), their scores, and each query's
 length, which is shorter than k on the category-restricted path when a
 category holds fewer than k gallery rows, and 0 when it holds none.
-Rankings are only ever taken as columns; `rankings[i]` reads one row as a
-`RankingList` view.  `Rankings.from_entries` builds them from (row, item
-id, score) entries, the rows interleaved in any order, and checks the
-entries in one pass, in entry order, so the fault it names is the earliest.
+Rankings are columns only, with no slicing, iteration or comparison (`==`
+is identity, as for the box tables); `rankings[i]`, for an int i, reads one
+row as a `RankingList` for the spot check of perfbench/child.py (lines
+52-55).  `Rankings.from_entries` builds them from (row, item id, score)
+entries, the rows interleaved in any order, and checks the entries in one
+pass, in entry order, so the fault it names is the earliest.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import encode, first_fault, numbers, repeats
+from ._arrays import check_integer, encode, first_fault, numbers, repeats
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
 
@@ -96,17 +98,10 @@ class RankingList:
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "item_ids", tuple(self.item_ids))
 
-    def __len__(self) -> int:
-        return len(self.item_ids)
-
-    def entries(self):
-        return zip(self.item_ids, self.scores.tolist())
-
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Rankings(Sequence):
-    """The rankings of many queries as columns; a read-only Sequence of
-    RankingList.
+class Rankings:
+    """The rankings of many queries as read-only columns.
 
     Row i ranks query query_ids[i]: the ids item_table[codes[i, :n]] with
     scores scores[i, :n], n = lengths[i].  Entries past a row's length are
@@ -119,9 +114,6 @@ class Rankings(Sequence):
     ids distinct.  The constructor checks what a reader or `save_rankings`
     needs: integer codes within the table, and finite scores within each
     row's length; padding is never read and goes unchecked.
-
-    `==` compares the rows as RankingList does, on query ids and item ids
-    alone, not on scores.
     """
 
     query_ids: np.ndarray   # (n,) object array of str
@@ -202,30 +194,15 @@ class Rankings(Sequence):
     def __len__(self) -> int:
         return self.query_ids.shape[0]
 
-    def __getitem__(self, index) -> RankingList | "Rankings":
-        if isinstance(index, slice):
-            return Rankings(self.query_ids[index], self.item_table, self.codes[index],
-                            self.scores[index], self.lengths[index])
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"ranking index {index} out of range for {len(self)} rankings")
+    def __getitem__(self, i: int) -> RankingList:
+        """Row i, an int, as a RankingList."""
+        i = operator.index(i)
         n = self.lengths[i]
         return RankingList(self.query_ids[i], self.item_table[self.codes[i, :n]].tolist(),
                            self.scores[i, :n])
 
-    def head(self, k: int) -> "Rankings":
-        """Each row cut to its first k entries."""
-        return Rankings(self.query_ids, self.item_table, self.codes[:, :k], self.scores[:, :k],
-                        np.minimum(self.lengths, k))
-
-    def __eq__(self, other):
-        if not isinstance(other, (Rankings, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None  # type: ignore[assignment]
+    # rows are read by index only: __getitem__ would otherwise make them iterable
+    __iter__ = None
 
     def __repr__(self) -> str:
         return f"Rankings({len(self)} queries, {self.lengths.sum()} entries)"
@@ -411,6 +388,7 @@ def knn_search(
     (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); results do not depend on
     their count.
     """
+    check_integer(k, "k", ConfigError)
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     if queries.dim != index.gallery.dim:

@@ -7,7 +7,9 @@ embeddings where every ground-truth object is an item with one gallery
 vector and one query vector sampled around a shared item center.  Items
 of the same category cluster around a category anchor, so retrieval
 difficulty is controlled by cluster_spread (item separation within a
-category) versus noise_sigma (sample noise per embedding model).
+category) versus noise_sigma (sample noise per embedding model).  The
+layout is the ground-truth `Detections` table itself, row i being item i,
+and the other generators take that table.
 
 All randomness derives from one seed through counter-based Philox streams
 keyed by (seed, purpose, index), so any part can be regenerated
@@ -33,12 +35,14 @@ with numpy 2.4.6.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
+from ._arrays import run_starts
 from .boxes import Detections
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError
@@ -80,8 +84,9 @@ class SyntheticSpec:
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"{name} must be in [0, 1], got {v!r}")
         for name in ("jitter_sigma", "score_sigma", "cluster_spread", "noise_sigma"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
         for name in ("num_images", "num_categories", "gt_boxes_per_image",
                      "detector_count", "embedding_dim", "embedding_models"):
             if getattr(self, name) < 1:
@@ -107,35 +112,22 @@ def _rng(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, purpose, index))))
 
 
-@dataclass(frozen=True)
-class GtObject:
-    """One planted object: a ground-truth box that is also a retrieval item."""
-
-    item_index: int
-    image_id: str
-    box_id: str
-    box: tuple[float, float, float, float]  # x1, y1, x2, y2
-    category_id: int
-
-
-def synth_layout(spec: SyntheticSpec) -> list[GtObject]:
-    """Ground-truth objects for every image, deterministic in the seed.
-    Per object, in order: width, height, x1 and y1 (uniform; one `random(4)`),
-    then the category."""
+def synth_layout(spec: SyntheticSpec) -> Detections:
+    """The planted objects as the ground-truth table, deterministic in the
+    seed: row i is item i, gt_boxes_per_image rows per image img%05d in
+    turn, of score 0 and model id "".  Per object, in order: width, height,
+    x1 and y1 (uniform; one `random(4)`), then the category."""
     rng = _rng(spec.seed, _STREAM_LAYOUT)
     random, integers = rng.random, rng.integers
     n = spec.num_images * spec.gt_boxes_per_image
     draws = np.empty((n, 4))
-    categories = [0] * n
+    categories = np.empty(n, dtype=np.int64)
     for i, row in enumerate(draws):
         random(out=row)
-        categories[i] = int(integers(1, spec.num_categories + 1))
-    image_ids = [f"img{i:05d}" for i in range(spec.num_images)]
-    return list(map(GtObject, range(n),
-                    [image_id for image_id in image_ids for _ in range(spec.gt_boxes_per_image)],
-                    [f"{image_id}:b{b}" for image_id in image_ids
-                     for b in range(spec.gt_boxes_per_image)],
-                    zip(*_uniform_boxes(draws).T.tolist()), categories))
+        categories[i] = integers(1, spec.num_categories + 1)
+    return Detections.from_columns(_uniform_boxes(draws), np.zeros(n), categories,
+                                   [f"img{i // spec.gt_boxes_per_image:05d}" for i in range(n)],
+                                   [""] * n)
 
 
 def _uniform_boxes(draws: np.ndarray) -> np.ndarray:
@@ -148,12 +140,10 @@ def _uniform_boxes(draws: np.ndarray) -> np.ndarray:
     return np.stack([x1, y1, x1 + w, y1 + h], axis=1)
 
 
-def detection_gt(objects: list[GtObject]) -> Detections:
-    """The objects' boxes as ground truth: detections of score 0 and model id ""."""
-    # number columns as arrays, which the table takes without a per-value type check
-    return Detections.from_columns(np.array([o.box for o in objects]), np.zeros(len(objects)),
-                                   np.array([o.category_id for o in objects]),
-                                   [o.image_id for o in objects], [""] * len(objects))
+def detection_gt(layout: Detections) -> Detections:
+    """The layout, already the ground-truth table; kept because
+    perfbench/workloads.py imports it (line 31) and calls it (line 109)."""
+    return layout
 
 
 def _jittered_boxes(boxes: np.ndarray, normals: np.ndarray, sigma: float) -> np.ndarray:
@@ -168,34 +158,34 @@ def _jittered_boxes(boxes: np.ndarray, normals: np.ndarray, sigma: float) -> np.
                      np.where(y2 - y1 < 1.0, y1 + 1.0, y2)], axis=1)
 
 
-def synth_detections(spec: SyntheticSpec, objects: list[GtObject], detector: int) -> Detections:
-    """One detector's noisy view of the ground truth, as a table.
+def synth_detections(spec: SyntheticSpec, layout: Detections, detector: int) -> Detections:
+    """One detector's noisy view of the ground truth, as a table over the
+    layout's image names.
 
     Each object is missed with probability miss_rate, otherwise emitted with
     jittered coordinates and score 1 - |N(0, score_sigma)|.  Per image, the
     detector additionally hallucinates Binomial(gt_boxes_per_image, fp_rate)
     random boxes with scores drawn from FP_SCORE_RANGE.  The rows come image
-    by image in id order: the image's hits in object order, then its false
-    positives.
+    by image in code order, which is id order: the image's hits in layout
+    row order, then its false positives.
     """
     if not (0 <= detector < spec.detector_count):
         raise ConfigError(f"detector index {detector} outside [0, {spec.detector_count})")
     rng = _rng(spec.seed, _STREAM_DETECTOR, detector)
     random, standard_normal, binomial, integers = (rng.random, rng.standard_normal,
                                                    rng.binomial, rng.integers)
-    by_image: dict[str, list[int]] = {}
-    for row, obj in enumerate(objects):
-        by_image.setdefault(obj.image_id, []).append(row)
-    images = sorted(by_image)
+    # the rows image by image in code order, each image's in row order
+    by_image = np.argsort(layout.image_codes, kind="stable")
+    starts = run_starts(layout.image_codes[by_image])
     # the written files are pinned, so the draws keep their order: the miss
     # draw, then the score's normal and the box's four, for a hit; per image
     # the false-positive count, then per false positive the box's four
     # uniforms, the score's, and the category
-    normals = np.empty((len(objects), 5 if spec.jitter_sigma > 0 else 1))
-    fp_draws = np.empty((len(images) * spec.gt_boxes_per_image, 5))
+    normals = np.empty((len(layout), 5 if spec.jitter_sigma > 0 else 1))
+    fp_draws = np.empty(((starts.size - 1) * spec.gt_boxes_per_image, 5))
     hits, fp_counts, fp_categories = [], [], []
-    for image_id in images:
-        for row in by_image[image_id]:
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        for row in by_image[lo:hi].tolist():
             if random() >= spec.miss_rate:
                 standard_normal(out=normals[len(hits)])
                 hits.append(row)
@@ -206,37 +196,31 @@ def synth_detections(spec: SyntheticSpec, objects: list[GtObject], detector: int
     normals, fp_draws = normals[:len(hits)], fp_draws[:len(fp_categories)]
     hit_scores = 1.0 - np.abs(0.0 + spec.score_sigma * normals[:, 0])
     hit_scores = np.minimum(1.0, np.maximum(0.0, hit_scores))
-    hit_coords = _jittered_boxes(np.array([objects[row].box for row in hits]).reshape(-1, 4),
-                                 normals[:, 1:], spec.jitter_sigma)
+    hit_coords = _jittered_boxes(layout.coords[hits], normals[:, 1:], spec.jitter_sigma)
     low, high = FP_SCORE_RANGE
-    # each row's image, as its rank in `images`; a stable sort by it puts the
-    # hits of an image, in object order, before its false positives
-    image_rank = np.empty(len(objects), dtype=np.intp)
-    for rank, image_id in enumerate(images):
-        image_rank[by_image[image_id]] = rank
-    row_images = np.concatenate([image_rank[hits],
-                                 np.repeat(np.arange(len(images)), fp_counts)])
-    order = np.argsort(row_images, kind="stable")
+    # a stable sort by image code puts the hits of an image, in layout row
+    # order, before its false positives
+    image_codes = np.concatenate([layout.image_codes[hits],
+                                  np.repeat(layout.image_codes[by_image[starts[:-1]]], fp_counts)])
+    order = np.argsort(image_codes, kind="stable")
     coords = np.concatenate([hit_coords, _uniform_boxes(fp_draws)])[order]
     scores = np.concatenate([hit_scores, low + (high - low) * fp_draws[:, 4]])[order]
-    categories = np.array([objects[row].category_id for row in hits] + fp_categories,
-                          dtype=np.int64)[order]
-    image_rows = np.array(images, dtype=object)[row_images[order]]
-    return Detections.from_columns(coords, scores, categories, image_rows.tolist(),
-                                   [f"det{detector}"] * len(order))
+    categories = np.concatenate([layout.category_ids[hits],
+                                 np.array(fp_categories, dtype=np.int64)])[order]
+    return Detections(coords, scores, categories, image_codes[order], layout.image_names,
+                      np.zeros(order.size, dtype=np.intp), (f"det{detector}",))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def synth_item_centers(spec: SyntheticSpec, objects: list[GtObject]) -> np.ndarray:
+def synth_item_centers(spec: SyntheticSpec, layout: Detections) -> np.ndarray:
     """Unit item centers clustered around per-category anchors."""
     rng = _rng(spec.seed, _STREAM_EMBEDDING, 0)
     anchors = _unit(rng.normal(size=(spec.num_categories, spec.embedding_dim)))
-    deviations = rng.normal(size=(len(objects), spec.embedding_dim))
-    categories = np.array([obj.category_id for obj in objects], dtype=np.intp)
-    return _unit(anchors[categories - 1] + spec.cluster_spread * deviations)
+    deviations = rng.normal(size=(len(layout), spec.embedding_dim))
+    return _unit(anchors[layout.category_ids - 1] + spec.cluster_spread * deviations)
 
 
 def _embedding_rows(spec: SyntheticSpec, centers: np.ndarray, model: int) -> np.ndarray:
@@ -254,25 +238,32 @@ def _embedding_rows(spec: SyntheticSpec, centers: np.ndarray, model: int) -> np.
     return rows
 
 
-def synth_embeddings(spec: SyntheticSpec, objects: list[GtObject],
+def synth_embeddings(spec: SyntheticSpec, layout: Detections,
                      centers: np.ndarray, model: int) -> EmbeddingMatrix:
     """One embedding model's matrix: a query row and a gallery row per item,
-    each the item center plus independent N(0, noise_sigma) noise."""
+    each the item center plus independent N(0, noise_sigma) noise.  Item i
+    is layout row i; its box id is its image id, ":b" and its rank in the image."""
     if not (0 <= model < spec.embedding_models):
         raise ConfigError(f"model index {model} outside [0, {spec.embedding_models})")
-    n = len(objects)
-    gallery_ids = [f"g{obj.item_index:06d}" for obj in objects]
+    n = len(layout)
+    by_image = np.argsort(layout.image_codes, kind="stable")
+    starts = run_starts(layout.image_codes[by_image])
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_image] = np.arange(n) - np.repeat(starts[:-1], np.diff(starts))
+    image_ids = [layout.image_names[code] for code in layout.image_codes.tolist()]
+    gallery_ids = [f"g{i:06d}" for i in range(n)]
     return EmbeddingMatrix.from_columns(
         _embedding_rows(spec, centers, model),
-        item_ids=[f"q{obj.item_index:06d}" for obj in objects] + gallery_ids,
-        image_ids=[obj.image_id for obj in objects] + ["gallery"] * n,
-        box_ids=[obj.box_id for obj in objects] + gallery_ids,
-        category_ids=[obj.category_id for obj in objects] * 2,
+        item_ids=[f"q{i:06d}" for i in range(n)] + gallery_ids,
+        image_ids=image_ids + ["gallery"] * n,
+        box_ids=[f"{image_id}:b{r}" for image_id, r in zip(image_ids, rank.tolist())]
+        + gallery_ids,
+        category_ids=layout.category_ids.tolist() * 2,
         sources=["query"] * n + ["gallery"] * n)
 
 
-def retrieval_pairs(objects: list[GtObject]) -> dict[str, set[str]]:
-    return {f"q{o.item_index:06d}": {f"g{o.item_index:06d}"} for o in objects}
+def retrieval_pairs(layout: Detections) -> dict[str, set[str]]:
+    return {f"q{i:06d}": {f"g{i:06d}"} for i in range(len(layout))}
 
 
 def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> dict[str, object]:
@@ -291,18 +282,18 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> dict[str, ob
     except OSError as e:
         raise ConfigError(f"output directory {out} is not writable: {e}") from None
 
-    objects = synth_layout(spec)
-    formats.save_detection_gt(detection_gt(objects), out / "detection_gt.jsonl")
+    layout = synth_layout(spec)
+    formats.save_detection_gt(layout, out / "detection_gt.jsonl")
 
     det_files = []
     for d in range(spec.detector_count):
         path = out / f"detections_det{d}.jsonl"
-        formats.save_detections(synth_detections(spec, objects, d), path)
+        formats.save_detections(synth_detections(spec, layout, d), path)
         det_files.append(str(path))
 
-    centers = synth_item_centers(spec, objects)
+    centers = synth_item_centers(spec, layout)
     # the models share one id table, built and checked once
-    first = synth_embeddings(spec, objects, centers, 0)
+    first = synth_embeddings(spec, layout, centers, 0)
     emb_files = []
     for m in range(spec.embedding_models):
         data_path = out / f"embeddings_m{m}.emb"
@@ -312,7 +303,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> dict[str, ob
                                 data_path, ids_path)
         emb_files.append({"data": str(data_path), "ids": str(ids_path)})
 
-    formats.save_retrieval_gt(retrieval_pairs(objects), out / "retrieval_gt.jsonl")
+    formats.save_retrieval_gt(retrieval_pairs(layout), out / "retrieval_gt.jsonl")
 
     config = {
         "detections": det_files,
@@ -337,7 +328,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> dict[str, ob
         "embeddings": emb_files,
         "retrieval_gt": str(out / "retrieval_gt.jsonl"),
         "config": str(out / "config.json"),
-        "num_items": len(objects),
+        "num_items": len(layout),
     }
     with formats._atomic_open(out / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2)

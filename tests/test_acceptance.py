@@ -22,7 +22,8 @@ from cbirkit.synthetic import SyntheticSpec, generate_synthetic
 from benchmarks import concat_gain_trial, rerank_gain_trial, wbf_gain_trial
 from oracles import expand_ref, knn_ref, rerank_ref, wbf_ref
 from util import (boxes_to_dicts, detections, fused_to_dicts, gallery_ids, gt_table,
-                  output_under_blas_threads, query_ids, random_scored_boxes, rng_for, unit_rows)
+                  output_under_blas_threads, query_ids, random_scored_boxes, ranking_rows, rng_for,
+                  unit_rows)
 
 _SUITE_START = time.perf_counter()
 
@@ -150,12 +151,12 @@ def test_criterion_5_pca_whitening():
 SEARCH_SCRIPT = (
     "from cbirkit.embeddings import EmbeddingMatrix\n"
     "from cbirkit.search import build_index, knn_search\n"
-    "from util import gallery_ids, query_ids, rng_for, unit_rows\n"
+    "from util import gallery_ids, query_ids, ranking_rows, rng_for, unit_rows\n"
     "rng = rng_for(14_000)\n"
     "gallery = EmbeddingMatrix(unit_rows(rng, 2000, 128), gallery_ids(2000))\n"
     "queries = EmbeddingMatrix(unit_rows(rng, 200, 128), query_ids(200))\n"
-    "for r in knn_search(build_index(gallery), queries, 10):\n"
-    "    print(r.query_id, *r.item_ids, *(s.hex() for s in r.scores.tolist()))\n"
+    "for r in ranking_rows(knn_search(build_index(gallery), queries, 10)):\n"
+    "    print(r.query_id, *r.item_ids, *(s.hex() for s in r.scores))\n"
 )
 
 
@@ -189,16 +190,17 @@ def test_criterion_7_k_reciprocal_rerank():
         initial = knn_search(build_index(gallery), queries, 180)
         params = RerankParams(k1=20, k2=6, lam=0.3)
         got = k_reciprocal_rerank(queries, gallery, initial, params)
-        rows = [[gallery.row_of(i) for i in r.item_ids] for r in initial]
+        rows = [[gallery.item_ids.tolist().index(i) for i in r.item_ids]
+                for r in ranking_rows(initial)]
         ref = rerank_ref(queries.data, gallery.data, rows, params.k1, params.k2, params.lam)
-        for ranking, pairs in zip(got, ref):
+        for ranking, pairs in zip(ranking_rows(got), ref):
             expected = {f"g{row:05d}": d for row, d in pairs}
-            for item, score in ranking.entries():
+            for item, score in zip(ranking.item_ids, ranking.scores):
                 assert abs((1.0 - score) - expected[item]) <= 1e-6
 
         identity = k_reciprocal_rerank(queries, gallery, initial,
                                        RerankParams(k1=20, k2=6, lam=1.0))
-        for before, after in zip(initial, identity):
+        for before, after in zip(ranking_rows(initial), ranking_rows(identity)):
             assert after.item_ids == before.item_ids
 
         ok = 0

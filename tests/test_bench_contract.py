@@ -1,14 +1,18 @@
 """The library surface that the benchmark relies on.
 
 `perfbench/spans.py` patches the module attributes named in its TARGETS
-and reads the arguments of the calls it wraps; `perfbench/child.py` calls
-`run_pipeline(config, threads=...)` and spot-checks the traced searches
-through the rankings' row views; `perfbench/workloads.py` writes the
-synthetic detections, and builds the multishot set with the records
-constructor and writes it with `save_embeddings` and `save_retrieval_gt`.
-These tests run that code, as it is, around small inputs, so that renaming
-or removing something the benchmark calls fails here rather than in a
-benchmark run.
+(`build_index` among them) and reads the arguments of the calls it wraps;
+`perfbench/child.py` calls `run_pipeline(config, threads=...)` and
+spot-checks the traced searches through `rankings[i]`, the one row view
+that `Rankings` keeps, and the gallery's and queries' `.ids` records;
+`perfbench/workloads.py` generates the synthetic inputs with
+`synth_layout`, `detection_gt`, `synth_detections`, `synth_item_centers`,
+`synth_embeddings`, `retrieval_pairs` and `generate_synthetic`, taking
+only `len` of the layout, and builds the multishot set with `IdRecord` and
+the records constructor and writes it with `save_embeddings` and
+`save_retrieval_gt`.  These tests run that code, as it is, around small
+inputs, so that renaming or removing something the benchmark calls fails
+here rather than in a benchmark run.
 """
 
 import hashlib
@@ -109,6 +113,34 @@ def test_written_detections_load_back(tmp_path):
     assert sizes["detections"] == sum(map(len, tables)) > 0
     assert (boxes_to_dicts(formats.load_detection_gt(gt_path))
             == boxes_to_dicts(detection_gt(objects)))
+
+
+@pytest.mark.parametrize("setup, specs", [
+    ("_setup_detection_fusion", {
+        "FUSION_DETECTION_SPEC": dict(num_images=8, num_categories=3, gt_boxes_per_image=3,
+                                      detector_count=2, fp_rate=0.3),
+        "FUSION_EMBEDDING_SPEC": dict(num_images=6, num_categories=3, embedding_dim=8,
+                                      embedding_models=1)}),
+    ("_setup_rerank_multishot", {
+        "MULTISHOT": dict(n_items=6, dim=8, noise=0.1, distractors=3, distractor_noise=0.2),
+        "SMALL_DETECTION_SPEC": dict(num_images=5, gt_boxes_per_image=2, detector_count=2)}),
+], ids=["detection_fusion", "rerank_multishot"])
+def test_workload_setup_runs(tmp_path, monkeypatch, setup, specs):
+    # the setups pass the synthetic layout from synth_layout to the other
+    # generators; at full size they run only in the scale test
+    for name, spec in specs.items():
+        monkeypatch.setattr(workloads, name, spec)
+    config_path, sizes = getattr(workloads, setup)(5, tmp_path)
+    result = run_pipeline(PipelineConfig.from_file(config_path), threads=workloads.THREADS)
+    gt = formats.load_detection_gt(tmp_path / "detection_gt.jsonl")
+    assert sizes["gt_boxes"] == len(gt)
+    assert sizes["detections"] == sum(len(formats.load_detections(path))
+                                      for path in json.loads(config_path.read_text())
+                                      ["detections"])
+    assert result.detection is not None and result.detection.ap50 > 0
+    retrieval = result.report["retrieval"]
+    assert retrieval["num_queries"] + retrieval["num_excluded"] == sizes["queries"]
+    assert retrieval["acc"]["10"] > 0
 
 
 def test_multishot_set_loads_back(tmp_path):

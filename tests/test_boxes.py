@@ -196,6 +196,14 @@ class TestWbfParams:
         with pytest.raises(ConfigError):
             WbfParams(num_models=0)
 
+    @pytest.mark.parametrize("value", [1.5, True, np.float64(2.0)])
+    def test_num_models_must_be_an_integer(self, value):
+        # 1.5 once passed and rescaled every score by 1/1.5
+        with pytest.raises(ConfigError) as e:
+            WbfParams(num_models=value)
+        assert str(e.value) == f"num_models must be an integer, got {value!r}"
+        assert WbfParams(num_models=np.int64(2)).num_models == 2
+
     def test_bad_threshold_rejected(self):
         with pytest.raises(ConfigError):
             WbfParams(iou_threshold=1.5)

@@ -1,11 +1,12 @@
 import json
 
-import numpy as np
 import pytest
 
 from cbirkit import io as formats
 from cbirkit.cli import main
 from cbirkit.synthetic import SyntheticSpec, generate_synthetic
+
+from util import ranking_rows
 
 
 @pytest.fixture
@@ -85,12 +86,11 @@ class TestCli:
             out = tmp_path / f"reranked_{path.stem}.tsv"
             assert run("rerank", "--data", data, "--ids", ids, "--rankings", path,
                        "--k1", 8, "--k2", 3, "--lambda", 0.3, "--out", out) == 0
-            outs.append({r.query_id: r for r in formats.load_rankings(out)})
+            outs.append({r.query_id: r for r in ranking_rows(formats.load_rankings(out))})
         in_order, reversed_order = outs
         assert list(reversed_order) == list(reversed(blocks))
         for qid, ranking in in_order.items():
-            assert reversed_order[qid].item_ids == ranking.item_ids
-            assert np.array_equal(reversed_order[qid].scores, ranking.scores)
+            assert reversed_order[qid] == ranking
 
     @pytest.mark.parametrize("field, message", [
         (2, "unknown item_id 'x'"),

@@ -67,8 +67,6 @@ def assert_same_matrix(m, expected):
     assert m.item_ids.tolist() == expected.item_ids.tolist()
     assert m.id_rank.tolist() == expected.id_rank.tolist()
     assert m.category_ids().tolist() == expected.category_ids().tolist()
-    ids = [r.item_id for r in expected.ids]
-    assert m.rows_of(ids[::-1]).tolist() == expected.rows_of(ids[::-1]).tolist()
 
 
 # non-ASCII and NUL-bearing ids, so that id order is by code point and ids round-trip
@@ -80,18 +78,15 @@ def id_tables(draw):
     item_ids = draw(st.lists(ODD_IDS.filter(lambda s: not s.endswith("\x00")
                                             and "\t" not in s and "\n" not in s),
                              min_size=1, max_size=8, unique=True))
-    records = [IdRecord(item_id, draw(ODD_IDS), draw(ODD_IDS),
-                        draw(st.integers(0, 2 ** 63 - 1)), draw(st.sampled_from(SOURCES)))
-               for item_id in item_ids]
-    rows = draw(st.permutations(range(len(records))))
-    return records, rows[:draw(st.integers(1, len(rows)))]
+    return [IdRecord(item_id, draw(ODD_IDS), draw(ODD_IDS),
+                     draw(st.integers(0, 2 ** 63 - 1)), draw(st.sampled_from(SOURCES)))
+            for item_id in item_ids]
 
 
 class TestIdColumns:
     @settings(max_examples=200, deadline=None)
     @given(id_tables())
-    def test_constructors_and_derived_matrices_agree(self, case):
-        records, rows = case
+    def test_constructors_and_derived_matrices_agree(self, records):
         data = np.arange(2.0 * len(records)).reshape(-1, 2)
         by_records = EmbeddingMatrix(data, records)
         by_columns = EmbeddingMatrix.from_columns(data, *columns_of(records))
@@ -100,10 +95,7 @@ class TestIdColumns:
         assert by_records.ids == tuple(records)
         assert by_records.item_ids.tolist() == item_ids
         assert by_records.id_rank.tolist() == [sorted(item_ids).index(i) for i in item_ids]
-        assert by_records.rows_of(item_ids).tolist() == list(range(len(records)))
         assert_same_matrix(by_columns.with_data(data + 1), EmbeddingMatrix(data + 1, records))
-        assert_same_matrix(by_columns.select(rows),
-                           EmbeddingMatrix(data[rows], [records[i] for i in rows]))
         sides = [[i for i, r in enumerate(records) if r.source == s] for s in SOURCES]
         if all(sides):
             for side, expected in zip(by_columns.split_by_source(), sides):
@@ -147,22 +139,10 @@ class TestIdColumns:
             raise AssertionError("ids checked again")
         monkeypatch.setattr(embeddings, "_id_fault", checked)
         assert m.with_data(m.data * 2).ids == m.ids
-        assert [r.item_id for r in m.select([2, 0]).ids] == ["q1", "q0"]
         queries, gallery = m.split_by_source()
+        assert [r.item_id for r in queries.ids] == ["q0", "q1"]
         assert concat_features([queries, l2_normalize(queries.with_data(queries.data + 1))]).ids \
             == queries.ids
-
-    def test_select_rejects_repeated_rows(self):
-        with pytest.raises(DataError, match="duplicate item_id 'g00001'"):
-            matrix(np.eye(3)).select([1, 2, 1])
-
-    def test_unknown_item_id_named(self):
-        m = matrix(np.eye(2))
-        for missing in ["g00002", "g00001\x00", "", "h"]:
-            with pytest.raises(DataError, match="unknown item_id"):
-                m.row_of(missing)
-        with pytest.raises(DataError, match="unknown item_id 'x'"):
-            m.rows_of(["g00001", "x", "g00000"])
 
 
 class TestL2Normalize:
@@ -318,6 +298,14 @@ class TestPca:
         model = pca_fit(matrix(rng.normal(size=(20, 4))))
         with pytest.raises(DataError, match="dim"):
             pca_transform(model, matrix(rng.normal(size=(5, 3))))
+
+    @pytest.mark.parametrize("out_dim", [2.5, True, np.float64(2.0)])
+    def test_out_dim_must_be_an_integer(self, out_dim):
+        m = matrix(rng_for(36).normal(size=(40, 6)))
+        with pytest.raises(DataError) as e:
+            pca_fit(m, out_dim=out_dim)
+        assert str(e.value) == f"out_dim must be an integer, got {out_dim!r}"
+        assert pca_fit(m, out_dim=np.int64(2)).out_dim == 2
 
     def test_out_dim_truncates(self):
         rng = rng_for(36)

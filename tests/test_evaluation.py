@@ -138,6 +138,14 @@ def ranked(rows) -> Rankings:
 
 
 class TestAccAtK:
+    @pytest.mark.parametrize("k", [1.5, True, np.float64(1.0)])
+    def test_ks_must_be_integers(self, k):
+        # [1.5] once gave {1.5: 0.0}, and [True] {True: 0.0}
+        with pytest.raises(DataError) as e:
+            acc_at_k(ranked([("q0", ["g0"])]), {"q0": {"g0"}}, [1, k])
+        assert str(e.value) == f"each of ks must be an integer, got {k!r}"
+        assert acc_at_k(ranked([("q0", ["g0"])]), {"q0": {"g0"}}, [np.int64(1)]).acc == {1: 1.0}
+
     def test_hand_counted_fixture(self):
         # first ground-truth hits at ranks 1, 11 and 5
         gallery = [f"g{i:02d}" for i in range(12)]

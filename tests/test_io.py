@@ -16,8 +16,8 @@ from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 from cbirkit.errors import DataError, EmbeddingFormatError, ParseError
 from cbirkit.search import Rankings
 
-from util import (boxes_to_dicts, detections, fused_to_dicts, gallery_ids, gt_table, rng_for,
-                  row_scores)
+from util import (boxes_to_dicts, detections, fused_to_dicts, gallery_ids, gt_table,
+                  ranking_rows, rng_for)
 
 
 class TestDetections:
@@ -249,7 +249,13 @@ class TestEmbeddings:
                    for name in "abc")
         # c's sidecar holds the same records with one more (blank) line
         assert parsed == [tmp_path / "a.ids.jsonl", tmp_path / "c.ids.jsonl"]
-        assert b.shares_ids(a) and not c.shares_ids(a)
+        def shares_ids(m, other):
+            return all(x is y for x, y in zip(
+                (m.item_ids, m.image_ids, m.box_ids, m.category_ids(), m.sources),
+                (other.item_ids, other.image_ids, other.box_ids, other.category_ids(),
+                 other.sources)))
+
+        assert shares_ids(b, a) and not shares_ids(c, a)
         assert a.ids == b.ids == c.ids == m.ids
         assert np.array_equal(b.data, formats.load_embeddings(tmp_path / "b.emb",
                                                               tmp_path / "b.ids.jsonl").data)
@@ -277,11 +283,11 @@ class TestRankings:
         path = tmp_path / "r.tsv"
         formats.save_rankings(rankings, path)
         loaded = formats.load_rankings(path)
-        assert loaded == rankings
-        # == compares ids only; the file keeps 9 significant digits of each score
-        assert row_scores(loaded) == [[0.875, 0.333333333], [-0.5]]
-        assert row_scores(loaded) == [[float(f"{s:.9g}") for s in row]
-                                      for row in row_scores(rankings)]
+        # the file keeps 9 significant digits of each score
+        assert ranking_rows(loaded) == [("q0", ("g1", "g0"), [0.875, 0.333333333]),
+                                        ("q1", ("g2",), [-0.5])]
+        assert ranking_rows(loaded) == [(q, items, [float(f"{s:.9g}") for s in scores])
+                                        for q, items, scores in ranking_rows(rankings)]
         text = path.read_text()
         assert "q0\t1\tg1\t0.875\n" in text
 
@@ -550,6 +556,8 @@ def test_crlf_loads_as_lf(tmp_path, loader, text):
     loaded = [loader(crlf), loader(lf)]
     if isinstance(loaded[0], Detections):
         loaded = [boxes_to_dicts(table) for table in loaded]
+    elif isinstance(loaded[0], Rankings):
+        loaded = [ranking_rows(rankings) for rankings in loaded]
     assert loaded[0] == loaded[1]
 
 
@@ -899,7 +907,8 @@ class TestReaderFuzz:
         bad_line, expected = reference_rankings(lines)
         result, path = load_fuzzed(lines, formats.load_rankings)
         if bad_line is None:
-            assert [(r.query_id, list(r.item_ids), r.scores.tolist()) for r in result] == expected
+            assert [(q, list(items), scores)
+                    for q, items, scores in ranking_rows(result)] == expected
         else:
             assert_names_line(result, path, bad_line)
 

@@ -23,7 +23,7 @@ from cbirkit.rerank import (
 from cbirkit.search import Rankings, build_index, knn_search
 
 from oracles import encodings_ref, expand_ref, expanded_sets_ref, rerank_loop_ref, rerank_ref
-from util import gallery_ids, pick, query_ids, rng_for, unit_rows
+from util import gallery_ids, pick, query_ids, ranking_rows, rng_for, unit_rows
 
 
 def gmat(data):
@@ -49,6 +49,16 @@ class TestParams:
     def test_rerank_rejects_k2_above_k1(self):
         with pytest.raises(ConfigError):
             RerankParams(k1=5, k2=6)
+
+    @pytest.mark.parametrize("value", [1.5, True, np.float64(2.0)])
+    @pytest.mark.parametrize("name, build", [
+        ("k", lambda v: QeParams(k=v)), ("k1", lambda v: RerankParams(k1=v, k2=1)),
+        ("k2", lambda v: RerankParams(k1=4, k2=v))])
+    def test_counts_must_be_integers(self, name, build, value):
+        with pytest.raises(ConfigError) as e:
+            build(value)
+        assert str(e.value) == f"{name} must be an integer, got {value!r}"
+        assert getattr(build(np.int64(2)), name) == 2
 
     def test_rerank_rejects_bad_lambda(self):
         with pytest.raises(ConfigError):
@@ -86,9 +96,9 @@ class TestQueryExpansion:
         k, alpha = 4, 2.0
         out = query_expansion(q, g, QeParams(k=k, alpha=alpha))
         ranked = knn_search(idx, q, k)
-        for i, r in enumerate(ranked):
-            neighbors = [g.data[g.row_of(item)] for item in r.item_ids]
-            exp = expand_ref(q.data[i], neighbors, r.scores.tolist(), alpha)
+        for i, r in enumerate(ranking_rows(ranked)):
+            neighbors = [g.data[g.item_ids.tolist().index(item)] for item in r.item_ids]
+            exp = expand_ref(q.data[i], neighbors, r.scores, alpha)
             assert np.allclose(out.data[i], exp, atol=1e-9)
 
     def test_output_unit_norm(self):
@@ -155,7 +165,7 @@ class TestKReciprocalRerank:
         g = gmat(unit_rows(rng, 30, 8))
         initial = _initial_rankings(q, g)
         out = k_reciprocal_rerank(q, g, initial, RerankParams(k1=10, k2=4, lam=1.0))
-        for before, after in zip(initial, out):
+        for before, after in zip(ranking_rows(initial), ranking_rows(out)):
             assert after.item_ids == before.item_ids
 
     def test_k1_larger_than_gallery(self):
@@ -171,6 +181,17 @@ class TestKReciprocalRerank:
         g = gmat(unit_rows(rng, 5, 4))
         with pytest.raises(ConfigError, match="k must be >= 1"):
             k_reciprocal_rerank(q, g, None, RerankParams(k1=2, k2=1), k=0)
+
+    @pytest.mark.parametrize("k", [2.5, True, np.float64(2.0)])
+    def test_k_must_be_an_integer(self, k):
+        rng = rng_for(56)
+        q = qmat(unit_rows(rng, 2, 4))
+        g = gmat(unit_rows(rng, 5, 4))
+        with pytest.raises(ConfigError) as e:
+            k_reciprocal_rerank(q, g, None, RerankParams(k1=2, k2=1), k=k)
+        assert str(e.value) == f"k must be an integer, got {k!r}"
+        assert k_reciprocal_rerank(q, g, None, RerankParams(k1=2, k2=1),
+                                   k=np.int64(2)).codes.shape == (2, 2)
 
     def test_short_initial_rankings_rejected(self):
         rng = rng_for(57)
@@ -194,7 +215,7 @@ class TestKReciprocalRerank:
         out = k_reciprocal_rerank(q, g, _initial_rankings(q, g),
                                   RerankParams(k1=8, k2=3, lam=0.3))
         cluster_a = {f"g{i:05d}" for i in range(10)}
-        for r in out:
+        for r in ranking_rows(out):
             assert set(r.item_ids[:10]) == cluster_a
 
     def test_matches_definition_oracle(self):
@@ -205,11 +226,12 @@ class TestKReciprocalRerank:
             initial = _initial_rankings(q, g)
             params = RerankParams(k1=7, k2=3, lam=lam)
             got = k_reciprocal_rerank(q, g, initial, params)
-            initial_rows = [[g.row_of(i) for i in r.item_ids] for r in initial]
+            initial_rows = [[g.item_ids.tolist().index(i) for i in r.item_ids]
+                            for r in ranking_rows(initial)]
             ref = rerank_ref(q.data, g.data, initial_rows, params.k1, params.k2, lam)
-            for ranking, pairs in zip(got, ref):
+            for ranking, pairs in zip(ranking_rows(got), ref):
                 exp = {f"g{row:05d}": d for row, d in pairs}
-                for item, score in ranking.entries():
+                for item, score in zip(ranking.item_ids, ranking.scores):
                     assert (1.0 - score) == pytest.approx(exp[item], abs=1e-6)
 
     def test_final_distance_bounds(self):
@@ -218,8 +240,8 @@ class TestKReciprocalRerank:
         g = gmat(unit_rows(rng, 25, 6))
         out = k_reciprocal_rerank(q, g, _initial_rankings(q, g),
                                   RerankParams(k1=6, k2=2, lam=0.3))
-        for r in out:
-            dstar = 1.0 - r.scores
+        for r in ranking_rows(out):
+            dstar = 1.0 - np.array(r.scores)
             assert np.all(dstar >= -1e-12) and np.all(dstar <= 2.0 + 1e-12)
 
     def test_jaccard_symmetry_of_encoding(self):
@@ -237,9 +259,9 @@ class TestKReciprocalRerank:
         rng = rng_for(63)
         q = qmat(unit_rows(rng, 6, 8))
         g = gmat(unit_rows(rng, 30, 8))
-        reversed_initial = _initial_rankings(q, g)[::-1]
+        reversed_initial = pick(_initial_rankings(q, g), np.arange(q.n_rows)[::-1])
         out = k_reciprocal_rerank(q, g, reversed_initial, RerankParams(k1=10, k2=4, lam=1.0))
-        for before, after in zip(reversed_initial, out):
+        for before, after in zip(ranking_rows(reversed_initial), ranking_rows(out)):
             assert after.query_id == before.query_id
             assert after.item_ids == before.item_ids
 
@@ -259,10 +281,10 @@ class TestKReciprocalRerank:
         q = qmat(unit_rows(rng, 3, 4))
         g = gmat(unit_rows(rng, 12, 4))
         initial = _initial_rankings(q, g)
-        row = initial[1]
-        stray = Rankings.from_entries(["q00001", "q00000"], [0] * len(row) + [1, 1],
+        row = ranking_rows(initial)[1]
+        stray = Rankings.from_entries(["q00001", "q00000"], [0] * len(row.item_ids) + [1, 1],
                                       [*row.item_ids, "g00001", "g00001\x00"],
-                                      [*row.scores.tolist(), 0.5, 0.25])
+                                      [*row.scores, 0.5, 0.25])
         with pytest.raises(DataError, match=r"unknown item_id 'g00001\\x00'"):
             k_reciprocal_rerank(q, g, stray, RerankParams(k1=2, k2=2))
 
@@ -285,12 +307,13 @@ class TestKReciprocalRerank:
         # table keeps it after that row is sliced away
         path = tmp_path / "r.tsv"
         path.write_text("q00000\t1\tzz\t0.5\n" + "".join(
-            f"{row.query_id}\t{rank}\t{item}\t{score!r}\n" for row in initial[1:]
-            for rank, (item, score) in enumerate(row.entries(), start=1)))
+            f"{row.query_id}\t{rank}\t{item}\t{score!r}\n" for row in ranking_rows(initial)[1:]
+            for rank, (item, score) in enumerate(zip(row.item_ids, row.scores), start=1)))
         loaded = formats.load_rankings(path)
         params = RerankParams(k1=1, k2=1)
-        assert (k_reciprocal_rerank(q, g, loaded[1:], params)
-                == k_reciprocal_rerank(q, g, initial[1:], params))
+        rest = np.arange(1, q.n_rows)
+        assert (ranking_rows(k_reciprocal_rerank(q, g, pick(loaded, rest), params))
+                == ranking_rows(k_reciprocal_rerank(q, g, pick(initial, rest), params)))
         # an entry that refers to it still has it named
         with pytest.raises(DataError, match="^unknown item_id 'zz'$"):
             k_reciprocal_rerank(q, g, loaded, params)
@@ -494,14 +517,16 @@ class TestRerankProperties:
     def test_matches_definition_oracle(self, case):
         q, g, params, depth, picked = case
         initial = _initial_rankings(q, g, k=depth)
-        rows = [[g.row_of(i) for i in r.item_ids] for r in initial]
+        initial_rows = ranking_rows(initial)
+        rows = [[g.item_ids.tolist().index(i) for i in r.item_ids] for r in initial_rows]
         ref = rerank_ref(q.data, g.data, rows, params.k1, params.k2, params.lam)
-        got = k_reciprocal_rerank(q, g, pick(initial, np.array(picked, dtype=np.intp)), params)
-        assert [r.query_id for r in got] == [initial[i].query_id for i in picked]
+        picked_initial = pick(initial, np.array(picked, dtype=np.intp))
+        got = ranking_rows(k_reciprocal_rerank(q, g, picked_initial, params))
+        assert [r.query_id for r in got] == [initial_rows[i].query_id for i in picked]
         for qi, ranking in zip(picked, got):
             expected = {f"g{row:05d}": d for row, d in ref[qi]}
             assert sorted(ranking.item_ids) == sorted(expected)
-            dstar = 1.0 - ranking.scores
+            dstar = 1.0 - np.array(ranking.scores)
             assert np.abs(dstar - [expected[i] for i in ranking.item_ids]).max() <= 1e-6
             # ascending d*, equal d* by ascending item_id
             for a, b, da, db in zip(ranking.item_ids, ranking.item_ids[1:], dstar, dstar[1:]):
@@ -525,19 +550,20 @@ def whole_gallery_cases(draw):
 
 
 def _assert_oracle_cut(got, q, g, params, k):
-    """`got` holds the first k of the oracle's whole-gallery re-ranking."""
+    """The first k of each row of `got` are the first k of the oracle's
+    whole-gallery re-ranking."""
     ref = rerank_ref(q.data, g.data, [range(g.n_rows)] * q.n_rows,
                      params.k1, params.k2, params.lam)
-    for ranking, pairs in zip(got, ref):
+    for ranking, pairs in zip(ranking_rows(got, k), ref):
         expected = sorted((d, f"g{row:05d}") for row, d in pairs)
-        dstar = 1.0 - ranking.scores
-        assert len(ranking) == min(k, g.n_rows)
+        dstar = 1.0 - np.array(ranking.scores)
+        assert len(ranking.item_ids) == min(k, g.n_rows)
         # the cut holds the oracle's first K distances, in order
         assert np.abs(dstar - [d for d, _ in expected[:k]]).max() <= 1e-6
         oracle = {item: d for d, item in expected}
         assert max(abs(oracle[i] - d) for i, d in zip(ranking.item_ids, dstar)) <= 1e-6
         # every row clear of the cut's last distance is in or out as the oracle says
-        last = expected[len(ranking) - 1][0]
+        last = expected[len(ranking.item_ids) - 1][0]
         assert {i for d, i in expected if d < last - 1e-6} <= set(ranking.item_ids)
         assert all(oracle[i] <= last + 1e-6 for i in ranking.item_ids)
         # ascending d*, equal d* by ascending item_id
@@ -550,12 +576,10 @@ class TestWholeGalleryRerank:
     @given(whole_gallery_cases())
     def test_cut_matches_oracle_over_full_gallery(self, case):
         q, g, params, k = case
-        got = k_reciprocal_rerank(q, g, None, params).head(k)
-        # re-ranking a full search gives the same rows, bit for bit
-        searched = k_reciprocal_rerank(q, g, knn_search(build_index(g), q, g.n_rows),
-                                       params).head(k)
-        assert got == searched
-        assert all(np.array_equal(a.scores, b.scores) for a, b in zip(got, searched))
+        got = k_reciprocal_rerank(q, g, None, params)
+        # re-ranking a full search gives the same rows
+        searched = k_reciprocal_rerank(q, g, knn_search(build_index(g), q, g.n_rows), params)
+        assert ranking_rows(got, k) == ranking_rows(searched, k)
         _assert_oracle_cut(got, q, g, params, k)
 
     @settings(max_examples=150, deadline=None)
@@ -571,12 +595,10 @@ class TestWholeGalleryRerank:
             rows[dst] = rows[src] + steps * np.spacing(rows[src])
         tops = []
         for gallery in (g, gmat(rows)):
-            cut = k_reciprocal_rerank(q, gallery, None, params).head(k)
+            whole = k_reciprocal_rerank(q, gallery, None, params)
             got = k_reciprocal_rerank(q, gallery, None, params, k=k)
-            assert got == cut
-            assert np.array_equal(got.lengths, cut.lengths)
-            assert all(np.array_equal(a.scores.view(np.int64), b.scores.view(np.int64))
-                       for a, b in zip(got, cut))
+            # the reprs tell apart every float bit pattern
+            assert repr(ranking_rows(got)) == repr(ranking_rows(whole, k))
             tops.append(got)
         # the oracle's own dot products may put a nudged copy on either side
         # of its source in a neighbor list, so it checks the exact copies only
@@ -609,7 +631,9 @@ class TestWholeGalleryRerank:
         assert base[1].count(b"\n") == sum(6 + i % 7 for i in range(q.n_rows))
         # the top k are the whole re-ranking's first k; shorter rows stay whole
         cut = tmp_path / "cut.tsv"
-        formats.save_rankings(k_reciprocal_rerank(q, g, ragged, params).head(9), cut)
+        whole = k_reciprocal_rerank(q, g, ragged, params)
+        formats.save_rankings(Rankings(whole.query_ids, whole.item_table, whole.codes[:, :9],
+                                       whole.scores[:, :9], np.minimum(whole.lengths, 9)), cut)
         assert cut.read_bytes() == base[3]
         for block in (1, 7):
             assert outputs(block) == base

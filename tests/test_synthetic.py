@@ -1,4 +1,6 @@
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,11 +9,11 @@ from hypothesis import strategies as st
 
 from cbirkit import embeddings
 from cbirkit import io as formats
+from cbirkit.cli import main
 from cbirkit.errors import ConfigError
 from cbirkit.evaluation import acc_at_k, detection_ap
 from cbirkit.search import build_index, knn_search
 from cbirkit.synthetic import (
-    GtObject,
     SyntheticSpec,
     detection_gt,
     generate_synthetic,
@@ -23,7 +25,7 @@ from cbirkit.synthetic import (
 )
 
 from oracles import synth_detections_ref, synth_layout_ref
-from util import boxes_to_dicts
+from util import boxes_to_dicts, detections
 
 
 def spec_of(**kwargs):
@@ -51,12 +53,27 @@ class TestSpec:
         with pytest.raises(ConfigError):
             spec_of(miss_rate=1.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["jitter_sigma", "score_sigma", "cluster_spread",
+                                       "noise_sigma"])
+    def test_non_finite_sigma_rejected(self, tmp_path, capsys, field, value):
+        # a NaN noise_sigma once failed halfway through writing the files
+        message = f"{field} must be finite and >= 0, got {value!r}"
+        with pytest.raises(ConfigError) as e:
+            SyntheticSpec.from_dict({"seed": 1, "num_images": 3, field: value})
+        assert str(e.value) == message
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 1, "num_images": 3, field: value}))
+        assert main(["gen-synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestDeterminism:
     def test_same_seed_same_layout(self):
         a = synth_layout(spec_of())
         b = synth_layout(spec_of())
-        assert a == b
+        assert boxes_to_dicts(a) == boxes_to_dicts(b)
 
     def test_same_seed_same_files(self, tmp_path):
         generate_synthetic(spec_of(), tmp_path / "a")
@@ -68,7 +85,7 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         a = synth_layout(spec_of())
         b = synth_layout(spec_of(seed=124))
-        assert a != b
+        assert boxes_to_dicts(a) != boxes_to_dicts(b)
 
     def test_streams_independent_of_generation_order(self):
         spec = spec_of(detector_count=3)
@@ -86,11 +103,19 @@ def table_rows(dets) -> list[tuple]:
                 dets.image_codes.tolist(), dets.model_codes.tolist())]
 
 
+def layout_objects(layout):
+    """The rows of a layout table as the oracles take them: image_id, box
+    and category_id."""
+    return [SimpleNamespace(image_id=row["image_id"], box=row["box"],
+                            category_id=row["category_id"]) for row in boxes_to_dicts(layout)]
+
+
 @st.composite
 def generator_cases(draw):
     """A spec with its edge values likely (zero noise, rates 0 and 1, one
-    category, one box per image), and either its layout or a few small
-    boxes that jitter inverts and narrows below one pixel."""
+    category, one box per image), and either its layout or a table of a few
+    small boxes that jitter inverts and narrows below one pixel, their
+    images interleaved in any order."""
     spec = SyntheticSpec(
         seed=draw(st.integers(0, 2 ** 64 - 1)), num_images=draw(st.integers(1, 6)),
         num_categories=draw(st.sampled_from([1, 2, 5])),
@@ -102,12 +127,11 @@ def generator_cases(draw):
         fp_rate=draw(st.sampled_from([0.0, 0.3, 1.0])))
     if draw(st.booleans()):
         return spec, synth_layout(spec)
-    objects = [GtObject(i, f"img{image:05d}", f"img{image:05d}:b{i}", (x, y, x + w, y + h), c)
-               for i, (image, x, y, w, h, c) in enumerate(draw(st.lists(st.tuples(
-                   st.integers(0, 3), *[st.floats(0.0, 50.0)] * 2,
-                   *[st.sampled_from([0.25, 1.0, 2.0])] * 2, st.integers(1, 3)),
-                   min_size=1, max_size=8)))]
-    return spec, objects
+    return spec, detections((x, y, x + w, y + h, 0.0, c, f"img{image:05d}", "")
+                            for image, x, y, w, h, c in draw(st.lists(st.tuples(
+                                st.integers(0, 3), *[st.floats(0.0, 50.0)] * 2,
+                                *[st.sampled_from([0.25, 1.0, 2.0])] * 2, st.integers(1, 3)),
+                                min_size=1, max_size=8)))
 
 
 class TestBulkDraws:
@@ -115,12 +139,15 @@ class TestBulkDraws:
     @given(generator_cases())
     def test_identical_to_scalar_draws(self, case):
         # the reprs tell apart every float bit pattern, -0.0 and 0.0 included
-        spec, objects = case
-        assert repr([(o.item_index, o.image_id, o.box_id, o.box, o.category_id)
-                     for o in synth_layout(spec)]) == repr(synth_layout_ref(spec))
+        spec, layout = case
+        regular = synth_layout(spec)
+        queries = synth_embeddings(spec, regular, synth_item_centers(spec, regular), 0)
+        assert repr([(i, o.image_id, box_id, o.box, o.category_id) for i, (o, box_id) in
+                     enumerate(zip(layout_objects(regular), queries.box_ids.tolist()))]) == repr(
+            synth_layout_ref(spec))
         for d in range(spec.detector_count):
-            assert repr(table_rows(synth_detections(spec, objects, d))) == repr(
-                synth_detections_ref(spec, objects, d))
+            assert repr(table_rows(synth_detections(spec, layout, d))) == repr(
+                synth_detections_ref(spec, layout_objects(layout), d))
 
 
 class TestNoiselessLimit:
@@ -132,7 +159,8 @@ class TestNoiselessLimit:
             assert len(boxes) == len(objects)
             for got, obj in zip(sorted(boxes_to_dicts(boxes),
                                        key=lambda b: (b["image_id"], b["box"][0])),
-                                sorted(objects, key=lambda o: (o.image_id, o.box[0]))):
+                                sorted(layout_objects(objects),
+                                       key=lambda o: (o.image_id, o.box[0]))):
                 assert got["box"] == obj.box
                 assert got["score"] == 1.0
                 assert got["category_id"] == obj.category_id
@@ -154,6 +182,29 @@ class TestNoiselessLimit:
         assert boxes_to_dicts(boxes) == []
         report = detection_ap(boxes, detection_gt(objects), [0.5])
         assert report.ap50 == 0.0
+
+
+class TestLayoutTable:
+    def test_layout_is_the_ground_truth(self):
+        spec = spec_of()
+        layout = synth_layout(spec)
+        assert detection_gt(layout) is layout
+        assert layout.image_names == tuple(f"img{i:05d}" for i in range(spec.num_images))
+        assert layout.image_codes.tolist() == [i // spec.gt_boxes_per_image
+                                               for i in range(len(layout))]
+        assert not layout.scores.any() and layout.model_names == ("",)
+
+    def test_query_box_id_counts_its_image_rows_before_it(self):
+        # images interleaved: a query's box id is its image id and the
+        # number of rows of that image before its own
+        images = ["b", "a", "b", "a", "a"]
+        layout = detections((0.0, 0.0, 1.0, 1.0, 0.0, 1, image, "") for image in images)
+        spec = spec_of(num_categories=1)
+        queries, _ = synth_embeddings(spec, layout, synth_item_centers(spec, layout),
+                                      0).split_by_source()
+        assert queries.box_ids.tolist() == ["b:b0", "a:b0", "b:b1", "a:b1", "a:b2"]
+        assert queries.image_ids.tolist() == images
+        assert retrieval_pairs(layout) == {f"q{i:06d}": {f"g{i:06d}"} for i in range(5)}
 
 
 class TestGenerateFiles:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +60,18 @@ def pick(rankings: Rankings, rows) -> Rankings:
                     rankings.scores[rows], rankings.lengths[rows])
 
 
-def row_scores(rankings: Rankings) -> list[list[float]]:
-    """Each row's scores, which `==` on Rankings leaves out."""
-    return [row.scores.tolist() for row in rankings]
+RankingRow = namedtuple("RankingRow", "query_id item_ids scores")
+
+
+def ranking_rows(rankings: Rankings, k: int | None = None) -> list[RankingRow]:
+    """Each query's (query id, item ids, scores) as a tuple of str and a
+    list of float, read from the columns, and cut to the first k entries
+    when k is given."""
+    lengths = rankings.lengths if k is None else np.minimum(rankings.lengths, k)
+    return [RankingRow(query_id, tuple(rankings.item_table[codes[:n]].tolist()),
+                       scores[:n].tolist())
+            for query_id, codes, scores, n in zip(rankings.query_ids.tolist(), rankings.codes,
+                                                  rankings.scores, lengths.tolist())]
 
 
 def gt_table(by_image) -> Detections:
