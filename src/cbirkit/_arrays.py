@@ -35,6 +35,18 @@ def blocks(weights: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
         start = stop
 
 
+def unit_blocks(units: np.ndarray, weights: np.ndarray | None,
+                budget: int) -> Iterator[tuple[int, int]]:
+    """Ranges (start, stop) that partition the points, which come sorted by
+    `units`, in order, each of whole units whose weights sum to at most
+    `budget`, and at least one unit long.  A weight of None is 1 a point.
+    Only the unit boundaries are held while the ranges are taken."""
+    edges = run_starts(units)
+    sums = (np.diff(edges) if weights is None or units.size == 0
+            else np.add.reduceat(weights, edges[:-1]))
+    return ((int(edges[lo]), int(edges[hi])) for lo, hi in blocks(sums, budget))
+
+
 def encode(values: Sequence, table: Sequence | None) -> tuple[np.ndarray, Sequence]:
     """Integer codes of the hashable `values` into `table`, a sequence of
     distinct values, with -1 for a value that the table lacks, and the table.

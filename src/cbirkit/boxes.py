@@ -15,7 +15,7 @@ ground truth is a `Detections` table too: score 0 and one empty model name.
 `box_rules` and `detection_rules` are the one statement of what a valid
 box and detection are; the tables, the loaders and `iou` all apply them.
 The tables add `code_rule`: every image and model code indexes its table
-of names.
+of names, and each table of names is distinct and ascending.
 
 `fuse_detections` fuses the (image, category) groups of a detection set
 in a wavefront.  After one sort by (image, category, -weighted score,
@@ -29,9 +29,9 @@ BLOCK_BOXES boxes (an image with more is a block of its own), so its
 working arrays, about 300 bytes a box, are block-sized rather than
 table-sized.  The blocks' outputs, concatenated in image order, are the
 whole table's bit for bit: no group spans two blocks.
-`nms` walks the same wavefront, but a box either survives as-is or is
-dropped: it is dropped when a box already kept in its group overlaps it
-with IoU >= the threshold.
+`nms` walks the same wavefront over the same blocks, but a box either
+survives as-is or is dropped: it is dropped when a box already kept in its
+group overlaps it with IoU >= the threshold.
 """
 
 from __future__ import annotations
@@ -42,13 +42,15 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from ._arrays import (Rule, blocks, check_integer, encode, first_fault, numbers, ranges,
-                      run_starts, unique_sorted, wavefront)
+from ._arrays import (Rule, check_integer, encode, first_fault, numbers, ranges, run_starts,
+                      unique_sorted, unit_blocks, wavefront)
 from .errors import ConfigError, DataError
 
 SCORE_MODES = ("rescale", "mean")
-# boxes in one block of whole images that fusion holds temporaries for
-BLOCK_BOXES = 1 << 14
+# boxes in one block of whole images that fusion, NMS, detection AP and the
+# fused-box writer hold temporaries for: few enough that a block's fusion
+# arrays and the fused table fit where the parts of `Detections.concat` were
+BLOCK_BOXES = 1 << 12
 
 
 def _check_iou_threshold(value: float) -> None:
@@ -149,6 +151,15 @@ def code_rule(kind: str, codes: np.ndarray, names: tuple[str, ...],
     return mask, message
 
 
+def _check_names(column: str, names: tuple[str, ...]) -> None:
+    """Raise DataError naming `column` unless its names ascend strictly, so
+    that code order is name order, which the blocked steps rely on."""
+    for earlier, later in zip(names, names[1:]):
+        if not earlier < later:
+            raise DataError(f"{column} must be distinct and ascending: {later!r} "
+                            f"follows {earlier!r}")
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class _BoxColumns:
     """Columns shared by detections and fused boxes; row i is the box
@@ -174,6 +185,9 @@ class _BoxColumns:
         if coords.shape != (n, 4) or any(getattr(self, name).shape != (n,)
                                          for name, _ in self._columns()):
             raise DataError("box columns must be (n, 4) coordinates and n-long vectors")
+        if not _checked:
+            for column in ("image_names", "model_names"):
+                _check_names(column, getattr(self, column))
         fault = None if _checked else first_fault(n, self._rules())
         if fault is not None:
             raise DataError(fault[1])
@@ -222,10 +236,13 @@ class Detections(_BoxColumns):
             return cls.from_columns(np.zeros((0, 4)), [], [], [], [])
         image_codes, image_names = _merge([(p.image_names, p.image_codes) for p in parts])
         model_codes, model_names = _merge([(p.model_names, p.model_codes) for p in parts])
-        return cls(np.concatenate([p.coords for p in parts]),
-                   np.concatenate([p.scores for p in parts]),
-                   np.concatenate([p.category_ids for p in parts]),
-                   image_codes, image_names, model_codes, model_names)
+        columns = [np.concatenate([getattr(p, name) for p in parts])
+                   for name in ("coords", "scores", "category_ids")]
+        for column in (*columns, image_codes, model_codes):
+            # new arrays that nothing else holds: the table keeps them uncopied
+            column.flags.writeable = False
+        # every part passed the rules, and the merged tables are sorted and distinct
+        return cls(*columns, image_codes, image_names, model_codes, model_names, _checked=True)
 
 
 def _merge(tables: list[tuple[tuple[str, ...], np.ndarray]]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -309,16 +326,19 @@ def nms(boxes: Detections, iou_threshold: float) -> Detections:
     # the k-th kept box of the group starting at position p is kept[p + k]
     n_kept = np.zeros(start.size, dtype=np.intp)
     kept = np.empty(len(boxes), dtype=np.intp)
-    for s, group in enumerate(wavefront(np.diff(bounds))):
-        box = start[group] + s
-        k = n_kept[group]
-        owner = np.repeat(np.arange(group.size), k)
-        prior = kept[ranges(start[group], k)]
-        b = box[owner]
-        hit = overlaps(coords[prior], area[prior], coords[b], area[b]) >= iou_threshold
-        alive = np.bincount(owner[hit], minlength=group.size) == 0
-        kept[start[group[alive]] + k[alive]] = box[alive]
-        n_kept[group[alive]] += 1
+    lengths = np.diff(bounds)
+    for first, last in unit_blocks(boxes.image_codes[order[start]], lengths, BLOCK_BOXES):
+        for s, group in enumerate(wavefront(lengths[first:last])):
+            group = group + first
+            box = start[group] + s
+            k = n_kept[group]
+            owner = np.repeat(np.arange(group.size), k)
+            prior = kept[ranges(start[group], k)]
+            b = box[owner]
+            hit = overlaps(coords[prior], area[prior], coords[b], area[b]) >= iou_threshold
+            alive = np.bincount(owner[hit], minlength=group.size) == 0
+            kept[start[group[alive]] + k[alive]] = box[alive]
+            n_kept[group[alive]] += 1
     rows = order[kept[ranges(start, n_kept)]]
     rows = rows[np.lexsort((rows, boxes.model_codes[rows], -boxes.scores[rows],
                             boxes.image_codes[rows]))]
@@ -379,10 +399,12 @@ def _fuse_block(boxes: Detections, rows: np.ndarray, weighted: np.ndarray,
     fused, fused_area = np.zeros((n, 4)), np.zeros(n)
     slot = np.empty(n, dtype=np.intp)
     for s, group in enumerate(wavefront(np.diff(bounds))):
-        box = start[group] + s
+        first_slot = start[group]
+        box = first_slot + s
         k = n_clusters[group]
-        target = start[group] + k
-        candidates = ranges(start[group], k)
+        opened = first_slot + k
+        target = opened.copy()
+        candidates = ranges(first_slot, k)
         if candidates.size:
             owner = np.repeat(np.arange(group.size), k)
             b = box[owner]
@@ -391,17 +413,19 @@ def _fuse_block(boxes: Detections, rows: np.ndarray, weighted: np.ndarray,
             if hit.size:
                 first = hit[np.concatenate(([True], owner[hit[1:]] != owner[hit[:-1]]))]
                 target[owner[first]] = candidates[first]
-        n_clusters[group[target == start[group] + k]] += 1
+        n_clusters[group[target == opened]] += 1
         slot[box] = target
-        wsum[target] += w[box]
-        wcoords[target] += w[box, None] * coords[box]
-        csum[target] += coords[box]
-        size[target] += 1
+        # each target takes one box per step: its sums, read, added to and written back
+        member = coords[box]
+        wsum[target] = total = wsum[target] + w[box]
+        wcoords[target] = weighted_sum = wcoords[target] + w[box, None] * member
+        csum[target] = plain_sum = csum[target] + member
+        size[target] = count = size[target] + 1
         with np.errstate(divide="ignore", invalid="ignore"):
-            fused[target] = np.where(wsum[target, None] > 0.0,
-                                     wcoords[target] / wsum[target, None],
-                                     csum[target] / size[target, None])
-        fused_area[target] = areas(fused[target])
+            fused[target] = box_of = np.where(total[:, None] > 0.0,
+                                              weighted_sum / total[:, None],
+                                              plain_sum / count[:, None])
+        fused_area[target] = areas(box_of)
 
     used = np.flatnonzero(size)
     t = size[used]
@@ -454,13 +478,18 @@ def fuse_detections(boxes: Detections, params: WbfParams) -> FusedDetections:
     weight = np.array([weights.get(m, 1.0) for m in boxes.model_names], dtype=np.float64)
     weighted = _clip01(boxes.scores * weight[boxes.model_codes])
     order = np.lexsort((boxes.model_codes, -weighted, boxes.category_ids, boxes.image_codes))
-    images = run_starts(boxes.image_codes[order])
-    parts = [_fuse_block(boxes, order[images[lo]:images[hi]], weighted, observed, params)
-             for lo, hi in blocks(np.diff(images), BLOCK_BOXES)]
-    columns = [np.concatenate(column) for column in zip(*parts)]
-    for column in columns:
-        # new arrays that nothing else holds: the table keeps them uncopied
-        column.flags.writeable = False
+    parts = [_fuse_block(boxes, order[lo:hi], weighted, observed, params)
+             for lo, hi in unit_blocks(boxes.image_codes[order], None, BLOCK_BOXES)]
+    del order, weighted
+    columns = [list(column) for column in zip(*parts)]
+    del parts
+    for i in range(len(columns)):
+        # a column's blocks are dropped as it is joined, into a new array
+        # that nothing else holds: the table keeps it uncopied
+        columns[i] = np.concatenate(columns[i])
+        columns[i].flags.writeable = False
     coords, scores, category_ids, image_codes, sizes, counts, models = columns
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indptr.flags.writeable = False
     return FusedDetections(coords, scores, category_ids, image_codes, boxes.image_names, sizes,
-                           np.concatenate(([0], np.cumsum(counts))), models, boxes.model_names)
+                           indptr, models, boxes.model_names)

@@ -73,7 +73,24 @@ def _id_fault(item_ids, image_ids, box_ids, category_ids, sources) -> tuple[int,
         (lambda n: (holds(bool, map(_NOT_IN_RANKINGS.search, item_ids), n)
                     if _NOT_IN_RANKINGS.search("".join(item_ids[:n])) else np.zeros(n, bool)),
          lambda row: f"item_id {item_ids[row]!r} holds a tab, newline or lone surrogate"),
-        (lambda n: repeats(item_ids[:n]), lambda row: f"duplicate item_id {item_ids[row]!r}")])
+        unique_ids(item_ids)])
+
+
+def unique_ids(item_ids) -> Rule:
+    """The rule that no item_id repeats one before it, as `first_fault`
+    takes it, over item ids as strs or as a numpy str array."""
+    return (lambda n: repeats(item_ids[:n]),
+            lambda row: f"duplicate item_id {str(item_ids[row])!r}")
+
+
+def _id_arrays(item_ids, image_ids, box_ids, category_ids, sources) -> list[np.ndarray]:
+    """Checked id values, as sequences or as these arrays, in the arrays
+    the matrix holds: item_ids a numpy str array, image_ids and box_ids
+    object arrays (so that every str round-trips), int64 category_ids and a
+    numpy str array of sources."""
+    return [np.asarray(item_ids, dtype=str), np.asarray(image_ids, dtype=object),
+            np.asarray(box_ids, dtype=object), np.asarray(category_ids, dtype=np.int64),
+            np.asarray(sources, dtype=str)]
 
 
 def _float_rows(data) -> np.ndarray:
@@ -115,7 +132,8 @@ class EmbeddingMatrix:
         """A matrix from one sequence of Python values per IdRecord field,
         checked as the records constructor checks them.  ids_checked skips
         the id rules for columns that a loader has already checked: the id
-        sidecar's field types, then `_id_fault`."""
+        sidecar's field types, then `_id_fault`; such columns may come as
+        `_id_arrays` gives them, and are then kept uncopied."""
         m = cls.__new__(cls)
         m._check_ids(data, item_ids, image_ids, box_ids, category_ids, sources,
                      ids_checked=ids_checked)
@@ -123,17 +141,16 @@ class EmbeddingMatrix:
 
     def _check_ids(self, data, *columns: Sequence, ids_checked: bool = False) -> None:
         self.data = _float_rows(data)
-        columns = [list(column) for column in columns]
+        if not ids_checked:
+            columns = [list(column) for column in columns]
         if any(len(column) != self.n_rows for column in columns):
             raise DataError(f"{len(columns[0])} id records for {self.n_rows} rows")
         fault = None if ids_checked else first_fault(self.n_rows, _id_types(*columns) + [
             fault_rule(lambda n: _id_fault(*(column[:n] for column in columns)))])
         if fault is not None:
             raise DataError(fault[1])
-        item_ids = np.array(columns[0], dtype=str)
-        self._set_ids([item_ids, np.array(columns[1], dtype=object),
-                       np.array(columns[2], dtype=object), np.array(columns[3], dtype=np.int64),
-                       np.array(columns[4])], np.argsort(item_ids, kind="stable"))
+        columns = _id_arrays(*columns)
+        self._set_ids(columns, np.argsort(columns[0], kind="stable"))
 
     def _set_ids(self, columns: list[np.ndarray], order: np.ndarray) -> None:
         """Store checked id columns, read-only; `order` sorts the item_ids."""
@@ -172,15 +189,17 @@ class EmbeddingMatrix:
         return m
 
     def split_by_source(self) -> tuple[EmbeddingMatrix, EmbeddingMatrix]:
-        """(queries, gallery) in original row order, their ids sliced from
-        this matrix's checked columns; errors if a side is empty."""
+        """(queries, gallery) in original row order, their rows and ids
+        sliced from this matrix's checked data and columns, one read-only
+        copy each; errors if a side is empty."""
         is_query = self.sources == "query"
         if is_query.all() or not is_query.any():
             raise DataError("matrix does not contain both query and gallery rows")
         sides = []
         for side in (is_query, ~is_query):
             m = EmbeddingMatrix.__new__(EmbeddingMatrix)
-            m.data = _float_rows(self.data[side])
+            m.data = self.data[side]
+            m.data.setflags(write=False)
             m._set_ids([column[side] for column in self._columns],
                        np.argsort(self.id_rank[side], kind="stable"))
             sides.append(m)

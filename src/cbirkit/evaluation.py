@@ -13,8 +13,13 @@ position-in-group: predictions are grouped by (category, image) in the
 canonical order, and step s takes the s-th prediction of every group,
 computes its IoU with each ground-truth box of its group once, and matches
 it at every threshold at once to the first unused box of maximal IoU at or
-above that threshold.  The cumulative counts and the interpolation then run
-per (category, threshold).
+above that threshold.  The wavefront runs over one block of whole images at
+a time, of at most `boxes.BLOCK_BOXES` predictions and ground-truth boxes,
+so that its temporaries are block-sized; a group's boxes never span two
+blocks, so the TP flags are those of one wavefront over the whole table.
+What stays whole is O(n): the sort order, the group keys and the TP flags
+(one bool per prediction and threshold).  The cumulative counts and the
+interpolation then run per (category, threshold), in the same order.
 
 acc_at_k counts a query as a hit at K when any of its ground-truth gallery
 items appears within the first K ranked entries.  It takes `search.Rankings`
@@ -31,8 +36,8 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from ._arrays import (check_integer, encode, pairs_in, ranges, repeats, run_starts,
-                      unique_sorted, wavefront)
-from .boxes import Detections, FusedDetections, _merge, areas, overlaps
+                      unique_sorted, unit_blocks, wavefront)
+from .boxes import BLOCK_BOXES, Detections, FusedDetections, _merge, areas, overlaps
 from .errors import DataError
 from .search import Rankings
 
@@ -109,38 +114,46 @@ def check_thresholds(iou_thresholds: Sequence[float] | None) -> tuple[float, ...
 
 
 def _match(preds: Detections | FusedDetections, order: np.ndarray, group_key: np.ndarray,
-           gt_coords: np.ndarray, gt_key: np.ndarray,
+           width: int, gt_coords: np.ndarray, gt_key: np.ndarray,
            thresholds: tuple[float, ...]) -> np.ndarray:
     """Greedy TP flags, (thresholds, predictions): each prediction, in
     `order` within its group, takes the first unused ground-truth box of
-    its group with maximal IoU >= the threshold.  Groups are equal keys;
-    ground truth is sorted by key, in input order within a key."""
+    its group with maximal IoU >= the threshold.  Groups are equal keys, and
+    key // width is a group's image; ground truth is sorted by key, in input
+    order within a key.  The wavefront runs over one block of whole images
+    at a time, of at most BLOCK_BOXES predictions and ground-truth boxes
+    (an image with more is a block of its own), so its temporaries are
+    block-sized: a group's steps read and mark only its own boxes, so the
+    flags are those of one wavefront over every group."""
     tp = np.zeros((len(thresholds), len(preds)), dtype=bool)
     grouped = order[np.argsort(group_key[order], kind="stable")]
     bounds = run_starts(group_key[grouped])
-    start, length = bounds[:-1], np.diff(bounds)
+    start = bounds[:-1]
     key = group_key[grouped[start]]
     lo = np.searchsorted(gt_key, key, side="left")
     count = np.searchsorted(gt_key, key, side="right") - lo
+    # a group without ground truth has nothing to match
+    length = np.where(count > 0, np.diff(bounds), 0)
     pred_area, gt_area = areas(preds.coords), areas(gt_coords)
     level = np.array(thresholds)[:, None]
     used = np.zeros((len(thresholds), gt_key.size), dtype=bool)
-    # a group without ground truth has nothing to match
-    for s, group in enumerate(wavefront(np.where(count > 0, length, 0))):
-        pred = grouped[start[group] + s]
-        gt = ranges(lo[group], count[group])
-        owner = np.repeat(np.arange(group.size), count[group])
-        segment = np.concatenate(([0], np.cumsum(count[group])[:-1]))
-        p = pred[owner]
-        value = overlaps(preds.coords[p], pred_area[p], gt_coords[gt], gt_area[gt])
-        open_ = (value >= level) & ~used[:, gt]
-        masked = np.where(open_, value, -1.0)
-        best = open_ & (masked == np.maximum.reduceat(masked, segment, axis=1)[:, owner])
-        before = np.cumsum(best, axis=1) - best
-        first = best & (before == before[:, segment][:, owner])
-        level_of, j = np.nonzero(first)
-        used[level_of, gt[j]] = True
-        tp[level_of, p[j]] = True
+    for first, last in unit_blocks(key // width, length + count, BLOCK_BOXES):
+        for s, group in enumerate(wavefront(length[first:last])):
+            group = group + first
+            pred = grouped[start[group] + s]
+            gt = ranges(lo[group], count[group])
+            owner = np.repeat(np.arange(group.size), count[group])
+            segment = np.concatenate(([0], np.cumsum(count[group])[:-1]))
+            p = pred[owner]
+            value = overlaps(preds.coords[p], pred_area[p], gt_coords[gt], gt_area[gt])
+            open_ = (value >= level) & ~used[:, gt]
+            masked = np.where(open_, value, -1.0)
+            best = open_ & (masked == np.maximum.reduceat(masked, segment, axis=1)[:, owner])
+            before = np.cumsum(best, axis=1) - best
+            first_best = best & (before == before[:, segment][:, owner])
+            level_of, j = np.nonzero(first_best)
+            used[level_of, gt[j]] = True
+            tp[level_of, p[j]] = True
     return tp
 
 
@@ -172,7 +185,8 @@ def detection_ap(
                 + np.searchsorted(categories, preds.category_ids))
     gt_key = image[len(preds):] * categories.size + gt_rank
     gt_order = np.argsort(gt_key, kind="stable")
-    tp = _match(preds, order, pred_key, gt.coords[gt_order], gt_key[gt_order], thresholds)
+    tp = _match(preds, order, pred_key, categories.size, gt.coords[gt_order], gt_key[gt_order],
+                thresholds)
 
     by_category = preds.category_ids[order]
     lo = np.searchsorted(by_category, categories, side="left")

@@ -3,8 +3,14 @@ TSV, retrieval ground-truth JSONL, and the report JSON.
 
 A JSONL file holds one object per line; blank lines and unknown keys are
 skipped.  A line that is not UTF-8, JSON, or an object holding each field
-of its format ends the records.  Each format's rules are then stated once,
-as `_arrays.first_fault` takes them, and run on those records in order:
+of its format ends the records.  The records are parsed CHUNK_LINES at a
+time and each chunk, once it passes, is kept as compact columns (numbers
+in arrays, detection ids as codes into sorted name tables), so that the
+Python values held at once are bounded by the chunk, not the file.  Each
+format's rules are stated once, as `_arrays.first_fault` takes them, and
+run on those records in order: the rules that read one record on each
+chunk as it is parsed, and the rules that need every record before the
+first bad one (a unique id) last, on the joined columns:
   every format   each field's type: `int` a JSON integer, `float` any
                  JSON number, and no boolean is a number
   _DETECTIONS    bbox is [x1, y1, x2, y2] of numbers; every number fits a
@@ -43,6 +49,9 @@ id.  Fused boxes are written from `boxes.FusedDetections` columns.
 Every JSONL writer formats its lines from the table's columns, byte for
 byte as `json.dumps` writes each record, and streams them to the file a
 line at a time: no dict, `json.dumps` call or string of the whole file.
+The fused-box writer, on the pipeline's path, converts its columns to
+Python values BLOCK_BOXES rows at a time; the others convert whole
+columns.
 A format's field table states its line, one form per field; a string goes
 through `encode_basestring_ascii` (a coded table's names once each), a
 float through `repr`, an int through `%d`.  Fused boxes have a loop of
@@ -60,7 +69,7 @@ import math
 import operator
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from io import BytesIO, TextIOWrapper
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -69,14 +78,16 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ._arrays import encode, fault_rule, first_fault, holds, repeats, wrong_type
-from .boxes import Detections, FusedDetections, detection_rules
-from .embeddings import EmbeddingMatrix, _id_fault
+from .boxes import BLOCK_BOXES, Detections, FusedDetections, _merge, detection_rules
+from .embeddings import EmbeddingMatrix, _id_arrays, _id_fault, unique_ids
 from .errors import ConfigError, DataError, EmbeddingFormatError, ParseError
 from .evaluation import GroundTruthRet
 from .search import Rankings, _BadEntry
 
 EMB_MAGIC = b"EMB1"
 _EMB_HEADER = struct.Struct("<4sII")
+# records of a JSONL file held as Python values at once while it is read
+CHUNK_LINES = 1 << 13
 
 # a JSONL format's fields: each one's key, the JSON types its value may
 # have, and its value's form in a written line, whose values `_write_jsonl`
@@ -179,43 +190,88 @@ class _CountMismatch(str):
     """A rule's message raised as EmbeddingFormatError "count_mismatch"."""
 
 
-def _read_jsonl(path: str | Path, fields, rules,
-                raw: bytes | None = None) -> tuple[list[int], list[list]]:
-    """(line numbers, one list of values per field) of a JSONL file, or of
-    `raw`, its bytes, when given, once every record passes.
-    The records end before the first line that is not an object with the
-    table's fields.  The field types, then `rules(*columns)`, the format's
-    rules as `first_fault` takes them, run on the records before it; the
-    earliest bad line wins, and ParseError names it."""
+def _fault(path: str | Path, lineno: int, message: str) -> DataError:
+    """The error that names line `lineno` of `path` for a rule's message."""
+    if isinstance(message, _CountMismatch):
+        return EmbeddingFormatError("count_mismatch", f"{path}:{lineno}: {message}")
+    return ParseError(str(path), lineno, message)
+
+
+def _joined(parts: list):
+    """One compact column of every chunk, in file order: arrays are
+    concatenated, and coded strings, (names, codes) pairs, are re-coded into
+    the sorted union of their names, as (codes, names)."""
+    coded = isinstance(parts[0], tuple)
+    column, names = _merge(parts) if coded else (np.concatenate(parts), None)
+    # a new array that nothing else holds: a table keeps it uncopied
+    column.flags.writeable = False
+    return (column, names) if coded else column
+
+
+def _read_jsonl(path: str | Path, fields, chunk, joined_rules=lambda *columns: [],
+                raw: bytes | None = None) -> list:
+    """The compact columns of a JSONL file, or of `raw`, its bytes, when
+    given, once every record passes.
+
+    The records are parsed CHUNK_LINES at a time, and end before the first
+    line that is not an object with the table's fields.  For each chunk,
+    `chunk(start, *values)`, where start is the index of its first record
+    and values holds one list per field, gives the format's rules over the
+    values, as `first_fault` takes them, and `compact(n)`, the first n
+    records as compact columns: arrays, or coded strings as (names, codes).
+    The field types, then the rules, run on the chunk's records; the
+    records that pass are compacted before the next chunk is parsed, and
+    the first that fails ends the reading.  `joined_rules(*columns)`, the
+    rules that need every record before it (say, that an id is unique),
+    run last, on the joined columns.  The earliest bad line wins, and
+    ParseError names it."""
     keys = [key for key, _, _ in fields]
     values_of = operator.itemgetter(*keys)
-    # the values of all records in one list: a tuple kept per record would
-    # add an object per line for the garbage collector to traverse
-    lines, values, fault = [], [], None
-    try:
-        for lineno, obj in _line_records(path, raw=raw):
+    lines, parts, fault, start = [], [], None, 0
+    with closing(_line_records(path, raw=raw)) as records:
+        while True:
+            # the values of the chunk's records in one list: a tuple kept per
+            # record would add an object per line for the garbage collector
+            numbers, values = [], []
             try:
-                values += values_of(obj)
-            except (KeyError, TypeError):
-                why = (f"missing field '{next(k for k in keys if k not in obj)}'"
-                       if isinstance(obj, dict) else "record is not a JSON object")
-                raise ParseError(str(path), lineno, why) from None
-            lines.append(lineno)
-    except ParseError as e:
-        fault = e
-    columns = [values[i::len(fields)] for i in range(len(fields))]
-    types = [(lambda n, column=column, types=types: wrong_type(column, n, types),
-              lambda row, key=key, column=column: f"field '{key}' has wrong type: {column[row]!r}")
-             for column, (key, types, _) in zip(columns, fields)]
-    bad = first_fault(len(lines), types + rules(*columns))
+                for lineno, obj in itertools.islice(records, CHUNK_LINES):
+                    try:
+                        values += values_of(obj)
+                    except (KeyError, TypeError):
+                        why = (f"missing field '{next(k for k in keys if k not in obj)}'"
+                               if isinstance(obj, dict) else "record is not a JSON object")
+                        raise ParseError(str(path), lineno, why) from None
+                    numbers.append(lineno)
+            except ParseError as e:
+                fault = e
+            columns = [values[i::len(fields)] for i in range(len(fields))]
+            del values
+            rules, compact = chunk(start, *columns)
+            types = [(lambda n, column=column, types=types: wrong_type(column, n, types),
+                      lambda row, key=key, column=column:
+                      f"field '{key}' has wrong type: {column[row]!r}")
+                     for column, (key, types, _) in zip(columns, fields)]
+            n = len(numbers)
+            bad = first_fault(n, types + rules)
+            if bad is not None:
+                n, message = bad
+                fault = _fault(path, numbers[n], message)
+            parts.append(compact(n))
+            lines.append(np.array(numbers[:n], dtype=np.int64))
+            start += n
+            if fault is not None or len(numbers) < CHUNK_LINES:
+                break
+    columns = [list(column) for column in zip(*parts)]
+    del parts
+    for i in range(len(columns)):
+        columns[i] = _joined(columns[i])  # its chunks are dropped as it is joined
+    bad = first_fault(start, joined_rules(*columns))
     if bad is not None:
         row, message = bad
-        if isinstance(message, _CountMismatch):
-            raise EmbeddingFormatError("count_mismatch", f"{path}:{lines[row]}: {message}")
-        raise ParseError(str(path), lines[row], message)
+        raise _fault(path, int(np.concatenate(lines)[row]), message)
     if fault is not None:
         raise fault
-    return lines, columns
+    return columns
 
 
 def _write_jsonl(path: str | Path, fields, columns: Iterable[Iterable]) -> None:
@@ -247,35 +303,38 @@ def _boxes(path: str | Path, fields, columns_of) -> Detections:
     """A detections-like file's rows as a table, once each passes its field
     types, then: a bbox is four numbers; each number fits its array
     (float64, and int64 for category_id); then `boxes.detection_rules`.
-    columns_of(*columns) gives the image ids, model ids, category ids,
-    scores and bboxes of the file's columns."""
-    tables = {}  # the arrays of the first n rows, by n
-
-    def rules(*columns):
-        _, _, categories, scores, boxes = columns_of(*columns)
+    columns_of(*values) gives the image ids, model ids, category ids,
+    scores and bboxes of a chunk's values.  Every rule reads one row, so
+    a chunk is checked and compacted on its own."""
+    def chunk(start, *values):
+        images, models, categories, scores, boxes = columns_of(*values)
+        arrays = []  # the coordinates, scores and category ids box_fault last converted
 
         def box_fault(n: int) -> tuple[int, str] | None:
             coords, coords_big = _numbers(list(itertools.chain.from_iterable(boxes[:n])),
                                           np.float64)
             (score, score_big), (category, category_big) = (
                 _numbers(scores[:n], np.float64), _numbers(categories[:n], np.int64))
-            tables[n] = coords.reshape(n, 4), score, category
+            arrays[:] = coords.reshape(n, 4), score, category
             return first_fault(n, [
                 (lambda m: coords_big.reshape(n, 4)[:m].any(axis=1) | score_big[:m],
                  lambda row: "int too large to convert to float"),
                 (lambda m: category_big[:m],
                  lambda row: f"category_id {categories[row]} out of range"),
-                *detection_rules(*tables[n])])
+                *detection_rules(*arrays)])
+
+        def compact(n: int) -> list:
+            # box_fault ran on at least the n rows that pass, so its arrays hold them
+            return [*(array[:n] for array in arrays),
+                    *(encode(ids[:n], None)[::-1] for ids in (images, models))]
 
         return [(lambda n: holds(operator.ne, map(len, boxes), n, 4)
                  | _any_wrong_type(boxes, n, _NUMBER),
                  lambda row: f"bbox must be [x1, y1, x2, y2], got {boxes[row]!r}"),
-                fault_rule(box_fault)]
+                fault_rule(box_fault)], compact
 
-    lines, columns = _read_jsonl(path, fields, rules)
-    images, models, *_ = columns_of(*columns)
-    return Detections(*tables[len(lines)], *encode(images, None), *encode(models, None),
-                      _checked=True)
+    coords, scores, categories, images, models = _read_jsonl(path, fields, chunk)
+    return Detections(coords, scores, categories, *images, *models, _checked=True)
 
 
 def _names(names: tuple[str, ...], codes: np.ndarray) -> Iterable[str]:
@@ -299,24 +358,30 @@ def save_detections(dets: Detections, path: str | Path) -> None:
 def save_fused_boxes(fused: FusedDetections, path: str | Path) -> None:
     """Fused boxes use the detections schema (model_id "wbf") plus
     cluster_size and the contributing model ids, so the file can be fed
-    straight back into detection evaluation."""
+    straight back into detection evaluation.  The rows are converted and
+    written BLOCK_BOXES at a time, so that their Python values are bounded
+    by the block, not the table."""
     images = list(map(encode_basestring_ascii, fused.image_names))
     models = list(map(encode_basestring_ascii, fused.model_names))
-    codes, bounds = fused.model_codes.tolist(), fused.model_indptr.tolist()
     member_lists: dict[tuple[int, ...], str] = {}
     with _atomic_open(path) as fh:
-        for i, (image, category, score, (x1, y1, x2, y2), size) in enumerate(zip(
-                fused.image_codes.tolist(), fused.category_ids.tolist(),
-                fused.scores.tolist(), fused.coords.tolist(),
-                fused.cluster_sizes.tolist())):
-            key = tuple(codes[bounds[i]:bounds[i + 1]])
-            members = member_lists.get(key)
-            if members is None:
-                members = member_lists[key] = "[" + ", ".join(models[c] for c in key) + "]"
-            fh.write(f'{{"image_id": {images[image]}, "model_id": "wbf", '
-                     f'"category_id": {category}, "score": {score!r}, '
-                     f'"bbox": [{x1!r}, {y1!r}, {x2!r}, {y2!r}], '
-                     f'"cluster_size": {size}, "model_ids": {members}}}\n')
+        for lo in range(0, len(fused), BLOCK_BOXES):
+            hi = lo + BLOCK_BOXES
+            indptr = fused.model_indptr[lo:hi + 1]
+            codes = fused.model_codes[indptr[0]:indptr[-1]].tolist()
+            bounds = (indptr - indptr[0]).tolist()
+            for i, (image, category, score, (x1, y1, x2, y2), size) in enumerate(zip(
+                    fused.image_codes[lo:hi].tolist(), fused.category_ids[lo:hi].tolist(),
+                    fused.scores[lo:hi].tolist(), fused.coords[lo:hi].tolist(),
+                    fused.cluster_sizes[lo:hi].tolist())):
+                key = tuple(codes[bounds[i]:bounds[i + 1]])
+                members = member_lists.get(key)
+                if members is None:
+                    members = member_lists[key] = "[" + ", ".join(models[c] for c in key) + "]"
+                fh.write(f'{{"image_id": {images[image]}, "model_id": "wbf", '
+                         f'"category_id": {category}, "score": {score!r}, '
+                         f'"bbox": [{x1!r}, {y1!r}, {x2!r}, {y2!r}], '
+                         f'"cluster_size": {size}, "model_ids": {members}}}\n')
 
 
 def load_detection_gt(path: str | Path) -> Detections:
@@ -378,11 +443,14 @@ def load_embeddings(data_path: str | Path, ids_path: str | Path,
         raw = fh.read()
     shared = None if sidecars is None else sidecars.get(raw)
     if shared is None:
-        # the sidecar's rules: row is the record's index, then `_id_fault`'s
-        _, (_, *columns) = _read_jsonl(ids_path, _IDS, lambda rows, *columns: [
-            (lambda n: np.fromiter(map(operator.ne, rows[:n], range(n)), bool, n),
-             lambda row: _CountMismatch(f"row index {rows[row]}, expected {row}")),
-            fault_rule(lambda n: _id_fault(*(column[:n] for column in columns)))], raw)
+        # the sidecar's rules: row is the record's index, then `_id_fault`'s,
+        # whose unique ids are checked again over the joined item ids
+        columns = _read_jsonl(ids_path, _IDS, lambda start, rows, *columns: (
+            [(lambda n: np.fromiter(map(operator.ne, rows[:n], range(start, start + n)), bool, n),
+              lambda row: _CountMismatch(f"row index {rows[row]}, expected {start + row}")),
+             fault_rule(lambda n: _id_fault(*(column[:n] for column in columns)))],
+            lambda n: _id_arrays(*(column[:n] for column in columns))),
+            lambda item_ids, *_: [unique_ids(item_ids)], raw)
         records = len(columns[0])
     else:
         records = shared.n_rows
@@ -459,11 +527,13 @@ def load_rankings(path: str | Path) -> Rankings:
 def load_retrieval_gt(path: str | Path) -> GroundTruthRet:
     """Each query's set of matching gallery item ids: matches is a list of
     strings, and no query_id repeats."""
-    _, (query_ids, matches) = _read_jsonl(path, _RETRIEVAL_GT, lambda query_ids, matches: [
-        (lambda n: _any_wrong_type(matches, n, (str,)),
-         lambda row: "matches must be a list of strings"),
-        (lambda n: repeats(query_ids[:n]), lambda row: f"duplicate query_id {query_ids[row]!r}")])
-    return dict(zip(query_ids, map(set, matches)))
+    query_ids, matches = _read_jsonl(path, _RETRIEVAL_GT, lambda start, query_ids, matches: (
+        [(lambda n: _any_wrong_type(matches, n, (str,)),
+          lambda row: "matches must be a list of strings")],
+        lambda n: [np.fromiter(column[:n], object, n) for column in (query_ids, matches)]),
+        lambda query_ids, matches: [(lambda n: repeats(query_ids[:n]),
+                                     lambda row: f"duplicate query_id {query_ids[row]!r}")])
+    return dict(zip(query_ids.tolist(), map(set, matches.tolist())))
 
 
 def save_retrieval_gt(gt: GroundTruthRet, path: str | Path) -> None:

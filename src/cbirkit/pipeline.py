@@ -24,6 +24,18 @@ initial rankings) by the blended distance straight to the top search.k,
 which replace the search output.
 Re-ranking keeps O(queries x search.k) output and temporaries of
 O(RERANK_BLOCK x gallery rows), never a queries x gallery array.
+
+Working memory of the detection half, beyond the tables it builds: each
+`load_detections` call holds one chunk of `io.CHUNK_LINES` records as
+Python values; `Detections.concat` holds its parts and the joined table,
+the one point where the detections are held twice; `fuse_detections`
+holds the table, its whole-table sort keys and one block of at most
+`boxes.BLOCK_BOXES` boxes; `detection_ap` holds the fused table, the
+ground truth, its sort keys and TP flags and one block of images; and
+`save_fused_boxes` holds one block of rows as Python values.  Each table
+is dropped once its last step is done: the parts after concat, the input
+table after fusion, and the detection ground truth after scoring; only
+the fused table lives on, to be written.
 """
 
 from __future__ import annotations
@@ -341,11 +353,13 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
         with _stage("fuse"):
             fused = fuse_detections(boxes, config.wbf)
         logger.info("fuse: %d boxes in -> %d fused", len(boxes), len(fused))
+        del boxes  # only the fused table is scored and written
         if detection_gt is not None:
             with _stage("eval-det"):
                 detection_report = detection_ap(fused, detection_gt)
             logger.info("eval-det: AP50=%s on %d images",
                         detection_report.ap50, len(detection_gt.image_names))
+            del detection_gt
 
     rerank: RerankParams | None = None
     for step in config.post:

@@ -42,7 +42,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from ._arrays import run_starts
+from ._arrays import check_integer, run_starts
 from .boxes import Detections
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError
@@ -56,6 +56,11 @@ FP_SCORE_RANGE = (0.2, 0.7)
 _STREAM_LAYOUT = 0
 _STREAM_DETECTOR = 1
 _STREAM_EMBEDDING = 2
+
+
+# the integer fields besides the seed, each at least 1
+_COUNTS = ("num_images", "num_categories", "gt_boxes_per_image", "detector_count",
+           "embedding_dim", "embedding_models")
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,8 @@ class SyntheticSpec:
     noise_sigma: float = 0.4
 
     def __post_init__(self):
+        for name in ("seed", *_COUNTS):
+            check_integer(getattr(self, name), name, ConfigError)
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed!r}")
         for name in ("miss_rate", "fp_rate"):
@@ -87,8 +94,7 @@ class SyntheticSpec:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
-        for name in ("num_images", "num_categories", "gt_boxes_per_image",
-                     "detector_count", "embedding_dim", "embedding_models"):
+        for name in _COUNTS:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
 

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -157,8 +158,9 @@ class TestNms:
                                                    for b in boxes_to_dicts(kept)]
 
     @settings(max_examples=200, deadline=None)
-    @given(detection_sets(n_categories=4), st.sampled_from([1e-4, 0.5, 1.0]), st.data())
-    def test_matches_oracle_per_image(self, boxes, threshold, data):
+    @given(detection_sets(n_categories=4), st.sampled_from([1e-4, 0.5, 1.0]), st.data(),
+           st.sampled_from([1, 3, boxes_module.BLOCK_BOXES]))
+    def test_matches_oracle_per_image(self, boxes, threshold, data, budget):
         # copies of drawn boxes under other scores and models: IoU exactly 1
         rows = boxes_to_dicts(boxes)
         copies = data.draw(st.lists(st.sampled_from(rows), max_size=8)) if rows else []
@@ -169,7 +171,9 @@ class TestNms:
         expected = []
         for image in sorted({b["image_id"] for b in rows}):
             expected += nms_ref([b for b in rows if b["image_id"] == image], threshold)
-        assert boxes_to_dicts(nms(boxes, threshold)) == expected
+        # the wavefront runs per block of whole images, at most `budget` boxes
+        with mock.patch.object(boxes_module, "BLOCK_BOXES", budget):
+            assert boxes_to_dicts(nms(boxes, threshold)) == expected
 
     @pytest.mark.parametrize("threshold", [-1.0, 1.5, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
@@ -431,6 +435,25 @@ class TestFuseDetections:
         # would fail a writer halfway through its file
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             build()
+
+    @pytest.mark.parametrize("column", ["image_names", "model_names"])
+    @pytest.mark.parametrize("names, message", [
+        (("b", "a"), "'a' follows 'b'"), (("a", "a"), "'a' follows 'a'")],
+        ids=["unsorted", "repeated"])
+    @pytest.mark.parametrize("table", ["detections", "fused"])
+    def test_name_tables_must_ascend(self, table, names, message, column):
+        # code order is name order: fusion and the blocked steps put image
+        # "b" before "a" in such a table
+        tables = {"image_names": ("a",), "model_names": ("m",), column: names}
+        with pytest.raises(DataError, match=f"^{column} must be distinct and ascending: "
+                                            f"{re.escape(message)}$"):
+            if table == "detections":
+                Detections([[0, 0, 1, 1]] * 2, [0.5, 0.6], [1, 1], [0, 0], tables["image_names"],
+                           [0, 0], tables["model_names"])
+            else:
+                FusedDetections([[0, 0, 1, 1]] * 2, [0.5, 0.6], [1, 1], [0, 0],
+                                tables["image_names"], [1, 1], [0, 1, 2], [0, 0],
+                                tables["model_names"])
 
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), 1.5])
     def test_fused_score_rules_match_detections(self, score):

@@ -1,12 +1,17 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbirkit import evaluation
 from cbirkit.boxes import Detections, WbfParams, fuse_detections
 from cbirkit.errors import DataError
 from cbirkit.evaluation import acc_at_k, detection_ap
 from cbirkit.search import Rankings
+from cbirkit.synthetic import SyntheticSpec, synth_detections, synth_layout
 
 from oracles import detection_ap_ref
 from util import boxes_to_dicts, detections, gt_table, random_scored_boxes, rng_for, take
@@ -288,10 +293,12 @@ def ap_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(ap_cases())
-def test_detection_ap_matches_reference(case):
+@given(ap_cases(), st.sampled_from([1, 3, 7, evaluation.BLOCK_BOXES]))
+def test_detection_ap_matches_reference(case, budget):
     preds, gt, thresholds = case
-    report = detection_ap(preds, gt_table(gt), thresholds)
+    # matching runs per block of whole images, of at most `budget` boxes
+    with mock.patch.object(evaluation, "BLOCK_BOXES", budget):
+        report = detection_ap(preds, gt_table(gt), thresholds)
     ref_preds = boxes_to_dicts(preds)
     mean_ap, ap50, ap75, per_cat = detection_ap_ref(ref_preds, gt, list(report.thresholds))
     assert report.ap == pytest.approx(mean_ap, abs=1e-12)
@@ -304,3 +311,23 @@ def test_detection_ap_matches_reference(case):
     assert report.per_category.keys() == per_cat.keys()
     for c, v in per_cat.items():
         assert report.per_category[c] == pytest.approx(v, abs=1e-12)
+
+
+def test_matching_memory_grows_with_the_block_not_the_table(monkeypatch):
+    # the whole-table wavefront held about 290 bytes per prediction
+    spec = SyntheticSpec(seed=3, num_images=1500, num_categories=5, gt_boxes_per_image=6,
+                         detector_count=5, jitter_sigma=8.0, miss_rate=0.2, fp_rate=0.3)
+    layout = synth_layout(spec)
+    fused = fuse_detections(Detections.concat([synth_detections(spec, layout, d)
+                                               for d in range(5)]), WbfParams())
+    monkeypatch.setattr(evaluation, "BLOCK_BOXES", 512)
+    assert len(fused) > 40 * evaluation.BLOCK_BOXES
+    tracemalloc.start()
+    try:
+        detection_ap(fused, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sort keys and TP flags over the whole table, plus one block's
+    # wavefront
+    assert peak < 160 * len(fused) + 2000 * evaluation.BLOCK_BOXES

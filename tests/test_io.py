@@ -1,8 +1,11 @@
+import functools
 import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +18,24 @@ from cbirkit.boxes import Detections, FusedDetections, WbfParams, fuse_detection
 from cbirkit.embeddings import EmbeddingMatrix, IdRecord
 from cbirkit.errors import DataError, EmbeddingFormatError, ParseError
 from cbirkit.search import Rankings
+from cbirkit.synthetic import SyntheticSpec, synth_detections, synth_layout
 
 from util import (boxes_to_dicts, detections, fused_to_dicts, gallery_ids, gt_table,
                   ranking_rows, rng_for)
+
+# records per chunk that the line-naming tests read files in: one, a few,
+# and the default, which reads each of their files as one chunk
+CHUNKS = [1, 3, formats.CHUNK_LINES]
+
+
+def at_every_chunk(test):
+    """`test`, run once with the JSONL readers at each of CHUNKS records per chunk."""
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for chunk in CHUNKS:
+            with mock.patch.object(formats, "CHUNK_LINES", chunk):
+                test(*args, **kwargs)
+    return run
 
 
 class TestDetections:
@@ -75,6 +93,7 @@ class TestDetections:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["boxes.jsonl"]
 
+    @at_every_chunk
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         good = json.dumps({"image_id": "i", "model_id": "m", "category_id": 1,
@@ -84,6 +103,7 @@ class TestDetections:
             formats.load_detections(path)
         assert err.value.line == 2
 
+    @at_every_chunk
     def test_zero_area_box_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         bad = json.dumps({"image_id": "i", "model_id": "m", "category_id": 1,
@@ -93,6 +113,7 @@ class TestDetections:
             formats.load_detections(path)
         assert err.value.line == 1
 
+    @at_every_chunk
     def test_invalid_utf8_names_its_line(self, tmp_path):
         # bytes are decoded a block at a time; the error still names line 2,
         # ahead of the invalid JSON on line 3
@@ -104,6 +125,7 @@ class TestDetections:
             formats.load_detections(path)
         assert err.value.line == 2
 
+    @at_every_chunk
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"image_id": "i", "bbox": [0, 0, 1, 1]}) + "\n")
@@ -377,6 +399,7 @@ class TestRetrievalGt:
         formats.save_retrieval_gt(gt, path)
         assert formats.load_retrieval_gt(path) == gt
 
+    @at_every_chunk
     def test_duplicate_query_rejected(self, tmp_path):
         path = tmp_path / "gt.jsonl"
         line = json.dumps({"query_id": "q0", "matches": ["g0"]})
@@ -427,6 +450,7 @@ FIELD_RULES = [
 
 @pytest.mark.parametrize("loader, record, changes, message", FIELD_RULES,
                          ids=[f"{rule[0].__name__}-{rule[3]}" for rule in FIELD_RULES])
+@at_every_chunk
 def test_field_rules_name_the_line(tmp_path, loader, record, changes, message):
     path = tmp_path / "f.jsonl"
     path.write_text(json.dumps(record) + "\n" + json.dumps({**record, **changes}) + "\n")
@@ -451,6 +475,7 @@ VALUE_FAULTS = [
 @pytest.mark.parametrize("fault", ["json", "type"])
 @pytest.mark.parametrize("loader, record, bad, message", VALUE_FAULTS,
                          ids=[rule[0].__name__ for rule in VALUE_FAULTS])
+@at_every_chunk
 def test_earliest_bad_line_wins(tmp_path, loader, record, bad, message, fault, value_first):
     # a value fault on line 2 and a reader fault on line 3, or the reverse
     other = "{" if fault == "json" else json.dumps({**record, next(iter(record)): None})
@@ -471,6 +496,7 @@ def test_earliest_bad_line_wins(tmp_path, loader, record, bad, message, fault, v
     ({"score": 10 ** 400}, "int too large to convert to float"),
     ({"category_id": -2 ** 63 - 1}, f"category_id {-2 ** 63 - 1} out of range"),
 ], ids=["coordinate", "score", "negative-category"])
+@at_every_chunk
 def test_number_too_large_for_its_array(tmp_path, changes, message):
     path = tmp_path / "d.jsonl"
     path.write_text(json.dumps(_DET) + "\n" + json.dumps({**_DET, **changes}) + "\n")
@@ -485,6 +511,7 @@ def test_number_too_large_for_its_array(tmp_path, changes, message):
     (load_ids, _ID, "row"),
     (formats.load_retrieval_gt, {"query_id": "q", "matches": []}, "query_id"),
 ], ids=["detections", "detection-gt", "ids", "retrieval-gt"])
+@at_every_chunk
 def test_integer_too_long_to_convert_names_its_line(tmp_path, loader, record, key):
     # json refuses to convert an integer of more than 4300 digits, with a
     # plain ValueError rather than a JSONDecodeError
@@ -495,6 +522,53 @@ def test_integer_too_long_to_convert_names_its_line(tmp_path, loader, record, ke
         loader(path)
     assert e.value.line == 2
     assert str(e.value).startswith(f"{path}:2: invalid JSON: Exceeds the limit")
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc saw while call() ran, over what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def fused_set(tmp_path_factory):
+    """A detections file of about 10,000 records and the fused table of
+    five such detectors."""
+    spec = SyntheticSpec(seed=3, num_images=1500, num_categories=5, gt_boxes_per_image=6,
+                         detector_count=5, jitter_sigma=8.0, miss_rate=0.2, fp_rate=0.3)
+    layout = synth_layout(spec)
+    parts = [synth_detections(spec, layout, d) for d in range(5)]
+    path = tmp_path_factory.mktemp("fused") / "d.jsonl"
+    formats.save_detections(parts[0], path)
+    return path, fuse_detections(Detections.concat(parts), WbfParams())
+
+
+def test_loader_memory_grows_with_the_chunk_not_the_file(fused_set, monkeypatch):
+    # the whole file's Python values took about 460 bytes per record
+    path, _ = fused_set
+    monkeypatch.setattr(formats, "CHUNK_LINES", 256)
+    loaded = formats.load_detections(path)
+    assert len(loaded) > 30 * formats.CHUNK_LINES
+    peak = traced_peak(lambda: formats.load_detections(path))
+    out = sum(column.nbytes for column in (loaded.coords, loaded.scores, loaded.category_ids,
+                                           loaded.image_codes, loaded.model_codes))
+    # the compact columns, their line numbers and the join, plus one
+    # chunk's Python values
+    assert peak - out < 64 * len(loaded) + 1000 * formats.CHUNK_LINES
+
+
+def test_writer_memory_grows_with_the_block_not_the_table(fused_set, monkeypatch, tmp_path):
+    # converting every column at once took about 340 bytes per fused box
+    _, fused = fused_set
+    monkeypatch.setattr(formats, "BLOCK_BOXES", 512)
+    assert len(fused) > 40 * formats.BLOCK_BOXES
+    peak = traced_peak(lambda: formats.save_fused_boxes(fused, tmp_path / "f.jsonl"))
+    assert peak < 16 * len(fused) + 1000 * formats.BLOCK_BOXES
 
 
 def test_box_rules_applied_once_per_load(tmp_path, monkeypatch):
@@ -639,10 +713,11 @@ def fuzzed_detection_files(draw):
 
 class TestDetectionFuzz:
     @settings(max_examples=400, deadline=None)
-    @given(fuzzed_detection_files())
-    def test_only_parse_errors_naming_the_first_bad_line(self, lines):
+    @given(fuzzed_detection_files(), st.sampled_from(CHUNKS))
+    def test_only_parse_errors_naming_the_first_bad_line(self, lines, chunk):
         bad_line, expected = reference_load(lines)
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(formats, "CHUNK_LINES", chunk):
             path = Path(tmp) / "d.jsonl"
             path.write_bytes(b"\n".join(lines) + b"\n")
             if bad_line is None:
@@ -822,9 +897,10 @@ def fuzzed_containers(draw):
     return bytes(blob)
 
 
-def load_fuzzed(lines: list[bytes], loader):
-    """loader(path) on the lines written to a temp file, with the path."""
-    with tempfile.TemporaryDirectory() as tmp:
+def load_fuzzed(lines: list[bytes], loader, chunk: int = formats.CHUNK_LINES):
+    """loader(path) on the lines written to a temp file, read `chunk`
+    records at a time, with the path."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(formats, "CHUNK_LINES", chunk):
         path = Path(tmp) / "f.txt"
         path.write_bytes(b"\n".join(lines) + b"\n")
         try:
@@ -846,35 +922,35 @@ class TestReaderFuzz:
     naming the data file."""
 
     @settings(max_examples=300, deadline=None)
-    @given(fuzzed_gt_files())
-    def test_detection_gt(self, lines):
+    @given(fuzzed_gt_files(), st.sampled_from(CHUNKS))
+    def test_detection_gt(self, lines, chunk):
         bad_line, expected = reference_detection_gt(lines)
-        result, path = load_fuzzed(lines, formats.load_detection_gt)
+        result, path = load_fuzzed(lines, formats.load_detection_gt, chunk)
         if bad_line is None:
             assert by_image(result) == expected
         else:
             assert_names_line(result, path, bad_line)
 
     @settings(max_examples=300, deadline=None)
-    @given(fuzzed_retrieval_gt_files())
-    def test_retrieval_gt(self, lines):
+    @given(fuzzed_retrieval_gt_files(), st.sampled_from(CHUNKS))
+    def test_retrieval_gt(self, lines, chunk):
         bad_line, expected = reference_retrieval_gt(lines)
-        result, path = load_fuzzed(lines, formats.load_retrieval_gt)
+        result, path = load_fuzzed(lines, formats.load_retrieval_gt, chunk)
         if bad_line is None:
             assert result == expected
         else:
             assert_names_line(result, path, bad_line)
 
     @settings(max_examples=300, deadline=None)
-    @given(fuzzed_id_files())
-    def test_id_sidecar(self, case):
+    @given(fuzzed_id_files(), st.sampled_from(CHUNKS))
+    def test_id_sidecar(self, case, chunk):
         lines, n_rows = case
         bad_line, expected = reference_ids(lines, n_rows)
         with tempfile.TemporaryDirectory() as tmp:
             data = Path(tmp) / "m.emb"
             data.write_bytes(b"EMB1" + n_rows.to_bytes(4, "little") + (2).to_bytes(4, "little")
                              + np.ones((n_rows, 2), dtype="<f4").tobytes())
-            result, path = load_fuzzed(lines, lambda p: formats.load_embeddings(data, p))
+            result, path = load_fuzzed(lines, lambda p: formats.load_embeddings(data, p), chunk)
         if bad_line is None:
             assert result.ids == tuple(expected)
         elif bad_line == 0:

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cbirkit import boxes, evaluation, pipeline
 from cbirkit import io as formats
-from cbirkit import pipeline
 from cbirkit.cli import main
 from cbirkit.embeddings import (EmbeddingMatrix, concat_features, l2_normalize, pca_fit,
                                 pca_transform)
@@ -216,6 +217,68 @@ class TestRunPipeline:
         loaded = formats.load_rankings(result.rankings_path)
         assert len(loaded) == n_items
         assert result.retrieval.num_queries + result.retrieval.num_excluded == n_items
+
+
+class TestBoundedDetectionHalf:
+    """The detection half reads, fuses, scores and writes in blocks; the
+    budgets change no byte, and the input table is dropped once fused."""
+
+    @pytest.fixture(scope="class")
+    def bench(self, tmp_path_factory):
+        return synth(tmp_path_factory.mktemp("bounded"), num_images=24, gt_boxes_per_image=3,
+                     detector_count=3, jitter_sigma=6.0, score_sigma=0.1, miss_rate=0.2,
+                     fp_rate=0.3, noise_sigma=0.1)
+
+    @staticmethod
+    def run_into(bench, out) -> list[bytes]:
+        raw = json.loads((bench / "config.json").read_text())
+        raw["output_dir"] = str(out)
+        result = run_pipeline(PipelineConfig.from_dict(raw))
+        return [Path(path).read_bytes() for path in
+                (result.fused_path, result.report_path, result.rankings_path)]
+
+    @pytest.mark.parametrize("budget", [1, 2, 7])
+    def test_budgets_change_no_byte(self, bench, tmp_path, monkeypatch, budget):
+        # one output_dir, which the config digest in report.json covers
+        expected = self.run_into(bench, tmp_path)
+        for module, name in ((boxes, "BLOCK_BOXES"), (evaluation, "BLOCK_BOXES"),
+                             (formats, "BLOCK_BOXES"), (formats, "CHUNK_LINES")):
+            monkeypatch.setattr(module, name, budget)
+        assert len(formats.load_detections(bench / "detections_det0.jsonl")) > 7 * budget
+        assert self.run_into(bench, tmp_path) == expected
+
+    def test_input_table_dropped_once_fused(self, tmp_path, monkeypatch):
+        # the input table was held through detection AP and the retrieval half
+        bench = synth(tmp_path, num_images=400, gt_boxes_per_image=4, detector_count=5,
+                      jitter_sigma=6.0, miss_rate=0.2, fp_rate=0.3, noise_sigma=0.1)
+        held, sizes = {}, {}
+        fuse, score = pipeline.fuse_detections, pipeline.detection_ap
+
+        def nbytes(table, columns):
+            return sum(getattr(table, column).nbytes for column in columns)
+
+        def fused(table, params):
+            held["fuse"] = tracemalloc.get_traced_memory()[0]
+            sizes["table"] = nbytes(table, ("coords", "scores", "category_ids", "image_codes",
+                                            "model_codes"))
+            return fuse(table, params)
+
+        def scored(preds, gt):
+            held["score"] = tracemalloc.get_traced_memory()[0]
+            sizes["fused"] = nbytes(preds, ("coords", "scores", "category_ids", "image_codes",
+                                            "cluster_sizes", "model_indptr", "model_codes"))
+            return score(preds, gt)
+
+        monkeypatch.setattr(pipeline, "fuse_detections", fused)
+        monkeypatch.setattr(pipeline, "detection_ap", scored)
+        tracemalloc.start()
+        try:
+            run_pipeline(load_config(bench))
+        finally:
+            tracemalloc.stop()
+        assert sizes["table"] > 500_000
+        # at most the fused table, and less than half the input's, stays added
+        assert held["score"] - held["fuse"] < sizes["fused"] - sizes["table"] // 2
 
 
 def outputs(result) -> list[bytes]:

@@ -37,9 +37,14 @@ def test_scale_script_runs_every_workload(tmp_path):
             "baseline": 1, "checkout": 1}
         for tree, summary in result["summary"].items():
             assert summary["setup_s"] == result["setup_s"][tree][0] > 0
+            assert summary["run_hwm_mb"] == result["runs"][tree][0]["run_hwm_mb"]
         assert 0.0 < checkout["acc_at_1"] <= checkout["acc_at_10"] <= 1.0
         for run in result["runs"]["checkout"]:
             assert run["peak_rss_mb"] > 0 and run["wall_s"] > 0 and run["ref_s"] > 0
+            # the run's own peak is part of the process's: wait4 reads the
+            # kernel's high-water mark, which it raises lazily, so that it may
+            # trail a VmHWM read during the run by a few hundred KiB
+            assert 0 < run["run_hwm_mb"] <= run["peak_rss_mb"] + 1.0
             assert run["layers"][layers[result["workload"]]] > 0
     assert not (tmp_path / "work" / "retrieval_chain-x0.05").exists()
 

@@ -49,6 +49,21 @@ class TestSpec:
         with pytest.raises(ConfigError, match="seed"):
             SyntheticSpec.from_dict({"seed": seed})
 
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), "3"])
+    @pytest.mark.parametrize("field", ["seed", "num_images", "num_categories",
+                                       "gt_boxes_per_image", "detector_count", "embedding_dim",
+                                       "embedding_models"])
+    def test_integer_fields_must_be_integers(self, field, value):
+        # 2.5 images and seed 1.5 used to fail later with a raw TypeError,
+        # and num_images=True gave one image
+        with pytest.raises(ConfigError) as e:
+            SyntheticSpec(**{"seed": 1, field: value})
+        assert str(e.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_numpy_integers_are_integers(self):
+        spec = SyntheticSpec(seed=np.uint64(3), num_images=np.int64(2))
+        assert len(synth_layout(spec)) == 2 * spec.gt_boxes_per_image
+
     def test_rate_bounds(self):
         with pytest.raises(ConfigError):
             spec_of(miss_rate=1.5)
