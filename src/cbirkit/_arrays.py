@@ -76,7 +76,8 @@ def check_integer(value, name: str, error: type[Exception]) -> None:
 
 def unique_sorted(keys: np.ndarray) -> np.ndarray:
     """np.unique(keys) for integer keys, by a sort and a neighbour compare:
-    numpy's hash path for integer keys is several times slower."""
+    numpy's hash path for integer keys is several times slower, and its
+    first call imports numpy.ma, about 1 MB of module objects."""
     keys = np.sort(keys, axis=None)
     if keys.size == 0:
         return keys

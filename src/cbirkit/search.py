@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import check_integer, encode, first_fault, numbers, repeats
+from ._arrays import check_integer, encode, first_fault, numbers, repeats, unique_sorted
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
 
@@ -227,7 +227,7 @@ class RetrievalIndex:
     def category_rows(self, category_id: int) -> np.ndarray:
         if self._partition is None:
             cats = self.gallery.category_ids()
-            self._partition = {int(c): np.nonzero(cats == c)[0] for c in np.unique(cats)}
+            self._partition = {int(c): np.nonzero(cats == c)[0] for c in unique_sorted(cats)}
         return self._partition.get(category_id, np.empty(0, dtype=np.int64))
 
     def __len__(self) -> int:
@@ -404,7 +404,7 @@ def knn_search(
     rows = np.zeros((queries.n_rows, min(k, gallery.n_rows)), dtype=np.int64)
     scores = np.zeros(rows.shape)
     lengths = np.zeros(queries.n_rows, dtype=np.int64)
-    for c in np.unique(cats):
+    for c in unique_sorted(cats):
         qrows = np.flatnonzero(cats == c)
         found, found_scores = exact_topk(gallery.data, gallery.id_rank, queries.data[qrows], k,
                                          index.category_rows(int(c)))

@@ -293,6 +293,22 @@ class TestKnnSearch:
         [r] = ranking_rows(knn_search(build_index(g), q, 2, restrict_to_query_category=True))
         assert r.item_ids == ()
 
+    def test_restriction_imports_no_masked_arrays(self):
+        # np.unique imports numpy.ma, about 1 MB of module objects, on its
+        # first call; a fresh process shows whether the search makes one
+        script = (
+            "import sys\n"
+            "from cbirkit.embeddings import EmbeddingMatrix\n"
+            "from cbirkit.search import build_index, knn_search\n"
+            "from util import gallery_ids, query_ids, rng_for, unit_rows\n"
+            "rng = rng_for(50)\n"
+            "g = EmbeddingMatrix(unit_rows(rng, 40, 8), gallery_ids(40, rng.integers(0, 3, 40)))\n"
+            "q = EmbeddingMatrix(unit_rows(rng, 9, 8), query_ids(9, rng.integers(0, 4, 9)))\n"
+            "found = knn_search(build_index(g), q, 5, restrict_to_query_category=True)\n"
+            "print(len(found), 'numpy.ma' in sys.modules)\n"
+        )
+        assert output_under_blas_threads(script, 1) == b"9 False\n"
+
     def test_short_gallery_gives_short_list(self):
         g = gmat(np.eye(3))
         [r] = ranking_rows(knn_search(build_index(g), qmat([[1.0, 0.0, 0.0]]), 10))
