@@ -23,10 +23,13 @@ records the wall seconds each generation took (setup_s).  Each run is
 `run_pipeline` in a fresh child process, traced with
 perfbench's `spans.Tracer` and bracketed by the workload's calibration
 kernel (perfbench/calibrate.py).  Per run the output records the wall and
-CPU seconds of the pipeline, reference seconds (wall seconds scaled by the
-calibration kernel), peak RSS from wait4, the run's own peak (run_hwm_mb:
-VmHWM read as `run_pipeline` returns, before the second calibration
-kernel, which wait4 also counts), Acc@1 and Acc@10, AP and AP50 where
+CPU seconds of the pipeline, the CPU seconds of the processes it reaped
+meanwhile (cpu_children_s: a helper that parses a share of the detection
+files, which cpu_s, this process's own, leaves out), reference seconds
+(wall seconds scaled by the calibration kernel), peak RSS from wait4 (the
+larger of this process's and a helper's, not their sum), the run's own
+peak (run_hwm_mb: VmHWM read as `run_pipeline` returns, before the second
+calibration kernel, which wait4 also counts), Acc@1 and Acc@10, AP and AP50 where
 there is a detection half, the sha256 of rankings.tsv and of
 fused_boxes.jsonl (null without a detection half) and the traced layers.
 At 1x the rankings digest is compared with perfbench/pins.json, whose
@@ -125,8 +128,8 @@ def child(config: str, result: str, kernel: str) -> None:
     from cbirkit import PipelineConfig, run_pipeline
     from spans import Tracer, layer_metrics, vm_hwm_mb
 
-    def cpu_s() -> float:
-        usage = resource.getrusage(resource.RUSAGE_SELF)
+    def cpu_s(who: int) -> float:
+        usage = resource.getrusage(who)
         return usage.ru_utime + usage.ru_stime
 
     warm_up(kernel)
@@ -135,9 +138,12 @@ def child(config: str, result: str, kernel: str) -> None:
     tracer.install()
     try:
         with tracer.span("pipeline.run"):
-            cpu, start = cpu_s(), time.perf_counter()
+            cpu, children = cpu_s(resource.RUSAGE_SELF), cpu_s(resource.RUSAGE_CHILDREN)
+            start = time.perf_counter()
             outcome = run_pipeline(PipelineConfig.from_file(config))
-            wall, cpu = time.perf_counter() - start, cpu_s() - cpu
+            wall = time.perf_counter() - start
+            cpu = cpu_s(resource.RUSAGE_SELF) - cpu
+            children = cpu_s(resource.RUSAGE_CHILDREN) - children
     finally:
         tracer.uninstall()
     # the run's own peak, before the calibration kernel can raise it
@@ -146,7 +152,8 @@ def child(config: str, result: str, kernel: str) -> None:
     acc = outcome.report["retrieval"]["acc"]
     detection = outcome.report["detection"] or {}
     Path(result).write_text(json.dumps({
-        "wall_s": wall, "cpu_s": cpu, "run_hwm_mb": run_hwm, "calibration_s": calibration,
+        "wall_s": wall, "cpu_s": cpu, "cpu_children_s": children, "run_hwm_mb": run_hwm,
+        "calibration_s": calibration,
         "ref_s": wall * speed_factor(kernel, calibration), "numpy": np.__version__,
         "acc_at_1": acc["1"], "acc_at_10": acc["10"],
         "ap": detection.get("ap"), "ap50": detection.get("ap50"),
@@ -193,7 +200,8 @@ def _summary(runs: list[dict]) -> dict:
     """Medians of the timings and memory; the digests and quality numbers,
     which must agree across the runs."""
     out = {key: statistics.median(r[key] for r in runs)
-           for key in ("wall_s", "cpu_s", "ref_s", "peak_rss_mb", "run_hwm_mb")}
+           for key in ("wall_s", "cpu_s", "cpu_children_s", "ref_s", "peak_rss_mb",
+                       "run_hwm_mb")}
     for key in ("acc_at_1", "acc_at_10", "ap", "ap50", "rankings_sha256", "fused_sha256"):
         values = {r[key] for r in runs}
         out[key] = values.pop() if len(values) == 1 else sorted(values)

@@ -22,7 +22,7 @@ import logging
 import sys
 
 from . import io as formats
-from .boxes import SCORE_MODES, Detections, WbfParams
+from .boxes import SCORE_MODES, WbfParams
 from .errors import CbirkitError, ConfigError, DataError
 from .evaluation import (acc_at_k, check_thresholds, detection_ap, format_detection_report,
                          format_retrieval_report)
@@ -58,7 +58,7 @@ def _parse_weights(text: str) -> dict | None:
 
 
 def _cmd_fuse(args) -> int:
-    boxes = Detections.concat([formats.load_detections(p) for p in args.detections])
+    boxes = formats.load_detections(*args.detections)
     params = WbfParams(
         iou_threshold=args.iou_threshold,
         model_weights=args.weights,

@@ -3,8 +3,22 @@
 from __future__ import annotations
 
 
+def _restored(cls: type, args: tuple, state: dict) -> "CbirkitError":
+    """An error of type `cls` with `args` and the attributes in `state`,
+    made without calling its __init__."""
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(state)
+    return error
+
+
 class CbirkitError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # a subclass's __init__ takes its parts (path, line, ...), not the
+        # message that args holds, so unpickling restores args and the
+        # attributes as they are rather than calling it again
+        return _restored, (type(self), self.args, self.__dict__)
 
 
 class ConfigError(CbirkitError):

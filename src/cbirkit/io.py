@@ -46,6 +46,28 @@ from them in row order; detection ground truth is the same table, with
 score 0 and one empty model name, and is written sorted stably by image
 id.  Fused boxes are written from `boxes.FusedDetections` columns.
 
+`load_detections(*paths)` loads several detections files into one table,
+each file's rows in the order given.  When there are two files or more,
+of SPLIT_BYTES or more in all, the process may run on two CPUs or more
+(`os.sched_getaffinity`) and `os.fork` exists, one forked helper parses
+the last files while this process parses the first ones, a contiguous
+split by size; it sends its tables back through a pipe, pickled with
+protocol 5.  Below SPLIT_BYTES the fork, with the copy-on-write faults
+this process then takes, costs more than the helper saves.  The table,
+and the error of the earliest bad file, are those of reading the files
+one by one: this process's share comes first, so its error wins, and
+the helper, killed then, is always reaped.  Fork is safe here although
+the caller may run threads (BLAS's, say): the helper runs only the JSON
+parsing and array construction of `_boxes`, which take no lock that
+another thread may hold at the fork, with no BLAS call and no logging,
+and it ends with `os._exit`, so that it never returns into the caller
+or flushes a buffer it inherited.  Python 3.12's DeprecationWarning for a
+fork in a process with threads is silenced around that fork for this
+reason.  Seen from outside, `wait4` counts the helper's peak RSS as a
+maximum with this process's, not their sum, and RUSAGE_SELF (the cpu_s
+of perfbench/child.py) leaves out the helper's CPU time, which
+RUSAGE_CHILDREN counts once it is reaped.
+
 Every JSONL writer formats its lines from the table's columns, byte for
 byte as `json.dumps` writes each record, and streams them to the file a
 line at a time: no dict, `json.dumps` call or string of the whole file.
@@ -65,15 +87,19 @@ from __future__ import annotations
 import itertools
 import json
 import json.scanner
+import logging
 import math
 import operator
 import os
+import pickle
+import signal
 import struct
+import warnings
 from contextlib import closing, contextmanager
 from io import BytesIO, TextIOWrapper
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -84,10 +110,14 @@ from .errors import ConfigError, DataError, EmbeddingFormatError, ParseError
 from .evaluation import GroundTruthRet
 from .search import Rankings, _BadEntry
 
+logger = logging.getLogger("cbirkit.io")
+
 EMB_MAGIC = b"EMB1"
 _EMB_HEADER = struct.Struct("<4sII")
 # records of a JSONL file held as Python values at once while it is read
 CHUNK_LINES = 1 << 13
+# detection files of this many bytes in all, or more, are parsed on two CPUs
+SPLIT_BYTES = 4 << 20
 
 # a JSONL format's fields: each one's key, the JSON types its value may
 # have, and its value's form in a written line, whose values `_write_jsonl`
@@ -342,9 +372,113 @@ def _names(names: tuple[str, ...], codes: np.ndarray) -> Iterable[str]:
     return map(list(map(encode_basestring_ascii, names)).__getitem__, codes.tolist())
 
 
-def load_detections(path: str | Path) -> Detections:
-    """A detections JSONL file as columns."""
+def _load_detections(path: str | Path) -> Detections:
+    """One detections JSONL file as columns."""
     return _boxes(path, _DETECTIONS, lambda *columns: columns)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _helper_start(sizes: list[int]) -> int | None:
+    """The index of the first file a forked helper parses, or None when the
+    files are parsed in this process alone: fewer than two, fewer than
+    SPLIT_BYTES in all, no os.fork or fewer than two usable CPUs.  This
+    process takes the shortest prefix that holds at least half the bytes
+    (but leaves the helper the last file): it has only to unpickle the
+    helper's tables once its own are parsed, while the helper has to
+    pickle and send them."""
+    total = sum(sizes)
+    if (len(sizes) < 2 or total < SPLIT_BYTES or not hasattr(os, "fork")
+            or _usable_cpus() < 2):
+        return None
+    ends = itertools.accumulate(sizes)
+    return min(next(i for i, end in enumerate(ends, 1) if 2 * end >= total), len(sizes) - 1)
+
+
+def _file_bytes(path: str | Path) -> int:
+    """The size of a file, 0 for one that cannot be read; its load raises
+    the error in its turn."""
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return 0
+
+
+def _help(paths: Sequence[str | Path], read_end: int, write_end: int) -> NoReturn:
+    """The forked helper's whole life: the tables of `paths`, or the error
+    of the first that fails, pickled to `write_end`; then it exits, without
+    returning into its caller or flushing any buffer it inherited."""
+    try:
+        os.close(read_end)
+        with open(write_end, "wb") as reply:
+            try:
+                result = [_load_detections(path) for path in paths]
+            except Exception as e:
+                result = e
+            pickle.dump(result, reply, protocol=5)
+    finally:
+        os._exit(0)
+
+
+def _split_load(paths: Sequence[str | Path], start: int) -> list[Detections]:
+    """The tables of `paths`: this process parses those before `start` while
+    a forked helper parses the rest.  An error of this process's share wins
+    (its files come first), and the helper is killed; else the helper's
+    error is raised.  A helper that cannot be forked, or ends without a
+    whole reply, has its files parsed here.  The helper is always reaped."""
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of a fork in a process with threads: the
+            # helper takes no lock that another thread may hold (see the
+            # module docstring)
+            warnings.filterwarnings("ignore", r".*\bfork\(\)", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return [_load_detections(path) for path in paths]
+    if pid == 0:
+        _help(paths[start:], read_end, write_end)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as reply:
+            parts = [_load_detections(path) for path in paths[:start]]
+            try:
+                helped = pickle.load(reply)
+            except Exception:  # no whole reply: the files are parsed again below
+                helped = None
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if helped is None:
+        helped = [_load_detections(path) for path in paths[start:]]
+    elif isinstance(helped, Exception):
+        raise helped
+    return parts + helped
+
+
+def load_detections(*paths: str | Path) -> Detections:
+    """Detections JSONL files as one table: the rows of each file, in the
+    order of `paths`.  Past SPLIT_BYTES, a forked helper parses a share of
+    the files (see the module docstring); the table, and the error of the
+    earliest bad file, are those of reading the files one by one."""
+    sizes = [_file_bytes(path) for path in paths]
+    start = _helper_start(sizes)
+    if start is None:
+        parts = [_load_detections(path) for path in paths]
+    else:
+        parts = _split_load(paths, start)
+    table = parts[0] if len(parts) == 1 else Detections.concat(parts)
+    logger.info("load-detections: files=%d bytes=%d records=%d path=%s", len(paths),
+                sum(sizes), len(table), "serial" if start is None
+                else f"split here_files={start} helper_files={len(paths) - start}")
+    return table
 
 
 def save_detections(dets: Detections, path: str | Path) -> None:

@@ -25,15 +25,21 @@ which replace the search output.
 Re-ranking keeps O(queries x search.k) output and temporaries of
 O(RERANK_BLOCK x gallery rows), never a queries x gallery array.
 
+The detection files are loaded by one `io.load_detections` call.  From
+`io.SPLIT_BYTES` in all, on two usable CPUs, a forked helper parses the
+last files while the run parses the first ones; the table is that of
+reading them one by one.  `wait4` then counts the helper's peak RSS as a
+maximum with the run's, not their sum, and RUSAGE_SELF (perfbench's
+cpu_s) does not count the helper's CPU time.
+
 Working memory of the detection half, beyond the tables it builds: each
-`load_detections` call holds one chunk of `io.CHUNK_LINES` records as
-Python values; `Detections.concat` holds its parts and the joined table,
-the one point where the detections are held twice; `fuse_detections`
-holds the table, its whole-table sort keys and one block of at most
+file's parse, here or in the helper, holds one chunk of `io.CHUNK_LINES`
+records as Python values; the load joins the files' tables, the one point
+where the detections are held twice; `fuse_detections` holds the table, its whole-table sort keys and one block of at most
 `boxes.BLOCK_BOXES` boxes; `detection_ap` holds the fused table, the
 ground truth, its sort keys and TP flags and one block of images; and
 `save_fused_boxes` holds one block of rows as Python values.  Each table
-is dropped once its last step is done: the parts after concat, the input
+is dropped once its last step is done: the parts once joined, the input
 table after fusion, and the detection ground truth after scoring; only
 the fused table lives on, to be written.
 """
@@ -50,7 +56,7 @@ from types import NoneType, UnionType
 from typing import Sequence, get_args, get_origin
 
 from . import io as formats
-from .boxes import Detections, WbfParams, fuse_detections
+from .boxes import WbfParams, fuse_detections
 from .embeddings import EmbeddingMatrix, concat_features, l2_normalize, pca_fit, pca_transform
 from .errors import ConfigError, StageError
 from .evaluation import DetectionReport, RetrievalReport, acc_at_k, detection_ap
@@ -349,7 +355,7 @@ def run_pipeline(config: PipelineConfig, threads: int | None = None) -> Pipeline
     detection_report: DetectionReport | None = None
     if config.detections:
         with _stage("load-detections"):
-            boxes = Detections.concat([formats.load_detections(p) for p in config.detections])
+            boxes = formats.load_detections(*config.detections)
         with _stage("fuse"):
             fused = fuse_detections(boxes, config.wbf)
         logger.info("fuse: %d boxes in -> %d fused", len(boxes), len(fused))

@@ -6,7 +6,7 @@ from cbirkit import io as formats
 from cbirkit.cli import main
 from cbirkit.synthetic import SyntheticSpec, generate_synthetic
 
-from util import ranking_rows
+from util import output_under_blas_threads, ranking_rows
 
 
 @pytest.fixture
@@ -52,6 +52,25 @@ class TestCli:
         assert "AP50" in out
         report = json.loads((tmp_path / "det.json").read_text())
         assert report["ap50"] > 0.9
+
+    def test_split_fuse_prints_its_summary_once(self, bench, tmp_path, monkeypatch):
+        # the line printed before the load sits in the stdout buffer at the
+        # fork; a helper that flushed it on exit would print it twice
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        detections = [str(bench / f"detections_det{d}.jsonl") for d in range(2)]
+        script = ("import sys\n"
+                  "from cbirkit import io as formats\n"
+                  "from cbirkit.cli import main\n"
+                  "formats.SPLIT_BYTES = 0\n"
+                  "formats._usable_cpus = lambda: 2\n"
+                  "print('before the load')\n"
+                  f"sys.exit(main(['fuse', '--detections', *{detections!r}, "
+                  f"'--out', {str(tmp_path / 'fused.jsonl')!r}]))\n")
+        out = output_under_blas_threads(script, 2).decode()
+        boxes = len(formats.load_detections(*detections))
+        fused = len(formats.load_detections(tmp_path / "fused.jsonl"))
+        assert out == (f"before the load\nfused {boxes} boxes into {fused} -> "
+                       f"{tmp_path / 'fused.jsonl'}\n")
 
     def test_search_rerank_eval_chain(self, bench, tmp_path, capsys):
         rankings = tmp_path / "rankings.tsv"

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import os
 import re
 import tempfile
 import tracemalloc
@@ -20,8 +21,8 @@ from cbirkit.errors import DataError, EmbeddingFormatError, ParseError
 from cbirkit.search import Rankings
 from cbirkit.synthetic import SyntheticSpec, synth_detections, synth_layout
 
-from util import (boxes_to_dicts, detections, fused_to_dicts, gallery_ids, gt_table,
-                  ranking_rows, rng_for)
+from util import (boxes_to_dicts, detections, force_split, fused_to_dicts, gallery_ids,
+                  gt_table, no_child_left, ranking_rows, rng_for)
 
 # records per chunk that the line-naming tests read files in: one, a few,
 # and the default, which reads each of their files as one chunk
@@ -149,6 +150,121 @@ def by_image(gt) -> dict:
         assert (b["score"], b["model_id"]) == (0.0, "")
         out.setdefault(b["image_id"], []).append((b["box"], b["category_id"]))
     return out
+
+
+class TestSplitLoad:
+    """`load_detections` over several files, with a forked helper parsing the
+    last share of them; every result is that of reading them one by one."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        spec = SyntheticSpec(seed=5, num_images=40, detector_count=4, fp_rate=0.3)
+        layout = synth_layout(spec)
+        paths = [tmp_path / f"det{d}.jsonl" for d in range(4)]
+        for d, path in enumerate(paths):
+            formats.save_detections(synth_detections(spec, layout, d), path)
+        return paths
+
+    @staticmethod
+    def helper_start(paths) -> int:
+        """The index of the first file the helper parses, once the split is forced."""
+        with mock.patch.object(formats, "SPLIT_BYTES", 0), \
+                mock.patch.object(formats, "_usable_cpus", lambda: 2):
+            return formats._helper_start([path.stat().st_size for path in paths])
+
+    @staticmethod
+    def spoil(path, line: int) -> None:
+        """Replace line `line` of `path` with one that is not JSON."""
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line - 1] = "{broken\n"
+        path.write_text("".join(lines))
+
+    def test_table_equals_reading_one_by_one(self, paths, monkeypatch, caplog):
+        serial = formats.load_detections(*paths)
+        force_split(monkeypatch)
+        with caplog.at_level("INFO", logger="cbirkit.io"):
+            split = formats.load_detections(*paths)
+        assert no_child_left()
+        start = self.helper_start(paths)
+        assert 0 < start < len(paths)
+        assert boxes_to_dicts(split) == boxes_to_dicts(serial)
+        for column in ("coords", "scores", "category_ids", "image_codes", "model_codes"):
+            assert np.array_equal(getattr(split, column), getattr(serial, column))
+        assert (split.image_names, split.model_names) == (serial.image_names,
+                                                          serial.model_names)
+        assert caplog.messages == [
+            f"load-detections: files=4 bytes={sum(p.stat().st_size for p in paths)} "
+            f"records={len(serial)} path=split here_files={start} "
+            f"helper_files={4 - start}"]
+
+    @pytest.mark.parametrize("shares", [("here",), ("helper",), ("here", "helper")])
+    def test_bad_line_named_as_read_one_by_one(self, paths, monkeypatch, shares):
+        start = self.helper_start(paths)
+        bad = {"here": (start - 1, 7), "helper": (len(paths) - 1, 3)}
+        for share in shares:
+            self.spoil(paths[bad[share][0]], bad[share][1])
+        with pytest.raises(ParseError) as serial:
+            formats.load_detections(*paths)
+        index, line = bad[shares[0]]  # the earlier file's error wins
+        assert str(serial.value) == f"{paths[index]}:{line}: invalid JSON: " \
+                                    "Expecting property name enclosed in double quotes"
+        force_split(monkeypatch)
+        with pytest.raises(ParseError) as split:
+            formats.load_detections(*paths)
+        assert no_child_left()
+        assert str(split.value) == str(serial.value)
+        assert (split.value.path, split.value.line) == (str(paths[index]), line)
+
+    @pytest.mark.parametrize("share", ["here", "helper"])
+    def test_missing_file_named_as_read_one_by_one(self, paths, monkeypatch, share):
+        start = self.helper_start(paths)
+        paths[0 if share == "here" else start].unlink()
+        with pytest.raises(FileNotFoundError) as serial:
+            formats.load_detections(*paths)
+        force_split(monkeypatch)
+        with pytest.raises(FileNotFoundError) as split:
+            formats.load_detections(*paths)
+        assert no_child_left()
+        assert str(split.value) == str(serial.value)
+
+    @pytest.mark.parametrize("fault", ["helper dies", "fork fails"])
+    def test_helper_without_a_reply_leaves_its_files_to_the_caller(self, paths, monkeypatch,
+                                                                  fault):
+        serial = formats.load_detections(*paths)
+        force_split(monkeypatch)
+        caller, load = os.getpid(), formats._load_detections
+
+        def dies_in_the_helper(path):
+            if os.getpid() != caller:
+                os._exit(1)
+            return load(path)
+
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        if fault == "helper dies":
+            monkeypatch.setattr(formats, "_load_detections", dies_in_the_helper)
+        else:
+            monkeypatch.setattr(os, "fork", fork)
+        assert boxes_to_dicts(formats.load_detections(*paths)) == boxes_to_dicts(serial)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("case", ["one path", "below the threshold", "one CPU"])
+    def test_never_forks_unless_split(self, paths, monkeypatch, caplog, case):
+        force_split(monkeypatch)
+        if case == "below the threshold":
+            monkeypatch.setattr(formats, "SPLIT_BYTES", sum(p.stat().st_size for p in paths) + 1)
+        elif case == "one CPU":
+            monkeypatch.setattr(formats, "_usable_cpus", lambda: 1)
+        loaded = paths[:1] if case == "one path" else paths
+
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        with caplog.at_level("INFO", logger="cbirkit.io"):
+            formats.load_detections(*loaded)
+        assert caplog.messages[0].endswith(" path=serial")
 
 
 class TestDetectionGt:

@@ -16,7 +16,8 @@ from cbirkit.rerank import QeParams, RerankParams
 from cbirkit.search import build_index, knn_search
 from cbirkit.synthetic import SyntheticSpec, generate_synthetic
 
-from util import boxes_to_dicts, output_under_blas_threads, ranking_rows
+from util import (boxes_to_dicts, force_split, no_child_left, output_under_blas_threads,
+                  ranking_rows)
 
 
 def synth(tmp_path, **overrides):
@@ -246,6 +247,18 @@ class TestBoundedDetectionHalf:
             monkeypatch.setattr(module, name, budget)
         assert len(formats.load_detections(bench / "detections_det0.jsonl")) > 7 * budget
         assert self.run_into(bench, tmp_path) == expected
+
+    def test_split_load_changes_no_byte(self, bench, tmp_path, monkeypatch, caplog):
+        expected = self.run_into(bench, tmp_path)
+        force_split(monkeypatch)
+        with caplog.at_level("INFO", logger="cbirkit.io"):
+            assert self.run_into(bench, tmp_path) == expected
+        assert no_child_left()
+        assert [m for m in caplog.messages if m.startswith("load-detections: ")] == [
+            f"load-detections: files=3 bytes="
+            f"{sum((bench / f'detections_det{d}.jsonl').stat().st_size for d in range(3))} "
+            f"records={len(formats.load_detections(*sorted(bench.glob('detections_*'))))} "
+            "path=split here_files=2 helper_files=1"]
 
     def test_input_table_dropped_once_fused(self, tmp_path, monkeypatch):
         # the input table was held through detection AP and the retrieval half

@@ -38,9 +38,11 @@ def test_scale_script_runs_every_workload(tmp_path):
         for tree, summary in result["summary"].items():
             assert summary["setup_s"] == result["setup_s"][tree][0] > 0
             assert summary["run_hwm_mb"] == result["runs"][tree][0]["run_hwm_mb"]
+            assert summary["cpu_children_s"] == result["runs"][tree][0]["cpu_children_s"] >= 0
         assert 0.0 < checkout["acc_at_1"] <= checkout["acc_at_10"] <= 1.0
         for run in result["runs"]["checkout"]:
             assert run["peak_rss_mb"] > 0 and run["wall_s"] > 0 and run["ref_s"] > 0
+            assert run["cpu_children_s"] >= 0
             # the run's own peak is part of the process's: wait4 reads the
             # kernel's high-water mark, which it raises lazily, so that it may
             # trail a VmHWM read during the run by a few hundred KiB

@@ -144,3 +144,20 @@ def output_under_blas_threads(script: str, n: int) -> bytes:
                MKL_NUM_THREADS=str(n), PYTHONPATH=os.pathsep.join(paths))
     return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           timeout=120, check=True).stdout
+
+
+def force_split(monkeypatch) -> None:
+    """Make `io.load_detections` hand a share of any two or more files to a
+    forked helper, whatever their size and the CPUs this process may use."""
+    from cbirkit import io as formats
+    monkeypatch.setattr(formats, "SPLIT_BYTES", 0)
+    monkeypatch.setattr(formats, "_usable_cpus", lambda: 2)
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child left to reap."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
